@@ -10,7 +10,6 @@ pieces into eta-invariants, winding numbers, and their identities.  The
 """
 
 from .asymptotics import (
-    ConeDescriptor,
     ExpansionModel,
     FitConfig,
     FittedExpansion,

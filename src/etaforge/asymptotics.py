@@ -27,11 +27,11 @@ from .quadrature import (
     cumulative_halfline_out,
     cumulative_radial,
     geometric_ladder,
+    richardson_derivative,
     sphere_rule,
 )
 
 __all__ = [
-    "ConeDescriptor",
     "ExpansionModel",
     "FittedExpansion",
     "RegularizedValue",
@@ -53,23 +53,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Domain types
-
-
-@dataclass(frozen=True)
-class ConeDescriptor:
-    """Integration domain: R^p or the half-line (0, inf)."""
-
-    dimension: int
-    kind: str = "full-space"  # "full-space" | "half-line"
-
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        if self.kind not in ("full-space", "half-line"):
-            raise ValueError(f"unknown cone kind {self.kind!r}")
-        if self.kind == "half-line" and self.dimension != 1:
-            raise ValueError("half-line cone requires dimension 1")
+# Expansion models and fit results
 
 
 @dataclass(frozen=True)
@@ -180,9 +164,7 @@ class RegularizedValue:
     """A regularized integral together with its extraction diagnostics."""
 
     value: complex
-    ambiguity_degree: int
     diagnostics: object = None
-    domain: ConeDescriptor | None = None
 
 
 @dataclass(frozen=True)
@@ -327,7 +309,7 @@ def _require_valid(fitted: FittedExpansion, cfg: FitConfig, what: str):
         raise FitError(f"{what}: relative fit residual {fitted.residual:.3e} exceeds threshold {cfg.residual_threshold:.0e}")
 
 
-def _lim_fit(xs, ys, abs_ys, terms, shift, cfg: FitConfig, domain: ConeDescriptor) -> tuple[complex, FittedExpansion]:
+def _lim_fit(xs, ys, abs_ys, terms, shift, cfg: FitConfig) -> tuple[complex, FittedExpansion]:
     basis = primitive_basis(terms, shift)
     if len(xs) < 2 * len(basis):
         raise FitError(f"radius ladder too short: {len(xs)} radii for {len(basis)} basis terms")
@@ -447,9 +429,9 @@ def regint_rp(
     rr = ladder.radii()
     rule = sphere if sphere is not None else sphere_rule(p, (24, 48) if p == 3 else 128)
     ivals, avals = cumulative_ball(f, p, rr, rule, n_radial)
-    const, fitted = _lim_fit(rr, ivals, avals, model.expanded_terms(), p, cfg, ConeDescriptor(p))
+    const, fitted = _lim_fit(rr, ivals, avals, model.expanded_terms(), p, cfg)
     _require_valid(fitted, cfg, "regint_rp")
-    return RegularizedValue(const, -1, fitted, ConeDescriptor(p))
+    return RegularizedValue(const, fitted)
 
 
 def regint_rp_radial(
@@ -463,9 +445,9 @@ def regint_rp_radial(
     """regint_rp for a radial integrand g(|x|); the sphere factor is exact."""
     rr = ladder.radii()
     ivals, avals = cumulative_radial(g, p, rr, n_radial)
-    const, fitted = _lim_fit(rr, ivals, avals, model.expanded_terms(), p, cfg, ConeDescriptor(p))
+    const, fitted = _lim_fit(rr, ivals, avals, model.expanded_terms(), p, cfg)
     _require_valid(fitted, cfg, "regint_rp_radial")
-    return RegularizedValue(const, -1, fitted, ConeDescriptor(p))
+    return RegularizedValue(const, fitted)
 
 
 def _halfline_both_ends(g, terms_at_zero, terms_at_inf, ladder, ladder_zero, n_radial, cfg):
@@ -479,9 +461,9 @@ def _halfline_both_ends(g, terms_at_zero, terms_at_inf, ladder, ladder_zero, n_r
         return vals
 
     jvals, javals = cumulative_halfline_out(g_arr, rr, n_radial)
-    lim_inf, fit_inf = _lim_fit(rr, jvals, javals, terms_at_inf, 1.0, cfg, ConeDescriptor(1, "half-line"))
+    lim_inf, fit_inf = _lim_fit(rr, jvals, javals, terms_at_inf, 1.0, cfg)
     kvals, kavals = cumulative_halfline_in(g_arr, uu, n_radial)
-    lim_zero, fit_zero = _lim_fit(uu, kvals, kavals, terms_at_zero, -1.0, cfg, ConeDescriptor(1, "half-line"))
+    lim_zero, fit_zero = _lim_fit(uu, kvals, kavals, terms_at_zero, -1.0, cfg)
     _require_valid(fit_inf, cfg, "regint_halfline (infinity end)")
     _require_valid(fit_zero, cfg, "regint_halfline (zero end)")
     return lim_zero, lim_inf, fit_zero, fit_inf
@@ -509,9 +491,7 @@ def regint_halfline(
     )
     return RegularizedValue(
         lim_zero + lim_inf,
-        -1,
         {"zero_end": fit_zero, "infinity_end": fit_inf, "limit_zero": lim_zero, "limit_inf": lim_inf},
-        ConeDescriptor(1, "half-line"),
     )
 
 
@@ -608,7 +588,7 @@ def cov_correction(
     return ComparisonPair(lhs, rhs, corr / abs(det))
 
 
-def _fd_partial(f, j, p, rel_step=1e-5):
+def _fd_partial(f, j, rel_step=1e-5):
     """Central difference with one Richardson pass, step scaled by 1 + |x|."""
 
     def df(x):
@@ -616,10 +596,7 @@ def _fd_partial(f, j, p, rel_step=1e-5):
         h = rel_step * (1.0 + np.linalg.norm(x, axis=1))
         e = np.zeros_like(x)
         e[:, j] = 1.0
-        d1 = (f(x + h[:, None] * e) - f(x - h[:, None] * e)) / (2.0 * h)
-        hh = 0.5 * h
-        d2 = (f(x + hh[:, None] * e) - f(x - hh[:, None] * e)) / (2.0 * hh)
-        return (4.0 * d2 - d1) / 3.0
+        return richardson_derivative(lambda c: f(x + (c * h)[:, None] * e), h)
 
     return df
 
@@ -648,7 +625,7 @@ def stokes_defect(
     want = 1.0 - float(p)
     if want not in model.degrees:
         raise MissingCoefficientError(f"stokes defect needs degree {want} in the declared model")
-    dfj = df if df is not None else _fd_partial(f, j, p)
+    dfj = df if df is not None else _fd_partial(f, j)
     lhs = regint_rp(dfj, model.derivative(), p, ladder, rule, n_radial, cfg).value
     rhs = fitted.integrate_coefficient(want, 0, fitted.directions[:, j])
     return ComparisonPair(lhs, rhs)

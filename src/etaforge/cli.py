@@ -8,7 +8,8 @@ Usage:
 Config format (JSON, canonical key order for hashing):
     {"experiment": "sphere-omega", "params": {"k": 2}, "budget": "standard"}
 
-Exit codes: 0 pass, 1 acceptance failure, 2 config error, 3 numeric failure.
+Exit codes: 0 pass, 1 acceptance failure, 2 config error, 3 numeric failure,
+4 internal error (any other exception).
 """
 
 from __future__ import annotations
@@ -59,22 +60,23 @@ def _resolve_budget(spec) -> Budget:
     )
     if ladder.count > 128 or ladder.r_max > 2.0 ** 24:
         raise ConfigError("budget exceeds hard caps (radii <= 128, r_max <= 2^24)")
-    window = WindowConfig(
-        start=int(spec.get("eig_window", base.window.start)),
-        cap=int(spec.get("eig_cap", base.window.cap)),
-    )
+    if ladder.count < 2:
+        raise ConfigError("budget below lower bounds (radii >= 2)")
+    counts = {key: int(spec.get(key, getattr(base, key))) for key in ("n_radial", "n_radial_fine", "s_nodes")}
+    start = int(spec.get("eig_window", base.window.start))
+    if min(counts.values()) < 1 or start < 1:
+        raise ConfigError("budget below lower bounds (n_radial, n_radial_fine, s_nodes, eig_window >= 1)")
+    window = WindowConfig(start=start, cap=int(spec.get("eig_cap", base.window.cap)))
     if window.cap > 16_777_216:
         raise ConfigError("budget exceeds hard caps (eigenvalue window cap <= 2^24)")
     return replace(
         base,
         name=base.name + "+",
         ladder=ladder,
-        n_radial=int(spec.get("n_radial", base.n_radial)),
-        n_radial_fine=int(spec.get("n_radial_fine", base.n_radial_fine)),
         sphere_p3=tuple(spec.get("sphere_p3", base.sphere_p3)),
         chart_s3=tuple(spec.get("chart_s3", base.chart_s3)),
         window=window,
-        s_nodes=int(spec.get("s_nodes", base.s_nodes)),
+        **counts,
     )
 
 
@@ -247,6 +249,9 @@ def main(argv=None) -> int:
     except (EtaforgeError, ValueError) as exc:
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
     for report in reports:
         _print_report(report)

@@ -52,7 +52,7 @@ from .partrace import (
     l2_trace_values,
     tr_param_values,
 )
-from .quadrature import SphereRule, gauss_legendre, sphere_rule
+from .quadrature import SphereRule, gauss_legendre, richardson_derivative, sphere_rule
 
 __all__ = [
     "c_k",
@@ -93,29 +93,28 @@ class EtaResult:
         return abs(h - complex(round(h.real)))
 
 
+PATH_FD_STEP = 1e-3
+
+
 @dataclass
 class PathFamily:
     """s-parametrized family of matrix families on [0, 1].
 
     ``ds_family_at`` supplies the analytic s-derivative; otherwise a central
-    difference with a Richardson pass is used.
+    difference with a Richardson pass and step PATH_FD_STEP is used.
     """
 
     family_at: Callable[[float], MatrixFamily]
     ds_family_at: Callable[[float], MatrixFamily] | None = None
-    fd_step: float = 1e-3
 
     def derivative_at(self, s: float) -> MatrixFamily:
         if self.ds_family_at is not None:
             return self.ds_family_at(s)
-        h = self.fd_step
-        a_pp, a_mm = self.family_at(s + h), self.family_at(s - h)
-        a_p, a_m = self.family_at(s + 0.5 * h), self.family_at(s - 0.5 * h)
+        h = PATH_FD_STEP
+        shifted = {c: self.family_at(s + c * h) for c in (1.0, -1.0, 0.5, -0.5)}
 
         def df(x):
-            d1 = (a_pp(x) - a_mm(x)) / (2.0 * h)
-            d2 = (a_p(x) - a_m(x)) / h
-            return (4.0 * d2 - d1) / 3.0
+            return richardson_derivative(lambda c: shifted[c](x), h)
 
         proto = self.family_at(s)
         return MatrixFamily(proto.p, proto.n, df, name=f"ds@{s}")
@@ -234,10 +233,7 @@ def eta_variation(
     def eta_at(ss: float) -> complex:
         return eta_k(path.family_at(ss), k, model, ladder, sphere, n_radial, fit).value
 
-    h = s_step
-    d1 = (eta_at(s + h) - eta_at(s - h)) / (2.0 * h)
-    d2 = (eta_at(s + 0.5 * h) - eta_at(s - 0.5 * h)) / h
-    lhs = (4.0 * d2 - d1) / 3.0
+    lhs = richardson_derivative(lambda c: eta_at(s + c * s_step), s_step)
 
     A = path.family_at(s)
     G = mf_product(mf_inverse(A), path.derivative_at(s))
@@ -397,8 +393,6 @@ def eta_suspension(
 
 
 def _boundary_logderivative(path: PathFamily, s: float, lam: float, fd_step: float) -> complex:
-    f = path.family_at(s)
-
     def val(ss):
         fam = path.family_at(ss)
         return complex(fam(np.array([[lam]]))[0, 0, 0])
@@ -406,10 +400,7 @@ def _boundary_logderivative(path: PathFamily, s: float, lam: float, fd_step: flo
     f0 = val(s)
     if abs(f0) < 1e-8:
         raise SingularFamilyError(f"boundary value vanishes at lambda = {lam}, s = {s}")
-    h = fd_step
-    d1 = (val(s + h) - val(s - h)) / (2.0 * h)
-    d2 = (val(s + 0.5 * h) - val(s - 0.5 * h)) / h
-    return ((4.0 * d2 - d1) / 3.0) / f0
+    return richardson_derivative(lambda c: val(s + c * fd_step), fd_step) / f0
 
 
 def path_eta_rate(path: PathFamily, s: float, boundary: float = 50.0, fd_step: float = 1e-4) -> complex:
@@ -480,7 +471,7 @@ def phase_unwinding_path(width: float = 0.05) -> PathFamily:
                 phase = s + (1.0 - s) * _ramp(u, scaled_width)
             return np.exp(2j * math.pi * phase)[:, None, None]
 
-        return MatrixFamily(1, 1, f, invertible_hint=True, name=f"unwind(s={s})")
+        return MatrixFamily(1, 1, f, name=f"unwind(s={s})")
 
     return PathFamily(family_at)
 

@@ -60,7 +60,7 @@ from .partrace import (
     l2_trace_values,
     tr_param_values,
 )
-from .quadrature import sphere_rule
+from .quadrature import richardson_derivative, sphere_rule
 
 __all__ = ["Budget", "BUDGETS", "CheckRow", "EXPERIMENTS", "run_experiment", "experiment_ids"]
 
@@ -515,7 +515,7 @@ def _conjugated_rotated_copy(a: float, seed: int = 7) -> MatrixFamily:
     def f(x):
         return q @ base(np.asarray(x, dtype=float) @ o.T) @ q.conj().T
 
-    return MatrixFamily(3, 2, f, invertible_hint=True, name="conjugated_copy")
+    return MatrixFamily(3, 2, f, name="conjugated_copy")
 
 
 def exp_additivity_defect(params, budget, rng):
@@ -702,9 +702,7 @@ def exp_tr_derivative_check(params, budget, rng):
     def trv1(x):
         return complex(tr_param_values(fam1, np.array([[x]]), budget.window)[0])
 
-    fd = (trv1(mu + h) - trv1(mu - h)) / (2.0 * h)
-    fdb = (trv1(mu + 0.5 * h) - trv1(mu - 0.5 * h)) / h
-    fdr = (4.0 * fdb - fd) / 3.0
+    fdr = richardson_derivative(lambda c: trv1(mu + c * h), h)
     dfam = fam1.d_mu(0)
     want1 = complex(tr_param_values(dfam, np.array([[mu]]), budget.window)[0])
     rows.append(

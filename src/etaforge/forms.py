@@ -19,7 +19,7 @@ import numpy as np
 
 from .clifford import CliffordRep, clifford_action, standard_rep, volume_trace
 from .errors import QuadratureError, SingularFamilyError
-from .quadrature import chart_minor_determinants, coarser_chart_resolution, sphere_chart
+from .quadrature import chart_minor_determinants, coarser_chart_resolution, richardson_derivative, sphere_chart
 
 __all__ = [
     "MatrixFamily",
@@ -75,9 +75,7 @@ class MatrixFamily:
     n: int
     func: Callable[[np.ndarray], np.ndarray]
     partials: tuple["MatrixFamily", ...] | None = None
-    invertible_hint: bool = False
     name: str = ""
-    fd_rel_step: float = 1e-5
     _memo: _Memo | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -93,27 +91,23 @@ class MatrixFamily:
         """The j-th partial derivative as a family (analytic or FD)."""
         if self.partials is not None:
             return self.partials[j]
-        return MatrixFamily(self.p, self.n, _fd_partial_func(self, j), name=f"d{j}({self.name})")
-
-    def has_analytic_partials(self) -> bool:
-        return self.partials is not None
+        return _fd_partial_family(self, j)
 
 
-def _fd_partial_func(fam: MatrixFamily, j: int):
-    """Central difference with one Richardson pass, step 1e-5 (1 + |x|)."""
+FD_REL_STEP = 1e-5
+
+
+def _fd_partial_family(fam: MatrixFamily, j: int) -> MatrixFamily:
+    """Richardson central difference in x_j, step FD_REL_STEP (1 + |x|)."""
 
     def df(x):
         x = np.asarray(x, dtype=float)
-        h = fam.fd_rel_step * (1.0 + np.linalg.norm(x, axis=1))
+        h = FD_REL_STEP * (1.0 + np.linalg.norm(x, axis=1))
         e = np.zeros_like(x)
         e[:, j] = 1.0
-        hv = h[:, None]
-        d1 = (fam(x + hv * e) - fam(x - hv * e)) / (2.0 * h[:, None, None])
-        hv2 = 0.5 * hv
-        d2 = (fam(x + hv2 * e) - fam(x - hv2 * e)) / (h[:, None, None])
-        return (4.0 * d2 - d1) / 3.0
+        return richardson_derivative(lambda c: fam(x + (c * h)[:, None] * e), h[:, None, None])
 
-    return df
+    return MatrixFamily(fam.p, fam.n, df, name=f"d{j}({fam.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +163,7 @@ def mf_inverse(a: MatrixFamily) -> MatrixFamily:
             raise SingularFamilyError(f"family {a.name!r} numerically singular", point=np.asarray(x)[i])
         return out
 
-    fam = MatrixFamily(a.p, a.n, inv, invertible_hint=True, name=f"inv({a.name})")
+    fam = MatrixFamily(a.p, a.n, inv, name=f"inv({a.name})")
     if a.partials is not None:
         # d(A^-1) = -A^-1 (dA) A^-1; first derivatives only
         fam.partials = tuple(
@@ -198,7 +192,6 @@ class MatrixForm:
     n: int
     degree: int
     coeffs: dict[tuple[int, ...], MatrixFamily]
-    overflowed: bool = False
 
     def coefficient(self, index: tuple[int, ...]) -> MatrixFamily | None:
         return self.coeffs.get(tuple(index))
@@ -233,8 +226,19 @@ def _shuffle_sign(I: tuple[int, ...], J: tuple[int, ...]) -> int:
     return -1 if inversions % 2 else 1
 
 
-def zero_form(p: int, n: int, degree: int, overflowed: bool = False) -> MatrixForm:
-    return MatrixForm(p, n, degree, {}, overflowed)
+def zero_form(p: int, n: int, degree: int) -> MatrixForm:
+    return MatrixForm(p, n, degree, {})
+
+
+def _signed_sums(acc: dict[tuple[int, ...], list[tuple[int, MatrixFamily]]]) -> dict[tuple[int, ...], MatrixFamily]:
+    """Fold the signed terms collected per index tuple into one coefficient each."""
+    coeffs = {}
+    for K, parts in acc.items():
+        fam = mf_scale(parts[0][1], parts[0][0])
+        for sign, term in parts[1:]:
+            fam = mf_add(fam, term, 1.0, sign)
+        coeffs[K] = fam
+    return coeffs
 
 
 def form_from_family(fam: MatrixFamily) -> MatrixForm:
@@ -248,7 +252,7 @@ def wedge(w1: MatrixForm, w2: MatrixForm) -> MatrixForm:
         raise ValueError("wedge requires the same base dimension and matrix rank")
     degree = w1.degree + w2.degree
     if degree > w1.p:
-        return zero_form(w1.p, w1.n, degree, overflowed=True)
+        return zero_form(w1.p, w1.n, degree)
     acc: dict[tuple[int, ...], list[tuple[int, MatrixFamily]]] = {}
     for I, a in w1.coeffs.items():
         for J, b in w2.coeffs.items():
@@ -256,13 +260,7 @@ def wedge(w1: MatrixForm, w2: MatrixForm) -> MatrixForm:
                 continue
             K = tuple(sorted(I + J))
             acc.setdefault(K, []).append((_shuffle_sign(I, J), mf_product(a, b)))
-    coeffs = {}
-    for K, parts in acc.items():
-        fam = mf_scale(parts[0][1], parts[0][0])
-        for sign, term in parts[1:]:
-            fam = mf_add(fam, term, 1.0, sign)
-        coeffs[K] = fam
-    return MatrixForm(w1.p, w1.n, degree, coeffs)
+    return MatrixForm(w1.p, w1.n, degree, _signed_sums(acc))
 
 
 def exterior_derivative(w: MatrixForm, scheme: str = "auto") -> MatrixForm:
@@ -271,7 +269,7 @@ def exterior_derivative(w: MatrixForm, scheme: str = "auto") -> MatrixForm:
     scheme: "analytic" (require family partials), "fd", or "auto".
     """
     if w.degree >= w.p:
-        return zero_form(w.p, w.n, w.degree + 1, overflowed=True)
+        return zero_form(w.p, w.n, w.degree + 1)
     acc: dict[tuple[int, ...], list[tuple[int, MatrixFamily]]] = {}
     for I, fam in w.coeffs.items():
         for j in range(w.p):
@@ -284,17 +282,11 @@ def exterior_derivative(w: MatrixForm, scheme: str = "auto") -> MatrixForm:
                     raise ValueError("analytic scheme requested but the coefficient has no partials")
                 d = fam.partials[j]
             elif scheme == "fd":
-                d = MatrixFamily(w.p, w.n, _fd_partial_func(fam, j), name=f"d{j}({fam.name})")
+                d = _fd_partial_family(fam, j)
             else:
                 d = fam.partial_family(j)
             acc.setdefault(K, []).append((sign, d))
-    coeffs = {}
-    for K, parts in acc.items():
-        fam = mf_scale(parts[0][1], parts[0][0])
-        for sign, term in parts[1:]:
-            fam = mf_add(fam, term, 1.0, sign)
-        coeffs[K] = fam
-    return MatrixForm(w.p, w.n, w.degree + 1, coeffs)
+    return MatrixForm(w.p, w.n, w.degree + 1, _signed_sums(acc))
 
 
 def mc_form(f: MatrixFamily) -> MatrixForm:
@@ -413,7 +405,7 @@ def matrix_family(name: str, **params) -> MatrixFamily:
 
     ids: moebius(s), circle_phase(), affine_clifford(a, k),
     spectral_slice(lam, k), capped_clifford(a, k), sphere_clifford(k),
-    step_unitary(k).
+    tabulated(path) (see matrix_family_from_csv), step_unitary(k).
     """
     if name == "moebius":
         s = complex(params.get("s", 1.0))
@@ -426,7 +418,7 @@ def matrix_family(name: str, **params) -> MatrixFamily:
             t = np.asarray(x, dtype=float)[:, 0]
             return (2j * s / (t + 1j * s) ** 2)[:, None, None]
 
-        fam = MatrixFamily(1, 1, f, invertible_hint=True, name=f"moebius({s})")
+        fam = MatrixFamily(1, 1, f, name=f"moebius({s})")
         dfam = MatrixFamily(1, 1, df, name="moebius'")
         fam.partials = (dfam,)
         return fam
@@ -438,7 +430,7 @@ def matrix_family(name: str, **params) -> MatrixFamily:
             x = np.asarray(x, dtype=float)
             return (x[:, 0] + 1j * x[:, 1])[:, None, None]
 
-        fam = MatrixFamily(2, 1, f, invertible_hint=True, name="circle_phase")
+        fam = MatrixFamily(2, 1, f, name="circle_phase")
         fam.partials = (
             mf_constant(np.array([[1.0 + 0j]]), 2, "1"),
             mf_constant(np.array([[1j]]), 2, "i"),
@@ -455,7 +447,7 @@ def matrix_family(name: str, **params) -> MatrixFamily:
             x = np.asarray(x, dtype=float)
             return a * np.eye(nn, dtype=complex)[None] + clifford_action(rep, x)
 
-        fam = MatrixFamily(p, nn, f, invertible_hint=True, name=f"{name}({a})")
+        fam = MatrixFamily(p, nn, f, name=f"{name}({a})")
         fam.partials = tuple(mf_constant(rep.generators[j], p, f"E{j + 1}") for j in range(p))
         return fam
 
@@ -481,7 +473,7 @@ def matrix_family(name: str, **params) -> MatrixFamily:
 
             return g
 
-        fam = MatrixFamily(p, nn, f, invertible_hint=True, name=f"capped_clifford({a})")
+        fam = MatrixFamily(p, nn, f, name=f"capped_clifford({a})")
         fam.partials = tuple(MatrixFamily(p, nn, df(j), name=f"d{j} capped") for j in range(p))
         return fam
 
@@ -496,7 +488,7 @@ def matrix_family(name: str, **params) -> MatrixFamily:
             x = np.asarray(x, dtype=float)
             return x[:, 0, None, None] * np.eye(nn, dtype=complex)[None] + clifford_action(rep, x[:, 1:])
 
-        fam = MatrixFamily(p, nn, f, invertible_hint=True, name=f"sphere_clifford(k={k})")
+        fam = MatrixFamily(p, nn, f, name=f"sphere_clifford(k={k})")
         parts = [mf_constant(np.eye(nn, dtype=complex), p, "I")]
         parts += [mf_constant(rep.generators[j], p, f"E{j + 1}") for j in range(rep.p)]
         fam.partials = tuple(parts)
@@ -524,7 +516,7 @@ def matrix_family(name: str, **params) -> MatrixFamily:
                 :, None, None
             ] * clifford_action(rep, unit)
 
-        return MatrixFamily(p, nn, f, invertible_hint=True, name=f"step_unitary(k={k})")
+        return MatrixFamily(p, nn, f, name=f"step_unitary(k={k})")
 
     raise KeyError(f"unknown matrix family {name!r}")
 

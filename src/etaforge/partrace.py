@@ -36,7 +36,7 @@ from .asymptotics import (
 )
 from .errors import OrderError, TruncationError
 from .forms import MatrixFamily
-from .quadrature import SphereRule, gauss_legendre, sphere_rule
+from .quadrature import SphereRule, gauss_legendre, richardson_derivative, sphere_rule
 
 __all__ = [
     "hurwitz_zeta",
@@ -380,6 +380,10 @@ class WindowConfig:
     lam_block: int = 8192
     mu_chunk: int = 1024
 
+    def __post_init__(self):
+        if self.start < 1:
+            raise ValueError("eigenvalue window start must be >= 1")
+
 
 DEFAULT_WINDOW = WindowConfig()
 
@@ -407,10 +411,7 @@ def _em_tail(g, x0: float):
     from the next correction order."""
     integral = _tail_quadrature(g, x0)
     g0 = g(x0)
-    h = 0.5
-    g1 = (g(x0 + h) - g(x0 - h)) / (2.0 * h)
-    g1b = (g(x0 + 0.5 * h) - g(x0 - 0.5 * h)) / h
-    g1 = (4.0 * g1b - g1) / 3.0
+    g1 = richardson_derivative(lambda c: g(x0 + c * 0.5), 0.5)
     hh = max(1.0, x0 / 64.0)
     g3 = (g(x0 + 2 * hh) - 2 * g(x0 + hh) + 2 * g(x0 - hh) - g(x0 - 2 * hh)) / (2.0 * hh ** 3)
     tail = integral + 0.5 * g0 - g1 / 12.0

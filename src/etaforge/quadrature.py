@@ -5,6 +5,7 @@ geometric shell ladder; angular integrals use product rules on S^{p-1}
 (endpoints for S^0, trapezoid on S^1, Gauss-Legendre x trapezoid on S^2,
 double Gauss-Legendre x trapezoid in hyperspherical coordinates on S^3).
 All reductions run in a fixed index order so results are reproducible.
+``richardson_derivative`` is the one first-derivative stencil of the package.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -51,9 +51,6 @@ class SphereRule:
     points: np.ndarray  # (M, p) unit vectors
     weights: np.ndarray  # (M,)
 
-    def integrate(self, values: np.ndarray) -> complex:
-        return complex(np.sum(self.weights * values))
-
 
 def sphere_rule(p: int, resolution: int | tuple[int, int] = 48) -> SphereRule:
     """Quadrature on S^{p-1} for p in {1, 2, 3}.
@@ -77,7 +74,6 @@ def sphere_rule(p: int, resolution: int | tuple[int, int] = 48) -> SphereRule:
         t, wt = gauss_legendre(n_t)  # t = cos(theta)
         ph = 2.0 * math.pi * np.arange(n_ph) / n_ph
         wph = 2.0 * math.pi / n_ph
-        st = np.sqrt(1.0 - t ** 2)
         T, PH = np.meshgrid(t, ph, indexing="ij")
         ST = np.sqrt(1.0 - T ** 2)
         pts = np.stack([ST * np.cos(PH), ST * np.sin(PH), T], axis=-1).reshape(-1, 3)
@@ -198,6 +194,38 @@ def _shell_bounds(start: float, ladder: np.ndarray, inner: tuple[float, ...]) ->
 DEFAULT_INNER = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
+def _cumulative_shells(
+    bounds: list[float],
+    marks: np.ndarray,
+    n_radial: int,
+    contribution: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    surface: float | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The shell loop behind every cumulative routine.
+
+    One Gauss-Legendre panel per pair of consecutive bounds (in either
+    order); ``contribution(x, w)`` returns the weighted panel values.  Panel
+    sums are reduced with ``math.fsum`` and the running totals are recorded
+    whenever a panel ends on one of ``marks``, scaled by ``surface`` if given.
+    """
+    marked = {float(m) for m in marks}
+    out, aout = [], []
+    re_parts, im_parts, abs_parts = [], [], []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        x, w = panel_rule(min(lo, hi), max(lo, hi), n_radial)
+        contrib = contribution(x, w).ravel()
+        re_parts.append(math.fsum(contrib.real.tolist()))
+        im_parts.append(math.fsum(contrib.imag.tolist()))
+        abs_parts.append(math.fsum(np.abs(contrib).tolist()))
+        if float(hi) in marked:
+            total, atotal = math.fsum(re_parts) + 1j * math.fsum(im_parts), math.fsum(abs_parts)
+            if surface is not None:
+                total, atotal = surface * total, surface * atotal
+            out.append(total)
+            aout.append(atotal)
+    return np.array(out), np.array(aout)
+
+
 def cumulative_ball(
     f: Callable[[np.ndarray], np.ndarray],
     p: int,
@@ -209,23 +237,15 @@ def cumulative_ball(
 
     f maps an (M, p) point array to (M,) complex values.
     """
-    bounds = _shell_bounds(0.0, ladder, DEFAULT_INNER)
-    ladder_set = {float(r) for r in ladder}
     dirs, wdirs = sphere.points, sphere.weights
-    out, aout = [], []
-    re_parts, im_parts, abs_parts = [], [], []
-    for i in range(len(bounds) - 1):
-        r, wr = panel_rule(bounds[i], bounds[i + 1], n_radial)
+
+    def contribution(r, wr):
         pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, p)
         vals = np.asarray(f(pts), dtype=complex).reshape(len(r), len(dirs))
-        contrib = (wr * r ** (p - 1))[:, None] * wdirs[None, :] * vals
-        re_parts.append(math.fsum(contrib.real.ravel().tolist()))
-        im_parts.append(math.fsum(contrib.imag.ravel().tolist()))
-        abs_parts.append(math.fsum(np.abs(contrib).ravel().tolist()))
-        if float(bounds[i + 1]) in ladder_set:
-            out.append(math.fsum(re_parts) + 1j * math.fsum(im_parts))
-            aout.append(math.fsum(abs_parts))
-    return np.array(out), np.array(aout)
+        return (wr * r ** (p - 1))[:, None] * wdirs[None, :] * vals
+
+    bounds = _shell_bounds(0.0, ladder, DEFAULT_INNER)
+    return _cumulative_shells(bounds, ladder, n_radial, contribution)
 
 
 def cumulative_radial(
@@ -236,21 +256,10 @@ def cumulative_radial(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Radial reduction of cumulative_ball for g = g(|x|): carries the exact
     S^{p-1} surface factor."""
-    surf = sphere_surface(p)
-    bounds = _shell_bounds(0.0, ladder, DEFAULT_INNER)
-    ladder_set = {float(r) for r in ladder}
-    out, aout = [], []
-    re_parts, im_parts, abs_parts = [], [], []
-    for i in range(len(bounds) - 1):
-        r, wr = panel_rule(bounds[i], bounds[i + 1], n_radial)
-        contrib = wr * r ** (p - 1) * np.asarray(g(r), dtype=complex)
-        re_parts.append(math.fsum(contrib.real.tolist()))
-        im_parts.append(math.fsum(contrib.imag.tolist()))
-        abs_parts.append(math.fsum(np.abs(contrib).tolist()))
-        if float(bounds[i + 1]) in ladder_set:
-            out.append(surf * (math.fsum(re_parts) + 1j * math.fsum(im_parts)))
-            aout.append(surf * math.fsum(abs_parts))
-    return np.array(out), np.array(aout)
+    return _cumulative_shells(
+        _shell_bounds(0.0, ladder, DEFAULT_INNER), ladder, n_radial,
+        lambda r, wr: wr * r ** (p - 1) * np.asarray(g(r), dtype=complex), sphere_surface(p),
+    )
 
 
 def cumulative_halfline_out(
@@ -260,19 +269,7 @@ def cumulative_halfline_out(
 ) -> tuple[np.ndarray, np.ndarray]:
     """J(b_j) = int_1^{b_j} g(x) dx on an outward ladder (b_j > 1)."""
     bounds = _shell_bounds(1.0, ladder, (1.0, 1.5))
-    ladder_set = {float(r) for r in ladder}
-    out, aout = [], []
-    re_parts, im_parts, abs_parts = [], [], []
-    for i in range(len(bounds) - 1):
-        x, w = panel_rule(bounds[i], bounds[i + 1], n_radial)
-        contrib = w * np.asarray(g(x), dtype=complex)
-        re_parts.append(math.fsum(contrib.real.tolist()))
-        im_parts.append(math.fsum(contrib.imag.tolist()))
-        abs_parts.append(math.fsum(np.abs(contrib).tolist()))
-        if float(bounds[i + 1]) in ladder_set:
-            out.append(math.fsum(re_parts) + 1j * math.fsum(im_parts))
-            aout.append(math.fsum(abs_parts))
-    return np.array(out), np.array(aout)
+    return _cumulative_shells(bounds, ladder, n_radial, lambda x, w: w * np.asarray(g(x), dtype=complex))
 
 
 def cumulative_halfline_in(
@@ -293,21 +290,17 @@ def cumulative_halfline_in(
         if r > a_vals[0]:
             bounds.append(r)
     bounds = bounds + list(a_vals)
-    a_set = {float(a) for a in a_vals}
-    out, aout = [], []
-    re_parts, im_parts, abs_parts = [], [], []
-    for i in range(len(bounds) - 1):
-        x, w = panel_rule(bounds[i + 1], bounds[i], n_radial)
-        contrib = w * np.asarray(g(x), dtype=complex)
-        re_parts.append(math.fsum(contrib.real.tolist()))
-        im_parts.append(math.fsum(contrib.imag.tolist()))
-        abs_parts.append(math.fsum(np.abs(contrib).tolist()))
-        if float(bounds[i + 1]) in a_set:
-            out.append(math.fsum(re_parts) + 1j * math.fsum(im_parts))
-            aout.append(math.fsum(abs_parts))
-    return np.array(out), np.array(aout)
+    return _cumulative_shells(bounds, a_vals, n_radial, lambda x, w: w * np.asarray(g(x), dtype=complex))
 
 
-def top_index_tuples(p: int, q: int):
-    """Strictly increasing q-tuples from range(p)."""
-    return list(combinations(range(p), q))
+def richardson_derivative(g: Callable[[float], object], h):
+    """First derivative by central differences with one Richardson pass.
+
+    ``g(c)`` evaluates the function at the offset c*h; it is called for
+    c = 1, -1, 1/2, -1/2 in that order.  Negation and halving are exact, so
+    the offsets are exactly +-h and +-h/2.  ``h`` may be an array that
+    broadcasts against g's values.  Error O(h^4).
+    """
+    d1 = (g(1.0) - g(-1.0)) / (2.0 * h)
+    d2 = (g(0.5) - g(-0.5)) / h
+    return (4.0 * d2 - d1) / 3.0

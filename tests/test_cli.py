@@ -5,6 +5,7 @@ import pytest
 from etaforge.cli import ExperimentConfig, Report, main, run, suite
 from etaforge.errors import ConfigError
 from etaforge.experiments import EXPERIMENTS
+from etaforge.partrace import WindowConfig
 
 
 def test_registry_size_and_tags():
@@ -39,6 +40,14 @@ def test_budget_validation():
         run(ExperimentConfig("clifford-check", budget="turbo"))
     with pytest.raises(ConfigError):
         run(ExperimentConfig("clifford-check", budget={"radii": 10_000}))
+    # lower bounds: an eigenvalue window of 0 never stops escalating, a
+    # negative one sums the wrong eigenvalues, and empty rules are config errors
+    for bad in ({"eig_window": 0}, {"eig_window": -4}, {"radii": 1}, {"n_radial": 0},
+                {"n_radial_fine": 0}, {"s_nodes": 0}):
+        with pytest.raises(ConfigError):
+            run(ExperimentConfig("trace-tanh", budget={"preset": "quick", **bad}))
+    with pytest.raises(ValueError):
+        WindowConfig(start=0)
     r = run(ExperimentConfig("clifford-check", budget={"preset": "quick", "radii": 12}))
     assert r.passed
 
@@ -82,7 +91,7 @@ def test_main_config_file(tmp_path, capsys):
     assert written["pass"] is True
 
 
-def test_main_exit_codes(tmp_path):
+def test_main_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"experiment": "clifford-check", "what": 1}))
     assert main(["--config", str(bad)]) == 2
@@ -92,6 +101,17 @@ def test_main_exit_codes(tmp_path):
         json.dumps({"experiment": "regint-demo", "budget": {"preset": "quick", "radii": 4}})
     )
     assert main(["--config", str(missing)]) == 3
+    # a crash is neither an acceptance failure (1) nor a numeric failure (3)
+    capsys.readouterr()
+    for experiment, params, error in [
+        ("spectral-eta", {"offsets": 5}, "TypeError"),
+        ("trace-tanh", {"mus": [0.0]}, "ZeroDivisionError"),
+    ]:
+        crash = tmp_path / f"{experiment}.json"
+        crash.write_text(json.dumps({"experiment": experiment, "params": params, "budget": "quick"}))
+        assert main(["--config", str(crash)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"internal error: {error}: ") and err.count("\n") == 1
 
 
 def test_main_suite_and_csv(tmp_path, capsys):

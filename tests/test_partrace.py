@@ -264,7 +264,6 @@ def test_extended_trace_weighted_symbol():
         ExpansionModel.make([], remainder=-6.0),
         ladder=RadiusLadder(4.0, 256.0, 16),
     )
-    assert reg.ambiguity_degree == -1
     assert abs(reg.value - math.pi / 4.0) < 1e-6
 
 

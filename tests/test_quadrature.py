@@ -11,6 +11,7 @@ from etaforge.quadrature import (
     gauss_legendre,
     geometric_ladder,
     panel_rule,
+    richardson_derivative,
     sphere_chart,
     sphere_rule,
     sphere_surface,
@@ -89,3 +90,29 @@ def test_cumulative_halfline_pieces():
 def test_geometric_ladder_validation():
     with pytest.raises(ValueError):
         geometric_ladder(4.0, 2.0, 8)
+
+
+def test_richardson_derivative_exact_on_quartic():
+    x0, h = 0.7, 0.1
+
+    def g(x):
+        return 3.0 * x ** 4 - 2.0 * x ** 3 + x - 5.0
+
+    calls = []
+
+    def at(c):
+        calls.append(c)
+        return g(x0 + c * h)
+
+    got = richardson_derivative(at, h)
+    want = 12.0 * x0 ** 3 - 6.0 * x0 ** 2 + 1.0
+    assert abs(got - want) < 1e-13 * abs(want) / h
+    # the fixed evaluation order keeps identity-keyed caches aligned
+    assert calls == [1.0, -1.0, 0.5, -0.5]
+
+
+def test_richardson_derivative_fourth_order_on_exp():
+    x0 = 0.3
+    errs = [abs(richardson_derivative(lambda c: math.exp(x0 + c * h), h) - math.exp(x0)) for h in (0.4, 0.2, 0.1)]
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 14.0 < coarse / fine < 18.0
