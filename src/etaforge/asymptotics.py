@@ -26,6 +26,7 @@ from .quadrature import (
     cumulative_halfline_in,
     cumulative_halfline_out,
     cumulative_radial,
+    fd_step,
     geometric_ladder,
     richardson_derivative,
     sphere_rule,
@@ -588,15 +589,13 @@ def cov_correction(
     return ComparisonPair(lhs, rhs, corr / abs(det))
 
 
-def _fd_partial(f, j, rel_step=1e-5):
+def _fd_partial(f, j):
     """Central difference with one Richardson pass, step scaled by 1 + |x|."""
 
     def df(x):
         x = np.asarray(x, dtype=float)
-        h = rel_step * (1.0 + np.linalg.norm(x, axis=1))
-        e = np.zeros_like(x)
-        e[:, j] = 1.0
-        return richardson_derivative(lambda c: f(x + (c * h)[:, None] * e), h)
+        h, step = fd_step(x, j)
+        return richardson_derivative(lambda c: f(x + c * step), h)
 
     return df
 

@@ -38,21 +38,25 @@ _BUDGET_KEYS = {
 }
 
 
+def _preset(name) -> Budget:
+    if name not in BUDGETS:
+        raise ConfigError(f"unknown budget preset {name!r}; known: {sorted(BUDGETS)}")
+    return BUDGETS[name]
+
+
 def _resolve_budget(spec) -> Budget:
     if spec is None:
         return BUDGETS["standard"]
     if isinstance(spec, Budget):
         return spec
     if isinstance(spec, str):
-        if spec not in BUDGETS:
-            raise ConfigError(f"unknown budget preset {spec!r}; known: {sorted(BUDGETS)}")
-        return BUDGETS[spec]
+        return _preset(spec)
     if not isinstance(spec, dict):
         raise ConfigError("budget must be a preset name or an object")
     unknown = set(spec) - _BUDGET_KEYS
     if unknown:
         raise ConfigError(f"unknown budget keys {sorted(unknown)}; allowed: {sorted(_BUDGET_KEYS)}")
-    base = BUDGETS[spec.get("preset", "standard")]
+    base = _preset(spec.get("preset", "standard"))
     ladder = RadiusLadder(
         float(spec.get("r_min", base.ladder.r_min)),
         float(spec.get("r_max", base.ladder.r_max)),
@@ -231,7 +235,10 @@ def main(argv=None) -> int:
 
     try:
         if args.config:
-            data = json.loads(Path(args.config).read_text())
+            try:
+                data = json.loads(Path(args.config).read_text())
+            except (OSError, ValueError) as exc:  # missing, unreadable or not JSON
+                raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
             cfg = ExperimentConfig.from_dict(data)
             if args.budget != "standard" and (isinstance(cfg.budget, str) and cfg.budget == "standard"):
                 cfg = replace(cfg, budget=args.budget)

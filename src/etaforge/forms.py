@@ -19,7 +19,7 @@ import numpy as np
 
 from .clifford import CliffordRep, clifford_action, standard_rep, volume_trace
 from .errors import QuadratureError, SingularFamilyError
-from .quadrature import chart_minor_determinants, coarser_chart_resolution, richardson_derivative, sphere_chart
+from .quadrature import chart_minor_determinants, coarser_chart_resolution, fd_step, richardson_derivative, sphere_chart
 
 __all__ = [
     "MatrixFamily",
@@ -94,18 +94,13 @@ class MatrixFamily:
         return _fd_partial_family(self, j)
 
 
-FD_REL_STEP = 1e-5
-
-
 def _fd_partial_family(fam: MatrixFamily, j: int) -> MatrixFamily:
-    """Richardson central difference in x_j, step FD_REL_STEP (1 + |x|)."""
+    """Richardson central difference in x_j, steps from ``quadrature.fd_step``."""
 
     def df(x):
         x = np.asarray(x, dtype=float)
-        h = FD_REL_STEP * (1.0 + np.linalg.norm(x, axis=1))
-        e = np.zeros_like(x)
-        e[:, j] = 1.0
-        return richardson_derivative(lambda c: fam(x + (c * h)[:, None] * e), h[:, None, None])
+        h, step = fd_step(x, j)
+        return richardson_derivative(lambda c: fam(x + c * step), h[:, None, None])
 
     return MatrixFamily(fam.p, fam.n, df, name=f"d{j}({fam.name})")
 

@@ -195,35 +195,38 @@ DEFAULT_INNER = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def _cumulative_shells(
-    bounds: list[float],
+    panels: list[tuple[float, float, float]],
     marks: np.ndarray,
     n_radial: int,
     contribution: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    surface: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The shell loop behind every cumulative routine.
 
-    One Gauss-Legendre panel per pair of consecutive bounds (in either
-    order); ``contribution(x, w)`` returns the weighted panel values.  Panel
-    sums are reduced with ``math.fsum`` and the running totals are recorded
-    whenever a panel ends on one of ``marks``, scaled by ``surface`` if given.
+    ``panels`` lists ``(a, b, end)``: one Gauss-Legendre panel from a to b,
+    taken in that direction (a panel with b < a counts with a minus sign),
+    after which the walk stands at the bound ``end``.  ``contribution(x, w)``
+    returns the weighted panel values.  Panel sums are reduced with
+    ``math.fsum`` and the running totals are recorded whenever ``end`` is
+    one of ``marks``.
     """
     marked = {float(m) for m in marks}
     out, aout = [], []
     re_parts, im_parts, abs_parts = [], [], []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        x, w = panel_rule(min(lo, hi), max(lo, hi), n_radial)
+    for a, b, end in panels:
+        x, w = panel_rule(a, b, n_radial)
         contrib = contribution(x, w).ravel()
         re_parts.append(math.fsum(contrib.real.tolist()))
         im_parts.append(math.fsum(contrib.imag.tolist()))
         abs_parts.append(math.fsum(np.abs(contrib).tolist()))
-        if float(hi) in marked:
-            total, atotal = math.fsum(re_parts) + 1j * math.fsum(im_parts), math.fsum(abs_parts)
-            if surface is not None:
-                total, atotal = surface * total, surface * atotal
-            out.append(total)
-            aout.append(atotal)
+        if float(end) in marked:
+            out.append(math.fsum(re_parts) + 1j * math.fsum(im_parts))
+            aout.append(math.fsum(abs_parts))
     return np.array(out), np.array(aout)
+
+
+def _outward_panels(bounds: list[float]) -> list[tuple[float, float, float]]:
+    """Panels from each bound to the next, in the order the bounds are given."""
+    return [(lo, hi, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def cumulative_ball(
@@ -244,8 +247,8 @@ def cumulative_ball(
         vals = np.asarray(f(pts), dtype=complex).reshape(len(r), len(dirs))
         return (wr * r ** (p - 1))[:, None] * wdirs[None, :] * vals
 
-    bounds = _shell_bounds(0.0, ladder, DEFAULT_INNER)
-    return _cumulative_shells(bounds, ladder, n_radial, contribution)
+    panels = _outward_panels(_shell_bounds(0.0, ladder, DEFAULT_INNER))
+    return _cumulative_shells(panels, ladder, n_radial, contribution)
 
 
 def cumulative_radial(
@@ -256,10 +259,12 @@ def cumulative_radial(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Radial reduction of cumulative_ball for g = g(|x|): carries the exact
     S^{p-1} surface factor."""
-    return _cumulative_shells(
-        _shell_bounds(0.0, ladder, DEFAULT_INNER), ladder, n_radial,
-        lambda r, wr: wr * r ** (p - 1) * np.asarray(g(r), dtype=complex), sphere_surface(p),
+    panels = _outward_panels(_shell_bounds(0.0, ladder, DEFAULT_INNER))
+    out, aout = _cumulative_shells(
+        panels, ladder, n_radial, lambda r, wr: wr * r ** (p - 1) * np.asarray(g(r), dtype=complex)
     )
+    surf = sphere_surface(p)
+    return surf * out, surf * aout
 
 
 def cumulative_halfline_out(
@@ -267,9 +272,12 @@ def cumulative_halfline_out(
     ladder: np.ndarray,
     n_radial: int = 32,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """J(b_j) = int_1^{b_j} g(x) dx on an outward ladder (b_j > 1)."""
-    bounds = _shell_bounds(1.0, ladder, (1.0, 1.5))
-    return _cumulative_shells(bounds, ladder, n_radial, lambda x, w: w * np.asarray(g(x), dtype=complex))
+    """J(b_j) = int_1^{b_j} g(x) dx on an outward ladder (b_j > 1).
+
+    A ladder that starts below 1 gives signed values: J(b) = -int_b^1 g.
+    """
+    panels = _outward_panels(_shell_bounds(1.0, ladder, (1.0, 1.5)))
+    return _cumulative_shells(panels, ladder, n_radial, lambda x, w: w * np.asarray(g(x), dtype=complex))
 
 
 def cumulative_halfline_in(
@@ -280,6 +288,7 @@ def cumulative_halfline_in(
     """K(u_j) = int_{1/u_j}^1 g(x) dx on an inward ladder indexed by u = 1/a.
 
     Panels never touch x = 0, so integrable endpoint singularities are fine.
+    A u ladder that starts below 1 gives signed values: K(u) = -int_1^{1/u} g.
     """
     a_vals = 1.0 / np.asarray(u_ladder, dtype=float)
     bounds = [1.0]
@@ -290,7 +299,24 @@ def cumulative_halfline_in(
         if r > a_vals[0]:
             bounds.append(r)
     bounds = bounds + list(a_vals)
-    return _cumulative_shells(bounds, a_vals, n_radial, lambda x, w: w * np.asarray(g(x), dtype=complex))
+    # each panel runs from the next bound back to the previous one
+    panels = [(end, start, end) for start, end in zip(bounds[:-1], bounds[1:])]
+    return _cumulative_shells(panels, a_vals, n_radial, lambda x, w: w * np.asarray(g(x), dtype=complex))
+
+
+FD_REL_STEP = 1e-5
+
+
+def fd_step(x: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Partial-derivative step in x_j for each row of the (M, p) array x.
+
+    Returns the step sizes h = FD_REL_STEP (1 + |x|), shape (M,), and the
+    row offsets h e_j, shape (M, p), for use with ``richardson_derivative``.
+    """
+    h = FD_REL_STEP * (1.0 + np.linalg.norm(x, axis=1))
+    e = np.zeros_like(x)
+    e[:, j] = 1.0
+    return h, h[:, None] * e
 
 
 def richardson_derivative(g: Callable[[float], object], h):

@@ -39,6 +39,8 @@ def test_budget_validation():
     with pytest.raises(ConfigError):
         run(ExperimentConfig("clifford-check", budget="turbo"))
     with pytest.raises(ConfigError):
+        run(ExperimentConfig("clifford-check", budget={"preset": "turbo"}))
+    with pytest.raises(ConfigError):
         run(ExperimentConfig("clifford-check", budget={"radii": 10_000}))
     # lower bounds: an eigenvalue window of 0 never stops escalating, a
     # negative one sums the wrong eigenvalues, and empty rules are config errors
@@ -95,6 +97,11 @@ def test_main_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"experiment": "clifford-check", "what": 1}))
     assert main(["--config", str(bad)]) == 2
+    # an unreadable or malformed config file is bad input, not a crash
+    assert main(["--config", str(tmp_path / "absent.json")]) == 2
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("{not json")
+    assert main(["--config", str(garbled)]) == 2
     missing = tmp_path / "numeric.json"
     # an undersized ladder cannot carry the declared model: numeric failure
     missing.write_text(
@@ -133,3 +140,9 @@ def test_divisor_flow_path_parameter():
     assert r.passed and len(r.rows) == 1
     r2 = run(ExperimentConfig("divisor-flow", params={"path": "linear"}, budget="quick"))
     assert r2.passed
+
+
+def test_ladder_starting_below_one():
+    # the half-line pieces then start with a backwards panel; the finite parts
+    # must not depend on where the ladder starts
+    assert run(ExperimentConfig("mellin-zero", budget={"preset": "quick", "r_min": 0.5})).passed

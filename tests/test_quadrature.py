@@ -79,7 +79,16 @@ def test_cumulative_ball_matches_radial_for_radial_integrand():
 
 
 def test_cumulative_halfline_pieces():
-    ladder = geometric_ladder(4.0, 4096.0, 8)
+    _check_halfline_pieces(geometric_ladder(4.0, 4096.0, 8))
+
+
+def test_cumulative_halfline_ladder_below_one():
+    # the first panel runs backwards: J(0.5) = int_1^0.5 and K(u = 0.5) =
+    # int_2^1 are negative, and later values are still signed integrals from 1
+    _check_halfline_pieces(geometric_ladder(0.5, 4096.0, 8))
+
+
+def _check_halfline_pieces(ladder):
     out, _ = cumulative_halfline_out(lambda x: 1.0 / x ** 2, ladder)
     assert np.max(np.abs(out - (1.0 - 1.0 / ladder))) < 1e-13
     inn, _ = cumulative_halfline_in(lambda x: np.sqrt(x), ladder)
