@@ -93,9 +93,8 @@ def clifford_action(rep: CliffordRep, x) -> np.ndarray:
         raise ValueError(f"expected {rep.p}-vectors, got shape {x.shape}")
     single = x.ndim == 1
     pts = x[None, :] if single else x
-    out = np.zeros(pts.shape[:-1] + (rep.rank, rep.rank), dtype=complex)
-    for j in range(rep.p):
-        out += pts[..., j, None, None] * rep.generators[j]
+    gens = np.stack(rep.generators).reshape(rep.p, -1)
+    out = (pts @ gens.real + 1j * (pts @ gens.imag)).reshape(pts.shape[:-1] + (rep.rank, rep.rank))
     return out[0] if single else out
 
 

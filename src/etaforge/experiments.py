@@ -42,6 +42,7 @@ from .eta import (
 )
 from .forms import (
     MatrixFamily,
+    _matmul,
     exterior_derivative,
     matrix_family,
     maurer_cartan_power,
@@ -155,12 +156,33 @@ class CheckRow:
         }
 
 
-def _params(params: dict, allowed: dict) -> dict:
-    """Merge params over defaults, rejecting unknown keys."""
+def _matches_default(value, default) -> bool:
+    """Whether ``value`` has the JSON type of ``default``: a float default
+    also takes integers, a sequence default takes lists of its element type."""
+    if isinstance(value, bool) or isinstance(default, bool):
+        return isinstance(value, bool) and isinstance(default, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(_matches_default(v, default[0]) for v in value)
+    return isinstance(value, type(default))
+
+
+def _params(params: dict, allowed: dict, nullable: dict | None = None) -> dict:
+    """Merge params over defaults, rejecting unknown keys and values whose
+    type differs from the default's; ``nullable`` gives an example value for
+    keys whose default is None (None itself is always accepted there)."""
     params = dict(params or {})
     unknown = set(params) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown parameter keys {sorted(unknown)}; allowed: {sorted(allowed)}")
+    for key, value in params.items():
+        default = allowed[key]
+        if default is None and value is None:
+            continue
+        example = nullable[key] if default is None else default
+        if not _matches_default(value, example):
+            raise ConfigError(f"parameter {key!r} must be like {example!r}, got {value!r}")
     merged = dict(allowed)
     merged.update(params)
     return merged
@@ -171,7 +193,7 @@ def _params(params: dict, allowed: dict) -> dict:
 
 
 def exp_clifford_check(params, budget, rng):
-    p = _params(params, {"k": None, "k_max": 5})
+    p = _params(params, {"k": None, "k_max": 5}, nullable={"k": 2})
     ks = [int(p["k"])] if p["k"] is not None else list(range(1, int(p["k_max"]) + 1))
     rows = []
     for k in ks:
@@ -513,7 +535,7 @@ def _conjugated_rotated_copy(a: float, seed: int = 7) -> MatrixFamily:
     base = matrix_family("capped_clifford", a=a, k=2)
 
     def f(x):
-        return q @ base(np.asarray(x, dtype=float) @ o.T) @ q.conj().T
+        return _matmul(_matmul(q, base(np.asarray(x, dtype=float) @ o.T)), q.conj().T)
 
     return MatrixFamily(3, 2, f, name="conjugated_copy")
 
@@ -549,11 +571,18 @@ def exp_additivity_defect(params, budget, rng):
     return rows
 
 
+def _check_circle_offset(a) -> float:
+    """A circle spectrum {n + a} with integer a contains 0: not invertible."""
+    if float(a).is_integer():
+        raise ConfigError(f"circle offset must not be an integer, got {a!r}")
+    return float(a)
+
+
 def exp_spectral_eta(params, budget, rng):
     p = _params(params, {"offsets": (0.1, 0.25, 0.4), "k": 2})
     rows = []
     for a in p["offsets"]:
-        h = spectral_eta(SpectralModel.circle(a))
+        h = spectral_eta(SpectralModel.circle(_check_circle_offset(a)))
         rows.append(
             CheckRow(
                 f"zeta route, offset a={a}",
@@ -573,7 +602,7 @@ def exp_spectral_eta(params, budget, rng):
 
 def exp_eta_suspension(params, budget, rng):
     p = _params(params, {"a": 0.25, "k": 2})
-    a, k = float(p["a"]), int(p["k"])
+    a, k = _check_circle_offset(p["a"]), int(p["k"])
     rows = []
     eta_d = 1.0 - 2.0 * (a - math.floor(a))
     for sign, want in ((+1, -eta_d), (-1, +eta_d)):
@@ -614,7 +643,7 @@ def exp_eta_suspension(params, budget, rng):
 
 
 def exp_divisor_flow(params, budget, rng):
-    p = _params(params, {"path": None, "width": 0.05})
+    p = _params(params, {"path": None, "width": 0.05}, nullable={"path": "linear"})
     w = float(p["width"])
     unwind = phase_unwinding_path(w)
     linear = linear_bridge_path(w)

@@ -6,6 +6,11 @@ products keep noncommutative order, exterior derivatives use analytic
 partials when a family carries them and central differences with a
 Richardson pass otherwise, and sphere integration pulls top forms back
 through explicit hyperspherical charts.
+
+Batched products and inverses go through the rank-2 kernels ``_matmul`` and
+``_det_inv`` (entrywise formulas up to rank 2, numpy above), and the trace
+form of ``maurer_cartan_power`` is a cyclic traced power built from
+G_j = f^{-1} d_j f once per batch.
 """
 
 from __future__ import annotations
@@ -106,6 +111,52 @@ def _fd_partial_family(fam: MatrixFamily, j: int) -> MatrixFamily:
 
 
 # ---------------------------------------------------------------------------
+# Batch kernels over the last two axes; ranks 1 and 2 use entrywise formulas,
+# which beat numpy's stacked matmul/inv/det several times over at that size
+# and lose to it from rank 4 on.
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked (broadcast) matrix product, as ``np.matmul``."""
+    n = a.shape[-1]
+    if n == 1:
+        return a * b
+    if n > 2:
+        return np.matmul(a, b)
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    out[..., 0, 0] = a00 * b00 + a01 * b10
+    out[..., 0, 1] = a00 * b01 + a01 * b11
+    out[..., 1, 0] = a10 * b00 + a11 * b10
+    out[..., 1, 1] = a10 * b01 + a11 * b11
+    return out
+
+
+def _det_inv(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Determinants and inverses of a stack; inverses of singular matrices
+    come out non-finite (the caller checks the determinants first)."""
+    n = a.shape[-1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if n == 1:
+            return a[..., 0, 0], 1.0 / a
+        if n == 2:
+            a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+            det = a00 * a11 - a01 * a10
+            inv = np.empty_like(a)
+            inv[..., 0, 0] = a11 / det
+            inv[..., 0, 1] = -a01 / det
+            inv[..., 1, 0] = -a10 / det
+            inv[..., 1, 1] = a00 / det
+            return det, inv
+    det = np.linalg.det(a)
+    try:
+        return det, np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return det, np.full_like(a, np.nan)
+
+
+# ---------------------------------------------------------------------------
 # Family combinators; partials propagate whenever both operands carry them.
 
 
@@ -136,7 +187,7 @@ def mf_add(a: MatrixFamily, b: MatrixFamily, ca: complex = 1.0, cb: complex = 1.
 
 
 def mf_product(a: MatrixFamily, b: MatrixFamily) -> MatrixFamily:
-    out = MatrixFamily(a.p, a.n, lambda x: a(x) @ b(x), name=f"({a.name}.{b.name})")
+    out = MatrixFamily(a.p, a.n, lambda x: _matmul(a(x), b(x)), name=f"({a.name}.{b.name})")
     if a.partials is not None and b.partials is not None:
         out.partials = tuple(
             mf_add(mf_product(a.partials[j], b), mf_product(a, b.partials[j])) for j in range(a.p)
@@ -146,13 +197,11 @@ def mf_product(a: MatrixFamily, b: MatrixFamily) -> MatrixFamily:
 
 def mf_inverse(a: MatrixFamily) -> MatrixFamily:
     def inv(x):
-        vals = a(np.asarray(x, dtype=float))
-        dets = np.linalg.det(vals)
+        dets, out = _det_inv(a(np.asarray(x, dtype=float)))
         bad = np.abs(dets) < 1e-300
         if np.any(bad):
             i = int(np.argmax(bad))
             raise SingularFamilyError(f"family {a.name!r} singular", point=np.asarray(x)[i])
-        out = np.linalg.inv(vals)
         if not np.all(np.isfinite(out)):
             i = int(np.argmax(~np.all(np.isfinite(out.reshape(len(out), -1)), axis=1)))
             raise SingularFamilyError(f"family {a.name!r} numerically singular", point=np.asarray(x)[i])
@@ -292,14 +341,51 @@ def mc_form(f: MatrixFamily) -> MatrixForm:
 
 
 def maurer_cartan_power(f: MatrixFamily, q: int) -> tuple[MatrixForm, MatrixForm]:
-    """(f^{-1} df)^q and its trace form, for odd q."""
+    """(f^{-1} df)^q and its trace form, for odd q.
+
+    The trace form is computed cyclically rather than by tracing the wedge
+    power: with G_j = f^{-1} d_j f, the coefficient on dx_I is
+    sum_sigma sgn(sigma) tr(G_{i_sigma(1)} ... G_{i_sigma(q)}), and for odd q
+    a q-cycle is even, so the q rotations of each product are equal terms:
+    the coefficient is q tr(G_{i_1} S(i_2, ..., i_q)), S the antisymmetrized
+    product.  G and the S of shared index sets are formed once per batch.
+    The trace form's coefficients carry no analytic partials.
+    """
     if q < 1 or q % 2 == 0:
         raise ValueError("power must be a positive odd integer")
     w = mc_form(f)
     out = w
     for _ in range(q - 1):
         out = wedge(out, w)
-    return out, out.traced()
+    gs = [w.coeffs[(j,)] for j in range(f.p)]
+    batch = _Memo(lambda x: ([g(x) for g in gs], {}))
+
+    def coefficient(I):
+        def tr_coeff(x):
+            G, products = batch(x)
+            if q == 1:
+                val = np.trace(G[I[0]], axis1=-2, axis2=-1)
+            else:  # tr(XY) as sum_ij X_ij Y_ji, without forming XY
+                val = q * np.einsum("...ij,...ji->...", G[I[0]], _antisymmetrized(G, I[1:], products))
+            return val[..., None, None]
+
+        return MatrixFamily(f.p, 1, tr_coeff, name=f"tr(mc^{q})_{I}")
+
+    return out, MatrixForm(f.p, 1, q, {I: coefficient(I) for I in combinations(range(f.p), q)})
+
+
+def _antisymmetrized(G: list[np.ndarray], J: tuple[int, ...], products: dict) -> np.ndarray:
+    """sum_sigma sgn(sigma) G_{j_sigma(1)} ... G_{j_sigma(m)} for increasing J,
+    expanded along the first factor and cached per index set in ``products``."""
+    if len(J) == 1:
+        return G[J[0]]
+    if J not in products:
+        total = _matmul(G[J[0]], _antisymmetrized(G, J[1:], products))
+        for t in range(1, len(J)):
+            term = _matmul(G[J[t]], _antisymmetrized(G, J[:t] + J[t + 1:], products))
+            total = total - term if t % 2 else total + term
+        products[J] = total
+    return products[J]
 
 
 def clifford_omega_closed_form(rep: CliffordRep, x) -> dict[tuple[int, ...], np.ndarray]:

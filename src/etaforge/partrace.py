@@ -15,6 +15,7 @@ estimate clears tolerance.  Blocks are reduced in a fixed index order.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field, replace
@@ -61,38 +62,71 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Hurwitz zeta by Euler-Maclaurin (valid for all s != 1, in particular s = 0)
+# Hurwitz zeta: Bernoulli polynomials at non-positive integers, Euler-Maclaurin
+# with an s-dependent direct sum on Re s >= 0.  The domain limits are where
+# the results stay within 1e-12 relative of mpmath (Horner cancellation in
+# B_{m+1}(a) for a > 1 grows past m = 20; phase round-off in (n + a)^{-s}
+# grows with |Im s|).
 
-_BERNOULLI = [
-    Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
-    Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
-    Fraction(43867, 798), Fraction(-174611, 330),
-]
+_EM_TERMS = 20  # Bernoulli corrections B_2 ... B_40
+_EM_RATIO = 0.375  # |s + 2j| / (2 pi x) stays below this, so the remainder is ~0.375^40 ~ 1e-17
+HURWITZ_MIN_INTEGER = -20
+HURWITZ_MAX_IMAG = 300.0
 
 
-def hurwitz_zeta(s: complex, a: float, n_direct: int = 48, n_correction: int = 8) -> complex:
+@functools.lru_cache(maxsize=None)
+def _bernoulli(n: int) -> Fraction:
+    """B_n, with B_1 = -1/2."""
+    if n == 0:
+        return Fraction(1)
+    return -sum(math.comb(n + 1, k) * _bernoulli(k) for k in range(n)) / (n + 1)
+
+
+def _bernoulli_polynomial(n: int, a: float) -> float:
+    """B_n(a) by Horner's rule on the exact coefficients C(n, k) B_k.
+
+    a in (1/2, 1] is reflected, B_n(a) = (-1)^n B_n(1 - a) with 1 - a exact,
+    so that B_n(1) = B_n comes out exactly (zero for odd n >= 3)."""
+    if 0.5 < a <= 1.0:
+        return (-1) ** n * _bernoulli_polynomial(n, 1.0 - a)
+    acc = 0.0
+    for k in range(n + 1):
+        acc = acc * a + float(math.comb(n, k) * _bernoulli(k))
+    return acc
+
+
+def hurwitz_zeta(s: complex, a: float) -> complex:
     """zeta(s, a) = sum_{n>=0} (n+a)^{-s}, continued past Re s <= 1.
 
-    Direct sum over n < N, then integral, midpoint, and Bernoulli
-    corrections at N.  At s = 0 the correction terms vanish and the value
-    1/2 - a is exact.
+    Accepts the integers HURWITZ_MIN_INTEGER <= s <= 0, where
+    zeta(-m, a) = -B_{m+1}(a)/(m+1) (exactly 1/2 - a at s = 0), and s != 1
+    with Re s >= 0 and |Im s| <= HURWITZ_MAX_IMAG, where a direct sum up to
+    x = N + a, the integral, the midpoint and _EM_TERMS Bernoulli corrections
+    at x are used, with x chosen from s so that the corrections converge
+    geometrically.  Elsewhere ValueError is raised: for Re s < 0 off the
+    integers the direct sum would cancel catastrophically.
     """
     if a <= 0:
         raise ValueError("offset a must be positive")
     s = complex(s)
     if s == 1.0:
         raise ValueError("pole at s = 1")
-    N = n_direct
-    n = np.arange(N)
-    direct = complex(np.sum((n + a) ** (-s)))
+    if s.imag == 0.0 and HURWITZ_MIN_INTEGER <= s.real <= 0.0 and s.real.is_integer():
+        n = 1 - int(s.real)
+        return complex(-_bernoulli_polynomial(n, a) / n)
+    if s.real < 0.0 or abs(s.imag) > HURWITZ_MAX_IMAG:
+        raise ValueError(
+            f"hurwitz_zeta needs Re s >= 0 and |Im s| <= {HURWITZ_MAX_IMAG:g}, or an integer "
+            f"{HURWITZ_MIN_INTEGER} <= s <= 0; got s = {s}"
+        )
+    N = max(0, math.ceil(abs(s + 2 * _EM_TERMS) / (2.0 * math.pi * _EM_RATIO) - a))
     x = N + a
-    total = direct + x ** (1.0 - s) / (s - 1.0) + 0.5 * x ** (-s)
+    total = complex(np.sum((np.arange(N) + a) ** (-s))) + x ** (1.0 - s) / (s - 1.0) + 0.5 * x ** (-s)
     poch = s
-    for j in range(1, n_correction + 1):
-        b = float(_BERNOULLI[j - 1])
-        total += b / math.factorial(2 * j) * poch * x ** (-s - 2 * j + 1)
+    for j in range(1, _EM_TERMS + 1):
+        total += float(_bernoulli(2 * j) / math.factorial(2 * j)) * poch * x ** (-s - 2 * j + 1)
         poch = poch * (s + 2 * j - 1) * (s + 2 * j)
-    if abs(s.imag) < 1e-300:
+    if s.imag == 0.0:
         return complex(total.real)
     return total
 

@@ -108,10 +108,20 @@ def test_main_exit_codes(tmp_path, capsys):
         json.dumps({"experiment": "regint-demo", "budget": {"preset": "quick", "radii": 4}})
     )
     assert main(["--config", str(missing)]) == 3
-    # a crash is neither an acceptance failure (1) nor a numeric failure (3)
+    # a parameter of the wrong type, or an integer circle offset, is a config error
     capsys.readouterr()
+    for experiment, params in [
+        ("clifford-check", {"k": "x"}),
+        ("spectral-eta", {"offsets": 5}),
+        ("spectral-eta", {"offsets": [1.0]}),
+        ("eta-suspension", {"a": 2}),
+    ]:
+        wrong = tmp_path / "wrong.json"
+        wrong.write_text(json.dumps({"experiment": experiment, "params": params, "budget": "quick"}))
+        assert main(["--config", str(wrong)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+    # a crash is neither an acceptance failure (1) nor a numeric failure (3)
     for experiment, params, error in [
-        ("spectral-eta", {"offsets": 5}, "TypeError"),
         ("trace-tanh", {"mus": [0.0]}, "ZeroDivisionError"),
     ]:
         crash = tmp_path / f"{experiment}.json"

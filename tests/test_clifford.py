@@ -79,6 +79,18 @@ def test_action_batched():
         assert np.array_equal(out[i], clifford_action(rep, x[i]))
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_action_equals_generator_sum_exactly(rng, k):
+    # each real and imaginary entry of c(x) has at most one nonzero term, so
+    # the contraction must reproduce the generator-by-generator sum bit for bit
+    rep = standard_rep(k)
+    x = rng.normal(size=(40, rep.p))
+    want = np.zeros((40, rep.rank, rep.rank), dtype=complex)
+    for j, g in enumerate(rep.generators):
+        want += x[:, j, None, None] * g
+    assert np.array_equal(clifford_action(rep, x), want)
+
+
 def test_rotation_covariance_of_spectrum(rng):
     rep = standard_rep(2)
     x = rng.normal(size=3)

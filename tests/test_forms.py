@@ -167,16 +167,64 @@ def test_closed_form_slots_and_scaling(rng):
         assert abs(b[I] - a[I] * 2.0 ** (-3)) < 1e-12 * abs(a[I])
 
 
-def test_closed_form_matches_mc_power(rng):
-    rep = standard_rep(2)
-    fam = matrix_family("sphere_clifford", k=2)
-    _, tform = maurer_cartan_power(fam, 3)
-    pts = rng.normal(size=(20, 4))
+@pytest.mark.parametrize("k", [1, 2, 3])  # ranks 1, 2 and 4: both kernel paths
+def test_closed_form_matches_mc_power(rng, k):
+    rep = standard_rep(k)
+    fam = matrix_family("sphere_clifford", k=k)
+    _, tform = maurer_cartan_power(fam, 2 * k - 1)
+    pts = rng.normal(size=(20, 2 * k))
     want = clifford_omega_closed_form(rep, pts)
+    if k == 1:
+        # tr(f^{-1} df) = d log f also has the radial part d log|x| (for k >= 2 the
+        # radial contraction is tr((f^{-1} df)^{2k-2}) = 0); the closed form is the rest
+        for I in want:
+            want[I] = want[I] + pts[:, I[0]] / np.sum(pts ** 2, axis=1)
     for I, vals in want.items():
         got = tform.coeffs[I](pts)[:, 0, 0]
         scale = np.max(np.abs(vals))
         assert np.max(np.abs(got - vals)) < 1e-10 * scale
+
+
+@pytest.mark.parametrize("analytic", [True, False])
+def test_cyclic_traced_power_matches_traced_wedge_power(rng, analytic):
+    fam = matrix_family("capped_clifford", a=1.5, k=2)
+    if not analytic:
+        fam = MatrixFamily(3, 2, fam.func, name="capped, FD partials")
+    form, tform = maurer_cartan_power(fam, 3)
+    w = mc_form(fam)
+    want = wedge(wedge(w, w), w).traced()
+    pts = rng.normal(size=(30, 3)) * 2.0
+    assert set(tform.coeffs) == set(want.coeffs) == {(0, 1, 2)}
+    got, ref = tform.coeffs[(0, 1, 2)](pts), want.coeffs[(0, 1, 2)](pts)
+    assert got.shape == ref.shape == (30, 1, 1)
+    assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(got - form.traced().coeffs[(0, 1, 2)](pts))) < 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_batch_kernels_match_numpy(rng, n):
+    from etaforge.forms import _det_inv, _matmul
+
+    a = rng.normal(size=(50, n, n)) + 1j * rng.normal(size=(50, n, n))
+    b = rng.normal(size=(50, n, n)) + 1j * rng.normal(size=(50, n, n))
+
+    def rel(x, y):
+        return np.max(np.abs(x - y)) / np.max(np.abs(y))
+
+    assert rel(_matmul(a, b), np.matmul(a, b)) < 1e-13
+    assert rel(_matmul(a[0], b), np.matmul(a[0], b)) < 1e-13  # a constant left factor broadcasts
+    dets, invs = _det_inv(a)
+    assert rel(dets, np.linalg.det(a)) < 1e-13
+    assert rel(invs, np.linalg.inv(a)) < 1e-13
+
+
+def test_singular_point_in_batch_is_reported(rng):
+    fam = matrix_family("affine_clifford", a=0.0, k=2)  # c(x) is singular only at x = 0
+    pts = rng.normal(size=(8, 3))
+    pts[5] = 0.0
+    with pytest.raises(SingularFamilyError) as err:
+        mc_form(fam).coeffs[(0,)](pts)
+    assert np.array_equal(err.value.point, pts[5])
 
 
 def test_closed_form_rejects_origin():

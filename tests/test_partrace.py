@@ -63,6 +63,29 @@ def test_hurwitz_zeta_rejects_pole_and_bad_offset():
         hurwitz_zeta(2.0, -1.0)
 
 
+_HURWITZ_S = [0, -1, -2, -3, -7, -10, -15, -20, 1e-9, 0.25, 0.5, 0.999, 1.001, 1.5, 2, 3, 7.5, 20, 50,
+              0.5 + 1j, 0.5 + 25j, 0.5 + 100j, 2 + 300j, 0.1 - 250j, 300j, 3.3 - 50j, 1 + 1e-6j]
+_HURWITZ_A = [0.05, 0.1, 0.3, 0.77, 0.9, 1.0, 2.5, 17.3]
+
+
+def test_hurwitz_zeta_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for s in _HURWITZ_S:
+        for a in _HURWITZ_A:
+            want = complex(mpmath.zeta(mpmath.mpmathify(s), a))
+            got = hurwitz_zeta(s, a)
+            # relative agreement; at the trivial zeros of zeta(s) = zeta(s, 1) that means exact
+            assert abs(got - want) <= 1e-12 * abs(want), (s, a, got, want)
+    assert hurwitz_zeta(0.0, 0.3) == 0.5 - 0.3
+
+
+@pytest.mark.parametrize("s", [-2.5, -0.5, -10.5, -21, 0.5 + 301j, -1 + 1j])
+def test_hurwitz_zeta_rejects_inaccurate_domain(s):
+    with pytest.raises(ValueError, match="hurwitz_zeta needs"):
+        hurwitz_zeta(s, 0.3)
+
+
 def _eta_kernel_closed_form(a, x):
     # sum over Z of (n+a)((n+a)^2+x^2)^{-2}, from the standard lattice sum
     return (
