@@ -25,7 +25,7 @@ from .asymptotics import (
     scalar_family,
     stokes_defect,
 )
-from .clifford import standard_rep, volume_trace
+from .clifford import MAX_K, standard_rep, volume_trace
 from .errors import ConfigError
 from .eta import (
     PathFamily,
@@ -168,10 +168,13 @@ def _matches_default(value, default) -> bool:
     return isinstance(value, type(default))
 
 
-def _params(params: dict, allowed: dict, nullable: dict | None = None) -> dict:
+def _params(
+    params: dict, allowed: dict, nullable: dict | None = None, ranges: dict | None = None
+) -> dict:
     """Merge params over defaults, rejecting unknown keys and values whose
     type differs from the default's; ``nullable`` gives an example value for
-    keys whose default is None (None itself is always accepted there)."""
+    keys whose default is None (None itself is always accepted there), and
+    ``ranges`` the accepted interval (lo, hi) of a number, hi None for none."""
     params = dict(params or {})
     unknown = set(params) - set(allowed)
     if unknown:
@@ -183,6 +186,10 @@ def _params(params: dict, allowed: dict, nullable: dict | None = None) -> dict:
         example = nullable[key] if default is None else default
         if not _matches_default(value, example):
             raise ConfigError(f"parameter {key!r} must be like {example!r}, got {value!r}")
+        lo, hi = (ranges or {}).get(key, (None, None))
+        if value is not None and ((lo is not None and value < lo) or (hi is not None and value > hi)):
+            bounds = f"[{lo}, {'inf' if hi is None else hi}]"
+            raise ConfigError(f"parameter {key!r} must be in {bounds}, got {value!r}")
     merged = dict(allowed)
     merged.update(params)
     return merged
@@ -193,7 +200,9 @@ def _params(params: dict, allowed: dict, nullable: dict | None = None) -> dict:
 
 
 def exp_clifford_check(params, budget, rng):
-    p = _params(params, {"k": None, "k_max": 5}, nullable={"k": 2})
+    p = _params(
+        params, {"k": None, "k_max": 5}, nullable={"k": 2}, ranges={"k": (1, MAX_K), "k_max": (1, MAX_K)}
+    )
     ks = [int(p["k"])] if p["k"] is not None else list(range(1, int(p["k_max"]) + 1))
     rows = []
     for k in ks:
@@ -221,16 +230,11 @@ def exp_clifford_check(params, budget, rng):
 
 
 def exp_sphere_omega(params, budget, rng):
-    p = _params(params, {"k": 2})
+    p = _params(params, {"k": 2}, ranges={"k": (1, 2)})
     k = int(p["k"])
     fam = matrix_family("sphere_clifford", k=k)
     _, tform = maurer_cartan_power(fam, 2 * k - 1)
-    if k == 2:
-        val = sphere_integrate(tform, budget.chart_s3).value
-    elif k == 1:
-        val = sphere_integrate(tform, 512).value
-    else:
-        raise ConfigError("sphere-omega supports k in {1, 2}")
+    val = sphere_integrate(tform, budget.chart_s3 if k == 2 else 512).value
     return [
         CheckRow(
             f"S^{2 * k - 1} trace-form integral",
@@ -244,10 +248,8 @@ def exp_sphere_omega(params, budget, rng):
 
 
 def exp_rp_omega(params, budget, rng):
-    p = _params(params, {"k": 2})
+    p = _params(params, {"k": 2}, ranges={"k": (2, 2)})
     k = int(p["k"])
-    if k != 2:
-        raise ConfigError("rp-omega supports k = 2")
     rows = []
     model = ExpansionModel.powers([-4, -6, -8, -10])
     for a in (1.0, -1.0):
@@ -579,7 +581,7 @@ def _check_circle_offset(a) -> float:
 
 
 def exp_spectral_eta(params, budget, rng):
-    p = _params(params, {"offsets": (0.1, 0.25, 0.4), "k": 2})
+    p = _params(params, {"offsets": (0.1, 0.25, 0.4), "k": 2}, ranges={"k": (2, None)})
     rows = []
     for a in p["offsets"]:
         h = spectral_eta(SpectralModel.circle(_check_circle_offset(a)))
@@ -601,7 +603,7 @@ def exp_spectral_eta(params, budget, rng):
 
 
 def exp_eta_suspension(params, budget, rng):
-    p = _params(params, {"a": 0.25, "k": 2})
+    p = _params(params, {"a": 0.25, "k": 2}, ranges={"k": (2, None)})
     a, k = _check_circle_offset(p["a"]), int(p["k"])
     rows = []
     eta_d = 1.0 - 2.0 * (a - math.floor(a))
@@ -644,6 +646,8 @@ def exp_eta_suspension(params, budget, rng):
 
 def exp_divisor_flow(params, budget, rng):
     p = _params(params, {"path": None, "width": 0.05}, nullable={"path": "linear"})
+    if p["path"] not in (None, "paper-f", "phase-unwinding", "linear"):
+        raise ConfigError(f"path must be null, 'paper-f', 'phase-unwinding' or 'linear', got {p['path']!r}")
     w = float(p["width"])
     unwind = phase_unwinding_path(w)
     linear = linear_bridge_path(w)

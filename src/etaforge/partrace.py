@@ -6,7 +6,8 @@ list or a matrix family over the parameter space.  Scalar symbols F(D, mu)
 are drawn from a small closed algebra of monomials
 c * lam^a * t^b * (lam^2 + t)^{-k} in t = |mu|^2, which is closed under
 products and d/dt, so canonical Taylor subtraction at mu0 = 0 and the
-mu-derivative families stay analytic.
+mu-derivative families stay analytic.  Monomials are evaluated in float64, in
+place, with integer powers by multiplication and the coefficient applied last.
 
 Eigenvalue sums run over a symmetric window with order-2 Euler-Maclaurin
 tail corrections; the window escalates by factors of 4 until the tail
@@ -135,6 +136,35 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
 # Scalar symbol algebra
 
 
+def _int_power(x: np.ndarray, k: int) -> np.ndarray:
+    """x**k for an integer k >= 1 by repeated squaring, overwriting x; a
+    second buffer is taken only when k is not a power of two.  Products keep
+    the sign of negative x exact and cost a fraction of numpy's ``power``."""
+    acc = None
+    while k > 1:
+        if k & 1:
+            acc = x.copy() if acc is None else np.multiply(acc, x, out=acc)
+        np.multiply(x, x, out=x)
+        k >>= 1
+    return x if acc is None else np.multiply(acc, x, out=acc)
+
+
+def _add_scaled(total: np.ndarray | None, vals: np.ndarray, c: complex) -> np.ndarray:
+    """total + c * vals for float64 ``vals`` (overwritten); stays float64
+    while every coefficient is real."""
+    c = complex(c)
+    if c.imag:
+        vals = c * vals
+    elif c.real != 1.0:
+        vals *= c.real
+    if total is None:
+        return vals
+    if np.can_cast(vals.dtype, total.dtype):
+        total += vals
+        return total
+    return total + vals
+
+
 @dataclass(frozen=True)
 class KernelMonomial:
     coef: complex
@@ -155,19 +185,25 @@ class Kernel:
     monomials: tuple[KernelMonomial, ...]
 
     def eval(self, lam: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """K(lam, t), broadcast over lam and t: float64 when every coefficient
+        is real, complex otherwise."""
         lam = np.asarray(lam, dtype=float)
         t = np.asarray(t, dtype=float)
-        out = np.zeros(np.broadcast_shapes(lam.shape, t.shape), dtype=complex)
+        shape = np.broadcast_shapes(lam.shape, t.shape)
+        lam2 = lam * lam
+        total = None
         for m in self.monomials:
-            term = np.full_like(out, m.coef)
-            if m.lam_pow:
-                term = term * lam ** m.lam_pow
-            if m.t_pow:
-                term = term * t ** m.t_pow
             if m.res_pow:
-                term = term * (lam ** 2 + t) ** (-m.res_pow)
-            out += term
-        return out
+                vals = _int_power(np.add(lam2, t, out=np.empty(shape)), m.res_pow)
+                np.reciprocal(vals, out=vals)
+            else:
+                vals = np.ones(shape)
+            if m.lam_pow:
+                vals *= _int_power(lam.copy(), m.lam_pow)
+            if m.t_pow:
+                vals *= _int_power(t.copy(), m.t_pow)
+            total = _add_scaled(total, vals, m.coef)
+        return np.zeros(shape) if total is None else total
 
     def dt(self) -> "Kernel":
         parts = []
@@ -193,11 +229,13 @@ class Kernel:
 
         def g(lam):
             lam = np.asarray(lam, dtype=float)
-            out = np.zeros(lam.shape, dtype=complex)
+            total = None
             for c, e in parts:
-                # integer exponent keeps negative lambda exact
-                out += c * lam ** e
-            return out
+                vals = _int_power(lam.copy(), abs(e)) if e else np.ones(lam.shape)
+                if e < 0:
+                    np.reciprocal(vals, out=vals)
+                total = _add_scaled(total, vals, c)
+            return np.zeros(lam.shape) if total is None else total
 
         return g
 
@@ -343,18 +381,18 @@ class SpectralFamily:
         return replace(self, kernel=self.kernel.dt().scale(2.0), order=self.order - 1.0, pref_index=j, pref_power=1)
 
     def summand(self, lam: np.ndarray, mu: np.ndarray, n_subtract: int) -> np.ndarray:
-        """Subtracted summand values, shape (M, L) for mu (M, p), lam (L,)."""
+        """Subtracted summand values, shape (M, L) for mu (M, p), lam (L,);
+        float64 when the kernel's coefficients are real."""
         lam = np.asarray(lam, dtype=float)
         mu = np.asarray(mu, dtype=float)
         t = np.sum(mu ** 2, axis=1)[:, None]
-        pref = (mu[:, self.pref_index] ** self.pref_power)[:, None] if self.pref_power else 1.0
-        vals = pref * self.kernel.eval(lam[None, :], t)
-        if n_subtract > 0:
-            m = 0
-            while self.pref_power + 2 * m <= n_subtract - 1:
-                g = self.kernel.t_coefficient(m)(lam)[None, :]
-                vals = vals - pref * t ** m * g
-                m += 1
+        vals = self.kernel.eval(lam[None, :], t)
+        m = 0
+        while self.pref_power + 2 * m <= n_subtract - 1:
+            vals -= t ** m * self.kernel.t_coefficient(m)(lam)
+            m += 1
+        if self.pref_power:
+            vals *= (mu[:, self.pref_index] ** self.pref_power)[:, None]
         return vals
 
     def scalar_trace(self, mu: np.ndarray, n_subtract: int) -> np.ndarray:
@@ -429,35 +467,40 @@ class TraceValue:
     truncation: dict = field(default_factory=dict)
 
 
-def _tail_quadrature(g, x0: float) -> np.ndarray:
-    """int_{x0}^infty g via x = x0 / u on (0, 1]; g vectorized over points."""
-    u, w = gauss_legendre(64)
-    u = 0.5 * (u + 1.0)
-    w = 0.5 * w
-    acc = 0.0
-    for ui, wi in zip(u, w):
-        acc = acc + wi * g(x0 / ui) * x0 / ui ** 2
-    return acc
+# Gauss-Legendre rule on (0, 1) for the tail integral in u = x0 / x
+_TAIL_U, _TAIL_W = gauss_legendre(64)
+_TAIL_U, _TAIL_W = 0.5 * (_TAIL_U + 1.0), 0.5 * _TAIL_W
+_RICHARDSON_OFFSETS = (1.0, -1.0, 0.5, -0.5)  # the order richardson_derivative asks for
 
 
 def _em_tail(g, x0: float):
     """Order-2 Euler-Maclaurin tail sum_{n >= x0} g(n) with an error estimate
-    from the next correction order."""
-    integral = _tail_quadrature(g, x0)
-    g0 = g(x0)
-    g1 = richardson_derivative(lambda c: g(x0 + c * 0.5), 0.5)
+    from the next correction order.
+
+    ``g`` maps a 1-D array of abscissae to values with the abscissae on the
+    last axis.  It is called once, at the 64 Gauss-Legendre nodes of
+    int_{x0}^infty g (x = x0 / u on (0, 1]) followed by the nine points of
+    the end corrections."""
     hh = max(1.0, x0 / 64.0)
-    g3 = (g(x0 + 2 * hh) - 2 * g(x0 + hh) + 2 * g(x0 - hh) - g(x0 - 2 * hh)) / (2.0 * hh ** 3)
-    tail = integral + 0.5 * g0 - g1 / 12.0
+    ends = [0.0] + [0.5 * c for c in _RICHARDSON_OFFSETS] + [2 * hh, hh, -hh, -2 * hh]
+    vals = g(np.concatenate((x0 / _TAIL_U, x0 + np.array(ends))))
+    integral = vals[..., : len(_TAIL_U)] @ (_TAIL_W * x0 / _TAIL_U ** 2)
+    end = vals[..., len(_TAIL_U) :]  # g at x0 + ends: x0, the Richardson points, the g''' stencil
+    g1 = richardson_derivative(lambda c: end[..., 1 + _RICHARDSON_OFFSETS.index(c)], 0.5)
+    g3 = (end[..., 5] - 2 * end[..., 6] + 2 * end[..., 7] - end[..., 8]) / (2.0 * hh ** 3)
+    tail = integral + 0.5 * end[..., 0] - g1 / 12.0
     est = np.abs(g3) / 720.0 * 2.0 + 1e-18 * np.abs(integral)
     return tail, est
 
 
 def _circle_sum(fam: SpectralFamily, mu: np.ndarray, n_subtract: int, cfg: WindowConfig):
+    """Window sums with tails per mu-chunk; returns the values, the tail
+    estimates and the largest window any chunk needed."""
     a = fam.base.a
     mu = np.asarray(mu, dtype=float)
     total = np.zeros(len(mu), dtype=complex)
     est = np.zeros(len(mu))
+    widest = 0
     for lo in range(0, len(mu), cfg.mu_chunk):
         sl = slice(lo, min(lo + cfg.mu_chunk, len(mu)))
         chunk = mu[sl]
@@ -469,8 +512,8 @@ def _circle_sum(fam: SpectralFamily, mu: np.ndarray, n_subtract: int, cfg: Windo
                 lam = n[b : b + cfg.lam_block] + a
                 vals = vals + np.sum(fam.summand(lam, chunk, n_subtract), axis=1)
             x0 = float(N + 1)
-            tp, ep = _em_tail(lambda x: fam.summand(np.atleast_1d(x + a), chunk, n_subtract)[:, 0], x0)
-            tm, em = _em_tail(lambda x: fam.summand(np.atleast_1d(-x + a), chunk, n_subtract)[:, 0], x0)
+            tp, ep = _em_tail(lambda x: fam.summand(x + a, chunk, n_subtract), x0)
+            tm, em = _em_tail(lambda x: fam.summand(-x + a, chunk, n_subtract), x0)
             vals = vals + tp + tm
             errs = ep + em
             ok = errs <= np.maximum(cfg.rtol * np.abs(vals), cfg.atol)
@@ -484,7 +527,8 @@ def _circle_sum(fam: SpectralFamily, mu: np.ndarray, n_subtract: int, cfg: Windo
             N = min(4 * N, cfg.cap)
         total[sl] = vals
         est[sl] = errs
-    return total, est, N
+        widest = max(widest, N)
+    return total, est, widest
 
 
 def _trace_values(fam: SpectralFamily, mu: np.ndarray, n_subtract: int, cfg: WindowConfig):
@@ -492,7 +536,7 @@ def _trace_values(fam: SpectralFamily, mu: np.ndarray, n_subtract: int, cfg: Win
     if mu.ndim == 1:
         mu = mu[None, :]
     if fam.base.kind == "point":
-        vals = fam.scalar_trace(mu, n_subtract)
+        vals = np.asarray(fam.scalar_trace(mu, n_subtract), dtype=complex)
         return fam.clifford_rank * vals, np.zeros(len(mu)), 0
     vals, est, window = _circle_sum(fam, mu, n_subtract, cfg)
     return fam.clifford_rank * vals, fam.clifford_rank * est, window

@@ -108,13 +108,22 @@ def test_main_exit_codes(tmp_path, capsys):
         json.dumps({"experiment": "regint-demo", "budget": {"preset": "quick", "radii": 4}})
     )
     assert main(["--config", str(missing)]) == 3
-    # a parameter of the wrong type, or an integer circle offset, is a config error
+    # a parameter of the wrong type or out of range, an integer circle offset
+    # or an unknown path is a config error
     capsys.readouterr()
     for experiment, params in [
         ("clifford-check", {"k": "x"}),
         ("spectral-eta", {"offsets": 5}),
         ("spectral-eta", {"offsets": [1.0]}),
         ("eta-suspension", {"a": 2}),
+        ("clifford-check", {"k": 0}),
+        ("clifford-check", {"k_max": 9}),
+        ("sphere-omega", {"k": 0}),
+        ("sphere-omega", {"k": 3}),
+        ("rp-omega", {"k": 3}),
+        ("spectral-eta", {"k": 1}),
+        ("eta-suspension", {"k": 1}),
+        ("divisor-flow", {"path": "bogus"}),
     ]:
         wrong = tmp_path / "wrong.json"
         wrong.write_text(json.dumps({"experiment": experiment, "params": params, "budget": "quick"}))

@@ -12,6 +12,8 @@ from etaforge.partrace import (
     SpectralFamily,
     SpectralModel,
     WindowConfig,
+    _circle_sum,
+    _em_tail,
     extended_trace,
     family_from_json,
     formal_trace,
@@ -146,6 +148,54 @@ def test_kernel_product_and_parse():
         parse_kernel("not a kernel")
 
 
+def _monomial_oracle(mono, lam, t):
+    """c lam^a t^b (lam^2 + t)^{-k} for Python scalars."""
+    return complex(mono.coef) * lam ** mono.lam_pow * t ** mono.t_pow * (lam * lam + t) ** (-mono.res_pow)
+
+
+def _t_coefficient_oracle(k, m, lam):
+    """sum over monomials of c binom(-k, j) lam^(a - 2k - 2j), j = m - b >= 0."""
+    terms = []
+    for mono in k.monomials:
+        j = m - mono.t_pow
+        if j >= 0:
+            binom = (-1) ** j * math.comb(mono.res_pow + j - 1, j) if mono.res_pow else float(j == 0)
+            terms.append(complex(mono.coef) * binom * lam ** (mono.lam_pow - 2 * mono.res_pow - 2 * j))
+    return terms
+
+
+_ORACLE_KERNELS = {
+    "power of lam only": Kernel((KernelMonomial(2.5, 3, 0, 0),)),
+    "t power, no resolvent": Kernel((KernelMonomial(-0.5, 1, 2, 0),)),
+    "resolvent(1)": kernel("resolvent", 1),
+    "eta_kernel(2)": kernel("eta_kernel", 2),
+    "weighted_eta(3)": kernel("weighted_eta", 3),
+    "dt of weighted_eta(2)": kernel("weighted_eta", 2).dt(),
+    "product": kernel("resolvent", 1) * kernel("eta_kernel", 2),
+    "scaled by 1j": kernel("weighted_eta", 2).scale(1j),
+    "mixed complex sum": kernel("eta_kernel", 1).scale(0.5 - 2j) + kernel("resolvent", 2).dt(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_KERNELS))
+def test_kernel_eval_against_scalar_oracle(name):
+    k = _ORACLE_KERNELS[name]
+    lam = np.array([-17.5, -3.0, -1.0, -0.4, 0.3, 1.0, 2.2, 41.0])
+    t = np.array([0.0, 0.5, 3.0, 40.0])
+    got = k.eval(lam[None, :], t[:, None])
+    real = all(complex(m.coef).imag == 0 for m in k.monomials)
+    assert got.shape == (len(t), len(lam)) and got.dtype == (np.float64 if real else np.complex128)
+    for i, ti in enumerate(t):
+        for j, lj in enumerate(lam):
+            terms = [_monomial_oracle(m, float(lj), float(ti)) for m in k.monomials]
+            assert abs(got[i, j] - sum(terms)) <= 1e-14 * sum(abs(x) for x in terms), (ti, lj)
+    for m in range(4):
+        g = k.t_coefficient(m)(lam)
+        for j, lj in enumerate(lam):
+            terms = _t_coefficient_oracle(k, m, float(lj))
+            assert abs(g[j] - sum(terms)) <= 1e-14 * sum(abs(x) for x in terms), (m, lj)
+
+
 # ---------------------------------------------------------------------------
 # Traces
 
@@ -195,6 +245,47 @@ def test_window_escalation_cap():
     fam = SpectralFamily(SpectralModel.circle(0.5), kernel("resolvent", 1), -2.0, p=1)
     with pytest.raises(TruncationError):
         l2_trace(fam, [1.0], WindowConfig(start=8, cap=8, rtol=1e-16, atol=0.0))
+
+
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_em_tail_against_mpmath(s):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for a in (0.25, 0.5, 0.75):
+        for x0 in (1025.0, 2049.0, 4097.0):
+            calls = []
+
+            def g(x):
+                calls.append(x.shape)
+                return (x + a) ** (-float(s))
+
+            tail, est = _em_tail(g, x0)
+            assert calls == [(73,)]  # every node of one side in a single call
+            want = float(mpmath.zeta(s, x0 + a))  # sum_{n >= x0} (n + a)^{-s}
+            err = abs(float(tail) - want)
+            assert err <= float(est) and err <= 1e-12 * want, (a, x0, err, float(est))
+
+
+def test_circle_sum_reports_widest_window():
+    fam = SpectralFamily(SpectralModel.circle(0.5), kernel("resolvent", 1), -2.0, p=1)
+    cfg = WindowConfig(start=4, mu_chunk=1)
+    # a large mu clears the tail tolerance at once, a small one needs two escalations
+    windows = {mu: _circle_sum(fam, np.array([[mu]]), 0, cfg)[2] for mu in (0.5, 100.0)}
+    assert windows == {0.5: 64, 100.0: 4}
+    for mus in ([0.5, 100.0], [100.0, 0.5]):
+        vals, _, window = _circle_sum(fam, np.array(mus)[:, None], 0, cfg)
+        assert window == 64
+        want = [math.pi * math.tanh(math.pi * mu) / mu for mu in mus]
+        assert np.allclose(vals, want, rtol=1e-9, atol=0.0)
+    assert l2_trace(fam, [[100.0], [0.5]], cfg).truncation["window"] == 64
+
+
+def test_trace_values_are_complex():
+    circle = SpectralFamily(SpectralModel.circle(0.5), kernel("resolvent", 1), -2.0, p=1)
+    points = SpectralFamily(SpectralModel.point_spectrum([1.0, -2.0]), kernel("resolvent", 1), -2.0, p=1)
+    for fam in (circle, points):
+        assert l2_trace_values(fam, np.array([[1.0]])).dtype == np.complex128
+        assert tr_param_values(fam, np.array([[1.0]])).dtype == np.complex128
 
 
 def test_tr_param_trace_class_reduces_to_l2():
