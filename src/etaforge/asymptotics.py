@@ -29,6 +29,7 @@ from .quadrature import (
     fd_step,
     geometric_ladder,
     richardson_derivative,
+    row_norm,
     sphere_rule,
 )
 
@@ -634,10 +635,6 @@ def stokes_defect(
 # Built-in scalar families (registry keyed by string id)
 
 
-def _norm(x):
-    return np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
-
-
 def scalar_family(name: str, **params) -> Callable[[np.ndarray], np.ndarray]:
     """Built-in evaluators used by experiments and tests.
 
@@ -649,7 +646,7 @@ def scalar_family(name: str, **params) -> Callable[[np.ndarray], np.ndarray]:
         logpow = int(params.get("logpow", 0))
 
         def f(x):
-            r = _norm(x)
+            r = row_norm(x)
             out = np.zeros(len(r), dtype=complex)
             pos = r > 0
             out[pos] = smooth_cutoff(r[pos]) * r[pos] ** alpha * np.log(r[pos]) ** logpow
@@ -657,12 +654,12 @@ def scalar_family(name: str, **params) -> Callable[[np.ndarray], np.ndarray]:
 
         return f
     if name == "lorentz":
-        return lambda x: 1.0 / (1.0 + _norm(x) ** 2) + 0j
+        return lambda x: 1.0 / (1.0 + row_norm(x) ** 2) + 0j
     if name == "polynomial":
         coeffs = tuple(params["coeffs"])  # coefficient of |x|^k x_1^m style monomials: (c, k, m)
 
         def f(x):
-            r = _norm(x)
+            r = row_norm(x)
             out = np.zeros(len(r), dtype=complex)
             for c, k, m in coeffs:
                 out += c * r ** k * (x[:, 0] ** m if m else 1.0)
@@ -681,7 +678,7 @@ def scalar_family(name: str, **params) -> Callable[[np.ndarray], np.ndarray]:
         q = float(params["q"])
 
         def f(x):
-            r = _norm(x)
+            r = row_norm(x)
             out = np.zeros(len(r), dtype=complex)
             pos = r > 0
             out[pos] = smooth_cutoff(r[pos]) * x[pos, j] * r[pos] ** (-q)

@@ -39,9 +39,28 @@ _BUDGET_KEYS = {
 
 
 def _preset(name) -> Budget:
-    if name not in BUDGETS:
+    if not isinstance(name, str) or name not in BUDGETS:
         raise ConfigError(f"unknown budget preset {name!r}; known: {sorted(BUDGETS)}")
     return BUDGETS[name]
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _budget_int(spec: dict, key: str, default: int) -> int:
+    value = spec.get(key, default)
+    if not _is_int(value):
+        raise ConfigError(f"budget {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _budget_ints(spec: dict, key: str, default: tuple[int, ...]) -> tuple[int, ...]:
+    value = spec.get(key, default)
+    if not (isinstance(value, (list, tuple)) and len(value) == len(default)
+            and all(_is_int(v) and v >= 1 for v in value)):
+        raise ConfigError(f"budget {key!r} must be {len(default)} positive integers, got {value!r}")
+    return tuple(value)
 
 
 def _resolve_budget(spec) -> Budget:
@@ -57,28 +76,28 @@ def _resolve_budget(spec) -> Budget:
     if unknown:
         raise ConfigError(f"unknown budget keys {sorted(unknown)}; allowed: {sorted(_BUDGET_KEYS)}")
     base = _preset(spec.get("preset", "standard"))
-    ladder = RadiusLadder(
-        float(spec.get("r_min", base.ladder.r_min)),
-        float(spec.get("r_max", base.ladder.r_max)),
-        int(spec.get("radii", base.ladder.count)),
-    )
-    if ladder.count > 128 or ladder.r_max > 2.0 ** 24:
+    r_min, r_max = (spec.get(key, getattr(base.ladder, key)) for key in ("r_min", "r_max"))
+    if not all(isinstance(r, (int, float)) and not isinstance(r, bool) for r in (r_min, r_max)):
+        raise ConfigError(f"budget r_min and r_max must be numbers, got {r_min!r} and {r_max!r}")
+    count = _budget_int(spec, "radii", base.ladder.count)
+    if count > 128 or r_max > 2.0 ** 24:
         raise ConfigError("budget exceeds hard caps (radii <= 128, r_max <= 2^24)")
-    if ladder.count < 2:
-        raise ConfigError("budget below lower bounds (radii >= 2)")
-    counts = {key: int(spec.get(key, getattr(base, key))) for key in ("n_radial", "n_radial_fine", "s_nodes")}
-    start = int(spec.get("eig_window", base.window.start))
+    if count < 2 or not 0 < r_min < r_max:
+        raise ConfigError("budget below lower bounds (radii >= 2, 0 < r_min < r_max)")
+    ladder = RadiusLadder(float(r_min), float(r_max), count)
+    counts = {key: _budget_int(spec, key, getattr(base, key)) for key in ("n_radial", "n_radial_fine", "s_nodes")}
+    start = _budget_int(spec, "eig_window", base.window.start)
     if min(counts.values()) < 1 or start < 1:
         raise ConfigError("budget below lower bounds (n_radial, n_radial_fine, s_nodes, eig_window >= 1)")
-    window = WindowConfig(start=start, cap=int(spec.get("eig_cap", base.window.cap)))
+    window = WindowConfig(start=start, cap=_budget_int(spec, "eig_cap", base.window.cap))
     if window.cap > 16_777_216:
         raise ConfigError("budget exceeds hard caps (eigenvalue window cap <= 2^24)")
     return replace(
         base,
         name=base.name + "+",
         ladder=ladder,
-        sphere_p3=tuple(spec.get("sphere_p3", base.sphere_p3)),
-        chart_s3=tuple(spec.get("chart_s3", base.chart_s3)),
+        sphere_p3=_budget_ints(spec, "sphere_p3", base.sphere_p3),
+        chart_s3=_budget_ints(spec, "chart_s3", base.chart_s3),
         window=window,
         **counts,
     )
@@ -96,22 +115,31 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("a config must be a JSON object")
         allowed = {"experiment", "params", "budget", "out", "seed"}
         unknown = set(data) - allowed
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}; allowed: {sorted(allowed)}")
         if "experiment" not in data:
             raise ConfigError("config needs an 'experiment' key")
+        params, out, seed = data.get("params", {}), data.get("out"), data.get("seed", 0)
+        if not isinstance(params, dict):
+            raise ConfigError(f"params must be an object, got {params!r}")
+        if out is not None and not isinstance(out, str):
+            raise ConfigError(f"out must be a path, got {out!r}")
+        if not (_is_int(seed) and seed >= 0):
+            raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
         return cls(
             experiment=str(data["experiment"]),
-            params=dict(data.get("params", {})),
+            params=dict(params),
             budget=data.get("budget", "standard"),
-            out=data.get("out"),
-            seed=int(data.get("seed", 0)),
+            out=out,
+            seed=seed,
         )
 
     def canonical(self) -> dict:
-        budget = self.budget if isinstance(self.budget, (str, dict)) else self.budget.name
+        budget = self.budget.name if isinstance(self.budget, Budget) else self.budget
         return {
             "experiment": self.experiment,
             "params": self.params,

@@ -458,7 +458,10 @@ def phase_unwinding_path(width: float = 0.05) -> PathFamily:
     """The phase-unwinding family: e^{2 pi i s} for lambda << 0, e^{2 pi i
     lambda} across the ramp, constant 1 for lambda >= 1; corners mollified
     with the given width.  The ramp is normalized so the boundary values are
-    exact for every s, which makes the flow integral width-independent."""
+    exact for every s, which makes the flow integral width-independent.
+    Raises ValueError unless the width is finite and positive."""
+    if not (math.isfinite(width) and width > 0.0):
+        raise ValueError(f"corner-mollifier width must be finite and positive, got {width!r}")
 
     def family_at(s: float) -> MatrixFamily:
         def f(x):
@@ -479,7 +482,8 @@ def phase_unwinding_path(width: float = 0.05) -> PathFamily:
 def linear_bridge_path(width: float = 0.05) -> PathFamily:
     """Straight-line interpolation (1-s) f_0 + s f_1 between the endpoints of
     the phase-unwinding family; elliptic (invertible outside a compact set)
-    but not invertible throughout."""
+    but not invertible throughout.  Raises ValueError unless the width is
+    finite and positive."""
     base = phase_unwinding_path(width)
     f0 = base.family_at(0.0)
     f1 = base.family_at(1.0)

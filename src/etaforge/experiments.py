@@ -61,7 +61,7 @@ from .partrace import (
     l2_trace_values,
     tr_param_values,
 )
-from .quadrature import richardson_derivative, sphere_rule
+from .quadrature import richardson_derivative, row_norm, sphere_rule
 
 __all__ = ["Budget", "BUDGETS", "CheckRow", "EXPERIMENTS", "run_experiment", "experiment_ids"]
 
@@ -630,7 +630,7 @@ def exp_eta_suspension(params, budget, rng):
         return pref * l2_trace_values(fam, np.asarray(r, dtype=float)[:, None], budget.window)
 
     def full(x):
-        r = np.linalg.norm(x, axis=1)
+        r = row_norm(x)
         uniq, inv = np.unique(np.round(r, 10), return_inverse=True)
         return radial_vals(uniq)[inv]
 
@@ -649,8 +649,11 @@ def exp_divisor_flow(params, budget, rng):
     if p["path"] not in (None, "paper-f", "phase-unwinding", "linear"):
         raise ConfigError(f"path must be null, 'paper-f', 'phase-unwinding' or 'linear', got {p['path']!r}")
     w = float(p["width"])
-    unwind = phase_unwinding_path(w)
-    linear = linear_bridge_path(w)
+    try:
+        unwind = phase_unwinding_path(w)
+        linear = linear_bridge_path(w)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if p["path"] in ("paper-f", "phase-unwinding"):
         rep = divisor_flow(unwind, linear, n_s=budget.s_nodes)
         return [CheckRow("flow along the phase-unwinding path", rep["path_a"], -2.0, 1e-6, "abs", "boundary rate")]

@@ -24,7 +24,9 @@ import numpy as np
 
 from .clifford import CliffordRep, clifford_action, standard_rep, volume_trace
 from .errors import QuadratureError, SingularFamilyError
-from .quadrature import chart_minor_determinants, coarser_chart_resolution, fd_step, richardson_derivative, sphere_chart
+from .quadrature import (
+    chart_minor_determinants, coarser_chart_resolution, fd_step, richardson_derivative, row_norm, sphere_chart,
+)
 
 __all__ = [
     "MatrixFamily",
@@ -401,7 +403,7 @@ def clifford_omega_closed_form(rep: CliffordRep, x) -> dict[tuple[int, ...], np.
     pts = x[None, :] if single else x
     if pts.shape[1] != p + 1:
         raise ValueError(f"expected {p + 1}-vectors")
-    r = np.linalg.norm(pts, axis=1)
+    r = row_norm(pts)
     if np.any(r == 0.0):
         raise ValueError("closed form undefined at the origin")
     pref = r ** (-p - 1) * math.factorial(p)
@@ -590,7 +592,7 @@ def matrix_family(name: str, **params) -> MatrixFamily:
 
         def f(x):
             x = np.asarray(x, dtype=float)
-            r = np.linalg.norm(x, axis=1)
+            r = row_norm(x)
             th = math.pi * smooth_cutoff(r)
             unit = np.where(r[:, None] > 0, x / np.maximum(r, 1e-300)[:, None], 0.0)
             return np.cos(th)[:, None, None] * np.eye(nn, dtype=complex)[None] + np.sin(th)[

@@ -4,8 +4,12 @@ Radial integrals are composed from Gauss-Legendre panels laid out on a
 geometric shell ladder; angular integrals use product rules on S^{p-1}
 (endpoints for S^0, trapezoid on S^1, Gauss-Legendre x trapezoid on S^2,
 double Gauss-Legendre x trapezoid in hyperspherical coordinates on S^3).
-All reductions run in a fixed index order so results are reproducible.
-``richardson_derivative`` is the one first-derivative stencil of the package.
+Every shell-panel sum is exact and correctly rounded (``exact_sum``: integer
+limbs binned per binary exponent, bit for bit the value of ``math.fsum``), so
+the cumulative integrals do not depend on summation order; the remaining
+reductions run in a fixed index order.  ``row_norm`` is the Euclidean norm of
+short rows, and ``richardson_derivative`` the one first-derivative stencil of
+the package.
 """
 
 from __future__ import annotations
@@ -193,6 +197,60 @@ def _shell_bounds(start: float, ladder: np.ndarray, inner: tuple[float, ...]) ->
 
 DEFAULT_INNER = (0.0, 0.25, 0.5, 0.75, 1.0)
 
+# frexp exponents of finite doubles run from -1073 to 1024, so every finite
+# double is an integer multiple of 2^-(1073 + 53)
+_EXP_OFFSET = 1073
+# elements per bincount: below 2^26 the 27-bit limb sums stay exact in float64
+_EXACT_CHUNK = 1 << 26
+
+
+def _limb_total(a: np.ndarray) -> int | None:
+    """Exact sum of the 1-D float array ``a`` in units of 2^-1126, or None
+    when ``a`` holds a non-finite value.
+
+    Each element is m 2^e with |m| < 1 (``np.frexp``); m 2^26 splits into an
+    integer limb below 2^26 and a fraction that is a multiple of 2^-27.
+    Per exponent, float64 ``bincount`` sums of either limb are exact for
+    fewer than 2^26 elements; the bin totals then meet in one Python integer.
+    """
+    m, e = np.frexp(a)
+    m *= 2.0 ** 26
+    whole = np.trunc(m)
+    e0 = int(e.min())
+    idx = np.subtract(e, e0, dtype=np.intp)
+    hi = np.bincount(idx, weights=whole)
+    if not math.isfinite(hi.dot(hi)):  # an inf or NaN in a reaches hi
+        return None
+    m -= whole
+    lo = np.bincount(idx, weights=m)
+    ks = (hi + lo).nonzero()[0]  # hi + lo == 0 exactly where the limbs cancel
+    his = hi[ks].astype(np.int64).tolist()
+    los = (lo[ks] * 2.0 ** 27).astype(np.int64).tolist()
+    total = 0
+    for k, hi_k, lo_k in zip(ks.tolist(), his, los):
+        total += ((hi_k << 27) + lo_k) << k
+    return total << (e0 + _EXP_OFFSET)
+
+
+def exact_sum(a) -> float:
+    """The correctly rounded sum of a float64 array: bit for bit the value
+    ``math.fsum`` returns, +0.0 for an exact zero.
+
+    Input with an inf or NaN goes to ``math.fsum`` and keeps its result or
+    exception; a finite sum beyond the float range raises OverflowError, as
+    ``math.fsum`` does.
+    """
+    a = np.asarray(a, dtype=float).reshape(-1)
+    if not a.any():
+        return 0.0
+    total = 0
+    for start in range(0, a.size, _EXACT_CHUNK):
+        part = _limb_total(a[start:start + _EXACT_CHUNK])
+        if part is None:
+            return math.fsum(a.tolist())
+        total += part
+    return total / (1 << (_EXP_OFFSET + 53))
+
 
 def _cumulative_shells(
     panels: list[tuple[float, float, float]],
@@ -205,9 +263,10 @@ def _cumulative_shells(
     ``panels`` lists ``(a, b, end)``: one Gauss-Legendre panel from a to b,
     taken in that direction (a panel with b < a counts with a minus sign),
     after which the walk stands at the bound ``end``.  ``contribution(x, w)``
-    returns the weighted panel values.  Panel sums are reduced with
-    ``math.fsum`` and the running totals are recorded whenever ``end`` is
-    one of ``marks``.
+    returns the weighted panel values.  Panel sums are exact, correctly
+    rounded reductions (``exact_sum``, identical to ``math.fsum``); the
+    running totals are recorded with ``math.fsum`` over the panel sums
+    whenever ``end`` is one of ``marks``.
     """
     marked = {float(m) for m in marks}
     out, aout = [], []
@@ -215,9 +274,9 @@ def _cumulative_shells(
     for a, b, end in panels:
         x, w = panel_rule(a, b, n_radial)
         contrib = contribution(x, w).ravel()
-        re_parts.append(math.fsum(contrib.real.tolist()))
-        im_parts.append(math.fsum(contrib.imag.tolist()))
-        abs_parts.append(math.fsum(np.abs(contrib).tolist()))
+        re_parts.append(exact_sum(contrib.real))
+        im_parts.append(exact_sum(contrib.imag))
+        abs_parts.append(exact_sum(np.abs(contrib)))
         if float(end) in marked:
             out.append(math.fsum(re_parts) + 1j * math.fsum(im_parts))
             aout.append(math.fsum(abs_parts))
@@ -304,6 +363,20 @@ def cumulative_halfline_in(
     return _cumulative_shells(panels, a_vals, n_radial, lambda x, w: w * np.asarray(g(x), dtype=complex))
 
 
+def row_norm(x) -> np.ndarray:
+    """Euclidean norm of each row of the (..., p) float array x.
+
+    sqrt(x_0 x_0 + x_1 x_1 + ...) with the columns summed in order: bit for
+    bit ``np.linalg.norm(x, axis=-1)`` for p <= 4, without the cost of its
+    generic reduction over short rows.
+    """
+    x = np.asarray(x, dtype=float)
+    s = x[..., 0] * x[..., 0]
+    for j in range(1, x.shape[-1]):
+        s += x[..., j] * x[..., j]
+    return np.sqrt(s, out=s)
+
+
 FD_REL_STEP = 1e-5
 
 
@@ -313,7 +386,7 @@ def fd_step(x: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
     Returns the step sizes h = FD_REL_STEP (1 + |x|), shape (M,), and the
     row offsets h e_j, shape (M, p), for use with ``richardson_derivative``.
     """
-    h = FD_REL_STEP * (1.0 + np.linalg.norm(x, axis=1))
+    h = FD_REL_STEP * (1.0 + row_norm(x))
     e = np.zeros_like(x)
     e[:, j] = 1.0
     return h, h[:, None] * e

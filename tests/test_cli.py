@@ -1,10 +1,13 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from etaforge.cli import ExperimentConfig, Report, main, run, suite
+from etaforge.cli import _BUDGET_KEYS, ExperimentConfig, Report, _resolve_budget, main, run, suite
 from etaforge.errors import ConfigError
-from etaforge.experiments import EXPERIMENTS
+from etaforge.experiments import BUDGETS, EXPERIMENTS, Budget
 from etaforge.partrace import WindowConfig
 
 
@@ -33,6 +36,12 @@ def test_unknown_config_keys_rejected():
         ExperimentConfig.from_dict({"experiment": "clifford-check", "bogus": 1})
     with pytest.raises(ConfigError):
         run(ExperimentConfig("clifford-check", params={"bogus": 1}, budget="quick"))
+    # a config that is not an object, params that are not one, a seed that
+    # is not a non-negative integer and an out that is not a path
+    for bad in ([], {"experiment": "clifford-check", "params": None}, {"experiment": "clifford-check", "seed": -1},
+                {"experiment": "clifford-check", "seed": 1.5}, {"experiment": "clifford-check", "out": [1]}):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(bad)
 
 
 def test_budget_validation():
@@ -45,7 +54,8 @@ def test_budget_validation():
     # lower bounds: an eigenvalue window of 0 never stops escalating, a
     # negative one sums the wrong eigenvalues, and empty rules are config errors
     for bad in ({"eig_window": 0}, {"eig_window": -4}, {"radii": 1}, {"n_radial": 0},
-                {"n_radial_fine": 0}, {"s_nodes": 0}):
+                {"n_radial_fine": 0}, {"s_nodes": 0}, {"r_min": 0.0}, {"r_max": 3.0}, {"r_min": math.nan},
+                {"radii": 16.0}, {"radii": "16"}, {"sphere_p3": [0, 4]}, {"chart_s3": [8, 8]}, {"preset": ["quick"]}):
         with pytest.raises(ConfigError):
             run(ExperimentConfig("trace-tanh", budget={"preset": "quick", **bad}))
     with pytest.raises(ValueError):
@@ -108,8 +118,8 @@ def test_main_exit_codes(tmp_path, capsys):
         json.dumps({"experiment": "regint-demo", "budget": {"preset": "quick", "radii": 4}})
     )
     assert main(["--config", str(missing)]) == 3
-    # a parameter of the wrong type or out of range, an integer circle offset
-    # or an unknown path is a config error
+    # a parameter of the wrong type or out of range, an integer circle offset,
+    # an unknown path or a mollifier width that is not positive is a config error
     capsys.readouterr()
     for experiment, params in [
         ("clifford-check", {"k": "x"}),
@@ -124,6 +134,8 @@ def test_main_exit_codes(tmp_path, capsys):
         ("spectral-eta", {"k": 1}),
         ("eta-suspension", {"k": 1}),
         ("divisor-flow", {"path": "bogus"}),
+        ("divisor-flow", {"width": -1.0}),
+        ("divisor-flow", {"width": 0.0}),
     ]:
         wrong = tmp_path / "wrong.json"
         wrong.write_text(json.dumps({"experiment": experiment, "params": params, "budget": "quick"}))
@@ -165,3 +177,68 @@ def test_ladder_starting_below_one():
     # the half-line pieces then start with a backwards panel; the finite parts
     # must not depend on where the ladder starts
     assert run(ExperimentConfig("mellin-zero", budget={"preset": "quick", "r_min": 0.5})).passed
+
+
+# Anything json.loads can return: NaN, infinities and integers of any size included.
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+# budget values mostly in range, so that many budgets resolve, with the
+# edges of each range and non-finite radii among them
+_counts = st.integers(0, 64)
+_edges = st.sampled_from([0, 0.0, -0.0, -1.0, 2.0 ** 24, 2.0 ** 24 + 1, math.nan, math.inf, -math.inf])
+_budget_values = {
+    "preset": st.sampled_from(sorted(BUDGETS)),
+    "radii": st.integers(0, 130),
+    "r_min": st.floats(0.25, 8.0) | st.integers(1, 8) | _edges,
+    "r_max": st.floats(2.0, 2.0 ** 24) | st.integers(100, 2 ** 24) | _edges,
+    "n_radial": _counts, "n_radial_fine": _counts, "s_nodes": _counts, "eig_window": st.integers(0, 4096),
+    "eig_cap": st.integers(1, 2 ** 24 + 1),
+    "sphere_p3": st.lists(st.integers(-1, 40), min_size=2, max_size=2),
+    "chart_s3": st.lists(st.integers(-1, 40), min_size=3, max_size=3),
+}
+assert set(_budget_values) == _BUDGET_KEYS
+_budget = st.fixed_dictionaries({}, optional={k: st.one_of(v, v, v, _json) for k, v in _budget_values.items()})
+_config = st.fixed_dictionaries(
+    {"experiment": st.sampled_from(sorted(EXPERIMENTS)) | _json},
+    optional={
+        "params": st.dictionaries(st.text(max_size=6), _json, max_size=3) | _json,
+        "budget": _budget | _budget | st.sampled_from(sorted(BUDGETS)) | _json,
+        "out": st.none() | st.text(max_size=6) | _json,
+        "seed": st.integers(0, 5) | _json,
+    },
+)
+
+
+def _check_budget(budget):
+    assert isinstance(budget, Budget)
+    assert 0 < budget.ladder.r_min < budget.ladder.r_max <= 2.0 ** 24 and 2 <= budget.ladder.count <= 128
+    assert min(budget.n_radial, budget.n_radial_fine, budget.s_nodes, budget.window.start) >= 1
+    assert budget.window.cap <= 2 ** 24
+    assert len(budget.sphere_p3) == 2 and len(budget.chart_s3) == 3
+    assert all(isinstance(n, int) and n >= 1 for n in budget.sphere_p3 + budget.chart_s3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_config | _json | st.dictionaries(st.text(max_size=6), _json))
+def test_config_parsing_resolves_or_raises_config_error(data):
+    try:
+        cfg = ExperimentConfig.from_dict(data)
+        budget = _resolve_budget(cfg.budget)
+    except ConfigError:
+        return
+    assert isinstance(cfg.params, dict) and isinstance(cfg.seed, int) and cfg.seed >= 0
+    _check_budget(budget)
+    cfg.config_hash()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_budget)
+def test_budget_parsing_resolves_in_range_or_raises_config_error(spec):
+    try:
+        budget = _resolve_budget(spec)
+    except ConfigError:
+        return
+    _check_budget(budget)

@@ -254,6 +254,14 @@ def test_divisor_flow_width_independence():
     assert abs(a - b) < 1e-6
 
 
+@pytest.mark.parametrize("width", [0.0, -1.0, -0.0, math.inf, math.nan])
+def test_divisor_flow_paths_reject_bad_width(width):
+    with pytest.raises(ValueError, match="width"):
+        phase_unwinding_path(width)
+    with pytest.raises(ValueError, match="width"):
+        linear_bridge_path(width)
+
+
 def test_divisor_flow_constant_path():
     const = PathFamily(lambda s: matrix_family("moebius", s=1.0))
     assert abs(path_eta_rate(const, 0.5)) < 1e-10

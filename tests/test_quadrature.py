@@ -2,16 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from etaforge import quadrature
 from etaforge.quadrature import (
     cumulative_ball,
     cumulative_halfline_in,
     cumulative_halfline_out,
     cumulative_radial,
+    exact_sum,
     gauss_legendre,
     geometric_ladder,
     panel_rule,
     richardson_derivative,
+    row_norm,
     sphere_chart,
     sphere_rule,
     sphere_surface,
@@ -125,3 +131,117 @@ def test_richardson_derivative_fourth_order_on_exp():
     errs = [abs(richardson_derivative(lambda c: math.exp(x0 + c * h), h) - math.exp(x0)) for h in (0.4, 0.2, 0.1)]
     for coarse, fine in zip(errs, errs[1:]):
         assert 14.0 < coarse / fine < 18.0
+
+
+# ---------------------------------------------------------------------------
+# exact_sum against math.fsum, row_norm against np.linalg.norm: bit for bit
+
+
+def _bits(x: float) -> str:
+    return float(x).hex()  # tells -0.0 from 0.0 and every last-place difference
+
+
+def _check_exact_sum(xs):
+    assert _bits(exact_sum(np.array(xs, dtype=float))) == _bits(math.fsum(xs))
+
+
+# bounded so that no partial sum of fsum overflows
+_finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False)
+# mantissa times 2^e for e across the whole double range, subnormals included
+_spread = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1000))
+
+
+@given(st.lists(_finite | st.sampled_from([0.0, -0.0, 5e-324, -2.5e-323, 2.2250738585072014e-308]), max_size=300))
+def test_exact_sum_matches_fsum_on_finite_floats(xs):
+    _check_exact_sum(xs)
+
+
+@given(st.lists(_spread, max_size=100).flatmap(
+    lambda xs: st.permutations(xs + [math.ldexp(1.0, 1000), 5e-324, -math.ldexp(1.0, 1000), math.ldexp(-3.0, -1060)])
+))
+def test_exact_sum_matches_fsum_across_2000_binary_orders(xs):
+    _check_exact_sum(xs)
+
+
+@given(st.lists(_finite | _spread, min_size=1, max_size=100).flatmap(lambda xs: st.permutations(xs + [-x for x in xs])))
+def test_exact_sum_exact_cancellation_is_positive_zero(xs):
+    got = exact_sum(np.array(xs))
+    assert _bits(got) == _bits(0.0) == _bits(math.fsum(xs))
+
+
+def test_exact_sum_limb_chunks(monkeypatch):
+    # chunking keeps the bincount sums exact past 2^26 elements; a tiny
+    # chunk runs the same path on a short array
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal(1000) * np.exp2(rng.integers(-1070, 1000, 1000))
+    a = np.concatenate([a, -a[:500], [5e-324, 1.0]])
+    monkeypatch.setattr(quadrature, "_EXACT_CHUNK", 7)
+    assert _bits(exact_sum(a)) == _bits(math.fsum(a.tolist()))
+
+
+def test_exact_sum_non_finite_input_keeps_fsum_behaviour():
+    assert math.isnan(exact_sum(np.array([1.0, math.nan])))
+    assert math.isnan(exact_sum(np.array([math.inf, math.nan])))
+    assert exact_sum(np.array([math.inf])) == math.inf
+    assert exact_sum(np.array([2.0, -math.inf, 1e308])) == -math.inf
+    with pytest.raises(ValueError):
+        exact_sum(np.array([math.inf, -math.inf]))
+    with pytest.raises(OverflowError):
+        exact_sum(np.array([1e308, 1e308]))
+    with pytest.raises(OverflowError):
+        math.fsum([1e308, 1e308])
+
+
+def test_cumulative_ball_panels_sum_like_fsum(monkeypatch):
+    # every real, imaginary and absolute panel part of a complex integrand,
+    # and the cumulative values built from them, agree with the fsum loop
+    ladder = geometric_ladder(4.0, 256.0, 6)
+    sphere = sphere_rule(3, (12, 24))
+
+    def f(x):
+        r = np.linalg.norm(x, axis=1)
+        return np.exp(-0.05 * r + 1j * x[:, 0]) / (1.0 + r ** 2) + 1e-30 * x[:, 1] ** 3
+
+    parts = []
+
+    def recording(a):
+        parts.append(np.array(a))
+        return exact_sum(a)
+
+    monkeypatch.setattr(quadrature, "exact_sum", recording)
+    got = cumulative_ball(f, 3, ladder, sphere)
+    assert len(parts) > 3 * len(ladder) and any(np.any(a < 0) for a in parts)
+    for a in parts:
+        assert _bits(exact_sum(a)) == _bits(math.fsum(a.ravel().tolist()))
+    monkeypatch.setattr(quadrature, "exact_sum", lambda a: math.fsum(np.asarray(a).ravel().tolist()))
+    want = cumulative_ball(f, 3, ladder, sphere)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 4).flatmap(lambda p: arrays(
+    float, st.tuples(st.integers(0, 20), st.just(p)), elements=st.floats(allow_nan=False, allow_infinity=False)
+)))
+def test_row_norm_matches_linalg_norm(x):
+    with np.errstate(over="ignore"):
+        assert row_norm(x).tobytes() == np.linalg.norm(x, axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_row_norm_zeros_subnormals_and_overflow(p):
+    rng = np.random.default_rng(p)
+    rows = [
+        np.zeros(p),
+        np.full(p, 5e-324),
+        rng.standard_normal(p) * 1e-310,
+        np.full(p, 1e200),
+        np.r_[1e200, np.zeros(p - 1)],
+        np.r_[-1e200, rng.standard_normal(p - 1)],
+        rng.standard_normal(p) * 10.0 ** rng.integers(-300, 150, p),
+    ]
+    x = np.vstack(rows + [rng.standard_normal((200, p)) * 10.0 ** rng.integers(-5, 5, (200, p))])
+    with np.errstate(over="ignore"):
+        got, want = row_norm(x), np.linalg.norm(x, axis=-1)
+    assert got.tobytes() == want.tobytes()
+    assert np.isinf(got[3]) and np.isinf(got[4]) and got[0] == 0.0
