@@ -92,6 +92,8 @@ def _resolve_budget(spec) -> Budget:
     window = WindowConfig(start=start, cap=_budget_int(spec, "eig_cap", base.window.cap))
     if window.cap > 16_777_216:
         raise ConfigError("budget exceeds hard caps (eigenvalue window cap <= 2^24)")
+    if window.cap < start:
+        raise ConfigError(f"budget eig_cap {window.cap} is below eig_window {start}")
     return replace(
         base,
         name=base.name + "+",

@@ -34,7 +34,7 @@ from .forms import (
     MatrixFamily,
     MatrixForm,
     exterior_derivative,
-    form_from_family,
+    form_from_families,
     maurer_cartan_power,
     mc_form,
     mf_inverse,
@@ -64,6 +64,7 @@ __all__ = [
     "eta_variation",
     "additivity_defect",
     "AdditivityDefect",
+    "defect_forms",
     "spectral_eta",
     "eta_suspension",
     "divisor_flow",
@@ -125,10 +126,8 @@ class PathFamily:
 
 
 def _top_scalar(form: MatrixForm) -> Callable[[np.ndarray], np.ndarray]:
-    fam = form.coeffs.get(form.top_tuple())
-    if fam is None:
-        return lambda x: np.zeros(len(np.atleast_2d(x)), dtype=complex)
-    return lambda x: fam(x)[:, 0, 0]
+    top = tuple(range(form.p))
+    return lambda x: form.evaluate(top, x)[:, 0, 0]
 
 
 def eta_k(
@@ -152,7 +151,7 @@ def eta_k(
         raise ValueError(f"eta_{k} needs a family on R^{p}, got p = {A.p}")
     if model is None:
         raise ValueError("matrix families need a declared expansion model")
-    _, tform = maurer_cartan_power(A, p)
+    tform = maurer_cartan_power(A, p)
     reg = regint_rp(_top_scalar(tform), model, p, ladder, sphere, n_radial, fit)
     return EtaResult(2.0 * c_k(k) * reg.value, "matrix-form", [reg])
 
@@ -167,7 +166,7 @@ def winding(
     invertible f on the sphere."""
     if f.p != 2 * k:
         raise ValueError(f"winding at k={k} needs an ambient family on R^{2 * k}")
-    _, tform = maurer_cartan_power(f, 2 * k - 1)
+    tform = maurer_cartan_power(f, 2 * k - 1)
     val = sphere_integrate(tform, resolution, rtol=rtol)
     return c_k(k) * val.value
 
@@ -203,10 +202,10 @@ def formal_trace_matrix(
     rule = sphere if sphere is not None else sphere_rule(p, (24, 48) if p == 3 else 64)
     want = 1.0 - float(p)
     total = 0.0 + 0.0j
-    for I, fam in sorted(traced.coeffs.items()):
+    for I in traced.indices:
         missing = [m for m in range(p) if m not in I][0]
         sign = (-1.0) ** missing
-        fitted = fit_expansion(lambda x, fam=fam: fam(x)[:, 0, 0], coef_model, p, radii=radii, directions=rule, cfg=fit)
+        fitted = fit_expansion(lambda x, I=I: traced.evaluate(I, x)[:, 0, 0], coef_model, p, radii, rule, fit)
         total += sign * fitted.integrate_coefficient(want, 0, fitted.directions[:, missing])
     return total
 
@@ -237,7 +236,7 @@ def eta_variation(
 
     A = path.family_at(s)
     G = mf_product(mf_inverse(A), path.derivative_at(s))
-    form = form_from_family(G)
+    form = form_from_families({(): G})
     w = mc_form(A)
     for _ in range(2 * k - 2):
         form = wedge(form, w)
@@ -257,6 +256,13 @@ class AdditivityDefect:
     @property
     def deviation(self) -> float:
         return abs(self.lhs - self.rhs)
+
+
+def defect_forms(A: MatrixFamily, B: MatrixFamily) -> tuple[MatrixForm, MatrixForm]:
+    """w1 = B^{-1} (A^{-1} dA) B and w2 = B^{-1} dB, the 1-forms whose wedge
+    carries the additivity defect of eta_2."""
+    w1 = wedge(wedge(form_from_families({(): mf_inverse(B)}), mc_form(A)), form_from_families({(): B}))
+    return w1, mc_form(B)
 
 
 def additivity_defect(
@@ -282,18 +288,7 @@ def additivity_defect(
     eab = eta_k(AB, k, model_eta, ladder, sphere, n_radial, fit).value
     lhs = eab - ea - eb
 
-    Binv = mf_inverse(B)
-    Ainv = mf_inverse(A)
-    w1 = MatrixForm(
-        A.p,
-        A.n,
-        1,
-        {
-            (j,): mf_product(Binv, mf_product(mf_product(Ainv, A.partial_family(j)), B))
-            for j in range(A.p)
-        },
-    )
-    w2 = mc_form(B)
+    w1, w2 = defect_forms(A, B)
     md = model_defect if model_defect is not None else model_eta
     tr12 = formal_trace_matrix(wedge(w1, w2), md, "regint-d", ladder, sphere, n_radial, fit)
     rhs = -6.0 * c_k(2) * tr12

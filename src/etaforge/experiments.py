@@ -9,6 +9,7 @@ a single source of truth for every identity.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,11 +159,12 @@ class CheckRow:
 
 def _matches_default(value, default) -> bool:
     """Whether ``value`` has the JSON type of ``default``: a float default
-    also takes integers, a sequence default takes lists of its element type."""
+    also takes integers within the float range, a sequence default takes
+    lists of its element type."""
     if isinstance(value, bool) or isinstance(default, bool):
         return isinstance(value, bool) and isinstance(default, bool)
     if isinstance(default, float):
-        return isinstance(value, (int, float))
+        return isinstance(value, float) or (isinstance(value, int) and abs(value) <= sys.float_info.max)
     if isinstance(default, tuple):
         return isinstance(value, (list, tuple)) and all(_matches_default(v, default[0]) for v in value)
     return isinstance(value, type(default))
@@ -233,7 +235,7 @@ def exp_sphere_omega(params, budget, rng):
     p = _params(params, {"k": 2}, ranges={"k": (1, 2)})
     k = int(p["k"])
     fam = matrix_family("sphere_clifford", k=k)
-    _, tform = maurer_cartan_power(fam, 2 * k - 1)
+    tform = maurer_cartan_power(fam, 2 * k - 1)
     val = sphere_integrate(tform, budget.chart_s3 if k == 2 else 512).value
     return [
         CheckRow(
@@ -254,10 +256,9 @@ def exp_rp_omega(params, budget, rng):
     model = ExpansionModel.powers([-4, -6, -8, -10])
     for a in (1.0, -1.0):
         fam = matrix_family("affine_clifford", a=a, k=2)
-        _, tform = maurer_cartan_power(fam, 3)
-        top = tform.coeffs[(0, 1, 2)]
+        tform = maurer_cartan_power(fam, 3)
         reg = regint_rp(
-            lambda x: top(x)[:, 0, 0], model, 3, budget.ladder, budget.sphere(3), budget.n_radial
+            lambda x: tform.evaluate((0, 1, 2), x)[:, 0, 0], model, 3, budget.ladder, budget.sphere(3), budget.n_radial
         )
         ref = -math.copysign(1.0, a) / (2.0 * c_k(2).real)
         rows.append(
@@ -795,10 +796,7 @@ def _family_corpus():
 
 
 def _max_coeff(form, pts):
-    worst = 0.0
-    for fam in form.coeffs.values():
-        worst = max(worst, float(np.max(np.abs(fam(pts)))))
-    return worst
+    return max((float(np.max(np.abs(v))) for v in form.values(pts).values()), default=0.0)
 
 
 def exp_prop_d2(params, budget, rng):
@@ -825,8 +823,8 @@ def exp_prop_leibniz(params, budget, rng):
     a = wedge(exterior_derivative(w1), w2)
     b = wedge(w1, exterior_derivative(w2))
     worst = 0.0
-    for I in lhs.coeffs:
-        got = lhs.coeffs[I](pts)
+    for I in lhs.indices:
+        got = lhs.evaluate(I, pts)
         want = a.evaluate(I, pts) - b.evaluate(I, pts)  # (-1)^{deg w1} = -1
         worst = max(worst, float(np.max(np.abs(got - want))))
     rows.append(CheckRow("graded Leibniz rule", worst, 0.0, 1e-6, "abs", "product rule"))
@@ -835,8 +833,8 @@ def exp_prop_leibniz(params, budget, rng):
     t12 = wedge(w1, w2).traced()
     t21 = wedge(w2, w1).traced()
     worst = 0.0
-    for I in t12.coeffs:
-        worst = max(worst, float(np.max(np.abs(t12.coeffs[I](pts) + t21.evaluate(I, pts)))))
+    for I in t12.indices:
+        worst = max(worst, float(np.max(np.abs(t12.evaluate(I, pts) + t21.evaluate(I, pts)))))
     rows.append(CheckRow("graded trace cyclicity", worst, 0.0, 1e-10, "abs", "cyclic trace"))
     return rows
 
@@ -849,7 +847,7 @@ def exp_prop_maurer_cartan(params, budget, rng):
         lhs = exterior_derivative(w)
         sq = wedge(w, w)
         worst = 0.0
-        for I in set(lhs.coeffs) | set(sq.coeffs):
+        for I in set(lhs.indices) | set(sq.indices):
             worst = max(worst, float(np.max(np.abs(lhs.evaluate(I, pts) + sq.evaluate(I, pts)))))
         rows.append(
             CheckRow(f"structure equation on {fam.name}", worst, 0.0, 1e-6, "abs", "logarithmic derivative")

@@ -1,22 +1,26 @@
-"""Matrix-valued differential forms on R^p.
+"""Matrix-valued differential forms on R^p, evaluated as jets at a batch.
 
-Forms are lazy: coefficients are composed batched evaluators ((M, p) points
-to (M, N, N) matrices) and nothing is discretized until integration.  Wedge
-products keep noncommutative order, exterior derivatives use analytic
-partials when a family carries them and central differences with a
-Richardson pass otherwise, and sphere integration pulls top forms back
-through explicit hyperspherical charts.
+A form holds its index tuples and a rule for the partials of its
+coefficients.  At a batch of points (M, p), one ``_Batch`` computes each
+array the evaluation needs once, keyed by node and sorted index set S, so
+d_i d_j and d_j d_i are one array and cancel exactly under
+antisymmetrization.  A coefficient on dx_I is only differentiated along
+coordinates outside I, so S never repeats a coordinate.
 
-Batched products and inverses go through the rank-2 kernels ``_matmul`` and
-``_det_inv`` (entrywise formulas up to rank 2, numpy above), and the trace
-form of ``maurer_cartan_power`` is a cyclic traced power built from
-G_j = f^{-1} d_j f once per batch.
+Leaf partials are analytic as far as a family's ``partials`` chain goes;
+below that, one Richardson stencil of the missing order is applied to the
+deepest analytic level, so no finite difference wraps another.  Products
+follow Leibniz, inverses d(A^-1) = -A^-1 (dA) A^-1, and traces are
+entrywise, with the rank-2 kernels ``_matmul`` and ``_det_inv`` doing the
+batched algebra.  Sphere integration pulls top forms back through explicit
+hyperspherical charts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 from typing import Callable, NamedTuple
 
@@ -42,74 +46,101 @@ __all__ = [
     "matrix_family",
 ]
 
-
-class _Memo:
-    """Identity-keyed cache of the last few batch evaluations.
-
-    Strong references to the key arrays are kept, so an id can never be
-    recycled while its entry is alive.
-    """
-
-    __slots__ = ("fn", "entries", "size")
-
-    def __init__(self, fn, size=4):
-        self.fn = fn
-        self.entries = []
-        self.size = size
-
-    def __call__(self, x):
-        for xx, val in self.entries:
-            if xx is x:
-                return val
-        val = self.fn(x)
-        self.entries.append((x, val))
-        if len(self.entries) > self.size:
-            self.entries.pop(0)
-        return val
+Index = tuple[int, ...]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MatrixFamily:
-    """Smooth map R^p -> M(N, C) with optional analytic partials.
+    """Smooth map R^p -> M(N, C), evaluated on batches of points.
 
-    ``func`` takes an (M, p) float array and returns (M, N, N) complex.
-    ``partials`` holds one MatrixFamily per coordinate when derivatives are
-    known analytically; the nesting gives access to higher derivatives where
-    they exist.
+    A leaf family has ``func``, which takes an (M, p) float array and returns
+    (M, N, N) complex.  Its ``partials`` may hold
+
+    - None: no analytic partials; a jet takes them from one Richardson
+      stencil of the needed order;
+    - a tuple of p families d_0 f, ..., d_{p-1} f, whose own ``partials``
+      continue the chain to higher orders; where the chain stops, the
+      stencil of the remaining order is applied to its last family;
+    - the empty tuple: the family is constant and every partial vanishes.
+
+    ``mf_product`` and ``mf_inverse`` build families with a ``rule`` in place
+    of ``func``: ``rule(batch, S)`` returns d_S from the operands' partials in
+    the batch.
     """
 
     p: int
     n: int
-    func: Callable[[np.ndarray], np.ndarray]
+    func: Callable[[np.ndarray], np.ndarray] | None = None
     partials: tuple["MatrixFamily", ...] | None = None
     name: str = ""
-    _memo: _Memo | None = field(default=None, repr=False, compare=False)
+    rule: Callable[["_Batch", Index], np.ndarray] | None = field(default=None, repr=False)
 
-    def __post_init__(self):
-        self._memo = _Memo(self.func)
+    @classmethod
+    def constant(cls, mat, p: int, name: str = "const") -> "MatrixFamily":
+        mat = np.asarray(mat, dtype=complex)
+        return cls(p, mat.shape[0], lambda x: np.broadcast_to(mat, (len(x),) + mat.shape).copy(), (), name)
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return self._memo(x[None, :])[0]
-        return self._memo(x)
+        pts = x[None, :] if x.ndim == 1 else x
+        vals = self.func(pts) if self.rule is None else _Batch(pts).family(self)
+        return vals[0] if x.ndim == 1 else vals
 
     def partial_family(self, j: int) -> "MatrixFamily":
-        """The j-th partial derivative as a family (analytic or FD)."""
-        if self.partials is not None:
+        """The j-th partial derivative as a family: the analytic one if given,
+        else the batch jet's."""
+        if self.partials:
             return self.partials[j]
-        return _fd_partial_family(self, j)
+        return MatrixFamily(self.p, self.n, lambda x: _Batch(x).family(self, (j,)), name=f"d{j}({self.name})")
 
 
-def _fd_partial_family(fam: MatrixFamily, j: int) -> MatrixFamily:
-    """Richardson central difference in x_j, steps from ``quadrature.fd_step``."""
+class _Batch:
+    """One evaluation at the points x: every partial derivative it needs,
+    computed once and kept per (node, sorted index set)."""
 
-    def df(x):
-        x = np.asarray(x, dtype=float)
-        h, step = fd_step(x, j)
-        return richardson_derivative(lambda c: fam(x + c * step), h[:, None, None])
+    def __init__(self, x: np.ndarray):
+        self.x = x
+        self.done: dict = {}
 
-    return MatrixFamily(fam.p, fam.n, df, name=f"d{j}({fam.name})")
+    def get(self, key, compute):
+        if key not in self.done:
+            self.done[key] = compute()
+        return self.done[key]
+
+    def family(self, fam: MatrixFamily, S: Index = ()) -> np.ndarray:
+        return self.get((fam, S), lambda: fam.rule(self, S) if fam.rule else _leaf_partial(fam, self.x, S))
+
+    def coeff(self, form: "MatrixForm", I: Index, S: Index = ()) -> np.ndarray:
+        return self.get((form, I, S), lambda: form.rule(self, I, S))
+
+
+def _leaf_partial(fam: MatrixFamily, x: np.ndarray, S: Index) -> np.ndarray:
+    """d_S of a leaf: analytic along the partials chain, then one Richardson
+    stencil of the remaining order k on the last analytic family: 2^k points
+    per level, central differences at the same scale c h along every
+    direction.  An order-2 stencil is good to about 1e-7 relative (order 1:
+    1e-11); exterior derivatives only meet second partials in antisymmetrized
+    pairs, where one array per index set cancels exactly."""
+    g = fam
+    while S and g.partials is not None:
+        if not g.partials:
+            return np.zeros((len(x), fam.n, fam.n), dtype=complex)
+        g, S = g.partials[S[0]], S[1:]
+    if not S:
+        return g(x)
+    h, first = fd_step(x, S[0])
+    h = h[:, None, None]
+    others = [fd_step(x, j)[1] for j in S[1:]]
+
+    def shifted(c):
+        def central(y, k):
+            if k == len(others):
+                return g(y)
+            return (central(y + c * others[k], k + 1) - central(y - c * others[k], k + 1)) / (2.0 * c * h)
+
+        return central(x + c * first, 0)
+
+    return richardson_derivative(shifted, h)
 
 
 # ---------------------------------------------------------------------------
@@ -158,138 +189,128 @@ def _det_inv(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return det, np.full_like(a, np.nan)
 
 
-# ---------------------------------------------------------------------------
-# Family combinators; partials propagate whenever both operands carry them.
+def _with(S: Index, j: int) -> Index:
+    return tuple(sorted(S + (j,)))
 
 
-def mf_constant(mat: np.ndarray, p: int, name: str = "const") -> MatrixFamily:
-    mat = np.asarray(mat, dtype=complex)
-    n = mat.shape[0]
-    zero = np.zeros_like(mat)
-
-    def cf(m):
-        def f(x):
-            return np.broadcast_to(m, (len(x),) + m.shape).copy()
-
-        return f
-
-    fam = MatrixFamily(p, n, cf(mat), name=name)
-    fam.partials = tuple(MatrixFamily(p, n, cf(zero), partials=None, name=f"0_{j}") for j in range(p))
-    # zero partials of a constant are themselves constant: give them zero partials too
-    for g in fam.partials:
-        g.partials = tuple(MatrixFamily(p, n, cf(zero), name="0") for _ in range(p))
-    return fam
+def _leibniz(S: Index, left, right, mult=_matmul) -> np.ndarray:
+    """d_S of a product: the sum over subsets T of S of mult(d_T left, d_{S-T} right),
+    ``left`` and ``right`` mapping index sets to partials."""
+    total = None
+    for k in range(len(S) + 1):
+        for T in combinations(S, k):
+            term = mult(left(T), right(tuple(i for i in S if i not in T)))
+            total = term if total is None else total + term
+    return total
 
 
-def mf_add(a: MatrixFamily, b: MatrixFamily, ca: complex = 1.0, cb: complex = 1.0) -> MatrixFamily:
-    out = MatrixFamily(a.p, a.n, lambda x: ca * a(x) + cb * b(x), name=f"({a.name}+{b.name})")
-    if a.partials is not None and b.partials is not None:
-        out.partials = tuple(mf_add(a.partials[j], b.partials[j], ca, cb) for j in range(a.p))
-    return out
+def _signed_total(parts) -> np.ndarray:
+    """Sum of (sign, array) pairs in order, subtracting where the sign is negative."""
+    total = None
+    for sign, term in parts:
+        if total is None:
+            total = term if sign > 0 else -term
+        else:
+            total = total + term if sign > 0 else total - term
+    return total
 
 
 def mf_product(a: MatrixFamily, b: MatrixFamily) -> MatrixFamily:
-    out = MatrixFamily(a.p, a.n, lambda x: _matmul(a(x), b(x)), name=f"({a.name}.{b.name})")
-    if a.partials is not None and b.partials is not None:
-        out.partials = tuple(
-            mf_add(mf_product(a.partials[j], b), mf_product(a, b.partials[j])) for j in range(a.p)
-        )
-    return out
+    """The pointwise product a b."""
+    return MatrixFamily(a.p, a.n, name=f"({a.name}.{b.name})",
+                        rule=lambda batch, S: _leibniz(S, partial(batch.family, a), partial(batch.family, b)))
 
 
 def mf_inverse(a: MatrixFamily) -> MatrixFamily:
-    def inv(x):
-        dets, out = _det_inv(a(np.asarray(x, dtype=float)))
+    """The pointwise inverse a^{-1}; raises SingularFamilyError where a is singular."""
+
+    def rule(batch, S):
+        if S:
+            # d_k(a^-1) = -a^-1 (d_k a) a^-1, differentiated along the rest of S
+            k, rest = S[0], S[1:]
+            da_inv = partial(_leibniz, left=lambda U: batch.family(a, _with(U, k)), right=partial(batch.family, inv))
+            return -_leibniz(rest, partial(batch.family, inv), da_inv)
+        dets, out = _det_inv(batch.family(a))
         bad = np.abs(dets) < 1e-300
         if np.any(bad):
-            i = int(np.argmax(bad))
-            raise SingularFamilyError(f"family {a.name!r} singular", point=np.asarray(x)[i])
+            raise SingularFamilyError(f"family {a.name!r} singular", point=batch.x[int(np.argmax(bad))])
         if not np.all(np.isfinite(out)):
             i = int(np.argmax(~np.all(np.isfinite(out.reshape(len(out), -1)), axis=1)))
-            raise SingularFamilyError(f"family {a.name!r} numerically singular", point=np.asarray(x)[i])
+            raise SingularFamilyError(f"family {a.name!r} numerically singular", point=batch.x[i])
         return out
 
-    fam = MatrixFamily(a.p, a.n, inv, name=f"inv({a.name})")
-    if a.partials is not None:
-        # d(A^-1) = -A^-1 (dA) A^-1; first derivatives only
-        fam.partials = tuple(
-            mf_scale(mf_product(fam, mf_product(a.partials[j], fam)), -1.0) for j in range(a.p)
-        )
-    return fam
-
-
-def mf_scale(a: MatrixFamily, c: complex) -> MatrixFamily:
-    out = MatrixFamily(a.p, a.n, lambda x: c * a(x), name=f"{c}*{a.name}")
-    if a.partials is not None:
-        out.partials = tuple(mf_scale(a.partials[j], c) for j in range(a.p))
-    return out
+    inv = MatrixFamily(a.p, a.n, name=f"inv({a.name})", rule=rule)
+    return inv
 
 
 # ---------------------------------------------------------------------------
 # Forms
 
 
-@dataclass
+@dataclass(eq=False)
 class MatrixForm:
-    """Degree-q form with MatrixFamily coefficients over strictly increasing
-    index tuples; absent tuples are zero."""
+    """Degree-q form on R^p with N x N coefficients.
+
+    ``indices`` lists, in increasing order, the strictly increasing index
+    tuples whose coefficients may be nonzero; absent tuples are zero.
+    ``rule(batch, I, S)`` returns d_S of the coefficient on dx_I at the
+    batch's points, for a sorted index set S disjoint from I.
+    """
 
     p: int
     n: int
     degree: int
-    coeffs: dict[tuple[int, ...], MatrixFamily]
+    indices: tuple[Index, ...]
+    rule: Callable[[_Batch, Index, Index], np.ndarray] | None = field(default=None, repr=False)
+    # The last batch, never read: freed when the next one starts, its arrays
+    # leave a hole the allocator refills; freed at the end of each batch, they
+    # go back to the system and every batch page-faults on fresh memory (three
+    # times the faults and about 10 % more wall time on matrix-eta).
+    _last_batch: _Batch | None = field(default=None, init=False, repr=False)
 
-    def coefficient(self, index: tuple[int, ...]) -> MatrixFamily | None:
-        return self.coeffs.get(tuple(index))
+    def values(self, x, indices: tuple[Index, ...] | None = None) -> dict[Index, np.ndarray]:
+        """The coefficients on ``indices`` (default: all) at the points x, from
+        one batch evaluation.  The batch runs as one MatrixFamily call, so
+        whatever counts those calls sees the leaf evaluations nested in it."""
+        indices = self.indices if indices is None else indices
+        if not indices:
+            return {}
+        x = np.asarray(x, dtype=float)
 
-    def top_tuple(self) -> tuple[int, ...]:
-        return tuple(range(self.p))
+        def rule(batch, S):
+            self._last_batch = batch
+            return [batch.coeff(self, I) for I in indices]
 
-    def evaluate(self, index: tuple[int, ...], x) -> np.ndarray:
-        fam = self.coeffs.get(tuple(index))
-        if fam is None:
-            x = np.asarray(x, dtype=float)
-            m = 1 if x.ndim == 1 else len(x)
-            z = np.zeros((m, self.n, self.n), dtype=complex)
-            return z[0] if x.ndim == 1 else z
-        return fam(x)
+        stack = MatrixFamily(self.p, self.n, name="form batch", rule=rule)
+        vals = stack(x[None, :] if x.ndim == 1 else x)
+        return {I: v[0] if x.ndim == 1 else v for I, v in zip(indices, vals)}
+
+    def evaluate(self, index: Index, x) -> np.ndarray:
+        """The coefficient on dx_index at x (zero if absent)."""
+        index = tuple(index)
+        if index in self.indices:
+            return self.values(x, (index,))[index]
+        x = np.asarray(x, dtype=float)
+        z = np.zeros((1 if x.ndim == 1 else len(x), self.n, self.n), dtype=complex)
+        return z[0] if x.ndim == 1 else z
 
     def traced(self) -> "MatrixForm":
         """Apply the matrix trace coefficient-wise; the result has rank 1."""
-
-        def tr_fam(fam: MatrixFamily) -> MatrixFamily:
-            g = MatrixFamily(self.p, 1, lambda x, fam=fam: np.trace(fam(x), axis1=-2, axis2=-1)[..., None, None],
-                             name=f"tr({fam.name})")
-            if fam.partials is not None:
-                g.partials = tuple(tr_fam(fam.partials[j]) for j in range(self.p))
-            return g
-
-        return MatrixForm(self.p, 1, self.degree, {I: tr_fam(f) for I, f in self.coeffs.items()})
+        return MatrixForm(self.p, 1, self.degree, self.indices,
+                          lambda batch, I, S: np.trace(batch.coeff(self, I, S), axis1=-2, axis2=-1)[..., None, None])
 
 
-def _shuffle_sign(I: tuple[int, ...], J: tuple[int, ...]) -> int:
+def _shuffle_sign(I: Index, J: Index) -> int:
     inversions = sum(1 for a in I for b in J if a > b)
     return -1 if inversions % 2 else 1
 
 
-def zero_form(p: int, n: int, degree: int) -> MatrixForm:
-    return MatrixForm(p, n, degree, {})
-
-
-def _signed_sums(acc: dict[tuple[int, ...], list[tuple[int, MatrixFamily]]]) -> dict[tuple[int, ...], MatrixFamily]:
-    """Fold the signed terms collected per index tuple into one coefficient each."""
-    coeffs = {}
-    for K, parts in acc.items():
-        fam = mf_scale(parts[0][1], parts[0][0])
-        for sign, term in parts[1:]:
-            fam = mf_add(fam, term, 1.0, sign)
-        coeffs[K] = fam
-    return coeffs
-
-
-def form_from_family(fam: MatrixFamily) -> MatrixForm:
-    """Wrap a matrix function as a 0-form."""
-    return MatrixForm(fam.p, fam.n, 0, {(): fam})
+def form_from_families(coeffs: dict[Index, MatrixFamily]) -> MatrixForm:
+    """The form sum_I coeffs[I] dx_I, for strictly increasing index tuples of
+    one length; ``{(): f}`` is the 0-form f."""
+    fam = next(iter(coeffs.values()))
+    degree = len(next(iter(coeffs)))
+    return MatrixForm(fam.p, fam.n, degree, tuple(sorted(coeffs)), lambda batch, I, S: batch.family(coeffs[I], S))
 
 
 def wedge(w1: MatrixForm, w2: MatrixForm) -> MatrixForm:
@@ -298,96 +319,83 @@ def wedge(w1: MatrixForm, w2: MatrixForm) -> MatrixForm:
         raise ValueError("wedge requires the same base dimension and matrix rank")
     degree = w1.degree + w2.degree
     if degree > w1.p:
-        return zero_form(w1.p, w1.n, degree)
-    acc: dict[tuple[int, ...], list[tuple[int, MatrixFamily]]] = {}
-    for I, a in w1.coeffs.items():
-        for J, b in w2.coeffs.items():
-            if set(I) & set(J):
-                continue
-            K = tuple(sorted(I + J))
-            acc.setdefault(K, []).append((_shuffle_sign(I, J), mf_product(a, b)))
-    return MatrixForm(w1.p, w1.n, degree, _signed_sums(acc))
+        return MatrixForm(w1.p, w1.n, degree, ())
+    terms: dict[Index, list[tuple[int, Index, Index]]] = {}
+    for I in w1.indices:
+        for J in w2.indices:
+            if not set(I) & set(J):
+                terms.setdefault(tuple(sorted(I + J)), []).append((_shuffle_sign(I, J), I, J))
+
+    def rule(batch, K, S):
+        return _signed_total(
+            (sign, _leibniz(S, partial(batch.coeff, w1, I), partial(batch.coeff, w2, J))) for sign, I, J in terms[K]
+        )
+
+    return MatrixForm(w1.p, w1.n, degree, tuple(sorted(terms)), rule)
 
 
-def exterior_derivative(w: MatrixForm, scheme: str = "auto") -> MatrixForm:
-    """d with the standard signs: d(A dx_I) = sum_j dA/dx_j dx_j ^ dx_I.
-
-    scheme: "analytic" (require family partials), "fd", or "auto".
-    """
+def exterior_derivative(w: MatrixForm) -> MatrixForm:
+    """d with the standard signs: d(A dx_I) = sum_j dA/dx_j dx_j ^ dx_I, the
+    partials taken from the batch jets."""
     if w.degree >= w.p:
-        return zero_form(w.p, w.n, w.degree + 1)
-    acc: dict[tuple[int, ...], list[tuple[int, MatrixFamily]]] = {}
-    for I, fam in w.coeffs.items():
+        return MatrixForm(w.p, w.n, w.degree + 1, ())
+    terms: dict[Index, list[tuple[int, Index, int]]] = {}
+    for I in w.indices:
         for j in range(w.p):
-            if j in I:
-                continue
-            K = tuple(sorted(I + (j,)))
-            sign = -1 if K.index(j) % 2 else 1
-            if scheme == "analytic":
-                if fam.partials is None:
-                    raise ValueError("analytic scheme requested but the coefficient has no partials")
-                d = fam.partials[j]
-            elif scheme == "fd":
-                d = _fd_partial_family(fam, j)
-            else:
-                d = fam.partial_family(j)
-            acc.setdefault(K, []).append((sign, d))
-    return MatrixForm(w.p, w.n, w.degree + 1, _signed_sums(acc))
+            if j not in I:
+                K = _with(I, j)
+                terms.setdefault(K, []).append((-1 if K.index(j) % 2 else 1, I, j))
+
+    def rule(batch, K, S):
+        return _signed_total((sign, batch.coeff(w, I, _with(S, j))) for sign, I, j in terms[K])
+
+    return MatrixForm(w.p, w.n, w.degree + 1, tuple(sorted(terms)), rule)
 
 
 def mc_form(f: MatrixFamily) -> MatrixForm:
     """The logarithmic-derivative 1-form f^{-1} df."""
-    finv = mf_inverse(f)
-    coeffs = {(j,): mf_product(finv, f.partial_family(j)) for j in range(f.p)}
-    return MatrixForm(f.p, f.n, 1, coeffs)
+    return wedge(form_from_families({(): mf_inverse(f)}), exterior_derivative(form_from_families({(): f})))
 
 
-def maurer_cartan_power(f: MatrixFamily, q: int) -> tuple[MatrixForm, MatrixForm]:
-    """(f^{-1} df)^q and its trace form, for odd q.
+def _trace_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """tr(ab) as sum_ij a_ij b_ji, without forming ab."""
+    return np.einsum("...ij,...ji->...", a, b)
 
-    The trace form is computed cyclically rather than by tracing the wedge
-    power: with G_j = f^{-1} d_j f, the coefficient on dx_I is
+
+def maurer_cartan_power(f: MatrixFamily, q: int) -> MatrixForm:
+    """The trace form tr((f^{-1} df)^q), for odd q.
+
+    It is computed cyclically rather than by tracing the wedge power: with
+    G_j = f^{-1} d_j f, the coefficient on dx_I is
     sum_sigma sgn(sigma) tr(G_{i_sigma(1)} ... G_{i_sigma(q)}), and for odd q
     a q-cycle is even, so the q rotations of each product are equal terms:
     the coefficient is q tr(G_{i_1} S(i_2, ..., i_q)), S the antisymmetrized
     product.  G and the S of shared index sets are formed once per batch.
-    The trace form's coefficients carry no analytic partials.
+    The untraced power is ``wedge`` of ``mc_form(f)`` with itself.
     """
     if q < 1 or q % 2 == 0:
         raise ValueError("power must be a positive odd integer")
     w = mc_form(f)
-    out = w
-    for _ in range(q - 1):
-        out = wedge(out, w)
-    gs = [w.coeffs[(j,)] for j in range(f.p)]
-    batch = _Memo(lambda x: ([g(x) for g in gs], {}))
 
-    def coefficient(I):
-        def tr_coeff(x):
-            G, products = batch(x)
-            if q == 1:
-                val = np.trace(G[I[0]], axis1=-2, axis2=-1)
-            else:  # tr(XY) as sum_ij X_ij Y_ji, without forming XY
-                val = q * np.einsum("...ij,...ji->...", G[I[0]], _antisymmetrized(G, I[1:], products))
-            return val[..., None, None]
+    def antisymmetrized(batch, J, S):
+        """d_S of sum_sigma sgn(sigma) G_{j_sigma(1)} ... G_{j_sigma(m)}, expanded along the first factor."""
+        if len(J) == 1:
+            return batch.coeff(w, J, S)
+        return batch.get(("antisymmetrized", w, J, S), lambda: _signed_total(
+            (-1 if t % 2 else 1,
+             _leibniz(S, partial(batch.coeff, w, (J[t],)), partial(antisymmetrized, batch, J[:t] + J[t + 1:])))
+            for t in range(len(J))
+        ))
 
-        return MatrixFamily(f.p, 1, tr_coeff, name=f"tr(mc^{q})_{I}")
+    def rule(batch, I, S):
+        if q == 1:
+            val = np.trace(batch.coeff(w, I, S), axis1=-2, axis2=-1)
+        else:
+            rest = partial(antisymmetrized, batch, I[1:])
+            val = q * _leibniz(S, partial(batch.coeff, w, I[:1]), rest, _trace_product)
+        return val[..., None, None]
 
-    return out, MatrixForm(f.p, 1, q, {I: coefficient(I) for I in combinations(range(f.p), q)})
-
-
-def _antisymmetrized(G: list[np.ndarray], J: tuple[int, ...], products: dict) -> np.ndarray:
-    """sum_sigma sgn(sigma) G_{j_sigma(1)} ... G_{j_sigma(m)} for increasing J,
-    expanded along the first factor and cached per index set in ``products``."""
-    if len(J) == 1:
-        return G[J[0]]
-    if J not in products:
-        total = _matmul(G[J[0]], _antisymmetrized(G, J[1:], products))
-        for t in range(1, len(J)):
-            term = _matmul(G[J[t]], _antisymmetrized(G, J[:t] + J[t + 1:], products))
-            total = total - term if t % 2 else total + term
-        products[J] = total
-    return products[J]
+    return MatrixForm(f.p, 1, q, tuple(combinations(range(f.p), q)), rule)
 
 
 def clifford_omega_closed_form(rep: CliffordRep, x) -> dict[tuple[int, ...], np.ndarray]:
@@ -427,7 +435,7 @@ def sphere_volume_form(d: int) -> MatrixForm:
             return ((-1.0) ** j * np.asarray(x, dtype=float)[:, j]).astype(complex)[:, None, None]
 
         coeffs[I] = MatrixFamily(d + 1, 1, fn, name=f"vol_{j}")
-    return MatrixForm(d + 1, 1, d, coeffs)
+    return form_from_families(coeffs)
 
 
 class SphereIntegral(NamedTuple):
@@ -458,9 +466,9 @@ def sphere_integrate(
         X, J, W = sphere_chart(d, res)
         total = 0.0 + 0.0j
         mass = 0.0
-        for I, fam in sorted(form.coeffs.items()):
-            vals = fam(X)[:, 0, 0]
-            contrib = W * vals * chart_minor_determinants(J, I)
+        vals = form.values(X)
+        for I in form.indices:
+            contrib = W * vals[I][:, 0, 0] * chart_minor_determinants(J, I)
             total += complex(np.sum(contrib))
             mass += float(np.sum(np.abs(contrib)))
         return total, mass
@@ -501,10 +509,7 @@ def matrix_family(name: str, **params) -> MatrixFamily:
             t = np.asarray(x, dtype=float)[:, 0]
             return (2j * s / (t + 1j * s) ** 2)[:, None, None]
 
-        fam = MatrixFamily(1, 1, f, name=f"moebius({s})")
-        dfam = MatrixFamily(1, 1, df, name="moebius'")
-        fam.partials = (dfam,)
-        return fam
+        return MatrixFamily(1, 1, f, (MatrixFamily(1, 1, df, name="moebius'"),), f"moebius({s})")
 
     if name == "circle_phase":
         # x0 + i x1 on R^2; restricted to S^1 this is e^{i theta}
@@ -513,12 +518,8 @@ def matrix_family(name: str, **params) -> MatrixFamily:
             x = np.asarray(x, dtype=float)
             return (x[:, 0] + 1j * x[:, 1])[:, None, None]
 
-        fam = MatrixFamily(2, 1, f, name="circle_phase")
-        fam.partials = (
-            mf_constant(np.array([[1.0 + 0j]]), 2, "1"),
-            mf_constant(np.array([[1j]]), 2, "i"),
-        )
-        return fam
+        ones = (MatrixFamily.constant([[1.0 + 0j]], 2, "1"), MatrixFamily.constant([[1j]], 2, "i"))
+        return MatrixFamily(2, 1, f, ones, "circle_phase")
 
     if name in ("affine_clifford", "spectral_slice"):
         a = complex(params["a"] if name == "affine_clifford" else params["lam"])
@@ -530,9 +531,8 @@ def matrix_family(name: str, **params) -> MatrixFamily:
             x = np.asarray(x, dtype=float)
             return a * np.eye(nn, dtype=complex)[None] + clifford_action(rep, x)
 
-        fam = MatrixFamily(p, nn, f, name=f"{name}({a})")
-        fam.partials = tuple(mf_constant(rep.generators[j], p, f"E{j + 1}") for j in range(p))
-        return fam
+        gens = tuple(MatrixFamily.constant(rep.generators[j], p, f"E{j + 1}") for j in range(p))
+        return MatrixFamily(p, nn, f, gens, f"{name}({a})")
 
     if name == "capped_clifford":
         # a + c(x) (1 + |x|^2)^{-1/2}: approaches a + c(x/|x|) at infinity
@@ -556,9 +556,8 @@ def matrix_family(name: str, **params) -> MatrixFamily:
 
             return g
 
-        fam = MatrixFamily(p, nn, f, name=f"capped_clifford({a})")
-        fam.partials = tuple(MatrixFamily(p, nn, df(j), name=f"d{j} capped") for j in range(p))
-        return fam
+        return MatrixFamily(p, nn, f, tuple(MatrixFamily(p, nn, df(j), name=f"d{j} capped") for j in range(p)),
+                            f"capped_clifford({a})")
 
     if name == "sphere_clifford":
         # x = (x_0, x') -> x_0 + c(x') on R^{2k}
@@ -571,11 +570,9 @@ def matrix_family(name: str, **params) -> MatrixFamily:
             x = np.asarray(x, dtype=float)
             return x[:, 0, None, None] * np.eye(nn, dtype=complex)[None] + clifford_action(rep, x[:, 1:])
 
-        fam = MatrixFamily(p, nn, f, name=f"sphere_clifford(k={k})")
-        parts = [mf_constant(np.eye(nn, dtype=complex), p, "I")]
-        parts += [mf_constant(rep.generators[j], p, f"E{j + 1}") for j in range(rep.p)]
-        fam.partials = tuple(parts)
-        return fam
+        parts = [MatrixFamily.constant(np.eye(nn, dtype=complex), p, "I")]
+        parts += [MatrixFamily.constant(rep.generators[j], p, f"E{j + 1}") for j in range(rep.p)]
+        return MatrixFamily(p, nn, f, tuple(parts), f"sphere_clifford(k={k})")
 
     if name == "tabulated":
         return matrix_family_from_csv(params["path"])

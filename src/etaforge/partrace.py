@@ -409,7 +409,7 @@ class SpectralFamily:
                     raise NotImplementedError("Taylor order >= 2 for a point family needs analytic partials")
                 origin = np.zeros((1, self.p))
                 for j in range(self.p):
-                    dj = np.trace(op.partials[j](origin), axis1=-2, axis2=-1)[0]
+                    dj = np.trace(op.partial_family(j)(origin), axis1=-2, axis2=-1)[0]
                     vals = vals - dj * mu[:, j]
             if n_subtract >= 3:
                 raise NotImplementedError("Taylor order >= 3 for point families is not supported")

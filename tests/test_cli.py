@@ -58,6 +58,9 @@ def test_budget_validation():
                 {"radii": 16.0}, {"radii": "16"}, {"sphere_p3": [0, 4]}, {"chart_s3": [8, 8]}, {"preset": ["quick"]}):
         with pytest.raises(ConfigError):
             run(ExperimentConfig("trace-tanh", budget={"preset": "quick", **bad}))
+    # a cap below the first window would be ignored: the first window already sums more
+    with pytest.raises(ConfigError, match="eig_cap"):
+        run(ExperimentConfig("eta-suspension", budget={"preset": "quick", "eig_cap": 0}))
     with pytest.raises(ValueError):
         WindowConfig(start=0)
     r = run(ExperimentConfig("clifford-check", budget={"preset": "quick", "radii": 12}))
@@ -136,6 +139,8 @@ def test_main_exit_codes(tmp_path, capsys):
         ("divisor-flow", {"path": "bogus"}),
         ("divisor-flow", {"width": -1.0}),
         ("divisor-flow", {"width": 0.0}),
+        ("divisor-flow", {"width": 10 ** 400}),
+        ("trace-tanh", {"a": 10 ** 400}),
     ]:
         wrong = tmp_path / "wrong.json"
         wrong.write_text(json.dumps({"experiment": experiment, "params": params, "budget": "quick"}))

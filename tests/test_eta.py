@@ -8,6 +8,7 @@ from etaforge.errors import SingularFamilyError
 from etaforge.eta import (
     PathFamily,
     additivity_defect,
+    defect_forms,
     c_k,
     divisor_flow,
     eta_k,
@@ -20,7 +21,10 @@ from etaforge.eta import (
     spectral_eta,
     winding,
 )
-from etaforge.forms import MatrixFamily, form_from_family, matrix_family, mc_form, mf_constant, mf_product, wedge
+from etaforge.experiments import _conjugated_rotated_copy
+from etaforge.forms import (
+    MatrixFamily, exterior_derivative, form_from_families, matrix_family, mc_form, mf_product, wedge,
+)
 from etaforge.partrace import SpectralModel
 from etaforge.quadrature import sphere_rule
 
@@ -47,7 +51,7 @@ def test_eta1_moebius_winding():
 
 
 def test_eta_constant_family_vanishes():
-    fam = mf_constant(np.diag([2.0 + 0j, 1.0 + 1j]), 3)
+    fam = MatrixFamily.constant(np.diag([2.0 + 0j, 1.0 + 1j]), 3)
     res = eta_k(fam, 2, ExpansionModel.make([], remainder=-8.0), LAD, sphere_rule(3, (8, 16)), 16)
     assert abs(res.value) < 1e-10
 
@@ -87,7 +91,7 @@ def test_winding_values():
     assert abs(winding(matrix_family("circle_phase"), 1, 512) - 1.0) < 1e-10
     w = winding(matrix_family("sphere_clifford", k=2), 2, (32, 32, 64))
     assert abs(w + 1.0) < 1e-8
-    const = mf_constant(np.diag([1.0 + 0j, 3.0]), 4)
+    const = MatrixFamily.constant(np.diag([1.0 + 0j, 3.0]), 4)
     assert abs(winding(const, 2, (16, 16, 32))) < 1e-12
 
 
@@ -152,7 +156,7 @@ def test_formal_trace_matrix_routes_agree():
 
     A = matrix_family("capped_clifford", a=1.5, k=2)
     w = mc_form(A)
-    form = wedge(wedge(form_from_family(mf_inverse(A)), w), w)
+    form = wedge(wedge(form_from_families({(): mf_inverse(A)}), w), w)
     cm = ExpansionModel.powers([-2, -3, -4, -5, -6])
     a = formal_trace_matrix(form, cm, "sphere", LAD, sphere_rule(3, (16, 32)), 24)
     b = formal_trace_matrix(form, cm, "regint-d", LAD, sphere_rule(3, (16, 32)), 24)
@@ -193,12 +197,48 @@ def test_additivity_k1_scalar_and_matrix(rng):
     assert abs(eab2 - ea2 - eb2) < 1e-6
 
 
+def _points_near_radius_two(rng, m):
+    u = rng.normal(size=(m, 3))
+    return u * (2.0 + 0.1 * rng.uniform(-1.0, 1.0, size=(m, 1))) / np.linalg.norm(u, axis=1)[:, None]
+
+
+def test_defect_form_derivative_matches_structure_equations(rng):
+    # with w1 = B^-1 (A^-1 dA) B and w2 = B^-1 dB the structure equations give
+    # dw1 = -w2 w1 - w1 w1 - w1 w2 and dw2 = -w2 w2, so
+    # d tr(w1 w2) = -tr(w1 w1 w2) - tr(w1 w2 w2) with no derivative left; B has
+    # no analytic partials, so its second partials come from the leaf stencil
+    w1, w2 = defect_forms(matrix_family("capped_clifford", a=1.0, k=2), _conjugated_rotated_copy(1.5))
+    pts = _points_near_radius_two(rng, 8)
+    top = (0, 1, 2)
+    got = exterior_derivative(wedge(w1, w2).traced()).evaluate(top, pts)
+    want = -(wedge(wedge(w1, w1), w2).traced().evaluate(top, pts)
+             + wedge(wedge(w1, w2), w2).traced().evaluate(top, pts))
+    assert np.max(np.abs(got - want)) < 1e-9 * np.max(np.abs(want))
+
+
+def test_defect_form_derivative_runs_one_leaf_stencil(rng):
+    # the finite-difference-only leaf B is evaluated once per point of the one
+    # order-2 stencil: the value, 4 points per first partial and 8 per mixed
+    # second partial; a difference of differences would need 4 * 4 per pair
+    b = _conjugated_rotated_copy(1.5)
+    rows = []
+
+    def counted(x):
+        rows.append(len(x))
+        return b.func(x)
+
+    w1, w2 = defect_forms(matrix_family("capped_clifford", a=1.0, k=2), MatrixFamily(3, 2, counted, name="counted"))
+    pts = _points_near_radius_two(rng, 8)
+    exterior_derivative(wedge(w1, w2).traced()).evaluate((0, 1, 2), pts)
+    assert sum(rows) == (1 + 4 * 3 + 8 * 3) * len(pts)
+
+
 def test_additivity_defect_trivial_factors():
     a = matrix_family("capped_clifford", a=1.0, k=2)
-    bconst = mf_constant(np.diag([1.0 + 0j, 2.0]), 3)
+    bconst = MatrixFamily.constant(np.diag([1.0 + 0j, 2.0]), 3)
     res = additivity_defect(a, bconst, CAPPED_MODEL, ladder=LAD, sphere=sphere_rule(3, (12, 24)), n_radial=24)
     assert abs(res.lhs) < 1e-4 and abs(res.rhs) < 1e-4
-    aconst = mf_constant(np.diag([2.0 + 0j, 1.0]), 3)
+    aconst = MatrixFamily.constant(np.diag([2.0 + 0j, 1.0]), 3)
     res2 = additivity_defect(aconst, a, CAPPED_MODEL, ladder=LAD, sphere=sphere_rule(3, (12, 24)), n_radial=24)
     assert abs(res2.lhs) < 1e-4 and abs(res2.rhs) < 1e-4
 

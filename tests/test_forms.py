@@ -9,12 +9,10 @@ from etaforge.forms import (
     MatrixFamily,
     clifford_omega_closed_form,
     exterior_derivative,
-    form_from_family,
+    form_from_families,
     matrix_family,
     maurer_cartan_power,
     mc_form,
-    mf_constant,
-    mf_product,
     sphere_integrate,
     sphere_volume_form,
     wedge,
@@ -25,41 +23,34 @@ def _coordinate_family(p, j, n=1):
     def f(x):
         return np.asarray(x, float)[:, j].astype(complex)[:, None, None] * np.eye(n)
 
-    fam = MatrixFamily(p, n, f, name=f"x{j}")
-    fam.partials = tuple(
-        mf_constant(np.eye(n, dtype=complex) * (1.0 if i == j else 0.0), p) for i in range(p)
-    )
-    return fam
+    ones = tuple(MatrixFamily.constant(np.eye(n, dtype=complex) * (1.0 if i == j else 0.0), p) for i in range(p))
+    return MatrixFamily(p, n, f, ones, f"x{j}")
 
 
 def test_wedge_of_scalar_one_form_with_itself_vanishes(rng):
     p = 3
-    coeffs = {(j,): _coordinate_family(p, j) for j in range(p)}
-    from etaforge.forms import MatrixForm
-
-    w = MatrixForm(p, 1, 1, coeffs)
+    w = form_from_families({(j,): _coordinate_family(p, j) for j in range(p)})
     sq = wedge(w, w)
     pts = rng.normal(size=(7, p))
-    for I, fam in sq.coeffs.items():
-        assert np.max(np.abs(fam(pts))) < 1e-14
+    assert sq.indices
+    for vals in sq.values(pts).values():
+        assert np.max(np.abs(vals)) < 1e-14
 
 
 def test_wedge_two_term_hand_expansion(rng):
     # A dx_1 wedge B dx_2 = (AB) dx_1^dx_2, and the flipped order picks up a sign
     rep = standard_rep(2)
     p = 3
-    A = mf_constant(rep.generators[0], p)
-    B = mf_constant(rep.generators[1], p)
-    from etaforge.forms import MatrixForm
-
-    w1 = MatrixForm(p, 2, 1, {(0,): A})
-    w2 = MatrixForm(p, 2, 1, {(1,): B})
+    A = MatrixFamily.constant(rep.generators[0], p)
+    B = MatrixFamily.constant(rep.generators[1], p)
+    w1 = form_from_families({(0,): A})
+    w2 = form_from_families({(1,): B})
     pts = rng.normal(size=(4, p))
     prod = wedge(w1, w2)
-    assert set(prod.coeffs) == {(0, 1)}
-    assert np.max(np.abs(prod.coeffs[(0, 1)](pts) - rep.generators[0] @ rep.generators[1])) == 0.0
+    assert prod.indices == ((0, 1),)
+    assert np.max(np.abs(prod.evaluate((0, 1), pts) - rep.generators[0] @ rep.generators[1])) == 0.0
     flipped = wedge(w2, w1)
-    assert np.max(np.abs(flipped.coeffs[(0, 1)](pts) + rep.generators[1] @ rep.generators[0])) == 0.0
+    assert np.max(np.abs(flipped.evaluate((0, 1), pts) + rep.generators[1] @ rep.generators[0])) == 0.0
 
 
 def test_wedge_anticommutator_matches_pointwise(rng):
@@ -69,12 +60,13 @@ def test_wedge_anticommutator_matches_pointwise(rng):
     s = wedge(w1, w2)
     t = wedge(w2, w1)
     pts = rng.normal(size=(5, 3)) + 2.0
-    for I in s.coeffs:
+    a, b = w1.values(pts), w2.values(pts)
+    for I in s.indices:
         i, j = I
-        a_i, a_j = w1.coeffs[(i,)](pts), w1.coeffs[(j,)](pts)
-        b_i, b_j = w2.coeffs[(i,)](pts), w2.coeffs[(j,)](pts)
+        a_i, a_j = a[(i,)], a[(j,)]
+        b_i, b_j = b[(i,)], b[(j,)]
         want = a_i @ b_j - a_j @ b_i + b_i @ a_j - b_j @ a_i
-        got = s.coeffs[I](pts) + t.coeffs[I](pts)
+        got = s.evaluate(I, pts) + t.evaluate(I, pts)
         assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -82,27 +74,27 @@ def test_wedge_overflow_is_flagged_zero():
     fam = matrix_family("moebius", s=1.0)
     w = mc_form(fam)
     over = wedge(w, w)
-    assert not over.coeffs and over.degree == 2
+    assert not over.indices and over.degree == 2
 
 
 def test_exterior_derivative_constant_vanishes(rng):
     p = 3
-    w = form_from_family(mf_constant(np.diag([1.0 + 0j, 2.0]), p))
+    w = form_from_families({(): MatrixFamily.constant(np.diag([1.0 + 0j, 2.0]), p)})
     dw = exterior_derivative(w)
     pts = rng.normal(size=(5, p))
-    for fam in dw.coeffs.values():
-        assert np.max(np.abs(fam(pts))) < 1e-12
+    assert dw.indices == ((0,), (1,), (2,))
+    for vals in dw.values(pts).values():
+        assert np.max(np.abs(vals)) < 1e-12
 
 
 def test_exterior_derivative_hand_example(rng):
-    # d(x_2 dx_1) = dx_2 ^ dx_1 = -dx_1 ^ dx_2
+    # d(x_2 dx_1) = dx_2 ^ dx_1 = -dx_1 ^ dx_2; the analytic partials make it
+    # exact, where a stencil would be off by about 1e-11
     p = 3
-    from etaforge.forms import MatrixForm
-
-    w = MatrixForm(p, 1, 1, {(0,): _coordinate_family(p, 1)})
-    dw = exterior_derivative(w, scheme="analytic")
+    w = form_from_families({(0,): _coordinate_family(p, 1)})
+    dw = exterior_derivative(w)
     pts = rng.normal(size=(5, p))
-    assert np.max(np.abs(dw.coeffs[(0, 1)](pts) + 1.0)) < 1e-14
+    assert np.max(np.abs(dw.evaluate((0, 1), pts) + 1.0)) < 1e-14
 
 
 def test_mc_power_parity(rng):
@@ -113,20 +105,20 @@ def test_mc_power_parity(rng):
 
     dw = exterior_derivative(w)
     sq = wedge(w, w)
-    for I in set(dw.coeffs) | set(sq.coeffs):
+    for I in set(dw.indices) | set(sq.indices):
         assert np.max(np.abs(dw.evaluate(I, pts) + sq.evaluate(I, pts))) < 1e-8
 
     dsq = exterior_derivative(sq)
-    for I in dsq.coeffs:
-        assert np.max(np.abs(dsq.coeffs[I](pts))) < 1e-7
+    for vals in dsq.values(pts).values():
+        assert np.max(np.abs(vals)) < 1e-7
 
 
 def test_maurer_cartan_moebius_coefficient(rng):
     # symbolic oracle: f = (x-i)/(x+i) has f^{-1} f' = 2i/(x^2+1)
     fam = matrix_family("moebius", s=1.0)
-    form, tform = maurer_cartan_power(fam, 1)
+    tform = maurer_cartan_power(fam, 1)
     x = rng.normal(size=(9, 1)) * 3.0
-    got = tform.coeffs[(0,)](x)[:, 0, 0]
+    got = tform.evaluate((0,), x)[:, 0, 0]
     want = 2j / (x[:, 0] ** 2 + 1.0)
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -138,18 +130,18 @@ def test_maurer_cartan_power_requires_odd():
 
 
 def test_constant_family_power_vanishes(rng):
-    fam = mf_constant(np.diag([2.0 + 0j, 1.0]), 3)
-    form, tform = maurer_cartan_power(fam, 3)
+    fam = MatrixFamily.constant(np.diag([2.0 + 0j, 1.0]), 3)
+    tform = maurer_cartan_power(fam, 3)
     pts = rng.normal(size=(4, 3))
-    for f in tform.coeffs.values():
-        assert np.max(np.abs(f(pts))) < 1e-12
+    for vals in tform.values(pts).values():
+        assert np.max(np.abs(vals)) < 1e-12
 
 
 def test_mc_cubed_matches_closed_form_at_origin_slice():
     # at x = 0 the trace coefficient is 3! a (a^2)^{-2} tr(E1 E2 E3) = -12/a^3
     fam = matrix_family("affine_clifford", a=1.0, k=2)
-    _, tform = maurer_cartan_power(fam, 3)
-    got = tform.coeffs[(0, 1, 2)](np.zeros((1, 3)))[0, 0, 0]
+    tform = maurer_cartan_power(fam, 3)
+    got = tform.evaluate((0, 1, 2), np.zeros((1, 3)))[0, 0, 0]
     assert abs(got - (-12.0)) < 1e-10
 
 
@@ -171,7 +163,7 @@ def test_closed_form_slots_and_scaling(rng):
 def test_closed_form_matches_mc_power(rng, k):
     rep = standard_rep(k)
     fam = matrix_family("sphere_clifford", k=k)
-    _, tform = maurer_cartan_power(fam, 2 * k - 1)
+    tform = maurer_cartan_power(fam, 2 * k - 1)
     pts = rng.normal(size=(20, 2 * k))
     want = clifford_omega_closed_form(rep, pts)
     if k == 1:
@@ -179,8 +171,9 @@ def test_closed_form_matches_mc_power(rng, k):
         # radial contraction is tr((f^{-1} df)^{2k-2}) = 0); the closed form is the rest
         for I in want:
             want[I] = want[I] + pts[:, I[0]] / np.sum(pts ** 2, axis=1)
+    got_all = tform.values(pts)
     for I, vals in want.items():
-        got = tform.coeffs[I](pts)[:, 0, 0]
+        got = got_all[I][:, 0, 0]
         scale = np.max(np.abs(vals))
         assert np.max(np.abs(got - vals)) < 1e-10 * scale
 
@@ -190,15 +183,16 @@ def test_cyclic_traced_power_matches_traced_wedge_power(rng, analytic):
     fam = matrix_family("capped_clifford", a=1.5, k=2)
     if not analytic:
         fam = MatrixFamily(3, 2, fam.func, name="capped, FD partials")
-    form, tform = maurer_cartan_power(fam, 3)
+    tform = maurer_cartan_power(fam, 3)
     w = mc_form(fam)
     want = wedge(wedge(w, w), w).traced()
     pts = rng.normal(size=(30, 3)) * 2.0
-    assert set(tform.coeffs) == set(want.coeffs) == {(0, 1, 2)}
-    got, ref = tform.coeffs[(0, 1, 2)](pts), want.coeffs[(0, 1, 2)](pts)
+    assert tform.indices == want.indices == ((0, 1, 2),)
+    got, ref = tform.evaluate((0, 1, 2), pts), want.evaluate((0, 1, 2), pts)
     assert got.shape == ref.shape == (30, 1, 1)
     assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
-    assert np.max(np.abs(got - form.traced().coeffs[(0, 1, 2)](pts))) < 1e-12 * np.max(np.abs(ref))
+    other = wedge(w, wedge(w, w)).traced()  # the other bracketing of the untraced power
+    assert np.max(np.abs(got - other.evaluate((0, 1, 2), pts))) < 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
@@ -223,7 +217,7 @@ def test_singular_point_in_batch_is_reported(rng):
     pts = rng.normal(size=(8, 3))
     pts[5] = 0.0
     with pytest.raises(SingularFamilyError) as err:
-        mc_form(fam).coeffs[(0,)](pts)
+        mc_form(fam).evaluate((0,), pts)
     assert np.array_equal(err.value.point, pts[5])
 
 
@@ -244,7 +238,7 @@ def test_sphere_volumes():
 
 def test_sphere_clifford_integral():
     fam = matrix_family("sphere_clifford", k=2)
-    _, tform = maurer_cartan_power(fam, 3)
+    tform = maurer_cartan_power(fam, 3)
     val = sphere_integrate(tform)
     assert abs(val.value + 24.0 * math.pi ** 2) < 1e-6 * 24.0 * math.pi ** 2
     assert val.error_estimate < 1e-8
@@ -252,7 +246,8 @@ def test_sphere_clifford_integral():
 
 def test_sphere_integrate_needs_scalar_coefficients():
     fam = matrix_family("sphere_clifford", k=2)
-    form, _ = maurer_cartan_power(fam, 3)
+    w = mc_form(fam)
+    form = wedge(wedge(w, w), w)
     with pytest.raises(ValueError, match="rank-1"):
         sphere_integrate(form)
 
@@ -261,7 +256,7 @@ def test_singular_family_reports_point():
     fam = matrix_family("affine_clifford", a=0.0, k=2)
     w = mc_form(fam)
     with pytest.raises(SingularFamilyError) as err:
-        w.coeffs[(0,)](np.zeros((1, 3)))
+        w.evaluate((0,), np.zeros((1, 3)))
     assert err.value.point is not None
 
 
@@ -272,6 +267,35 @@ def test_fd_partials_match_analytic(rng):
         analytic = fam.partials[j](pts)
         fd = MatrixFamily(3, 2, fam.func).partial_family(j)(pts)
         assert np.max(np.abs(analytic - fd)) < 1e-9
+
+
+def test_leaf_jets_match_closed_form(rng):
+    # f = exp(x0) sin(x1) x2 without analytic partials: the first partials come
+    # from the order-1 stencil and d0 d1 f from the order-2 stencil; the same
+    # family with analytic first partials takes d0 d1 f from an order-1
+    # stencil on d0 f; the order-2 stencil's round-off is near eps / h^2 with
+    # h = 1e-5 (1 + |x|), so it is held to 1e-6
+    from etaforge.forms import _Batch
+
+    def f(x):
+        return (np.exp(x[:, 0]) * np.sin(x[:, 1]) * x[:, 2]).astype(complex)[:, None, None]
+
+    def d0(x):
+        return f(x)
+
+    def d1(x):
+        return (np.exp(x[:, 0]) * np.cos(x[:, 1]) * x[:, 2]).astype(complex)[:, None, None]
+
+    def d2(x):
+        return (np.exp(x[:, 0]) * np.sin(x[:, 1])).astype(complex)[:, None, None]
+
+    analytic = MatrixFamily(3, 1, f, tuple(MatrixFamily(3, 1, d) for d in (d0, d1, d2)))
+    pts = rng.normal(size=(20, 3))
+    for fam in (MatrixFamily(3, 1, f), analytic):
+        batch = _Batch(pts)
+        for S, want in (((0,), d0), ((1,), d1), ((0, 1), d1), ((1, 2), lambda x: d1(x) / x[:, 2, None, None])):
+            ref = want(pts)
+            assert np.max(np.abs(batch.family(fam, S) - ref)) < (1e-9 if len(S) == 1 else 1e-6) * np.max(np.abs(ref))
 
 
 def test_tabulated_matrix_family(tmp_path):
