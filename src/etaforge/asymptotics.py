@@ -28,6 +28,7 @@ from .quadrature import (
     cumulative_radial,
     fd_step,
     geometric_ladder,
+    int_power,
     richardson_derivative,
     row_norm,
     sphere_rule,
@@ -215,9 +216,16 @@ def smooth_cutoff(t):
     """chi(t): 0 on [0, 1/2], 1 on [1, inf), fixed C^inf ramp in between.
 
     Every built-in test function that is homogeneous for |x| >= 1 uses this
-    cutoff, so regularized constants are reproducible across runs.
+    cutoff, so regularized constants are reproducible across runs.  The
+    values are those of ``smooth_step((t - 0.5) / 0.5)``; the ramp is only
+    evaluated where 1/2 < t < 1.
     """
-    return smooth_step((np.asarray(t, dtype=float) - 0.5) / 0.5)
+    t = np.asarray(t, dtype=float)
+    out = np.array(t >= 1.0, dtype=float)
+    ramp = (t > 0.5) & (t < 1.0)
+    if ramp.any():
+        out[ramp] = smooth_step((t[ramp] - 0.5) / 0.5)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +364,8 @@ def fit_expansion(
 ) -> FittedExpansion:
     """Fit per-direction coefficients of f against the declared model.
 
-    f maps an (M, p) array to (M,) complex values; the sample set is the
-    tensor product of the radius ladder with a sphere rule on S^{p-1}.
+    f maps an (M, p) array to real or complex (M,) values; the sample set is
+    the tensor product of the radius ladder with a sphere rule on S^{p-1}.
     """
     if radii is None:
         radii = DEFAULT_LADDER
@@ -457,7 +465,7 @@ def _halfline_both_ends(g, terms_at_zero, terms_at_inf, ladder, ladder_zero, n_r
     uu = (ladder_zero or ladder).radii()
 
     def g_arr(x):
-        vals = np.asarray(g(np.asarray(x, dtype=float)), dtype=complex)
+        vals = np.asarray(g(np.asarray(x, dtype=float)))
         if not np.all(np.isfinite(vals)):
             raise FitError("non-finite integrand samples on the half-line")
         return vals
@@ -484,7 +492,8 @@ def regint_halfline(
     of int_1^b as b -> infinity.
 
     ``model_at_0`` follows the reflected u = 1/x convention (see
-    ExpansionModel.at_zero); f maps a positive float array to complex values.
+    ExpansionModel.at_zero); f maps a positive float array to real or complex
+    values.
     ``ladder_zero`` indexes the zero end by u = 1/a; push its start past any
     finite convergence radius of the declared expansion.
     """
@@ -639,7 +648,9 @@ def scalar_family(name: str, **params) -> Callable[[np.ndarray], np.ndarray]:
     """Built-in evaluators used by experiments and tests.
 
     ids: power_log(alpha, logpow), lorentz(), polynomial(coeffs),
-    sign_step(), coordinate_power(j, q).  All act on (M, p) arrays.
+    sign_step(), coordinate_power(j, q).  All map (M, p) arrays to real
+    (M,) float64 values; power_log and coordinate_power give 0.0 on rows
+    whose |x| is not > 0 (NaN included).
     """
     if name == "power_log":
         alpha = float(params["alpha"])
@@ -647,22 +658,29 @@ def scalar_family(name: str, **params) -> Callable[[np.ndarray], np.ndarray]:
 
         def f(x):
             r = row_norm(x)
-            out = np.zeros(len(r), dtype=complex)
-            pos = r > 0
-            out[pos] = smooth_cutoff(r[pos]) * r[pos] ** alpha * np.log(r[pos]) ** logpow
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = smooth_cutoff(r) * r ** alpha
+                if logpow:
+                    out *= np.log(r) ** logpow
+            out[~(r > 0)] = 0.0
             return out
 
         return f
     if name == "lorentz":
-        return lambda x: 1.0 / (1.0 + row_norm(x) ** 2) + 0j
+        return lambda x: 1.0 / (1.0 + row_norm(x) ** 2)
     if name == "polynomial":
-        coeffs = tuple(params["coeffs"])  # coefficient of |x|^k x_1^m style monomials: (c, k, m)
+        coeffs = tuple(params["coeffs"])  # real coefficient of |x|^k x_1^m style monomials: (c, k, m)
+        if not all(float(m).is_integer() and m >= 0 for _, _, m in coeffs):
+            raise ValueError("polynomial powers m of x_1 must be nonnegative integers")
 
         def f(x):
             r = row_norm(x)
-            out = np.zeros(len(r), dtype=complex)
+            out = np.zeros(len(r))
             for c, k, m in coeffs:
-                out += c * r ** k * (x[:, 0] ** m if m else 1.0)
+                term = c * r ** k
+                if m:
+                    term *= int_power(x[:, 0].copy(), int(m))
+                out += term
             return out
 
         return f
@@ -670,7 +688,7 @@ def scalar_family(name: str, **params) -> Callable[[np.ndarray], np.ndarray]:
 
         def f(x):
             t = np.asarray(x, dtype=float)[:, 0]
-            return (smooth_cutoff(np.abs(t)) * np.sign(t)).astype(complex)
+            return smooth_cutoff(np.abs(t)) * np.sign(t)
 
         return f
     if name == "coordinate_power":
@@ -679,9 +697,9 @@ def scalar_family(name: str, **params) -> Callable[[np.ndarray], np.ndarray]:
 
         def f(x):
             r = row_norm(x)
-            out = np.zeros(len(r), dtype=complex)
-            pos = r > 0
-            out[pos] = smooth_cutoff(r[pos]) * x[pos, j] * r[pos] ** (-q)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = smooth_cutoff(r) * x[:, j] * r ** (-q)
+            out[~(r > 0)] = 0.0
             return out
 
         return f

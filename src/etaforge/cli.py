@@ -18,6 +18,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -89,6 +90,12 @@ def _resolve_budget(spec) -> Budget:
     start = _budget_int(spec, "eig_window", base.window.start)
     if min(counts.values()) < 1 or start < 1:
         raise ConfigError("budget below lower bounds (n_radial, n_radial_fine, s_nodes, eig_window >= 1)")
+    if max(counts["n_radial"], counts["s_nodes"]) > 512 or counts["n_radial_fine"] > 1024:
+        raise ConfigError("budget exceeds hard caps (n_radial, s_nodes <= 512, n_radial_fine <= 1024)")
+    sphere_p3 = _budget_ints(spec, "sphere_p3", base.sphere_p3)
+    chart_s3 = _budget_ints(spec, "chart_s3", base.chart_s3)
+    if math.prod(sphere_p3) > 2 ** 16 or math.prod(chart_s3) > 2 ** 22:
+        raise ConfigError("budget exceeds hard caps (sphere_p3 product <= 2^16, chart_s3 product <= 2^22)")
     window = WindowConfig(start=start, cap=_budget_int(spec, "eig_cap", base.window.cap))
     if window.cap > 16_777_216:
         raise ConfigError("budget exceeds hard caps (eigenvalue window cap <= 2^24)")
@@ -98,8 +105,8 @@ def _resolve_budget(spec) -> Budget:
         base,
         name=base.name + "+",
         ladder=ladder,
-        sphere_p3=_budget_ints(spec, "sphere_p3", base.sphere_p3),
-        chart_s3=_budget_ints(spec, "chart_s3", base.chart_s3),
+        sphere_p3=sphere_p3,
+        chart_s3=chart_s3,
         window=window,
         **counts,
     )

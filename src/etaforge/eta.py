@@ -261,8 +261,9 @@ class AdditivityDefect:
 def defect_forms(A: MatrixFamily, B: MatrixFamily) -> tuple[MatrixForm, MatrixForm]:
     """w1 = B^{-1} (A^{-1} dA) B and w2 = B^{-1} dB, the 1-forms whose wedge
     carries the additivity defect of eta_2."""
-    w1 = wedge(wedge(form_from_families({(): mf_inverse(B)}), mc_form(A)), form_from_families({(): B}))
-    return w1, mc_form(B)
+    binv, b = form_from_families({(): mf_inverse(B)}), form_from_families({(): B})
+    # one B^-1 node for both forms, so a batch inverts B once
+    return wedge(wedge(binv, mc_form(A)), b), wedge(binv, exterior_derivative(b))
 
 
 def additivity_defect(

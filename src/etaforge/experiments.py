@@ -342,7 +342,7 @@ def exp_mellin_zero(params, budget, rng):
     p = _params(params, {})
     rows = []
     for alpha, lp in ((-1.5, 0), (-1.0, 1), (0.5, 2)):
-        f = lambda x, a=alpha, l=lp: x ** a * np.log(x) ** l + 0j
+        f = lambda x, a=alpha, l=lp: x ** a * np.log(x) ** l
         reg = regint_halfline(
             f,
             ExpansionModel.at_zero([(alpha, lp)]),
@@ -361,7 +361,7 @@ def exp_mellin_zero(params, budget, rng):
             )
         )
     vz = mellin_reg(
-        lambda x: x ** (-0.5) + 0j,
+        lambda x: x ** (-0.5),
         0.7,
         ExpansionModel.at_zero([(-0.5, 0)]),
         ExpansionModel.powers([-0.5]),
@@ -371,7 +371,7 @@ def exp_mellin_zero(params, budget, rng):
     rows.append(CheckRow("Mellin of a pure power", vz, 0.0, 1e-8, "abs", "power-log finite part vanishes"))
     deep_zero = RadiusLadder(4.0, 65536.0, 24)
     gamma2 = mellin_reg(
-        lambda x: np.exp(-x) + 0j,
+        lambda x: np.exp(-x),
         2.0,
         ExpansionModel.at_zero([(j, 0) for j in range(8)]),
         ExpansionModel.make([], remainder=-8.0),
@@ -381,7 +381,7 @@ def exp_mellin_zero(params, budget, rng):
     )
     rows.append(CheckRow("Mellin of e^{-x} at s=2", gamma2, 1.0, 1e-8, "rel", "gamma-function value"))
     beta = mellin_reg(
-        lambda x: 1.0 / (1.0 + x) + 0j,
+        lambda x: 1.0 / (1.0 + x),
         0.5,
         ExpansionModel.at_zero([(j, 0) for j in range(8)]),
         ExpansionModel.powers([-1, -2, -3, -4, -5, -6, -7, -8]),
@@ -435,11 +435,10 @@ def exp_stokes_check(params, budget, rng):
     rows.append(
         CheckRow("x_1 |x|^{-3} on R^3: sphere term", pc.rhs, 4.0 * math.pi / 3.0, 1e-6, "abs", "sphere second moment")
     )
-    fcomp = scalar_family("polynomial", coeffs=[(1.0, 0, 0)])
 
     def bump(x):
         r2 = np.sum(np.asarray(x, float) ** 2, axis=1)
-        return np.exp(-r2) + 0j
+        return np.exp(-r2)
 
     pb = stokes_defect(
         bump,
@@ -884,7 +883,7 @@ def exp_prop_regint_convergent(params, budget, rng):
     rows.append(CheckRow("1/(1+x^2) vs adaptive quadrature", got - want, 0.0, 1e-8, "abs", "adaptive quadrature"))
 
     def gauss3(x):
-        return np.exp(-np.sum(np.asarray(x, float) ** 2, axis=1)) + 0j
+        return np.exp(-np.sum(np.asarray(x, float) ** 2, axis=1))
 
     got3 = regint_rp(
         gauss3, ExpansionModel.make([], remainder=-8.0), 3, RadiusLadder(6.0, 96.0, 10), budget.sphere(3), budget.n_radial

@@ -38,7 +38,7 @@ from .asymptotics import (
 )
 from .errors import OrderError, TruncationError
 from .forms import MatrixFamily
-from .quadrature import SphereRule, gauss_legendre, richardson_derivative, sphere_rule
+from .quadrature import SphereRule, gauss_legendre, int_power, richardson_derivative, sphere_rule
 
 __all__ = [
     "hurwitz_zeta",
@@ -136,19 +136,6 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
 # Scalar symbol algebra
 
 
-def _int_power(x: np.ndarray, k: int) -> np.ndarray:
-    """x**k for an integer k >= 1 by repeated squaring, overwriting x; a
-    second buffer is taken only when k is not a power of two.  Products keep
-    the sign of negative x exact and cost a fraction of numpy's ``power``."""
-    acc = None
-    while k > 1:
-        if k & 1:
-            acc = x.copy() if acc is None else np.multiply(acc, x, out=acc)
-        np.multiply(x, x, out=x)
-        k >>= 1
-    return x if acc is None else np.multiply(acc, x, out=acc)
-
-
 def _add_scaled(total: np.ndarray | None, vals: np.ndarray, c: complex) -> np.ndarray:
     """total + c * vals for float64 ``vals`` (overwritten); stays float64
     while every coefficient is real."""
@@ -194,14 +181,14 @@ class Kernel:
         total = None
         for m in self.monomials:
             if m.res_pow:
-                vals = _int_power(np.add(lam2, t, out=np.empty(shape)), m.res_pow)
+                vals = int_power(np.add(lam2, t, out=np.empty(shape)), m.res_pow)
                 np.reciprocal(vals, out=vals)
             else:
                 vals = np.ones(shape)
             if m.lam_pow:
-                vals *= _int_power(lam.copy(), m.lam_pow)
+                vals *= int_power(lam.copy(), m.lam_pow)
             if m.t_pow:
-                vals *= _int_power(t.copy(), m.t_pow)
+                vals *= int_power(t.copy(), m.t_pow)
             total = _add_scaled(total, vals, m.coef)
         return np.zeros(shape) if total is None else total
 
@@ -231,7 +218,7 @@ class Kernel:
             lam = np.asarray(lam, dtype=float)
             total = None
             for c, e in parts:
-                vals = _int_power(lam.copy(), abs(e)) if e else np.ones(lam.shape)
+                vals = int_power(lam.copy(), abs(e)) if e else np.ones(lam.shape)
                 if e < 0:
                     np.reciprocal(vals, out=vals)
                 total = _add_scaled(total, vals, c)

@@ -7,9 +7,11 @@ double Gauss-Legendre x trapezoid in hyperspherical coordinates on S^3).
 Every shell-panel sum is exact and correctly rounded (``exact_sum``: integer
 limbs binned per binary exponent, bit for bit the value of ``math.fsum``), so
 the cumulative integrals do not depend on summation order; the remaining
-reductions run in a fixed index order.  ``row_norm`` is the Euclidean norm of
-short rows, and ``richardson_derivative`` the one first-derivative stencil of
-the package.
+reductions run in a fixed index order.  Real integrand values stay float64
+through the loop; complex ones are summed by real and imaginary part.
+``row_norm`` is the Euclidean norm of short rows, ``int_power`` the integer
+power by repeated squaring, and ``richardson_derivative`` the one
+first-derivative stencil of the package.
 """
 
 from __future__ import annotations
@@ -263,9 +265,10 @@ def _cumulative_shells(
     ``panels`` lists ``(a, b, end)``: one Gauss-Legendre panel from a to b,
     taken in that direction (a panel with b < a counts with a minus sign),
     after which the walk stands at the bound ``end``.  ``contribution(x, w)``
-    returns the weighted panel values.  Panel sums are exact, correctly
-    rounded reductions (``exact_sum``, identical to ``math.fsum``); the
-    running totals are recorded with ``math.fsum`` over the panel sums
+    returns the weighted panel values, float64 or complex.  Panel sums are
+    exact, correctly rounded reductions (``exact_sum``, identical to
+    ``math.fsum``); a real panel's imaginary sum is 0.0 without a reduction.
+    The running totals are recorded with ``math.fsum`` over the panel sums
     whenever ``end`` is one of ``marks``.
     """
     marked = {float(m) for m in marks}
@@ -274,13 +277,27 @@ def _cumulative_shells(
     for a, b, end in panels:
         x, w = panel_rule(a, b, n_radial)
         contrib = contribution(x, w).ravel()
-        re_parts.append(exact_sum(contrib.real))
-        im_parts.append(exact_sum(contrib.imag))
+        if np.iscomplexobj(contrib):
+            re_parts.append(exact_sum(contrib.real))
+            im_parts.append(exact_sum(contrib.imag))
+        else:
+            re_parts.append(exact_sum(contrib))
+            im_parts.append(0.0)
         abs_parts.append(exact_sum(np.abs(contrib)))
         if float(end) in marked:
             out.append(math.fsum(re_parts) + 1j * math.fsum(im_parts))
             aout.append(math.fsum(abs_parts))
     return np.array(out), np.array(aout)
+
+
+def _values(v) -> np.ndarray:
+    """Integrand values as float64 when real and complex128 otherwise.
+
+    Real values take the real path of the shell loop; a product of a real
+    weight with a zero imaginary part is exact, so both paths give the same
+    real and absolute panel sums."""
+    v = np.asarray(v)
+    return v.astype(complex if np.iscomplexobj(v) else float, copy=False)
 
 
 def _outward_panels(bounds: list[float]) -> list[tuple[float, float, float]]:
@@ -297,13 +314,13 @@ def cumulative_ball(
 ) -> tuple[np.ndarray, np.ndarray]:
     """I(R_j) = int_{|x|<=R_j} f(x) dx on the ladder, with |.|-accumulation.
 
-    f maps an (M, p) point array to (M,) complex values.
+    f maps an (M, p) point array to real or complex (M,) values.
     """
     dirs, wdirs = sphere.points, sphere.weights
 
     def contribution(r, wr):
         pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, p)
-        vals = np.asarray(f(pts), dtype=complex).reshape(len(r), len(dirs))
+        vals = _values(f(pts)).reshape(len(r), len(dirs))
         return (wr * r ** (p - 1))[:, None] * wdirs[None, :] * vals
 
     panels = _outward_panels(_shell_bounds(0.0, ladder, DEFAULT_INNER))
@@ -320,7 +337,7 @@ def cumulative_radial(
     S^{p-1} surface factor."""
     panels = _outward_panels(_shell_bounds(0.0, ladder, DEFAULT_INNER))
     out, aout = _cumulative_shells(
-        panels, ladder, n_radial, lambda r, wr: wr * r ** (p - 1) * np.asarray(g(r), dtype=complex)
+        panels, ladder, n_radial, lambda r, wr: wr * r ** (p - 1) * _values(g(r))
     )
     surf = sphere_surface(p)
     return surf * out, surf * aout
@@ -336,7 +353,7 @@ def cumulative_halfline_out(
     A ladder that starts below 1 gives signed values: J(b) = -int_b^1 g.
     """
     panels = _outward_panels(_shell_bounds(1.0, ladder, (1.0, 1.5)))
-    return _cumulative_shells(panels, ladder, n_radial, lambda x, w: w * np.asarray(g(x), dtype=complex))
+    return _cumulative_shells(panels, ladder, n_radial, lambda x, w: w * _values(g(x)))
 
 
 def cumulative_halfline_in(
@@ -360,7 +377,7 @@ def cumulative_halfline_in(
     bounds = bounds + list(a_vals)
     # each panel runs from the next bound back to the previous one
     panels = [(end, start, end) for start, end in zip(bounds[:-1], bounds[1:])]
-    return _cumulative_shells(panels, a_vals, n_radial, lambda x, w: w * np.asarray(g(x), dtype=complex))
+    return _cumulative_shells(panels, a_vals, n_radial, lambda x, w: w * _values(g(x)))
 
 
 def row_norm(x) -> np.ndarray:
@@ -375,6 +392,20 @@ def row_norm(x) -> np.ndarray:
     for j in range(1, x.shape[-1]):
         s += x[..., j] * x[..., j]
     return np.sqrt(s, out=s)
+
+
+def int_power(x: np.ndarray, k: int) -> np.ndarray:
+    """x**k for an integer k >= 1 by repeated squaring, overwriting x; a
+    second buffer is taken only when k is not a power of two.  Products keep
+    the sign of negative x exact and cost a fraction of numpy's ``power``,
+    which drops to a scalar loop on negative bases."""
+    acc = None
+    while k > 1:
+        if k & 1:
+            acc = x.copy() if acc is None else np.multiply(acc, x, out=acc)
+        np.multiply(x, x, out=x)
+        k >>= 1
+    return x if acc is None else np.multiply(acc, x, out=acc)
 
 
 FD_REL_STEP = 1e-5

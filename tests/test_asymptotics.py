@@ -19,6 +19,7 @@ from etaforge.asymptotics import (
     regint_rp_radial,
     scalar_family,
     smooth_cutoff,
+    smooth_step,
     stokes_defect,
 )
 from etaforge.errors import FitError, MissingCoefficientError
@@ -54,6 +55,95 @@ def test_smooth_cutoff_shape():
     assert np.all(chi[t <= 0.5] == 0.0)
     assert np.all(chi[t >= 1.0] == 1.0)
     assert np.all(np.diff(chi) >= 0.0)
+
+
+def test_smooth_cutoff_is_the_shifted_step_on_floats_and_arrays():
+    ts = [0.0, 0.25, 0.5, np.nextafter(0.5, 1.0), 0.6, 0.75, 0.99, np.nextafter(1.0, 0.0), 1.0, 3.0, 1e308,
+          -1.0, math.nan, math.inf, -math.inf]
+
+    def want(t):
+        with np.errstate(over="ignore"):  # (1e308 - 0.5) / 0.5
+            return smooth_step((np.asarray(t, dtype=float) - 0.5) / 0.5)
+
+    for t in ts:  # scipy quad passes Python floats
+        for arg in (float(t), np.array(t)):
+            got = smooth_cutoff(arg)
+            assert isinstance(got, np.ndarray) and got.shape == ()
+            assert got.tobytes() == want(arg).tobytes()
+    arr = np.array(ts)
+    assert smooth_cutoff(arr).tobytes() == want(arr).tobytes()
+    assert smooth_cutoff(arr[:2]).tobytes() == want(arr[:2]).tobytes()  # no point on the ramp
+
+
+def _masked_complex_family(name, **params):
+    """The masked complex evaluators that the real ones replaced, as an oracle."""
+
+    def chi(t):
+        return smooth_step((np.asarray(t, dtype=float) - 0.5) / 0.5)
+
+    def f(x):
+        r = np.linalg.norm(x, axis=1)
+        out = np.zeros(len(r), dtype=complex)
+        pos = r > 0
+        if name == "power_log":
+            out[pos] = chi(r[pos]) * r[pos] ** params["alpha"] * np.log(r[pos]) ** params.get("logpow", 0)
+        elif name == "lorentz":
+            out = 1.0 / (1.0 + r ** 2) + 0j
+        elif name == "polynomial":
+            for c, k, m in params["coeffs"]:
+                out += c * r ** k * (x[:, 0] ** m if m else 1.0)
+        elif name == "sign_step":
+            out = (chi(np.abs(x[:, 0])) * np.sign(x[:, 0])).astype(complex)
+        else:
+            j = params.get("j", 0)
+            out[pos] = chi(r[pos]) * x[pos, j] * r[pos] ** (-params["q"])
+        return out
+
+    return f
+
+
+def _rows_at_every_radius(rng):
+    # r = 0, 0 < r <= 1/2, the cutoff ramp, r >= 1 (up to the ladder's top),
+    # the ramp's end points, and a NaN row
+    u = rng.normal(size=(400, 3))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    r = np.concatenate([[0.0, 1e-3, 0.5, 1.0], rng.uniform(0.01, 0.5, 99), rng.uniform(0.5, 1.0, 98),
+                        np.exp(rng.uniform(0.0, math.log(65536.0), 198)), [math.nan]])
+    return r[:, None] * u
+
+
+@pytest.mark.parametrize("name, params", [
+    ("power_log", {"alpha": -1.0}),
+    ("power_log", {"alpha": -2.5, "logpow": 1}),
+    ("power_log", {"alpha": 0.5, "logpow": 2}),
+    ("lorentz", {}),
+    ("polynomial", {"coeffs": [(1.0, 0, 0), (0.5, 0, 1), (1.0, 1, 1), (2.0, 2, 0), (1.5, 1, 2)]}),
+    ("sign_step", {}),
+    ("coordinate_power", {"j": 0, "q": 3.0}),
+    ("coordinate_power", {"j": 2, "q": 1.5}),
+])
+def test_scalar_family_is_real_and_keeps_the_masked_values(rng, name, params):
+    x = _rows_at_every_radius(rng)
+    got = scalar_family(name, **params)(x)
+    want = _masked_complex_family(name, **params)(x)
+    assert got.dtype == np.float64 and got.shape == (len(x),)
+    assert not np.any(want.imag)
+    assert got.tobytes() == want.real.tobytes()
+    if name in ("power_log", "coordinate_power"):
+        assert got[0] == 0.0 and got[-1] == 0.0  # |x| = 0 and |x| = NaN
+
+
+def test_scalar_polynomial_odd_monomial_within_two_ulp(rng):
+    # x_1^3 by products, not numpy's pow: equal to 2 ulp
+    x = _rows_at_every_radius(rng)[:-1]
+    for coeffs in ([(1.0, 0, 3)], [(-0.5, 1, 3)]):
+        got = scalar_family("polynomial", coeffs=coeffs)(x)
+        want = _masked_complex_family("polynomial", coeffs=coeffs)(x)
+        assert got.dtype == np.float64
+        np.testing.assert_array_max_ulp(got, want.real, maxulp=2)
+    for m in (-1, 1.5):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            scalar_family("polynomial", coeffs=[(1.0, 0, m)])
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,14 @@ def test_budget_validation():
     # a cap below the first window would be ignored: the first window already sums more
     with pytest.raises(ConfigError, match="eig_cap"):
         run(ExperimentConfig("eta-suspension", budget={"preset": "quick", "eig_cap": 0}))
+    # upper caps: counts that would allocate without bound, each at least 8x the precise preset
+    for bad in ({"n_radial": 513}, {"s_nodes": 513}, {"n_radial_fine": 1025},
+                {"sphere_p3": [257, 256]}, {"chart_s3": [128, 128, 257]}):
+        with pytest.raises(ConfigError, match="hard caps"):
+            run(ExperimentConfig("trace-tanh", budget={"preset": "quick", **bad}))
+    at_caps = {"n_radial": 512, "s_nodes": 512, "n_radial_fine": 1024, "sphere_p3": [256, 256],
+               "chart_s3": [128, 128, 256]}
+    assert _resolve_budget({"preset": "precise", **at_caps}).chart_s3 == (128, 128, 256)
     with pytest.raises(ValueError):
         WindowConfig(start=0)
     r = run(ExperimentConfig("clifford-check", budget={"preset": "quick", "radii": 12}))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from etaforge import forms
 from etaforge.asymptotics import ExpansionModel, RadiusLadder
 from etaforge.errors import SingularFamilyError
 from etaforge.eta import (
@@ -231,6 +232,23 @@ def test_defect_form_derivative_runs_one_leaf_stencil(rng):
     pts = _points_near_radius_two(rng, 8)
     exterior_derivative(wedge(w1, w2).traced()).evaluate((0, 1, 2), pts)
     assert sum(rows) == (1 + 4 * 3 + 8 * 3) * len(pts)
+
+
+def test_defect_forms_invert_each_factor_once_per_batch(monkeypatch, rng):
+    # w1 and w2 share one B^-1 node: a batch of d tr(w1 ^ w2) inverts A and B
+    # once each, where a second inverse node for w2 = B^-1 dB made it three
+    calls = []
+    det_inv = forms._det_inv
+
+    def counted(a):
+        calls.append(len(a))
+        return det_inv(a)
+
+    monkeypatch.setattr(forms, "_det_inv", counted)
+    w1, w2 = defect_forms(matrix_family("capped_clifford", a=1.0, k=2), _conjugated_rotated_copy(1.5))
+    pts = _points_near_radius_two(rng, 8)
+    exterior_derivative(wedge(w1, w2).traced()).evaluate((0, 1, 2), pts)
+    assert calls == [len(pts)] * 2
 
 
 def test_additivity_defect_trivial_factors():

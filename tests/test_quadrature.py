@@ -219,6 +219,48 @@ def test_cumulative_ball_panels_sum_like_fsum(monkeypatch):
         assert g.tobytes() == w.tobytes()
 
 
+def _real_and_complex_runs(monkeypatch, loop, g, *args):
+    """loop(g, *args) and loop(g + 0j, *args), with the panels and the
+    exact_sum calls each made."""
+    calls = {"panels": 0, "sums": 0}
+    panel_rule, exact = quadrature.panel_rule, quadrature.exact_sum
+
+    def counted_panel(*a):
+        calls["panels"] += 1
+        return panel_rule(*a)
+
+    def counted_sum(a):
+        calls["sums"] += 1
+        return exact(a)
+
+    monkeypatch.setattr(quadrature, "panel_rule", counted_panel)
+    monkeypatch.setattr(quadrature, "exact_sum", counted_sum)
+    runs = []
+    for h in (g, lambda x: g(x) + 0j):
+        calls.update(panels=0, sums=0)
+        runs.append((loop(h, *args), dict(calls)))
+    return runs
+
+
+@pytest.mark.parametrize("loop, g, args", [
+    (cumulative_ball, lambda x: np.cos(3.0 * x[:, 0]) * np.exp(-0.05 * np.linalg.norm(x, axis=1)),
+     (3, geometric_ladder(4.0, 256.0, 6), sphere_rule(3, (12, 24)))),
+    (cumulative_radial, lambda r: np.cos(5.0 * r) / (1.0 + r), (3, geometric_ladder(4.0, 256.0, 6))),
+    (cumulative_halfline_out, lambda x: np.cos(5.0 * x) / (1.0 + x), (geometric_ladder(0.5, 4096.0, 8),)),
+    (cumulative_halfline_in, lambda x: np.cos(5.0 / x) * x ** -0.5, (geometric_ladder(0.5, 4096.0, 8),)),
+])
+def test_real_integrand_matches_zero_imaginary_part(monkeypatch, loop, g, args):
+    # a real integrand stays real through the shell loop: its signed and
+    # absolute values are byte-identical to those of g + 0j, and each panel
+    # makes two exact sums (real and absolute) instead of three
+    (real, real_calls), (cplx, cplx_calls) = _real_and_complex_runs(monkeypatch, loop, g, *args)
+    for got, want in zip(real, cplx):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert real_calls["panels"] == cplx_calls["panels"] > 0
+    assert real_calls["sums"] == 2 * real_calls["panels"]
+    assert cplx_calls["sums"] == 3 * cplx_calls["panels"]
+
+
 @settings(max_examples=200)
 @given(st.integers(1, 4).flatmap(lambda p: arrays(
     float, st.tuples(st.integers(0, 20), st.just(p)), elements=st.floats(allow_nan=False, allow_infinity=False)
