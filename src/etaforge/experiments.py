@@ -12,8 +12,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
-from scipy.integrate import quad
 
 from .asymptotics import (
     ExpansionModel,
@@ -197,6 +197,18 @@ def _params(
     return merged
 
 
+# decimal digits of the quadrature oracle, about twice those of a float64
+_ORACLE_DPS = 30
+
+
+def _halfline_quad(f) -> float:
+    """The integral of f over [0, inf) by mpmath's adaptive quadrature, at
+    ``_ORACLE_DPS`` digits whatever the caller's ``mpmath.mp.dps``, rounded
+    to float."""
+    with mpmath.workdps(_ORACLE_DPS):
+        return float(mpmath.quad(f, [0, mpmath.inf]))
+
+
 # ---------------------------------------------------------------------------
 # Experiments
 
@@ -272,7 +284,7 @@ def exp_rp_omega(params, budget, rng):
             )
         )
         # absolutely convergent: cross-check by plain adaptive quadrature
-        radial = quad(lambda r, a=a: r ** 2 * (a * a + r * r) ** (-2), 0.0, np.inf)[0]
+        radial = _halfline_quad(lambda r, a=a: r ** 2 * (a * a + r * r) ** (-2))
         plain = -12.0 * a * 4.0 * math.pi * radial
         rows.append(
             CheckRow(
@@ -651,6 +663,7 @@ def exp_divisor_flow(params, budget, rng):
     w = float(p["width"])
     try:
         unwind = phase_unwinding_path(w)
+        halved = phase_unwinding_path(w / 2.0)  # a subnormal width halves to 0
         linear = linear_bridge_path(w)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -666,7 +679,7 @@ def exp_divisor_flow(params, budget, rng):
         CheckRow("flow along the straight-line path", rep["path_b"], 0.0, 1e-6, "abs", "boundary rate"),
         CheckRow("path dependence of the difference", rep["difference"], -2.0, 1e-6, "abs", "difference of rates"),
     ]
-    half = divisor_flow(phase_unwinding_path(w / 2.0), linear, n_s=budget.s_nodes)
+    half = divisor_flow(halved, linear, n_s=budget.s_nodes)
     rows.append(
         CheckRow(
             "stability under halving the smoothing width",
@@ -799,6 +812,7 @@ def _max_coeff(form, pts):
 
 
 def exp_prop_d2(params, budget, rng):
+    _params(params, {})
     rows = []
     for fam in _family_corpus():
         pts = rng.normal(size=(12, fam.p)) * 2.0 + 3.0
@@ -812,6 +826,7 @@ def exp_prop_d2(params, budget, rng):
 
 
 def exp_prop_leibniz(params, budget, rng):
+    _params(params, {})
     rows = []
     fam = matrix_family("affine_clifford", a=1.0, k=2)
     gam = matrix_family("spectral_slice", lam=2.0, k=2)
@@ -839,6 +854,7 @@ def exp_prop_leibniz(params, budget, rng):
 
 
 def exp_prop_maurer_cartan(params, budget, rng):
+    _params(params, {})
     rows = []
     for fam in _family_corpus():
         pts = rng.normal(size=(12, fam.p)) * 2.0 + 3.0
@@ -859,6 +875,7 @@ def exp_prop_tr_compat(params, budget, rng):
 
 
 def exp_prop_regint_linearity(params, budget, rng):
+    _params(params, {})
     rows = []
     f = scalar_family("power_log", alpha=-1.0)
     g = scalar_family("lorentz")
@@ -876,10 +893,11 @@ def exp_prop_regint_linearity(params, budget, rng):
 
 
 def exp_prop_regint_convergent(params, budget, rng):
+    _params(params, {})
     rows = []
     g = scalar_family("lorentz")
     got = regint_rp(g, ExpansionModel.powers([-2, -4, -6, -8, -10]), 1, budget.ladder, None, budget.n_radial).value
-    want = 2.0 * quad(lambda t: 1.0 / (1.0 + t * t), 0.0, np.inf)[0]
+    want = 2.0 * _halfline_quad(lambda t: 1 / (1 + t * t))
     rows.append(CheckRow("1/(1+x^2) vs adaptive quadrature", got - want, 0.0, 1e-8, "abs", "adaptive quadrature"))
 
     def gauss3(x):

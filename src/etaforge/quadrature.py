@@ -204,6 +204,8 @@ DEFAULT_INNER = (0.0, 0.25, 0.5, 0.75, 1.0)
 _EXP_OFFSET = 1073
 # elements per bincount: below 2^26 the 27-bit limb sums stay exact in float64
 _EXACT_CHUNK = 1 << 26
+# below this many elements math.fsum over a list beats the limb sums' fixed cost
+_FSUM_BELOW = 512
 
 
 def _limb_total(a: np.ndarray) -> int | None:
@@ -238,6 +240,7 @@ def exact_sum(a) -> float:
     """The correctly rounded sum of a float64 array: bit for bit the value
     ``math.fsum`` returns, +0.0 for an exact zero.
 
+    Arrays shorter than ``_FSUM_BELOW`` go to ``math.fsum`` directly.
     Input with an inf or NaN goes to ``math.fsum`` and keeps its result or
     exception; a finite sum beyond the float range raises OverflowError, as
     ``math.fsum`` does.
@@ -245,6 +248,8 @@ def exact_sum(a) -> float:
     a = np.asarray(a, dtype=float).reshape(-1)
     if not a.any():
         return 0.0
+    if a.size < _FSUM_BELOW:
+        return math.fsum(a.tolist())
     total = 0
     for start in range(0, a.size, _EXACT_CHUNK):
         part = _limb_total(a[start:start + _EXACT_CHUNK])

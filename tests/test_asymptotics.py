@@ -1,6 +1,7 @@
 import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -271,6 +272,18 @@ def test_regint_linearity(short_ladder, rng):
     vf = regint_rp(f, model, 1, short_ladder).value
     vg = regint_rp(g, model, 1, short_ladder).value
     assert abs(va - al * vf - be * vg) < 1e-7
+
+
+@pytest.mark.parametrize("p, s", [(1, 0.3), (2, 0.3), (2, 0.7), (3, 0.3), (3, 0.7), (3, 1.2)])
+def test_regint_divergent_matches_analytic_continuation(p, s):
+    # s < p/2: int_{|x|<=R} (1+|x|^2)^{-s} diverges, and its finite part is the
+    # continuation pi^{p/2} Gamma(s - p/2) / Gamma(s) of the convergent value
+    f = lambda x: (1.0 + np.sum(x * x, axis=1)) ** (-s)
+    model = ExpansionModel.powers([-2 * s - 2 * j for j in range(8)])
+    got = regint_rp(f, model, p).value
+    with mpmath.workdps(30):
+        want = float(mpmath.pi ** (p / 2) * mpmath.gamma(s - mpmath.mpf(p) / 2) / mpmath.gamma(s))
+    assert abs(got - want) <= 1e-8 * abs(want)
 
 
 # ---------------------------------------------------------------------------

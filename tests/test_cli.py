@@ -1,6 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -149,6 +154,9 @@ def test_main_exit_codes(tmp_path, capsys):
         ("divisor-flow", {"width": 0.0}),
         ("divisor-flow", {"width": 10 ** 400}),
         ("trace-tanh", {"a": 10 ** 400}),
+        ("divisor-flow", {"width": 5e-324}),  # its half, for the halving row, is 0
+        ("prop-d2", {"k": 2}),
+        ("prop-regint-convergent", {"n": 1}),
     ]:
         wrong = tmp_path / "wrong.json"
         wrong.write_text(json.dumps({"experiment": experiment, "params": params, "budget": "quick"}))
@@ -255,3 +263,98 @@ def test_budget_parsing_resolves_in_range_or_raises_config_error(spec):
     except ConfigError:
         return
     _check_budget(budget)
+
+
+def test_import_leaves_scipy_out():
+    # a fresh interpreter: this one has imported scipy for the test oracles
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, etaforge.cli; sys.exit('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+@pytest.mark.parametrize("experiment", ["rp-omega", "prop-regint-convergent"])
+def test_quadrature_oracle_ignores_the_global_mpmath_precision(experiment):
+    cfg = ExperimentConfig(experiment, budget="quick")
+    want = run(cfg).to_json(include_timing=False)
+    saved = mpmath.mp.dps
+    # 40 digits as the mpmath oracle tests use; at 8 an unpinned oracle would move
+    for dps in (40, 8):
+        try:
+            mpmath.mp.dps = dps
+            got = run(cfg).to_json(include_timing=False)
+        finally:
+            mpmath.mp.dps = saved
+        assert got == want, dps
+
+
+# Run-level fuzz: whole configs through cli.main.  Valid configs name only
+# experiments that take well under a second at the quick budget; a config for
+# any other experiment carries a budget value that no resolution accepts.
+_CHEAP = ["clifford-check", "divisor-flow"] + sorted(e for e in EXPERIMENTS if e.startswith("prop-"))
+_not_int = st.none() | st.booleans() | st.floats() | st.text(max_size=3) | st.dictionaries(st.text(max_size=2), st.integers())
+_not_number = st.none() | st.booleans() | st.text(max_size=3) | st.lists(st.floats(), max_size=2)
+_bad_count = st.integers(max_value=0) | st.integers(min_value=1025) | _not_int
+_bad_budget_values = {
+    "preset": st.text(max_size=8).filter(lambda t: t not in BUDGETS) | _not_int,
+    "radii": st.integers(max_value=1) | st.integers(min_value=129) | _not_int,
+    "r_min": st.floats(max_value=0.0) | st.floats(min_value=2.0 ** 24) | st.just(math.nan) | _not_number,
+    "r_max": st.floats(max_value=0.0) | st.floats(min_value=2.0 ** 24, exclude_min=True) | _not_number,
+    "n_radial": _bad_count, "n_radial_fine": _bad_count, "s_nodes": _bad_count,
+    "eig_window": st.integers(max_value=0) | _not_int,
+    "eig_cap": st.integers(max_value=0) | st.integers(min_value=2 ** 24 + 1) | _not_int,
+    "sphere_p3": st.sampled_from([[300, 300], [0, 4], [4], [4, 4, 4]]) | _not_int,
+    "chart_s3": st.sampled_from([[200, 200, 200], [4, -1, 4], [4, 4]]) | _not_int,
+}
+assert set(_bad_budget_values) == _BUDGET_KEYS
+_bad_budget = st.sampled_from(sorted(_BUDGET_KEYS)).flatmap(
+    lambda key: st.fixed_dictionaries(
+        {key: _bad_budget_values[key]}, optional={} if key == "preset" else {"preset": st.just("quick")}
+    )
+)
+_known_params = st.fixed_dictionaries({}, optional={
+    "k": st.integers(-1, 4) | st.sampled_from([9, 10 ** 30]) | _json,
+    "k_max": st.integers(-1, 4) | st.sampled_from([9, 10 ** 30]) | _json,
+    "path": st.sampled_from(["paper-f", "phase-unwinding", "linear", "bogus"]) | _json,
+    "width": st.floats(allow_nan=True) | st.integers() | _json,
+})
+_cheap_params = _known_params | _known_params | st.dictionaries(st.text(max_size=6), _json, max_size=3) | _json
+_top = {
+    "seed": st.integers(0, 5) | st.integers(0, 5) | _json,
+    "out": st.none() | st.none() | st.booleans() | st.integers() | st.lists(st.text(max_size=3)),  # never a path
+}
+
+
+def _rejected(data: dict) -> bool:
+    """Whether a config of the cheap branch fails before its experiment runs."""
+    seed = data.get("seed", 0)
+    return data.get("out") is not None or not (type(seed) is int and seed >= 0)
+
+
+_cheap_configs = st.fixed_dictionaries(
+    {"experiment": st.sampled_from(_CHEAP)},
+    optional={"budget": st.sampled_from(["quick", {"preset": "quick"}]), "params": _cheap_params, **_top},
+).map(lambda data: (data, _rejected(data)))
+_run_configs = st.one_of(
+    _cheap_configs,
+    _cheap_configs,
+    # every experiment, and names that are none, behind a budget that never resolves
+    st.fixed_dictionaries(
+        {"experiment": st.sampled_from(sorted(EXPERIMENTS)) | _json, "budget": _bad_budget},
+        optional={"params": _cheap_params, "bogus": _json, **_top},  # "bogus": an unknown key
+    ).map(lambda data: (data, True)),
+    _json.map(lambda data: (data, True)),  # never has an "experiment" key
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_run_configs)
+def test_main_on_fuzzed_configs_exits_with_a_known_code(tmp_path_factory, case):
+    data, rejected = case
+    path = tmp_path_factory.getbasetemp() / "fuzzed-config.json"
+    path.write_text(json.dumps(data))
+    # without a budget in the config, --budget quick applies
+    code = main(["--config", str(path), "--budget", "quick"])
+    assert code in {0, 1, 2, 3, 4}
+    if rejected:
+        assert code == 2

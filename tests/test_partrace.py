@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -71,11 +72,10 @@ _HURWITZ_A = [0.05, 0.1, 0.3, 0.77, 0.9, 1.0, 2.5, 17.3]
 
 
 def test_hurwitz_zeta_against_mpmath():
-    mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 40
     for s in _HURWITZ_S:
         for a in _HURWITZ_A:
-            want = complex(mpmath.zeta(mpmath.mpmathify(s), a))
+            with mpmath.workdps(40):
+                want = complex(mpmath.zeta(mpmath.mpmathify(s), a))
             got = hurwitz_zeta(s, a)
             # relative agreement; at the trivial zeros of zeta(s) = zeta(s, 1) that means exact
             assert abs(got - want) <= 1e-12 * abs(want), (s, a, got, want)
@@ -249,8 +249,6 @@ def test_window_escalation_cap():
 
 @pytest.mark.parametrize("s", [2, 3, 4])
 def test_em_tail_against_mpmath(s):
-    mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 40
     for a in (0.25, 0.5, 0.75):
         for x0 in (1025.0, 2049.0, 4097.0):
             calls = []
@@ -261,7 +259,8 @@ def test_em_tail_against_mpmath(s):
 
             tail, est = _em_tail(g, x0)
             assert calls == [(73,)]  # every node of one side in a single call
-            want = float(mpmath.zeta(s, x0 + a))  # sum_{n >= x0} (n + a)^{-s}
+            with mpmath.workdps(40):
+                want = float(mpmath.zeta(s, x0 + a))  # sum_{n >= x0} (n + a)^{-s}
             err = abs(float(tail) - want)
             assert err <= float(est) and err <= 1e-12 * want, (a, x0, err, float(est))
 

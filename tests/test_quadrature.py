@@ -141,8 +141,15 @@ def _bits(x: float) -> str:
     return float(x).hex()  # tells -0.0 from 0.0 and every last-place difference
 
 
+def _past_cutoff(xs: list) -> list:
+    # xs repeated until it is at least _FSUM_BELOW long, so that it takes the limb path
+    return xs * (quadrature._FSUM_BELOW // max(len(xs), 1) + 1)
+
+
 def _check_exact_sum(xs):
-    assert _bits(exact_sum(np.array(xs, dtype=float))) == _bits(math.fsum(xs))
+    # at the drawn length, mostly the fsum path, and tiled onto the limb path
+    for ys in (xs, _past_cutoff(xs)):
+        assert _bits(exact_sum(np.array(ys, dtype=float))) == _bits(math.fsum(ys))
 
 
 # bounded so that no partial sum of fsum overflows
@@ -165,8 +172,28 @@ def test_exact_sum_matches_fsum_across_2000_binary_orders(xs):
 
 @given(st.lists(_finite | _spread, min_size=1, max_size=100).flatmap(lambda xs: st.permutations(xs + [-x for x in xs])))
 def test_exact_sum_exact_cancellation_is_positive_zero(xs):
-    got = exact_sum(np.array(xs))
-    assert _bits(got) == _bits(0.0) == _bits(math.fsum(xs))
+    for ys in (xs, _past_cutoff(xs)):
+        got = exact_sum(np.array(ys))
+        assert _bits(got) == _bits(0.0) == _bits(math.fsum(ys))
+
+
+def test_exact_sum_takes_the_limb_path_from_the_cutoff(monkeypatch):
+    limb_calls, limb_total = [], quadrature._limb_total
+
+    def counted(a):
+        limb_calls.append(a.size)
+        return limb_total(a)
+
+    monkeypatch.setattr(quadrature, "_limb_total", counted)
+    rng = np.random.default_rng(3)
+    for n in (1, 48, quadrature._FSUM_BELOW - 1, quadrature._FSUM_BELOW, 700):
+        a = rng.standard_normal(n) * np.exp2(rng.integers(-60, 60, n))
+        assert _bits(exact_sum(a)) == _bits(math.fsum(a.tolist()))
+    assert limb_calls == [quadrature._FSUM_BELOW, 700]
+    # an all-zero input returns +0.0 before either path
+    for n in (3, quadrature._FSUM_BELOW):
+        assert _bits(exact_sum(np.full(n, -0.0))) == _bits(0.0)
+    assert len(limb_calls) == 2
 
 
 def test_exact_sum_limb_chunks(monkeypatch):
@@ -180,14 +207,15 @@ def test_exact_sum_limb_chunks(monkeypatch):
 
 
 def test_exact_sum_non_finite_input_keeps_fsum_behaviour():
-    assert math.isnan(exact_sum(np.array([1.0, math.nan])))
-    assert math.isnan(exact_sum(np.array([math.inf, math.nan])))
-    assert exact_sum(np.array([math.inf])) == math.inf
-    assert exact_sum(np.array([2.0, -math.inf, 1e308])) == -math.inf
-    with pytest.raises(ValueError):
-        exact_sum(np.array([math.inf, -math.inf]))
-    with pytest.raises(OverflowError):
-        exact_sum(np.array([1e308, 1e308]))
+    for tile in (lambda xs: np.array(xs), lambda xs: np.array(_past_cutoff(xs))):
+        assert math.isnan(exact_sum(tile([1.0, math.nan])))
+        assert math.isnan(exact_sum(tile([math.inf, math.nan])))
+        assert exact_sum(tile([math.inf])) == math.inf
+        assert exact_sum(tile([2.0, -math.inf, 1e308])) == -math.inf
+        with pytest.raises(ValueError):
+            exact_sum(tile([math.inf, -math.inf]))
+        with pytest.raises(OverflowError):
+            exact_sum(tile([1e308, 1e308]))
     with pytest.raises(OverflowError):
         math.fsum([1e308, 1e308])
 
