@@ -11,7 +11,6 @@ pieces into eta-invariants, winding numbers, and their identities.  The
 
 from .asymptotics import (
     ExpansionModel,
-    FitConfig,
     FittedExpansion,
     RadiusLadder,
     RegularizedValue,

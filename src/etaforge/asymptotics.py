@@ -38,7 +38,6 @@ __all__ = [
     "ExpansionModel",
     "FittedExpansion",
     "RegularizedValue",
-    "FitConfig",
     "RadiusLadder",
     "smooth_cutoff",
     "smooth_step",
@@ -180,19 +179,17 @@ class RadiusLadder:
         return geometric_ladder(self.r_min, self.r_max, self.count)
 
 
-@dataclass(frozen=True)
-class FitConfig:
-    residual_threshold: float = 1e-6
-    condition_limit: float = 1e10
-    noise_eps: float = 4e-16
-    # deviations below this absolute scale are treated as zero, so fitting
-    # data that cancels to pure rounding noise is not flagged invalid
-    absolute_floor: float = 1e-12
-    allow_invalid: bool = False
-
-
 DEFAULT_LADDER = RadiusLadder()
-DEFAULT_FIT = FitConfig()
+
+# fit policy: a relative residual above RESIDUAL_THRESHOLD marks a fit
+# invalid, a condition number above CONDITION_LIMIT raises, and NOISE_EPS
+# scales the per-row noise floor of the weights
+RESIDUAL_THRESHOLD = 1e-6
+CONDITION_LIMIT = 1e10
+NOISE_EPS = 4e-16
+# deviations below this absolute scale are treated as zero, so fitting data
+# that cancels to pure rounding noise is not flagged invalid
+ZERO_FLOOR = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +265,7 @@ def primitive_basis(terms: Sequence[tuple[complex, int]], shift: float) -> list[
     return _dedupe_basis(entries)
 
 
-def _weighted_power_fit(xs, ys, basis, noise_floor, cfg: FitConfig):
+def _weighted_power_fit(xs, ys, basis, noise_floor, zero_floor: float = ZERO_FLOOR):
     """Solve ys ~ sum c_b x^e log^l x with per-row relative weighting.
 
     ``noise_floor`` is an absolute-scale accumulation per row; rows whose
@@ -285,45 +282,45 @@ def _weighted_power_fit(xs, ys, basis, noise_floor, cfg: FitConfig):
 
     scale = float(np.max(np.abs(Y)))
     row_mag = np.max(np.abs(Y), axis=1)
-    nf = cfg.noise_eps * np.asarray(noise_floor, dtype=float)
+    nf = NOISE_EPS * np.asarray(noise_floor, dtype=float)
     # the floor only guards identically-zero data against overflowing
     # weights; anything data-dependent here would drown the small-radius
     # rows that anchor the constant term
-    floor = max(cfg.noise_eps * cfg.absolute_floor, 1e-280)
+    floor = max(NOISE_EPS * zero_floor, 1e-280)
     w = 1.0 / np.maximum(row_mag + nf, floor)
     Mw = M * w[:, None]
     cn = np.linalg.norm(Mw, axis=0)
     cn[cn == 0.0] = 1.0
     Mn = Mw / cn[None, :]
     cond = float(np.linalg.cond(Mn))
-    if cond > cfg.condition_limit:
+    if cond > CONDITION_LIMIT:
         gram = np.abs(Mn.conj().T @ Mn)
         np.fill_diagonal(gram, 0.0)
         i, j = np.unravel_index(np.argmax(gram), gram.shape)
         raise FitError(
             "ill-conditioned fit basis (condition number "
-            f"{cond:.2e} > {cfg.condition_limit:.0e}); nearest-degenerate term pair: "
+            f"{cond:.2e} > {CONDITION_LIMIT:.0e}); nearest-degenerate term pair: "
             f"{_basis_label(*basis[i])} ~ {_basis_label(*basis[j])}"
         )
     coeff, *_ = np.linalg.lstsq(Mn, Y * w[:, None], rcond=None)
     coeff = coeff / cn[:, None]
     fitted = M @ coeff
-    resid = float(np.max(np.abs(fitted - Y)) / max(scale, cfg.absolute_floor))
+    resid = float(np.max(np.abs(fitted - Y)) / max(scale, zero_floor))
     if single:
         coeff = coeff[:, 0]
     return coeff, resid, cond
 
 
-def _require_valid(fitted: FittedExpansion, cfg: FitConfig, what: str):
-    if not fitted.valid and not cfg.allow_invalid:
-        raise FitError(f"{what}: relative fit residual {fitted.residual:.3e} exceeds threshold {cfg.residual_threshold:.0e}")
+def _require_valid(fitted: FittedExpansion, what: str):
+    if not fitted.valid:
+        raise FitError(f"{what}: relative fit residual {fitted.residual:.3e} exceeds threshold {RESIDUAL_THRESHOLD:.0e}")
 
 
-def _lim_fit(xs, ys, abs_ys, terms, shift, cfg: FitConfig) -> tuple[complex, FittedExpansion]:
+def _lim_fit(xs, ys, abs_ys, terms, shift, zero_floor: float = ZERO_FLOOR) -> tuple[complex, FittedExpansion]:
     basis = primitive_basis(terms, shift)
     if len(xs) < 2 * len(basis):
         raise FitError(f"radius ladder too short: {len(xs)} radii for {len(basis)} basis terms")
-    coeff, resid, cond = _weighted_power_fit(xs, ys, basis, abs_ys, cfg)
+    coeff, resid, cond = _weighted_power_fit(xs, ys, basis, abs_ys, zero_floor)
     coeffs = {}
     for (e, l), c in zip(basis, coeff):
         coeffs[(float(e.real) if abs(e.imag) < 1e-14 else e, l)] = np.array([c])
@@ -338,7 +335,7 @@ def _lim_fit(xs, ys, abs_ys, terms, shift, cfg: FitConfig) -> tuple[complex, Fit
         model=diag_model,
         coefficients=coeffs,
         residual=resid,
-        valid=resid <= cfg.residual_threshold,
+        valid=resid <= RESIDUAL_THRESHOLD,
         condition_number=cond,
         radii=np.asarray(xs, dtype=float),
     )
@@ -360,7 +357,6 @@ def fit_expansion(
     p: int,
     radii: np.ndarray | RadiusLadder | None = None,
     directions: SphereRule | None = None,
-    cfg: FitConfig = DEFAULT_FIT,
 ) -> FittedExpansion:
     """Fit per-direction coefficients of f against the declared model.
 
@@ -376,7 +372,7 @@ def fit_expansion(
         raise FitError(f"need at least {2 * len(terms)} radii for {len(terms)} model terms, got {len(rr)}")
     pts = (rr[:, None, None] * rule.points[None, :, :]).reshape(-1, p)
     vals = np.asarray(f(pts), dtype=complex).reshape(len(rr), len(rule.points))
-    return fit_expansion_samples(rr, vals, model, rule, cfg)
+    return fit_expansion_samples(rr, vals, model, rule)
 
 
 def fit_expansion_samples(
@@ -384,19 +380,18 @@ def fit_expansion_samples(
     values: np.ndarray,
     model: ExpansionModel,
     directions: SphereRule,
-    cfg: FitConfig = DEFAULT_FIT,
 ) -> FittedExpansion:
     """Fit from tabulated samples values[i_radius, i_direction]."""
     terms = _dedupe_basis(model.expanded_terms())
     values = np.asarray(values, dtype=complex)
     floor = np.full(len(radii), float(np.max(np.abs(values))) if values.size else 0.0)
-    coeff, resid, cond = _weighted_power_fit(radii, values, terms, floor, cfg)
+    coeff, resid, cond = _weighted_power_fit(radii, values, terms, floor)
     coeffs = {(float(e.real), l): coeff[i] for i, (e, l) in enumerate(terms)}
     return FittedExpansion(
         model=model,
         coefficients=coeffs,
         residual=resid,
-        valid=resid <= cfg.residual_threshold,
+        valid=resid <= RESIDUAL_THRESHOLD,
         condition_number=cond,
         directions=directions.points,
         direction_weights=directions.weights,
@@ -432,15 +427,14 @@ def regint_rp(
     ladder: RadiusLadder = DEFAULT_LADDER,
     sphere: SphereRule | None = None,
     n_radial: int = 32,
-    cfg: FitConfig = DEFAULT_FIT,
 ) -> RegularizedValue:
     """Regularized integral over R^p: the constant term in the fitted
     expansion of int_{|x|<=R} f as R -> infinity."""
     rr = ladder.radii()
     rule = sphere if sphere is not None else sphere_rule(p, (24, 48) if p == 3 else 128)
     ivals, avals = cumulative_ball(f, p, rr, rule, n_radial)
-    const, fitted = _lim_fit(rr, ivals, avals, model.expanded_terms(), p, cfg)
-    _require_valid(fitted, cfg, "regint_rp")
+    const, fitted = _lim_fit(rr, ivals, avals, model.expanded_terms(), p)
+    _require_valid(fitted, "regint_rp")
     return RegularizedValue(const, fitted)
 
 
@@ -450,17 +444,21 @@ def regint_rp_radial(
     p: int,
     ladder: RadiusLadder = DEFAULT_LADDER,
     n_radial: int = 32,
-    cfg: FitConfig = DEFAULT_FIT,
+    *,
+    zero_floor: float = ZERO_FLOOR,
 ) -> RegularizedValue:
-    """regint_rp for a radial integrand g(|x|); the sphere factor is exact."""
+    """regint_rp for a radial integrand g(|x|); the sphere factor is exact.
+
+    Cumulative integrals below ``zero_floor`` in absolute size count as zero
+    in the fit residual, for integrands that cancel to that level."""
     rr = ladder.radii()
     ivals, avals = cumulative_radial(g, p, rr, n_radial)
-    const, fitted = _lim_fit(rr, ivals, avals, model.expanded_terms(), p, cfg)
-    _require_valid(fitted, cfg, "regint_rp_radial")
+    const, fitted = _lim_fit(rr, ivals, avals, model.expanded_terms(), p, zero_floor)
+    _require_valid(fitted, "regint_rp_radial")
     return RegularizedValue(const, fitted)
 
 
-def _halfline_both_ends(g, terms_at_zero, terms_at_inf, ladder, ladder_zero, n_radial, cfg):
+def _halfline_both_ends(g, terms_at_zero, terms_at_inf, ladder, ladder_zero, n_radial):
     rr = ladder.radii()
     uu = (ladder_zero or ladder).radii()
 
@@ -471,11 +469,11 @@ def _halfline_both_ends(g, terms_at_zero, terms_at_inf, ladder, ladder_zero, n_r
         return vals
 
     jvals, javals = cumulative_halfline_out(g_arr, rr, n_radial)
-    lim_inf, fit_inf = _lim_fit(rr, jvals, javals, terms_at_inf, 1.0, cfg)
+    lim_inf, fit_inf = _lim_fit(rr, jvals, javals, terms_at_inf, 1.0)
     kvals, kavals = cumulative_halfline_in(g_arr, uu, n_radial)
-    lim_zero, fit_zero = _lim_fit(uu, kvals, kavals, terms_at_zero, -1.0, cfg)
-    _require_valid(fit_inf, cfg, "regint_halfline (infinity end)")
-    _require_valid(fit_zero, cfg, "regint_halfline (zero end)")
+    lim_zero, fit_zero = _lim_fit(uu, kvals, kavals, terms_at_zero, -1.0)
+    _require_valid(fit_inf, "regint_halfline (infinity end)")
+    _require_valid(fit_zero, "regint_halfline (zero end)")
     return lim_zero, lim_inf, fit_zero, fit_inf
 
 
@@ -485,7 +483,6 @@ def regint_halfline(
     model_at_inf: ExpansionModel,
     ladder: RadiusLadder = DEFAULT_LADDER,
     n_radial: int = 32,
-    cfg: FitConfig = DEFAULT_FIT,
     ladder_zero: RadiusLadder | None = None,
 ) -> RegularizedValue:
     """Finite-part integral over (0, inf): LIM of int_a^1 as a -> 0 plus LIM
@@ -498,7 +495,7 @@ def regint_halfline(
     finite convergence radius of the declared expansion.
     """
     lim_zero, lim_inf, fit_zero, fit_inf = _halfline_both_ends(
-        f, model_at_0.expanded_terms(), model_at_inf.expanded_terms(), ladder, ladder_zero, n_radial, cfg
+        f, model_at_0.expanded_terms(), model_at_inf.expanded_terms(), ladder, ladder_zero, n_radial
     )
     return RegularizedValue(
         lim_zero + lim_inf,
@@ -513,7 +510,6 @@ def mellin_reg(
     model_at_inf: ExpansionModel,
     ladder: RadiusLadder = DEFAULT_LADDER,
     n_radial: int = 32,
-    cfg: FitConfig = DEFAULT_FIT,
     ladder_zero: RadiusLadder | None = None,
 ) -> complex:
     """Regularized Mellin transform: finite part of int_0^inf x^{s-1} f(x) dx.
@@ -531,7 +527,7 @@ def mellin_reg(
     shift = s - 1.0
     terms_inf = [(complex(d) + shift, l) for d, l in model_at_inf.expanded_terms()]
     terms_zero = [(complex(d) - shift, l) for d, l in model_at_0.expanded_terms()]
-    lim_zero, lim_inf, *_ = _halfline_both_ends(g, terms_zero, terms_inf, ladder, ladder_zero, n_radial, cfg)
+    lim_zero, lim_inf, *_ = _halfline_both_ends(g, terms_zero, terms_inf, ladder, ladder_zero, n_radial)
     return lim_zero + lim_inf
 
 
@@ -555,11 +551,9 @@ def cov_correction(
     A: np.ndarray,
     model: ExpansionModel,
     p: int,
-    fitted: FittedExpansion | None = None,
     ladder: RadiusLadder = DEFAULT_LADDER,
     sphere: SphereRule | None = None,
     n_radial: int = 32,
-    cfg: FitConfig = DEFAULT_FIT,
 ) -> ComparisonPair:
     """Both sides of the linear change-of-variables identity.
 
@@ -577,16 +571,13 @@ def cov_correction(
             f"change-of-variables correction needs degree {-p} in the declared model"
         )
     rule = sphere if sphere is not None else sphere_rule(p, (24, 48) if p == 3 else 128)
-    if fitted is None:
-        fitted = fit_expansion(f, model, p, radii=ladder, directions=rule, cfg=cfg)
-    if fitted.direction_weights is None:
-        raise MissingCoefficientError("fitted expansion carries no sphere rule")
+    fitted = fit_expansion(f, model, p, radii=ladder, directions=rule)
 
     def fA(x):
         return f(x @ A.T)
 
-    lhs = regint_rp(fA, model, p, ladder, rule, n_radial, cfg).value
-    base = regint_rp(f, model, p, ladder, rule, n_radial, cfg).value
+    lhs = regint_rp(fA, model, p, ladder, rule, n_radial).value
+    base = regint_rp(f, model, p, ladder, rule, n_radial).value
 
     Ainv = np.linalg.inv(A)
     xi = fitted.directions
@@ -615,27 +606,23 @@ def stokes_defect(
     j: int,
     model: ExpansionModel,
     p: int,
-    df: Callable[[np.ndarray], np.ndarray] | None = None,
-    fitted: FittedExpansion | None = None,
     ladder: RadiusLadder = DEFAULT_LADDER,
     sphere: SphereRule | None = None,
     n_radial: int = 32,
-    cfg: FitConfig = DEFAULT_FIT,
 ) -> ComparisonPair:
     """Both sides of the boundary-defect identity for d/dx_j (0-based j).
 
     lhs is the regularized integral of the j-th partial of f; rhs is the
     sphere integral of the degree (1-p, 0) angular coefficient of f times
-    xi_j.  Equality is what makes the defect purely symbolic.
+    xi_j.  The partial is a central difference with one Richardson pass.
+    Equality is what makes the defect purely symbolic.
     """
     rule = sphere if sphere is not None else sphere_rule(p, (24, 48) if p == 3 else 128)
-    if fitted is None:
-        fitted = fit_expansion(f, model, p, radii=ladder, directions=rule, cfg=cfg)
+    fitted = fit_expansion(f, model, p, radii=ladder, directions=rule)
     want = 1.0 - float(p)
     if want not in model.degrees:
         raise MissingCoefficientError(f"stokes defect needs degree {want} in the declared model")
-    dfj = df if df is not None else _fd_partial(f, j)
-    lhs = regint_rp(dfj, model.derivative(), p, ladder, rule, n_radial, cfg).value
+    lhs = regint_rp(_fd_partial(f, j), model.derivative(), p, ladder, rule, n_radial).value
     rhs = fitted.integrate_coefficient(want, 0, fitted.directions[:, j])
     return ComparisonPair(lhs, rhs)
 

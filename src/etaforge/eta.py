@@ -11,16 +11,14 @@ eta bridge, and the divisor-flow experiment sit on top.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .asymptotics import (
-    DEFAULT_FIT,
     DEFAULT_LADDER,
     ExpansionModel,
-    FitConfig,
     RadiusLadder,
     RegularizedValue,
     fit_expansion,
@@ -101,16 +99,13 @@ PATH_FD_STEP = 1e-3
 class PathFamily:
     """s-parametrized family of matrix families on [0, 1].
 
-    ``ds_family_at`` supplies the analytic s-derivative; otherwise a central
-    difference with a Richardson pass and step PATH_FD_STEP is used.
+    The s-derivative is a central difference with a Richardson pass and step
+    PATH_FD_STEP.
     """
 
     family_at: Callable[[float], MatrixFamily]
-    ds_family_at: Callable[[float], MatrixFamily] | None = None
 
     def derivative_at(self, s: float) -> MatrixFamily:
-        if self.ds_family_at is not None:
-            return self.ds_family_at(s)
         h = PATH_FD_STEP
         shifted = {c: self.family_at(s + c * h) for c in (1.0, -1.0, 0.5, -0.5)}
 
@@ -131,43 +126,33 @@ def _top_scalar(form: MatrixForm) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def eta_k(
-    A: MatrixFamily | SpectralModel,
+    A: MatrixFamily,
     k: int,
     model: ExpansionModel | None = None,
     ladder: RadiusLadder = DEFAULT_LADDER,
     sphere: SphereRule | None = None,
     n_radial: int = 32,
-    fit: FitConfig = DEFAULT_FIT,
 ) -> EtaResult:
     """eta_k(A) = 2 c_k times the regularized integral over R^{2k-1} of
-    tr((A^{-1} dA)^{2k-1}); A must be invertible everywhere.
-
-    A circle SpectralModel dispatches to the suspension family D + c(mu)
-    (the spectral-reduction route)."""
-    if isinstance(A, SpectralModel):
-        return eta_suspension(A, k, +1, n_radial=n_radial, fit=fit)
+    tr((A^{-1} dA)^{2k-1}); A must be invertible everywhere.  The
+    spectral-reduction route for a circle model is ``eta_suspension``."""
     p = 2 * k - 1
     if A.p != p:
         raise ValueError(f"eta_{k} needs a family on R^{p}, got p = {A.p}")
     if model is None:
         raise ValueError("matrix families need a declared expansion model")
     tform = maurer_cartan_power(A, p)
-    reg = regint_rp(_top_scalar(tform), model, p, ladder, sphere, n_radial, fit)
+    reg = regint_rp(_top_scalar(tform), model, p, ladder, sphere, n_radial)
     return EtaResult(2.0 * c_k(k) * reg.value, "matrix-form", [reg])
 
 
-def winding(
-    f: MatrixFamily,
-    k: int,
-    resolution=None,
-    rtol: float = 1e-8,
-) -> complex:
+def winding(f: MatrixFamily, k: int, resolution=None) -> complex:
     """w(f) = c_k int_{S^{2k-1}} tr((f^{-1} df)^{2k-1}); an integer for smooth
     invertible f on the sphere."""
     if f.p != 2 * k:
         raise ValueError(f"winding at k={k} needs an ambient family on R^{2 * k}")
     tform = maurer_cartan_power(f, 2 * k - 1)
-    val = sphere_integrate(tform, resolution, rtol=rtol)
+    val = sphere_integrate(tform, resolution)
     return c_k(k) * val.value
 
 
@@ -175,10 +160,9 @@ def formal_trace_matrix(
     form: MatrixForm,
     coef_model: ExpansionModel,
     route: str = "sphere",
-    radii: RadiusLadder | np.ndarray = DEFAULT_LADDER,
+    radii: RadiusLadder = DEFAULT_LADDER,
     sphere: SphereRule | None = None,
     n_radial: int = 32,
-    fit: FitConfig = DEFAULT_FIT,
 ) -> complex:
     """Formal trace of a degree-(p-1) matrix form over R^p.
 
@@ -193,10 +177,7 @@ def formal_trace_matrix(
     traced = form.traced()
     if route == "regint-d":
         dform = exterior_derivative(traced)
-        return regint_rp(
-            _top_scalar(dform), coef_model.derivative(), p, radii if isinstance(radii, RadiusLadder) else DEFAULT_LADDER,
-            sphere, n_radial, fit,
-        ).value
+        return regint_rp(_top_scalar(dform), coef_model.derivative(), p, radii, sphere, n_radial).value
     if route != "sphere":
         raise ValueError(f"unknown route {route!r}")
     rule = sphere if sphere is not None else sphere_rule(p, (24, 48) if p == 3 else 64)
@@ -205,7 +186,7 @@ def formal_trace_matrix(
     for I in traced.indices:
         missing = [m for m in range(p) if m not in I][0]
         sign = (-1.0) ** missing
-        fitted = fit_expansion(lambda x, I=I: traced.evaluate(I, x)[:, 0, 0], coef_model, p, radii, rule, fit)
+        fitted = fit_expansion(lambda x, I=I: traced.evaluate(I, x)[:, 0, 0], coef_model, p, radii, rule)
         total += sign * fitted.integrate_coefficient(want, 0, fitted.directions[:, missing])
     return total
 
@@ -220,7 +201,6 @@ def eta_variation(
     ladder: RadiusLadder = DEFAULT_LADDER,
     sphere: SphereRule | None = None,
     n_radial: int = 32,
-    fit: FitConfig = DEFAULT_FIT,
 ) -> tuple[complex, complex]:
     """Both sides of the variation formula at path parameter s.
 
@@ -230,7 +210,7 @@ def eta_variation(
     """
 
     def eta_at(ss: float) -> complex:
-        return eta_k(path.family_at(ss), k, model, ladder, sphere, n_radial, fit).value
+        return eta_k(path.family_at(ss), k, model, ladder, sphere, n_radial).value
 
     lhs = richardson_derivative(lambda c: eta_at(s + c * s_step), s_step)
 
@@ -241,7 +221,7 @@ def eta_variation(
     for _ in range(2 * k - 2):
         form = wedge(form, w)
     cm = coef_model if coef_model is not None else model
-    rhs = 2.0 * (2 * k - 1) * c_k(k) * formal_trace_matrix(form, cm, "sphere", ladder, sphere, n_radial, fit)
+    rhs = 2.0 * (2 * k - 1) * c_k(k) * formal_trace_matrix(form, cm, "sphere", ladder, sphere, n_radial)
     return lhs, rhs
 
 
@@ -270,28 +250,26 @@ def additivity_defect(
     A: MatrixFamily,
     B: MatrixFamily,
     model_eta: ExpansionModel,
-    model_defect: ExpansionModel | None = None,
     ladder: RadiusLadder = DEFAULT_LADDER,
     sphere: SphereRule | None = None,
     n_radial: int = 32,
-    fit: FitConfig = DEFAULT_FIT,
 ) -> AdditivityDefect:
     """k = 2 additivity defect on R^3.
 
     lhs = eta_2(AB) - eta_2(A) - eta_2(B); rhs = -6 c_2 times the formal
     trace of (B^{-1}(A^{-1}dA)B) ^ (B^{-1}dB), realized through the exterior
-    derivative and the regularized integral.
+    derivative and the regularized integral.  ``model_eta`` also serves as
+    the coefficient model of the formal trace.
     """
     k = 2
     AB = mf_product(A, B)
-    ea = eta_k(A, k, model_eta, ladder, sphere, n_radial, fit).value
-    eb = eta_k(B, k, model_eta, ladder, sphere, n_radial, fit).value
-    eab = eta_k(AB, k, model_eta, ladder, sphere, n_radial, fit).value
+    ea = eta_k(A, k, model_eta, ladder, sphere, n_radial).value
+    eb = eta_k(B, k, model_eta, ladder, sphere, n_radial).value
+    eab = eta_k(AB, k, model_eta, ladder, sphere, n_radial).value
     lhs = eab - ea - eb
 
     w1, w2 = defect_forms(A, B)
-    md = model_defect if model_defect is not None else model_eta
-    tr12 = formal_trace_matrix(wedge(w1, w2), md, "regint-d", ladder, sphere, n_radial, fit)
+    tr12 = formal_trace_matrix(wedge(w1, w2), model_eta, "regint-d", ladder, sphere, n_radial)
     rhs = -6.0 * c_k(2) * tr12
     return AdditivityDefect(lhs, rhs, eab, ea, eb)
 
@@ -306,7 +284,6 @@ def spectral_eta(
     k: int = 2,
     ladder: RadiusLadder | None = None,
     n_radial: int = 32,
-    fit: FitConfig = DEFAULT_FIT,
     window: WindowConfig = DEFAULT_WINDOW,
 ) -> complex:
     """Spectral eta-invariant of the circle operator with spectrum {n + a}.
@@ -339,8 +316,8 @@ def spectral_eta(
     model_zero = ExpansionModel.at_zero([(2 * k - 2 + 2 * j, 0) for j in range(4)])
     lam_min = abs(model.a - round(model.a))
     u_start = max(32.0, 8.0 / lam_min)
-    reg = regint_halfline(g, model_zero, model_inf, lad, n_radial, fit,
-                          ladder_zero=RadiusLadder(u_start, u_start * 4096.0, 16))
+    zero_ladder = RadiusLadder(u_start, u_start * 4096.0, 16)
+    reg = regint_halfline(g, model_zero, model_inf, lad, n_radial, ladder_zero=zero_ladder)
     front = 2.0 * math.gamma(k) / (math.gamma(k - 0.5) * math.sqrt(math.pi))
     return front * reg.value
 
@@ -351,7 +328,6 @@ def eta_suspension(
     sign: int = +1,
     ladder: RadiusLadder | None = None,
     n_radial: int = 32,
-    fit: FitConfig = DEFAULT_FIT,
     window: WindowConfig = DEFAULT_WINDOW,
 ) -> EtaResult:
     """eta_k of the suspension family D + sign * c(mu) over R^{2k-1}.
@@ -375,12 +351,11 @@ def eta_suspension(
         return pref * tr_param_values(fam, pts, window)
 
     lad = ladder if ladder is not None else RadiusLadder(4.0, 256.0, 16)
-    # symmetric spectra cancel the summand exactly; treat sub-1e-6 data as zero
-    fit = replace(fit, absolute_floor=max(fit.absolute_floor, 1e-6))
     # for k = 1 the subtracted trace tends to a constant at infinity (the
     # finite part kills it); higher k decay faster than any power
     terms = [(0.0, 0)] if k == 1 else []
-    reg = regint_rp_radial(w, ExpansionModel.make(terms, remainder=-2.0 * p), p, lad, n_radial, fit)
+    # symmetric spectra cancel the summand exactly; treat sub-1e-6 data as zero
+    reg = regint_rp_radial(w, ExpansionModel.make(terms, remainder=-2.0 * p), p, lad, n_radial, zero_floor=1e-6)
     return EtaResult(2.0 * c_k(k) * reg.value, "spectral-reduction", [reg])
 
 
@@ -388,7 +363,13 @@ def eta_suspension(
 # Divisor flow
 
 
-def _boundary_logderivative(path: PathFamily, s: float, lam: float, fd_step: float) -> complex:
+# eta-rate boundary: |lambda| where the boundary values are read, and the
+# s-step of their Richardson derivative
+RATE_BOUNDARY = 50.0
+RATE_FD_STEP = 1e-4
+
+
+def _boundary_logderivative(path: PathFamily, s: float, lam: float) -> complex:
     def val(ss):
         fam = path.family_at(ss)
         return complex(fam(np.array([[lam]]))[0, 0, 0])
@@ -396,25 +377,21 @@ def _boundary_logderivative(path: PathFamily, s: float, lam: float, fd_step: flo
     f0 = val(s)
     if abs(f0) < 1e-8:
         raise SingularFamilyError(f"boundary value vanishes at lambda = {lam}, s = {s}")
-    return richardson_derivative(lambda c: val(s + c * fd_step), fd_step) / f0
+    return richardson_derivative(lambda c: val(s + c * RATE_FD_STEP), RATE_FD_STEP) / f0
 
 
-def path_eta_rate(path: PathFamily, s: float, boundary: float = 50.0, fd_step: float = 1e-4) -> complex:
-    """v-eta of a scalar path: (1/(pi i)) (ds f / f at +inf minus at -inf).
+def path_eta_rate(path: PathFamily, s: float) -> complex:
+    """v-eta of a scalar path: (1/(pi i)) (ds f / f at +inf minus at -inf),
+    with +-inf read at lambda = +-RATE_BOUNDARY.
 
     Only the boundary values enter, so invertibility in the middle is not
     required (parametrix mode)."""
-    plus = _boundary_logderivative(path, s, +boundary, fd_step)
-    minus = _boundary_logderivative(path, s, -boundary, fd_step)
+    plus = _boundary_logderivative(path, s, +RATE_BOUNDARY)
+    minus = _boundary_logderivative(path, s, -RATE_BOUNDARY)
     return (plus - minus) / (math.pi * 1j)
 
 
-def divisor_flow(
-    path_a: PathFamily,
-    path_b: PathFamily,
-    n_s: int = 32,
-    boundary: float = 50.0,
-) -> dict:
+def divisor_flow(path_a: PathFamily, path_b: PathFamily, n_s: int = 32) -> dict:
     """Integral of the eta rate over s in [0, 1] for two elliptic paths with
     the same endpoints, and their difference.  Path dependence of the
     difference is the point of the experiment."""
@@ -423,7 +400,7 @@ def divisor_flow(
         x, w = gauss_legendre(n_s)
         s_nodes = 0.5 * (x + 1.0)
         w = 0.5 * w
-        return complex(sum(wi * path_eta_rate(path, si, boundary) for si, wi in zip(s_nodes, w)))
+        return complex(sum(wi * path_eta_rate(path, si) for si, wi in zip(s_nodes, w)))
 
     va = integrate(path_a)
     vb = integrate(path_b)

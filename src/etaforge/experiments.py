@@ -303,8 +303,9 @@ def exp_regint_demo(params, budget, rng):
     p = _params(params, {})
     rows = []
     lorentz = scalar_family("lorentz")
-    reg = regint_rp(lorentz, ExpansionModel.powers([-2, -4, -6, -8, -10]), 1, budget.ladder, None, budget.n_radial)
-    rows.append(CheckRow("convergent 1/(1+x^2) on R", reg.value, math.pi, 1e-8, "rel", "arctangent primitive"))
+    even_mod = ExpansionModel.powers([-2, -4, -6, -8, -10])
+    fullline = regint_rp(lorentz, even_mod, 1, budget.ladder, None, budget.n_radial).value
+    rows.append(CheckRow("convergent 1/(1+x^2) on R", fullline, math.pi, 1e-8, "rel", "arctangent primitive"))
     poly = scalar_family("polynomial", coeffs=[(1.0, 0, 0), (0.5, 0, 1), (1.0, 1, 1), (2.0, 2, 0), (1.0, 0, 3)])
     pmodel = ExpansionModel.make([(3, 0), (2, 0), (1, 0), (0, 0)], remainder=-1)
     for pp in (1, 2, 3):
@@ -322,7 +323,6 @@ def exp_regint_demo(params, budget, rng):
     rows.append(
         CheckRow("half-line 1/(x(1+x))", hl.value, 0.0, 1e-8, "abs", "log-primitive finite parts cancel")
     )
-    even_mod = ExpansionModel.powers([-2, -4, -6, -8, -10])
     h = regint_halfline(
         lambda x: 1.0 / (1.0 + x ** 2),
         ExpansionModel.at_zero([(2 * j, 0) for j in range(6)]),
@@ -333,7 +333,7 @@ def exp_regint_demo(params, budget, rng):
     rows.append(
         CheckRow(
             "even-function bridge 2*halfline - fullline",
-            2.0 * h.value - reg_even_fullline(budget),
+            2.0 * h.value - fullline,
             0.0,
             1e-8,
             "abs",
@@ -341,13 +341,6 @@ def exp_regint_demo(params, budget, rng):
         )
     )
     return rows
-
-
-def reg_even_fullline(budget):
-    lorentz = scalar_family("lorentz")
-    return regint_rp(
-        lorentz, ExpansionModel.powers([-2, -4, -6, -8, -10]), 1, budget.ladder, None, budget.n_radial
-    ).value
 
 
 def exp_mellin_zero(params, budget, rng):
@@ -667,16 +660,16 @@ def exp_divisor_flow(params, budget, rng):
         linear = linear_bridge_path(w)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if p["path"] in ("paper-f", "phase-unwinding"):
-        rep = divisor_flow(unwind, linear, n_s=budget.s_nodes)
-        return [CheckRow("flow along the phase-unwinding path", rep["path_a"], -2.0, 1e-6, "abs", "boundary rate")]
-    if p["path"] == "linear":
-        rep = divisor_flow(unwind, linear, n_s=budget.s_nodes)
-        return [CheckRow("flow along the straight-line path", rep["path_b"], 0.0, 1e-6, "abs", "boundary rate")]
     rep = divisor_flow(unwind, linear, n_s=budget.s_nodes)
+    unwind_row = CheckRow("flow along the phase-unwinding path", rep["path_a"], -2.0, 1e-6, "abs", "boundary rate")
+    linear_row = CheckRow("flow along the straight-line path", rep["path_b"], 0.0, 1e-6, "abs", "boundary rate")
+    if p["path"] in ("paper-f", "phase-unwinding"):
+        return [unwind_row]
+    if p["path"] == "linear":
+        return [linear_row]
     rows = [
-        CheckRow("flow along the phase-unwinding path", rep["path_a"], -2.0, 1e-6, "abs", "boundary rate"),
-        CheckRow("flow along the straight-line path", rep["path_b"], 0.0, 1e-6, "abs", "boundary rate"),
+        unwind_row,
+        linear_row,
         CheckRow("path dependence of the difference", rep["difference"], -2.0, 1e-6, "abs", "difference of rates"),
     ]
     half = divisor_flow(halved, linear, n_s=budget.s_nodes)
@@ -693,13 +686,26 @@ def exp_divisor_flow(params, budget, rng):
     return rows
 
 
+def _circle_resolvent_trace(mu: float, a: float) -> float:
+    """sum_n 1/((n + a)^2 + mu^2) = (pi/mu) sinh(2 pi mu)/(cosh 2 pi mu - cos 2 pi a),
+    written in q = e^{-2 pi |mu|} with expm1 so that it neither overflows nor
+    cancels; pi^2/sin^2(pi a) at mu = 0.  Subtracting the nearest integer
+    from a is exact and keeps sin(pi a) accurate near integer offsets."""
+    s2 = math.sin(math.pi * (a - round(a))) ** 2
+    if mu == 0.0:
+        return math.pi ** 2 / s2
+    x = 2.0 * math.pi * abs(mu)
+    return math.pi * -math.expm1(-2.0 * x) / (math.expm1(-x) ** 2 + 4.0 * math.exp(-x) * s2) / abs(mu)
+
+
 def exp_trace_tanh(params, budget, rng):
     p = _params(params, {"mus": (0.5, 1.0, 5.0), "a": 0.5})
-    fam = SpectralFamily(SpectralModel.circle(float(p["a"])), kernel("resolvent", 1), -2.0, p=1)
+    a = _check_circle_offset(p["a"])
+    fam = SpectralFamily(SpectralModel.circle(a), kernel("resolvent", 1), -2.0, p=1)
     rows = []
     for mu in p["mus"]:
         got = complex(l2_trace_values(fam, np.array([[float(mu)]]), budget.window)[0])
-        want = math.pi * math.tanh(math.pi * mu) / mu
+        want = _circle_resolvent_trace(float(mu), a)
         rows.append(
             CheckRow(
                 f"resolvent trace at mu={mu}",
@@ -715,7 +721,7 @@ def exp_trace_tanh(params, budget, rng):
 
 def exp_tr_derivative_check(params, budget, rng):
     p = _params(params, {"a": 0.25})
-    a = float(p["a"])
+    a = _check_circle_offset(p["a"])
     rows = []
     model = SpectralModel.circle(a)
 

@@ -26,10 +26,8 @@ from typing import Callable
 import numpy as np
 
 from .asymptotics import (
-    DEFAULT_FIT,
     DEFAULT_LADDER,
     ExpansionModel,
-    FitConfig,
     RadiusLadder,
     RegularizedValue,
     fit_expansion,
@@ -436,7 +434,6 @@ class WindowConfig:
     cap: int = 1_048_576
     rtol: float = 1e-10
     atol: float = 1e-13
-    lam_block: int = 8192
     mu_chunk: int = 1024
 
     def __post_init__(self):
@@ -445,6 +442,8 @@ class WindowConfig:
 
 
 DEFAULT_WINDOW = WindowConfig()
+# eigenvalues per summand call; the block partial sums are added in index order
+_LAM_BLOCK = 8192
 
 
 @dataclass
@@ -495,8 +494,8 @@ def _circle_sum(fam: SpectralFamily, mu: np.ndarray, n_subtract: int, cfg: Windo
         while True:
             n = np.arange(-N, N + 1)
             vals = np.zeros(len(chunk), dtype=complex)
-            for b in range(0, len(n), cfg.lam_block):
-                lam = n[b : b + cfg.lam_block] + a
+            for b in range(0, len(n), _LAM_BLOCK):
+                lam = n[b : b + _LAM_BLOCK] + a
                 vals = vals + np.sum(fam.summand(lam, chunk, n_subtract), axis=1)
             x0 = float(N + 1)
             tp, ep = _em_tail(lambda x: fam.summand(x + a, chunk, n_subtract), x0)
@@ -579,16 +578,14 @@ def tr_param(fam: SpectralFamily, mu, mu0=0.0, cfg: WindowConfig = DEFAULT_WINDO
 # Extended and formal traces
 
 
-def trace_expansion_model(order: float, dim_m: int, depth: int = 8, logs: bool | None = None) -> ExpansionModel:
+def trace_expansion_model(order: float, dim_m: int, depth: int = 8) -> ExpansionModel:
     """Default fitted-degree ladder for a trace of the given order:
     degrees order + dim_M - j, with a log slot at nonnegative integers."""
     start = order + dim_m
-    if logs is None:
-        logs = start >= 0
     terms = []
     for j in range(depth):
         d = start - j
-        lmax = 1 if (logs and d >= -1e-9 and abs(d - round(d)) < 1e-9) else 0
+        lmax = 1 if (start >= 0 and d >= -1e-9 and abs(d - round(d)) < 1e-9) else 0
         terms.append((float(d), lmax))
     return ExpansionModel.make(terms)
 
@@ -598,7 +595,6 @@ def extended_trace(
     model: ExpansionModel,
     ladder: RadiusLadder = DEFAULT_LADDER,
     n_radial: int = 32,
-    fit: FitConfig = DEFAULT_FIT,
     window: WindowConfig = DEFAULT_WINDOW,
     sphere: SphereRule | None = None,
 ) -> RegularizedValue:
@@ -615,21 +611,20 @@ def extended_trace(
             pts[:, 0] = r
             return tr_param_values(fam, pts, window)
 
-        return regint_rp_radial(g, model, p, ladder, n_radial, fit)
+        return regint_rp_radial(g, model, p, ladder, n_radial)
 
     def f(x):
         return tr_param_values(fam, x, window)
 
-    return regint_rp(f, model, p, ladder, sphere, n_radial, fit)
+    return regint_rp(f, model, p, ladder, sphere, n_radial)
 
 
 def formal_trace(
     fam: SpectralFamily,
     j: int,
     model: ExpansionModel,
-    radii: RadiusLadder | np.ndarray = DEFAULT_LADDER,
+    radii: RadiusLadder = DEFAULT_LADDER,
     directions: SphereRule | None = None,
-    fit: FitConfig = DEFAULT_FIT,
     window: WindowConfig = DEFAULT_WINDOW,
 ) -> complex:
     """Formal trace of omega = (-1)^{j-1} A dmu_1 ^ ... (dmu_j omitted) ... ^ dmu_p,
@@ -646,7 +641,7 @@ def formal_trace(
     def f(x):
         return tr_param_values(fam, x, window)
 
-    fitted = fit_expansion(f, model, p, radii=radii, directions=rule, cfg=fit)
+    fitted = fit_expansion(f, model, p, radii=radii, directions=rule)
     want = 1.0 - float(p)
     return fitted.integrate_coefficient(want, 0, fitted.directions[:, j - 1])
 
@@ -657,7 +652,6 @@ def formal_trace_via_regint(
     model_of_derivative: ExpansionModel,
     ladder: RadiusLadder = DEFAULT_LADDER,
     n_radial: int = 32,
-    fit: FitConfig = DEFAULT_FIT,
     window: WindowConfig = DEFAULT_WINDOW,
 ) -> complex:
     """Cross-route for the formal trace: the regularized integral of the
@@ -668,4 +662,4 @@ def formal_trace_via_regint(
     def f(x):
         return tr_param_values(dfam, x, window)
 
-    return regint_rp(f, model_of_derivative, fam.p, ladder, None, n_radial, fit).value
+    return regint_rp(f, model_of_derivative, fam.p, ladder, None, n_radial).value

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from etaforge.asymptotics import FitConfig, RadiusLadder
+from etaforge.asymptotics import RadiusLadder
 from etaforge.experiments import BUDGETS
 
 

@@ -8,7 +8,6 @@ from scipy.integrate import quad
 
 from etaforge.asymptotics import (
     ExpansionModel,
-    FitConfig,
     RadiusLadder,
     cov_correction,
     fit_expansion,
@@ -183,8 +182,7 @@ def test_fit_exponentially_small_trace_sum():
             out[i] = np.sum(n / (n ** 2 + ri ** 2) ** 2)
         return out
 
-    cfg = FitConfig(allow_invalid=True)
-    fitted = fit_expansion(f, ExpansionModel.powers([-2, -3, -4]), p=1, cfg=cfg)
+    fitted = fit_expansion(f, ExpansionModel.powers([-2, -3, -4]), p=1)
     lead = np.max(np.abs(fitted.coefficient(-2.0, 0)))
     oracle = abs(1e6 * f(np.array([[1000.0]]))[0])  # x^2 f(x) at x = 10^3
     assert lead < 1e-8

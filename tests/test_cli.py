@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath
@@ -119,7 +120,7 @@ def test_main_config_file(tmp_path, capsys):
     assert written["pass"] is True
 
 
-def test_main_exit_codes(tmp_path, capsys):
+def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"experiment": "clifford-check", "what": 1}))
     assert main(["--config", str(bad)]) == 2
@@ -154,6 +155,8 @@ def test_main_exit_codes(tmp_path, capsys):
         ("divisor-flow", {"width": 0.0}),
         ("divisor-flow", {"width": 10 ** 400}),
         ("trace-tanh", {"a": 10 ** 400}),
+        ("trace-tanh", {"a": 1.0}),
+        ("tr-derivative-check", {"a": 2}),
         ("divisor-flow", {"width": 5e-324}),  # its half, for the halving row, is 0
         ("prop-d2", {"k": 2}),
         ("prop-regint-convergent", {"n": 1}),
@@ -163,14 +166,21 @@ def test_main_exit_codes(tmp_path, capsys):
         assert main(["--config", str(wrong)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
     # a crash is neither an acceptance failure (1) nor a numeric failure (3)
-    for experiment, params, error in [
-        ("trace-tanh", {"mus": [0.0]}, "ZeroDivisionError"),
-    ]:
-        crash = tmp_path / f"{experiment}.json"
-        crash.write_text(json.dumps({"experiment": experiment, "params": params, "budget": "quick"}))
-        assert main(["--config", str(crash)]) == 4
-        err = capsys.readouterr().err
-        assert err.startswith(f"internal error: {error}: ") and err.count("\n") == 1
+    def crash_inside(params, budget, rng):
+        return 1 / 0
+
+    monkeypatch.setitem(EXPERIMENTS, "trace-tanh", replace(EXPERIMENTS["trace-tanh"], func=crash_inside))
+    crash = tmp_path / "crash.json"
+    crash.write_text(json.dumps({"experiment": "trace-tanh", "budget": "quick"}))
+    assert main(["--config", str(crash)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ZeroDivisionError: ") and err.count("\n") == 1
+
+
+def test_trace_tanh_reference_holds_off_the_half_offset():
+    # the reference is the sum for any offset a, with its limit at mu = 0
+    report = run(ExperimentConfig("trace-tanh", params={"a": 0.25, "mus": [0.0, 0.5, 5.0]}, budget="quick"))
+    assert report.passed and len(report.rows) == 3
 
 
 def test_main_suite_and_csv(tmp_path, capsys):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from etaforge import forms
-from etaforge.asymptotics import ExpansionModel, RadiusLadder
-from etaforge.errors import SingularFamilyError
+from etaforge.asymptotics import ExpansionModel, RadiusLadder, regint_rp_radial
+from etaforge.errors import FitError, SingularFamilyError
 from etaforge.eta import (
     PathFamily,
     additivity_defect,
@@ -26,7 +26,7 @@ from etaforge.experiments import _conjugated_rotated_copy
 from etaforge.forms import (
     MatrixFamily, exterior_derivative, form_from_families, matrix_family, mc_form, mf_product, wedge,
 )
-from etaforge.partrace import SpectralModel
+from etaforge.partrace import SpectralFamily, SpectralModel, kernel, tr_param_values
 from etaforge.quadrature import sphere_rule
 
 MOEBIUS_MODEL = ExpansionModel.powers([-2, -4, -6, -8])
@@ -292,6 +292,21 @@ def test_eta_suspension_bridge():
     assert abs(sym.value) < 1e-6
 
 
+def test_symmetric_suspension_integrand_needs_the_raised_zero_floor(quick):
+    # at a = 1/2 the summand cancels to rounding noise: the default floor
+    # reads that noise as a misfit, eta_suspension's 1e-6 floor as zero
+    fam = SpectralFamily(SpectralModel.circle(0.5), kernel("eta_kernel", 2), -3.0, p=1)
+    pref = math.factorial(3) * 2 * (1j) ** (-2)
+
+    def w(r):
+        return pref * tr_param_values(fam, np.asarray(r, dtype=float)[:, None], quick.window)
+
+    model, lad = ExpansionModel.make([], remainder=-6.0), RadiusLadder(4.0, 256.0, 16)
+    with pytest.raises(FitError, match="residual"):
+        regint_rp_radial(w, model, 3, lad, quick.n_radial)
+    assert abs(regint_rp_radial(w, model, 3, lad, quick.n_radial, zero_floor=1e-6).value) < 1e-12
+
+
 def test_eta_suspension_k1():
     # k = 1 suspension: eta_1(D + c(mu)) = -eta(D) as well
     model = SpectralModel.circle(0.25)
@@ -338,16 +353,8 @@ def test_divisor_flow_rejects_vanishing_boundary():
         path_eta_rate(bad, 0.5)
 
 
-def test_eta_k_dispatches_suspension():
-    res = eta_k(SpectralModel.circle(0.25), 2)
-    assert res.route == "spectral-reduction"
-    assert abs(res.value + 0.5) < 5e-3
-
-
 def test_homogeneity_bridge_matrix_vs_closed_form():
     # matrix-form route vs the per-slice closed form -12 a (a^2 + r^2)^{-2}
-    from etaforge.asymptotics import regint_rp_radial
-
     a = 1.0
     fam = matrix_family("affine_clifford", a=a, k=2)
     via_matrix = eta_k(fam, 2, AFFINE_MODEL, LAD, sphere_rule(3, (16, 32)), 32).value

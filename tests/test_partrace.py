@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from etaforge.asymptotics import ExpansionModel, FitConfig, RadiusLadder
+from etaforge.asymptotics import ExpansionModel, RadiusLadder
 from etaforge.errors import OrderError, TruncationError
 from etaforge.forms import MatrixFamily
 from etaforge.partrace import (
