@@ -225,6 +225,18 @@ def smooth_cutoff(t):
     return out
 
 
+def smooth_cutoff_derivative(t):
+    """chi'(t) from the closed form of smooth_step's derivative: with u = 2t - 1
+    on the ramp, 2 g_a g_b (u^-2 + (1-u)^-2) / (g_a + g_b)^2; 0 elsewhere."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    ramp = (t > 0.5) & (t < 1.0)
+    u = 2.0 * t[ramp] - 1.0
+    ga, gb = np.exp(-1.0 / u), np.exp(-1.0 / (1.0 - u))
+    out[ramp] = 2.0 * ga * gb * (1.0 / u ** 2 + 1.0 / (1.0 - u) ** 2) / (ga + gb) ** 2
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Weighted least squares against a power-log basis
 
@@ -595,8 +607,14 @@ def _fd_partial(f, j):
 
     def df(x):
         x = np.asarray(x, dtype=float)
-        h, step = fd_step(x, j)
-        return richardson_derivative(lambda c: f(x + c * step), h)
+        h = fd_step(x)
+
+        def at(c):
+            y = x.copy()
+            y[:, j] += c * h
+            return f(y)
+
+        return richardson_derivative(at, h)
 
     return df
 

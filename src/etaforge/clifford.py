@@ -94,7 +94,10 @@ def clifford_action(rep: CliffordRep, x) -> np.ndarray:
     single = x.ndim == 1
     pts = x[None, :] if single else x
     gens = np.stack(rep.generators).reshape(rep.p, -1)
-    out = (pts @ gens.real + 1j * (pts @ gens.imag)).reshape(pts.shape[:-1] + (rep.rank, rep.rank))
+    # both parts written into one buffer; a + 1j * b builds two more complex temporaries
+    out = np.empty(pts.shape[:-1] + gens.shape[1:], dtype=complex)
+    out.real, out.imag = pts @ gens.real, pts @ gens.imag
+    out = out.reshape(pts.shape[:-1] + (rep.rank, rep.rank))
     return out[0] if single else out
 
 

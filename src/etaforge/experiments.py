@@ -500,7 +500,7 @@ def exp_winding(params, budget, rng):
     w1 = winding(matrix_family("circle_phase"), 1, 512)
     rows.append(CheckRow("winding of e^{i theta} on S^1", w1, 1.0, 1e-8, "abs", "classical winding number"))
     base = matrix_family("sphere_clifford", k=2)
-    shifted = MatrixFamily(4, 2, lambda x: 5.0 * np.eye(2, dtype=complex)[None] + base(x), name="shifted")
+    shifted = MatrixFamily(4, 2, lambda x: 5.0 * np.eye(2, dtype=complex)[None] + base(x), base.partials, "shifted")
     wc = winding(shifted, 2, budget.chart_s3)
     rows.append(CheckRow("winding of a shifted (null-homotopic) family", wc, 0.0, 1e-6, "abs", "contractible family"))
     return rows
@@ -713,7 +713,7 @@ def exp_trace_tanh(params, budget, rng):
                 want,
                 1e-8,
                 "rel",
-                "hyperbolic-tangent sum (partial sums + tail oracle)",
+                "closed form (pi/mu) sinh(2 pi mu)/(cosh 2 pi mu - cos 2 pi a)",
             )
         )
     return rows

@@ -13,7 +13,9 @@ deepest analytic level, so no finite difference wraps another.  Products
 follow Leibniz, inverses d(A^-1) = -A^-1 (dA) A^-1, and traces are
 entrywise, with the rank-2 kernels ``_matmul`` and ``_det_inv`` doing the
 batched algebra.  Sphere integration pulls top forms back through explicit
-hyperspherical charts.
+hyperspherical charts whose weights carry the volume density, so the
+pullback of a top form is a signed sum of its coefficients times the
+chart's coordinates, with no Jacobian minor.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from .clifford import CliffordRep, clifford_action, standard_rep, volume_trace
 from .errors import QuadratureError, SingularFamilyError
 from .quadrature import (
-    chart_minor_determinants, coarser_chart_resolution, fd_step, richardson_derivative, row_norm, sphere_chart,
+    coarser_chart_resolution, fd_step, richardson_derivative, row_norm, sphere_chart,
 )
 
 __all__ = [
@@ -63,6 +65,10 @@ class MatrixFamily:
       stencil of the remaining order is applied to its last family;
     - the empty tuple: the family is constant and every partial vanishes.
 
+    ``constant`` families return a read-only broadcast view of their matrix,
+    without a copy; the evaluation never writes into an array a family
+    returns, so leaves may hand out views.
+
     ``mf_product`` and ``mf_inverse`` build families with a ``rule`` in place
     of ``func``: ``rule(batch, S)`` returns d_S from the operands' partials in
     the batch.
@@ -78,7 +84,7 @@ class MatrixFamily:
     @classmethod
     def constant(cls, mat, p: int, name: str = "const") -> "MatrixFamily":
         mat = np.asarray(mat, dtype=complex)
-        return cls(p, mat.shape[0], lambda x: np.broadcast_to(mat, (len(x),) + mat.shape).copy(), (), name)
+        return cls(p, mat.shape[0], lambda x: np.broadcast_to(mat, (len(x),) + mat.shape), (), name)
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -128,9 +134,10 @@ def _leaf_partial(fam: MatrixFamily, x: np.ndarray, S: Index) -> np.ndarray:
         g, S = g.partials[S[0]], S[1:]
     if not S:
         return g(x)
-    h, first = fd_step(x, S[0])
+    h = fd_step(x)
+    # whole-row offsets h e_j: shifted copies of one column peak 4 MB higher on additivity-fd
+    first, *others = (h[:, None] * (np.arange(x.shape[1]) == j) for j in S)
     h = h[:, None, None]
-    others = [fd_step(x, j)[1] for j in S[1:]]
 
     def shifted(c):
         def central(y, k):
@@ -446,11 +453,12 @@ class SphereIntegral(NamedTuple):
 def sphere_integrate(form: MatrixForm, resolution=None) -> SphereIntegral:
     """Integrate a scalar top form over S^d via the standard embedding.
 
-    The form must have degree d on R^{d+1} with rank-1 coefficients; the
-    pullback is assembled from the chart Jacobian minors, which carry the
-    full volume element.  Two refinement levels give the error estimate;
-    QuadratureError is raised when it exceeds the larger of 1e-10 and 1e-8
-    relative.
+    The form must have degree d on R^{d+1} with rank-1 coefficients.  The
+    chart weights carry the volume density, and the chart's Jacobian minors
+    are det J[I_j] = (-1)^j X_j vol (I_j omits j), so the coefficient c_{I_j}
+    pulls back to (-1)^j X_j c_{I_j}; no minor is computed.  Two refinement
+    levels give the error estimate; QuadratureError is raised when it
+    exceeds the larger of 1e-10 and 1e-8 relative.
     """
     d = form.degree
     if form.p != d + 1:
@@ -459,12 +467,13 @@ def sphere_integrate(form: MatrixForm, resolution=None) -> SphereIntegral:
         raise ValueError("sphere_integrate needs rank-1 coefficients; call .traced() first")
 
     def run(res):
-        X, J, W = sphere_chart(d, res)
+        X, W = sphere_chart(d, res)
         total = 0.0 + 0.0j
         mass = 0.0
         vals = form.values(X)
         for I in form.indices:
-            contrib = W * vals[I][:, 0, 0] * chart_minor_determinants(J, I)
+            j = next(m for m in range(d + 1) if m not in I)
+            contrib = W * vals[I][:, 0, 0] * ((-1.0) ** j * X[:, j])
             total += complex(np.sum(contrib))
             mass += float(np.sum(np.abs(contrib)))
         return total, mass
@@ -575,22 +584,37 @@ def matrix_family(name: str, **params) -> MatrixFamily:
         # cos(theta(r)) + sin(theta(r)) c(x/|x|) with theta = pi * chi(r):
         # identity near 0, the constant -1 outside |x| = 1.  The standard
         # compactly supported generator of a nonzero winding number.
-        from .asymptotics import smooth_cutoff
+        from .asymptotics import smooth_cutoff, smooth_cutoff_derivative
 
         k = int(params["k"])
         rep = params.get("rep") or standard_rep(k)
         p, nn = rep.p, rep.rank
+        eye = np.eye(nn, dtype=complex)[None]
 
-        def f(x):
+        def polar(x):
+            # |x| and theta with trailing axes, u = x/|x| (0 at the origin) and c(u)
             x = np.asarray(x, dtype=float)
             r = row_norm(x)
-            th = math.pi * smooth_cutoff(r)
             unit = np.where(r[:, None] > 0, x / np.maximum(r, 1e-300)[:, None], 0.0)
-            return np.cos(th)[:, None, None] * np.eye(nn, dtype=complex)[None] + np.sin(th)[
-                :, None, None
-            ] * clifford_action(rep, unit)
+            return r[:, None, None], (math.pi * smooth_cutoff(r))[:, None, None], unit, clifford_action(rep, unit)
 
-        return MatrixFamily(p, nn, f, name=f"step_unitary(k={k})")
+        def f(x):
+            _, th, _, cu = polar(x)
+            return np.cos(th) * eye + np.sin(th) * cu
+
+        def df(j):
+            # d_j f = theta' u_j (-sin theta + cos theta c(u)) + sin theta (E_j - u_j c(u)) / |x|
+            def g(x):
+                r, th, unit, cu = polar(x)
+                uj = unit[:, j, None, None]
+                slope = math.pi * smooth_cutoff_derivative(r) * uj
+                turn = np.sin(th) / np.maximum(r, 1e-300)
+                return slope * (np.cos(th) * cu - np.sin(th) * eye) + turn * (rep.generators[j] - uj * cu)
+
+            return g
+
+        parts = tuple(MatrixFamily(p, nn, df(j), name=f"d{j} step_unitary") for j in range(p))
+        return MatrixFamily(p, nn, f, parts, f"step_unitary(k={k})")
 
     raise KeyError(f"unknown matrix family {name!r}")
 

@@ -92,45 +92,40 @@ def sphere_rule(p: int, resolution: int | tuple[int, int] = 48) -> SphereRule:
 # Sphere charts for differential-form pullback (S^d embedded in R^{d+1}).
 
 
-def sphere_chart(d: int, resolution=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Chart sample for S^d: ambient points X (M, d+1), Jacobians J (M, d+1, d),
-    parameter weights W (M,).
+def sphere_chart(d: int, resolution=None) -> tuple[np.ndarray, np.ndarray]:
+    """Chart sample for S^d: ambient points X (M, d+1) and weights W (M,)
+    that carry the chart's volume density (1 on S^1, sin(theta) on S^2,
+    sin(psi)^2 sin(theta) on S^3).
 
-    The pullback of a top form through these charts needs no extra metric
-    factor; the Jacobian minors carry the full volume element.
+    The hyperspherical Jacobian J (M, d+1, d) has the minors
+    det J[I_j] = (-1)^j X_j vol, I_j omitting row j, so a top form with
+    coefficients c_{I_j} pulls back to sum_j W (-1)^j X_j c_{I_j}.
     """
     if d == 1:
         n = resolution or 256
         th = 2.0 * math.pi * np.arange(n) / n
         X = np.stack([np.cos(th), np.sin(th)], axis=1)
-        J = np.stack([-np.sin(th), np.cos(th)], axis=1)[:, :, None]
         W = np.full(n, 2.0 * math.pi / n)
-        return X, J, W
+        return X, W
     if d == 2:
         n_t, n_ph = resolution or (48, 96)
         xg, wg = gauss_legendre(n_t)
         th = 0.5 * math.pi * (xg + 1.0)
-        wth = 0.5 * math.pi * wg
+        wth = 0.5 * math.pi * wg * np.sin(th)
         ph = 2.0 * math.pi * np.arange(n_ph) / n_ph
         TH, PH = np.meshgrid(th, ph, indexing="ij")
         W = (wth[:, None] * np.full(n_ph, 2.0 * math.pi / n_ph)[None, :]).ravel()
         t, f = TH.ravel(), PH.ravel()
         X = np.stack([np.sin(t) * np.cos(f), np.sin(t) * np.sin(f), np.cos(t)], axis=1)
-        J = np.zeros((len(t), 3, 2))
-        J[:, 0, 0] = np.cos(t) * np.cos(f)
-        J[:, 0, 1] = -np.sin(t) * np.sin(f)
-        J[:, 1, 0] = np.cos(t) * np.sin(f)
-        J[:, 1, 1] = np.sin(t) * np.cos(f)
-        J[:, 2, 0] = -np.sin(t)
-        return X, J, W
+        return X, W
     if d == 3:
         n1, n2, n3 = resolution or (48, 48, 96)
         x1, w1 = gauss_legendre(n1)
         psi = 0.5 * math.pi * (x1 + 1.0)
-        wpsi = 0.5 * math.pi * w1
+        wpsi = 0.5 * math.pi * w1 * np.sin(psi) ** 2
         x2, w2 = gauss_legendre(n2)
         th = 0.5 * math.pi * (x2 + 1.0)
-        wth = 0.5 * math.pi * w2
+        wth = 0.5 * math.pi * w2 * np.sin(th)
         ph = 2.0 * math.pi * np.arange(n3) / n3
         wph = np.full(n3, 2.0 * math.pi / n3)
         PS, TH, PH = np.meshgrid(psi, th, ph, indexing="ij")
@@ -145,23 +140,8 @@ def sphere_chart(d: int, resolution=None) -> tuple[np.ndarray, np.ndarray, np.nd
             ],
             axis=1,
         )
-        J = np.zeros((len(s), 4, 3))
-        J[:, 0, 0] = -np.sin(s)
-        J[:, 1, 0] = np.cos(s) * np.cos(t)
-        J[:, 1, 1] = -np.sin(s) * np.sin(t)
-        J[:, 2, 0] = np.cos(s) * np.sin(t) * np.cos(f)
-        J[:, 2, 1] = np.sin(s) * np.cos(t) * np.cos(f)
-        J[:, 2, 2] = -np.sin(s) * np.sin(t) * np.sin(f)
-        J[:, 3, 0] = np.cos(s) * np.sin(t) * np.sin(f)
-        J[:, 3, 1] = np.sin(s) * np.cos(t) * np.sin(f)
-        J[:, 3, 2] = np.sin(s) * np.sin(t) * np.cos(f)
-        return X, J, W
+        return X, W
     raise ValueError(f"sphere_chart supports d in 1..3, got {d}")
-
-
-def chart_minor_determinants(J: np.ndarray, index_tuple: tuple[int, ...]) -> np.ndarray:
-    """det of the Jacobian rows selected by a strictly increasing index tuple."""
-    return np.linalg.det(J[:, index_tuple, :])
 
 
 def coarser_chart_resolution(d: int, resolution):
@@ -416,16 +396,11 @@ def int_power(x: np.ndarray, k: int) -> np.ndarray:
 FD_REL_STEP = 1e-5
 
 
-def fd_step(x: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Partial-derivative step in x_j for each row of the (M, p) array x.
-
-    Returns the step sizes h = FD_REL_STEP (1 + |x|), shape (M,), and the
-    row offsets h e_j, shape (M, p), for use with ``richardson_derivative``.
-    """
-    h = FD_REL_STEP * (1.0 + row_norm(x))
-    e = np.zeros_like(x)
-    e[:, j] = 1.0
-    return h, h[:, None] * e
+def fd_step(x: np.ndarray) -> np.ndarray:
+    """Finite-difference step h = FD_REL_STEP (1 + |x|) for each row of the
+    (M, p) array x, shape (M,): a partial in x_j moves x_j by c h, for
+    ``richardson_derivative``."""
+    return FD_REL_STEP * (1.0 + row_norm(x))
 
 
 def richardson_derivative(g: Callable[[float], object], h):

@@ -91,6 +91,26 @@ def test_action_equals_generator_sum_exactly(rng, k):
     assert np.array_equal(clifford_action(rep, x), want)
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_action_matches_the_complex_sum_of_real_products(rng, k):
+    # one complex buffer filled part by part against a + 1j * b: the same bits
+    # on random points; on points holding +-0.0, equal values and signed zeros
+    rep = standard_rep(k)
+    gens = np.stack(rep.generators).reshape(rep.p, -1)
+    x = rng.normal(size=(50, rep.p))
+    want = (x @ gens.real + 1j * (x @ gens.imag)).reshape(50, rep.rank, rep.rank)
+    assert np.array_equal(_bits(clifford_action(rep, x)), _bits(want))
+    z = rng.choice(np.array([0.0, -0.0, 1.5, -2.0]), size=(50, rep.p))
+    got = clifford_action(rep, z)
+    want = (z @ gens.real + 1j * (z @ gens.imag)).reshape(got.shape)
+    assert np.all(got == want)
+    assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
+
 def test_rotation_covariance_of_spectrum(rng):
     rep = standard_rep(2)
     x = rng.normal(size=3)

@@ -269,6 +269,24 @@ def test_fd_partials_match_analytic(rng):
         assert np.max(np.abs(analytic - fd)) < 1e-9
 
 
+def test_step_unitary_partials_match_the_fd_leaf(rng):
+    # the analytic partials against the order-1 stencil of the same function,
+    # inside the flat core (r < 1/2), on the ramp and outside the unit ball
+    fam = matrix_family("step_unitary", k=2)
+    dirs = rng.normal(size=(12, 3))
+    radii = np.repeat([0.2, 0.45, 0.55, 0.75, 0.95, 1.3, 3.0], 12)
+    pts = np.tile(dirs / np.linalg.norm(dirs, axis=1)[:, None], (7, 1)) * radii[:, None]
+    for j in range(3):
+        fd = MatrixFamily(3, 2, fam.func).partial_family(j)(pts)
+        assert np.max(np.abs(fam.partials[j](pts) - fd)) < 1e-8
+
+
+def test_constant_family_values_are_read_only_views():
+    fam = MatrixFamily.constant(np.eye(2, dtype=complex), 3)
+    vals = fam(np.zeros((5, 3)))
+    assert vals.shape == (5, 2, 2) and not vals.flags.writeable
+
+
 def test_leaf_jets_match_closed_form(rng):
     # f = exp(x0) sin(x1) x2 without analytic partials: the first partials come
     # from the order-1 stencil and d0 d1 f from the order-2 stencil; the same

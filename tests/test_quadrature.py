@@ -49,19 +49,70 @@ def test_sphere_rule_second_moment():
 
 
 def test_sphere_charts_recover_volumes():
-    # pull back the volume form by hand: sum_j (-1)^j x_j d(hat j)
-    from itertools import combinations
-
-    from etaforge.quadrature import chart_minor_determinants
-
+    # the chart weights carry the volume density, and the pullback of
+    # sum_j (-1)^j x_j d(hat j) is sum_j x_j^2 = 1 at every point
     vols = {1: 2 * math.pi, 2: 4 * math.pi, 3: 2 * math.pi ** 2}
     for d, want in vols.items():
-        X, J, W = sphere_chart(d)
-        total = 0.0
-        for I in combinations(range(d + 1), d):
-            j = [m for m in range(d + 1) if m not in I][0]
-            total += np.sum(W * (-1.0) ** j * X[:, j] * chart_minor_determinants(J, I))
-        assert abs(total - want) < 1e-10
+        X, W = sphere_chart(d)
+        assert abs(np.sum(W) - want) < 1e-10
+        assert abs(np.sum(W * np.sum(X * X, axis=1)) - want) < 1e-10
+        assert np.max(np.abs(row_norm(X) - 1.0)) < 1e-15
+
+
+def _hyperspherical_jacobian(d, angles):
+    """X (M, d+1) and dX/d(angles) (M, d+1, d) of the charts: (cos, sin) on
+    S^1, (sin t cos f, sin t sin f, cos t) on S^2, and on S^3
+    (cos s, sin s cos t, sin s sin t cos f, sin s sin t sin f)."""
+    c, s = np.cos(angles), np.sin(angles)
+    if d == 1:
+        X = np.stack([c[:, 0], s[:, 0]], axis=1)
+        J = np.stack([-s[:, 0], c[:, 0]], axis=1)[:, :, None]
+        return X, J
+    if d == 2:
+        (ct, cf), (st, sf) = c.T, s.T
+        X = np.stack([st * cf, st * sf, ct], axis=1)
+        J = np.zeros((len(angles), 3, 2))
+        J[:, 0] = np.stack([ct * cf, -st * sf], axis=1)
+        J[:, 1] = np.stack([ct * sf, st * cf], axis=1)
+        J[:, 2, 0] = -st
+        return X, J
+    (cs, ct, cf), (ss, st, sf) = c.T, s.T
+    X = np.stack([cs, ss * ct, ss * st * cf, ss * st * sf], axis=1)
+    J = np.zeros((len(angles), 4, 3))
+    J[:, 0, 0] = -ss
+    J[:, 1, :2] = np.stack([cs * ct, -ss * st], axis=1)
+    J[:, 2] = np.stack([cs * st * cf, ss * ct * cf, -ss * st * sf], axis=1)
+    J[:, 3] = np.stack([cs * st * sf, ss * ct * sf, ss * st * cf], axis=1)
+    return X, J
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_chart_jacobian_minors_are_signed_coordinates_times_density(rng, d):
+    # det J[I_j] = (-1)^j X_j vol for every index set I_j (row j omitted), with
+    # vol = 1, sin t and sin(s)^2 sin(t): what sphere_integrate relies on
+    # instead of computing minors
+    from itertools import combinations
+
+    angles = rng.uniform(0.0, math.pi, size=(200, d))
+    angles[:, -1] *= 2.0
+    X, J = _hyperspherical_jacobian(d, angles)
+    vol = np.ones(len(angles)) if d == 1 else np.prod(np.sin(angles[:, :-1]) ** np.arange(d - 1, 0, -1), axis=1)
+    for I in combinations(range(d + 1), d):
+        j = next(m for m in range(d + 1) if m not in I)
+        assert np.max(np.abs(np.linalg.det(J[:, I, :]) - (-1.0) ** j * X[:, j] * vol)) < 1e-14
+
+
+def test_sphere_chart_points_and_weights_follow_the_jacobian_charts():
+    # sphere_chart's points are the test charts' X at its own nodes, and its
+    # weights the node weights times the density
+    X, W = sphere_chart(2, (6, 8))
+    xg, wg = gauss_legendre(6)
+    t = np.repeat(0.5 * math.pi * (xg + 1.0), 8)
+    f = np.tile(2.0 * math.pi * np.arange(8) / 8, 6)
+    want_X, _ = _hyperspherical_jacobian(2, np.stack([t, f], axis=1))
+    assert np.max(np.abs(X - want_X)) < 1e-15
+    want_W = np.repeat(0.5 * math.pi * wg, 8) * (2.0 * math.pi / 8) * np.sin(t)
+    assert np.max(np.abs(W - want_W)) < 1e-15
 
 
 def test_cumulative_radial_matches_antiderivative():
