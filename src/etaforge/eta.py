@@ -159,27 +159,20 @@ def winding(f: MatrixFamily, k: int, resolution=None) -> complex:
 def formal_trace_matrix(
     form: MatrixForm,
     coef_model: ExpansionModel,
-    route: str = "sphere",
     radii: RadiusLadder = DEFAULT_LADDER,
     sphere: SphereRule | None = None,
     n_radial: int = 32,
 ) -> complex:
     """Formal trace of a degree-(p-1) matrix form over R^p.
 
-    route "sphere": fit each traced coefficient and integrate its degree
-    (1-p, 0) angular part against the missing coordinate (symbolic route).
-    route "regint-d": regularized integral of the top coefficient of the
-    exterior derivative (the d-of-regularized-integral realization).
+    Each traced coefficient is fitted with ``coef_model`` and its degree
+    (1-p, 0) angular part is integrated against the missing coordinate over
+    the unit sphere; no derivative of the form is taken.
     """
     p = form.p
     if form.degree != p - 1:
         raise ValueError("formal trace needs a degree p-1 form")
     traced = form.traced()
-    if route == "regint-d":
-        dform = exterior_derivative(traced)
-        return regint_rp(_top_scalar(dform), coef_model.derivative(), p, radii, sphere, n_radial).value
-    if route != "sphere":
-        raise ValueError(f"unknown route {route!r}")
     rule = sphere if sphere is not None else sphere_rule(p, (24, 48) if p == 3 else 64)
     want = 1.0 - float(p)
     total = 0.0 + 0.0j
@@ -206,7 +199,7 @@ def eta_variation(
 
     lhs: Richardson central difference of eta_k along the path.
     rhs: 2 (2k-1) c_k times the formal trace of
-    (A^{-1} ds A) (A^{-1} dA)^{2k-2}, computed on the sphere route.
+    (A^{-1} ds A) (A^{-1} dA)^{2k-2}.
     """
 
     def eta_at(ss: float) -> complex:
@@ -221,7 +214,7 @@ def eta_variation(
     for _ in range(2 * k - 2):
         form = wedge(form, w)
     cm = coef_model if coef_model is not None else model
-    rhs = 2.0 * (2 * k - 1) * c_k(k) * formal_trace_matrix(form, cm, "sphere", ladder, sphere, n_radial)
+    rhs = 2.0 * (2 * k - 1) * c_k(k) * formal_trace_matrix(form, cm, ladder, sphere, n_radial)
     return lhs, rhs
 
 
@@ -257,9 +250,10 @@ def additivity_defect(
     """k = 2 additivity defect on R^3.
 
     lhs = eta_2(AB) - eta_2(A) - eta_2(B); rhs = -6 c_2 times the formal
-    trace of (B^{-1}(A^{-1}dA)B) ^ (B^{-1}dB), realized through the exterior
-    derivative and the regularized integral.  ``model_eta`` also serves as
-    the coefficient model of the formal trace.
+    trace of (B^{-1}(A^{-1}dA)B) ^ (B^{-1}dB), read from the fitted degree -2
+    angular part of the 2-form's coefficients.  Those decay one degree slower
+    than the integrand of eta_2, so their model is ``model_eta`` with every
+    degree raised by one.
     """
     k = 2
     AB = mf_product(A, B)
@@ -269,7 +263,8 @@ def additivity_defect(
     lhs = eab - ea - eb
 
     w1, w2 = defect_forms(A, B)
-    tr12 = formal_trace_matrix(wedge(w1, w2), model_eta, "regint-d", ladder, sphere, n_radial)
+    coef_model = ExpansionModel(tuple((d + 1.0, l) for d, l in model_eta.terms), model_eta.remainder_degree + 1.0)
+    tr12 = formal_trace_matrix(wedge(w1, w2), coef_model, ladder, sphere, n_radial)
     rhs = -6.0 * c_k(2) * tr12
     return AdditivityDefect(lhs, rhs, eab, ea, eb)
 

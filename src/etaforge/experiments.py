@@ -563,10 +563,7 @@ def exp_additivity_defect(params, budget, rng):
     # k = 2 trivial cases
     meta = ExpansionModel.powers([-3, -4, -5, -6, -7])
     a2 = matrix_family("capped_clifford", a=1.0, k=2)
-    rep = standard_rep(2)
-    bconst = MatrixFamily(
-        3, 2, lambda x: np.broadcast_to(np.diag([1.0 + 0j, 2.0 + 0j]), (len(x), 2, 2)).copy(), name="const"
-    )
+    bconst = MatrixFamily.constant(np.diag([1.0 + 0j, 2.0 + 0j]), 3)
     trivial = additivity_defect(a2, bconst, meta, ladder=budget.ladder, sphere=budget.sphere(3), n_radial=budget.n_radial)
     rows.append(CheckRow("constant right factor: lhs", trivial.lhs, 0.0, 1e-4, "abs", "conjugation invariance"))
     rows.append(CheckRow("constant right factor: rhs", trivial.rhs, 0.0, 1e-4, "abs", "zero form"))
