@@ -129,14 +129,21 @@ class CheckRow:
     kind: str = "abs"  # "abs" | "rel"
     provenance: str = "exact identity"
 
+    def __post_init__(self):
+        if self.kind == "rel" and self.reference == 0:
+            raise ValueError(f"check {self.label!r}: a relative tolerance needs a nonzero reference")
+
     @property
     def abs_deviation(self) -> float:
         return abs(self.value - self.reference)
 
     @property
-    def rel_deviation(self) -> float:
-        scale = max(abs(self.reference), 1e-300)
-        return self.abs_deviation / scale
+    def rel_deviation(self) -> float | None:
+        """The deviation relative to |reference|; None for a zero reference,
+        which only ``abs`` rows may have."""
+        if self.reference == 0:
+            return None
+        return self.abs_deviation / abs(self.reference)
 
     @property
     def passed(self) -> bool:
@@ -542,7 +549,9 @@ def _conjugated_rotated_copy(a: float, seed: int = 7) -> MatrixFamily:
     base = matrix_family("capped_clifford", a=a, k=2)
 
     def f(x):
-        return _matmul(_matmul(q, base(np.asarray(x, dtype=float) @ o.T)), q.conj().T)
+        # forms' entrywise rank-2 product, on (N, N, M) views of the (M, N, N) stacks
+        vals = np.moveaxis(base(np.asarray(x, dtype=float) @ o.T), 0, -1)
+        return np.moveaxis(_matmul(_matmul(q[..., None], vals), q.conj().T[..., None]), -1, 0)
 
     return MatrixFamily(3, 2, f, name="conjugated_copy")
 

@@ -7,11 +7,18 @@ d_i d_j and d_j d_i are one array and cancel exactly under
 antisymmetrization.  A coefficient on dx_I is only differentiated along
 coordinates outside I, so S never repeats a coordinate.
 
+Inside a batch every value and partial is an (N, N, M) array with the point
+axis last, so entry (i, j) of the whole batch is one contiguous row.  The
+boundary stays (M, N, N): a leaf's ``func`` returns that layout and the
+batch transposes each leaf partial once, and ``MatrixFamily.__call__``,
+``partial_family``, ``MatrixForm.values`` and ``MatrixForm.evaluate`` hand
+it back.
+
 Leaf partials are analytic as far as a family's ``partials`` chain goes;
 below that, one Richardson stencil of the missing order is applied to the
 deepest analytic level, so no finite difference wraps another.  Products
-follow Leibniz, inverses d(A^-1) = -A^-1 (dA) A^-1, and traces are
-entrywise, with the rank-2 kernels ``_matmul`` and ``_det_inv`` doing the
+follow Leibniz, inverses d(A^-1) = -A^-1 (dA) A^-1, and traces are sums of
+rows, with the rank-2 kernels ``_matmul`` and ``_det_inv`` doing the
 batched algebra.  Sphere integration pulls top forms back through explicit
 hyperspherical charts whose weights carry the volume density, so the
 pullback of a top form is a signed sum of its coefficients times the
@@ -70,8 +77,9 @@ class MatrixFamily:
     returns, so leaves may hand out views.
 
     ``mf_product`` and ``mf_inverse`` build families with a ``rule`` in place
-    of ``func``: ``rule(batch, S)`` returns d_S from the operands' partials in
-    the batch.
+    of ``func``: ``rule(batch, S)`` returns d_S in the batch layout (N, N, M)
+    from the operands' partials in the batch.  Called, every family returns
+    (M, N, N) (or (N, N) at a single point).
     """
 
     p: int
@@ -89,7 +97,7 @@ class MatrixFamily:
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         pts = x[None, :] if x.ndim == 1 else x
-        vals = self.func(pts) if self.rule is None else _Batch(pts).family(self)
+        vals = self.func(pts) if self.rule is None else _stacked(_Batch(pts).family(self))
         return vals[0] if x.ndim == 1 else vals
 
     def partial_family(self, j: int) -> "MatrixFamily":
@@ -97,12 +105,26 @@ class MatrixFamily:
         else the batch jet's."""
         if self.partials:
             return self.partials[j]
-        return MatrixFamily(self.p, self.n, lambda x: _Batch(x).family(self, (j,)), name=f"d{j}({self.name})")
+        return MatrixFamily(self.p, self.n, lambda x: _stacked(_Batch(x).family(self, (j,))),
+                            name=f"d{j}({self.name})")
+
+
+def _planar(v: np.ndarray) -> np.ndarray:
+    """An (M, N, N) stack in the batch layout (N, N, M): one contiguous copy,
+    except that a constant's zero-stride view stays a view."""
+    t = np.moveaxis(v, 0, -1)
+    return t if t.strides[-1] == 0 else np.ascontiguousarray(t)
+
+
+def _stacked(a: np.ndarray) -> np.ndarray:
+    """A batch array (N, N, M) as the (M, N, N) stack of the boundary, as a view."""
+    return np.moveaxis(a, -1, 0)
 
 
 class _Batch:
     """One evaluation at the points x: every partial derivative it needs,
-    computed once and kept per (node, sorted index set)."""
+    computed once and kept per (node, sorted index set) as an (N, N, M)
+    array."""
 
     def __init__(self, x: np.ndarray):
         self.x = x
@@ -114,23 +136,24 @@ class _Batch:
         return self.done[key]
 
     def family(self, fam: MatrixFamily, S: Index = ()) -> np.ndarray:
-        return self.get((fam, S), lambda: fam.rule(self, S) if fam.rule else _leaf_partial(fam, self.x, S))
+        return self.get((fam, S), lambda: fam.rule(self, S) if fam.rule else _planar(_leaf_partial(fam, self.x, S)))
 
     def coeff(self, form: "MatrixForm", I: Index, S: Index = ()) -> np.ndarray:
         return self.get((form, I, S), lambda: form.rule(self, I, S))
 
 
 def _leaf_partial(fam: MatrixFamily, x: np.ndarray, S: Index) -> np.ndarray:
-    """d_S of a leaf: analytic along the partials chain, then one Richardson
-    stencil of the remaining order k on the last analytic family: 2^k points
-    per level, central differences at the same scale c h along every
-    direction.  An order-2 stencil is good to about 1e-7 relative (order 1:
-    1e-11); exterior derivatives only meet second partials in antisymmetrized
-    pairs, where one array per index set cancels exactly."""
+    """d_S of a leaf as an (M, N, N) stack: analytic along the partials chain,
+    then one Richardson stencil of the remaining order k on the last analytic
+    family: 2^k points per level, central differences at the same scale c h
+    along every direction.  An order-2 stencil is good to about 1e-7
+    relative (order 1: 1e-11); exterior derivatives only meet second partials
+    in antisymmetrized pairs, where one array per index set cancels
+    exactly."""
     g = fam
     while S and g.partials is not None:
         if not g.partials:
-            return np.zeros((len(x), fam.n, fam.n), dtype=complex)
+            return np.broadcast_to(0j, (len(x), fam.n, fam.n))
         g, S = g.partials[S[0]], S[1:]
     if not S:
         return g(x)
@@ -151,49 +174,62 @@ def _leaf_partial(fam: MatrixFamily, x: np.ndarray, S: Index) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Batch kernels over the last two axes; ranks 1 and 2 use entrywise formulas,
-# which beat numpy's stacked matmul/inv/det several times over at that size
-# and lose to it from rank 4 on.
+# Batch kernels on the (N, N, M) layout.  Ranks 1 and 2 use entrywise
+# formulas on the contiguous rows a[i, j], written into preallocated rows.
+# From rank 3 on they call numpy's stacked matmul, inv and det on transposed
+# (M, N, N) views, which round exactly as on (M, N, N) arrays; an entrywise
+# rank-4 product is about 3x faster (0.7 against 2.1 ms at 6,912 points) but
+# rounds differently, and no workload evaluates forms above rank 2.
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stacked (broadcast) matrix product, as ``np.matmul``."""
-    n = a.shape[-1]
+    """Pointwise (broadcast) matrix product of two batch arrays."""
+    n = a.shape[0]
     if n == 1:
         return a * b
     if n > 2:
-        return np.matmul(a, b)
-    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
-    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
+        return np.moveaxis(np.matmul(_stacked(a), _stacked(b)), 0, -1)
     out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
-    out[..., 0, 0] = a00 * b00 + a01 * b10
-    out[..., 0, 1] = a00 * b01 + a01 * b11
-    out[..., 1, 0] = a10 * b00 + a11 * b10
-    out[..., 1, 1] = a10 * b01 + a11 * b11
+    tmp = np.empty(out.shape[2:], dtype=out.dtype)
+    for i in range(2):
+        for j in range(2):
+            row = np.multiply(a[i, 0], b[0, j], out=out[i, j])
+            row += np.multiply(a[i, 1], b[1, j], out=tmp)
     return out
 
 
 def _det_inv(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Determinants and inverses of a stack; inverses of singular matrices
-    come out non-finite (the caller checks the determinants first)."""
-    n = a.shape[-1]
+    """Determinants (M,) and inverses (N, N, M) of a batch array; inverses
+    of singular matrices come out non-finite (the caller checks the
+    determinants first)."""
+    n = a.shape[0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if n == 1:
-            return a[..., 0, 0], 1.0 / a
+            return a[0, 0], 1.0 / a
         if n == 2:
-            a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+            a00, a01, a10, a11 = a[0, 0], a[0, 1], a[1, 0], a[1, 1]
             det = a00 * a11 - a01 * a10
-            inv = np.empty_like(a)
-            inv[..., 0, 0] = a11 / det
-            inv[..., 0, 1] = -a01 / det
-            inv[..., 1, 0] = -a10 / det
-            inv[..., 1, 1] = a00 / det
+            inv = np.empty(a.shape, dtype=a.dtype)
+            np.divide(a11, det, out=inv[0, 0])
+            np.divide(np.negative(a01, out=inv[0, 1]), det, out=inv[0, 1])
+            np.divide(np.negative(a10, out=inv[1, 0]), det, out=inv[1, 0])
+            np.divide(a00, det, out=inv[1, 1])
             return det, inv
-    det = np.linalg.det(a)
+    stack = _stacked(a)
+    det = np.linalg.det(stack)
     try:
-        return det, np.linalg.inv(a)
+        return det, np.moveaxis(np.linalg.inv(stack), 0, -1)
     except np.linalg.LinAlgError:
-        return det, np.full_like(a, np.nan)
+        return det, np.full(a.shape, np.nan, dtype=a.dtype)
+
+
+def _trace(a: np.ndarray) -> np.ndarray:
+    """tr a per point as a rank-1 batch array (1, 1, M): the diagonal rows
+    summed in order."""
+    total = a[0, 0]
+    for i in range(1, a.shape[0]):
+        total = total + a[i, i]
+    return total[None, None]
 
 
 def _with(S: Index, j: int) -> Index:
@@ -202,12 +238,16 @@ def _with(S: Index, j: int) -> Index:
 
 def _leibniz(S: Index, left, right, mult=_matmul) -> np.ndarray:
     """d_S of a product: the sum over subsets T of S of mult(d_T left, d_{S-T} right),
-    ``left`` and ``right`` mapping index sets to partials."""
+    ``left`` and ``right`` mapping index sets to partials.  ``mult`` returns a
+    new array, so the sum accumulates in place into the first term."""
     total = None
     for k in range(len(S) + 1):
         for T in combinations(S, k):
             term = mult(left(T), right(tuple(i for i in S if i not in T)))
-            total = term if total is None else total + term
+            if total is None:
+                total = term
+            else:
+                total += term
     return total
 
 
@@ -241,8 +281,9 @@ def mf_inverse(a: MatrixFamily) -> MatrixFamily:
         bad = np.abs(dets) < 1e-300
         if np.any(bad):
             raise SingularFamilyError(f"family {a.name!r} singular", point=batch.x[int(np.argmax(bad))])
-        if not np.all(np.isfinite(out)):
-            i = int(np.argmax(~np.all(np.isfinite(out.reshape(len(out), -1)), axis=1)))
+        finite = np.all(np.isfinite(out), axis=(0, 1))
+        if not np.all(finite):
+            i = int(np.argmax(~finite))
             raise SingularFamilyError(f"family {a.name!r} numerically singular", point=batch.x[i])
         return out
 
@@ -261,7 +302,8 @@ class MatrixForm:
     ``indices`` lists, in increasing order, the strictly increasing index
     tuples whose coefficients may be nonzero; absent tuples are zero.
     ``rule(batch, I, S)`` returns d_S of the coefficient on dx_I at the
-    batch's points, for a sorted index set S disjoint from I.
+    batch's points as an (N, N, M) array, for a sorted index set S disjoint
+    from I.
     """
 
     p: int
@@ -269,11 +311,15 @@ class MatrixForm:
     degree: int
     indices: tuple[Index, ...]
     rule: Callable[[_Batch, Index, Index], np.ndarray] | None = field(default=None, repr=False)
-    # The last batch, never read: freed when the next one starts, its arrays
-    # leave a hole the allocator refills; freed at the end of each batch, they
-    # go back to the system and every batch page-faults on fresh memory (three
-    # times the faults and about 10 % more wall time on matrix-eta).
-    _last_batch: _Batch | None = field(default=None, init=False, repr=False)
+    # The arrays of the last batch, never read.  Released when the next batch
+    # starts, they leave holes that batch refills; released at the end of
+    # each batch, they go back to the system and every batch page-faults on
+    # fresh memory (216k instead of 58.5k minor faults and 0.95 instead of
+    # 0.74 s per warm matrix-eta pass).  The arrays only: the batch's keys
+    # point back at this form, and holding the batch made a cycle that kept
+    # the arrays of every dead form until a full collection (peak RSS 97 to
+    # 112 MB against 66 MB over seven matrix-eta passes in one process).
+    _last_batch: tuple[np.ndarray, ...] = field(default=(), init=False, repr=False)
 
     def values(self, x, indices: tuple[Index, ...] | None = None) -> dict[Index, np.ndarray]:
         """The coefficients on ``indices`` (default: all) at the points x, from
@@ -285,12 +331,15 @@ class MatrixForm:
         x = np.asarray(x, dtype=float)
 
         def rule(batch, S):
-            self._last_batch = batch
-            return [batch.coeff(self, I) for I in indices]
+            self._last_batch = ()
+            vals = np.stack([batch.coeff(self, I) for I in indices])
+            self._last_batch = tuple(batch.done.values())
+            return vals
 
+        # (K, N, N, M) inside the batch; the call hands back (M, K, N, N)
         stack = MatrixFamily(self.p, self.n, name="form batch", rule=rule)
         vals = stack(x[None, :] if x.ndim == 1 else x)
-        return {I: v[0] if x.ndim == 1 else v for I, v in zip(indices, vals)}
+        return {I: vals[0, k] if x.ndim == 1 else vals[:, k] for k, I in enumerate(indices)}
 
     def evaluate(self, index: Index, x) -> np.ndarray:
         """The coefficient on dx_index at x (zero if absent)."""
@@ -303,8 +352,7 @@ class MatrixForm:
 
     def traced(self) -> "MatrixForm":
         """Apply the matrix trace coefficient-wise; the result has rank 1."""
-        return MatrixForm(self.p, 1, self.degree, self.indices,
-                          lambda batch, I, S: np.trace(batch.coeff(self, I, S), axis1=-2, axis2=-1)[..., None, None])
+        return MatrixForm(self.p, 1, self.degree, self.indices, lambda batch, I, S: _trace(batch.coeff(self, I, S)))
 
 
 def _shuffle_sign(I: Index, J: Index) -> int:
@@ -365,8 +413,16 @@ def mc_form(f: MatrixFamily) -> MatrixForm:
 
 
 def _trace_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """tr(ab) as sum_ij a_ij b_ji, without forming ab."""
-    return np.einsum("...ij,...ji->...", a, b)
+    """tr(ab) per point as sum_ij a_ij b_ji, summed in (i, j) order, without
+    forming ab."""
+    n = a.shape[0]
+    total = a[0, 0] * b[0, 0]
+    tmp = np.empty_like(total)
+    for i in range(n):
+        for j in range(n):
+            if i or j:
+                total += np.multiply(a[i, j], b[j, i], out=tmp)
+    return total
 
 
 def maurer_cartan_power(f: MatrixFamily, q: int) -> MatrixForm:
@@ -396,11 +452,9 @@ def maurer_cartan_power(f: MatrixFamily, q: int) -> MatrixForm:
 
     def rule(batch, I, S):
         if q == 1:
-            val = np.trace(batch.coeff(w, I, S), axis1=-2, axis2=-1)
-        else:
-            rest = partial(antisymmetrized, batch, I[1:])
-            val = q * _leibniz(S, partial(batch.coeff, w, I[:1]), rest, _trace_product)
-        return val[..., None, None]
+            return _trace(batch.coeff(w, I, S))
+        rest = partial(antisymmetrized, batch, I[1:])
+        return (q * _leibniz(S, partial(batch.coeff, w, I[:1]), rest, _trace_product))[None, None]
 
     return MatrixForm(f.p, 1, q, tuple(combinations(range(f.p), q)), rule)
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from etaforge.cli import _BUDGET_KEYS, ExperimentConfig, Report, _resolve_budget, main, run, suite
 from etaforge.errors import ConfigError
-from etaforge.experiments import BUDGETS, EXPERIMENTS, Budget
+from etaforge.experiments import BUDGETS, EXPERIMENTS, Budget, CheckRow
 from etaforge.partrace import WindowConfig
 
 
@@ -106,6 +106,16 @@ def test_report_schema():
     for row in data["checks"]:
         dev = row["abs_deviation"] if row["kind"] == "abs" else row["rel_deviation"]
         assert row["pass"] == (dev <= row["tolerance"])
+
+
+def test_zero_reference_has_no_relative_deviation():
+    row = CheckRow("zero reference", 3e-9 + 4e-9j, 0.0, 1e-8, "abs")
+    assert row.rel_deviation is None and row.passed
+    data = json.loads(json.dumps(row.to_dict()))
+    assert data["rel_deviation"] is None and data["abs_deviation"] == pytest.approx(5e-9)
+    assert CheckRow("nonzero reference", 2.5, 2.0, 0.3, "rel").rel_deviation == 0.25
+    with pytest.raises(ValueError, match="nonzero reference"):
+        CheckRow("relative to zero", 1e-20, 0j, 1e-6, "rel")
 
 
 def test_main_config_file(tmp_path, capsys):

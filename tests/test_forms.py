@@ -13,6 +13,8 @@ from etaforge.forms import (
     matrix_family,
     maurer_cartan_power,
     mc_form,
+    mf_inverse,
+    mf_product,
     sphere_integrate,
     sphere_volume_form,
     wedge,
@@ -197,19 +199,28 @@ def test_cyclic_traced_power_matches_traced_wedge_power(rng, analytic):
 
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_batch_kernels_match_numpy(rng, n):
+    # the kernels take and return the batch layout (N, N, M); the oracles
+    # run on the (M, N, N) stacks
     from etaforge.forms import _det_inv, _matmul
 
     a = rng.normal(size=(50, n, n)) + 1j * rng.normal(size=(50, n, n))
     b = rng.normal(size=(50, n, n)) + 1j * rng.normal(size=(50, n, n))
+    planar = [np.ascontiguousarray(np.moveaxis(m, 0, -1)) for m in (a, b)]
 
     def rel(x, y):
         return np.max(np.abs(x - y)) / np.max(np.abs(y))
 
-    assert rel(_matmul(a, b), np.matmul(a, b)) < 1e-13
-    assert rel(_matmul(a[0], b), np.matmul(a[0], b)) < 1e-13  # a constant left factor broadcasts
-    dets, invs = _det_inv(a)
+    def stacked(x):
+        return np.moveaxis(x, -1, 0)
+
+    assert rel(stacked(_matmul(*planar)), np.matmul(a, b)) < 1e-13
+    const = np.broadcast_to(a[0][..., None], (n, n, 50))  # a constant factor: a zero-stride view
+    assert const.strides[-1] == 0
+    assert rel(stacked(_matmul(const, planar[1])), np.matmul(a[0], b)) < 1e-13
+    assert rel(stacked(_matmul(planar[1], const)), np.matmul(b, a[0])) < 1e-13
+    dets, invs = _det_inv(planar[0])
     assert rel(dets, np.linalg.det(a)) < 1e-13
-    assert rel(invs, np.linalg.inv(a)) < 1e-13
+    assert rel(stacked(invs), np.linalg.inv(a)) < 1e-13
 
 
 def test_singular_point_in_batch_is_reported(rng):
@@ -219,6 +230,54 @@ def test_singular_point_in_batch_is_reported(rng):
     with pytest.raises(SingularFamilyError) as err:
         mc_form(fam).evaluate((0,), pts)
     assert np.array_equal(err.value.point, pts[5])
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_numerically_singular_point_in_batch_is_reported(rng, n):
+    # at row 5 the determinant is 1e300 * 1e-310 = 1e-10, far above the
+    # |det| < 1e-300 test, but the inverse's entry 1e300 / 1e-10 overflows
+    pts = rng.normal(size=(8, 2))
+    bad = np.diag([1e300, 1e-310] + [1.0] * (n - 2)).astype(complex)
+
+    def f(x):
+        out = np.tile(np.eye(n, dtype=complex), (len(x), 1, 1))
+        out[np.all(x == pts[5], axis=1)] = bad
+        return out
+
+    with pytest.raises(SingularFamilyError, match="numerically singular") as err:
+        mf_inverse(MatrixFamily(2, n, f, name="overflowing"))(pts)
+    assert np.array_equal(err.value.point, pts[5])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_rule_families_return_stacks_at_the_boundary(rng, k):
+    # a batch keeps (N, N, M) arrays inside; every entry point hands back the
+    # (M, N, N) stack, for a batch and for a single point.  Ranks 1, 2 and 4:
+    # k = 3 takes the kernels' numpy path.
+    a = matrix_family("affine_clifford", a=1.0 + 0.5j, k=k)
+    b = matrix_family("capped_clifford", a=0.7 - 0.2j, k=k)
+    p = a.p
+    pts = rng.normal(size=(7, p))
+
+    def close(got, want):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+    av, bv = a(pts), b(pts)
+    inv = np.linalg.inv(av)
+    da = [a.partials[j](pts) for j in range(p)]
+    db = [b.partials[j](pts) for j in range(p)]
+    prod, ainv, w = mf_product(a, b), mf_inverse(a), mc_form(a)
+    for x, at in ((pts, slice(None)), (pts[3], 3)):
+        close(prod(x), np.matmul(av, bv)[at])
+        close(ainv(x), inv[at])
+        vals = w.values(x)
+        assert list(vals) == [(j,) for j in range(p)]
+        for j in range(p):
+            close(prod.partial_family(j)(x), (np.matmul(da[j], bv) + np.matmul(av, db[j]))[at])
+            close(ainv.partial_family(j)(x), -np.matmul(np.matmul(inv, da[j]), inv)[at])
+            close(vals[(j,)], np.matmul(inv, da[j])[at])
+            close(w.evaluate((j,), x), np.matmul(inv, da[j])[at])
 
 
 def test_closed_form_rejects_origin():
@@ -313,7 +372,8 @@ def test_leaf_jets_match_closed_form(rng):
         batch = _Batch(pts)
         for S, want in (((0,), d0), ((1,), d1), ((0, 1), d1), ((1, 2), lambda x: d1(x) / x[:, 2, None, None])):
             ref = want(pts)
-            assert np.max(np.abs(batch.family(fam, S) - ref)) < (1e-9 if len(S) == 1 else 1e-6) * np.max(np.abs(ref))
+            got = np.moveaxis(batch.family(fam, S), -1, 0)  # the batch layout (N, N, M) as (M, N, N)
+            assert np.max(np.abs(got - ref)) < (1e-9 if len(S) == 1 else 1e-6) * np.max(np.abs(ref))
 
 
 def test_tabulated_matrix_family(tmp_path):
