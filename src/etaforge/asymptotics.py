@@ -130,20 +130,18 @@ class ExpansionModel:
 
 @dataclass
 class FittedExpansion:
-    """Least-squares coefficients of a declared expansion model.
+    """Least-squares coefficients of a fit against a power-log basis.
 
     ``coefficients`` maps (degree, logpow) to per-direction samples; for
     radial fits the arrays have length one.
     """
 
-    model: ExpansionModel
     coefficients: dict[tuple[float, int], np.ndarray]
     residual: float
     valid: bool
     condition_number: float
     directions: np.ndarray | None = None
     direction_weights: np.ndarray | None = None
-    radii: np.ndarray | None = None
 
     def coefficient(self, degree: float, logpow: int = 0) -> np.ndarray:
         key = (float(degree), int(logpow))
@@ -282,12 +280,10 @@ def _weighted_power_fit(xs, ys, basis, noise_floor, zero_floor: float = ZERO_FLO
 
     ``noise_floor`` is an absolute-scale accumulation per row; rows whose
     value cancels below their own noise are not over-trusted.
-    ys may be (n,) or (n, m) for a shared design with m right-hand sides.
+    ys is (n, m): a shared design with m right-hand sides.
     """
     xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=complex)
-    single = ys.ndim == 1
-    Y = ys[:, None] if single else ys
+    Y = np.asarray(ys, dtype=complex)
     logx = np.log(xs)
     cols = [xs.astype(complex) ** e * logx ** l for e, l in basis]
     M = np.stack(cols, axis=1)
@@ -318,8 +314,6 @@ def _weighted_power_fit(xs, ys, basis, noise_floor, zero_floor: float = ZERO_FLO
     coeff = coeff / cn[:, None]
     fitted = M @ coeff
     resid = float(np.max(np.abs(fitted - Y)) / max(scale, zero_floor))
-    if single:
-        coeff = coeff[:, 0]
     return coeff, resid, cond
 
 
@@ -328,39 +322,40 @@ def _require_valid(fitted: FittedExpansion, what: str):
         raise FitError(f"{what}: relative fit residual {fitted.residual:.3e} exceeds threshold {RESIDUAL_THRESHOLD:.0e}")
 
 
-def _lim_fit(xs, ys, abs_ys, terms, shift, zero_floor: float = ZERO_FLOOR) -> tuple[complex, FittedExpansion]:
-    basis = primitive_basis(terms, shift)
-    if len(xs) < 2 * len(basis):
+def _fit(xs, ys, basis, noise_floor, rule: SphereRule | None = None, zero_floor: float = ZERO_FLOOR) -> FittedExpansion:
+    """Every FittedExpansion is made here: ys (n, m) against ``basis`` on the
+    radii xs, with m = 1 for a radial fit or one column per direction of
+    ``rule``."""
+    if len(xs) < 2 * max(1, len(basis)):
         raise FitError(f"radius ladder too short: {len(xs)} radii for {len(basis)} basis terms")
-    coeff, resid, cond = _weighted_power_fit(xs, ys, basis, abs_ys, zero_floor)
-    coeffs = {}
-    for (e, l), c in zip(basis, coeff):
-        coeffs[(float(e.real) if abs(e.imag) < 1e-14 else e, l)] = np.array([c])
-    # diagnostics model: basis exponents by descending real part
-    uniq: dict[float, int] = {}
-    for e, l in basis:
-        r = round(e.real, 12)
-        uniq[r] = max(uniq.get(r, 0), l)
-    dterms = tuple(sorted(uniq.items(), key=lambda t: -t[0]))
-    diag_model = ExpansionModel(dterms, min(d for d, _ in dterms) - 1.0 if dterms else -1.0)
-    fitted = FittedExpansion(
-        model=diag_model,
-        coefficients=coeffs,
+    # called through the module global, which the benchmark's tracer rebinds
+    coeff, resid, cond = _weighted_power_fit(xs, ys, basis, noise_floor, zero_floor)
+    return FittedExpansion(
+        coefficients={(float(e.real) if abs(e.imag) < 1e-14 else e, l): c for (e, l), c in zip(basis, coeff)},
         residual=resid,
         valid=resid <= RESIDUAL_THRESHOLD,
         condition_number=cond,
-        radii=np.asarray(xs, dtype=float),
+        directions=None if rule is None else rule.points,
+        direction_weights=None if rule is None else rule.weights,
     )
-    constant = complex(coeffs[(0.0, 0)][0])
-    return constant, fitted
+
+
+def _lim_fit(xs, ys, abs_ys, terms, shift, zero_floor: float = ZERO_FLOOR) -> tuple[complex, FittedExpansion]:
+    """LIM of a cumulative integral: the constant term of its fit against the
+    primitive basis of the integrand's terms."""
+    fitted = _fit(xs, np.asarray(ys)[:, None], primitive_basis(terms, shift), abs_ys, zero_floor=zero_floor)
+    return complex(fitted.coefficients[(0.0, 0)][0]), fitted
 
 
 # ---------------------------------------------------------------------------
 # Expansion fitting at infinity
 
 
-def _as_points(r, direction):
-    return r[:, None] * direction[None, :]
+def sample_points(rr: np.ndarray, rule: SphereRule) -> np.ndarray:
+    """The tensor product of the radii rr with the rule's directions as an
+    (len(rr) * len(rule.points), p) array, radius-major: sampled values
+    reshape to (len(rr), len(rule.points))."""
+    return (rr[:, None, None] * rule.points[None, :, :]).reshape(-1, rule.p)
 
 
 def fit_expansion(
@@ -373,17 +368,13 @@ def fit_expansion(
     """Fit per-direction coefficients of f against the declared model.
 
     f maps an (M, p) array to real or complex (M,) values; the sample set is
-    the tensor product of the radius ladder with a sphere rule on S^{p-1}.
+    ``sample_points`` of the radius ladder with a sphere rule on S^{p-1}.
     """
     if radii is None:
         radii = DEFAULT_LADDER
     rr = radii.radii() if isinstance(radii, RadiusLadder) else np.asarray(radii, dtype=float)
-    rule = directions if directions is not None else sphere_rule(p, 32 if p == 3 else 64)
-    terms = model.expanded_terms()
-    if len(rr) < 2 * max(1, len(terms)):
-        raise FitError(f"need at least {2 * len(terms)} radii for {len(terms)} model terms, got {len(rr)}")
-    pts = (rr[:, None, None] * rule.points[None, :, :]).reshape(-1, p)
-    vals = np.asarray(f(pts), dtype=complex).reshape(len(rr), len(rule.points))
+    rule = directions if directions is not None else sphere_rule(p)
+    vals = np.asarray(f(sample_points(rr, rule)), dtype=complex).reshape(len(rr), len(rule.points))
     return fit_expansion_samples(rr, vals, model, rule)
 
 
@@ -393,38 +384,44 @@ def fit_expansion_samples(
     model: ExpansionModel,
     directions: SphereRule,
 ) -> FittedExpansion:
-    """Fit from tabulated samples values[i_radius, i_direction]."""
-    terms = _dedupe_basis(model.expanded_terms())
+    """Fit from tabulated samples values[i_radius, i_direction]; raises
+    ValueError unless values is (len(radii), len(directions.points))."""
+    radii = np.asarray(radii, dtype=float)
     values = np.asarray(values, dtype=complex)
+    if values.shape != (len(radii), len(directions.points)):
+        raise ValueError(
+            f"samples must be (radii, directions) = ({len(radii)}, {len(directions.points)}), got {values.shape}"
+        )
     floor = np.full(len(radii), float(np.max(np.abs(values))) if values.size else 0.0)
-    coeff, resid, cond = _weighted_power_fit(radii, values, terms, floor)
-    coeffs = {(float(e.real), l): coeff[i] for i, (e, l) in enumerate(terms)}
-    return FittedExpansion(
-        model=model,
-        coefficients=coeffs,
-        residual=resid,
-        valid=resid <= RESIDUAL_THRESHOLD,
-        condition_number=cond,
-        directions=directions.points,
-        direction_weights=directions.weights,
-        radii=np.asarray(radii, dtype=float),
-    )
+    return _fit(radii, values, _dedupe_basis(model.expanded_terms()), floor, directions)
 
 
 def load_samples_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read tabulated samples with columns radius, direction-index, re, im."""
+    """Read tabulated samples with columns radius, direction-index, re, im.
+
+    Every (radius, direction) cell of the table must appear exactly once;
+    a missing or repeated cell raises ValueError."""
     rows = []
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
             if not row or row[0].strip().startswith("#") or row[0].strip().lower() == "radius":
                 continue
             rows.append((float(row[0]), int(row[1]), float(row[2]), float(row[3])))
+    if any(i < 0 for _, i, *_ in rows):
+        raise ValueError(f"{path}: direction indices must be nonnegative")
     radii = sorted({r for r, *_ in rows})
     nd = max(i for _, i, *_ in rows) + 1
     values = np.zeros((len(radii), nd), dtype=complex)
+    seen = np.zeros(values.shape, dtype=bool)
     index = {r: i for i, r in enumerate(radii)}
     for r, i, re, im in rows:
+        if seen[index[r], i]:
+            raise ValueError(f"{path}: repeated sample at radius {r}, direction {i}")
+        seen[index[r], i] = True
         values[index[r], i] = re + 1j * im
+    if not seen.all():
+        k, i = np.argwhere(~seen)[0]
+        raise ValueError(f"{path}: missing sample at radius {radii[k]}, direction {i}")
     return np.array(radii), values
 
 
@@ -443,7 +440,7 @@ def regint_rp(
     """Regularized integral over R^p: the constant term in the fitted
     expansion of int_{|x|<=R} f as R -> infinity."""
     rr = ladder.radii()
-    rule = sphere if sphere is not None else sphere_rule(p, (24, 48) if p == 3 else 128)
+    rule = sphere if sphere is not None else sphere_rule(p)
     ivals, avals = cumulative_ball(f, p, rr, rule, n_radial)
     const, fitted = _lim_fit(rr, ivals, avals, model.expanded_terms(), p)
     _require_valid(fitted, "regint_rp")
@@ -582,7 +579,7 @@ def cov_correction(
         raise MissingCoefficientError(
             f"change-of-variables correction needs degree {-p} in the declared model"
         )
-    rule = sphere if sphere is not None else sphere_rule(p, (24, 48) if p == 3 else 128)
+    rule = sphere if sphere is not None else sphere_rule(p)
     fitted = fit_expansion(f, model, p, radii=ladder, directions=rule)
 
     def fA(x):
@@ -635,7 +632,7 @@ def stokes_defect(
     xi_j.  The partial is a central difference with one Richardson pass.
     Equality is what makes the defect purely symbolic.
     """
-    rule = sphere if sphere is not None else sphere_rule(p, (24, 48) if p == 3 else 128)
+    rule = sphere if sphere is not None else sphere_rule(p)
     fitted = fit_expansion(f, model, p, radii=ladder, directions=rule)
     want = 1.0 - float(p)
     if want not in model.degrees:

@@ -21,10 +21,11 @@ from .asymptotics import (
     ExpansionModel,
     RadiusLadder,
     RegularizedValue,
-    fit_expansion,
+    fit_expansion_samples,
     regint_halfline,
     regint_rp,
     regint_rp_radial,
+    sample_points,
     smooth_step,
 )
 from .errors import SingularFamilyError
@@ -122,7 +123,7 @@ class PathFamily:
 
 def _top_scalar(form: MatrixForm) -> Callable[[np.ndarray], np.ndarray]:
     top = tuple(range(form.p))
-    return lambda x: form.evaluate(top, x)[:, 0, 0]
+    return lambda x: form.values(x)[top][:, 0, 0]
 
 
 def eta_k(
@@ -165,21 +166,24 @@ def formal_trace_matrix(
 ) -> complex:
     """Formal trace of a degree-(p-1) matrix form over R^p.
 
-    Each traced coefficient is fitted with ``coef_model`` and its degree
-    (1-p, 0) angular part is integrated against the missing coordinate over
-    the unit sphere; no derivative of the form is taken.
+    The traced form is evaluated once, every coefficient from one batch at
+    the radius ladder times the sphere rule.  Each coefficient is fitted with
+    ``coef_model`` and its degree (1-p, 0) angular part is integrated against
+    the missing coordinate over the unit sphere; no derivative of the form is
+    taken.
     """
     p = form.p
     if form.degree != p - 1:
         raise ValueError("formal trace needs a degree p-1 form")
     traced = form.traced()
-    rule = sphere if sphere is not None else sphere_rule(p, (24, 48) if p == 3 else 64)
+    rr = radii.radii()
+    rule = sphere if sphere is not None else sphere_rule(p)
     want = 1.0 - float(p)
     total = 0.0 + 0.0j
-    for I in traced.indices:
+    for I, vals in traced.values(sample_points(rr, rule)).items():
         missing = [m for m in range(p) if m not in I][0]
         sign = (-1.0) ** missing
-        fitted = fit_expansion(lambda x, I=I: traced.evaluate(I, x)[:, 0, 0], coef_model, p, radii, rule)
+        fitted = fit_expansion_samples(rr, vals[:, 0, 0].reshape(len(rr), len(rule.points)), coef_model, rule)
         total += sign * fitted.integrate_coefficient(want, 0, fitted.directions[:, missing])
     return total
 
@@ -272,14 +276,15 @@ def additivity_defect(
 # ---------------------------------------------------------------------------
 # Spectral eta and the suspension bridge
 
+# the radius ladder at infinity of both spectral routes
+SPECTRAL_LADDER = RadiusLadder(4.0, 256.0, 16)
+
 
 def spectral_eta(
     model: SpectralModel,
     method: str = "hurwitz",
     k: int = 2,
-    ladder: RadiusLadder | None = None,
     n_radial: int = 32,
-    window: WindowConfig = DEFAULT_WINDOW,
 ) -> complex:
     """Spectral eta-invariant of the circle operator with spectrum {n + a}.
 
@@ -298,11 +303,10 @@ def spectral_eta(
     if k < 2:
         raise ValueError("regint route needs k >= 2 (trace-class integrand)")
     fam = SpectralFamily(model, kernel("eta_kernel", k), 1.0 - 2 * k, p=1)
-    lad = ladder if ladder is not None else RadiusLadder(4.0, 256.0, 16)
 
     def g(x):
         pts = np.asarray(x, dtype=float)[:, None]
-        return pts[:, 0] ** (2 * k - 2) * l2_trace_values(fam, pts, window)
+        return pts[:, 0] ** (2 * k - 2) * l2_trace_values(fam, pts)
 
     # x^{2k-2} tr decays faster than any power (two-sided spectral
     # cancellation); at zero it is even and analytic with convergence radius
@@ -312,7 +316,7 @@ def spectral_eta(
     lam_min = abs(model.a - round(model.a))
     u_start = max(32.0, 8.0 / lam_min)
     zero_ladder = RadiusLadder(u_start, u_start * 4096.0, 16)
-    reg = regint_halfline(g, model_zero, model_inf, lad, n_radial, ladder_zero=zero_ladder)
+    reg = regint_halfline(g, model_zero, model_inf, SPECTRAL_LADDER, n_radial, ladder_zero=zero_ladder)
     front = 2.0 * math.gamma(k) / (math.gamma(k - 0.5) * math.sqrt(math.pi))
     return front * reg.value
 
@@ -321,7 +325,6 @@ def eta_suspension(
     model: SpectralModel,
     k: int,
     sign: int = +1,
-    ladder: RadiusLadder | None = None,
     n_radial: int = 32,
     window: WindowConfig = DEFAULT_WINDOW,
 ) -> EtaResult:
@@ -345,12 +348,13 @@ def eta_suspension(
         pts = np.asarray(r, dtype=float)[:, None]
         return pref * tr_param_values(fam, pts, window)
 
-    lad = ladder if ladder is not None else RadiusLadder(4.0, 256.0, 16)
     # for k = 1 the subtracted trace tends to a constant at infinity (the
     # finite part kills it); higher k decay faster than any power
     terms = [(0.0, 0)] if k == 1 else []
     # symmetric spectra cancel the summand exactly; treat sub-1e-6 data as zero
-    reg = regint_rp_radial(w, ExpansionModel.make(terms, remainder=-2.0 * p), p, lad, n_radial, zero_floor=1e-6)
+    reg = regint_rp_radial(
+        w, ExpansionModel.make(terms, remainder=-2.0 * p), p, SPECTRAL_LADDER, n_radial, zero_floor=1e-6
+    )
     return EtaResult(2.0 * c_k(k) * reg.value, "spectral-reduction", [reg])
 
 

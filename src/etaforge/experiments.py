@@ -277,7 +277,7 @@ def exp_rp_omega(params, budget, rng):
         fam = matrix_family("affine_clifford", a=a, k=2)
         tform = maurer_cartan_power(fam, 3)
         reg = regint_rp(
-            lambda x: tform.evaluate((0, 1, 2), x)[:, 0, 0], model, 3, budget.ladder, budget.sphere(3), budget.n_radial
+            lambda x: tform.values(x)[(0, 1, 2)][:, 0, 0], model, 3, budget.ladder, budget.sphere(3), budget.n_radial
         )
         ref = -math.copysign(1.0, a) / (2.0 * c_k(2).real)
         rows.append(
@@ -848,19 +848,20 @@ def exp_prop_leibniz(params, budget, rng):
     lhs = exterior_derivative(wedge(w1, w2))
     a = wedge(exterior_derivative(w1), w2)
     b = wedge(w1, exterior_derivative(w2))
+    got, av, bv = lhs.values(pts), a.values(pts), b.values(pts)
     worst = 0.0
     for I in lhs.indices:
-        got = lhs.evaluate(I, pts)
-        want = a.evaluate(I, pts) - b.evaluate(I, pts)  # (-1)^{deg w1} = -1
-        worst = max(worst, float(np.max(np.abs(got - want))))
+        want = av[I] - bv[I]  # (-1)^{deg w1} = -1
+        worst = max(worst, float(np.max(np.abs(got[I] - want))))
     rows.append(CheckRow("graded Leibniz rule", worst, 0.0, 1e-6, "abs", "product rule"))
 
     # trace cyclicity: tr(w1 ^ w2) = (-1)^{q1 q2} tr(w2 ^ w1)
     t12 = wedge(w1, w2).traced()
     t21 = wedge(w2, w1).traced()
+    v12, v21 = t12.values(pts), t21.values(pts)
     worst = 0.0
     for I in t12.indices:
-        worst = max(worst, float(np.max(np.abs(t12.evaluate(I, pts) + t21.evaluate(I, pts)))))
+        worst = max(worst, float(np.max(np.abs(v12[I] + v21[I]))))
     rows.append(CheckRow("graded trace cyclicity", worst, 0.0, 1e-10, "abs", "cyclic trace"))
     return rows
 
@@ -871,11 +872,11 @@ def exp_prop_maurer_cartan(params, budget, rng):
     for fam in _family_corpus():
         pts = rng.normal(size=(12, fam.p)) * 2.0 + 3.0
         w = mc_form(fam)
-        lhs = exterior_derivative(w)
-        sq = wedge(w, w)
+        dw = exterior_derivative(w).values(pts)
+        sq = wedge(w, w).values(pts)
         worst = 0.0
-        for I in set(lhs.indices) | set(sq.indices):
-            worst = max(worst, float(np.max(np.abs(lhs.evaluate(I, pts) + sq.evaluate(I, pts)))))
+        for I in set(dw) | set(sq):
+            worst = max(worst, float(np.max(np.abs(dw.get(I, 0.0) + sq.get(I, 0.0)))))
         rows.append(
             CheckRow(f"structure equation on {fam.name}", worst, 0.0, 1e-6, "abs", "logarithmic derivative")
         )

@@ -11,8 +11,8 @@ Inside a batch every value and partial is an (N, N, M) array with the point
 axis last, so entry (i, j) of the whole batch is one contiguous row.  The
 boundary stays (M, N, N): a leaf's ``func`` returns that layout and the
 batch transposes each leaf partial once, and ``MatrixFamily.__call__``,
-``partial_family``, ``MatrixForm.values`` and ``MatrixForm.evaluate`` hand
-it back.
+``partial_family`` and ``MatrixForm.values`` hand it back.  ``values`` is
+the one way to evaluate a form: it returns every coefficient from one batch.
 
 Leaf partials are analytic as far as a family's ``partials`` chain goes;
 below that, one Richardson stencil of the missing order is applied to the
@@ -321,34 +321,26 @@ class MatrixForm:
     # 112 MB against 66 MB over seven matrix-eta passes in one process).
     _last_batch: tuple[np.ndarray, ...] = field(default=(), init=False, repr=False)
 
-    def values(self, x, indices: tuple[Index, ...] | None = None) -> dict[Index, np.ndarray]:
-        """The coefficients on ``indices`` (default: all) at the points x, from
-        one batch evaluation.  The batch runs as one MatrixFamily call, so
-        whatever counts those calls sees the leaf evaluations nested in it."""
-        indices = self.indices if indices is None else indices
-        if not indices:
+    def values(self, x) -> dict[Index, np.ndarray]:
+        """Every coefficient at the points x, from one batch evaluation: a dict
+        from each of ``indices`` to its (M, N, N) stack, or (N, N) at a single
+        point; an index absent from ``indices`` has coefficient zero.  The
+        batch runs as one MatrixFamily call, so whatever counts those calls
+        sees the leaf evaluations nested in it."""
+        if not self.indices:
             return {}
         x = np.asarray(x, dtype=float)
 
         def rule(batch, S):
             self._last_batch = ()
-            vals = np.stack([batch.coeff(self, I) for I in indices])
+            vals = np.stack([batch.coeff(self, I) for I in self.indices])
             self._last_batch = tuple(batch.done.values())
             return vals
 
         # (K, N, N, M) inside the batch; the call hands back (M, K, N, N)
         stack = MatrixFamily(self.p, self.n, name="form batch", rule=rule)
         vals = stack(x[None, :] if x.ndim == 1 else x)
-        return {I: vals[0, k] if x.ndim == 1 else vals[:, k] for k, I in enumerate(indices)}
-
-    def evaluate(self, index: Index, x) -> np.ndarray:
-        """The coefficient on dx_index at x (zero if absent)."""
-        index = tuple(index)
-        if index in self.indices:
-            return self.values(x, (index,))[index]
-        x = np.asarray(x, dtype=float)
-        z = np.zeros((1 if x.ndim == 1 else len(x), self.n, self.n), dtype=complex)
-        return z[0] if x.ndim == 1 else z
+        return {I: vals[0, k] if x.ndim == 1 else vals[:, k] for k, I in enumerate(self.indices)}
 
     def traced(self) -> "MatrixForm":
         """Apply the matrix trace coefficient-wise; the result has rank 1."""
@@ -581,7 +573,7 @@ def matrix_family(name: str, **params) -> MatrixFamily:
     if name in ("affine_clifford", "spectral_slice"):
         a = complex(params["a"] if name == "affine_clifford" else params["lam"])
         k = int(params["k"])
-        rep = params.get("rep") or standard_rep(k)
+        rep = standard_rep(k)
         p, nn = rep.p, rep.rank
 
         def f(x):
@@ -595,7 +587,7 @@ def matrix_family(name: str, **params) -> MatrixFamily:
         # a + c(x) (1 + |x|^2)^{-1/2}: approaches a + c(x/|x|) at infinity
         a = complex(params["a"])
         k = int(params["k"])
-        rep = params.get("rep") or standard_rep(k)
+        rep = standard_rep(k)
         p, nn = rep.p, rep.rank
 
         def f(x):
@@ -619,7 +611,7 @@ def matrix_family(name: str, **params) -> MatrixFamily:
     if name == "sphere_clifford":
         # x = (x_0, x') -> x_0 + c(x') on R^{2k}
         k = int(params["k"])
-        rep = params.get("rep") or standard_rep(k)
+        rep = standard_rep(k)
         p = rep.p + 1
         nn = rep.rank
 
@@ -641,7 +633,7 @@ def matrix_family(name: str, **params) -> MatrixFamily:
         from .asymptotics import smooth_cutoff, smooth_cutoff_derivative
 
         k = int(params["k"])
-        rep = params.get("rep") or standard_rep(k)
+        rep = standard_rep(k)
         p, nn = rep.p, rep.rank
         eye = np.eye(nn, dtype=complex)[None]
 

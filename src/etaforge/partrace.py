@@ -36,7 +36,7 @@ from .asymptotics import (
 )
 from .errors import OrderError, TruncationError
 from .forms import MatrixFamily
-from .quadrature import SphereRule, gauss_legendre, int_power, richardson_derivative, sphere_rule
+from .quadrature import gauss_legendre, int_power, richardson_derivative
 
 __all__ = [
     "hurwitz_zeta",
@@ -342,11 +342,13 @@ class SpectralFamily:
     def minimal_taylor_order(self) -> int:
         return max(0, math.floor(self.order + self.dim_m) + 1)
 
-    def order_consistent(self, n_samples: int = 64, seed: int = 0, bound: float = 50.0) -> bool:
-        """Sampled check of |F(lam, mu)| <= C (1 + |lam| + |mu|)^order."""
+    def order_consistent(self) -> bool:
+        """Sampled check of |F(lam, mu)| <= C (1 + |lam| + |mu|)^order at 64
+        seeded points, with C = 50."""
         if self.kernel is None:
             return True
-        rng = np.random.default_rng(seed)
+        n_samples, bound = 64, 50.0
+        rng = np.random.default_rng(0)
         lam = rng.uniform(0.5, 100.0, n_samples) * rng.choice([-1.0, 1.0], n_samples)
         mu = rng.uniform(0.0, 100.0, (n_samples, self.p))
         vals = np.abs(
@@ -594,9 +596,6 @@ def extended_trace(
     fam: SpectralFamily,
     model: ExpansionModel,
     ladder: RadiusLadder = DEFAULT_LADDER,
-    n_radial: int = 32,
-    window: WindowConfig = DEFAULT_WINDOW,
-    sphere: SphereRule | None = None,
 ) -> RegularizedValue:
     """Regularized integral over R^p of the parametric trace.
 
@@ -609,23 +608,17 @@ def extended_trace(
         def g(r):
             pts = np.zeros((len(r), p))
             pts[:, 0] = r
-            return tr_param_values(fam, pts, window)
+            return tr_param_values(fam, pts)
 
-        return regint_rp_radial(g, model, p, ladder, n_radial)
+        return regint_rp_radial(g, model, p, ladder)
 
-    def f(x):
-        return tr_param_values(fam, x, window)
-
-    return regint_rp(f, model, p, ladder, sphere, n_radial)
+    return regint_rp(lambda x: tr_param_values(fam, x), model, p, ladder)
 
 
 def formal_trace(
     fam: SpectralFamily,
     j: int,
     model: ExpansionModel,
-    radii: RadiusLadder = DEFAULT_LADDER,
-    directions: SphereRule | None = None,
-    window: WindowConfig = DEFAULT_WINDOW,
 ) -> complex:
     """Formal trace of omega = (-1)^{j-1} A dmu_1 ^ ... (dmu_j omitted) ... ^ dmu_p,
     with j counted from 1.
@@ -636,12 +629,7 @@ def formal_trace(
     a constant integrates to zero against mu_j), so the value is canonical.
     """
     p = fam.p
-    rule = directions if directions is not None else sphere_rule(p, (24, 48) if p == 3 else 64)
-
-    def f(x):
-        return tr_param_values(fam, x, window)
-
-    fitted = fit_expansion(f, model, p, radii=radii, directions=rule)
+    fitted = fit_expansion(lambda x: tr_param_values(fam, x), model, p)
     want = 1.0 - float(p)
     return fitted.integrate_coefficient(want, 0, fitted.directions[:, j - 1])
 
@@ -650,16 +638,10 @@ def formal_trace_via_regint(
     fam: SpectralFamily,
     j: int,
     model_of_derivative: ExpansionModel,
-    ladder: RadiusLadder = DEFAULT_LADDER,
     n_radial: int = 32,
-    window: WindowConfig = DEFAULT_WINDOW,
 ) -> complex:
     """Cross-route for the formal trace: the regularized integral of the
     parametric trace of the mu_j-derivative family (the exterior-derivative
     definition unwound on the top form)."""
     dfam = fam.d_mu(j - 1)
-
-    def f(x):
-        return tr_param_values(dfam, x, window)
-
-    return regint_rp(f, model_of_derivative, fam.p, ladder, None, n_radial).value
+    return regint_rp(lambda x: tr_param_values(dfam, x), model_of_derivative, fam.p, n_radial=n_radial).value

@@ -58,12 +58,15 @@ class SphereRule:
     weights: np.ndarray  # (M,)
 
 
-def sphere_rule(p: int, resolution: int | tuple[int, int] = 48) -> SphereRule:
+def sphere_rule(p: int, resolution: int | tuple[int, int] | None = None) -> SphereRule:
     """Quadrature on S^{p-1} for p in {1, 2, 3}.
 
     For p=3 the resolution is (n_polar, n_azimuthal); a single int n maps
-    to (n, 2n).
+    to (n, 2n).  The default is (24, 48) for p = 3 and 128 points for p = 2;
+    S^0 is always its two points.
     """
+    if resolution is None:
+        resolution = (24, 48) if p == 3 else 128
     if p == 1:
         pts = np.array([[1.0], [-1.0]])
         return SphereRule(1, pts, np.array([1.0, 1.0]))

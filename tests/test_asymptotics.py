@@ -219,6 +219,38 @@ def test_fit_from_tabulated_csv(tmp_path):
     assert abs(c[0] - 1.0) < 1e-12 and abs(c[1] + 1.0) < 1e-12
 
 
+def test_fit_samples_requires_enough_radii():
+    # 3 radii cannot carry 4 terms; the fit used to come out "valid" with c_-2 = 0.991
+    radii = np.array([4.0, 8.0, 16.0])
+    table = np.stack([radii ** -2.0, -(radii ** -2.0)], axis=1)
+    with pytest.raises(FitError, match="radii"):
+        fit_expansion_samples(radii, table, ExpansionModel.powers([-2, -3, -4, -5]), sphere_rule(1))
+
+
+def test_fit_samples_reject_a_table_of_the_wrong_shape():
+    # one column against the two directions of S^0 used to broadcast, and odd
+    # data integrated to 2 instead of 0
+    radii = np.array([4.0, 8.0, 16.0, 32.0, 64.0, 128.0])
+    with pytest.raises(ValueError, match="samples must be"):
+        fit_expansion_samples(radii, radii[:, None] ** -2.0, ExpansionModel.powers([-2]), sphere_rule(1))
+
+
+@pytest.mark.parametrize("fault", ["missing", "repeated", "negative"])
+def test_load_samples_csv_rejects_missing_or_repeated_cells(tmp_path, fault):
+    # each table used to load, with a zero or an overwritten cell
+    lines = ["radius,direction,re,im", "4.0,0,1.0,0.0", "4.0,1,-1.0,0.0", "8.0,0,0.25,0.0", "8.0,1,-0.25,0.0"]
+    if fault == "missing":
+        del lines[3]
+    elif fault == "repeated":
+        lines.append("8.0,0,0.5,0.0")
+    else:
+        lines[2] = "4.0,-1,-1.0,0.0"  # would alias direction 1
+    path = tmp_path / "samples.csv"
+    path.write_text("\n".join(lines))
+    with pytest.raises(ValueError, match=fault):
+        load_samples_csv(path)
+
+
 # ---------------------------------------------------------------------------
 # Regularized integrals on R^p
 

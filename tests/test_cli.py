@@ -81,8 +81,10 @@ def test_budget_validation():
     assert r.passed
 
 
-def test_report_determinism():
-    cfg = ExperimentConfig("trace-tanh", budget="quick", seed=3)
+@pytest.mark.parametrize("experiment", ["trace-tanh", "variation-check"])
+def test_report_determinism(experiment):
+    # variation-check evaluates forms: no batch state may leak into the second run
+    cfg = ExperimentConfig(experiment, budget="quick", seed=3)
     r1, r2 = run(cfg), run(cfg)
     assert r1.to_json(include_timing=False) == r2.to_json(include_timing=False)
     assert r1.config_hash == r2.config_hash

@@ -157,7 +157,7 @@ def _formal_trace_regint_d(form, coef_model, rule, n_radial):
     the top coefficient of d tr(form), whose coefficients sit one degree below
     those of the form."""
     dform = exterior_derivative(form.traced())
-    reg = regint_rp(lambda x: dform.evaluate((0, 1, 2), x)[:, 0, 0], coef_model.derivative(), 3, LAD, rule, n_radial)
+    reg = regint_rp(lambda x: dform.values(x)[(0, 1, 2)][:, 0, 0], coef_model.derivative(), 3, LAD, rule, n_radial)
     return reg.value
 
 
@@ -182,7 +182,8 @@ def test_defect_formal_trace_matches_regint_d_on_genuine_pair():
     # the top coefficient of d tr(w1 w2) has no degree -3 term (fitted: 4e-10),
     # so the reference fits it from CAPPED_MODEL's derivative, [-4..-8].
     # Measured gap 7.7e-8; the reference needs second partials of B, which
-    # has no analytic ones
+    # has no analytic ones.  formal_trace_matrix reads every coefficient from
+    # one batch; one fit_expansion per coefficient must give the same bits
     w1, w2 = defect_forms(matrix_family("capped_clifford", a=1.0, k=2), _conjugated_rotated_copy(1.5))
     form = wedge(w1, w2)
     cm = ExpansionModel.powers([-2, -3, -4, -5, -6])
@@ -192,9 +193,32 @@ def test_defect_formal_trace_matches_regint_d_on_genuine_pair():
     assert abs(a) > 1.0
     assert abs(a - b) < 2e-7
     traced = form.traced()
+    per_coefficient = 0.0 + 0.0j
     for I in traced.indices:
-        fit = fit_expansion(lambda x, I=I: traced.evaluate(I, x)[:, 0, 0], cm, 3, LAD, rule)
+        fit = fit_expansion(lambda x, I=I: traced.values(x)[I][:, 0, 0], cm, 3, LAD, rule)
         assert fit.valid and fit.condition_number < CONDITION_LIMIT
+        missing = next(m for m in range(3) if m not in I)
+        per_coefficient += (-1.0) ** missing * fit.integrate_coefficient(-2.0, 0, fit.directions[:, missing])
+    assert a == per_coefficient
+
+
+def test_formal_trace_matrix_runs_one_batch(monkeypatch):
+    # the three coefficients of a 2-form on R^3 come from one batch, not one each
+    batches = []
+    values = forms.MatrixForm.values
+
+    def counted(form, x, *rest):
+        batches.append(len(x))
+        return values(form, x, *rest)
+
+    monkeypatch.setattr(forms.MatrixForm, "values", counted)
+    A = matrix_family("capped_clifford", a=1.5, k=2)
+    w = mc_form(A)
+    form = wedge(wedge(form_from_families({(): forms.mf_inverse(A)}), w), w)
+    assert len(form.indices) == 3
+    rule = sphere_rule(3, (4, 8))
+    formal_trace_matrix(form, ExpansionModel.powers([-2, -3, -4, -5, -6]), LAD, rule)
+    assert batches == [len(LAD.radii()) * len(rule.points)]
 
 
 def test_additivity_k1_scalar_and_matrix(rng):
@@ -243,9 +267,9 @@ def test_defect_form_derivative_matches_structure_equations(rng):
     w1, w2 = defect_forms(matrix_family("capped_clifford", a=1.0, k=2), _conjugated_rotated_copy(1.5))
     pts = _points_near_radius_two(rng, 8)
     top = (0, 1, 2)
-    got = exterior_derivative(wedge(w1, w2).traced()).evaluate(top, pts)
-    want = -(wedge(wedge(w1, w1), w2).traced().evaluate(top, pts)
-             + wedge(wedge(w1, w2), w2).traced().evaluate(top, pts))
+    got = exterior_derivative(wedge(w1, w2).traced()).values(pts)[top]
+    want = -(wedge(wedge(w1, w1), w2).traced().values(pts)[top]
+             + wedge(wedge(w1, w2), w2).traced().values(pts)[top])
     assert np.max(np.abs(got - want)) < 1e-9 * np.max(np.abs(want))
 
 
@@ -262,7 +286,7 @@ def test_defect_form_derivative_runs_one_leaf_stencil(rng):
 
     w1, w2 = defect_forms(matrix_family("capped_clifford", a=1.0, k=2), MatrixFamily(3, 2, counted, name="counted"))
     pts = _points_near_radius_two(rng, 8)
-    exterior_derivative(wedge(w1, w2).traced()).evaluate((0, 1, 2), pts)
+    exterior_derivative(wedge(w1, w2).traced()).values(pts)
     assert sum(rows) == (1 + 4 * 3 + 8 * 3) * len(pts)
 
 
@@ -279,7 +303,7 @@ def test_defect_forms_invert_each_factor_once_per_batch(monkeypatch, rng):
     monkeypatch.setattr(forms, "_det_inv", counted)
     w1, w2 = defect_forms(matrix_family("capped_clifford", a=1.0, k=2), _conjugated_rotated_copy(1.5))
     pts = _points_near_radius_two(rng, 8)
-    exterior_derivative(wedge(w1, w2).traced()).evaluate((0, 1, 2), pts)
+    exterior_derivative(wedge(w1, w2).traced()).values(pts)
     assert calls == [len(pts)] * 2
 
 
