@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,6 +32,7 @@ from .quadrature import (
     int_power,
     richardson_derivative,
     row_norm,
+    sample_points,
     sphere_rule,
 )
 
@@ -132,16 +134,16 @@ class ExpansionModel:
 class FittedExpansion:
     """Least-squares coefficients of a fit against a power-log basis.
 
-    ``coefficients`` maps (degree, logpow) to per-direction samples; for
-    radial fits the arrays have length one.
+    ``coefficients`` maps (degree, logpow) to per-direction samples at the
+    points of ``rule``; for radial fits the arrays have length one and
+    ``rule`` is None.
     """
 
     coefficients: dict[tuple[float, int], np.ndarray]
     residual: float
     valid: bool
     condition_number: float
-    directions: np.ndarray | None = None
-    direction_weights: np.ndarray | None = None
+    rule: SphereRule | None = None
 
     def coefficient(self, degree: float, logpow: int = 0) -> np.ndarray:
         key = (float(degree), int(logpow))
@@ -149,14 +151,12 @@ class FittedExpansion:
             raise MissingCoefficientError(f"no fitted coefficient at degree {degree}, log power {logpow}")
         return self.coefficients[key]
 
-    def integrate_coefficient(self, degree: float, logpow: int, factor: np.ndarray | None = None) -> complex:
-        """Sphere integral of the angular coefficient times an optional factor
-        sampled at the fit directions."""
-        if self.direction_weights is None:
-            raise MissingCoefficientError("fit carries no sphere weights")
-        g = self.coefficient(degree, logpow)
-        f = 1.0 if factor is None else factor
-        return complex(np.sum(self.direction_weights * g * f))
+    def integrate_coefficient(self, degree: float, logpow: int, factor: np.ndarray) -> complex:
+        """Sphere integral of the angular coefficient times a factor sampled
+        at the fit directions."""
+        if self.rule is None:
+            raise MissingCoefficientError("fit carries no sphere rule")
+        return complex(np.sum(self.rule.weights * self.coefficient(degree, logpow) * factor))
 
 
 @dataclass
@@ -326,7 +326,9 @@ def _fit(xs, ys, basis, noise_floor, rule: SphereRule | None = None, zero_floor:
     """Every FittedExpansion is made here: ys (n, m) against ``basis`` on the
     radii xs, with m = 1 for a radial fit or one column per direction of
     ``rule``."""
-    if len(xs) < 2 * max(1, len(basis)):
+    if not basis:
+        raise FitError("the expansion model has no terms to fit")
+    if len(xs) < 2 * len(basis):
         raise FitError(f"radius ladder too short: {len(xs)} radii for {len(basis)} basis terms")
     # called through the module global, which the benchmark's tracer rebinds
     coeff, resid, cond = _weighted_power_fit(xs, ys, basis, noise_floor, zero_floor)
@@ -335,8 +337,7 @@ def _fit(xs, ys, basis, noise_floor, rule: SphereRule | None = None, zero_floor:
         residual=resid,
         valid=resid <= RESIDUAL_THRESHOLD,
         condition_number=cond,
-        directions=None if rule is None else rule.points,
-        direction_weights=None if rule is None else rule.weights,
+        rule=rule,
     )
 
 
@@ -349,13 +350,6 @@ def _lim_fit(xs, ys, abs_ys, terms, shift, zero_floor: float = ZERO_FLOOR) -> tu
 
 # ---------------------------------------------------------------------------
 # Expansion fitting at infinity
-
-
-def sample_points(rr: np.ndarray, rule: SphereRule) -> np.ndarray:
-    """The tensor product of the radii rr with the rule's directions as an
-    (len(rr) * len(rule.points), p) array, radius-major: sampled values
-    reshape to (len(rr), len(rule.points))."""
-    return (rr[:, None, None] * rule.points[None, :, :]).reshape(-1, rule.p)
 
 
 def fit_expansion(
@@ -396,33 +390,48 @@ def fit_expansion_samples(
     return _fit(radii, values, _dedupe_basis(model.expanded_terms()), floor, directions)
 
 
-def load_samples_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read tabulated samples with columns radius, direction-index, re, im.
+def read_csv_table(path, key: str, indices: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Read a CSV table with columns ``key`` (a float), one integer column
+    per name in ``indices``, re and im into the sorted distinct keys and the
+    complex array values[k, i_1, ..., i_n], each index axis one longer than
+    the largest index of any column.
 
-    Every (radius, direction) cell of the table must appear exactly once;
-    a missing or repeated cell raises ValueError."""
-    rows = []
+    Blank lines, '#' comments and the header row (first field ``key``) are
+    skipped.  Every cell must appear exactly once: an empty table, a row with
+    too few fields, a negative index, or a missing or repeated cell raises
+    ValueError naming the row or cell.
+    """
+    n = len(indices)
+
+    def cell(x, idx) -> str:
+        return ", ".join([f"{key} = {x}"] + [f"{name} = {i}" for name, i in zip(indices, idx)])
+
+    cells = {}
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#") or row[0].strip().lower() == "radius":
+            if not row or row[0].strip().startswith("#") or row[0].strip().lower() == key:
                 continue
-            rows.append((float(row[0]), int(row[1]), float(row[2]), float(row[3])))
-    if any(i < 0 for _, i, *_ in rows):
-        raise ValueError(f"{path}: direction indices must be nonnegative")
-    radii = sorted({r for r, *_ in rows})
-    nd = max(i for _, i, *_ in rows) + 1
-    values = np.zeros((len(radii), nd), dtype=complex)
-    seen = np.zeros(values.shape, dtype=bool)
-    index = {r: i for i, r in enumerate(radii)}
-    for r, i, re, im in rows:
-        if seen[index[r], i]:
-            raise ValueError(f"{path}: repeated sample at radius {r}, direction {i}")
-        seen[index[r], i] = True
-        values[index[r], i] = re + 1j * im
-    if not seen.all():
-        k, i = np.argwhere(~seen)[0]
-        raise ValueError(f"{path}: missing sample at radius {radii[k]}, direction {i}")
-    return np.array(radii), values
+            if len(row) < n + 3:
+                raise ValueError(f"{path}: a row needs {n + 3} fields, got {row!r}")
+            x, idx = float(row[0]), tuple(int(v) for v in row[1:1 + n])
+            if min(idx) < 0 or (x, idx) in cells:
+                raise ValueError(f"{path}: {'negative index' if min(idx) < 0 else 'repeated cell'} at {cell(x, idx)}")
+            cells[x, idx] = float(row[1 + n]) + 1j * float(row[2 + n])
+    if not cells:
+        raise ValueError(f"{path}: the table has no cells")
+    keys = sorted({x for x, _ in cells})
+    size = 1 + max(max(idx) for _, idx in cells)
+    grid = list(product(keys, product(range(size), repeat=n)))
+    missing = next((c for c in grid if c not in cells), None)
+    if missing is not None:
+        raise ValueError(f"{path}: missing cell at {cell(*missing)}")
+    return np.array(keys), np.array([cells[c] for c in grid]).reshape((len(keys),) + (size,) * n)
+
+
+def load_samples_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read tabulated samples with columns radius, direction-index, re, im
+    (``read_csv_table``): the radii and values[i_radius, i_direction]."""
+    return read_csv_table(path, "radius", ("direction",))
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +598,7 @@ def cov_correction(
     base = regint_rp(f, model, p, ladder, rule, n_radial).value
 
     Ainv = np.linalg.inv(A)
-    xi = fitted.directions
-    lognorm = np.log(np.linalg.norm(xi @ Ainv.T, axis=1))
+    lognorm = np.log(np.linalg.norm(rule.points @ Ainv.T, axis=1))
     lmax = dict(model.terms)[-float(p)]
     corr = 0.0 + 0.0j
     for l in range(lmax + 1):
@@ -638,7 +646,7 @@ def stokes_defect(
     if want not in model.degrees:
         raise MissingCoefficientError(f"stokes defect needs degree {want} in the declared model")
     lhs = regint_rp(_fd_partial(f, j), model.derivative(), p, ladder, rule, n_radial).value
-    rhs = fitted.integrate_coefficient(want, 0, fitted.directions[:, j])
+    rhs = fitted.integrate_coefficient(want, 0, rule.points[:, j])
     return ComparisonPair(lhs, rhs)
 
 

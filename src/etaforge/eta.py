@@ -25,7 +25,6 @@ from .asymptotics import (
     regint_halfline,
     regint_rp,
     regint_rp_radial,
-    sample_points,
     smooth_step,
 )
 from .errors import SingularFamilyError
@@ -39,6 +38,7 @@ from .forms import (
     mf_inverse,
     mf_product,
     sphere_integrate,
+    sphere_pairing,
     wedge,
 )
 from .partrace import (
@@ -51,7 +51,7 @@ from .partrace import (
     l2_trace_values,
     tr_param_values,
 )
-from .quadrature import SphereRule, gauss_legendre, richardson_derivative, sphere_rule
+from .quadrature import SphereRule, gauss_legendre, richardson_derivative, sample_points, sphere_rule
 
 __all__ = [
     "c_k",
@@ -129,7 +129,7 @@ def _top_scalar(form: MatrixForm) -> Callable[[np.ndarray], np.ndarray]:
 def eta_k(
     A: MatrixFamily,
     k: int,
-    model: ExpansionModel | None = None,
+    model: ExpansionModel,
     ladder: RadiusLadder = DEFAULT_LADDER,
     sphere: SphereRule | None = None,
     n_radial: int = 32,
@@ -140,8 +140,6 @@ def eta_k(
     p = 2 * k - 1
     if A.p != p:
         raise ValueError(f"eta_{k} needs a family on R^{p}, got p = {A.p}")
-    if model is None:
-        raise ValueError("matrix families need a declared expansion model")
     tform = maurer_cartan_power(A, p)
     reg = regint_rp(_top_scalar(tform), model, p, ladder, sphere, n_radial)
     return EtaResult(2.0 * c_k(k) * reg.value, "matrix-form", [reg])
@@ -162,30 +160,26 @@ def formal_trace_matrix(
     coef_model: ExpansionModel,
     radii: RadiusLadder = DEFAULT_LADDER,
     sphere: SphereRule | None = None,
-    n_radial: int = 32,
 ) -> complex:
     """Formal trace of a degree-(p-1) matrix form over R^p.
 
     The traced form is evaluated once, every coefficient from one batch at
     the radius ladder times the sphere rule.  Each coefficient is fitted with
-    ``coef_model`` and its degree (1-p, 0) angular part is integrated against
-    the missing coordinate over the unit sphere; no derivative of the form is
-    taken.
+    ``coef_model``, and the form of the degree (1-p, 0) angular parts is
+    integrated over the unit sphere (``sphere_pairing``); no derivative of
+    the form is taken.
     """
     p = form.p
     if form.degree != p - 1:
         raise ValueError("formal trace needs a degree p-1 form")
-    traced = form.traced()
     rr = radii.radii()
     rule = sphere if sphere is not None else sphere_rule(p)
     want = 1.0 - float(p)
-    total = 0.0 + 0.0j
-    for I, vals in traced.values(sample_points(rr, rule)).items():
-        missing = [m for m in range(p) if m not in I][0]
-        sign = (-1.0) ** missing
-        fitted = fit_expansion_samples(rr, vals[:, 0, 0].reshape(len(rr), len(rule.points)), coef_model, rule)
-        total += sign * fitted.integrate_coefficient(want, 0, fitted.directions[:, missing])
-    return total
+    angular = {
+        I: fit_expansion_samples(rr, vals[:, 0, 0].reshape(len(rr), -1), coef_model, rule).coefficient(want)
+        for I, vals in form.traced().values(sample_points(rr, rule)).items()
+    }
+    return sphere_pairing(rule, angular)[0]
 
 
 def eta_variation(
@@ -218,7 +212,7 @@ def eta_variation(
     for _ in range(2 * k - 2):
         form = wedge(form, w)
     cm = coef_model if coef_model is not None else model
-    rhs = 2.0 * (2 * k - 1) * c_k(k) * formal_trace_matrix(form, cm, ladder, sphere, n_radial)
+    rhs = 2.0 * (2 * k - 1) * c_k(k) * formal_trace_matrix(form, cm, ladder, sphere)
     return lhs, rhs
 
 
@@ -268,7 +262,7 @@ def additivity_defect(
 
     w1, w2 = defect_forms(A, B)
     coef_model = ExpansionModel(tuple((d + 1.0, l) for d, l in model_eta.terms), model_eta.remainder_degree + 1.0)
-    tr12 = formal_trace_matrix(wedge(w1, w2), coef_model, ladder, sphere, n_radial)
+    tr12 = formal_trace_matrix(wedge(w1, w2), coef_model, ladder, sphere)
     rhs = -6.0 * c_k(2) * tr12
     return AdditivityDefect(lhs, rhs, eab, ea, eb)
 

@@ -83,7 +83,7 @@ class Budget:
     s_nodes: int
 
     def sphere(self, p):
-        return sphere_rule(p, self.sphere_p3 if p == 3 else 128)
+        return sphere_rule(p, self.sphere_p3 if p == 3 else None)
 
 
 BUDGETS = {
@@ -269,8 +269,7 @@ def exp_sphere_omega(params, budget, rng):
 
 
 def exp_rp_omega(params, budget, rng):
-    p = _params(params, {"k": 2}, ranges={"k": (2, 2)})
-    k = int(p["k"])
+    _params(params, {})
     rows = []
     model = ExpansionModel.powers([-4, -6, -8, -10])
     for a in (1.0, -1.0):

@@ -19,10 +19,10 @@ below that, one Richardson stencil of the missing order is applied to the
 deepest analytic level, so no finite difference wraps another.  Products
 follow Leibniz, inverses d(A^-1) = -A^-1 (dA) A^-1, and traces are sums of
 rows, with the rank-2 kernels ``_matmul`` and ``_det_inv`` doing the
-batched algebra.  Sphere integration pulls top forms back through explicit
-hyperspherical charts whose weights carry the volume density, so the
-pullback of a top form is a signed sum of its coefficients times the
-chart's coordinates, with no Jacobian minor.
+batched algebra.  A top form on a sphere is integrated by ``sphere_pairing``
+at the points of ``quadrature.sphere_rule``, the one sphere sampler: its
+weights are the surface measure, so the integral is a signed sum of the
+coefficients times the missing coordinate, with no Jacobian minor.
 """
 
 from __future__ import annotations
@@ -35,10 +35,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .asymptotics import read_csv_table, smooth_cutoff, smooth_cutoff_derivative
 from .clifford import CliffordRep, clifford_action, standard_rep, volume_trace
 from .errors import QuadratureError, SingularFamilyError
 from .quadrature import (
-    coarser_chart_resolution, fd_step, richardson_derivative, row_norm, sphere_chart,
+    SphereRule, coarser_chart_resolution, fd_step, richardson_derivative, row_norm, sphere_rule,
 )
 
 __all__ = [
@@ -50,6 +51,7 @@ __all__ = [
     "mc_form",
     "clifford_omega_closed_form",
     "sphere_integrate",
+    "sphere_pairing",
     "sphere_volume_form",
     "SphereIntegral",
     "matrix_family",
@@ -496,33 +498,40 @@ class SphereIntegral(NamedTuple):
     error_estimate: float
 
 
-def sphere_integrate(form: MatrixForm, resolution=None) -> SphereIntegral:
-    """Integrate a scalar top form over S^d via the standard embedding.
+def sphere_pairing(rule: SphereRule, coefficients: dict[Index, np.ndarray]) -> tuple[complex, float]:
+    """The integral over the outward-oriented S^{p-1} of the top form
+    sum_I c_I dx_I, each c_I sampled at the rule's points, and its absolute
+    mass: sum_I (-1)^j sum w xi_j c_I and sum_I sum |w xi_j c_I|, j the index
+    that I omits (dx_I restricts to (-1)^j xi_j times the surface measure)."""
+    total, mass = 0.0 + 0.0j, 0.0
+    for I, c in coefficients.items():
+        j = next(m for m in range(rule.p) if m not in I)
+        contrib = rule.weights * c * rule.points[:, j]
+        total += (-1.0) ** j * complex(np.sum(contrib))
+        mass += float(np.sum(np.abs(contrib)))
+    return total, mass
 
-    The form must have degree d on R^{d+1} with rank-1 coefficients.  The
-    chart weights carry the volume density, and the chart's Jacobian minors
-    are det J[I_j] = (-1)^j X_j vol (I_j omits j), so the coefficient c_{I_j}
-    pulls back to (-1)^j X_j c_{I_j}; no minor is computed.  Two refinement
-    levels give the error estimate; QuadratureError is raised when it
-    exceeds the larger of 1e-10 and 1e-8 relative.
+
+def sphere_integrate(form: MatrixForm, resolution=None) -> SphereIntegral:
+    """Integrate a scalar top form over S^d, d in 1..3, embedded in R^{d+1}.
+
+    The form must have degree d on R^{d+1} with rank-1 coefficients; it is
+    sampled at ``sphere_rule(d + 1, resolution)`` and integrated by
+    ``sphere_pairing``.  Two refinement levels give the error estimate;
+    QuadratureError is raised when it exceeds the larger of 1e-10 and 1e-8
+    relative.
     """
     d = form.degree
+    if not 1 <= d <= 3:
+        raise ValueError(f"sphere_integrate covers S^1..S^3, got a degree-{d} form")
     if form.p != d + 1:
         raise ValueError(f"degree-{d} form must live on R^{d + 1} to be integrated over S^{d}")
     if form.n != 1:
         raise ValueError("sphere_integrate needs rank-1 coefficients; call .traced() first")
 
     def run(res):
-        X, W = sphere_chart(d, res)
-        total = 0.0 + 0.0j
-        mass = 0.0
-        vals = form.values(X)
-        for I in form.indices:
-            j = next(m for m in range(d + 1) if m not in I)
-            contrib = W * vals[I][:, 0, 0] * ((-1.0) ** j * X[:, j])
-            total += complex(np.sum(contrib))
-            mass += float(np.sum(np.abs(contrib)))
-        return total, mass
+        rule = sphere_rule(d + 1, res)
+        return sphere_pairing(rule, {I: v[:, 0, 0] for I, v in form.values(rule.points).items()})
 
     fine, mass = run(resolution)
     coarse, _ = run(coarser_chart_resolution(d, resolution))
@@ -630,8 +639,6 @@ def matrix_family(name: str, **params) -> MatrixFamily:
         # cos(theta(r)) + sin(theta(r)) c(x/|x|) with theta = pi * chi(r):
         # identity near 0, the constant -1 outside |x| = 1.  The standard
         # compactly supported generator of a nonzero winding number.
-        from .asymptotics import smooth_cutoff, smooth_cutoff_derivative
-
         k = int(params["k"])
         rep = standard_rep(k)
         p, nn = rep.p, rep.rank
@@ -669,22 +676,12 @@ def matrix_family_from_csv(path) -> MatrixFamily:
     """Tabulated matrix family from CSV columns x, row, col, re, im.
 
     One-dimensional base only; values are interpolated linearly entry by
-    entry between the tabulated parameter points.
+    entry between the tabulated parameter points.  The matrices are N x N,
+    N one more than the largest row or column index, and the table is read
+    by ``read_csv_table``: every (x, row, col) cell must appear exactly once.
     """
-    import csv as _csv
-
-    rows = []
-    with open(path, newline="") as fh:
-        for row in _csv.reader(fh):
-            if not row or row[0].strip().startswith("#") or row[0].strip().lower() == "x":
-                continue
-            rows.append((float(row[0]), int(row[1]), int(row[2]), float(row[3]), float(row[4])))
-    xs = np.array(sorted({r[0] for r in rows}))
-    n = max(r[1] for r in rows) + 1
-    table = np.zeros((len(xs), n, n), dtype=complex)
-    index = {x: i for i, x in enumerate(xs)}
-    for x, i, j, re, im in rows:
-        table[index[x], i, j] = re + 1j * im
+    xs, table = read_csv_table(path, "x", ("row", "col"))
+    n = table.shape[1]
 
     def f(pts):
         t = np.asarray(pts, dtype=float)[:, 0]

@@ -631,7 +631,7 @@ def formal_trace(
     p = fam.p
     fitted = fit_expansion(lambda x: tr_param_values(fam, x), model, p)
     want = 1.0 - float(p)
-    return fitted.integrate_coefficient(want, 0, fitted.directions[:, j - 1])
+    return fitted.integrate_coefficient(want, 0, fitted.rule.points[:, j - 1])
 
 
 def formal_trace_via_regint(

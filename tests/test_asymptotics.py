@@ -195,6 +195,12 @@ def test_fit_requires_enough_radii():
         fit_expansion(f, ExpansionModel.powers([-2, -3, -4, -5]), p=1, radii=np.array([4.0, 8.0, 16.0]))
 
 
+def test_fit_rejects_a_model_without_terms():
+    # numpy's "need at least one array to stack" used to escape the fit
+    with pytest.raises(FitError, match="no terms"):
+        fit_expansion(scalar_family("lorentz"), ExpansionModel.make([], remainder=-3.0), 1)
+
+
 def test_fit_flags_near_degenerate_degrees():
     f = lambda x: np.linalg.norm(x, axis=1) ** (-2.0) + 0j
     model = ExpansionModel.make([(-2.0, 0), (-2.0 - 1e-11, 0)])

@@ -81,9 +81,10 @@ def test_budget_validation():
     assert r.passed
 
 
-@pytest.mark.parametrize("experiment", ["trace-tanh", "variation-check"])
+@pytest.mark.parametrize("experiment", ["trace-tanh", "variation-check", "sphere-omega"])
 def test_report_determinism(experiment):
-    # variation-check evaluates forms: no batch state may leak into the second run
+    # variation-check and sphere-omega evaluate forms: no batch state may leak
+    # into the second run
     cfg = ExperimentConfig(experiment, budget="quick", seed=3)
     r1, r2 = run(cfg), run(cfg)
     assert r1.to_json(include_timing=False) == r2.to_json(include_timing=False)

@@ -170,7 +170,7 @@ def test_formal_trace_matrix_routes_agree():
     w = mc_form(A)
     form = wedge(wedge(form_from_families({(): mf_inverse(A)}), w), w)
     cm = ExpansionModel.powers([-2, -3, -4, -5, -6])
-    a = formal_trace_matrix(form, cm, LAD, sphere_rule(3, (16, 32)), 24)
+    a = formal_trace_matrix(form, cm, LAD, sphere_rule(3, (16, 32)))
     b = _formal_trace_regint_d(form, cm, sphere_rule(3, (16, 32)), 24)
     assert abs(a) > 1e-3
     assert abs(a - b) < 1e-5
@@ -188,7 +188,7 @@ def test_defect_formal_trace_matches_regint_d_on_genuine_pair():
     form = wedge(w1, w2)
     cm = ExpansionModel.powers([-2, -3, -4, -5, -6])
     rule = sphere_rule(3, (8, 16))
-    a = formal_trace_matrix(form, cm, LAD, rule, 16)
+    a = formal_trace_matrix(form, cm, LAD, rule)
     b = _formal_trace_regint_d(form, CAPPED_MODEL, rule, 16)
     assert abs(a) > 1.0
     assert abs(a - b) < 2e-7
@@ -198,7 +198,7 @@ def test_defect_formal_trace_matches_regint_d_on_genuine_pair():
         fit = fit_expansion(lambda x, I=I: traced.values(x)[I][:, 0, 0], cm, 3, LAD, rule)
         assert fit.valid and fit.condition_number < CONDITION_LIMIT
         missing = next(m for m in range(3) if m not in I)
-        per_coefficient += (-1.0) ** missing * fit.integrate_coefficient(-2.0, 0, fit.directions[:, missing])
+        per_coefficient += (-1.0) ** missing * fit.integrate_coefficient(-2.0, 0, fit.rule.points[:, missing])
     assert a == per_coefficient
 
 

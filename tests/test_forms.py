@@ -312,6 +312,14 @@ def test_sphere_integrate_needs_scalar_coefficients():
         sphere_integrate(form)
 
 
+def test_sphere_integrate_covers_s1_to_s3_only():
+    point = form_from_families({(): MatrixFamily.constant([[1.0]], 1)})  # a 0-form on R^1: S^0
+    with pytest.raises(ValueError, match="S\\^1..S\\^3"):
+        sphere_integrate(point)
+    with pytest.raises(ValueError, match="S\\^1..S\\^3"):
+        sphere_integrate(sphere_volume_form(4))  # a top form on R^5
+
+
 def test_singular_family_reports_point():
     fam = matrix_family("affine_clifford", a=0.0, k=2)
     w = mc_form(fam)
@@ -397,3 +405,37 @@ def test_tabulated_matrix_family(tmp_path):
     assert abs(got[0, 0, 0] - 0.5) < 1e-12
     assert abs(got[1, 0, 1] + 2j) < 1e-12
     assert abs(got[0, 1, 1] - 1.0) < 1e-12
+
+
+# each fault of a 2 x 2 table, the error naming it, and what the table did before
+_TABLE_FAULTS = {
+    "missing": "missing cell at x = 0.0, row = 0, col = 1",  # read as 0: a singular matrix
+    "repeated": "repeated cell at x = 0.0, row = 1, col = 1",  # overwrote the first value
+    "negative": "negative index at x = 0.0, row = -1, col = 1",  # aliased the last row
+    "wide": "missing cell at x = 0.0, row = 0, col = 2",  # col 2 of a 2-row table: a bare IndexError
+    "empty": "no cells",  # failed in max() of an empty sequence
+    "short": "a row needs 5 fields",  # a bare IndexError
+}
+
+
+@pytest.mark.parametrize("fault", list(_TABLE_FAULTS))
+def test_tabulated_matrix_family_rejects_malformed_tables(tmp_path, fault):
+    from etaforge.forms import matrix_family_from_csv
+
+    lines = ["x,row,col,re,im"] + [f"{x},{i},{j},{x + i - j},0.0" for x in (0.0, 1.0) for i in range(2) for j in range(2)]
+    if fault == "missing":
+        lines.remove("0.0,0,1,-1.0,0.0")
+    elif fault == "repeated":
+        lines.append("0.0,1,1,2.0,0.0")
+    elif fault == "negative":
+        lines[lines.index("0.0,1,1,0.0,0.0")] = "0.0,-1,1,0.0,0.0"
+    elif fault == "wide":
+        lines.append("1.0,1,2,5.0,0.0")
+    elif fault == "short":
+        lines[-1] = "1.0,1,1,1.0"
+    else:
+        lines = lines[:1]
+    path = tmp_path / "family.csv"
+    path.write_text("\n".join(lines))
+    with pytest.raises(ValueError, match=_TABLE_FAULTS[fault]):
+        matrix_family_from_csv(path)

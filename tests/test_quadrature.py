@@ -49,14 +49,29 @@ def test_sphere_rule_second_moment():
 
 
 def test_sphere_charts_recover_volumes():
-    # the chart weights carry the volume density, and the pullback of
+    # the weights are the surface measure, and the pairing of
     # sum_j (-1)^j x_j d(hat j) is sum_j x_j^2 = 1 at every point
     vols = {1: 2 * math.pi, 2: 4 * math.pi, 3: 2 * math.pi ** 2}
     for d, want in vols.items():
-        X, W = sphere_chart(d)
+        rule = sphere_rule(d + 1)
+        X, W = rule.points, rule.weights
         assert abs(np.sum(W) - want) < 1e-10
         assert abs(np.sum(W * np.sum(X * X, axis=1)) - want) < 1e-10
         assert np.max(np.abs(row_norm(X) - 1.0)) < 1e-15
+
+
+@pytest.mark.parametrize("p, bad", [
+    (2, 0), (3, 0), (2, -4), (3, (0, 8)), (4, (4, 4, -8)),  # not positive
+    (1, (2,)), (2, (8, 16)), (3, (8,)), (4, 8), (4, (4, 8)),  # wrong arity
+    (2, 8.0), (3, (8.0, 16)), (2, True), (3, (True, 8)),  # float, bool
+    (0, None), (5, None),  # no sphere rule in R^0 or R^5
+], ids=str)
+def test_sphere_rule_rejects_bad_resolutions(p, bad):
+    with pytest.raises(ValueError):
+        sphere_rule(p, bad)
+    if p >= 2:
+        with pytest.raises(ValueError):
+            sphere_chart(p - 1, bad)
 
 
 def _hyperspherical_jacobian(d, angles):
@@ -103,16 +118,22 @@ def test_chart_jacobian_minors_are_signed_coordinates_times_density(rng, d):
 
 
 def test_sphere_chart_points_and_weights_follow_the_jacobian_charts():
-    # sphere_chart's points are the test charts' X at its own nodes, and its
+    # the S^3 rule's points are the test charts' X at its own nodes, and its
     # weights the node weights times the density
-    X, W = sphere_chart(2, (6, 8))
-    xg, wg = gauss_legendre(6)
-    t = np.repeat(0.5 * math.pi * (xg + 1.0), 8)
-    f = np.tile(2.0 * math.pi * np.arange(8) / 8, 6)
-    want_X, _ = _hyperspherical_jacobian(2, np.stack([t, f], axis=1))
-    assert np.max(np.abs(X - want_X)) < 1e-15
-    want_W = np.repeat(0.5 * math.pi * wg, 8) * (2.0 * math.pi / 8) * np.sin(t)
-    assert np.max(np.abs(W - want_W)) < 1e-15
+    rule = sphere_rule(4, (5, 6, 8))
+    (x1, w1), (x2, w2) = gauss_legendre(5), gauss_legendre(6)
+    s = np.repeat(0.5 * math.pi * (x1 + 1.0), 6 * 8)
+    t = np.tile(np.repeat(0.5 * math.pi * (x2 + 1.0), 8), 5)
+    f = np.tile(2.0 * math.pi * np.arange(8) / 8, 5 * 6)
+    want_X, _ = _hyperspherical_jacobian(3, np.stack([s, t, f], axis=1))
+    assert np.max(np.abs(rule.points - want_X)) < 1e-15
+    node_w = np.repeat(0.5 * math.pi * w1, 6 * 8) * np.tile(np.repeat(0.5 * math.pi * w2, 8), 5) * (2.0 * math.pi / 8)
+    assert np.max(np.abs(rule.weights - node_w * np.sin(s) ** 2 * np.sin(t))) < 1e-15
+    # sphere_chart only delegates, array for array
+    for d, res in [(1, None), (1, 40), (2, None), (2, 6), (2, (6, 10)), (3, None), (3, (5, 6, 8))]:
+        chart, want = sphere_chart(d, res), sphere_rule(d + 1, res)
+        assert chart.p == want.p == d + 1
+        assert np.array_equal(chart.points, want.points) and np.array_equal(chart.weights, want.weights)
 
 
 def test_cumulative_radial_matches_antiderivative():
