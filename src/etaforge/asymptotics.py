@@ -591,10 +591,7 @@ def cov_correction(
     rule = sphere if sphere is not None else sphere_rule(p)
     fitted = fit_expansion(f, model, p, radii=ladder, directions=rule)
 
-    def fA(x):
-        return f(x @ A.T)
-
-    lhs = regint_rp(fA, model, p, ladder, rule, n_radial).value
+    lhs = regint_rp(_substituted(f, A), model, p, ladder, rule, n_radial).value
     base = regint_rp(f, model, p, ladder, rule, n_radial).value
 
     Ainv = np.linalg.inv(A)
@@ -607,17 +604,50 @@ def cov_correction(
     return ComparisonPair(lhs, rhs, corr / abs(det))
 
 
+def _unaliased(v, buf):
+    """f's value v, copied when it may share memory with the held input
+    buffer buf, which the next call rewrites."""
+    return v.copy() if np.may_share_memory(v, buf) else v
+
+
+def _substituted(f, A):
+    """x -> f(x A^T), with x A^T written into one buffer held across calls
+    of the same shape."""
+    buf = None
+
+    def fA(x):
+        nonlocal buf
+        shape = np.shape(x)[:-1] + (A.shape[0],)
+        if buf is None or buf.shape != shape:
+            buf = np.empty(shape)
+        return _unaliased(f(np.matmul(x, A.T, out=buf)), buf)
+
+    return fA
+
+
 def _fd_partial(f, j):
-    """Central difference with one Richardson pass, step scaled by 1 + |x|."""
+    """Central difference with one Richardson pass, step scaled by 1 + |x|.
+
+    The shifted points live in one (M, p) buffer held for the life of the
+    closure and replaced only when the shape changes.  Each call copies x
+    into it once, and each stencil offset rewrites column j alone, as
+    x_j + c h, which rounds as adding c h to a fresh copy would.  A value of
+    f that may share memory with the buffer (a view of its input) is copied
+    before the next offset overwrites it; the caller's x is never written.
+    """
+    buf = None
 
     def df(x):
+        nonlocal buf
         x = np.asarray(x, dtype=float)
         h = fd_step(x)
+        if buf is None or buf.shape != x.shape:
+            buf = np.empty(x.shape)
+        np.copyto(buf, x)
 
         def at(c):
-            y = x.copy()
-            y[:, j] += c * h
-            return f(y)
+            np.add(x[:, j], c * h, out=buf[:, j])
+            return _unaliased(f(buf), buf)
 
         return richardson_derivative(at, h)
 
@@ -669,7 +699,8 @@ def scalar_family(name: str, **params) -> Callable[[np.ndarray], np.ndarray]:
         def f(x):
             r = row_norm(x)
             with np.errstate(divide="ignore", invalid="ignore"):
-                out = smooth_cutoff(r) * r ** alpha
+                out = smooth_cutoff(r)
+                out *= r ** alpha
                 if logpow:
                     out *= np.log(r) ** logpow
             out[~(r > 0)] = 0.0
@@ -708,7 +739,9 @@ def scalar_family(name: str, **params) -> Callable[[np.ndarray], np.ndarray]:
         def f(x):
             r = row_norm(x)
             with np.errstate(divide="ignore", invalid="ignore"):
-                out = smooth_cutoff(r) * x[:, j] * r ** (-q)
+                out = smooth_cutoff(r)
+                out *= x[:, j]
+                out *= r ** (-q)
             out[~(r > 0)] = 0.0
             return out
 

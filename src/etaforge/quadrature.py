@@ -7,8 +7,9 @@ S^2, double Gauss-Legendre x trapezoid in hyperspherical coordinates on S^3),
 with one resolution check and one default table, and ``sample_points`` the
 one grid of radii times a rule's directions.
 Every shell-panel sum is exact and correctly rounded (``exact_sum``: integer
-limbs binned per binary exponent, bit for bit the value of ``math.fsum``), so
-the cumulative integrals do not depend on summation order; the remaining
+limbs binned per binary exponent, bit for bit the value of ``math.fsum``; one
+split of a real panel gives both its sum and its absolute mass), so the
+cumulative integrals do not depend on summation order; the remaining
 reductions run in a fixed index order.  Real integrand values stay float64
 through the loop; complex ones are summed by real and imaginary part.
 ``row_norm`` is the Euclidean norm of short rows, ``int_power`` the integer
@@ -193,14 +194,29 @@ _EXACT_CHUNK = 1 << 26
 _FSUM_BELOW = 512
 
 
-def _limb_total(a: np.ndarray) -> int | None:
-    """Exact sum of the 1-D float array ``a`` in units of 2^-1126, or None
-    when ``a`` holds a non-finite value.
+def _bin_total(hi: np.ndarray, lo: np.ndarray) -> int:
+    """The per-exponent limb sums ``hi`` (integers) and ``lo`` (multiples of
+    2^-27) joined in one Python integer, in units of 2^-27 of a bin-0 limb."""
+    ks = (hi + lo).nonzero()[0]  # hi + lo == 0 exactly where the limbs cancel
+    his = hi[ks].astype(np.int64).tolist()
+    los = (lo[ks] * 2.0 ** 27).astype(np.int64).tolist()
+    total = 0
+    for k, hi_k, lo_k in zip(ks.tolist(), his, los):
+        total += ((hi_k << 27) + lo_k) << k
+    return total
+
+
+def _limb_totals(a: np.ndarray, mass: bool) -> list[int] | None:
+    """Exact sum of the 1-D float array ``a`` in units of 2^-1126, followed
+    by the exact sum of |a| when ``mass`` is set; None when ``a`` holds a
+    non-finite value.
 
     Each element is m 2^e with |m| < 1 (``np.frexp``); m 2^26 splits into an
     integer limb below 2^26 and a fraction that is a multiple of 2^-27.
-    Per exponent, float64 ``bincount`` sums of either limb are exact for
-    fewer than 2^26 elements; the bin totals then meet in one Python integer.
+    Both limbs carry the sign of m, so |whole| and |frac| of the same split
+    are the limbs of |a|.  Per exponent, float64 ``bincount`` sums of any
+    limb are exact for fewer than 2^26 elements; the bin totals then meet in
+    one Python integer.
     """
     m, e = np.frexp(a)
     m *= 2.0 ** 26
@@ -211,14 +227,34 @@ def _limb_total(a: np.ndarray) -> int | None:
     if not math.isfinite(hi.dot(hi)):  # an inf or NaN in a reaches hi
         return None
     m -= whole
-    lo = np.bincount(idx, weights=m)
-    ks = (hi + lo).nonzero()[0]  # hi + lo == 0 exactly where the limbs cancel
-    his = hi[ks].astype(np.int64).tolist()
-    los = (lo[ks] * 2.0 ** 27).astype(np.int64).tolist()
-    total = 0
-    for k, hi_k, lo_k in zip(ks.tolist(), his, los):
-        total += ((hi_k << 27) + lo_k) << k
-    return total << (e0 + _EXP_OFFSET)
+    bins = [(hi, np.bincount(idx, weights=m))]
+    if mass:
+        np.abs(whole, out=whole)
+        np.abs(m, out=m)
+        bins.append((np.bincount(idx, weights=whole), np.bincount(idx, weights=m)))
+    return [_bin_total(h, lo) << (e0 + _EXP_OFFSET) for h, lo in bins]
+
+
+def _exact_totals(a, mass: bool) -> list[float]:
+    """[sum(a)], or [sum(a), sum(|a|)] when ``mass`` is set, each correctly
+    rounded: the driver behind ``exact_sum`` and ``exact_sum_and_mass``."""
+    a = np.asarray(a, dtype=float).reshape(-1)
+    if not a.any():
+        return [0.0] * (1 + mass)
+    if a.size < _FSUM_BELOW:
+        return _fsums(a, mass)
+    totals = [0] * (1 + mass)
+    for start in range(0, a.size, _EXACT_CHUNK):
+        parts = _limb_totals(a[start:start + _EXACT_CHUNK], mass)
+        if parts is None:
+            return _fsums(a, mass)
+        totals = [t + part for t, part in zip(totals, parts)]
+    return [t / (1 << (_EXP_OFFSET + 53)) for t in totals]
+
+
+def _fsums(a: np.ndarray, mass: bool) -> list[float]:
+    xs = a.tolist()
+    return [math.fsum(xs), math.fsum(map(abs, xs))] if mass else [math.fsum(xs)]
 
 
 def exact_sum(a) -> float:
@@ -230,18 +266,18 @@ def exact_sum(a) -> float:
     exception; a finite sum beyond the float range raises OverflowError, as
     ``math.fsum`` does.
     """
-    a = np.asarray(a, dtype=float).reshape(-1)
-    if not a.any():
-        return 0.0
-    if a.size < _FSUM_BELOW:
-        return math.fsum(a.tolist())
-    total = 0
-    for start in range(0, a.size, _EXACT_CHUNK):
-        part = _limb_total(a[start:start + _EXACT_CHUNK])
-        if part is None:
-            return math.fsum(a.tolist())
-        total += part
-    return total / (1 << (_EXP_OFFSET + 53))
+    return _exact_totals(a, False)[0]
+
+
+def exact_sum_and_mass(a) -> tuple[float, float]:
+    """``(exact_sum(a), exact_sum(|a|))`` from one limb split: bit for bit
+    ``(math.fsum(a), math.fsum(abs(a)))``, each +0.0 for an exact zero.
+
+    Short and non-finite input takes ``math.fsum`` as in ``exact_sum``; the
+    signed sum is taken first, so its exception is the one raised when both
+    would raise.
+    """
+    return tuple(_exact_totals(a, True))
 
 
 def _cumulative_shells(
@@ -256,8 +292,10 @@ def _cumulative_shells(
     taken in that direction (a panel with b < a counts with a minus sign),
     after which the walk stands at the bound ``end``.  ``contribution(x, w)``
     returns the weighted panel values, float64 or complex.  Panel sums are
-    exact, correctly rounded reductions (``exact_sum``, identical to
-    ``math.fsum``); a real panel's imaginary sum is 0.0 without a reduction.
+    exact, correctly rounded reductions (identical to ``math.fsum``).  A real
+    panel takes its signed and absolute sums from one limb split
+    (``exact_sum_and_mass``) and its imaginary sum is 0.0 without a
+    reduction; a complex panel takes three ``exact_sum`` calls.
     The running totals are recorded with ``math.fsum`` over the panel sums
     whenever ``end`` is one of ``marks``.
     """
@@ -270,10 +308,12 @@ def _cumulative_shells(
         if np.iscomplexobj(contrib):
             re_parts.append(exact_sum(contrib.real))
             im_parts.append(exact_sum(contrib.imag))
+            abs_parts.append(exact_sum(np.abs(contrib)))
         else:
-            re_parts.append(exact_sum(contrib))
+            re, mass = exact_sum_and_mass(contrib)
+            re_parts.append(re)
             im_parts.append(0.0)
-        abs_parts.append(exact_sum(np.abs(contrib)))
+            abs_parts.append(mass)
         if float(end) in marked:
             out.append(math.fsum(re_parts) + 1j * math.fsum(im_parts))
             aout.append(math.fsum(abs_parts))

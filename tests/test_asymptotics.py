@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from etaforge import asymptotics
 from etaforge.asymptotics import (
     ExpansionModel,
     RadiusLadder,
@@ -23,7 +24,8 @@ from etaforge.asymptotics import (
     stokes_defect,
 )
 from etaforge.errors import FitError, MissingCoefficientError
-from etaforge.quadrature import sphere_rule
+from etaforge.experiments import BUDGETS, run_experiment
+from etaforge.quadrature import fd_step, panel_rule, richardson_derivative, sample_points, sphere_rule
 
 
 # ---------------------------------------------------------------------------
@@ -487,3 +489,126 @@ def test_stokes_missing_degree():
     f = scalar_family("lorentz")
     with pytest.raises(MissingCoefficientError):
         stokes_defect(f, 0, ExpansionModel.powers([-2, -4]), 1)
+
+
+# ---------------------------------------------------------------------------
+# Held point buffers of the finite-difference partial and the substitution
+
+
+def _four_copies_partial(f, j):
+    """The finite-difference partial with a fresh copy of the points per
+    stencil offset: the oracle for ``asymptotics._fd_partial``."""
+
+    def df(x):
+        x = np.asarray(x, dtype=float)
+        h = fd_step(x)
+
+        def at(c):
+            y = x.copy()
+            y[:, j] += c * h
+            return f(y)
+
+        return richardson_derivative(at, h)
+
+    return df
+
+
+def _fresh_substitution(f, A):
+    """x -> f(x A^T) on a fresh product: the oracle for ``asymptotics._substituted``."""
+    return lambda x: f(x @ A.T)
+
+
+def _stokes_bump(x):
+    # the rapidly decaying f of the stokes-check experiment
+    r2 = np.sum(np.asarray(x, float) ** 2, axis=1)
+    return np.exp(-r2)
+
+
+def _panel_points():
+    # a precise-size panel across the cutoff ramp, and the origin
+    pts = sample_points(panel_rule(0.3, 2.5, 48)[0], sphere_rule(3, (32, 64)))
+    return np.vstack([pts, np.zeros((1, 3))])
+
+
+@pytest.mark.parametrize("f", [scalar_family("coordinate_power", j=0, q=3.0), _stokes_bump])
+@pytest.mark.parametrize("j", [0, 2])
+def test_fd_partial_is_bit_for_bit_the_fresh_copy_partial(f, j):
+    x = _panel_points()
+    want = _four_copies_partial(f, j)(x)
+    df = asymptotics._fd_partial(f, j)
+    for _ in range(2):  # the second call runs on the held buffer
+        assert df(x).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("experiment, name, oracle", [
+    ("stokes-check", "_fd_partial", _four_copies_partial),
+    ("cov-check", "_substituted", _fresh_substitution),
+])
+def test_held_buffers_match_the_fresh_copy_oracle_in_the_experiments(monkeypatch, experiment, name, oracle):
+    # every stokes_defect and cov_correction value of the experiment at the
+    # precise budget, against the same values through the oracle
+    def values(rows):
+        return [(r.label, np.complex128(r.value).tobytes()) for r in rows]
+
+    got = values(run_experiment(experiment, {}, BUDGETS["precise"]))
+    monkeypatch.setattr(asymptotics, name, oracle)
+    assert got == values(run_experiment(experiment, {}, BUDGETS["precise"]))
+
+
+def test_fd_partial_copies_a_value_that_views_its_input(rng):
+    # without the copy, the view of the held buffer taken at +h is rewritten
+    # by the -h offset and the partial of x_1 comes out 0.0
+    x = rng.standard_normal((50, 3))
+    x[:, 0] = 0.0  # x_1 +- h and +- h/2 are exact, so the stencil gives exactly 1
+    keep = x.copy()
+    view = lambda y: y[:, 0]  # noqa: E731
+    df = asymptotics._fd_partial(view, 0)
+    assert np.all(df(x) == 1.0)
+    assert x.tobytes() == keep.tobytes()
+    y = rng.standard_normal((50, 3))
+    assert df(y).tobytes() == _four_copies_partial(view, 0)(y).tobytes()
+
+
+def test_substitution_copies_a_value_that_views_its_input(rng):
+    A = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 3.0]])
+    x, y = rng.standard_normal((40, 3)), rng.standard_normal((40, 3))
+    keep = x.copy()
+    fA = asymptotics._substituted(lambda z: z[:, 1], A)
+    first = fA(x)
+    fA(y)  # rewrites the held buffer; the first value must not follow it
+    assert first.tobytes() == (x @ A.T)[:, 1].tobytes()
+    assert x.tobytes() == keep.tobytes()
+
+
+def test_cov_correction_with_a_view_returning_f_matches_fresh_products(monkeypatch):
+    view = lambda z: z[:, 0]  # noqa: E731  f(x) = x on R^1
+    model = ExpansionModel.make([(1, 0), (-1, 0)], remainder=-3)
+
+    def pair():
+        c = cov_correction(view, np.array([[2.0]]), model, 1)
+        return [np.complex128(v).tobytes() for v in (c.lhs, c.rhs, c.correction)]
+
+    got = pair()
+    monkeypatch.setattr(asymptotics, "_substituted", _fresh_substitution)
+    assert got == pair()
+
+
+@pytest.mark.parametrize("make", [
+    lambda f: asymptotics._fd_partial(f, 1),
+    lambda f: asymptotics._substituted(f, np.diag([2.0, 1.0, 0.5])),
+])
+def test_held_buffer_is_reused_per_shape(rng, make):
+    seen = []
+
+    def f(y):
+        seen.append((y.shape, y.ctypes.data))
+        return y[:, 0] * y[:, 1]
+
+    g = make(f)
+    g(rng.standard_normal((30, 3)))
+    g(rng.standard_normal((30, 3)))
+    assert len(set(seen)) == 1
+    n = len(seen)
+    g(rng.standard_normal((31, 3)))
+    shape, ptr = seen[-1]
+    assert shape == (31, 3) and ptr != seen[0][1] and len(set(seen[n:])) == 1

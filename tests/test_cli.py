@@ -81,10 +81,11 @@ def test_budget_validation():
     assert r.passed
 
 
-@pytest.mark.parametrize("experiment", ["trace-tanh", "variation-check", "sphere-omega"])
+@pytest.mark.parametrize("experiment", ["trace-tanh", "variation-check", "sphere-omega", "stokes-check", "cov-check"])
 def test_report_determinism(experiment):
     # variation-check and sphere-omega evaluate forms: no batch state may leak
-    # into the second run
+    # into the second run; stokes-check and cov-check hold point buffers in
+    # their finite-difference partial and substitution closures
     cfg = ExperimentConfig(experiment, budget="quick", seed=3)
     r1, r2 = run(cfg), run(cfg)
     assert r1.to_json(include_timing=False) == r2.to_json(include_timing=False)

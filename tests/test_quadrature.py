@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from etaforge.quadrature import (
     cumulative_halfline_out,
     cumulative_radial,
     exact_sum,
+    exact_sum_and_mass,
     gauss_legendre,
     geometric_ladder,
     panel_rule,
@@ -206,7 +208,8 @@ def test_richardson_derivative_fourth_order_on_exp():
 
 
 # ---------------------------------------------------------------------------
-# exact_sum against math.fsum, row_norm against np.linalg.norm: bit for bit
+# exact_sum and exact_sum_and_mass against math.fsum, row_norm against
+# np.linalg.norm: bit for bit
 
 
 def _bits(x: float) -> str:
@@ -218,10 +221,24 @@ def _past_cutoff(xs: list) -> list:
     return xs * (quadrature._FSUM_BELOW // max(len(xs), 1) + 1)
 
 
+def _fsum_pair(xs: list) -> tuple[float, float]:
+    """What ``exact_sum_and_mass`` must return: fsum of the values, then of
+    their absolute values (the first exception raised, if any)."""
+    return math.fsum(xs), math.fsum(abs(x) for x in xs)
+
+
+def _check_pair(a: np.ndarray):
+    xs = a.tolist()
+    total, mass = exact_sum_and_mass(a)
+    want_total, want_mass = _fsum_pair(xs)
+    assert (_bits(total), _bits(mass)) == (_bits(want_total), _bits(want_mass))
+    assert _bits(exact_sum(a)) == _bits(want_total)
+
+
 def _check_exact_sum(xs):
     # at the drawn length, mostly the fsum path, and tiled onto the limb path
     for ys in (xs, _past_cutoff(xs)):
-        assert _bits(exact_sum(np.array(ys, dtype=float))) == _bits(math.fsum(ys))
+        _check_pair(np.array(ys, dtype=float))
 
 
 # bounded so that no partial sum of fsum overflows
@@ -245,27 +262,33 @@ def test_exact_sum_matches_fsum_across_2000_binary_orders(xs):
 @given(st.lists(_finite | _spread, min_size=1, max_size=100).flatmap(lambda xs: st.permutations(xs + [-x for x in xs])))
 def test_exact_sum_exact_cancellation_is_positive_zero(xs):
     for ys in (xs, _past_cutoff(xs)):
-        got = exact_sum(np.array(ys))
+        a = np.array(ys)
+        got = exact_sum(a)
         assert _bits(got) == _bits(0.0) == _bits(math.fsum(ys))
+        total, mass = exact_sum_and_mass(a)
+        assert _bits(total) == _bits(0.0) and _bits(mass) == _bits(math.fsum(map(abs, ys)))
 
 
 def test_exact_sum_takes_the_limb_path_from_the_cutoff(monkeypatch):
-    limb_calls, limb_total = [], quadrature._limb_total
+    limb_calls, limb_totals = [], quadrature._limb_totals
 
-    def counted(a):
-        limb_calls.append(a.size)
-        return limb_total(a)
+    def counted(a, mass):
+        limb_calls.append((a.size, mass))
+        return limb_totals(a, mass)
 
-    monkeypatch.setattr(quadrature, "_limb_total", counted)
+    monkeypatch.setattr(quadrature, "_limb_totals", counted)
     rng = np.random.default_rng(3)
     for n in (1, 48, quadrature._FSUM_BELOW - 1, quadrature._FSUM_BELOW, 700):
         a = rng.standard_normal(n) * np.exp2(rng.integers(-60, 60, n))
         assert _bits(exact_sum(a)) == _bits(math.fsum(a.tolist()))
-    assert limb_calls == [quadrature._FSUM_BELOW, 700]
+        _check_pair(a)  # one exact_sum_and_mass call, then exact_sum again
+    n0 = quadrature._FSUM_BELOW
+    assert limb_calls == [(n0, False), (n0, True), (n0, False), (700, False), (700, True), (700, False)]
     # an all-zero input returns +0.0 before either path
     for n in (3, quadrature._FSUM_BELOW):
         assert _bits(exact_sum(np.full(n, -0.0))) == _bits(0.0)
-    assert len(limb_calls) == 2
+        assert [_bits(v) for v in exact_sum_and_mass(np.full(n, -0.0))] == [_bits(0.0)] * 2
+    assert len(limb_calls) == 6
 
 
 def test_exact_sum_limb_chunks(monkeypatch):
@@ -273,9 +296,17 @@ def test_exact_sum_limb_chunks(monkeypatch):
     # chunk runs the same path on a short array
     rng = np.random.default_rng(5)
     a = rng.standard_normal(1000) * np.exp2(rng.integers(-1070, 1000, 1000))
-    a = np.concatenate([a, -a[:500], [5e-324, 1.0]])
+    a = np.concatenate([a, -a[:500], [5e-324, 1.0, -0.0]])
     monkeypatch.setattr(quadrature, "_EXACT_CHUNK", 7)
-    assert _bits(exact_sum(a)) == _bits(math.fsum(a.tolist()))
+    _check_pair(a)
+
+
+def _outcome(fn, *args):
+    # a result's bits, or the exception type
+    try:
+        return [_bits(v) for v in np.atleast_1d(fn(*args))]
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
 
 
 def test_exact_sum_non_finite_input_keeps_fsum_behaviour():
@@ -290,6 +321,17 @@ def test_exact_sum_non_finite_input_keeps_fsum_behaviour():
             exact_sum(tile([1e308, 1e308]))
     with pytest.raises(OverflowError):
         math.fsum([1e308, 1e308])
+
+
+@pytest.mark.parametrize("xs", [
+    [1.0, math.nan], [math.inf, math.nan], [math.inf], [2.0, -math.inf, 1e308], [-math.inf, 3.0],
+    [math.inf, -math.inf],  # the signed sum raises ValueError, the mass alone would be inf
+    [1e308, 1e308],  # both overflow
+    [1e308, -1e308],  # the signed sum cancels, the mass overflows
+])
+def test_exact_sum_and_mass_non_finite_input_keeps_fsum_behaviour(xs):
+    for ys in (xs, _past_cutoff(xs)):
+        assert _outcome(exact_sum_and_mass, np.array(ys)) == _outcome(_fsum_pair, ys)
 
 
 def test_cumulative_ball_panels_sum_like_fsum(monkeypatch):
@@ -320,24 +362,30 @@ def test_cumulative_ball_panels_sum_like_fsum(monkeypatch):
 
 
 def _real_and_complex_runs(monkeypatch, loop, g, *args):
-    """loop(g, *args) and loop(g + 0j, *args), with the panels and the
-    exact_sum calls each made."""
-    calls = {"panels": 0, "sums": 0}
-    panel_rule, exact = quadrature.panel_rule, quadrature.exact_sum
+    """loop(g, *args) and loop(g + 0j, *args), with the panels, the
+    exact_sum and exact_sum_and_mass calls, and the np.abs copies (calls
+    without ``out``) of the quadrature module each made."""
+    calls = {}
+    panel_rule, exact, paired, absolute = (
+        quadrature.panel_rule, quadrature.exact_sum, quadrature.exact_sum_and_mass, np.abs
+    )
 
-    def counted_panel(*a):
-        calls["panels"] += 1
-        return panel_rule(*a)
+    def counted(key, fn):
+        def wrapped(*a, **kw):
+            # np.abs counts where the quadrature module makes a copy, not in numpy's own code
+            calls[key] += key != "abs" or (
+                "out" not in kw and sys._getframe(1).f_globals["__name__"] == quadrature.__name__
+            )
+            return fn(*a, **kw)
+        return wrapped
 
-    def counted_sum(a):
-        calls["sums"] += 1
-        return exact(a)
-
-    monkeypatch.setattr(quadrature, "panel_rule", counted_panel)
-    monkeypatch.setattr(quadrature, "exact_sum", counted_sum)
+    monkeypatch.setattr(quadrature, "panel_rule", counted("panels", panel_rule))
+    monkeypatch.setattr(quadrature, "exact_sum", counted("sums", exact))
+    monkeypatch.setattr(quadrature, "exact_sum_and_mass", counted("paired", paired))
+    monkeypatch.setattr(np, "abs", counted("abs", absolute))
     runs = []
     for h in (g, lambda x: g(x) + 0j):
-        calls.update(panels=0, sums=0)
+        calls.update(panels=0, sums=0, paired=0, abs=0)
         runs.append((loop(h, *args), dict(calls)))
     return runs
 
@@ -351,14 +399,16 @@ def _real_and_complex_runs(monkeypatch, loop, g, *args):
 ])
 def test_real_integrand_matches_zero_imaginary_part(monkeypatch, loop, g, args):
     # a real integrand stays real through the shell loop: its signed and
-    # absolute values are byte-identical to those of g + 0j, and each panel
-    # makes two exact sums (real and absolute) instead of three
+    # absolute values are byte-identical to those of g + 0j; each real panel
+    # makes one paired split (exact_sum_and_mass) and no np.abs copy, each
+    # complex panel three exact sums (real, imaginary, modulus)
     (real, real_calls), (cplx, cplx_calls) = _real_and_complex_runs(monkeypatch, loop, g, *args)
     for got, want in zip(real, cplx):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert real_calls["panels"] == cplx_calls["panels"] > 0
-    assert real_calls["sums"] == 2 * real_calls["panels"]
-    assert cplx_calls["sums"] == 3 * cplx_calls["panels"]
+    n = real_calls["panels"]
+    assert n == cplx_calls["panels"] > 0
+    assert real_calls == {"panels": n, "sums": 0, "paired": n, "abs": 0}
+    assert cplx_calls == {"panels": n, "sums": 3 * n, "paired": 0, "abs": n}
 
 
 @settings(max_examples=200)
