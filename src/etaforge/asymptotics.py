@@ -445,15 +445,22 @@ def regint_rp(
     ladder: RadiusLadder = DEFAULT_LADDER,
     sphere: SphereRule | None = None,
     n_radial: int = 32,
-) -> RegularizedValue:
+) -> RegularizedValue | list[RegularizedValue]:
     """Regularized integral over R^p: the constant term in the fitted
-    expansion of int_{|x|<=R} f as R -> infinity."""
+    expansion of int_{|x|<=R} f as R -> infinity.
+
+    An f with (M, K) values integrates K integrands in one pass of the shell
+    loop and returns a list of K values: each column gets its own fit, in
+    column order, and is bit for bit the value of its one-column run."""
     rr = ladder.radii()
     rule = sphere if sphere is not None else sphere_rule(p)
     ivals, avals = cumulative_ball(f, p, rr, rule, n_radial)
-    const, fitted = _lim_fit(rr, ivals, avals, model.expanded_terms(), p)
-    _require_valid(fitted, "regint_rp")
-    return RegularizedValue(const, fitted)
+    regs = []
+    for iv, av in zip(ivals.reshape(len(rr), -1).T, avals.reshape(len(rr), -1).T):
+        const, fitted = _lim_fit(rr, iv, av, model.expanded_terms(), p)
+        _require_valid(fitted, "regint_rp")
+        regs.append(RegularizedValue(const, fitted))
+    return regs if ivals.ndim > 1 else regs[0]
 
 
 def regint_rp_radial(

@@ -11,8 +11,10 @@ Inside a batch every value and partial is an (N, N, M) array with the point
 axis last, so entry (i, j) of the whole batch is one contiguous row.  The
 boundary stays (M, N, N): a leaf's ``func`` returns that layout and the
 batch transposes each leaf partial once, and ``MatrixFamily.__call__``,
-``partial_family`` and ``MatrixForm.values`` hand it back.  ``values`` is
-the one way to evaluate a form: it returns every coefficient from one batch.
+``partial_family`` and ``values_of`` hand it back.  ``values_of`` is the
+one way to evaluate forms: it returns every coefficient of several forms
+from one batch, so the nodes they share are computed once, and
+``MatrixForm.values`` is its one-form case.
 
 Leaf partials are analytic as far as a family's ``partials`` chain goes;
 below that, one Richardson stencil of the missing order is applied to the
@@ -31,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,6 +47,7 @@ from .quadrature import (
 __all__ = [
     "MatrixFamily",
     "MatrixForm",
+    "values_of",
     "wedge",
     "exterior_derivative",
     "maurer_cartan_power",
@@ -265,7 +268,11 @@ def _signed_total(parts) -> np.ndarray:
 
 
 def mf_product(a: MatrixFamily, b: MatrixFamily) -> MatrixFamily:
-    """The pointwise product a b."""
+    """The pointwise product a b; raises ValueError unless a and b have the
+    same base dimension and matrix rank."""
+    if a.p != b.p or a.n != b.n:
+        raise ValueError(f"product requires the same base dimension and matrix rank, "
+                         f"got (p, n) = ({a.p}, {a.n}) and ({b.p}, {b.n})")
     return MatrixFamily(a.p, a.n, name=f"({a.name}.{b.name})",
                         rule=lambda batch, S: _leibniz(S, partial(batch.family, a), partial(batch.family, b)))
 
@@ -327,26 +334,42 @@ class MatrixForm:
         """Every coefficient at the points x, from one batch evaluation: a dict
         from each of ``indices`` to its (M, N, N) stack, or (N, N) at a single
         point; an index absent from ``indices`` has coefficient zero.  The
-        batch runs as one MatrixFamily call, so whatever counts those calls
-        sees the leaf evaluations nested in it."""
-        if not self.indices:
-            return {}
-        x = np.asarray(x, dtype=float)
-
-        def rule(batch, S):
-            self._last_batch = ()
-            vals = np.stack([batch.coeff(self, I) for I in self.indices])
-            self._last_batch = tuple(batch.done.values())
-            return vals
-
-        # (K, N, N, M) inside the batch; the call hands back (M, K, N, N)
-        stack = MatrixFamily(self.p, self.n, name="form batch", rule=rule)
-        vals = stack(x[None, :] if x.ndim == 1 else x)
-        return {I: vals[0, k] if x.ndim == 1 else vals[:, k] for k, I in enumerate(self.indices)}
+        one-form case of ``values_of``."""
+        return values_of([self], x)[0]
 
     def traced(self) -> "MatrixForm":
         """Apply the matrix trace coefficient-wise; the result has rank 1."""
         return MatrixForm(self.p, 1, self.degree, self.indices, lambda batch, I, S: _trace(batch.coeff(self, I, S)))
+
+
+def values_of(forms: Sequence[MatrixForm], x) -> list[dict[Index, np.ndarray]]:
+    """Every coefficient of every form at the points x, from one batch: for
+    each form, in order, the dict its ``values`` returns.  A node the forms
+    share (a leaf, a product, a partial) is computed once.  The forms must
+    have one base dimension and one matrix rank; ValueError otherwise.  The
+    batch runs as one MatrixFamily call, so whatever counts those calls sees
+    the leaf evaluations nested in it."""
+    if any((w.p, w.n) != (forms[0].p, forms[0].n) for w in forms):
+        raise ValueError("forms on one batch need the same base dimension and matrix rank")
+    keys = [(w, I) for w in forms for I in w.indices]
+    if not keys:
+        return [{} for _ in forms]
+    x = np.asarray(x, dtype=float)
+
+    def rule(batch, S):
+        for w in forms:
+            w._last_batch = ()
+        vals = np.stack([batch.coeff(w, I) for w, I in keys])
+        held = tuple(batch.done.values())
+        for w in forms:
+            w._last_batch = held
+        return vals
+
+    # (K, N, N, M) inside the batch; the call hands back (M, K, N, N)
+    stack = MatrixFamily(forms[0].p, forms[0].n, name="form batch", rule=rule)
+    vals = stack(x[None, :] if x.ndim == 1 else x)
+    coeffs = iter(vals[0] if x.ndim == 1 else np.moveaxis(vals, 1, 0))
+    return [{I: next(coeffs) for I in w.indices} for w in forms]
 
 
 def _shuffle_sign(I: Index, J: Index) -> int:

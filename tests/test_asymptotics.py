@@ -324,6 +324,37 @@ def test_regint_divergent_matches_analytic_continuation(p, s):
     assert abs(got - want) <= 1e-8 * abs(want)
 
 
+_LORENTZ = scalar_family("lorentz")
+_LORENTZ_SQUARED = lambda x: _LORENTZ(x) ** 2
+
+
+def _regint_parts(res, k):
+    """The value, residual, condition number and coefficients of column k of
+    a K-column regint_rp (k None: of a one-column run) as arrays."""
+    reg = res if k is None else res[k]
+    fit = reg.diagnostics
+    return [np.array(reg.value), np.array(fit.residual), np.array(fit.condition_number), *fit.coefficients.values()]
+
+
+@pytest.mark.parametrize("columns, outcome", [
+    ([_LORENTZ, _LORENTZ_SQUARED], "values"),
+    ([lambda x: (1.0 - 2j) * _LORENTZ(x), lambda x: 1j * _LORENTZ_SQUARED(x) + _LORENTZ(x)], "values"),
+    ([lambda x: (1.0 - 2j) * _LORENTZ(x), _LORENTZ_SQUARED], "values"),  # a real column on the complex path
+    ([_LORENTZ, lambda x: np.where(np.abs(x[:, 0]) > 100.0, np.nan, _LORENTZ(x))], "raises"),
+    ([lambda x: np.where(np.abs(x[:, 0]) > 100.0, np.inf, _LORENTZ(x)), _LORENTZ], "raises"),
+    ([_LORENTZ, lambda x: 1.0 / (1.0 + np.abs(x[:, 0]))], "raises"),  # outside the model: FitError
+])
+def test_regint_rp_columns_are_their_one_column_runs(match_columns, short_ladder, columns, outcome):
+    # each column of an (M, K) integrand gets its own fit and is bit for bit
+    # its one-column run, or raises what that run raises
+    model = ExpansionModel.powers([-2, -4, -6, -8])
+    with np.errstate(all="ignore"):  # the non-finite columns' fits meet NaN
+        got = match_columns(lambda f: regint_rp(f, model, 1, short_ladder), columns, _regint_parts)
+    assert ("raises" if isinstance(got, str) else "values") == outcome
+    if outcome == "values":
+        assert len(got) == len(columns)
+
+
 # ---------------------------------------------------------------------------
 # Half-line and Mellin
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from etaforge import eta as eta_module
 from etaforge import forms
 from etaforge.asymptotics import (
     CONDITION_LIMIT, ExpansionModel, RadiusLadder, fit_expansion, regint_rp, regint_rp_radial,
@@ -315,6 +316,63 @@ def test_additivity_defect_trivial_factors():
     aconst = MatrixFamily.constant(np.diag([2.0 + 0j, 1.0]), 3)
     res2 = additivity_defect(aconst, a, CAPPED_MODEL, ladder=LAD, sphere=sphere_rule(3, (12, 24)), n_radial=24)
     assert abs(res2.lhs) < 1e-4 and abs(res2.rhs) < 1e-4
+
+
+# a small ladder and rule for the additivity defect's shared eta_2 runs
+DEFECT_RUN = dict(ladder=RadiusLadder(4.0, 4096.0, 14), sphere=sphere_rule(3, (5, 10)), n_radial=24)
+
+
+@pytest.mark.parametrize("make_b", [
+    lambda: MatrixFamily.constant(np.diag([1.0 + 0j, 2.0]), 3),
+    lambda: _conjugated_rotated_copy(1.5),
+], ids=["constant", "genuine"])
+def test_additivity_defect_etas_are_the_separate_eta_k(make_b):
+    # eta_2 of A, B and AB from one shared pass are bit for bit three eta_k calls
+    a, b = matrix_family("capped_clifford", a=1.0, k=2), make_b()
+    res = additivity_defect(a, b, CAPPED_MODEL, **DEFECT_RUN)
+    assert res.eta_a == eta_k(a, 2, CAPPED_MODEL, **DEFECT_RUN).value
+    assert res.eta_b == eta_k(b, 2, CAPPED_MODEL, **DEFECT_RUN).value
+    assert res.eta_product == eta_k(mf_product(a, b), 2, CAPPED_MODEL, **DEFECT_RUN).value
+    assert res.lhs == res.eta_product - res.eta_a - res.eta_b
+
+
+def test_additivity_defect_runs_the_leaf_stencil_once_per_panel(monkeypatch):
+    # the finite-difference-only B is evaluated by the three shared eta_2
+    # integrands exactly as often as by eta_2(AB) alone, whose batches already
+    # hold B and its stencils; eta_2(B) alone costs as much again, so three
+    # separate calls would run B twice.  The formal trace is left out.
+    b = _conjugated_rotated_copy(1.5)
+    rows = []
+
+    def counted(x):
+        rows.append(len(x))
+        return b.func(x)
+
+    a, bc = matrix_family("capped_clifford", a=1.0, k=2), MatrixFamily(3, 2, counted, name="counted")
+    monkeypatch.setattr(eta_module, "formal_trace_matrix", lambda *args: 0.0)
+    additivity_defect(a, bc, CAPPED_MODEL, **DEFECT_RUN)
+    shared, rows[:] = sum(rows), []
+    eta_k(mf_product(a, bc), 2, CAPPED_MODEL, **DEFECT_RUN)
+    product_alone, rows[:] = sum(rows), []
+    eta_k(bc, 2, CAPPED_MODEL, **DEFECT_RUN)
+    assert shared == product_alone == sum(rows) > 0
+
+
+@pytest.mark.parametrize("b", [
+    MatrixFamily(3, 3, lambda x: np.broadcast_to(np.eye(3, dtype=complex), (len(x), 3, 3)), name="rank 3"),
+    MatrixFamily(1, 2, lambda x: np.broadcast_to(np.eye(2, dtype=complex), (len(x), 2, 2)), name="p = 1"),
+], ids=["rank", "base"])
+def test_additivity_defect_rejects_factors_of_different_shape(b):
+    # a 2 x 2 A with a 3 x 3 B failed inside numpy with a broadcast error
+    rows = []
+    base = matrix_family("capped_clifford", a=1.0, k=2)
+
+    def counted(fam):
+        return MatrixFamily(fam.p, fam.n, lambda x: rows.append(len(x)) or fam.func(x), name=fam.name)
+
+    with pytest.raises(ValueError, match="same base dimension and matrix rank"):
+        additivity_defect(counted(base), counted(b), CAPPED_MODEL, **DEFECT_RUN)
+    assert rows == []
 
 
 def test_spectral_eta_hurwitz():

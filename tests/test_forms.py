@@ -7,6 +7,7 @@ from etaforge.clifford import standard_rep
 from etaforge.errors import SingularFamilyError
 from etaforge.forms import (
     MatrixFamily,
+    MatrixForm,
     clifford_omega_closed_form,
     exterior_derivative,
     form_from_families,
@@ -17,6 +18,7 @@ from etaforge.forms import (
     mf_product,
     sphere_integrate,
     sphere_volume_form,
+    values_of,
     wedge,
 )
 
@@ -279,6 +281,54 @@ def test_rule_families_return_stacks_at_the_boundary(rng, k):
             close(prod.partial_family(j)(x), (np.matmul(da[j], bv) + np.matmul(av, db[j]))[at])
             close(ainv.partial_family(j)(x), -np.matmul(np.matmul(inv, da[j]), inv)[at])
             close(vals[(j,)], np.matmul(inv, da[j])[at])
+
+
+def test_mf_product_rejects_operands_of_different_shape():
+    # a 1 x 1 times a 2 x 2 family claimed n = 1 and returned 2 x 2 values,
+    # and a p = 1 times a p = 3 family claimed p = 1
+    capped = matrix_family("capped_clifford", a=1.0, k=2)
+    with pytest.raises(ValueError, match=r"\(3, 1\) and \(3, 2\)"):
+        mf_product(MatrixFamily.constant([[2.0]], 3), capped)
+    with pytest.raises(ValueError, match=r"\(1, 1\) and \(3, 1\)"):
+        mf_product(MatrixFamily.constant([[2.0]], 1), MatrixFamily.constant([[3.0]], 3))
+    assert (mf_product(capped, capped).p, mf_product(capped, capped).n) == (3, 2)
+
+
+def test_values_of_shares_one_batch_and_matches_each_form(rng):
+    # three forms on one leaf: every coefficient is bit for bit the form's own
+    # values, and the leaf is evaluated once per point, as for one form alone
+    base = matrix_family("capped_clifford", a=1.0 + 0.5j, k=2)
+    rows = []
+
+    def counted(x):
+        rows.append(len(x))
+        return base.func(x)
+
+    leaf = MatrixFamily(3, 2, counted, base.partials, "counted")
+    w = mc_form(leaf)
+    forms = [w, wedge(w, w), form_from_families({(): mf_inverse(leaf)})]
+    pts = rng.normal(size=(9, 3))
+    for x in (pts, pts[4]):
+        alone = []
+        for form in forms:
+            rows.clear()
+            alone.append(form.values(x))
+            assert sum(rows) == len(np.atleast_2d(x))
+        rows.clear()
+        together = values_of(forms, x)
+        assert sum(rows) == len(np.atleast_2d(x))
+        for got, want in zip(together, alone):
+            assert list(got) == list(want)
+            for I in want:
+                assert got[I].shape == want[I].shape and got[I].tobytes() == want[I].tobytes()
+    assert values_of([], pts) == []
+    assert values_of([MatrixForm(3, 2, 4, ()), w], pts)[0] == {}
+
+
+def test_values_of_rejects_forms_of_different_rank(rng):
+    a = matrix_family("capped_clifford", a=1.0, k=2)
+    with pytest.raises(ValueError, match="matrix rank"):
+        values_of([mc_form(a), maurer_cartan_power(a, 3)], rng.normal(size=(4, 3)))
 
 
 def test_closed_form_rejects_origin():

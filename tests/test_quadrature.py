@@ -437,3 +437,48 @@ def test_row_norm_zeros_subnormals_and_overflow(p):
         got, want = row_norm(x), np.linalg.norm(x, axis=-1)
     assert got.tobytes() == want.tobytes()
     assert np.isinf(got[3]) and np.isinf(got[4]) and got[0] == 0.0
+
+
+# one-column integrands for the (M, K) runs of the shell loop
+_REAL = lambda x: np.cos(3.0 * x[:, 0]) * np.exp(-0.05 * row_norm(x))
+_REAL2 = lambda x: x[:, 1] / (1.0 + row_norm(x) ** 3)
+_COMPLEX = lambda x: np.exp(-0.05 * row_norm(x) + 1j * x[:, 2]) / (1.0 + x[:, 0] ** 2)
+_COMPLEX2 = lambda x: (1.0 - 2j) * x[:, 0] * x[:, 1] / (1.0 + row_norm(x) ** 4)
+
+
+def _beyond(radius, value, f):
+    """f with ``value(x)`` at the points beyond ``radius``."""
+    return lambda x: np.where(row_norm(x) > radius, value(x), f(x))
+
+
+def _ball(f):
+    return cumulative_ball(f, 3, geometric_ladder(4.0, 256.0, 6), sphere_rule(3, (12, 24)))
+
+
+@pytest.mark.parametrize("columns, outcome", [
+    ([_REAL, _REAL2], "finite"),
+    ([_COMPLEX, _COMPLEX2, _COMPLEX], "finite"),
+    ([_COMPLEX, _REAL, _REAL2], "finite"),  # real columns on the complex path against their real runs
+    ([_REAL, _beyond(100.0, lambda x: np.full(len(x), np.inf), _REAL2)], "non-finite"),
+    ([_beyond(100.0, lambda x: np.full(len(x), np.nan), _REAL), _REAL2], "non-finite"),
+    ([_REAL, _beyond(100.0, lambda x: np.where(x[:, 0] > 0, np.inf, -np.inf), _REAL2)], "raises"),
+    ([_beyond(50.0, lambda x: np.full(len(x), np.inf + 0j), _COMPLEX), _COMPLEX2], "non-finite"),
+])
+def test_cumulative_ball_columns_are_their_one_column_runs(match_columns, columns, outcome):
+    # an (M, K) integrand gives (L, K) results, each column bit for bit its own
+    # (M,) run, or the same exception (here fsum's inf - inf)
+    with np.errstate(invalid="ignore"):  # inf + 0j times a weight has a 0 * inf imaginary part
+        got = match_columns(
+            _ball, columns, lambda res, k: [v if k is None else v[:, k] for v in res]
+        )
+    kind = "raises" if isinstance(got, str) else "finite" if np.all(np.isfinite(got[0])) else "non-finite"
+    assert kind == outcome
+
+
+def test_cumulative_ball_column_shapes():
+    ladder = geometric_ladder(4.0, 256.0, 6)
+    for f, shape in ((_REAL, (6,)), (lambda x: _REAL(x)[:, None], (6, 1)),
+                     (lambda x: np.stack([_REAL(x)] * 4, axis=1), (6, 4))):
+        ivals, avals = cumulative_ball(f, 3, ladder, sphere_rule(3, (4, 8)))
+        assert ivals.shape == avals.shape == shape
+        assert ivals.dtype == complex and avals.dtype == float
