@@ -330,6 +330,10 @@ def _fit(xs, ys, basis, noise_floor, rule: SphereRule | None = None, zero_floor:
         raise FitError("the expansion model has no terms to fit")
     if len(xs) < 2 * len(basis):
         raise FitError(f"radius ladder too short: {len(xs)} radii for {len(basis)} basis terms")
+    bad = np.argwhere(~np.isfinite(ys))
+    if len(bad):
+        i, j = bad[0]
+        raise FitError(f"non-finite fit data: {ys[i, j]} at radius {xs[i]:.6g} (row {i}), column {j}")
     # called through the module global, which the benchmark's tracer rebinds
     coeff, resid, cond = _weighted_power_fit(xs, ys, basis, noise_floor, zero_floor)
     return FittedExpansion(

@@ -133,10 +133,10 @@ def _eta_batch(
     n_radial: int,
 ) -> list[EtaResult]:
     """eta_k of each family from one pass of the shell loop: per panel, the
-    top coefficients of every tr((A^{-1} dA)^{2k-1}) come from one batch
-    (``values_of``), so leaves and partials the families share are evaluated
-    once, and each family is one column of the integrand, integrated and
-    fitted bit for bit as it would be alone."""
+    top coefficients of every tr((A^{-1} dA)^{2k-1}) come from the same
+    batches (``values_of``), so leaves and partials the families share are
+    evaluated once, and each family is one column of the integrand,
+    integrated and fitted bit for bit as it would be alone."""
     p = 2 * k - 1
     for A in families:
         if A.p != p:
@@ -186,11 +186,11 @@ def formal_trace_matrix(
 ) -> complex:
     """Formal trace of a degree-(p-1) matrix form over R^p.
 
-    The traced form is evaluated once, every coefficient from one batch at
-    the radius ladder times the sphere rule.  Each coefficient is fitted with
-    ``coef_model``, and the form of the degree (1-p, 0) angular parts is
-    integrated over the unit sphere (``sphere_pairing``); no derivative of
-    the form is taken.
+    The traced form is evaluated once, every coefficient from the same
+    batches at the radius ladder times the sphere rule.  Each coefficient is
+    fitted with ``coef_model``, and the form of the degree (1-p, 0) angular
+    parts is integrated over the unit sphere (``sphere_pairing``); no
+    derivative of the form is taken.
     """
     p = form.p
     if form.degree != p - 1:
@@ -271,7 +271,7 @@ def additivity_defect(
     """k = 2 additivity defect on R^3.
 
     lhs = eta_2(AB) - eta_2(A) - eta_2(B), the three from one pass of the
-    shell loop whose batches evaluate A, B and their partials once per panel
+    shell loop whose batches evaluate A, B and their partials once per point
     for all three integrands; each value is bit for bit its own ``eta_k``.
     rhs = -6 c_2 times the formal trace of (B^{-1}(A^{-1}dA)B) ^ (B^{-1}dB),
     read from the fitted degree -2 angular part of the 2-form's

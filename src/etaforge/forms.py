@@ -11,10 +11,12 @@ Inside a batch every value and partial is an (N, N, M) array with the point
 axis last, so entry (i, j) of the whole batch is one contiguous row.  The
 boundary stays (M, N, N): a leaf's ``func`` returns that layout and the
 batch transposes each leaf partial once, and ``MatrixFamily.__call__``,
-``partial_family`` and ``values_of`` hand it back.  ``values_of`` is the
-one way to evaluate forms: it returns every coefficient of several forms
-from one batch, so the nodes they share are computed once, and
-``MatrixForm.values`` is its one-form case.
+``partial_family`` and ``values_of`` hand it back.  A call evaluates its
+points in blocks of at most ``BATCH_POINTS``, one batch per block, so a
+batch's arrays stay small and leaf functions must be row-wise.
+``values_of`` is the one way to evaluate forms: it returns every
+coefficient of several forms from one batch per block, so the nodes they
+share are computed once, and ``MatrixForm.values`` is its one-form case.
 
 Leaf partials are analytic as far as a family's ``partials`` chain goes;
 below that, one Richardson stencil of the missing order is applied to the
@@ -68,7 +70,10 @@ class MatrixFamily:
     """Smooth map R^p -> M(N, C), evaluated on batches of points.
 
     A leaf family has ``func``, which takes an (M, p) float array and returns
-    (M, N, N) complex.  Its ``partials`` may hold
+    (M, N, N) complex.  ``func`` must be row-wise: row m of its value depends
+    on row m of x alone, because a family with a ``rule`` evaluates its batch
+    over blocks of at most ``BATCH_POINTS`` points, so a leaf inside it sees
+    at most 4,096 rows per call.  Its ``partials`` may hold
 
     - None: no analytic partials; a jet takes them from one Richardson
       stencil of the needed order;
@@ -102,7 +107,7 @@ class MatrixFamily:
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         pts = x[None, :] if x.ndim == 1 else x
-        vals = self.func(pts) if self.rule is None else _stacked(_Batch(pts).family(self))
+        vals = self.func(pts) if self.rule is None else _blockwise(self, pts)
         return vals[0] if x.ndim == 1 else vals
 
     def partial_family(self, j: int) -> "MatrixFamily":
@@ -110,8 +115,7 @@ class MatrixFamily:
         else the batch jet's."""
         if self.partials:
             return self.partials[j]
-        return MatrixFamily(self.p, self.n, lambda x: _stacked(_Batch(x).family(self, (j,))),
-                            name=f"d{j}({self.name})")
+        return MatrixFamily(self.p, self.n, lambda x: _blockwise(self, x, (j,)), name=f"d{j}({self.name})")
 
 
 def _planar(v: np.ndarray) -> np.ndarray:
@@ -124,6 +128,33 @@ def _planar(v: np.ndarray) -> np.ndarray:
 def _stacked(a: np.ndarray) -> np.ndarray:
     """A batch array (N, N, M) as the (M, N, N) stack of the boundary, as a view."""
     return np.moveaxis(a, -1, 0)
+
+
+# Points per _Batch.  A batch holds every node array of its points until it
+# ends, so one batch per shell panel (up to 221,184 points) peaked the
+# matrix-eta benchmark at 66 MB and faulted in fresh pages on every panel.
+# At 4,096 points a batch's arrays stay in reused heap: 51 MB, and 3.7k
+# instead of 58k minor faults per warm pass.  2,048 gave 49 MB but ran
+# slower; 8,192 gave 54 MB and 38k faults.
+BATCH_POINTS = 4096
+
+
+def _blockwise(fam: MatrixFamily, x: np.ndarray, S: Index = ()) -> np.ndarray:
+    """d_S of the rule family ``fam`` at the points x in the boundary layout,
+    point axis first: one _Batch per block of at most BATCH_POINTS points,
+    in point order.  Every node is pointwise, so the blocks give the values
+    of one batch bit for bit, and the first block that raises holds the
+    first bad point.  One block is returned as a view of its batch array,
+    more are written into one preallocated result."""
+    if len(x) <= BATCH_POINTS:
+        return _stacked(_Batch(x).family(fam, S))
+    out = None
+    for start in range(0, len(x), BATCH_POINTS):
+        block = _stacked(_Batch(x[start:start + BATCH_POINTS]).family(fam, S))
+        if out is None:
+            out = np.empty((len(x),) + block.shape[1:], dtype=block.dtype)
+        out[start:start + len(block)] = block
+    return out
 
 
 class _Batch:
@@ -320,18 +351,19 @@ class MatrixForm:
     degree: int
     indices: tuple[Index, ...]
     rule: Callable[[_Batch, Index, Index], np.ndarray] | None = field(default=None, repr=False)
-    # The arrays of the last batch, never read.  Released when the next batch
-    # starts, they leave holes that batch refills; released at the end of
-    # each batch, they go back to the system and every batch page-faults on
-    # fresh memory (216k instead of 58.5k minor faults and 0.95 instead of
-    # 0.74 s per warm matrix-eta pass).  The arrays only: the batch's keys
-    # point back at this form, and holding the batch made a cycle that kept
-    # the arrays of every dead form until a full collection (peak RSS 97 to
-    # 112 MB against 66 MB over seven matrix-eta passes in one process).
+    # The arrays of the last batch, never read: one block of at most
+    # BATCH_POINTS points.  Released when the next block starts, they leave
+    # holes that block refills; released at the end of each block, they go
+    # back to the system and every block page-faults on fresh memory (at the
+    # standard budget 235k instead of 33k minor faults per warm eta-matrix
+    # run and 288k instead of 33k for variation-check; 6.2k instead of 3.7k
+    # per warm matrix-eta pass).  The arrays only: the batch's keys point
+    # back at this form, and holding the batch made a cycle that kept the
+    # arrays of every dead form until a full collection.
     _last_batch: tuple[np.ndarray, ...] = field(default=(), init=False, repr=False)
 
     def values(self, x) -> dict[Index, np.ndarray]:
-        """Every coefficient at the points x, from one batch evaluation: a dict
+        """Every coefficient at the points x, from one batch per block: a dict
         from each of ``indices`` to its (M, N, N) stack, or (N, N) at a single
         point; an index absent from ``indices`` has coefficient zero.  The
         one-form case of ``values_of``."""
@@ -343,12 +375,13 @@ class MatrixForm:
 
 
 def values_of(forms: Sequence[MatrixForm], x) -> list[dict[Index, np.ndarray]]:
-    """Every coefficient of every form at the points x, from one batch: for
-    each form, in order, the dict its ``values`` returns.  A node the forms
-    share (a leaf, a product, a partial) is computed once.  The forms must
-    have one base dimension and one matrix rank; ValueError otherwise.  The
-    batch runs as one MatrixFamily call, so whatever counts those calls sees
-    the leaf evaluations nested in it."""
+    """Every coefficient of every form at the points x, from one batch per
+    block of at most BATCH_POINTS points: for each form, in order, the dict
+    its ``values`` returns.  A node the forms share (a leaf, a product, a
+    partial) is computed once per block.  The forms must have one base
+    dimension and one matrix rank; ValueError otherwise.  The blocks run
+    inside one MatrixFamily call, so whatever counts those calls sees the
+    leaf evaluations nested in it."""
     if any((w.p, w.n) != (forms[0].p, forms[0].n) for w in forms):
         raise ValueError("forms on one batch need the same base dimension and matrix rank")
     keys = [(w, I) for w in forms for I in w.indices]

@@ -342,17 +342,32 @@ def _regint_parts(res, k):
     ([lambda x: (1.0 - 2j) * _LORENTZ(x), _LORENTZ_SQUARED], "values"),  # a real column on the complex path
     ([_LORENTZ, lambda x: np.where(np.abs(x[:, 0]) > 100.0, np.nan, _LORENTZ(x))], "raises"),
     ([lambda x: np.where(np.abs(x[:, 0]) > 100.0, np.inf, _LORENTZ(x)), _LORENTZ], "raises"),
-    ([_LORENTZ, lambda x: 1.0 / (1.0 + np.abs(x[:, 0]))], "raises"),  # outside the model: FitError
+    ([_LORENTZ, lambda x: 1.0 / (1.0 + np.abs(x[:, 0]))], "raises"),  # outside the model
 ])
 def test_regint_rp_columns_are_their_one_column_runs(match_columns, short_ladder, columns, outcome):
     # each column of an (M, K) integrand gets its own fit and is bit for bit
-    # its one-column run, or raises what that run raises
+    # its one-column run, or raises what that run raises: a FitError, also
+    # for the NaN and inf columns, before any SVD meets them
     model = ExpansionModel.powers([-2, -4, -6, -8])
-    with np.errstate(all="ignore"):  # the non-finite columns' fits meet NaN
-        got = match_columns(lambda f: regint_rp(f, model, 1, short_ladder), columns, _regint_parts)
+    got = match_columns(lambda f: regint_rp(f, model, 1, short_ladder), columns, _regint_parts)
     assert ("raises" if isinstance(got, str) else "values") == outcome
     if outcome == "values":
         assert len(got) == len(columns)
+    else:
+        assert got.startswith("FitError: "), got
+
+
+def test_fit_names_the_first_non_finite_sample():
+    # the first non-finite sample in row order names its radius and column,
+    # before any SVD meets it; NaN and inf alike
+    rr = RadiusLadder(4.0, 4096.0, 16).radii()
+    rule = sphere_rule(2, 6)
+    model = ExpansionModel.powers([-1, -2])
+    for bad in (np.nan, np.inf, complex(1.0, np.nan)):
+        vals = np.outer(rr ** -1.0, np.ones(len(rule.points))).astype(complex)
+        vals[9, 4] = vals[11, 1] = bad
+        with pytest.raises(FitError, match=rf"at radius {rr[9]:.6g} \(row 9\), column 4"):
+            fit_expansion_samples(rr, vals, model, rule)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from etaforge import forms as forms_module
 from etaforge.clifford import standard_rep
 from etaforge.errors import SingularFamilyError
 from etaforge.forms import (
+    BATCH_POINTS,
     MatrixFamily,
     MatrixForm,
     clifford_omega_closed_form,
@@ -329,6 +331,92 @@ def test_values_of_rejects_forms_of_different_rank(rng):
     a = matrix_family("capped_clifford", a=1.0, k=2)
     with pytest.raises(ValueError, match="matrix rank"):
         values_of([mc_form(a), maurer_cartan_power(a, 3)], rng.normal(size=(4, 3)))
+
+
+# ---------------------------------------------------------------------------
+# Bounded batches: a call evaluates at most BATCH_POINTS points per batch
+
+_BLOCKS = (0, BATCH_POINTS, 2 * BATCH_POINTS, 3 * BATCH_POINTS, 3 * BATCH_POINTS + 7)
+
+
+def _recording_leaf(rows, base=None):
+    """``base`` (capped_clifford by default) with its analytic partials, its
+    value appending to ``rows`` the number of rows it is handed, and the same
+    function without partials (stencil partials)."""
+    base = base or matrix_family("capped_clifford", a=1.0 + 0.5j, k=2)
+
+    def counted(x):
+        rows.append(len(x))
+        return base.func(x)
+
+    return (MatrixFamily(base.p, base.n, counted, base.partials, "counted"),
+            MatrixFamily(base.p, base.n, counted, name="counted fd"))
+
+
+def _assert_same(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_values_of_over_blocks_is_the_per_block_and_the_one_batch_evaluation(rng, monkeypatch):
+    # 3 x 4096 + 7 points: every coefficient is bit for bit the evaluation of
+    # each block on its own and the evaluation as one batch; no leaf call
+    # sees more than BATCH_POINTS rows
+    rows = []
+    leaf, fd_leaf = _recording_leaf(rows)
+    pts = rng.normal(size=(_BLOCKS[-1], 3))
+    for forms in (
+        [mc_form(leaf), wedge(mc_form(leaf), mc_form(fd_leaf)), form_from_families({(): mf_inverse(fd_leaf)})],
+        [maurer_cartan_power(leaf, 3), maurer_cartan_power(fd_leaf, 1)],
+    ):
+        rows.clear()
+        got = values_of(forms, pts)
+        assert max(rows) == BATCH_POINTS
+        assert rows[:2] == [BATCH_POINTS, BATCH_POINTS] and rows[-1] == 7
+        blocks = [values_of(forms, pts[a:b]) for a, b in zip(_BLOCKS, _BLOCKS[1:])]
+        with monkeypatch.context() as m:
+            m.setattr(forms_module, "BATCH_POINTS", len(pts))
+            rows.clear()
+            whole = values_of(forms, pts)
+            assert max(rows) == len(pts)
+        for k, form in enumerate(forms):
+            assert list(got[k]) == list(form.indices)
+            for I in form.indices:
+                _assert_same(got[k][I], np.concatenate([b[k][I] for b in blocks]))
+                _assert_same(got[k][I], whole[k][I])
+
+
+def test_partial_family_is_bounded(rng, monkeypatch):
+    # the batch-jet partial of a rule family runs its batches over blocks too
+    rows = []
+    leaf, fd_leaf = _recording_leaf(rows)
+    pts = rng.normal(size=(_BLOCKS[-1], 3))
+    for fam in (mf_product(leaf, fd_leaf), mf_inverse(fd_leaf)):
+        d1 = fam.partial_family(1)
+        rows.clear()
+        got = d1(pts)
+        assert max(rows) == BATCH_POINTS and got.shape == (len(pts), 2, 2)
+        blocks = np.concatenate([d1(pts[a:b]) for a, b in zip(_BLOCKS, _BLOCKS[1:])])
+        _assert_same(got, blocks)
+        with monkeypatch.context() as m:
+            m.setattr(forms_module, "BATCH_POINTS", len(pts))
+            _assert_same(got, d1(pts))
+
+
+def test_first_singular_point_in_a_later_block_is_reported(rng):
+    # singular points in the third and fourth blocks: the error names the
+    # first one, and no block after the third is evaluated
+    rows = []
+    leaf, _ = _recording_leaf(rows, matrix_family("affine_clifford", a=0.0, k=2))  # singular only at x = 0
+    pts = rng.normal(size=(_BLOCKS[-1], 3))
+    first, later = 2 * BATCH_POINTS + 10, 3 * BATCH_POINTS + 3
+    pts[[first, later]] = 0.0
+    for evaluate in (lambda x: mc_form(leaf).values(x), mf_inverse(leaf)):
+        rows.clear()
+        with pytest.raises(SingularFamilyError) as err:
+            evaluate(pts)
+        assert np.array_equal(err.value.point, pts[first])
+        assert rows == [BATCH_POINTS] * 3
 
 
 def test_closed_form_rejects_origin():
