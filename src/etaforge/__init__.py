@@ -49,12 +49,10 @@ from .eta import (
 from .forms import (
     MatrixFamily,
     MatrixForm,
-    clifford_omega_closed_form,
     exterior_derivative,
     matrix_family,
     maurer_cartan_power,
     sphere_integrate,
-    sphere_volume_form,
     wedge,
 )
 from .partrace import (
@@ -63,14 +61,10 @@ from .partrace import (
     SpectralModel,
     TraceValue,
     WindowConfig,
-    extended_trace,
-    family_from_json,
-    formal_trace,
     hurwitz_zeta,
     kernel,
     l2_trace,
     tr_param,
-    trace_expansion_model,
 )
 
 __version__ = "0.1.0"

@@ -13,7 +13,6 @@ declares the expansion model.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Sequence
@@ -45,7 +44,6 @@ __all__ = [
     "smooth_step",
     "fit_expansion",
     "fit_expansion_samples",
-    "load_samples_csv",
     "regint_rp",
     "regint_rp_radial",
     "regint_halfline",
@@ -118,16 +116,6 @@ class ExpansionModel:
         for d, lmax in self.terms:
             out.extend((d, l) for l in range(lmax + 1))
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"terms": [{"deg": d, "logpow": l} for d, l in self.terms], "remainder": self.remainder_degree}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExpansionModel":
-        data = json.loads(text)
-        return cls(tuple((float(t["deg"]), int(t["logpow"])) for t in data["terms"]), float(data["remainder"]))
 
 
 @dataclass
@@ -432,12 +420,6 @@ def read_csv_table(path, key: str, indices: tuple[str, ...]) -> tuple[np.ndarray
     return np.array(keys), np.array([cells[c] for c in grid]).reshape((len(keys),) + (size,) * n)
 
 
-def load_samples_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read tabulated samples with columns radius, direction-index, re, im
-    (``read_csv_table``): the radii and values[i_radius, i_direction]."""
-    return read_csv_table(path, "radius", ("direction",))
-
-
 # ---------------------------------------------------------------------------
 # Regularized integrals
 
@@ -569,10 +551,6 @@ class ComparisonPair:
     lhs: complex
     rhs: complex
     correction: complex = 0.0
-
-    @property
-    def deviation(self) -> float:
-        return abs(self.lhs - self.rhs)
 
 
 def cov_correction(

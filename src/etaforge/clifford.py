@@ -8,12 +8,11 @@ element i^k E_1 ... E_{2k-1} acting as the identity.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CliffordRep", "standard_rep", "clifford_action", "volume_trace", "rep_to_json", "rep_from_json"]
+__all__ = ["CliffordRep", "standard_rep", "clifford_action", "volume_trace"]
 
 _S1 = np.array([[0, 1], [1, 0]], dtype=complex)
 _S2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -104,26 +103,3 @@ def clifford_action(rep: CliffordRep, x) -> np.ndarray:
 def volume_trace(rep: CliffordRep) -> complex:
     """tr(E_1 ... E_{2k-1}) = 2^{k-1} i^{-k}, exactly."""
     return complex(np.trace(rep.volume_product()))
-
-
-def rep_to_json(rep: CliffordRep) -> str:
-    """Generators as nested [re, im] arrays, for cross-implementation tests."""
-    data = {
-        "k": rep.k,
-        "generators": [
-            [[[float(z.real), float(z.imag)] for z in row] for row in g]
-            for g in rep.generators
-        ],
-    }
-    return json.dumps(data)
-
-
-def rep_from_json(text: str) -> CliffordRep:
-    data = json.loads(text)
-    gens = tuple(
-        np.array([[complex(re, im) for re, im in row] for row in g], dtype=complex)
-        for g in data["generators"]
-    )
-    rep = CliffordRep(int(data["k"]), gens)
-    _check_invariants(rep)
-    return rep

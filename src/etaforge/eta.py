@@ -247,10 +247,6 @@ class AdditivityDefect:
     eta_a: complex
     eta_b: complex
 
-    @property
-    def deviation(self) -> float:
-        return abs(self.lhs - self.rhs)
-
 
 def defect_forms(A: MatrixFamily, B: MatrixFamily) -> tuple[MatrixForm, MatrixForm]:
     """w1 = B^{-1} (A^{-1} dA) B and w2 = B^{-1} dB, the 1-forms whose wedge
@@ -311,8 +307,6 @@ def spectral_eta(
     "regint": the weighted half-line regularized integral of the parametric
     trace of the resolvent-power symbol; needs k >= 2 for trace class.
     """
-    if model.kind != "circle":
-        raise ValueError("spectral eta is defined for the circle model")
     a = model.a - math.floor(model.a)
     if method == "hurwitz":
         return hurwitz_zeta(0.0, a) - hurwitz_zeta(0.0, 1.0 - a)
@@ -356,8 +350,6 @@ def eta_suspension(
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    if model.kind != "circle":
-        raise ValueError("suspension route is defined for the circle model")
     p = 2 * k - 1
     fam = SpectralFamily(model, kernel("eta_kernel", k), 1.0 - 2 * k, p=1)
     pref = sign * math.factorial(p) * 2 ** (k - 1) * (1j) ** (-k)

@@ -64,7 +64,7 @@ from .partrace import (
 )
 from .quadrature import richardson_derivative, row_norm, sphere_rule
 
-__all__ = ["Budget", "BUDGETS", "CheckRow", "EXPERIMENTS", "run_experiment", "experiment_ids"]
+__all__ = ["Budget", "BUDGETS", "CheckRow", "EXPERIMENTS", "run_experiment"]
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +166,15 @@ class CheckRow:
 
 def _matches_default(value, default) -> bool:
     """Whether ``value`` has the JSON type of ``default``: a float default
-    also takes integers within the float range, a sequence default takes
+    takes finite floats and integers within the float range (not the
+    Infinity and NaN that ``json.loads`` accepts), a sequence default takes
     lists of its element type."""
     if isinstance(value, bool) or isinstance(default, bool):
         return isinstance(value, bool) and isinstance(default, bool)
     if isinstance(default, float):
-        return isinstance(value, float) or (isinstance(value, int) and abs(value) <= sys.float_info.max)
+        if isinstance(value, float):
+            return math.isfinite(value)
+        return isinstance(value, int) and abs(value) <= sys.float_info.max
     if isinstance(default, tuple):
         return isinstance(value, (list, tuple)) and all(_matches_default(v, default[0]) for v in value)
     return isinstance(value, type(default))
@@ -963,10 +966,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         exp_prop_regint_convergent, frozenset({"properties"}), "convergent-case agreement"
     ),
 }
-
-
-def experiment_ids() -> list[str]:
-    return [k for k, v in EXPERIMENTS.items() if "all" in v.tags]
 
 
 def run_experiment(exp_id: str, params: dict, budget: Budget, rng=None) -> list[CheckRow]:

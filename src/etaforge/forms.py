@@ -10,8 +10,8 @@ coordinates outside I, so S never repeats a coordinate.
 Inside a batch every value and partial is an (N, N, M) array with the point
 axis last, so entry (i, j) of the whole batch is one contiguous row.  The
 boundary stays (M, N, N): a leaf's ``func`` returns that layout and the
-batch transposes each leaf partial once, and ``MatrixFamily.__call__``,
-``partial_family`` and ``values_of`` hand it back.  A call evaluates its
+batch transposes each leaf partial once, and ``MatrixFamily.__call__``
+and ``values_of`` hand it back.  A call evaluates its
 points in blocks of at most ``BATCH_POINTS``, one batch per block, so a
 batch's arrays stay small and leaf functions must be row-wise.
 ``values_of`` is the one way to evaluate forms: it returns every
@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .asymptotics import read_csv_table, smooth_cutoff, smooth_cutoff_derivative
-from .clifford import CliffordRep, clifford_action, standard_rep, volume_trace
+from .clifford import clifford_action, standard_rep
 from .errors import QuadratureError, SingularFamilyError
 from .quadrature import (
     SphereRule, coarser_chart_resolution, fd_step, richardson_derivative, row_norm, sphere_rule,
@@ -54,10 +54,8 @@ __all__ = [
     "exterior_derivative",
     "maurer_cartan_power",
     "mc_form",
-    "clifford_omega_closed_form",
     "sphere_integrate",
     "sphere_pairing",
-    "sphere_volume_form",
     "SphereIntegral",
     "matrix_family",
 ]
@@ -109,13 +107,6 @@ class MatrixFamily:
         pts = x[None, :] if x.ndim == 1 else x
         vals = self.func(pts) if self.rule is None else _blockwise(self, pts)
         return vals[0] if x.ndim == 1 else vals
-
-    def partial_family(self, j: int) -> "MatrixFamily":
-        """The j-th partial derivative as a family: the analytic one if given,
-        else the batch jet's."""
-        if self.partials:
-            return self.partials[j]
-        return MatrixFamily(self.p, self.n, lambda x: _blockwise(self, x, (j,)), name=f"d{j}({self.name})")
 
 
 def _planar(v: np.ndarray) -> np.ndarray:
@@ -507,46 +498,6 @@ def maurer_cartan_power(f: MatrixFamily, q: int) -> MatrixForm:
         return (q * _leibniz(S, partial(batch.coeff, w, I[:1]), rest, _trace_product))[None, None]
 
     return MatrixForm(f.p, 1, q, tuple(combinations(range(f.p), q)), rule)
-
-
-def clifford_omega_closed_form(rep: CliffordRep, x) -> dict[tuple[int, ...], np.ndarray]:
-    """Closed-form top coefficients of tr((f^{-1} df)^p) for f(x) = x_0 + c(x')
-    on R^{p+1} minus the origin.
-
-    The coefficient on dx_0 ^ ... ^ (dx_j omitted) ^ ... ^ dx_p is
-    |x|^{-p-1} p! tr(E_1...E_p) (-1)^j x_j.
-    """
-    p = rep.p
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
-    if pts.shape[1] != p + 1:
-        raise ValueError(f"expected {p + 1}-vectors")
-    r = row_norm(pts)
-    if np.any(r == 0.0):
-        raise ValueError("closed form undefined at the origin")
-    pref = r ** (-p - 1) * math.factorial(p)
-    tvol = volume_trace(rep)
-    out = {}
-    for I in combinations(range(p + 1), p):
-        j = [m for m in range(p + 1) if m not in I][0]
-        vals = pref * tvol * (-1.0) ** j * pts[:, j]
-        out[I] = vals[0] if single else vals
-    return out
-
-
-def sphere_volume_form(d: int) -> MatrixForm:
-    """sum_j (-1)^j x_j dx_0 ^ ... ^ (dx_j omitted) ^ ... ^ dx_d; restricted to
-    S^d this is the volume form."""
-    coeffs = {}
-    for I in combinations(range(d + 1), d):
-        j = [m for m in range(d + 1) if m not in I][0]
-
-        def fn(x, j=j):
-            return ((-1.0) ** j * np.asarray(x, dtype=float)[:, j]).astype(complex)[:, None, None]
-
-        coeffs[I] = MatrixFamily(d + 1, 1, fn, name=f"vol_{j}")
-    return form_from_families(coeffs)
 
 
 class SphereIntegral(NamedTuple):

@@ -1,8 +1,7 @@
 """Parametric traces of spectrally explicit operator families.
 
-Supported operators: the circle operator with spectrum {n + a : n in Z}
-(a not an integer) and finite "point" models, either an explicit eigenvalue
-list or a matrix family over the parameter space.  Scalar symbols F(D, mu)
+The operator is the circle operator D with spectrum {n + a : n in Z}
+(a not an integer).  Scalar symbols F(D, mu)
 are drawn from a small closed algebra of monomials
 c * lam^a * t^b * (lam^2 + t)^{-k} in t = |mu|^2, which is closed under
 products and d/dt, so canonical Taylor subtraction at mu0 = 0 and the
@@ -18,24 +17,13 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
-from .asymptotics import (
-    DEFAULT_LADDER,
-    ExpansionModel,
-    RadiusLadder,
-    RegularizedValue,
-    fit_expansion,
-    regint_rp,
-    regint_rp_radial,
-)
 from .errors import OrderError, TruncationError
-from .forms import MatrixFamily
 from .quadrature import gauss_legendre, int_power, richardson_derivative
 
 __all__ = [
@@ -43,7 +31,6 @@ __all__ = [
     "Kernel",
     "KernelMonomial",
     "kernel",
-    "parse_kernel",
     "SpectralModel",
     "SpectralFamily",
     "TraceValue",
@@ -52,11 +39,6 @@ __all__ = [
     "tr_param",
     "tr_param_values",
     "l2_trace_values",
-    "extended_trace",
-    "formal_trace",
-    "formal_trace_via_regint",
-    "trace_expansion_model",
-    "family_from_json",
 ]
 
 
@@ -157,10 +139,6 @@ class KernelMonomial:
     t_pow: int
     res_pow: int  # (lam^2 + t)^{-res_pow}
 
-    @property
-    def homogeneity(self) -> float:
-        return self.lam_pow + 2 * self.t_pow - 2 * self.res_pow
-
 
 @dataclass(frozen=True)
 class Kernel:
@@ -224,15 +202,8 @@ class Kernel:
 
         return g
 
-    @property
-    def homogeneity(self) -> float:
-        return max((m.homogeneity for m in self.monomials), default=-math.inf)
-
     def scale(self, c: complex) -> "Kernel":
         return Kernel(tuple(KernelMonomial(m.coef * c, m.lam_pow, m.t_pow, m.res_pow) for m in self.monomials))
-
-    def __add__(self, other: "Kernel") -> "Kernel":
-        return Kernel(self.monomials + other.monomials)
 
     def __mul__(self, other: "Kernel") -> "Kernel":
         out = []
@@ -261,57 +232,30 @@ def kernel(name: str, k: int) -> Kernel:
     raise KeyError(f"unknown kernel {name!r}")
 
 
-_KERNEL_RE = re.compile(r"^\s*(\w+)\s*\(\s*(\d+)\s*\)\s*$")
-
-
-def parse_kernel(spec: str) -> tuple[Kernel, float]:
-    """Parse "name(k)" and return the kernel with its natural order."""
-    m = _KERNEL_RE.match(spec)
-    if not m:
-        raise ValueError(f"cannot parse kernel spec {spec!r}")
-    k = kernel(m.group(1), int(m.group(2)))
-    return k, k.homogeneity
-
-
 # ---------------------------------------------------------------------------
 # Spectral models and families
 
 
 @dataclass(frozen=True)
 class SpectralModel:
-    """Operator substrate: circle spectrum {n + a}, or a point model given by
-    an explicit eigenvalue list or a direct matrix family."""
+    """The circle operator D with spectrum {n + a : n in Z}; a must be a
+    finite non-integer, so that D is invertible."""
 
-    kind: str  # "circle" | "point"
-    a: float | None = None
-    eigenvalues: tuple[float, ...] | None = None
-    operator: MatrixFamily | None = None
+    a: float
 
     def __post_init__(self):
-        if self.kind == "circle":
-            if self.a is None or abs(self.a - round(self.a)) < 1e-12:
-                raise ValueError("circle model needs a non-integer offset (invertible operator)")
-        elif self.kind == "point":
-            if self.eigenvalues is None and self.operator is None:
-                raise ValueError("point model needs eigenvalues or a matrix family")
-        else:
-            raise ValueError(f"unknown spectral model kind {self.kind!r}")
+        if not math.isfinite(self.a):
+            raise ValueError(f"circle model needs a finite offset, got a = {self.a!r}")
+        if abs(self.a - round(self.a)) < 1e-12:
+            raise ValueError("circle model needs a non-integer offset (invertible operator)")
 
     @property
     def dim_m(self) -> int:
-        return 1 if self.kind == "circle" else 0
+        return 1
 
     @classmethod
     def circle(cls, a: float) -> "SpectralModel":
-        return cls("circle", a=float(a))
-
-    @classmethod
-    def point_spectrum(cls, eigenvalues) -> "SpectralModel":
-        return cls("point", eigenvalues=tuple(float(x) for x in eigenvalues))
-
-    @classmethod
-    def point_family(cls, operator: MatrixFamily) -> "SpectralModel":
-        return cls("point", operator=operator)
+        return cls(float(a))
 
 
 @dataclass(frozen=True)
@@ -324,10 +268,9 @@ class SpectralFamily:
     """
 
     base: SpectralModel
-    kernel: Kernel | None
+    kernel: Kernel
     order: float
     p: int
-    clifford_rank: int = 1
     pref_index: int = 0
     pref_power: int = 0
 
@@ -342,27 +285,8 @@ class SpectralFamily:
     def minimal_taylor_order(self) -> int:
         return max(0, math.floor(self.order + self.dim_m) + 1)
 
-    def order_consistent(self) -> bool:
-        """Sampled check of |F(lam, mu)| <= C (1 + |lam| + |mu|)^order at 64
-        seeded points, with C = 50."""
-        if self.kernel is None:
-            return True
-        n_samples, bound = 64, 50.0
-        rng = np.random.default_rng(0)
-        lam = rng.uniform(0.5, 100.0, n_samples) * rng.choice([-1.0, 1.0], n_samples)
-        mu = rng.uniform(0.0, 100.0, (n_samples, self.p))
-        vals = np.abs(
-            (mu[:, self.pref_index] ** self.pref_power if self.pref_power else 1.0)
-            * self.kernel.eval(lam, np.sum(mu ** 2, axis=1))
-        )
-        weight = (1.0 + np.abs(lam) + np.linalg.norm(mu, axis=1)) ** self.order
-        return bool(np.all(vals <= bound * weight))
-
     def d_mu(self, j: int) -> "SpectralFamily":
         """Analytic mu_j-derivative family (radial kernels only)."""
-        if self.kernel is None:
-            op = self.base.operator
-            return replace(self, base=SpectralModel.point_family(op.partial_family(j)), order=self.order - 1.0)
         if not self.is_radial:
             raise NotImplementedError("mu-derivative of a non-radial family")
         return replace(self, kernel=self.kernel.dt().scale(2.0), order=self.order - 1.0, pref_index=j, pref_power=1)
@@ -381,49 +305,6 @@ class SpectralFamily:
         if self.pref_power:
             vals *= (mu[:, self.pref_index] ** self.pref_power)[:, None]
         return vals
-
-    def scalar_trace(self, mu: np.ndarray, n_subtract: int) -> np.ndarray:
-        """Point-model trace (finite spectrum or direct family), shape (M,)."""
-        mu = np.asarray(mu, dtype=float)
-        if self.base.operator is not None:
-            op = self.base.operator
-            vals = np.trace(op(mu), axis1=-2, axis2=-1)
-            if n_subtract >= 1:
-                origin = np.zeros((1, self.p))
-                vals = vals - np.trace(op(origin), axis1=-2, axis2=-1)[0]
-            if n_subtract >= 2:
-                if op.partials is None:
-                    raise NotImplementedError("Taylor order >= 2 for a point family needs analytic partials")
-                origin = np.zeros((1, self.p))
-                for j in range(self.p):
-                    dj = np.trace(op.partial_family(j)(origin), axis1=-2, axis2=-1)[0]
-                    vals = vals - dj * mu[:, j]
-            if n_subtract >= 3:
-                raise NotImplementedError("Taylor order >= 3 for point families is not supported")
-            return vals
-        lam = np.asarray(self.base.eigenvalues, dtype=float)
-        return np.sum(self.summand(lam, mu, n_subtract), axis=1)
-
-
-def family_from_json(data) -> SpectralFamily:
-    """Family spec like {"base": {"kind": "circle", "a": 0.25},
-    "F": "eta_kernel(2)", "order": -3, "clifford_k": 2, "p": 1}."""
-    import json as _json
-
-    if isinstance(data, str):
-        data = _json.loads(data)
-    base = data["base"]
-    if base["kind"] == "circle":
-        model = SpectralModel.circle(float(base["a"]))
-    elif base["kind"] == "point":
-        model = SpectralModel.point_spectrum(base["eigenvalues"])
-    else:
-        raise ValueError(f"unknown base kind {base['kind']!r}")
-    kern, natural_order = parse_kernel(data["F"])
-    order = float(data.get("order", natural_order))
-    ck = data.get("clifford_k")
-    rank = 2 ** (int(ck) - 1) if ck else 1
-    return SpectralFamily(model, kern, order, int(data.get("p", 1)), clifford_rank=rank)
 
 
 # ---------------------------------------------------------------------------
@@ -523,11 +404,7 @@ def _trace_values(fam: SpectralFamily, mu: np.ndarray, n_subtract: int, cfg: Win
     mu = np.asarray(mu, dtype=float)
     if mu.ndim == 1:
         mu = mu[None, :]
-    if fam.base.kind == "point":
-        vals = np.asarray(fam.scalar_trace(mu, n_subtract), dtype=complex)
-        return fam.clifford_rank * vals, np.zeros(len(mu)), 0
-    vals, est, window = _circle_sum(fam, mu, n_subtract, cfg)
-    return fam.clifford_rank * vals, fam.clifford_rank * est, window
+    return _circle_sum(fam, mu, n_subtract, cfg)
 
 
 def l2_trace_values(fam: SpectralFamily, mu: np.ndarray, cfg: WindowConfig = DEFAULT_WINDOW) -> np.ndarray:
@@ -574,74 +451,3 @@ def tr_param(fam: SpectralFamily, mu, mu0=0.0, cfg: WindowConfig = DEFAULT_WINDO
         n_sub - 1,
         {"window": window, "tail_estimate": float(est[0]), "taylor_order": n_sub},
     )
-
-
-# ---------------------------------------------------------------------------
-# Extended and formal traces
-
-
-def trace_expansion_model(order: float, dim_m: int, depth: int = 8) -> ExpansionModel:
-    """Default fitted-degree ladder for a trace of the given order:
-    degrees order + dim_M - j, with a log slot at nonnegative integers."""
-    start = order + dim_m
-    terms = []
-    for j in range(depth):
-        d = start - j
-        lmax = 1 if (start >= 0 and d >= -1e-9 and abs(d - round(d)) < 1e-9) else 0
-        terms.append((float(d), lmax))
-    return ExpansionModel.make(terms)
-
-
-def extended_trace(
-    fam: SpectralFamily,
-    model: ExpansionModel,
-    ladder: RadiusLadder = DEFAULT_LADDER,
-) -> RegularizedValue:
-    """Regularized integral over R^p of the parametric trace.
-
-    The polynomial ambiguity of the trace is harmless here: the regularized
-    integral of a polynomial vanishes, so the result carries none.
-    """
-    p = fam.p
-
-    if fam.is_radial and p >= 2 and fam.base.kind == "circle":
-        def g(r):
-            pts = np.zeros((len(r), p))
-            pts[:, 0] = r
-            return tr_param_values(fam, pts)
-
-        return regint_rp_radial(g, model, p, ladder)
-
-    return regint_rp(lambda x: tr_param_values(fam, x), model, p, ladder)
-
-
-def formal_trace(
-    fam: SpectralFamily,
-    j: int,
-    model: ExpansionModel,
-) -> complex:
-    """Formal trace of omega = (-1)^{j-1} A dmu_1 ^ ... (dmu_j omitted) ... ^ dmu_p,
-    with j counted from 1.
-
-    Symbolic route: the sphere integral of the degree (1-p) homogeneous
-    coefficient of the parametric trace of A itself against mu_j.  The
-    polynomial ambiguity cannot reach this coefficient (degree 1-p <= 0, and
-    a constant integrates to zero against mu_j), so the value is canonical.
-    """
-    p = fam.p
-    fitted = fit_expansion(lambda x: tr_param_values(fam, x), model, p)
-    want = 1.0 - float(p)
-    return fitted.integrate_coefficient(want, 0, fitted.rule.points[:, j - 1])
-
-
-def formal_trace_via_regint(
-    fam: SpectralFamily,
-    j: int,
-    model_of_derivative: ExpansionModel,
-    n_radial: int = 32,
-) -> complex:
-    """Cross-route for the formal trace: the regularized integral of the
-    parametric trace of the mu_j-derivative family (the exterior-derivative
-    definition unwound on the top form)."""
-    dfam = fam.d_mu(j - 1)
-    return regint_rp(lambda x: tr_param_values(dfam, x), model_of_derivative, fam.p, n_radial=n_radial).value

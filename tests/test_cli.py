@@ -174,6 +174,13 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
         ("divisor-flow", {"width": 5e-324}),  # its half, for the halving row, is 0
         ("prop-d2", {"k": 2}),
         ("prop-regint-convergent", {"n": 1}),
+        # json.loads accepts Infinity and NaN, and a float parameter must be finite
+        ("spectral-eta", {"offsets": [math.inf]}),
+        ("spectral-eta", {"offsets": [math.nan]}),
+        ("eta-suspension", {"a": math.inf}),
+        ("eta-suspension", {"a": math.nan}),
+        ("trace-tanh", {"a": math.inf}),
+        ("trace-tanh", {"a": math.nan}),
     ]:
         wrong = tmp_path / "wrong.json"
         wrong.write_text(json.dumps({"experiment": experiment, "params": params, "budget": "quick"}))

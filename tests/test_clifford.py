@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from etaforge.clifford import (
-    clifford_action,
-    rep_from_json,
-    rep_to_json,
-    standard_rep,
-    volume_trace,
-)
+from etaforge.clifford import clifford_action, standard_rep, volume_trace
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -123,14 +117,6 @@ def test_rotation_covariance_of_spectrum(rng):
     r = np.linalg.norm(x)
     want = np.sort_complex(np.array([1j * r, -1j * r]))
     assert np.max(np.abs(ev_x - want)) < 1e-12
-
-
-def test_json_roundtrip():
-    rep = standard_rep(3)
-    rep2 = rep_from_json(rep_to_json(rep))
-    assert rep2.k == rep.k
-    for a, b in zip(rep.generators, rep2.generators):
-        assert np.array_equal(a, b)
 
 
 def test_dimension_mismatch_rejected():

@@ -1,16 +1,18 @@
 import math
+from functools import partial
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from etaforge import forms as forms_module
-from etaforge.clifford import standard_rep
+from etaforge.clifford import CliffordRep, standard_rep, volume_trace
 from etaforge.errors import SingularFamilyError
 from etaforge.forms import (
     BATCH_POINTS,
     MatrixFamily,
     MatrixForm,
-    clifford_omega_closed_form,
+    _blockwise,
     exterior_derivative,
     form_from_families,
     matrix_family,
@@ -19,10 +21,54 @@ from etaforge.forms import (
     mf_inverse,
     mf_product,
     sphere_integrate,
-    sphere_volume_form,
     values_of,
     wedge,
 )
+from etaforge.quadrature import row_norm
+
+
+# ---------------------------------------------------------------------------
+# Oracles
+
+
+def clifford_omega_closed_form(rep: CliffordRep, x) -> dict[tuple[int, ...], np.ndarray]:
+    """Closed-form top coefficients of tr((f^{-1} df)^p) for f(x) = x_0 + c(x')
+    on R^{p+1} minus the origin.
+
+    The coefficient on dx_0 ^ ... ^ (dx_j omitted) ^ ... ^ dx_p is
+    |x|^{-p-1} p! tr(E_1...E_p) (-1)^j x_j.
+    """
+    p = rep.p
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    pts = x[None, :] if single else x
+    if pts.shape[1] != p + 1:
+        raise ValueError(f"expected {p + 1}-vectors")
+    r = row_norm(pts)
+    if np.any(r == 0.0):
+        raise ValueError("closed form undefined at the origin")
+    pref = r ** (-p - 1) * math.factorial(p)
+    tvol = volume_trace(rep)
+    out = {}
+    for I in combinations(range(p + 1), p):
+        j = [m for m in range(p + 1) if m not in I][0]
+        vals = pref * tvol * (-1.0) ** j * pts[:, j]
+        out[I] = vals[0] if single else vals
+    return out
+
+
+def sphere_volume_form(d: int) -> MatrixForm:
+    """sum_j (-1)^j x_j dx_0 ^ ... ^ (dx_j omitted) ^ ... ^ dx_d; restricted to
+    S^d this is the volume form."""
+    coeffs = {}
+    for I in combinations(range(d + 1), d):
+        j = [m for m in range(d + 1) if m not in I][0]
+
+        def fn(x, j=j):
+            return ((-1.0) ** j * np.asarray(x, dtype=float)[:, j]).astype(complex)[:, None, None]
+
+        coeffs[I] = MatrixFamily(d + 1, 1, fn, name=f"vol_{j}")
+    return form_from_families(coeffs)
 
 
 def _coordinate_family(p, j, n=1):
@@ -255,6 +301,13 @@ def test_numerically_singular_point_in_batch_is_reported(rng, n):
     assert np.array_equal(err.value.point, pts[5])
 
 
+def _batch_partial(fam, j, x):
+    """d_j of a rule family at one point or a batch, from the batch jet."""
+    x = np.asarray(x, dtype=float)
+    vals = _blockwise(fam, np.atleast_2d(x), (j,))
+    return vals[0] if x.ndim == 1 else vals
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_rule_families_return_stacks_at_the_boundary(rng, k):
     # a batch keeps (N, N, M) arrays inside; every entry point hands back the
@@ -280,8 +333,8 @@ def test_rule_families_return_stacks_at_the_boundary(rng, k):
         vals = w.values(x)
         assert list(vals) == [(j,) for j in range(p)]
         for j in range(p):
-            close(prod.partial_family(j)(x), (np.matmul(da[j], bv) + np.matmul(av, db[j]))[at])
-            close(ainv.partial_family(j)(x), -np.matmul(np.matmul(inv, da[j]), inv)[at])
+            close(_batch_partial(prod, j, x), (np.matmul(da[j], bv) + np.matmul(av, db[j]))[at])
+            close(_batch_partial(ainv, j, x), -np.matmul(np.matmul(inv, da[j]), inv)[at])
             close(vals[(j,)], np.matmul(inv, da[j])[at])
 
 
@@ -392,7 +445,7 @@ def test_partial_family_is_bounded(rng, monkeypatch):
     leaf, fd_leaf = _recording_leaf(rows)
     pts = rng.normal(size=(_BLOCKS[-1], 3))
     for fam in (mf_product(leaf, fd_leaf), mf_inverse(fd_leaf)):
-        d1 = fam.partial_family(1)
+        d1 = partial(_blockwise, fam, S=(1,))
         rows.clear()
         got = d1(pts)
         assert max(rows) == BATCH_POINTS and got.shape == (len(pts), 2, 2)
@@ -471,7 +524,7 @@ def test_fd_partials_match_analytic(rng):
     pts = rng.normal(size=(6, 3))
     for j in range(3):
         analytic = fam.partials[j](pts)
-        fd = MatrixFamily(3, 2, fam.func).partial_family(j)(pts)
+        fd = _blockwise(MatrixFamily(3, 2, fam.func), pts, (j,))
         assert np.max(np.abs(analytic - fd)) < 1e-9
 
 
@@ -483,7 +536,7 @@ def test_step_unitary_partials_match_the_fd_leaf(rng):
     radii = np.repeat([0.2, 0.45, 0.55, 0.75, 0.95, 1.3, 3.0], 12)
     pts = np.tile(dirs / np.linalg.norm(dirs, axis=1)[:, None], (7, 1)) * radii[:, None]
     for j in range(3):
-        fd = MatrixFamily(3, 2, fam.func).partial_family(j)(pts)
+        fd = _blockwise(MatrixFamily(3, 2, fam.func), pts, (j,))
         assert np.max(np.abs(fam.partials[j](pts) - fd)) < 1e-8
 
 
