@@ -599,17 +599,25 @@ def _unaliased(v, buf):
     return v.copy() if np.may_share_memory(v, buf) else v
 
 
+def _held(buf, shape):
+    """buf when its rows have the shape of shape[1:] and it has at least
+    shape[0] of them, else a new buffer of the given shape: a shorter call
+    (the last block of a shell panel) writes the buffer's leading rows."""
+    if buf is None or len(buf) < shape[0] or buf.shape[1:] != shape[1:]:
+        return np.empty(shape)
+    return buf
+
+
 def _substituted(f, A):
-    """x -> f(x A^T), with x A^T written into one buffer held across calls
-    of the same shape."""
+    """x -> f(x A^T), with x A^T written into the leading rows of one buffer
+    held across calls (``_held``)."""
     buf = None
 
     def fA(x):
         nonlocal buf
         shape = np.shape(x)[:-1] + (A.shape[0],)
-        if buf is None or buf.shape != shape:
-            buf = np.empty(shape)
-        return _unaliased(f(np.matmul(x, A.T, out=buf)), buf)
+        buf = _held(buf, shape)
+        return _unaliased(f(np.matmul(x, A.T, out=buf[:shape[0]])), buf)
 
     return fA
 
@@ -617,12 +625,14 @@ def _substituted(f, A):
 def _fd_partial(f, j):
     """Central difference with one Richardson pass, step scaled by 1 + |x|.
 
-    The shifted points live in one (M, p) buffer held for the life of the
-    closure and replaced only when the shape changes.  Each call copies x
-    into it once, and each stencil offset rewrites column j alone, as
-    x_j + c h, which rounds as adding c h to a fresh copy would.  A value of
-    f that may share memory with the buffer (a view of its input) is copied
-    before the next offset overwrites it; the caller's x is never written.
+    The shifted points live in the leading M rows of one buffer held for
+    the life of the closure and replaced only when a call has more rows or
+    another point dimension (``_held``), so the blocks of a shell panel share
+    it.  Each call copies x into it once, and each stencil offset rewrites
+    column j alone, as x_j + c h, which rounds as adding c h to a fresh copy
+    would.  A value of f that may share memory with the buffer (a view of its
+    input) is copied before the next offset overwrites it; the caller's x is
+    never written.
     """
     buf = None
 
@@ -630,13 +640,13 @@ def _fd_partial(f, j):
         nonlocal buf
         x = np.asarray(x, dtype=float)
         h = fd_step(x)
-        if buf is None or buf.shape != x.shape:
-            buf = np.empty(x.shape)
-        np.copyto(buf, x)
+        buf = _held(buf, x.shape)
+        rows = buf[:len(x)]
+        np.copyto(rows, x)
 
         def at(c):
-            np.add(x[:, j], c * h, out=buf[:, j])
-            return _unaliased(f(buf), buf)
+            np.add(x[:, j], c * h, out=rows[:, j])
+            return _unaliased(f(rows), buf)
 
         return richardson_derivative(at, h)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from etaforge import asymptotics
+from etaforge import asymptotics, quadrature
 from etaforge.asymptotics import (
     ExpansionModel,
     RadiusLadder,
@@ -656,3 +656,30 @@ def test_held_buffer_is_reused_per_shape(rng, make):
     g(rng.standard_normal((31, 3)))
     shape, ptr = seen[-1]
     assert shape == (31, 3) and ptr != seen[0][1] and len(set(seen[n:])) == 1
+    # a shorter call runs on the leading rows of the held buffer
+    n = len(seen)
+    g(rng.standard_normal((12, 3)))
+    assert set(seen[n:]) == {((12, 3), ptr)}
+
+
+def test_fd_partial_holds_one_buffer_across_the_blocks_of_each_panel(monkeypatch):
+    # quick cov-check's panels: 32 nodes x 1,152 directions, evaluated in
+    # blocks of 14, 14 and 4 nodes under the 16,384-point bound; every block
+    # of every panel runs on the one buffer, and the values do not move
+    assert quadrature.SHELL_POINTS == 16384
+    rule = sphere_rule(3, (24, 48))
+    ladder = np.geomspace(4.0, 64.0, 3)
+    f = scalar_family("coordinate_power", j=0, q=3.0)
+    seen = []
+
+    def recorded(y):
+        seen.append((len(y), y.ctypes.data))
+        return f(y)
+
+    got = quadrature.cumulative_ball(asymptotics._fd_partial(recorded, 0), 3, ladder, rule)
+    n_dir = len(rule.points)
+    assert {n for n, _ in seen} == {14 * n_dir, 4 * n_dir}
+    assert len({ptr for _, ptr in seen}) == 1
+    monkeypatch.setattr(quadrature, "SHELL_POINTS", 32 * n_dir)  # whole panels
+    want = quadrature.cumulative_ball(_four_copies_partial(f, 0), 3, ladder, rule)
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]

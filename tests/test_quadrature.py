@@ -439,6 +439,24 @@ def test_row_norm_zeros_subnormals_and_overflow(p):
     assert np.isinf(got[3]) and np.isinf(got[4]) and got[0] == 0.0
 
 
+def test_int_power_matches_repeated_products():
+    x = np.array([2.0, -3.0, 0.5, -0.0, 1e-200])  # exact powers (or 0.0) in any product order
+    for k in range(1, 12):
+        want = np.ones_like(x)
+        for _ in range(k):
+            want = want * x
+        assert quadrature.int_power(x.copy(), k).tobytes() == want.tobytes()
+    assert quadrature.int_power(x.copy(), np.int64(3)).tobytes() == (x * x * x).tobytes()
+
+
+@pytest.mark.parametrize("k", [0, -1, -2, 2.0, 1.5, True, None, "2"], ids=repr)
+def test_int_power_rejects_k_below_one_and_non_integers(k):
+    x = np.array([2.0, 3.0])
+    with pytest.raises(ValueError, match="integer k >= 1"):
+        quadrature.int_power(x, k)
+    assert x.tolist() == [2.0, 3.0]
+
+
 # one-column integrands for the (M, K) runs of the shell loop
 _REAL = lambda x: np.cos(3.0 * x[:, 0]) * np.exp(-0.05 * row_norm(x))
 _REAL2 = lambda x: x[:, 1] / (1.0 + row_norm(x) ** 3)
@@ -451,8 +469,37 @@ def _beyond(radius, value, f):
     return lambda x: np.where(row_norm(x) > radius, value(x), f(x))
 
 
+def _bands(first, then, f):
+    """f with ``first`` at the points with 100 < |x| < 130 and ``then``
+    beyond |x| = 200: radial nodes of one panel, in different blocks when a
+    block is at most a few nodes."""
+    def g(x):
+        r = row_norm(x)
+        return np.select([(r > 100.0) & (r < 130.0), r > 200.0], [first, then], f(x))
+    return g
+
+
+_BALL_SPHERE = sphere_rule(3, (12, 24))  # 288 directions: 9,216 points per 32-node panel
+
+
 def _ball(f):
-    return cumulative_ball(f, 3, geometric_ladder(4.0, 256.0, 6), sphere_rule(3, (12, 24)))
+    return cumulative_ball(f, 3, geometric_ladder(4.0, 256.0, 6), _BALL_SPHERE)
+
+
+def _ball_outcome(f):
+    # the bytes of both results, or the exception
+    try:
+        return [v.tobytes() for v in _ball(f)]
+    except ValueError as exc:
+        return repr(exc)
+
+
+# the shell loop's bound and two that split its panels
+_SHELL_BOUNDS = (
+    quadrature.SHELL_POINTS,  # one block per panel
+    1000,  # blocks of 3 nodes (864 points), the last of 2
+    100,  # fewer than a node's 288 points: one node per block
+)
 
 
 @pytest.mark.parametrize("columns, outcome", [
@@ -463,16 +510,54 @@ def _ball(f):
     ([_beyond(100.0, lambda x: np.full(len(x), np.nan), _REAL), _REAL2], "non-finite"),
     ([_REAL, _beyond(100.0, lambda x: np.where(x[:, 0] > 0, np.inf, -np.inf), _REAL2)], "raises"),
     ([_beyond(50.0, lambda x: np.full(len(x), np.inf + 0j), _COMPLEX), _COMPLEX2], "non-finite"),
+    # the non-finite values of one panel in different blocks
+    ([_REAL, _bands(np.inf, -np.inf, _REAL2)], "raises"),
+    ([_bands(np.nan, np.inf, _REAL), _REAL2], "non-finite"),
+    ([_REAL2, _bands(-np.inf, np.nan, _REAL)], "non-finite"),
+    ([_bands(-np.inf + 0j, np.nan + 0j, _COMPLEX), _COMPLEX2], "non-finite"),
+    ([_bands(complex(0.0, math.inf), complex(0.0, -math.inf), _COMPLEX), _REAL], "raises"),  # inf - inf in the imaginary part
 ])
-def test_cumulative_ball_columns_are_their_one_column_runs(match_columns, columns, outcome):
+def test_cumulative_ball_columns_are_their_one_column_runs(monkeypatch, match_columns, columns, outcome):
     # an (M, K) integrand gives (L, K) results, each column bit for bit its own
-    # (M,) run, or the same exception (here fsum's inf - inf)
+    # (M,) run, or the same exception (here fsum's inf - inf); a panel split
+    # into blocks gives bit for bit its one-block run, or the same exception
+    stacked = lambda x: np.stack([c(x) for c in columns], axis=1)  # noqa: E731
     with np.errstate(invalid="ignore"):  # inf + 0j times a weight has a 0 * inf imaginary part
-        got = match_columns(
-            _ball, columns, lambda res, k: [v if k is None else v[:, k] for v in res]
-        )
-    kind = "raises" if isinstance(got, str) else "finite" if np.all(np.isfinite(got[0])) else "non-finite"
-    assert kind == outcome
+        whole = _ball_outcome(stacked)
+        for shell_points in _SHELL_BOUNDS:
+            monkeypatch.setattr(quadrature, "SHELL_POINTS", shell_points)
+            assert _ball_outcome(stacked) == whole
+            got = match_columns(
+                _ball, columns, lambda res, k: [v if k is None else v[:, k] for v in res]
+            )
+            kind = "raises" if isinstance(got, str) else "finite" if np.all(np.isfinite(got[0])) else "non-finite"
+            assert kind == outcome
+
+
+@pytest.mark.parametrize("shell_points, block_nodes", [(quadrature.SHELL_POINTS, 32), (1000, 3), (576, 2), (100, 1)])
+def test_shell_loop_calls_are_whole_nodes_within_the_bound(monkeypatch, shell_points, block_nodes):
+    # every integrand call sees at most SHELL_POINTS points (one node's 288
+    # when the bound is smaller), and each panel's calls are its whole nodes
+    # in order: together the points of its one-block call
+    monkeypatch.setattr(quadrature, "SHELL_POINTS", shell_points)
+    calls = []
+
+    def f(x):
+        calls.append(x.copy())
+        return _REAL(x)
+
+    ladder = geometric_ladder(4.0, 256.0, 6)
+    _ball(f)
+    n_dir = len(_BALL_SPHERE.points)
+    panels = quadrature._outward_panels(quadrature._shell_bounds(0.0, ladder, quadrature.DEFAULT_INNER))
+    per_panel = -(-32 // block_nodes)
+    assert len(calls) == per_panel * len(panels)
+    for a, b, _ in panels:
+        nodes = quadrature.panel_rule(a, b, 32)[0]
+        blocks, calls = calls[:per_panel], calls[per_panel:]
+        assert [len(x) for x in blocks] == [n_dir * len(nodes[s:s + block_nodes]) for s in range(0, 32, block_nodes)]
+        assert all(len(x) <= max(shell_points, n_dir) for x in blocks)
+        assert np.concatenate(blocks).tobytes() == quadrature.sample_points(nodes, _BALL_SPHERE).tobytes()
 
 
 def test_cumulative_ball_column_shapes():
