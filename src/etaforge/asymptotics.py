@@ -12,9 +12,7 @@ declares the expansion model.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -380,44 +378,6 @@ def fit_expansion_samples(
         )
     floor = np.full(len(radii), float(np.max(np.abs(values))) if values.size else 0.0)
     return _fit(radii, values, _dedupe_basis(model.expanded_terms()), floor, directions)
-
-
-def read_csv_table(path, key: str, indices: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Read a CSV table with columns ``key`` (a float), one integer column
-    per name in ``indices``, re and im into the sorted distinct keys and the
-    complex array values[k, i_1, ..., i_n], each index axis one longer than
-    the largest index of any column.
-
-    Blank lines, '#' comments and the header row (first field ``key``) are
-    skipped.  Every cell must appear exactly once: an empty table, a row with
-    too few fields, a negative index, or a missing or repeated cell raises
-    ValueError naming the row or cell.
-    """
-    n = len(indices)
-
-    def cell(x, idx) -> str:
-        return ", ".join([f"{key} = {x}"] + [f"{name} = {i}" for name, i in zip(indices, idx)])
-
-    cells = {}
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#") or row[0].strip().lower() == key:
-                continue
-            if len(row) < n + 3:
-                raise ValueError(f"{path}: a row needs {n + 3} fields, got {row!r}")
-            x, idx = float(row[0]), tuple(int(v) for v in row[1:1 + n])
-            if min(idx) < 0 or (x, idx) in cells:
-                raise ValueError(f"{path}: {'negative index' if min(idx) < 0 else 'repeated cell'} at {cell(x, idx)}")
-            cells[x, idx] = float(row[1 + n]) + 1j * float(row[2 + n])
-    if not cells:
-        raise ValueError(f"{path}: the table has no cells")
-    keys = sorted({x for x, _ in cells})
-    size = 1 + max(max(idx) for _, idx in cells)
-    grid = list(product(keys, product(range(size), repeat=n)))
-    missing = next((c for c in grid if c not in cells), None)
-    if missing is not None:
-        raise ValueError(f"{path}: missing cell at {cell(*missing)}")
-    return np.array(keys), np.array([cells[c] for c in grid]).reshape((len(keys),) + (size,) * n)
 
 
 # ---------------------------------------------------------------------------

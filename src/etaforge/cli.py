@@ -215,14 +215,13 @@ def run(config: ExperimentConfig) -> Report:
 
 
 def suite(tag: str = "all", budget="standard", seed: int = 0) -> list[Report]:
-    """Run every registered experiment whose tag set (or id) matches."""
-    reports = []
-    for exp_id, spec in EXPERIMENTS.items():
-        if tag != exp_id and tag not in spec.tags:
-            continue
-        cfg = ExperimentConfig(experiment=exp_id, budget=budget, seed=seed)
-        reports.append(run(cfg))
-    return reports
+    """Run every registered experiment whose tag set (or id) matches; raises
+    ConfigError, naming the known tags, when none does."""
+    matched = [exp_id for exp_id, spec in EXPERIMENTS.items() if tag == exp_id or tag in spec.tags]
+    if not matched:
+        tags = sorted(set().union(*(spec.tags for spec in EXPERIMENTS.values())))
+        raise ConfigError(f"no experiment matches suite tag {tag!r}; known tags: {tags}, or an experiment id")
+    return [run(ExperimentConfig(experiment=exp_id, budget=budget, seed=seed)) for exp_id in matched]
 
 
 def _emit_csv(report: Report, out_dir: Path) -> None:

@@ -314,7 +314,7 @@ def spectral_eta(
         raise ValueError(f"unknown method {method!r}")
     if k < 2:
         raise ValueError("regint route needs k >= 2 (trace-class integrand)")
-    fam = SpectralFamily(model, kernel("eta_kernel", k), 1.0 - 2 * k, p=1)
+    fam = SpectralFamily(model, kernel("eta_kernel", k), 1.0 - 2 * k)
 
     def g(x):
         pts = np.asarray(x, dtype=float)[:, None]
@@ -351,7 +351,7 @@ def eta_suspension(
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     p = 2 * k - 1
-    fam = SpectralFamily(model, kernel("eta_kernel", k), 1.0 - 2 * k, p=1)
+    fam = SpectralFamily(model, kernel("eta_kernel", k), 1.0 - 2 * k)
     pref = sign * math.factorial(p) * 2 ** (k - 1) * (1j) ** (-k)
 
     def w(r):

@@ -636,7 +636,7 @@ def exp_eta_suspension(params, budget, rng):
     rows.append(CheckRow("symmetric spectrum", sym.value, 0.0, 1e-6, "abs", "term-by-term cancellation"))
 
     # radial reduction vs full-dimensional quadrature on one small case
-    fam = SpectralFamily(SpectralModel.circle(a), kernel("eta_kernel", k), 1.0 - 2 * k, p=1)
+    fam = SpectralFamily(SpectralModel.circle(a), kernel("eta_kernel", k), 1.0 - 2 * k)
     pref = math.factorial(2 * k - 1) * 2 ** (k - 1) * (1j) ** (-k)
 
     def radial_vals(r):
@@ -709,7 +709,7 @@ def _circle_resolvent_trace(mu: float, a: float) -> float:
 def exp_trace_tanh(params, budget, rng):
     p = _params(params, {"mus": (0.5, 1.0, 5.0), "a": 0.5})
     a = _check_circle_offset(p["a"])
-    fam = SpectralFamily(SpectralModel.circle(a), kernel("resolvent", 1), -2.0, p=1)
+    fam = SpectralFamily(SpectralModel.circle(a), kernel("resolvent", 1), -2.0)
     rows = []
     for mu in p["mus"]:
         got = complex(l2_trace_values(fam, np.array([[float(mu)]]), budget.window)[0])
@@ -735,7 +735,7 @@ def exp_tr_derivative_check(params, budget, rng):
 
     # order-0 family mu^2 (lam^2 + mu^2)^{-1}: second mu-derivative of the
     # subtracted trace equals a trace-class sum
-    fam0 = SpectralFamily(model, Kernel((KernelMonomial(1.0, 0, 1, 1),)), 0.0, p=1)
+    fam0 = SpectralFamily(model, Kernel((KernelMonomial(1.0, 0, 1, 1),)), 0.0)
     mu = 2.0
     h = 1e-3
 
@@ -746,7 +746,7 @@ def exp_tr_derivative_check(params, budget, rng):
     d2b = (trv(mu + 0.5 * h) - 2.0 * trv(mu) + trv(mu - 0.5 * h)) / (0.25 * h ** 2)
     d2r = (4.0 * d2b - d2) / 3.0
     oracle_kernel = Kernel((KernelMonomial(2.0, 2, 0, 2), KernelMonomial(-8.0, 2, 1, 3)))
-    oracle_fam = SpectralFamily(model, oracle_kernel, -2.0, p=1)
+    oracle_fam = SpectralFamily(model, oracle_kernel, -2.0)
     want = complex(l2_trace_values(oracle_fam, np.array([[mu]]), budget.window)[0])
     rows.append(
         CheckRow(
@@ -760,7 +760,7 @@ def exp_tr_derivative_check(params, budget, rng):
     )
 
     # first derivative compatibility on a trace-class family
-    fam1 = SpectralFamily(model, kernel("resolvent", 1), -2.0, p=1)
+    fam1 = SpectralFamily(model, kernel("resolvent", 1), -2.0)
 
     def trv1(x):
         return complex(tr_param_values(fam1, np.array([[x]]), budget.window)[0])
@@ -781,7 +781,7 @@ def exp_tr_derivative_check(params, budget, rng):
 
     # multiplication by mu: the canonical representatives agree on the nose,
     # so the difference is the zero polynomial
-    fam_mu = SpectralFamily(model, Kernel((KernelMonomial(1.0, 0, 1, 1),)), 1.0, p=1, pref_index=0, pref_power=1)
+    fam_mu = SpectralFamily(model, Kernel((KernelMonomial(1.0, 0, 1, 1),)), 1.0, pref_index=0, pref_power=1)
     xs = np.linspace(2.0, 9.0, 12)
     diff = tr_param_values(fam_mu, xs[:, None], budget.window) - xs * tr_param_values(
         fam0, xs[:, None], budget.window
@@ -801,8 +801,8 @@ def exp_tr_derivative_check(params, budget, rng):
     )
 
     # trace property for commuting pairs: identical code path, assert exactly
-    fa = SpectralFamily(model, kernel("resolvent", 1) * kernel("eta_kernel", 2), -2.0 - 3.0, p=1)
-    fb = SpectralFamily(model, kernel("eta_kernel", 2) * kernel("resolvent", 1), -5.0, p=1)
+    fa = SpectralFamily(model, kernel("resolvent", 1) * kernel("eta_kernel", 2), -2.0 - 3.0)
+    fb = SpectralFamily(model, kernel("eta_kernel", 2) * kernel("resolvent", 1), -5.0)
     va = complex(tr_param_values(fa, np.array([[1.5]]), budget.window)[0])
     vb = complex(tr_param_values(fb, np.array([[1.5]]), budget.window)[0])
     rows.append(CheckRow("trace property on a commuting pair", va - vb, 0.0, 0.0, "abs", "identical symbol"))

@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .asymptotics import read_csv_table, smooth_cutoff, smooth_cutoff_derivative
+from .asymptotics import smooth_cutoff, smooth_cutoff_derivative
 from .clifford import clifford_action, standard_rep
 from .errors import QuadratureError, SingularFamilyError
 from .quadrature import (
@@ -561,7 +561,7 @@ def matrix_family(name: str, **params) -> MatrixFamily:
 
     ids: moebius(s), circle_phase(), affine_clifford(a, k),
     spectral_slice(lam, k), capped_clifford(a, k), sphere_clifford(k),
-    tabulated(path) (see matrix_family_from_csv), step_unitary(k).
+    step_unitary(k).
     """
     if name == "moebius":
         s = complex(params.get("s", 1.0))
@@ -639,9 +639,6 @@ def matrix_family(name: str, **params) -> MatrixFamily:
         parts += [MatrixFamily.constant(rep.generators[j], p, f"E{j + 1}") for j in range(rep.p)]
         return MatrixFamily(p, nn, f, tuple(parts), f"sphere_clifford(k={k})")
 
-    if name == "tabulated":
-        return matrix_family_from_csv(params["path"])
-
     if name == "step_unitary":
         # cos(theta(r)) + sin(theta(r)) c(x/|x|) with theta = pi * chi(r):
         # identity near 0, the constant -1 outside |x| = 1.  The standard
@@ -678,26 +675,3 @@ def matrix_family(name: str, **params) -> MatrixFamily:
 
     raise KeyError(f"unknown matrix family {name!r}")
 
-
-def matrix_family_from_csv(path) -> MatrixFamily:
-    """Tabulated matrix family from CSV columns x, row, col, re, im.
-
-    One-dimensional base only; values are interpolated linearly entry by
-    entry between the tabulated parameter points.  The matrices are N x N,
-    N one more than the largest row or column index, and the table is read
-    by ``read_csv_table``: every (x, row, col) cell must appear exactly once.
-    """
-    xs, table = read_csv_table(path, "x", ("row", "col"))
-    n = table.shape[1]
-
-    def f(pts):
-        t = np.asarray(pts, dtype=float)[:, 0]
-        out = np.empty((len(t), n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                out[:, i, j] = np.interp(t, xs, table[:, i, j].real) + 1j * np.interp(
-                    t, xs, table[:, i, j].imag
-                )
-        return out
-
-    return MatrixFamily(1, n, f, name="tabulated")

@@ -270,7 +270,6 @@ class SpectralFamily:
     base: SpectralModel
     kernel: Kernel
     order: float
-    p: int
     pref_index: int = 0
     pref_power: int = 0
 
@@ -313,11 +312,10 @@ class SpectralFamily:
 
 @dataclass(frozen=True)
 class WindowConfig:
+    """The first and the largest eigenvalue window N (eigenvalues -N..N)."""
+
     start: int = 4096
     cap: int = 1_048_576
-    rtol: float = 1e-10
-    atol: float = 1e-13
-    mu_chunk: int = 1024
 
     def __post_init__(self):
         if self.start < 1:
@@ -325,6 +323,12 @@ class WindowConfig:
 
 
 DEFAULT_WINDOW = WindowConfig()
+# a window is wide enough when each tail estimate is at most
+# max(WINDOW_RTOL |sum|, WINDOW_ATOL)
+WINDOW_RTOL = 1e-10
+WINDOW_ATOL = 1e-13
+# parameter points per window escalation: each chunk escalates on its own
+_MU_CHUNK = 1024
 # eigenvalues per summand call; the block partial sums are added in index order
 _LAM_BLOCK = 8192
 
@@ -370,8 +374,8 @@ def _circle_sum(fam: SpectralFamily, mu: np.ndarray, n_subtract: int, cfg: Windo
     total = np.zeros(len(mu), dtype=complex)
     est = np.zeros(len(mu))
     widest = 0
-    for lo in range(0, len(mu), cfg.mu_chunk):
-        sl = slice(lo, min(lo + cfg.mu_chunk, len(mu)))
+    for lo in range(0, len(mu), _MU_CHUNK):
+        sl = slice(lo, min(lo + _MU_CHUNK, len(mu)))
         chunk = mu[sl]
         N = cfg.start
         while True:
@@ -385,7 +389,7 @@ def _circle_sum(fam: SpectralFamily, mu: np.ndarray, n_subtract: int, cfg: Windo
             tm, em = _em_tail(lambda x: fam.summand(-x + a, chunk, n_subtract), x0)
             vals = vals + tp + tm
             errs = ep + em
-            ok = errs <= np.maximum(cfg.rtol * np.abs(vals), cfg.atol)
+            ok = errs <= np.maximum(WINDOW_RTOL * np.abs(vals), WINDOW_ATOL)
             if np.all(ok):
                 break
             if N >= cfg.cap:

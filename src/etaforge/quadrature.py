@@ -6,18 +6,19 @@ S^0..S^3 (endpoints for S^0, trapezoid on S^1, Gauss-Legendre x trapezoid on
 S^2, double Gauss-Legendre x trapezoid in hyperspherical coordinates on S^3),
 with one resolution check and one default table, and ``sample_points`` the
 one grid of radii times a rule's directions.
-Every shell-panel sum is exact and correctly rounded (``exact_sum``: integer
-limbs binned per binary exponent, bit for bit the value of ``math.fsum``; one
-split of a real panel gives both its sum and its absolute mass), so the
-cumulative integrals do not depend on summation order; the remaining
-reductions run in a fixed index order.  Real integrand values stay float64
-through the loop; complex ones are summed by real and imaginary part.  One
-pass of the shell loop integrates several integrands at the same points as
-the columns of one array, each column reduced exactly as it would be alone.
-A shell-loop integrand must be row-wise: each call sees whole radial nodes
-of one panel, at most ``SHELL_POINTS`` points unless one node has more, and
-a panel in several blocks joins the blocks' exact limb totals before its
-one rounding.
+Every shell-panel sum is exact and correctly rounded, bit for bit the value
+of ``math.fsum`` over the whole panel, so the cumulative integrals do not
+depend on summation order; the remaining reductions run in a fixed index
+order.  One reducer per column (``_JoinedSums``) takes a panel's blocks: a
+short block keeps its values for ``math.fsum``, a longer one adds integer
+limbs binned per binary exponent (one split of a real block gives both its
+sum and its absolute mass), and each sum is rounded once.  Real integrand
+values stay float64 through the loop; complex ones are summed by real and
+imaginary part.  One pass of the shell loop integrates several integrands at
+the same points as the columns of one array, each column reduced exactly as
+it would be alone.  A shell-loop integrand must be row-wise: each call sees
+whole radial nodes of one panel, at most ``SHELL_POINTS`` points unless one
+node has more.
 ``row_norm`` is the Euclidean norm of short rows, ``int_power`` the integer
 power by repeated squaring, and ``richardson_derivative`` the one
 first-derivative stencil of the package.
@@ -241,61 +242,19 @@ def _limb_totals(a: np.ndarray, mass: bool) -> list[int] | None:
     return [_bin_total(h, lo) << (e0 + _EXP_OFFSET) for h, lo in bins]
 
 
-def _exact_totals(a, mass: bool) -> list[float]:
-    """[sum(a)], or [sum(a), sum(|a|)] when ``mass`` is set, each correctly
-    rounded: the driver behind ``exact_sum`` and ``exact_sum_and_mass``."""
-    a = np.asarray(a, dtype=float).reshape(-1)
-    if not a.any():
-        return [0.0] * (1 + mass)
-    if a.size < _FSUM_BELOW:
-        return _fsums(a, mass)
-    totals = _joined_limbs(a, mass, [0] * (1 + mass))
-    return _fsums(a, mass) if totals is None else [_rounded(t) for t in totals]
-
-
-def _joined_limbs(a: np.ndarray, mass: bool, totals: list[int]) -> list[int] | None:
-    """``totals`` plus the limb totals of the 1-D array ``a`` (its sum, then
-    the sum of |a| when ``mass`` is set), taken ``_EXACT_CHUNK`` elements at a
-    time; None when ``a`` holds an inf or NaN."""
-    for start in range(0, a.size, _EXACT_CHUNK):
-        parts = _limb_totals(a[start:start + _EXACT_CHUNK], mass)
-        if parts is None:
-            return None
-        totals = [t + part for t, part in zip(totals, parts)]
-    return totals
-
-
-def _rounded(total: int) -> float:
-    """A limb total in units of 2^-1126, correctly rounded to a double."""
-    return total / (1 << (_EXP_OFFSET + 53))
-
-
-def _fsums(a: np.ndarray, mass: bool) -> list[float]:
-    xs = a.tolist()
-    return [math.fsum(xs), math.fsum(map(abs, xs))] if mass else [math.fsum(xs)]
-
-
-def exact_sum(a) -> float:
-    """The correctly rounded sum of a float64 array: bit for bit the value
-    ``math.fsum`` returns, +0.0 for an exact zero.
-
-    Arrays shorter than ``_FSUM_BELOW`` go to ``math.fsum`` directly.
-    Input with an inf or NaN goes to ``math.fsum`` and keeps its result or
-    exception; a finite sum beyond the float range raises OverflowError, as
-    ``math.fsum`` does.
-    """
-    return _exact_totals(a, False)[0]
-
-
-def exact_sum_and_mass(a) -> tuple[float, float]:
-    """``(exact_sum(a), exact_sum(|a|))`` from one limb split: bit for bit
-    ``(math.fsum(a), math.fsum(abs(a)))``, each +0.0 for an exact zero.
-
-    Short and non-finite input takes ``math.fsum`` as in ``exact_sum``; the
-    signed sum is taken first, so its exception is the one raised when both
-    would raise.
-    """
-    return tuple(_exact_totals(a, True))
+def _doubles(total: int) -> list[float]:
+    """The limb total ``total`` (units of 2^-1126) as doubles whose exact sum
+    it is.  A sum of doubles is a multiple of 2^-1074, the least subnormal,
+    so each 53-bit piece of it is a double; a piece beyond the float range
+    raises OverflowError, as ``math.fsum`` does for such a sum."""
+    sign, t = (-1 if total < 0 else 1), abs(total) >> 52  # t in units of 2^-1074
+    pieces = []
+    while t:
+        k = max(t.bit_length() - 53, 0)
+        top = t >> k
+        pieces.append(math.ldexp(sign * top, k - 1074))
+        t -= top << k
+    return pieces
 
 
 # points per integrand call of the shell loop: a larger panel is evaluated in
@@ -307,73 +266,76 @@ def exact_sum_and_mass(a) -> tuple[float, float]:
 SHELL_POINTS = 16384
 
 
-def _column_sums(col: np.ndarray) -> tuple[float, float, float]:
-    """The real, imaginary and absolute sums of one whole-panel column."""
-    if np.iscomplexobj(col):
-        return exact_sum(col.real), exact_sum(col.imag), exact_sum(np.abs(col))
-    re, mass = exact_sum_and_mass(col)
-    return re, 0.0, mass
-
-
 class _JoinedSums:
     """One column's real, imaginary and absolute sums over the blocks of a
-    panel: each block's exact limb totals are joined, and each sum is rounded
-    once, bit for bit ``_column_sums`` of the whole panel.
+    panel, each bit for bit ``math.fsum`` over the whole panel.
 
-    A real block adds its signed and absolute totals from one limb split, a
-    complex block its real, imaginary and modulus totals.  A sum that meets an
-    inf or NaN keeps the non-finite values instead, in panel order: ``fsum``
-    over values holding one returns the sum of the non-finite ones (or raises
-    for inf - inf), whatever the finite ones are, unless their running sum
-    overflows, which only values near the float range can do.
+    A real block gives its signed and absolute parts, a complex block its
+    real, imaginary and modulus parts.  A block shorter than ``_FSUM_BELOW``
+    keeps its values; a longer one adds its exact limb totals, taken
+    ``_EXACT_CHUNK`` elements at a time, one split of a real block serving
+    both of its parts.  Each sum is rounded once, by ``math.fsum`` over the
+    kept values and the limb total as exact doubles (``_doubles``).  An
+    all-zero block adds nothing, so an exact zero sums to +0.0.
+
+    A long block that holds an inf or NaN keeps only its non-finite values:
+    ``fsum`` over values holding one returns the sum of the non-finite ones
+    (or raises for inf - inf), whatever the finite ones are, unless their
+    running sum overflows, which only values near the float range can do.
     """
 
     def __init__(self):
         self.totals = [0, 0, 0]
-        self.non_finite = ([], [], [])
+        self.kept = ([], [], [])
 
     def add(self, col: np.ndarray):
         if np.iscomplexobj(col):
-            self._join(col.real, (0,))
-            self._join(col.imag, (1,))
-            self._join(np.abs(col), (2,))
+            self._add(col.real, (0,))
+            self._add(col.imag, (1,))
+            self._add(np.abs(col), (2,))
         else:
-            self._join(col, (0, 2))
+            self._add(col, (0, 2))
 
-    def _join(self, a: np.ndarray, parts: tuple[int, ...]):
+    def _add(self, a: np.ndarray, parts: tuple[int, ...]):
         # the sum of a into parts[0] and, for two parts, the sum of |a| into parts[1]
-        joined = _joined_limbs(a, len(parts) == 2, [self.totals[i] for i in parts])
-        if joined is None:
-            for i, v in zip(parts, (a, np.abs(a))):
-                self.non_finite[i].extend(v[~np.isfinite(v)].tolist())
-        else:
-            for i, t in zip(parts, joined):
-                self.totals[i] = t
+        if not a.any():
+            return
+        if a.size < _FSUM_BELOW:
+            xs = a.tolist()
+            for i, v in zip(parts, (xs, map(abs, xs))):
+                self.kept[i].extend(v)
+            return
+        totals = [self.totals[i] for i in parts]
+        for start in range(0, a.size, _EXACT_CHUNK):
+            limbs = _limb_totals(a[start:start + _EXACT_CHUNK], len(parts) == 2)
+            if limbs is None:
+                for i, v in zip(parts, (a, np.abs(a))):
+                    self.kept[i].extend(v[~np.isfinite(v)].tolist())
+                return
+            totals = [t + limb for t, limb in zip(totals, limbs)]
+        for i, t in zip(parts, totals):
+            self.totals[i] = t
 
     def sums(self) -> tuple[float, float, float]:
-        return tuple(math.fsum(bad) if bad else _rounded(t) for t, bad in zip(self.totals, self.non_finite))
+        return tuple(math.fsum(kept + _doubles(t)) for t, kept in zip(self.totals, self.kept))
 
 
 def _panel_sums(contribution, x: np.ndarray, w: np.ndarray, nodes: int):
     """Each column's (real, imaginary, absolute) sums over the panel with
     radial nodes x and weights w, and the contribution's column shape.
 
-    A panel of at most ``nodes`` nodes is one contribution call; a longer one
-    is evaluated ``nodes`` nodes at a time and its columns' limb totals are
-    joined across the blocks (``_JoinedSums``).
+    The panel is evaluated ``nodes`` nodes at a time, and each column's
+    blocks go to one ``_JoinedSums``.
     """
-    if len(x) <= nodes:
-        contrib = contribution(x, w)
-        return [_column_sums(col) for col in contrib.reshape(len(contrib), -1).T], contrib.shape[1:]
-    joined = None
+    columns = None
     for start in range(0, len(x), nodes):
         contrib = contribution(x[start:start + nodes], w[start:start + nodes])
         cols = contrib.reshape(len(contrib), -1)
-        if joined is None:
-            joined = [_JoinedSums() for _ in range(cols.shape[1])]
-        for acc, col in zip(joined, cols.T):
+        if columns is None:
+            columns = [_JoinedSums() for _ in range(cols.shape[1])]
+        for acc, col in zip(columns, cols.T):
             acc.add(col)
-    return [acc.sums() for acc in joined], contrib.shape[1:]
+    return [acc.sums() for acc in columns], contrib.shape[1:]
 
 
 def _cumulative_shells(
@@ -394,15 +356,15 @@ def _cumulative_shells(
     It must be row-wise: it sees at most ``SHELL_POINTS`` rows per call, each
     call whole radial nodes (one node when a node alone has more rows), and a
     panel's blocks must give the rows of one whole-panel call.  Each column
-    is reduced alone, exactly as a one-column run reduces it.  Panel sums are
-    exact, correctly rounded reductions (identical to ``math.fsum`` over the
-    whole panel): a panel in several blocks joins each column's exact limb
-    totals across them and rounds once.  A real column takes its signed and
-    absolute sums from one limb split (``exact_sum_and_mass``) and its
-    imaginary sum is 0.0 without a reduction; a complex column takes three
-    exact sums.  The running totals are recorded with ``math.fsum`` over each
-    column's panel sums whenever ``end`` is one of ``marks``, and come back
-    with the contribution's column shape: (L,) or (L, K).
+    is reduced alone, exactly as a one-column run reduces it, by one
+    ``_JoinedSums`` per panel that takes the column's blocks in order and
+    rounds once: its panel sums are identical to ``math.fsum`` over the whole
+    panel, however the panel is split.  A real column takes its signed and
+    absolute sums from one limb split per long block and its imaginary sum is
+    0.0 without a reduction; a complex column takes three exact sums.  The
+    running totals are recorded with ``math.fsum`` over each column's panel
+    sums whenever ``end`` is one of ``marks``, and come back with the
+    contribution's column shape: (L,) or (L, K).
     """
     marked = {float(m) for m in marks}
     nodes = max(1, SHELL_POINTS // node_points)

@@ -14,7 +14,6 @@ from etaforge.asymptotics import (
     fit_expansion,
     fit_expansion_samples,
     mellin_reg,
-    read_csv_table,
     regint_halfline,
     regint_rp,
     regint_rp_radial,
@@ -208,19 +207,12 @@ def test_fit_flags_near_degenerate_degrees():
         fit_expansion(f, model, p=1)
 
 
-def test_fit_from_tabulated_csv(tmp_path):
+def test_fit_from_tabulated_csv():
     radii = np.array([4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0])
     rule = sphere_rule(1)
     pts = (radii[:, None, None] * rule.points[None, :, :]).reshape(-1, 1)
     vals = (np.sign(pts[:, 0]) / pts[:, 0] ** 2).reshape(len(radii), 2)
-    lines = ["radius,direction,re,im"]
-    for i, r in enumerate(radii):
-        for j in range(2):
-            lines.append(f"{r},{j},{vals[i, j].real},{vals[i, j].imag}")
-    path = tmp_path / "samples.csv"
-    path.write_text("\n".join(lines))
-    rr, table = read_csv_table(path, "radius", ("direction",))
-    fitted = fit_expansion_samples(rr, table, ExpansionModel.powers([-2]), rule)
+    fitted = fit_expansion_samples(radii, vals, ExpansionModel.powers([-2]), rule)
     c = fitted.coefficient(-2.0, 0)
     assert abs(c[0] - 1.0) < 1e-12 and abs(c[1] + 1.0) < 1e-12
 
@@ -239,22 +231,6 @@ def test_fit_samples_reject_a_table_of_the_wrong_shape():
     radii = np.array([4.0, 8.0, 16.0, 32.0, 64.0, 128.0])
     with pytest.raises(ValueError, match="samples must be"):
         fit_expansion_samples(radii, radii[:, None] ** -2.0, ExpansionModel.powers([-2]), sphere_rule(1))
-
-
-@pytest.mark.parametrize("fault", ["missing", "repeated", "negative"])
-def test_load_samples_csv_rejects_missing_or_repeated_cells(tmp_path, fault):
-    # each table used to load, with a zero or an overwritten cell
-    lines = ["radius,direction,re,im", "4.0,0,1.0,0.0", "4.0,1,-1.0,0.0", "8.0,0,0.25,0.0", "8.0,1,-0.25,0.0"]
-    if fault == "missing":
-        del lines[3]
-    elif fault == "repeated":
-        lines.append("8.0,0,0.5,0.0")
-    else:
-        lines[2] = "4.0,-1,-1.0,0.0"  # would alias direction 1
-    path = tmp_path / "samples.csv"
-    path.write_text("\n".join(lines))
-    with pytest.raises(ValueError, match=fault):
-        read_csv_table(path, "radius", ("direction",))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,8 @@ def test_suite_filters():
     reports = suite("clifford", budget="quick")
     assert len(reports) == 1 and reports[0].experiment == "clifford-check"
     assert reports[0].passed
-    assert suite("nonexistent-tag") == []
+    with pytest.raises(ConfigError, match="no experiment matches suite tag 'nonexistent-tag'; known tags: .*'properties'"):
+        suite("nonexistent-tag")
 
 
 def test_unknown_experiment_rejected():
@@ -149,6 +150,11 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
         json.dumps({"experiment": "regint-demo", "budget": {"preset": "quick", "radii": 4}})
     )
     assert main(["--config", str(missing)]) == 3
+    # a suite tag that matches no experiment (tags are case-sensitive) runs nothing
+    capsys.readouterr()
+    for tag in ("nosuchtag", "ALL"):
+        assert main(["--suite", tag, "--budget", "quick"]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: no experiment matches suite tag {tag!r}")
     # a parameter of the wrong type or out of range, an integer circle offset,
     # an unknown path or a mollifier width that is not positive is a config error
     capsys.readouterr()

@@ -409,7 +409,7 @@ def test_eta_suspension_bridge():
 def test_symmetric_suspension_integrand_needs_the_raised_zero_floor(quick):
     # at a = 1/2 the summand cancels to rounding noise: the default floor
     # reads that noise as a misfit, eta_suspension's 1e-6 floor as zero
-    fam = SpectralFamily(SpectralModel.circle(0.5), kernel("eta_kernel", 2), -3.0, p=1)
+    fam = SpectralFamily(SpectralModel.circle(0.5), kernel("eta_kernel", 2), -3.0)
     pref = math.factorial(3) * 2 * (1j) ** (-2)
 
     def w(r):

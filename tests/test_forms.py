@@ -574,59 +574,3 @@ def test_leaf_jets_match_closed_form(rng):
             ref = want(pts)
             got = np.moveaxis(batch.family(fam, S), -1, 0)  # the batch layout (N, N, M) as (M, N, N)
             assert np.max(np.abs(got - ref)) < (1e-9 if len(S) == 1 else 1e-6) * np.max(np.abs(ref))
-
-
-def test_tabulated_matrix_family(tmp_path):
-    import csv
-
-    from etaforge.forms import matrix_family_from_csv
-
-    xs = np.linspace(-3.0, 3.0, 61)
-    lines = ["x,row,col,re,im"]
-    for x in xs:
-        m = np.array([[x, 1j * x], [0.0, 1.0]])
-        for i in range(2):
-            for j in range(2):
-                lines.append(f"{x},{i},{j},{m[i, j].real},{m[i, j].imag}")
-    path = tmp_path / "family.csv"
-    path.write_text("\n".join(lines))
-    fam = matrix_family_from_csv(path)
-    assert fam.n == 2 and fam.p == 1
-    got = fam(np.array([[0.5], [-2.0]]))
-    assert abs(got[0, 0, 0] - 0.5) < 1e-12
-    assert abs(got[1, 0, 1] + 2j) < 1e-12
-    assert abs(got[0, 1, 1] - 1.0) < 1e-12
-
-
-# each fault of a 2 x 2 table, the error naming it, and what the table did before
-_TABLE_FAULTS = {
-    "missing": "missing cell at x = 0.0, row = 0, col = 1",  # read as 0: a singular matrix
-    "repeated": "repeated cell at x = 0.0, row = 1, col = 1",  # overwrote the first value
-    "negative": "negative index at x = 0.0, row = -1, col = 1",  # aliased the last row
-    "wide": "missing cell at x = 0.0, row = 0, col = 2",  # col 2 of a 2-row table: a bare IndexError
-    "empty": "no cells",  # failed in max() of an empty sequence
-    "short": "a row needs 5 fields",  # a bare IndexError
-}
-
-
-@pytest.mark.parametrize("fault", list(_TABLE_FAULTS))
-def test_tabulated_matrix_family_rejects_malformed_tables(tmp_path, fault):
-    from etaforge.forms import matrix_family_from_csv
-
-    lines = ["x,row,col,re,im"] + [f"{x},{i},{j},{x + i - j},0.0" for x in (0.0, 1.0) for i in range(2) for j in range(2)]
-    if fault == "missing":
-        lines.remove("0.0,0,1,-1.0,0.0")
-    elif fault == "repeated":
-        lines.append("0.0,1,1,2.0,0.0")
-    elif fault == "negative":
-        lines[lines.index("0.0,1,1,0.0,0.0")] = "0.0,-1,1,0.0,0.0"
-    elif fault == "wide":
-        lines.append("1.0,1,2,5.0,0.0")
-    elif fault == "short":
-        lines[-1] = "1.0,1,1,1.0"
-    else:
-        lines = lines[:1]
-    path = tmp_path / "family.csv"
-    path.write_text("\n".join(lines))
-    with pytest.raises(ValueError, match=_TABLE_FAULTS[fault]):
-        matrix_family_from_csv(path)

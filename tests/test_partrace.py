@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from etaforge import partrace
 from etaforge.asymptotics import ExpansionModel, RadiusLadder
 from etaforge.errors import OrderError, TruncationError
 from etaforge.partrace import (
@@ -191,7 +192,7 @@ def test_kernel_eval_against_scalar_oracle(name):
 
 
 def test_l2_trace_tanh():
-    fam = SpectralFamily(SpectralModel.circle(0.5), kernel("resolvent", 1), -2.0, p=1)
+    fam = SpectralFamily(SpectralModel.circle(0.5), kernel("resolvent", 1), -2.0)
     for mu in (0.5, 1.0, 5.0):
         tv = l2_trace(fam, [mu])
         want = math.pi * math.tanh(math.pi * mu) / mu
@@ -201,34 +202,34 @@ def test_l2_trace_tanh():
 
 
 def test_l2_trace_zeta_values_at_zero_parameter():
-    fam = SpectralFamily(SpectralModel.circle(0.25), kernel("eta_kernel", 2), -3.0, p=1)
+    fam = SpectralFamily(SpectralModel.circle(0.25), kernel("eta_kernel", 2), -3.0)
     got = l2_trace(fam, [1e-30]).value  # continuous at 0; avoid the lattice point
     want = hurwitz_zeta(3.0, 0.25) - hurwitz_zeta(3.0, 0.75)
     assert abs(got - want) < 1e-10
 
 
 def test_l2_trace_closed_form_at_moderate_mu():
-    fam = SpectralFamily(SpectralModel.circle(0.25), kernel("eta_kernel", 2), -3.0, p=1)
+    fam = SpectralFamily(SpectralModel.circle(0.25), kernel("eta_kernel", 2), -3.0)
     for x in (0.5, 2.0, 4.0):
         got = complex(l2_trace_values(fam, np.array([[x]]))[0])
         assert abs(got - _eta_kernel_closed_form(0.25, x)) < 1e-12
 
 
 def test_l2_trace_zero_kernel():
-    fam = SpectralFamily(SpectralModel.circle(0.25), Kernel(()), -5.0, p=1)
+    fam = SpectralFamily(SpectralModel.circle(0.25), Kernel(()), -5.0)
     assert l2_trace(fam, [1.0]).value == 0.0
 
 
 def test_l2_trace_order_precondition():
-    fam = SpectralFamily(SpectralModel.circle(0.25), kernel("resolvent", 1), 0.0, p=1)
+    fam = SpectralFamily(SpectralModel.circle(0.25), kernel("resolvent", 1), 0.0)
     with pytest.raises(OrderError):
         l2_trace(fam, [1.0])
 
 
 def test_window_escalation_cap():
-    fam = SpectralFamily(SpectralModel.circle(0.5), kernel("resolvent", 1), -2.0, p=1)
+    fam = SpectralFamily(SpectralModel.circle(0.5), kernel("resolvent", 1), -2.0)
     with pytest.raises(TruncationError):
-        l2_trace(fam, [1.0], WindowConfig(start=8, cap=8, rtol=1e-16, atol=0.0))
+        l2_trace(fam, [1.0], WindowConfig(start=8, cap=8))  # a tail estimate of 2.4e-6 at N = 8
 
 
 @pytest.mark.parametrize("s", [2, 3, 4])
@@ -249,9 +250,10 @@ def test_em_tail_against_mpmath(s):
             assert err <= float(est) and err <= 1e-12 * want, (a, x0, err, float(est))
 
 
-def test_circle_sum_reports_widest_window():
-    fam = SpectralFamily(SpectralModel.circle(0.5), kernel("resolvent", 1), -2.0, p=1)
-    cfg = WindowConfig(start=4, mu_chunk=1)
+def test_circle_sum_reports_widest_window(monkeypatch):
+    fam = SpectralFamily(SpectralModel.circle(0.5), kernel("resolvent", 1), -2.0)
+    monkeypatch.setattr(partrace, "_MU_CHUNK", 1)
+    cfg = WindowConfig(start=4)
     # a large mu clears the tail tolerance at once, a small one needs two escalations
     windows = {mu: _circle_sum(fam, np.array([[mu]]), 0, cfg)[2] for mu in (0.5, 100.0)}
     assert windows == {0.5: 64, 100.0: 4}
@@ -264,13 +266,13 @@ def test_circle_sum_reports_widest_window():
 
 
 def test_trace_values_are_complex():
-    fam = SpectralFamily(SpectralModel.circle(0.5), kernel("resolvent", 1), -2.0, p=1)
+    fam = SpectralFamily(SpectralModel.circle(0.5), kernel("resolvent", 1), -2.0)
     assert l2_trace_values(fam, np.array([[1.0]])).dtype == np.complex128
     assert tr_param_values(fam, np.array([[1.0]])).dtype == np.complex128
 
 
 def test_tr_param_trace_class_reduces_to_l2():
-    fam = SpectralFamily(SpectralModel.circle(0.25), kernel("eta_kernel", 2), -3.0, p=1)
+    fam = SpectralFamily(SpectralModel.circle(0.25), kernel("eta_kernel", 2), -3.0)
     tv = tr_param(fam, [1.5])
     lv = l2_trace(fam, [1.5])
     assert tv.value == lv.value
@@ -278,18 +280,18 @@ def test_tr_param_trace_class_reduces_to_l2():
 
 
 def test_tr_param_rotational_reduction():
-    fam1 = SpectralFamily(SpectralModel.circle(0.25), kernel("eta_kernel", 2), -3.0, p=1)
-    fam3 = SpectralFamily(SpectralModel.circle(0.25), kernel("eta_kernel", 2), -3.0, p=3)
+    # a radial family sees only |mu|, whatever the parameter dimension
+    fam = SpectralFamily(SpectralModel.circle(0.25), kernel("eta_kernel", 2), -3.0)
     pts = np.array([[0.6, -1.1, 2.0], [3.0, 0.0, 0.0]])
-    v3 = tr_param_values(fam3, pts)
-    v1 = tr_param_values(fam1, np.linalg.norm(pts, axis=1)[:, None])
+    v3 = tr_param_values(fam, pts)
+    v1 = tr_param_values(fam, np.linalg.norm(pts, axis=1)[:, None])
     assert np.max(np.abs(v3 - v1)) < 1e-14
 
 
 def test_tr_param_subtracted_order_zero_family():
     # mu^2 (lam^2 + mu^2)^{-1} has order 0, minimal Taylor order 2, and the
     # canonical representative is the plain (convergent) sum
-    fam = SpectralFamily(SpectralModel.circle(0.25), Kernel((KernelMonomial(1.0, 0, 1, 1),)), 0.0, p=1)
+    fam = SpectralFamily(SpectralModel.circle(0.25), Kernel((KernelMonomial(1.0, 0, 1, 1),)), 0.0)
     tv = tr_param(fam, [2.0])
     assert tv.ambiguity_degree == 1
     brute = brute_force_two_sided(lambda n: 4.0 / ((n + 0.25) ** 2 + 4.0), n_max=500000)
@@ -300,7 +302,7 @@ def test_tr_param_derivative_identity():
     # d^2/dmu^2 of the subtracted trace equals 2 lam^2 [(lam^2+mu^2)^{-2}
     # - 4 mu^2 (lam^2+mu^2)^{-3}] summed, a trace-class identity
     model = SpectralModel.circle(0.25)
-    fam = SpectralFamily(model, Kernel((KernelMonomial(1.0, 0, 1, 1),)), 0.0, p=1)
+    fam = SpectralFamily(model, Kernel((KernelMonomial(1.0, 0, 1, 1),)), 0.0)
     mu, h = 2.0, 1e-3
 
     def tr(x):
@@ -310,14 +312,14 @@ def test_tr_param_derivative_identity():
     d2b = (tr(mu + h / 2) - 2 * tr(mu) + tr(mu - h / 2)) / (h ** 2 / 4)
     d2r = (4 * d2b - d2) / 3
     oracle_fam = SpectralFamily(
-        model, Kernel((KernelMonomial(2.0, 2, 0, 2), KernelMonomial(-8.0, 2, 1, 3))), -2.0, p=1
+        model, Kernel((KernelMonomial(2.0, 2, 0, 2), KernelMonomial(-8.0, 2, 1, 3))), -2.0
     )
     want = complex(l2_trace_values(oracle_fam, np.array([[mu]]))[0])
     assert abs(d2r - want) < 1e-6
 
 
 def test_tr_param_requires_origin_star_point():
-    fam = SpectralFamily(SpectralModel.circle(0.25), kernel("eta_kernel", 2), -3.0, p=1)
+    fam = SpectralFamily(SpectralModel.circle(0.25), kernel("eta_kernel", 2), -3.0)
     with pytest.raises(NotImplementedError):
         tr_param(fam, [1.0], mu0=1.0)
 
@@ -325,7 +327,7 @@ def test_tr_param_requires_origin_star_point():
 def test_trace_degree_ladder_of_resolvent():
     # fitted degrees of the order -2 circle trace lie on {-1, -2, ...};
     # the closed form pi sinh/(x (cosh - cos)) has leading coefficient pi
-    fam = SpectralFamily(SpectralModel.circle(0.25), kernel("resolvent", 1), -2.0, p=1)
+    fam = SpectralFamily(SpectralModel.circle(0.25), kernel("resolvent", 1), -2.0)
     from etaforge.asymptotics import fit_expansion
 
     fitted = fit_expansion(
@@ -341,8 +343,8 @@ def test_trace_degree_ladder_of_resolvent():
 
 def test_trace_property_commuting_pair():
     model = SpectralModel.circle(0.25)
-    ab = SpectralFamily(model, kernel("resolvent", 1) * kernel("eta_kernel", 2), -5.0, p=1)
-    ba = SpectralFamily(model, kernel("eta_kernel", 2) * kernel("resolvent", 1), -5.0, p=1)
+    ab = SpectralFamily(model, kernel("resolvent", 1) * kernel("eta_kernel", 2), -5.0)
+    ba = SpectralFamily(model, kernel("eta_kernel", 2) * kernel("resolvent", 1), -5.0)
     va = tr_param_values(ab, np.array([[1.5]]))
     vb = tr_param_values(ba, np.array([[1.5]]))
     assert va[0] == vb[0]
@@ -350,9 +352,9 @@ def test_trace_property_commuting_pair():
 
 def test_mu_multiplication_defect_is_polynomial():
     model = SpectralModel.circle(0.25)
-    base = SpectralFamily(model, Kernel((KernelMonomial(1.0, 0, 1, 1),)), 0.0, p=1)
+    base = SpectralFamily(model, Kernel((KernelMonomial(1.0, 0, 1, 1),)), 0.0)
     mu_base = SpectralFamily(
-        model, Kernel((KernelMonomial(1.0, 0, 1, 1),)), 1.0, p=1, pref_index=0, pref_power=1
+        model, Kernel((KernelMonomial(1.0, 0, 1, 1),)), 1.0, pref_index=0, pref_power=1
     )
     xs = np.linspace(2.0, 9.0, 12)
     diff = tr_param_values(mu_base, xs[:, None]) - xs * tr_param_values(base, xs[:, None])

@@ -13,8 +13,6 @@ from etaforge.quadrature import (
     cumulative_halfline_in,
     cumulative_halfline_out,
     cumulative_radial,
-    exact_sum,
-    exact_sum_and_mass,
     gauss_legendre,
     geometric_ladder,
     panel_rule,
@@ -208,8 +206,8 @@ def test_richardson_derivative_fourth_order_on_exp():
 
 
 # ---------------------------------------------------------------------------
-# exact_sum and exact_sum_and_mass against math.fsum, row_norm against
-# np.linalg.norm: bit for bit
+# the panel reducer (_JoinedSums) against math.fsum, on one block and on
+# split blocks; row_norm against np.linalg.norm: bit for bit
 
 
 def _bits(x: float) -> str:
@@ -217,28 +215,52 @@ def _bits(x: float) -> str:
 
 
 def _past_cutoff(xs: list) -> list:
-    # xs repeated until it is at least _FSUM_BELOW long, so that it takes the limb path
+    # xs repeated until it is at least _FSUM_BELOW long, so that one block takes the limb path
     return xs * (quadrature._FSUM_BELOW // max(len(xs), 1) + 1)
 
 
-def _fsum_pair(xs: list) -> tuple[float, float]:
-    """What ``exact_sum_and_mass`` must return: fsum of the values, then of
-    their absolute values (the first exception raised, if any)."""
-    return math.fsum(xs), math.fsum(abs(x) for x in xs)
+# one block; long blocks with a short last one; short blocks only
+_SPLITS = (None, quadrature._FSUM_BELOW, 37)
 
 
-def _check_pair(a: np.ndarray):
-    xs = a.tolist()
-    total, mass = exact_sum_and_mass(a)
-    want_total, want_mass = _fsum_pair(xs)
-    assert (_bits(total), _bits(mass)) == (_bits(want_total), _bits(want_mass))
-    assert _bits(exact_sum(a)) == _bits(want_total)
+def _reduce(a: np.ndarray, block: int | None = None) -> tuple[float, float, float]:
+    """The (real, imaginary, absolute) sums of the 1-D array a from one
+    ``_JoinedSums``, fed a in one block or in blocks of ``block`` values."""
+    acc = quadrature._JoinedSums()
+    step = block or max(len(a), 1)
+    for start in range(0, len(a), step):
+        acc.add(a[start:start + step])
+    return acc.sums()
+
+
+def _fsum_parts(xs: list) -> tuple[float, float, float]:
+    """What ``_reduce`` must return for real or complex-typed real values
+    xs: fsum of the values, 0.0, then fsum of their absolute values (the
+    first exception raised, if any)."""
+    return math.fsum(xs), 0.0, math.fsum(abs(x) for x in xs)
+
+
+def _outcome(fn, *args):
+    # a result's bits, or the exception type
+    try:
+        return [_bits(v) for v in np.atleast_1d(fn(*args))]
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def _check_reduced(a: np.ndarray):
+    # the real path (one split for both parts) and the complex path (three
+    # one-part sums) in every split, against fsum over the whole array
+    want = _outcome(_fsum_parts, a.tolist())
+    for block in _SPLITS:
+        for b in (a, a.astype(complex)):
+            assert _outcome(_reduce, b, block) == want, (b.dtype, block)
 
 
 def _check_exact_sum(xs):
-    # at the drawn length, mostly the fsum path, and tiled onto the limb path
+    # at the drawn length, mostly short blocks, and tiled onto the limb path
     for ys in (xs, _past_cutoff(xs)):
-        _check_pair(np.array(ys, dtype=float))
+        _check_reduced(np.array(ys, dtype=float))
 
 
 # bounded so that no partial sum of fsum overflows
@@ -261,15 +283,18 @@ def test_exact_sum_matches_fsum_across_2000_binary_orders(xs):
 
 @given(st.lists(_finite | _spread, min_size=1, max_size=100).flatmap(lambda xs: st.permutations(xs + [-x for x in xs])))
 def test_exact_sum_exact_cancellation_is_positive_zero(xs):
+    assert _bits(math.fsum(xs)) == _bits(0.0)
     for ys in (xs, _past_cutoff(xs)):
-        a = np.array(ys)
-        got = exact_sum(a)
-        assert _bits(got) == _bits(0.0) == _bits(math.fsum(ys))
-        total, mass = exact_sum_and_mass(a)
-        assert _bits(total) == _bits(0.0) and _bits(mass) == _bits(math.fsum(map(abs, ys)))
+        for block in _SPLITS:
+            total, _, mass = _reduce(np.array(ys), block)
+            assert _bits(total) == _bits(0.0) and _bits(mass) == _bits(math.fsum(map(abs, ys)))
 
 
 def test_exact_sum_takes_the_limb_path_from_the_cutoff(monkeypatch):
+    # a block takes the limb path from _FSUM_BELOW values on, whatever the
+    # panel's length: one paired split for a real block, one-part splits of
+    # the real part and the modulus for a complex one (its all-zero
+    # imaginary part adds nothing)
     limb_calls, limb_totals = [], quadrature._limb_totals
 
     def counted(a, mass):
@@ -278,17 +303,21 @@ def test_exact_sum_takes_the_limb_path_from_the_cutoff(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_limb_totals", counted)
     rng = np.random.default_rng(3)
-    for n in (1, 48, quadrature._FSUM_BELOW - 1, quadrature._FSUM_BELOW, 700):
-        a = rng.standard_normal(n) * np.exp2(rng.integers(-60, 60, n))
-        assert _bits(exact_sum(a)) == _bits(math.fsum(a.tolist()))
-        _check_pair(a)  # one exact_sum_and_mass call, then exact_sum again
     n0 = quadrature._FSUM_BELOW
-    assert limb_calls == [(n0, False), (n0, True), (n0, False), (700, False), (700, True), (700, False)]
-    # an all-zero input returns +0.0 before either path
-    for n in (3, quadrature._FSUM_BELOW):
-        assert _bits(exact_sum(np.full(n, -0.0))) == _bits(0.0)
-        assert [_bits(v) for v in exact_sum_and_mass(np.full(n, -0.0))] == [_bits(0.0)] * 2
-    assert len(limb_calls) == 6
+    for n in (1, 48, n0 - 1, n0, 700):
+        a = rng.standard_normal(n) * np.exp2(rng.integers(-60, 60, n))
+        want = _outcome(_fsum_parts, a.tolist())
+        assert _outcome(_reduce, a) == _outcome(_reduce, a.astype(complex)) == want
+    assert limb_calls == [(n0, True)] + [(n0, False)] * 2 + [(700, True)] + [(700, False)] * 2
+    limb_calls.clear()
+    assert _outcome(_reduce, a, n0) == want  # 700 values: a long block, then a short one
+    assert _outcome(_reduce, a, 350) == want  # two short blocks
+    assert limb_calls == [(n0, True)]
+    # an all-zero block adds nothing: +0.0 from either path
+    for n in (3, n0):
+        for b in (np.full(n, -0.0), np.full(n, complex(-0.0, -0.0))):
+            assert [_bits(v) for v in _reduce(b)] == [_bits(0.0)] * 3
+    assert limb_calls == [(n0, True)]
 
 
 def test_exact_sum_limb_chunks(monkeypatch):
@@ -298,27 +327,24 @@ def test_exact_sum_limb_chunks(monkeypatch):
     a = rng.standard_normal(1000) * np.exp2(rng.integers(-1070, 1000, 1000))
     a = np.concatenate([a, -a[:500], [5e-324, 1.0, -0.0]])
     monkeypatch.setattr(quadrature, "_EXACT_CHUNK", 7)
-    _check_pair(a)
-
-
-def _outcome(fn, *args):
-    # a result's bits, or the exception type
-    try:
-        return [_bits(v) for v in np.atleast_1d(fn(*args))]
-    except (ValueError, OverflowError) as exc:
-        return type(exc)
+    _check_reduced(a)
 
 
 def test_exact_sum_non_finite_input_keeps_fsum_behaviour():
     for tile in (lambda xs: np.array(xs), lambda xs: np.array(_past_cutoff(xs))):
-        assert math.isnan(exact_sum(tile([1.0, math.nan])))
-        assert math.isnan(exact_sum(tile([math.inf, math.nan])))
-        assert exact_sum(tile([math.inf])) == math.inf
-        assert exact_sum(tile([2.0, -math.inf, 1e308])) == -math.inf
-        with pytest.raises(ValueError):
-            exact_sum(tile([math.inf, -math.inf]))
-        with pytest.raises(OverflowError):
-            exact_sum(tile([1e308, 1e308]))
+        for block in _SPLITS:
+            for cast in (float, complex):
+                def total(xs):
+                    return _reduce(tile(xs).astype(cast), block)[0]
+
+                assert math.isnan(total([1.0, math.nan]))
+                assert math.isnan(total([math.inf, math.nan]))
+                assert total([math.inf]) == math.inf
+                assert total([2.0, -math.inf, 1e308]) == -math.inf
+                with pytest.raises(ValueError):
+                    total([math.inf, -math.inf])
+                with pytest.raises(OverflowError):
+                    total([1e308, 1e308])
     with pytest.raises(OverflowError):
         math.fsum([1e308, 1e308])
 
@@ -331,12 +357,21 @@ def test_exact_sum_non_finite_input_keeps_fsum_behaviour():
 ])
 def test_exact_sum_and_mass_non_finite_input_keeps_fsum_behaviour(xs):
     for ys in (xs, _past_cutoff(xs)):
-        assert _outcome(exact_sum_and_mass, np.array(ys)) == _outcome(_fsum_pair, ys)
+        _check_reduced(np.array(ys))
+
+
+def _fsum_panels(contribution, x, w, nodes):
+    """The oracle for ``quadrature._panel_sums``: one call on the whole panel,
+    and each column's real, imaginary and absolute parts by math.fsum."""
+    contrib = contribution(x, w)
+    cols = contrib.reshape(len(contrib), -1).T
+    return [tuple(math.fsum(v.tolist()) for v in (c.real, c.imag, np.abs(c))) for c in cols], contrib.shape[1:]
 
 
 def test_cumulative_ball_panels_sum_like_fsum(monkeypatch):
     # every real, imaginary and absolute panel part of a complex integrand,
-    # and the cumulative values built from them, agree with the fsum loop
+    # and the cumulative values built from them, agree with the per-panel
+    # fsum oracle, whatever blocks the panels are split into
     ladder = geometric_ladder(4.0, 256.0, 6)
     sphere = sphere_rule(3, (12, 24))
 
@@ -344,31 +379,31 @@ def test_cumulative_ball_panels_sum_like_fsum(monkeypatch):
         r = np.linalg.norm(x, axis=1)
         return np.exp(-0.05 * r + 1j * x[:, 0]) / (1.0 + r ** 2) + 1e-30 * x[:, 1] ** 3
 
-    parts = []
+    def recorded(panel_sums):
+        sums = []
 
-    def recording(a):
-        parts.append(np.array(a))
-        return exact_sum(a)
+        def recording(*args):
+            out = panel_sums(*args)
+            sums.append([[_bits(v) for v in parts] for parts in out[0]])
+            return out
 
-    monkeypatch.setattr(quadrature, "exact_sum", recording)
-    got = cumulative_ball(f, 3, ladder, sphere)
-    assert len(parts) > 3 * len(ladder) and any(np.any(a < 0) for a in parts)
-    for a in parts:
-        assert _bits(exact_sum(a)) == _bits(math.fsum(a.ravel().tolist()))
-    monkeypatch.setattr(quadrature, "exact_sum", lambda a: math.fsum(np.asarray(a).ravel().tolist()))
-    want = cumulative_ball(f, 3, ladder, sphere)
-    for g, w in zip(got, want):
-        assert g.tobytes() == w.tobytes()
+        monkeypatch.setattr(quadrature, "_panel_sums", recording)
+        return [v.tobytes() for v in cumulative_ball(f, 3, ladder, sphere)], sums
+
+    reducer = quadrature._panel_sums
+    want = recorded(_fsum_panels)
+    assert len(want[1]) > len(ladder) and any(float.fromhex(s[0][0]) < 0 for s in want[1])
+    for shell_points in _SHELL_BOUNDS:
+        monkeypatch.setattr(quadrature, "SHELL_POINTS", shell_points)
+        assert recorded(reducer) == want
 
 
 def _real_and_complex_runs(monkeypatch, loop, g, *args):
-    """loop(g, *args) and loop(g + 0j, *args), with the panels, the
-    exact_sum and exact_sum_and_mass calls, and the np.abs copies (calls
-    without ``out``) of the quadrature module each made."""
+    """loop(g, *args) and loop(g + 0j, *args), with the panels, the reducer's
+    paired (signed and absolute) and one-part sums, and the np.abs copies
+    (calls without ``out``) of the quadrature module each made."""
     calls = {}
-    panel_rule, exact, paired, absolute = (
-        quadrature.panel_rule, quadrature.exact_sum, quadrature.exact_sum_and_mass, np.abs
-    )
+    panel_rule, add, absolute = quadrature.panel_rule, quadrature._JoinedSums._add, np.abs
 
     def counted(key, fn):
         def wrapped(*a, **kw):
@@ -379,9 +414,12 @@ def _real_and_complex_runs(monkeypatch, loop, g, *args):
             return fn(*a, **kw)
         return wrapped
 
+    def counted_add(self, a, parts):
+        calls["paired" if len(parts) == 2 else "sums"] += 1
+        return add(self, a, parts)
+
     monkeypatch.setattr(quadrature, "panel_rule", counted("panels", panel_rule))
-    monkeypatch.setattr(quadrature, "exact_sum", counted("sums", exact))
-    monkeypatch.setattr(quadrature, "exact_sum_and_mass", counted("paired", paired))
+    monkeypatch.setattr(quadrature._JoinedSums, "_add", counted_add)
     monkeypatch.setattr(np, "abs", counted("abs", absolute))
     runs = []
     for h in (g, lambda x: g(x) + 0j):
@@ -400,8 +438,8 @@ def _real_and_complex_runs(monkeypatch, loop, g, *args):
 def test_real_integrand_matches_zero_imaginary_part(monkeypatch, loop, g, args):
     # a real integrand stays real through the shell loop: its signed and
     # absolute values are byte-identical to those of g + 0j; each real panel
-    # makes one paired split (exact_sum_and_mass) and no np.abs copy, each
-    # complex panel three exact sums (real, imaginary, modulus)
+    # (one block here) makes one paired sum and no np.abs copy, each complex
+    # panel three one-part sums (real, imaginary, modulus)
     (real, real_calls), (cplx, cplx_calls) = _real_and_complex_runs(monkeypatch, loop, g, *args)
     for got, want in zip(real, cplx):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -497,6 +535,7 @@ def _ball_outcome(f):
 # the shell loop's bound and two that split its panels
 _SHELL_BOUNDS = (
     quadrature.SHELL_POINTS,  # one block per panel
+    31 * 288,  # 31 nodes of limb totals, then one node of 288 points for fsum
     1000,  # blocks of 3 nodes (864 points), the last of 2
     100,  # fewer than a node's 288 points: one node per block
 )

@@ -24,10 +24,6 @@ ALLOWED = {
     "etaforge.partrace.l2_trace",
     # bound by name in perfbench/tracer.py
     "etaforge.partrace.tr_param",
-    # the tabulated CSV family: a library input that no experiment config selects
-    "etaforge.forms.matrix_family_from_csv",
-    # the tabulated CSV family's reader
-    "etaforge.asymptotics.read_csv_table",
 }
 
 
