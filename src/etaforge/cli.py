@@ -96,18 +96,18 @@ def _resolve_budget(spec) -> Budget:
     chart_s3 = _budget_ints(spec, "chart_s3", base.chart_s3)
     if math.prod(sphere_p3) > 2 ** 16 or math.prod(chart_s3) > 2 ** 22:
         raise ConfigError("budget exceeds hard caps (sphere_p3 product <= 2^16, chart_s3 product <= 2^22)")
-    window = WindowConfig(start=start, cap=_budget_int(spec, "eig_cap", base.window.cap))
-    if window.cap > 16_777_216:
+    cap = _budget_int(spec, "eig_cap", base.window.cap)
+    if cap > 16_777_216:
         raise ConfigError("budget exceeds hard caps (eigenvalue window cap <= 2^24)")
-    if window.cap < start:
-        raise ConfigError(f"budget eig_cap {window.cap} is below eig_window {start}")
+    if cap < start:
+        raise ConfigError(f"budget eig_cap {cap} is below eig_window {start}")
     return replace(
         base,
         name=base.name + "+",
         ladder=ladder,
         sphere_p3=sphere_p3,
         chart_s3=chart_s3,
-        window=window,
+        window=WindowConfig(start=start, cap=cap),
         **counts,
     )
 

@@ -12,7 +12,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .asymptotics import (
@@ -214,7 +213,10 @@ _ORACLE_DPS = 30
 def _halfline_quad(f) -> float:
     """The integral of f over [0, inf) by mpmath's adaptive quadrature, at
     ``_ORACLE_DPS`` digits whatever the caller's ``mpmath.mp.dps``, rounded
-    to float."""
+    to float.  mpmath is imported here, so only the runs that use the oracle
+    load it."""
+    import mpmath
+
     with mpmath.workdps(_ORACLE_DPS):
         return float(mpmath.quad(f, [0, mpmath.inf]))
 

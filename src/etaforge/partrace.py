@@ -10,7 +10,10 @@ place, with integer powers by multiplication and the coefficient applied last.
 
 Eigenvalue sums run over a symmetric window with order-2 Euler-Maclaurin
 tail corrections; the window escalates by factors of 4 until the tail
-estimate clears tolerance.  Blocks are reduced in a fixed index order.
+estimate clears tolerance.  They run in bounded blocks: each block of
+eigenvalues is generated on its own, and a summand call sees a few parameter
+points at a time, so memory does not grow with the window or the number of
+points.  Blocks are reduced in a fixed index order.
 """
 
 from __future__ import annotations
@@ -312,14 +315,21 @@ class SpectralFamily:
 
 @dataclass(frozen=True)
 class WindowConfig:
-    """The first and the largest eigenvalue window N (eigenvalues -N..N)."""
+    """The first and the largest eigenvalue window N (eigenvalues -N..N):
+    integers with 1 <= start <= cap."""
 
     start: int = 4096
     cap: int = 1_048_576
 
     def __post_init__(self):
+        for name in ("start", "cap"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"eigenvalue window {name} must be an integer, got {value!r}")
         if self.start < 1:
             raise ValueError("eigenvalue window start must be >= 1")
+        if self.cap < self.start:
+            raise ValueError(f"eigenvalue window cap {self.cap} is below start {self.start}")
 
 
 DEFAULT_WINDOW = WindowConfig()
@@ -329,8 +339,16 @@ WINDOW_RTOL = 1e-10
 WINDOW_ATOL = 1e-13
 # parameter points per window escalation: each chunk escalates on its own
 _MU_CHUNK = 1024
-# eigenvalues per summand call; the block partial sums are added in index order
+# eigenvalues per block; the block partial sums are added in index order.  A
+# row's sum over a block is numpy's pairwise sum, so this count fixes the bits
 _LAM_BLOCK = 8192
+# values (rows x eigenvalues) per summand call: 16 rows of an eigenvalue
+# block; a tail call sees at most _MU_CHUNK x 73 = 74,752.  On spectral-trace
+# (precise, 2-core Xeon) whole 48-row grids peaked at 46.7 MB and a pass took
+# 0.296 s (median of 10); 65,536, 98,304, 131,072 and 262,144 values peak at
+# 42.8, 43.3, 43.3 and 44.0 MB, the first three in 0.259, 0.235 and 0.219 s,
+# and 16,384 values ran 1.7x slower than 65,536
+_SUMMAND_ELEMENTS = 131072
 
 
 @dataclass
@@ -368,7 +386,8 @@ def _em_tail(g, x0: float):
 
 def _circle_sum(fam: SpectralFamily, mu: np.ndarray, n_subtract: int, cfg: WindowConfig):
     """Window sums with tails per mu-chunk; returns the values, the tail
-    estimates and the largest window any chunk needed."""
+    estimates and the largest window any chunk needed.  Each block of
+    _LAM_BLOCK eigenvalues is generated on its own and summed per row."""
     a = fam.base.a
     mu = np.asarray(mu, dtype=float)
     total = np.zeros(len(mu), dtype=complex)
@@ -379,11 +398,16 @@ def _circle_sum(fam: SpectralFamily, mu: np.ndarray, n_subtract: int, cfg: Windo
         chunk = mu[sl]
         N = cfg.start
         while True:
-            n = np.arange(-N, N + 1)
             vals = np.zeros(len(chunk), dtype=complex)
-            for b in range(0, len(n), _LAM_BLOCK):
-                lam = n[b : b + _LAM_BLOCK] + a
-                vals = vals + np.sum(fam.summand(lam, chunk, n_subtract), axis=1)
+            for b in range(-N, N + 1, _LAM_BLOCK):
+                lam = np.arange(b, min(b + _LAM_BLOCK, N + 1)) + a
+                # row slices: the summand is pointwise, so each row comes out as
+                # from one call.  Each call's values are freed before the next
+                # call; holding one while the next was made cost about 250
+                # minor faults per sum (65,536 values per call)
+                rows = max(1, _SUMMAND_ELEMENTS // len(lam))
+                for r in range(0, len(chunk), rows):
+                    vals[r : r + rows] += np.sum(fam.summand(lam, chunk[r : r + rows], n_subtract), axis=1)
             x0 = float(N + 1)
             tp, ep = _em_tail(lambda x: fam.summand(x + a, chunk, n_subtract), x0)
             tm, em = _em_tail(lambda x: fam.summand(-x + a, chunk, n_subtract), x0)

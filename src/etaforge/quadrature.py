@@ -280,8 +280,11 @@ class _JoinedSums:
 
     A long block that holds an inf or NaN keeps only its non-finite values:
     ``fsum`` over values holding one returns the sum of the non-finite ones
-    (or raises for inf - inf), whatever the finite ones are, unless their
-    running sum overflows, which only values near the float range can do.
+    (or raises for inf - inf), whatever the finite ones are.  The one
+    exception to "bit for bit ``fsum``": when the finite values' running sum
+    overflows, which only values near the float range can do, ``fsum``
+    raises OverflowError, and a panel that holds an inf or NaN gets the
+    ``fsum`` of its non-finite values alone instead, at every block length.
     """
 
     def __init__(self):
@@ -317,7 +320,19 @@ class _JoinedSums:
             self.totals[i] = t
 
     def sums(self) -> tuple[float, float, float]:
-        return tuple(math.fsum(kept + _doubles(t)) for t, kept in zip(self.totals, self.kept))
+        return tuple(_joined_fsum(kept, t) for t, kept in zip(self.totals, self.kept))
+
+
+def _joined_fsum(kept: list[float], total: int) -> float:
+    """``fsum`` of the kept values and the limb total; on overflow, the
+    ``fsum`` of the non-finite kept values when there are any."""
+    try:
+        return math.fsum(kept + _doubles(total))
+    except OverflowError:
+        special = [v for v in kept if not math.isfinite(v)]
+        if not special:
+            raise
+        return math.fsum(special)
 
 
 def _panel_sums(contribution, x: np.ndarray, w: np.ndarray, nodes: int):

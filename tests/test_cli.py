@@ -78,6 +78,12 @@ def test_budget_validation():
     assert _resolve_budget({"preset": "precise", **at_caps}).chart_s3 == (128, 128, 256)
     with pytest.raises(ValueError):
         WindowConfig(start=0)
+    # a non-integer window would shift the spectrum to half-integers; a cap
+    # below the start would be ignored
+    for bad, field in [({"start": 64.5}, "start"), ({"start": 4096.0}, "start"), ({"start": True}, "start"),
+                       ({"cap": 2.0 ** 20}, "cap"), ({"cap": False}, "cap"), ({"start": 4096, "cap": 100}, "cap")]:
+        with pytest.raises(ValueError, match=f"window {field}"):
+            WindowConfig(**bad)
     r = run(ExperimentConfig("clifford-check", budget={"preset": "quick", "radii": 12}))
     assert r.passed
 
@@ -303,9 +309,10 @@ def test_budget_parsing_resolves_in_range_or_raises_config_error(spec):
 
 
 def test_import_leaves_scipy_out():
-    # a fresh interpreter: this one has imported scipy for the test oracles
+    # a fresh interpreter: this one has imported scipy and mpmath for the test
+    # oracles; mpmath loads only with the experiments that use its quadrature
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = "import sys, etaforge.cli; sys.exit('scipy' in sys.modules)"
+    code = "import sys, etaforge.cli; sys.exit('scipy' in sys.modules or 'mpmath' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 

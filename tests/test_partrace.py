@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -263,6 +264,114 @@ def test_circle_sum_reports_widest_window(monkeypatch):
         want = [math.pi * math.tanh(math.pi * mu) / mu for mu in mus]
         assert np.allclose(vals, want, rtol=1e-9, atol=0.0)
     assert l2_trace(fam, [[100.0], [0.5]], cfg).truncation["window"] == 64
+
+
+def _one_grid_circle_sum(fam, mu, n_subtract, cfg):
+    """The reference for ``_circle_sum``: the whole window materialised and
+    one (points x _LAM_BLOCK) summand call per eigenvalue block and mu-chunk,
+    the tails from one call per side."""
+    a = fam.base.a
+    mu = np.asarray(mu, dtype=float)
+    total = np.zeros(len(mu), dtype=complex)
+    est = np.zeros(len(mu))
+    widest = 0
+    for lo in range(0, len(mu), partrace._MU_CHUNK):
+        sl = slice(lo, min(lo + partrace._MU_CHUNK, len(mu)))
+        chunk = mu[sl]
+        N = cfg.start
+        while True:
+            n = np.arange(-N, N + 1)
+            vals = np.zeros(len(chunk), dtype=complex)
+            for b in range(0, len(n), partrace._LAM_BLOCK):
+                lam = n[b : b + partrace._LAM_BLOCK] + a
+                vals = vals + np.sum(fam.summand(lam, chunk, n_subtract), axis=1)
+            x0 = float(N + 1)
+            tp, ep = _em_tail(lambda x: fam.summand(x + a, chunk, n_subtract), x0)
+            tm, em = _em_tail(lambda x: fam.summand(-x + a, chunk, n_subtract), x0)
+            vals = vals + tp + tm
+            errs = ep + em
+            if np.all(errs <= np.maximum(partrace.WINDOW_RTOL * np.abs(vals), partrace.WINDOW_ATOL)):
+                break
+            N = min(4 * N, cfg.cap)
+        total[sl] = vals
+        est[sl] = errs
+        widest = max(widest, N)
+    return total, est, widest
+
+
+_BOUNDED_SUM_FAMILIES = {
+    "resolvent": (SpectralFamily(SpectralModel.circle(0.5), kernel("resolvent", 1), -2.0), 0),
+    "weighted_eta subtracted": (SpectralFamily(SpectralModel.circle(0.25), kernel("weighted_eta", 2), -1.0), 1),
+    "complex coefficient": (
+        SpectralFamily(SpectralModel.circle(0.25), Kernel((KernelMonomial(1.0 + 0.5j, 0, 1, 1),)), 0.0), 2
+    ),
+    "mu derivative": (SpectralFamily(SpectralModel.circle(0.75), kernel("resolvent", 1), -2.0).d_mu(1), 0),
+}
+
+
+def _recorded_summand_sizes(monkeypatch):
+    # rows x eigenvalues of every summand call, as the benchmark's tracer counts them
+    sizes, summand = [], SpectralFamily.summand
+
+    def recorded(fam, lam, mu, n_subtract):
+        sizes.append(np.size(lam) * len(mu))
+        return summand(fam, lam, mu, n_subtract)
+
+    monkeypatch.setattr(SpectralFamily, "summand", recorded)
+    return sizes
+
+
+def _bits_of(result):
+    vals, est, widest = result
+    return vals.tobytes(), est.tobytes(), widest
+
+
+# one family carries the 1,024-point case: its reference grids take 64 MB each
+@pytest.mark.parametrize(
+    "name, points", [(name, points) for name in sorted(_BOUNDED_SUM_FAMILIES) for points in (1, 48)]
+    + [("resolvent", 1024)],
+)
+def test_bounded_circle_sum_is_bit_for_bit_the_one_grid_sum(monkeypatch, name, points):
+    # a window of three full eigenvalue blocks and one of 1 (a block's row
+    # sums are pairwise sums, so splitting blocks would move bits), bounded
+    # summand calls, and the same values, tail estimates, window and terms
+    fam, n_subtract = _BOUNDED_SUM_FAMILIES[name]
+    cfg = WindowConfig(start=3 * partrace._LAM_BLOCK // 2)
+    mu = np.random.default_rng(points).uniform(0.3, 4.0, size=(points, 2))
+    sizes = _recorded_summand_sizes(monkeypatch)
+    want = _bits_of(_one_grid_circle_sum(fam, mu, n_subtract, cfg))
+    reference_terms = sum(sizes)
+    sizes.clear()
+    assert _bits_of(_circle_sum(fam, mu, n_subtract, cfg)) == want
+    assert max(sizes) <= partrace._SUMMAND_ELEMENTS
+    assert sum(sizes) == reference_terms
+    if points > 8:
+        assert len(sizes) > 4  # the mu chunk was taken in row blocks
+
+
+def test_bounded_circle_sum_escalates_like_the_one_grid_sum(monkeypatch):
+    fam, _ = _BOUNDED_SUM_FAMILIES["resolvent"]
+    monkeypatch.setattr(partrace, "_MU_CHUNK", 1)
+    cfg = WindowConfig(start=4)
+    mu = np.array([[0.5], [100.0], [0.05]])
+    want = _bits_of(_one_grid_circle_sum(fam, mu, 0, cfg))
+    assert want[2] > cfg.start
+    assert _bits_of(_circle_sum(fam, mu, 0, cfg)) == want
+
+
+def test_bounded_circle_sum_allocates_no_window_sized_array(monkeypatch):
+    # a 2^22 window: its eigenvalue indices alone would take 64 MB
+    fam, _ = _BOUNDED_SUM_FAMILIES["resolvent"]
+    N = 1 << 22
+    sizes = _recorded_summand_sizes(monkeypatch)
+    tracemalloc.start()
+    try:
+        l2_trace_values(fam, np.array([[1.0]]), WindowConfig(start=N, cap=N))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (2 * N + 1) * 8 // 64, peak
+    assert max(sizes) <= partrace._SUMMAND_ELEMENTS
 
 
 def test_trace_values_are_complex():

@@ -360,6 +360,25 @@ def test_exact_sum_and_mass_non_finite_input_keeps_fsum_behaviour(xs):
         _check_reduced(np.array(ys))
 
 
+@pytest.mark.parametrize("special", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("k", [6, 600])
+def test_overflowing_panel_with_non_finite_values_sums_those_alone(special, k):
+    # finite values whose running sum overflows fsum, and k copies of an inf
+    # or NaN: the fsum of the non-finite values alone (fsum itself raises
+    # OverflowError), in one block of either length, in every split, and with
+    # the overflowing values in a long block of their own
+    panels = ([1e308, 1e308] + [special] * k, [special] * k + [-1e308, -1e308], [1e308] * 600 + [special])
+    for xs in panels:
+        want = _outcome(_fsum_parts, [x for x in xs if not math.isfinite(x)])
+        for block in _SPLITS + (600,):
+            for a in (np.array(xs), np.array(xs, dtype=complex)):
+                assert _outcome(_reduce, a, block) == want, (len(xs), block, a.dtype)
+    with pytest.raises(OverflowError):
+        math.fsum([1e308, 1e308, special])
+    with pytest.raises(ValueError):
+        _reduce(np.array([1e308, 1e308, math.inf, -math.inf]))
+
+
 def _fsum_panels(contribution, x, w, nodes):
     """The oracle for ``quadrature._panel_sums``: one call on the whole panel,
     and each column's real, imaginary and absolute parts by math.fsum."""
