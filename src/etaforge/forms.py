@@ -11,7 +11,12 @@ Inside a batch every value and partial is an (N, N, M) array with the point
 axis last, so entry (i, j) of the whole batch is one contiguous row.  The
 boundary stays (M, N, N): a leaf's ``func`` returns that layout and the
 batch transposes each leaf partial once, and ``MatrixFamily.__call__``
-and ``values_of`` hand it back.  A call evaluates its
+and ``values_of`` hand it back.  A leaf with a ``jet`` (``capped_clifford``
+and ``step_unitary``) skips that: one jet call per batch returns its value
+and all p first partials already in the batch layout, with the Clifford
+action and the other shared terms computed once.  Its ``func`` and
+``partials`` stay for direct calls and for the finite-difference stencils of
+higher partials, and the three share one formula.  A call evaluates its
 points in blocks of at most ``BATCH_POINTS``, one batch per block, so a
 batch's arrays stay small and leaf functions must be row-wise.
 ``values_of`` is the one way to evaluate forms: it returns every
@@ -32,6 +37,7 @@ coefficients times the missing coordinate, with no Jacobian minor.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
@@ -80,6 +86,14 @@ class MatrixFamily:
       stencil of the remaining order is applied to its last family;
     - the empty tuple: the family is constant and every partial vanishes.
 
+    A leaf may also have a ``jet``: called once per batch with the (M, p)
+    points, it returns the list of the value and d_0 f, ..., d_{p-1} f, each
+    a contiguous (N, N, M) array in the batch layout and bit for bit
+    ``func`` or ``partials[j]`` transposed.  A batch takes d_S for |S| <= 1
+    from it and never calls that leaf's ``func`` or ``partials`` then; direct
+    calls and the stencils of higher partials still do.  ``capped_clifford``
+    and ``step_unitary`` have jets.
+
     ``constant`` families return a read-only broadcast view of their matrix,
     without a copy; the evaluation never writes into an array a family
     returns, so leaves may hand out views.
@@ -96,6 +110,7 @@ class MatrixFamily:
     partials: tuple["MatrixFamily", ...] | None = None
     name: str = ""
     rule: Callable[["_Batch", Index], np.ndarray] | None = field(default=None, repr=False)
+    jet: Callable[[np.ndarray], list[np.ndarray]] | None = field(default=None, repr=False)
 
     @classmethod
     def constant(cls, mat, p: int, name: str = "const") -> "MatrixFamily":
@@ -112,13 +127,14 @@ class MatrixFamily:
 def _planar(v: np.ndarray) -> np.ndarray:
     """An (M, N, N) stack in the batch layout (N, N, M): one contiguous copy,
     except that a constant's zero-stride view stays a view."""
-    t = np.moveaxis(v, 0, -1)
+    t = v.transpose(1, 2, 0)
     return t if t.strides[-1] == 0 else np.ascontiguousarray(t)
 
 
 def _stacked(a: np.ndarray) -> np.ndarray:
-    """A batch array (N, N, M) as the (M, N, N) stack of the boundary, as a view."""
-    return np.moveaxis(a, -1, 0)
+    """A batch array (..., M) with the point axis last, such as (N, N, M), as
+    the (M, ...) stack of the boundary, as a view."""
+    return a.transpose(-1, *range(a.ndim - 1))
 
 
 # Points per _Batch.  A batch holds every node array of its points until it
@@ -163,6 +179,10 @@ class _Batch:
         return self.done[key]
 
     def family(self, fam: MatrixFamily, S: Index = ()) -> np.ndarray:
+        if fam.jet is not None and len(S) <= 1 and (fam, S) not in self.done:
+            value, *partials = fam.jet(self.x)
+            self.done[(fam, ())] = value
+            self.done.update(((fam, (j,)), d) for j, d in enumerate(partials))
         return self.get((fam, S), lambda: fam.rule(self, S) if fam.rule else _planar(_leaf_partial(fam, self.x, S)))
 
     def coeff(self, form: "MatrixForm", I: Index, S: Index = ()) -> np.ndarray:
@@ -556,15 +576,83 @@ def sphere_integrate(form: MatrixForm, resolution=None) -> SphereIntegral:
 # Built-in matrix families
 
 
+# Each family's parameters and their defaults; None marks a required one.
+_FAMILY_PARAMS = {
+    "moebius": {"s": 1.0},
+    "circle_phase": {},
+    "affine_clifford": {"a": None, "k": None},
+    "spectral_slice": {"lam": None, "k": None},
+    "capped_clifford": {"a": None, "k": None},
+    "sphere_clifford": {"k": None},
+    "step_unitary": {"k": None},
+}
+
+
+def _family_params(name: str, params: dict) -> dict:
+    """The parameters of the family ``name``, checked: ``k`` an integer (not
+    a bool), every other one a finite number, returned as a complex.
+    ValueError names the first unknown, missing or bad parameter; KeyError an
+    unknown family."""
+    if name not in _FAMILY_PARAMS:
+        raise KeyError(f"unknown matrix family {name!r}")
+    spec = _FAMILY_PARAMS[name]
+    for key in params:
+        if key not in spec:
+            raise ValueError(f"matrix family {name!r} has no parameter {key!r} (it takes: {', '.join(spec) or 'none'})")
+    out = {}
+    for key, default in spec.items():
+        value = params.get(key, default)
+        if value is None:
+            raise ValueError(f"matrix family {name!r} needs the parameter {key!r}")
+        if key == "k":
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"parameter 'k' of {name!r} must be an integer, got {value!r}")
+            out[key] = int(value)
+        else:
+            z = complex(value) if isinstance(value, numbers.Number) and not isinstance(value, bool) else None
+            if z is None or not (math.isfinite(z.real) and math.isfinite(z.imag)):
+                raise ValueError(f"parameter {key!r} of {name!r} must be a finite number, got {value!r}")
+            out[key] = z
+    return out
+
+
+def _leaf_layout(cu: np.ndarray, planar: bool):
+    """A leaf formula's operands in one layout: the Clifford action ``cu``
+    (M, N, N), ``at`` shaping a per-point (M,) array and ``mat`` a constant
+    (N, N) matrix to broadcast against it.  With ``planar`` that is the batch
+    layout (N, N, M), for which ``cu`` is copied once; otherwise the boundary
+    layout (M, N, N).  Each entry is computed by the same arithmetic on the
+    same operands in both layouts, so the values agree bit for bit."""
+    if planar:
+        return np.ascontiguousarray(cu.transpose(1, 2, 0)), (lambda v: v), (lambda m: m[:, :, None])
+    return cu, (lambda v: v[:, None, None]), (lambda m: m[None])
+
+
+def _jet_leaf(rep, terms, name: str) -> MatrixFamily:
+    """A leaf on R^p, p = rep.p, whose value, partials and jet all come from
+    ``terms(x, value, dirs, planar)``: the list of the value (if ``value``)
+    and of d_j for j in ``dirs``, laid out as ``_leaf_layout`` says."""
+
+    def pick(value, dirs):
+        return lambda x: terms(x, value, dirs, False)[0]
+
+    p, n = rep.p, rep.rank
+    parts = tuple(MatrixFamily(p, n, pick(False, (j,)), name=f"d{j} {name}") for j in range(p))
+    return MatrixFamily(p, n, pick(True, ()), parts, name, jet=lambda x: terms(x, True, range(p), True))
+
+
 def matrix_family(name: str, **params) -> MatrixFamily:
     """Registry of named families.
 
     ids: moebius(s), circle_phase(), affine_clifford(a, k),
     spectral_slice(lam, k), capped_clifford(a, k), sphere_clifford(k),
-    step_unitary(k).
+    step_unitary(k).  ``k`` must be an integer and every other parameter a
+    finite number; ValueError names an unknown, missing or bad parameter.
+    ``capped_clifford`` and ``step_unitary`` have jets.
     """
+    params = _family_params(name, params)
     if name == "moebius":
-        s = complex(params.get("s", 1.0))
+        s = params["s"]
 
         def f(x):
             t = np.asarray(x, dtype=float)[:, 0]
@@ -587,9 +675,8 @@ def matrix_family(name: str, **params) -> MatrixFamily:
         return MatrixFamily(2, 1, f, ones, "circle_phase")
 
     if name in ("affine_clifford", "spectral_slice"):
-        a = complex(params["a"] if name == "affine_clifford" else params["lam"])
-        k = int(params["k"])
-        rep = standard_rep(k)
+        a = params["a" if name == "affine_clifford" else "lam"]
+        rep = standard_rep(params["k"])
         p, nn = rep.p, rep.rank
 
         def f(x):
@@ -600,33 +687,27 @@ def matrix_family(name: str, **params) -> MatrixFamily:
         return MatrixFamily(p, nn, f, gens, f"{name}({a})")
 
     if name == "capped_clifford":
-        # a + c(x) (1 + |x|^2)^{-1/2}: approaches a + c(x/|x|) at infinity
-        a = complex(params["a"])
-        k = int(params["k"])
-        rep = standard_rep(k)
-        p, nn = rep.p, rep.rank
+        # a + s c(x) with s = (1 + |x|^2)^{-1/2}: approaches a + c(x/|x|) at infinity
+        a = params["a"]
+        rep = standard_rep(params["k"])
+        eye = np.eye(rep.rank, dtype=complex)
 
-        def f(x):
+        def terms(x, value, dirs, planar):
             x = np.asarray(x, dtype=float)
-            scale = 1.0 / np.sqrt(1.0 + np.sum(x ** 2, axis=1))
-            return a * np.eye(nn, dtype=complex)[None] + scale[:, None, None] * clifford_action(rep, x)
+            s = 1.0 / np.sqrt(1.0 + np.sum(x ** 2, axis=1))
+            cu, at, mat = _leaf_layout(clifford_action(rep, x), planar)
+            out = [a * mat(eye) + at(s) * cu] if value else []
+            if dirs:
+                # d_j f = s E_j - s^3 x_j c(x)
+                s3 = s ** 3
+                out += [at(s) * mat(rep.generators[j]) - at(s3 * x[:, j]) * cu for j in dirs]
+            return out
 
-        def df(j):
-            def g(x):
-                x = np.asarray(x, dtype=float)
-                s = 1.0 / np.sqrt(1.0 + np.sum(x ** 2, axis=1))
-                out = s[:, None, None] * rep.generators[j][None]
-                out = out - (s ** 3 * x[:, j])[:, None, None] * clifford_action(rep, x)
-                return out
-
-            return g
-
-        return MatrixFamily(p, nn, f, tuple(MatrixFamily(p, nn, df(j), name=f"d{j} capped") for j in range(p)),
-                            f"capped_clifford({a})")
+        return _jet_leaf(rep, terms, f"capped_clifford({a})")
 
     if name == "sphere_clifford":
         # x = (x_0, x') -> x_0 + c(x') on R^{2k}
-        k = int(params["k"])
+        k = params["k"]
         rep = standard_rep(k)
         p = rep.p + 1
         nn = rep.rank
@@ -643,35 +724,28 @@ def matrix_family(name: str, **params) -> MatrixFamily:
         # cos(theta(r)) + sin(theta(r)) c(x/|x|) with theta = pi * chi(r):
         # identity near 0, the constant -1 outside |x| = 1.  The standard
         # compactly supported generator of a nonzero winding number.
-        k = int(params["k"])
+        k = params["k"]
         rep = standard_rep(k)
-        p, nn = rep.p, rep.rank
-        eye = np.eye(nn, dtype=complex)[None]
+        eye = np.eye(rep.rank, dtype=complex)
 
-        def polar(x):
-            # |x| and theta with trailing axes, u = x/|x| (0 at the origin) and c(u)
+        def terms(x, value, dirs, planar):
+            # u = x/|x| (0 at the origin) and c(u)
             x = np.asarray(x, dtype=float)
             r = row_norm(x)
             unit = np.where(r[:, None] > 0, x / np.maximum(r, 1e-300)[:, None], 0.0)
-            return r[:, None, None], (math.pi * smooth_cutoff(r))[:, None, None], unit, clifford_action(rep, unit)
+            cu, at, mat = _leaf_layout(clifford_action(rep, unit), planar)
+            th = math.pi * smooth_cutoff(r)
+            cos, sin = at(np.cos(th)), at(np.sin(th))
+            out = [cos * mat(eye) + sin * cu] if value else []
+            if dirs:
+                # d_j f = theta' u_j (-sin theta + cos theta c(u)) + sin theta (E_j - u_j c(u)) / |x|
+                rot = cos * cu - sin * mat(eye)
+                slope = at(math.pi * smooth_cutoff_derivative(r))
+                turn = sin / at(np.maximum(r, 1e-300))
+                for j in dirs:
+                    uj = at(unit[:, j])
+                    out.append(slope * uj * rot + turn * (mat(rep.generators[j]) - uj * cu))
+            return out
 
-        def f(x):
-            _, th, _, cu = polar(x)
-            return np.cos(th) * eye + np.sin(th) * cu
-
-        def df(j):
-            # d_j f = theta' u_j (-sin theta + cos theta c(u)) + sin theta (E_j - u_j c(u)) / |x|
-            def g(x):
-                r, th, unit, cu = polar(x)
-                uj = unit[:, j, None, None]
-                slope = math.pi * smooth_cutoff_derivative(r) * uj
-                turn = np.sin(th) / np.maximum(r, 1e-300)
-                return slope * (np.cos(th) * cu - np.sin(th) * eye) + turn * (rep.generators[j] - uj * cu)
-
-            return g
-
-        parts = tuple(MatrixFamily(p, nn, df(j), name=f"d{j} step_unitary") for j in range(p))
-        return MatrixFamily(p, nn, f, parts, f"step_unitary(k={k})")
-
-    raise KeyError(f"unknown matrix family {name!r}")
+        return _jet_leaf(rep, terms, f"step_unitary(k={k})")
 

@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from dataclasses import replace
 from functools import partial
 from itertools import combinations
 
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 from etaforge import forms as forms_module
-from etaforge.clifford import CliffordRep, standard_rep, volume_trace
+from etaforge.clifford import CliffordRep, clifford_action, standard_rep, volume_trace
 from etaforge.errors import SingularFamilyError
 from etaforge.forms import (
     BATCH_POINTS,
@@ -538,6 +540,99 @@ def test_step_unitary_partials_match_the_fd_leaf(rng):
     for j in range(3):
         fd = _blockwise(MatrixFamily(3, 2, fam.func), pts, (j,))
         assert np.max(np.abs(fam.partials[j](pts) - fd)) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# Leaf jets: one call per batch for the value and every first partial
+
+_JET_LEAVES = [("capped_clifford", {"a": a, "k": k}) for a in (1.0, 0.7 - 0.2j) for k in (1, 2, 3)]
+_JET_LEAVES += [("step_unitary", {"k": k}) for k in (1, 2)]
+
+
+@pytest.mark.parametrize("name, params", _JET_LEAVES)
+def test_leaf_jet_is_the_value_and_the_partials_bit_for_bit(rng, name, params):
+    # at the origin, inside the core, on the ramp 1/2 < |x| < 1, at |x| = 1
+    # and beyond: each jet array is func or partials[j] in the batch layout
+    fam = matrix_family(name, **params)
+    dirs = rng.normal(size=(6, fam.p))
+    radii = np.repeat([0.0, 0.3, 0.55, 0.75, 0.95, 1.0, 1.7, 40.0], 6)
+    pts = np.tile(dirs / row_norm(dirs)[:, None], (8, 1)) * radii[:, None]
+    jet = fam.jet(pts)
+    assert len(jet) == fam.p + 1
+    for got, want in zip(jet, [fam(pts)] + [d(pts) for d in fam.partials]):
+        want = np.ascontiguousarray(want.transpose(1, 2, 0))
+        assert got.shape == want.shape and got.dtype == want.dtype and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
+def _counted_leaf(base, calls):
+    """``base`` with its func, each partial's func and its jet counting their
+    calls in ``calls`` under "func", "d0", "d1", ... and "jet"."""
+
+    def counted(key, fn):
+        def call(x):
+            calls[key] += 1
+            return fn(x)
+
+        return call
+
+    parts = tuple(replace(d, func=counted(f"d{j}", d.func)) for j, d in enumerate(base.partials))
+    return replace(base, func=counted("func", base.func), partials=parts, jet=counted("jet", base.jet))
+
+
+@pytest.mark.parametrize("name, params", [("capped_clifford", {"a": 1.0 + 0.5j, "k": 2}), ("step_unitary", {"k": 2})])
+def test_a_batch_runs_the_leaf_jet_once_and_a_direct_call_never(rng, monkeypatch, name, params):
+    # values_of over two blocks: one jet call and one Clifford action per
+    # block, no func or partial call.  A direct call of the family or of one
+    # partial computes that one matrix: one func call, one action, no jet.
+    calls, actions = Counter(), []
+
+    def action(rep, x):
+        actions.append(len(x))
+        return clifford_action(rep, x)
+
+    monkeypatch.setattr(forms_module, "clifford_action", action)
+    leaf = _counted_leaf(matrix_family(name, **params), calls)
+    pts = rng.normal(size=(BATCH_POINTS + 5, 3))
+    w = mc_form(leaf)
+    values_of([w, wedge(w, w), form_from_families({(): mf_inverse(leaf)})], pts)
+    assert calls == {"jet": 2} and actions == [BATCH_POINTS, 5]
+    for fam, key in [(leaf, "func")] + [(d, f"d{j}") for j, d in enumerate(leaf.partials)]:
+        calls.clear()
+        actions.clear()
+        assert fam(pts[:7]).shape == (7, 2, 2)
+        assert calls == {key: 1} and actions == [7]
+
+
+@pytest.mark.parametrize("name, params, bad", [
+    ("capped_clifford", {"a": 1.0, "k": 2.5}, "'k'"),
+    ("step_unitary", {"k": True}, "'k'"),
+    ("sphere_clifford", {"k": "2"}, "'k'"),
+    ("affine_clifford", {"a": 1.0, "k": 9}, "k must be in"),
+    ("moebius", {"s": 1.0, "bogus": 3}, "'bogus'"),
+    ("circle_phase", {"k": 2}, "'k'"),
+    ("capped_clifford", {"k": 2}, "'a'"),
+    ("affine_clifford", {"a": math.nan, "k": 2}, "'a'"),
+    ("spectral_slice", {"lam": complex(1.0, math.inf), "k": 2}, "'lam'"),
+    ("moebius", {"s": -math.inf}, "'s'"),
+    ("capped_clifford", {"a": "1", "k": 2}, "'a'"),
+])
+def test_matrix_family_rejects_bad_parameters(name, params, bad):
+    # k = 2.5 built k = 2, k = True built k = 1, an unknown keyword was
+    # ignored and a non-finite a, lam or s gave NaN matrices
+    with pytest.raises(ValueError, match=bad):
+        matrix_family(name, **params)
+
+
+def test_matrix_family_accepts_numpy_scalars_and_finite_singular_parameters():
+    fam = matrix_family("capped_clifford", a=np.float64(1.5), k=np.int64(2))
+    assert (fam.p, fam.n, fam.name) == (3, 2, "capped_clifford((1.5+0j))")
+    assert matrix_family("moebius").name == "moebius((1+0j))"
+    with pytest.raises(KeyError, match="unknown matrix family"):
+        matrix_family("mobius", s=1.0)
+    # a = 0 is singular only at x = 0, where the evaluation reports it
+    with pytest.raises(SingularFamilyError):
+        mf_inverse(matrix_family("affine_clifford", a=0, k=2))(np.zeros(3))
 
 
 def test_constant_family_values_are_read_only_views():
