@@ -90,15 +90,12 @@ class ExpansionModel:
         return cls.make([(d, 0) for d in degrees], remainder)
 
     @classmethod
-    def at_zero(cls, terms_in_x: Sequence[tuple[float, int]], remainder_in_x: float | None = None) -> "ExpansionModel":
+    def at_zero(cls, terms_in_x: Sequence[tuple[float, int]]) -> "ExpansionModel":
         """Model of f near 0 given x-degrees; stored in the reflected u = 1/x
-        convention so the decreasing-degree invariant holds."""
+        convention so the decreasing-degree invariant holds, with the
+        remainder one degree below the last term."""
         terms = sorted(((-float(d), int(l)) for d, l in terms_in_x), key=lambda t: -t[0])
-        if remainder_in_x is None:
-            rem = (min(d for d, _ in terms) if terms else 0.0) - 1.0
-        else:
-            rem = -float(remainder_in_x)
-        return cls(tuple(terms), rem)
+        return cls(tuple(terms), (min(d for d, _ in terms) if terms else 0.0) - 1.0)
 
     @property
     def degrees(self) -> tuple[float, ...]:
@@ -346,7 +343,7 @@ def fit_expansion(
     f: Callable[[np.ndarray], np.ndarray],
     model: ExpansionModel,
     p: int,
-    radii: np.ndarray | RadiusLadder | None = None,
+    radii: np.ndarray | RadiusLadder = DEFAULT_LADDER,
     directions: SphereRule | None = None,
 ) -> FittedExpansion:
     """Fit per-direction coefficients of f against the declared model.
@@ -354,8 +351,6 @@ def fit_expansion(
     f maps an (M, p) array to real or complex (M,) values; the sample set is
     ``sample_points`` of the radius ladder with a sphere rule on S^{p-1}.
     """
-    if radii is None:
-        radii = DEFAULT_LADDER
     rr = radii.radii() if isinstance(radii, RadiusLadder) else np.asarray(radii, dtype=float)
     rule = directions if directions is not None else sphere_rule(p)
     vals = np.asarray(f(sample_points(rr, rule)), dtype=complex).reshape(len(rr), len(rule.points))
@@ -646,22 +641,21 @@ def stokes_defect(
 def scalar_family(name: str, **params) -> Callable[[np.ndarray], np.ndarray]:
     """Built-in evaluators used by experiments and tests.
 
-    ids: power_log(alpha, logpow), lorentz(), polynomial(coeffs),
+    ids: power_log(alpha), lorentz(), polynomial(coeffs),
     sign_step(), coordinate_power(j, q).  All map (M, p) arrays to real
     (M,) float64 values; power_log and coordinate_power give 0.0 on rows
     whose |x| is not > 0 (NaN included).
     """
     if name == "power_log":
+        if set(params) != {"alpha"}:
+            raise ValueError(f"power_log takes alpha only, got {sorted(params)}")
         alpha = float(params["alpha"])
-        logpow = int(params.get("logpow", 0))
 
         def f(x):
             r = row_norm(x)
             with np.errstate(divide="ignore", invalid="ignore"):
                 out = smooth_cutoff(r)
                 out *= r ** alpha
-                if logpow:
-                    out *= np.log(r) ** logpow
             out[~(r > 0)] = 0.0
             return out
 

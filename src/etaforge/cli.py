@@ -7,6 +7,7 @@ Usage:
 
 Config format (JSON, canonical key order for hashing):
     {"experiment": "sphere-omega", "params": {"k": 2}, "budget": "standard"}
+--budget applies to a --config file exactly when the file has no budget key.
 
 Exit codes: 0 pass, 1 acceptance failure, 2 config error, 3 numeric failure,
 4 internal error (any other exception).
@@ -65,10 +66,6 @@ def _budget_ints(spec: dict, key: str, default: tuple[int, ...]) -> tuple[int, .
 
 
 def _resolve_budget(spec) -> Budget:
-    if spec is None:
-        return BUDGETS["standard"]
-    if isinstance(spec, Budget):
-        return spec
     if isinstance(spec, str):
         return _preset(spec)
     if not isinstance(spec, dict):
@@ -118,12 +115,14 @@ class ExperimentConfig:
 
     experiment: str
     params: dict = field(default_factory=dict)
-    budget: object = "standard"
+    budget: str | dict = "standard"
     out: str | None = None
     seed: int = 0
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
+    def from_dict(cls, data: dict, budget: str = "standard") -> "ExperimentConfig":
+        """The config ``data`` describes; ``budget`` applies when it has no
+        budget key."""
         if not isinstance(data, dict):
             raise ConfigError("a config must be a JSON object")
         allowed = {"experiment", "params", "budget", "out", "seed"}
@@ -142,17 +141,16 @@ class ExperimentConfig:
         return cls(
             experiment=str(data["experiment"]),
             params=dict(params),
-            budget=data.get("budget", "standard"),
+            budget=data.get("budget", budget),
             out=out,
             seed=seed,
         )
 
     def canonical(self) -> dict:
-        budget = self.budget.name if isinstance(self.budget, Budget) else self.budget
         return {
             "experiment": self.experiment,
             "params": self.params,
-            "budget": budget,
+            "budget": self.budget,
             "seed": self.seed,
         }
 
@@ -258,7 +256,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="JSON file with one experiment config")
     parser.add_argument("--suite", help="run all experiments matching this tag (e.g. all, properties, clifford)")
     parser.add_argument("--out", help="directory for JSON reports")
-    parser.add_argument("--budget", default="standard", help="quick | standard | precise")
+    parser.add_argument("--budget", default="standard",
+                        help="quick | standard | precise; a --config file's own budget key wins")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized property corpora")
     parser.add_argument("--emit-csv", action="store_true", help="also write per-experiment CSV check tables")
     parser.add_argument("--list", action="store_true", help="list registered experiments and exit")
@@ -275,9 +274,7 @@ def main(argv=None) -> int:
                 data = json.loads(Path(args.config).read_text())
             except (OSError, ValueError) as exc:  # missing, unreadable or not JSON
                 raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-            cfg = ExperimentConfig.from_dict(data)
-            if args.budget != "standard" and (isinstance(cfg.budget, str) and cfg.budget == "standard"):
-                cfg = replace(cfg, budget=args.budget)
+            cfg = ExperimentConfig.from_dict(data, budget=args.budget)
             reports = [run(cfg)]
             out = cfg.out or args.out
         elif args.suite is not None:

@@ -44,25 +44,15 @@ class CliffordRep:
 
 
 def standard_rep(k: int) -> CliffordRep:
-    """Generators E_1..E_{2k-1}; the final generator's sign is chosen so that
-    i^k E_1...E_{2k-1} = I exactly."""
+    """Generators E_1..E_{2k-1}: each level keeps S_1 (x) E_j and appends
+    i S_3 (x) I and -i S_2 (x) I, for which i^k E_1...E_{2k-1} = I exactly
+    (``_check_invariants`` verifies it with the other identities)."""
     if not (1 <= k <= MAX_K):
         raise ValueError(f"k must be in 1..{MAX_K}, got {k}")
     gens = [np.array([[-1j]], dtype=complex)]
-    for level in range(2, k + 1):
-        n = gens[0].shape[0]
-        eye = np.eye(n, dtype=complex)
-        new = [np.kron(_S1, g) for g in gens]
-        new.append(1j * np.kron(_S3, eye))
-        last = -1j * np.kron(_S2, eye)
-        prod = new[0]
-        for g in new[1:]:
-            prod = prod @ g
-        prod = prod @ last
-        if not np.array_equal((1j) ** level * prod, np.eye(2 * n, dtype=complex)):
-            last = -last
-        new.append(last)
-        gens = new
+    for _ in range(2, k + 1):
+        eye = np.eye(gens[0].shape[0], dtype=complex)
+        gens = [np.kron(_S1, g) for g in gens] + [1j * np.kron(_S3, eye), -1j * np.kron(_S2, eye)]
     rep = CliffordRep(k, tuple(g.copy() for g in gens))
     _check_invariants(rep)
     return rep

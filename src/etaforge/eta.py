@@ -303,7 +303,7 @@ def spectral_eta(
     """Spectral eta-invariant of the circle operator with spectrum {n + a}.
 
     "hurwitz": the zeta-function value at 0 on both half-spectra, 1 - 2a for
-    0 < a < 1 (continued Hurwitz zeta, exact at s = 0).
+    0 < a < 1, from the Bernoulli closed form zeta(0, a) = 1/2 - a.
     "regint": the weighted half-line regularized integral of the parametric
     trace of the resolvent-power symbol; needs k >= 2 for trace class.
     """

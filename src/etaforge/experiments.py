@@ -543,13 +543,11 @@ def exp_variation_check(params, budget, rng):
     return rows
 
 
-def _conjugated_rotated_copy(a: float, seed: int = 7) -> MatrixFamily:
-    rng = np.random.default_rng(seed)
+def _conjugated_rotated_copy(a: float) -> MatrixFamily:
+    rng = np.random.default_rng(7)
     qr = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, _ = np.linalg.qr(qr)
-    o = np.linalg.qr(rng.normal(size=(3, 3)))[0]
-    if np.linalg.det(o) < 0:
-        o[:, 0] *= -1.0
+    o = np.linalg.qr(rng.normal(size=(3, 3)))[0]  # a rotation: det(o) = +1 at seed 7
     base = matrix_family("capped_clifford", a=a, k=2)
 
     def f(x):
@@ -607,7 +605,7 @@ def exp_spectral_eta(params, budget, rng):
                 1.0 - 2.0 * a,
                 1e-12,
                 "abs",
-                "continued zeta at 0 (Euler-Maclaurin oracle)",
+                "continued zeta at 0 (Bernoulli closed form)",
             )
         )
     v = spectral_eta(SpectralModel.circle(0.25), method="regint", k=int(p["k"]), n_radial=budget.n_radial)
@@ -970,9 +968,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
 }
 
 
-def run_experiment(exp_id: str, params: dict, budget: Budget, rng=None) -> list[CheckRow]:
+def run_experiment(exp_id: str, params: dict, budget: Budget, rng: np.random.Generator) -> list[CheckRow]:
     if exp_id not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {exp_id!r}; known: {sorted(EXPERIMENTS)}")
-    if rng is None:
-        rng = np.random.default_rng(0)
     return EXPERIMENTS[exp_id].func(params, budget, rng)

@@ -27,11 +27,13 @@ Leaf partials are analytic as far as a family's ``partials`` chain goes;
 below that, one Richardson stencil of the missing order is applied to the
 deepest analytic level, so no finite difference wraps another.  Products
 follow Leibniz, inverses d(A^-1) = -A^-1 (dA) A^-1, and traces are sums of
-rows, with the rank-2 kernels ``_matmul`` and ``_det_inv`` doing the
-batched algebra.  A top form on a sphere is integrated by ``sphere_pairing``
-at the points of ``quadrature.sphere_rule``, the one sphere sampler: its
-weights are the surface measure, so the integral is a signed sum of the
-coefficients times the missing coordinate, with no Jacobian minor.
+rows, with the rank-1 and rank-2 kernels ``_matmul`` and ``_det_inv`` doing
+the batched algebra; products, inverses and wedges reject a matrix rank
+above 2, which no family integrable on the spheres S^1..S^3 has.  A top form
+on a sphere is integrated by ``sphere_pairing`` at the points of
+``quadrature.sphere_rule``, the one sphere sampler: its weights are the
+surface measure, so the integral is a signed sum of the coefficients times
+the missing coordinate, with no Jacobian minor.
 """
 
 from __future__ import annotations
@@ -221,21 +223,17 @@ def _leaf_partial(fam: MatrixFamily, x: np.ndarray, S: Index) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Batch kernels on the (N, N, M) layout.  Ranks 1 and 2 use entrywise
+# Batch kernels on the (N, N, M) layout, for ranks 1 and 2 only: entrywise
 # formulas on the contiguous rows a[i, j], written into preallocated rows.
-# From rank 3 on they call numpy's stacked matmul, inv and det on transposed
-# (M, N, N) views, which round exactly as on (M, N, N) arrays; an entrywise
-# rank-4 product is about 3x faster (0.7 against 2.1 ms at 6,912 points) but
-# rounds differently, and no workload evaluates forms above rank 2.
+# ``sphere_rule`` stops at S^3, so an integrable Clifford family has k <= 2
+# and rank N = 2^(k-1) <= 2; ``mf_product``, ``mf_inverse`` and ``wedge``
+# reject a higher rank.
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise (broadcast) matrix product of two batch arrays."""
-    n = a.shape[0]
-    if n == 1:
+    """Pointwise (broadcast) matrix product of two batch arrays of rank 1 or 2."""
+    if a.shape[0] == 1:
         return a * b
-    if n > 2:
-        return np.moveaxis(np.matmul(_stacked(a), _stacked(b)), 0, -1)
     out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
     tmp = np.empty(out.shape[2:], dtype=out.dtype)
     for i in range(2):
@@ -246,28 +244,20 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _det_inv(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Determinants (M,) and inverses (N, N, M) of a batch array; inverses
-    of singular matrices come out non-finite (the caller checks the
-    determinants first)."""
-    n = a.shape[0]
+    """Determinants (M,) and inverses (N, N, M) of a batch array of rank 1
+    or 2; inverses of singular matrices come out non-finite (the caller
+    checks the determinants first)."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if n == 1:
+        if a.shape[0] == 1:
             return a[0, 0], 1.0 / a
-        if n == 2:
-            a00, a01, a10, a11 = a[0, 0], a[0, 1], a[1, 0], a[1, 1]
-            det = a00 * a11 - a01 * a10
-            inv = np.empty(a.shape, dtype=a.dtype)
-            np.divide(a11, det, out=inv[0, 0])
-            np.divide(np.negative(a01, out=inv[0, 1]), det, out=inv[0, 1])
-            np.divide(np.negative(a10, out=inv[1, 0]), det, out=inv[1, 0])
-            np.divide(a00, det, out=inv[1, 1])
-            return det, inv
-    stack = _stacked(a)
-    det = np.linalg.det(stack)
-    try:
-        return det, np.moveaxis(np.linalg.inv(stack), 0, -1)
-    except np.linalg.LinAlgError:
-        return det, np.full(a.shape, np.nan, dtype=a.dtype)
+        a00, a01, a10, a11 = a[0, 0], a[0, 1], a[1, 0], a[1, 1]
+        det = a00 * a11 - a01 * a10
+        inv = np.empty(a.shape, dtype=a.dtype)
+        np.divide(a11, det, out=inv[0, 0])
+        np.divide(np.negative(a01, out=inv[0, 1]), det, out=inv[0, 1])
+        np.divide(np.negative(a10, out=inv[1, 0]), det, out=inv[1, 0])
+        np.divide(a00, det, out=inv[1, 1])
+        return det, inv
 
 
 def _trace(a: np.ndarray) -> np.ndarray:
@@ -311,16 +301,19 @@ def _signed_total(parts) -> np.ndarray:
 
 def mf_product(a: MatrixFamily, b: MatrixFamily) -> MatrixFamily:
     """The pointwise product a b; raises ValueError unless a and b have the
-    same base dimension and matrix rank."""
-    if a.p != b.p or a.n != b.n:
-        raise ValueError(f"product requires the same base dimension and matrix rank, "
+    same base dimension and matrix rank, and the rank is at most 2."""
+    if a.p != b.p or a.n != b.n or a.n > 2:
+        raise ValueError(f"product requires the same base dimension and matrix rank, at most 2, "
                          f"got (p, n) = ({a.p}, {a.n}) and ({b.p}, {b.n})")
     return MatrixFamily(a.p, a.n, name=f"({a.name}.{b.name})",
                         rule=lambda batch, S: _leibniz(S, partial(batch.family, a), partial(batch.family, b)))
 
 
 def mf_inverse(a: MatrixFamily) -> MatrixFamily:
-    """The pointwise inverse a^{-1}; raises SingularFamilyError where a is singular."""
+    """The pointwise inverse a^{-1}; raises ValueError for a matrix rank above
+    2, and SingularFamilyError where a is singular."""
+    if a.n > 2:
+        raise ValueError(f"inverse requires a matrix rank of at most 2, got {a.n}")
 
     def rule(batch, S):
         if S:
@@ -430,9 +423,12 @@ def form_from_families(coeffs: dict[Index, MatrixFamily]) -> MatrixForm:
 
 
 def wedge(w1: MatrixForm, w2: MatrixForm) -> MatrixForm:
-    """Wedge product with shuffle signs and matrix products in order."""
-    if w1.p != w2.p or w1.n != w2.n:
-        raise ValueError("wedge requires the same base dimension and matrix rank")
+    """Wedge product with shuffle signs and matrix products in order; raises
+    ValueError unless both forms have the same base dimension and matrix
+    rank, and the rank is at most 2."""
+    if w1.p != w2.p or w1.n != w2.n or w1.n > 2:
+        raise ValueError(f"wedge requires the same base dimension and matrix rank, at most 2, "
+                         f"got (p, n) = ({w1.p}, {w1.n}) and ({w2.p}, {w2.n})")
     degree = w1.degree + w2.degree
     if degree > w1.p:
         return MatrixForm(w1.p, w1.n, degree, ())

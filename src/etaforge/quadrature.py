@@ -174,20 +174,17 @@ def sample_points(rr: np.ndarray, rule: SphereRule) -> np.ndarray:
 # absolute-value accumulation used downstream as a per-row noise floor.
 
 
-def _shell_bounds(start: float, ladder: np.ndarray, inner: tuple[float, ...]) -> list[float]:
-    bounds = [x for x in inner if start <= x < ladder[0]]
-    if not bounds or bounds[0] > start:
-        bounds = [start] + bounds
+def _shell_bounds(ladder: np.ndarray, inner: tuple[float, ...]) -> list[float]:
+    """The panel bounds from ``inner[0]``, the start of the integral, to the
+    last ladder radius: the rest of ``inner`` below the first ladder radius,
+    then doublings of the last inner bound, then the ladder."""
+    bounds = [inner[0]] + [x for x in inner[1:] if x < ladder[0]]
     # keep shell ratios <= 2 between the inner region and the first ladder radius
     r = bounds[-1]
-    fill = []
-    while ladder[0] / max(r, 1e-30) > 2.0 and r > 0:
-        r = r * 2.0 if r > 0 else 1.0
-        if r < ladder[0]:
-            fill.append(r)
-        else:
-            break
-    return bounds + fill + list(ladder)
+    while r > 0 and ladder[0] / r > 2.0:
+        r *= 2.0
+        bounds.append(r)
+    return bounds + list(ladder)
 
 
 DEFAULT_INNER = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -448,7 +445,7 @@ def cumulative_ball(
         grid = radial * angular * vals.reshape((len(r), len(sphere.points)) + cols)
         return grid.reshape((-1,) + cols)
 
-    panels = _outward_panels(_shell_bounds(0.0, ladder, DEFAULT_INNER))
+    panels = _outward_panels(_shell_bounds(ladder, DEFAULT_INNER))
     return _cumulative_shells(panels, ladder, n_radial, contribution, len(sphere.points))
 
 
@@ -460,7 +457,7 @@ def cumulative_radial(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Radial reduction of cumulative_ball for g = g(|x|): carries the exact
     S^{p-1} surface factor."""
-    panels = _outward_panels(_shell_bounds(0.0, ladder, DEFAULT_INNER))
+    panels = _outward_panels(_shell_bounds(ladder, DEFAULT_INNER))
     out, aout = _cumulative_shells(
         panels, ladder, n_radial, lambda r, wr: wr * r ** (p - 1) * _values(g(r))
     )
@@ -477,7 +474,7 @@ def cumulative_halfline_out(
 
     A ladder that starts below 1 gives signed values: J(b) = -int_b^1 g.
     """
-    panels = _outward_panels(_shell_bounds(1.0, ladder, (1.0, 1.5)))
+    panels = _outward_panels(_shell_bounds(ladder, (1.0, 1.5)))
     return _cumulative_shells(panels, ladder, n_radial, lambda x, w: w * _values(g(x)))
 
 
@@ -493,7 +490,7 @@ def cumulative_halfline_in(
     """
     # the outward bounds in u, inverted; the powers of two that fill the gap
     # below the ladder invert exactly
-    bounds = 1.0 / np.array(_shell_bounds(1.0, u_ladder, (1.0,)))
+    bounds = 1.0 / np.array(_shell_bounds(u_ladder, (1.0,)))
     # each panel runs from the next bound back to the previous one; the last
     # bounds are the inverted ladder
     panels = [(end, start, end) for start, end in zip(bounds[:-1], bounds[1:])]

@@ -85,7 +85,7 @@ def _masked_complex_family(name, **params):
         out = np.zeros(len(r), dtype=complex)
         pos = r > 0
         if name == "power_log":
-            out[pos] = chi(r[pos]) * r[pos] ** params["alpha"] * np.log(r[pos]) ** params.get("logpow", 0)
+            out[pos] = chi(r[pos]) * r[pos] ** params["alpha"]
         elif name == "lorentz":
             out = 1.0 / (1.0 + r ** 2) + 0j
         elif name == "polynomial":
@@ -113,8 +113,8 @@ def _rows_at_every_radius(rng):
 
 @pytest.mark.parametrize("name, params", [
     ("power_log", {"alpha": -1.0}),
-    ("power_log", {"alpha": -2.5, "logpow": 1}),
-    ("power_log", {"alpha": 0.5, "logpow": 2}),
+    ("power_log", {"alpha": -2.5}),
+    ("power_log", {"alpha": 0.5}),
     ("lorentz", {}),
     ("polynomial", {"coeffs": [(1.0, 0, 0), (0.5, 0, 1), (1.0, 1, 1), (2.0, 2, 0), (1.5, 1, 2)]}),
     ("sign_step", {}),
@@ -130,6 +130,12 @@ def test_scalar_family_is_real_and_keeps_the_masked_values(rng, name, params):
     assert got.tobytes() == want.real.tobytes()
     if name in ("power_log", "coordinate_power"):
         assert got[0] == 0.0 and got[-1] == 0.0  # |x| = 0 and |x| = NaN
+
+
+@pytest.mark.parametrize("params", [{"alpha": -1.0, "logpow": 1}, {}, {"a": -1.0}])
+def test_power_log_takes_alpha_only(params):
+    with pytest.raises(ValueError, match="power_log takes alpha only"):
+        scalar_family("power_log", **params)
 
 
 def test_scalar_polynomial_odd_monomial_within_two_ulp(rng):
@@ -570,9 +576,9 @@ def test_held_buffers_match_the_fresh_copy_oracle_in_the_experiments(monkeypatch
     def values(rows):
         return [(r.label, np.complex128(r.value).tobytes()) for r in rows]
 
-    got = values(run_experiment(experiment, {}, BUDGETS["precise"]))
+    got = values(run_experiment(experiment, {}, BUDGETS["precise"], np.random.default_rng(0)))
     monkeypatch.setattr(asymptotics, name, oracle)
-    assert got == values(run_experiment(experiment, {}, BUDGETS["precise"]))
+    assert got == values(run_experiment(experiment, {}, BUDGETS["precise"], np.random.default_rng(0)))
 
 
 def test_fd_partial_copies_a_value_that_views_its_input(rng):

@@ -141,6 +141,29 @@ def test_main_config_file(tmp_path, capsys):
     assert written["pass"] is True
 
 
+@pytest.mark.parametrize("budget_key, argv, want", [
+    ({}, [], "standard"),
+    ({}, ["--budget", "quick"], "quick"),
+    # a config's own budget key wins over --budget, whichever preset it names
+    ({"budget": "standard"}, ["--budget", "quick"], "standard"),
+    ({"budget": "precise"}, ["--budget", "quick"], "precise"),
+    ({"budget": {"preset": "quick"}}, ["--budget", "precise"], {"preset": "quick"}),
+])
+def test_budget_flag_applies_exactly_when_the_config_has_no_budget_key(tmp_path, capsys, budget_key, argv, want):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "clifford-check", "params": {"k": 1}, **budget_key}))
+    assert main(["--config", str(path), "--out", str(tmp_path), *argv]) == 0
+    capsys.readouterr()
+    assert json.loads((tmp_path / "clifford-check.json").read_text())["inputs"]["budget"] == want
+
+
+def test_a_null_budget_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "clifford-check", "budget": None}))
+    assert main(["--config", str(path), "--budget", "quick"]) == 2
+    assert "budget must be a preset name or an object" in capsys.readouterr().err
+
+
 def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"experiment": "clifford-check", "what": 1}))

@@ -45,24 +45,24 @@ def test_tanh_identity_against_brute_force():
 
 
 def test_hurwitz_zeta_against_brute_force():
-    a = 0.25
-    got = hurwitz_zeta(3.0, a)
-    want = math.fsum(((np.arange(200000) + a) ** (-3.0)).tolist())
-    assert abs(got - want) < 1e-9
+    # zeta(s, a) - zeta(s, a + N) = sum_{n<N} (n + a)^{-s}, a finite sum at every s
+    for m in range(4):
+        for a in (0.25, 0.5, 0.9):
+            got = hurwitz_zeta(-m, a) - hurwitz_zeta(-m, a + 40.0)
+            want = math.fsum(((np.arange(40) + a) ** m).tolist())
+            assert abs(got - want) <= 1e-12 * want, (m, a)
     # exact continuation at s = 0
-    assert hurwitz_zeta(0.0, a) == 0.5 - a
-    assert abs(hurwitz_zeta(2.0, 1.0) - math.pi ** 2 / 6.0) < 1e-12
+    assert hurwitz_zeta(0.0, 0.25) == 0.25
 
 
 def test_hurwitz_zeta_rejects_pole_and_bad_offset():
     with pytest.raises(ValueError):
         hurwitz_zeta(1.0, 0.5)
     with pytest.raises(ValueError):
-        hurwitz_zeta(2.0, -1.0)
+        hurwitz_zeta(-2.0, -1.0)
 
 
-_HURWITZ_S = [0, -1, -2, -3, -7, -10, -15, -20, 1e-9, 0.25, 0.5, 0.999, 1.001, 1.5, 2, 3, 7.5, 20, 50,
-              0.5 + 1j, 0.5 + 25j, 0.5 + 100j, 2 + 300j, 0.1 - 250j, 300j, 3.3 - 50j, 1 + 1e-6j]
+_HURWITZ_S = [0, -1, -2, -3, -7, -10, -15, -20]
 _HURWITZ_A = [0.05, 0.1, 0.3, 0.77, 0.9, 1.0, 2.5, 17.3]
 
 
@@ -77,7 +77,9 @@ def test_hurwitz_zeta_against_mpmath():
     assert hurwitz_zeta(0.0, 0.3) == 0.5 - 0.3
 
 
-@pytest.mark.parametrize("s", [-2.5, -0.5, -10.5, -21, 0.5 + 301j, -1 + 1j])
+@pytest.mark.parametrize(
+    "s", [-2.5, -0.5, -10.5, -21, 0.5 + 301j, -1 + 1j, 1e-9, 0.5, 2, 3, 50, 0.5 + 1j, -0.0 + 1e-300j]
+)
 def test_hurwitz_zeta_rejects_inaccurate_domain(s):
     with pytest.raises(ValueError, match="hurwitz_zeta needs"):
         hurwitz_zeta(s, 0.3)
@@ -112,8 +114,13 @@ def test_kernel_eval_and_order():
     assert np.max(np.abs(got - want)) < 1e-15
 
 
+def _weighted_eta(k):
+    """t^{k-1} lam (lam^2+t)^{-k}: a kernel with a t power, for the oracles."""
+    return Kernel((KernelMonomial(1.0, 1, k - 1, k),))
+
+
 def test_kernel_dt_matches_finite_difference():
-    k = kernel("weighted_eta", 2)
+    k = _weighted_eta(2)
     lam = np.array([1.3, -0.7])
     t, h = 2.0, 1e-6
     fd = (k.eval(lam, np.array([t + h])) - k.eval(lam, np.array([t - h]))) / (2 * h)
@@ -159,10 +166,10 @@ _ORACLE_KERNELS = {
     "t power, no resolvent": Kernel((KernelMonomial(-0.5, 1, 2, 0),)),
     "resolvent(1)": kernel("resolvent", 1),
     "eta_kernel(2)": kernel("eta_kernel", 2),
-    "weighted_eta(3)": kernel("weighted_eta", 3),
-    "dt of weighted_eta(2)": kernel("weighted_eta", 2).dt(),
+    "weighted_eta(3)": _weighted_eta(3),
+    "dt of weighted_eta(2)": _weighted_eta(2).dt(),
     "product": kernel("resolvent", 1) * kernel("eta_kernel", 2),
-    "scaled by 1j": kernel("weighted_eta", 2).scale(1j),
+    "scaled by 1j": _weighted_eta(2).scale(1j),
     "mixed complex sum": Kernel(
         kernel("eta_kernel", 1).scale(0.5 - 2j).monomials + kernel("resolvent", 2).dt().monomials
     ),
@@ -205,7 +212,7 @@ def test_l2_trace_tanh():
 def test_l2_trace_zeta_values_at_zero_parameter():
     fam = SpectralFamily(SpectralModel.circle(0.25), kernel("eta_kernel", 2), -3.0)
     got = l2_trace(fam, [1e-30]).value  # continuous at 0; avoid the lattice point
-    want = hurwitz_zeta(3.0, 0.25) - hurwitz_zeta(3.0, 0.75)
+    want = float(mpmath.zeta(3, 0.25) - mpmath.zeta(3, 0.75))
     assert abs(got - want) < 1e-10
 
 
@@ -301,7 +308,7 @@ def _one_grid_circle_sum(fam, mu, n_subtract, cfg):
 
 _BOUNDED_SUM_FAMILIES = {
     "resolvent": (SpectralFamily(SpectralModel.circle(0.5), kernel("resolvent", 1), -2.0), 0),
-    "weighted_eta subtracted": (SpectralFamily(SpectralModel.circle(0.25), kernel("weighted_eta", 2), -1.0), 1),
+    "weighted_eta subtracted": (SpectralFamily(SpectralModel.circle(0.25), _weighted_eta(2), -1.0), 1),
     "complex coefficient": (
         SpectralFamily(SpectralModel.circle(0.25), Kernel((KernelMonomial(1.0 + 0.5j, 0, 1, 1),)), 0.0), 2
     ),

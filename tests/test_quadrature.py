@@ -607,7 +607,7 @@ def test_shell_loop_calls_are_whole_nodes_within_the_bound(monkeypatch, shell_po
     ladder = geometric_ladder(4.0, 256.0, 6)
     _ball(f)
     n_dir = len(_BALL_SPHERE.points)
-    panels = quadrature._outward_panels(quadrature._shell_bounds(0.0, ladder, quadrature.DEFAULT_INNER))
+    panels = quadrature._outward_panels(quadrature._shell_bounds(ladder, quadrature.DEFAULT_INNER))
     per_panel = -(-32 // block_nodes)
     assert len(calls) == per_panel * len(panels)
     for a, b, _ in panels:
