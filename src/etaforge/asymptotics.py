@@ -548,33 +548,9 @@ def cov_correction(
     return ComparisonPair(lhs, rhs, corr / abs(det))
 
 
-def _unaliased(v, buf):
-    """f's value v, copied when it may share memory with the held input
-    buffer buf, which the next call rewrites."""
-    return v.copy() if np.may_share_memory(v, buf) else v
-
-
-def _held(buf, shape):
-    """buf when its rows have the shape of shape[1:] and it has at least
-    shape[0] of them, else a new buffer of the given shape: a shorter call
-    (the last block of a shell panel) writes the buffer's leading rows."""
-    if buf is None or len(buf) < shape[0] or buf.shape[1:] != shape[1:]:
-        return np.empty(shape)
-    return buf
-
-
 def _substituted(f, A):
-    """x -> f(x A^T), with x A^T written into the leading rows of one buffer
-    held across calls (``_held``)."""
-    buf = None
-
-    def fA(x):
-        nonlocal buf
-        shape = np.shape(x)[:-1] + (A.shape[0],)
-        buf = _held(buf, shape)
-        return _unaliased(f(np.matmul(x, A.T, out=buf[:shape[0]])), buf)
-
-    return fA
+    """x -> f(x A^T)."""
+    return lambda x: f(x @ A.T)
 
 
 def _fd_partial(f, j):
@@ -582,10 +558,10 @@ def _fd_partial(f, j):
 
     The shifted points live in the leading M rows of one buffer held for
     the life of the closure and replaced only when a call has more rows or
-    another point dimension (``_held``), so the blocks of a shell panel share
-    it.  Each call copies x into it once, and each stencil offset rewrites
-    column j alone, as x_j + c h, which rounds as adding c h to a fresh copy
-    would.  A value of f that may share memory with the buffer (a view of its
+    another point dimension, so the blocks of a shell panel share it.  Each
+    call copies x into it once, and each stencil offset rewrites column j
+    alone, as x_j + c h, which rounds as adding c h to a fresh copy would.
+    A value of f that may share memory with the buffer (a view of its
     input) is copied before the next offset overwrites it; the caller's x is
     never written.
     """
@@ -595,13 +571,15 @@ def _fd_partial(f, j):
         nonlocal buf
         x = np.asarray(x, dtype=float)
         h = fd_step(x)
-        buf = _held(buf, x.shape)
+        if buf is None or len(buf) < len(x) or buf.shape[1:] != x.shape[1:]:
+            buf = np.empty(x.shape)
         rows = buf[:len(x)]
         np.copyto(rows, x)
 
         def at(c):
             np.add(x[:, j], c * h, out=rows[:, j])
-            return _unaliased(f(rows), buf)
+            v = f(rows)
+            return v.copy() if np.may_share_memory(v, buf) else v
 
         return richardson_derivative(at, h)
 
@@ -638,17 +616,36 @@ def stokes_defect(
 # Built-in scalar families (registry keyed by string id)
 
 
+# Each scalar family's keywords and their defaults; None marks a required one.
+_SCALAR_PARAMS = {
+    "power_log": {"alpha": None},
+    "lorentz": {},
+    "polynomial": {"coeffs": None},
+    "sign_step": {},
+    "coordinate_power": {"q": None, "j": 0},
+}
+
+
 def scalar_family(name: str, **params) -> Callable[[np.ndarray], np.ndarray]:
     """Built-in evaluators used by experiments and tests.
 
     ids: power_log(alpha), lorentz(), polynomial(coeffs),
-    sign_step(), coordinate_power(j, q).  All map (M, p) arrays to real
+    sign_step(), coordinate_power(q, j=0).  All map (M, p) arrays to real
     (M,) float64 values; power_log and coordinate_power give 0.0 on rows
-    whose |x| is not > 0 (NaN included).
+    whose |x| is not > 0 (NaN included).  ValueError names an unknown or
+    missing keyword; KeyError an unknown family.
     """
+    if name not in _SCALAR_PARAMS:
+        raise KeyError(f"unknown scalar family {name!r}")
+    spec = _SCALAR_PARAMS[name]
+    for key in params:
+        if key not in spec:
+            raise ValueError(f"scalar family {name!r} has no parameter {key!r} (it takes: {', '.join(spec) or 'none'})")
+    params = {**spec, **params}
+    for key, value in params.items():
+        if value is None:
+            raise ValueError(f"scalar family {name!r} needs the parameter {key!r}")
     if name == "power_log":
-        if set(params) != {"alpha"}:
-            raise ValueError(f"power_log takes alpha only, got {sorted(params)}")
         alpha = float(params["alpha"])
 
         def f(x):
@@ -685,18 +682,17 @@ def scalar_family(name: str, **params) -> Callable[[np.ndarray], np.ndarray]:
             return smooth_cutoff(np.abs(t)) * np.sign(t)
 
         return f
-    if name == "coordinate_power":
-        j = int(params.get("j", 0))
-        q = float(params["q"])
+    # coordinate_power
+    j = int(params["j"])
+    q = float(params["q"])
 
-        def f(x):
-            r = row_norm(x)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = smooth_cutoff(r)
-                out *= x[:, j]
-                out *= r ** (-q)
-            out[~(r > 0)] = 0.0
-            return out
+    def f(x):
+        r = row_norm(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = smooth_cutoff(r)
+            out *= x[:, j]
+            out *= r ** (-q)
+        out[~(r > 0)] = 0.0
+        return out
 
-        return f
-    raise KeyError(f"unknown scalar family {name!r}")
+    return f

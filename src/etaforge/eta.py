@@ -54,7 +54,9 @@ from .partrace import (
     l2_trace_values,
     tr_param_values,
 )
-from .quadrature import SphereRule, gauss_legendre, richardson_derivative, sample_points, sphere_rule
+from .quadrature import (
+    RICHARDSON_OFFSETS, SphereRule, gauss_legendre, richardson_derivative, sample_points, sphere_rule,
+)
 
 __all__ = [
     "c_k",
@@ -111,7 +113,7 @@ class PathFamily:
 
     def derivative_at(self, s: float) -> MatrixFamily:
         h = PATH_FD_STEP
-        shifted = {c: self.family_at(s + c * h) for c in (1.0, -1.0, 0.5, -0.5)}
+        shifted = {c: self.family_at(s + c * h) for c in RICHARDSON_OFFSETS}
 
         def df(x):
             return richardson_derivative(lambda c: shifted[c](x), h)

@@ -13,12 +13,13 @@ boundary stays (M, N, N): a leaf's ``func`` returns that layout and the
 batch transposes each leaf partial once, and ``MatrixFamily.__call__``
 and ``values_of`` hand it back.  A leaf with a ``jet`` (``capped_clifford``
 and ``step_unitary``) skips that: one jet call per batch returns its value
-and all p first partials already in the batch layout, with the Clifford
-action and the other shared terms computed once.  Its ``func`` and
-``partials`` stay for direct calls and for the finite-difference stencils of
-higher partials, and the three share one formula.  A call evaluates its
-points in blocks of at most ``BATCH_POINTS``, one batch per block, so a
-batch's arrays stay small and leaf functions must be row-wise.
+and all p first partials in the batch layout, with the Clifford action and
+the other shared terms computed once.  Its formulas build the batch layout
+only; its ``func`` and ``partials``, for direct calls and for the
+finite-difference stencils of higher partials, return the (M, N, N) view of
+the same arrays, which the batch takes back without a copy.  A call
+evaluates its points in blocks of at most ``BATCH_POINTS``, one batch per
+block, so a batch's arrays stay small and leaf functions must be row-wise.
 ``values_of`` is the one way to evaluate forms: it returns every
 coefficient of several forms from one batch per block, so the nodes they
 share are computed once, and ``MatrixForm.values`` is its one-form case.
@@ -94,7 +95,8 @@ class MatrixFamily:
     ``func`` or ``partials[j]`` transposed.  A batch takes d_S for |S| <= 1
     from it and never calls that leaf's ``func`` or ``partials`` then; direct
     calls and the stencils of higher partials still do.  ``capped_clifford``
-    and ``step_unitary`` have jets.
+    and ``step_unitary`` have jets, and their ``func`` and ``partials``
+    return transposed views of the jet's own arrays.
 
     ``constant`` families return a read-only broadcast view of their matrix,
     without a copy; the evaluation never writes into an array a family
@@ -128,7 +130,8 @@ class MatrixFamily:
 
 def _planar(v: np.ndarray) -> np.ndarray:
     """An (M, N, N) stack in the batch layout (N, N, M): one contiguous copy,
-    except that a constant's zero-stride view stays a view."""
+    except that a constant's zero-stride view and the ``_stacked`` view of a
+    contiguous batch array (a jet leaf's value) stay views."""
     t = v.transpose(1, 2, 0)
     return t if t.strides[-1] == 0 else np.ascontiguousarray(t)
 
@@ -612,29 +615,19 @@ def _family_params(name: str, params: dict) -> dict:
     return out
 
 
-def _leaf_layout(cu: np.ndarray, planar: bool):
-    """A leaf formula's operands in one layout: the Clifford action ``cu``
-    (M, N, N), ``at`` shaping a per-point (M,) array and ``mat`` a constant
-    (N, N) matrix to broadcast against it.  With ``planar`` that is the batch
-    layout (N, N, M), for which ``cu`` is copied once; otherwise the boundary
-    layout (M, N, N).  Each entry is computed by the same arithmetic on the
-    same operands in both layouts, so the values agree bit for bit."""
-    if planar:
-        return np.ascontiguousarray(cu.transpose(1, 2, 0)), (lambda v: v), (lambda m: m[:, :, None])
-    return cu, (lambda v: v[:, None, None]), (lambda m: m[None])
-
-
 def _jet_leaf(rep, terms, name: str) -> MatrixFamily:
-    """A leaf on R^p, p = rep.p, whose value, partials and jet all come from
-    ``terms(x, value, dirs, planar)``: the list of the value (if ``value``)
-    and of d_j for j in ``dirs``, laid out as ``_leaf_layout`` says."""
+    """A leaf on R^p, p = rep.p, whose jet is ``terms(x, value, dirs)``: the
+    list of the value (if ``value``) and of d_j for j in ``dirs``, each a
+    contiguous (N, N, M) array in the batch layout.  ``func`` and each
+    partial's ``func`` return the (M, N, N) view of the same arrays, so every
+    jet array is ``func`` or ``partials[j]`` transposed by construction."""
 
     def pick(value, dirs):
-        return lambda x: terms(x, value, dirs, False)[0]
+        return lambda x: _stacked(terms(x, value, dirs)[0])
 
     p, n = rep.p, rep.rank
     parts = tuple(MatrixFamily(p, n, pick(False, (j,)), name=f"d{j} {name}") for j in range(p))
-    return MatrixFamily(p, n, pick(True, ()), parts, name, jet=lambda x: terms(x, True, range(p), True))
+    return MatrixFamily(p, n, pick(True, ()), parts, name, jet=lambda x: terms(x, True, range(p)))
 
 
 def matrix_family(name: str, **params) -> MatrixFamily:
@@ -686,17 +679,17 @@ def matrix_family(name: str, **params) -> MatrixFamily:
         # a + s c(x) with s = (1 + |x|^2)^{-1/2}: approaches a + c(x/|x|) at infinity
         a = params["a"]
         rep = standard_rep(params["k"])
-        eye = np.eye(rep.rank, dtype=complex)
+        eye, *gens = (m[:, :, None] for m in (np.eye(rep.rank, dtype=complex), *rep.generators))
 
-        def terms(x, value, dirs, planar):
+        def terms(x, value, dirs):
             x = np.asarray(x, dtype=float)
             s = 1.0 / np.sqrt(1.0 + np.sum(x ** 2, axis=1))
-            cu, at, mat = _leaf_layout(clifford_action(rep, x), planar)
-            out = [a * mat(eye) + at(s) * cu] if value else []
+            cu = _planar(clifford_action(rep, x))
+            out = [a * eye + s * cu] if value else []
             if dirs:
                 # d_j f = s E_j - s^3 x_j c(x)
                 s3 = s ** 3
-                out += [at(s) * mat(rep.generators[j]) - at(s3 * x[:, j]) * cu for j in dirs]
+                out += [s * gens[j] - (s3 * x[:, j]) * cu for j in dirs]
             return out
 
         return _jet_leaf(rep, terms, f"capped_clifford({a})")
@@ -722,25 +715,25 @@ def matrix_family(name: str, **params) -> MatrixFamily:
         # compactly supported generator of a nonzero winding number.
         k = params["k"]
         rep = standard_rep(k)
-        eye = np.eye(rep.rank, dtype=complex)
+        eye, *gens = (m[:, :, None] for m in (np.eye(rep.rank, dtype=complex), *rep.generators))
 
-        def terms(x, value, dirs, planar):
+        def terms(x, value, dirs):
             # u = x/|x| (0 at the origin) and c(u)
             x = np.asarray(x, dtype=float)
             r = row_norm(x)
             unit = np.where(r[:, None] > 0, x / np.maximum(r, 1e-300)[:, None], 0.0)
-            cu, at, mat = _leaf_layout(clifford_action(rep, unit), planar)
+            cu = _planar(clifford_action(rep, unit))
             th = math.pi * smooth_cutoff(r)
-            cos, sin = at(np.cos(th)), at(np.sin(th))
-            out = [cos * mat(eye) + sin * cu] if value else []
+            cos, sin = np.cos(th), np.sin(th)
+            out = [cos * eye + sin * cu] if value else []
             if dirs:
                 # d_j f = theta' u_j (-sin theta + cos theta c(u)) + sin theta (E_j - u_j c(u)) / |x|
-                rot = cos * cu - sin * mat(eye)
-                slope = at(math.pi * smooth_cutoff_derivative(r))
-                turn = sin / at(np.maximum(r, 1e-300))
+                rot = cos * cu - sin * eye
+                slope = math.pi * smooth_cutoff_derivative(r)
+                turn = sin / np.maximum(r, 1e-300)
                 for j in dirs:
-                    uj = at(unit[:, j])
-                    out.append(slope * uj * rot + turn * (mat(rep.generators[j]) - uj * cu))
+                    uj = unit[:, j]
+                    out.append(slope * uj * rot + turn * (gens[j] - uj * cu))
             return out
 
         return _jet_leaf(rep, terms, f"step_unitary(k={k})")

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import OrderError, TruncationError
-from .quadrature import gauss_legendre, int_power, richardson_derivative
+from .quadrature import RICHARDSON_OFFSETS, gauss_legendre, int_power, richardson_derivative
 
 __all__ = [
     "hurwitz_zeta",
@@ -49,10 +49,9 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Hurwitz zeta at the non-positive integers, by Bernoulli polynomials.  The
-# domain stops at s = -20 because Horner cancellation in B_{m+1}(a) for a > 1
-# grows with m: against mpmath the error stays within 1e-12 relative on a grid
-# of offsets in (0, 1], and reaches 1.7e-12 at s = -19, a = 2.5.
+# Hurwitz zeta at the non-positive integers, by Bernoulli polynomials in exact
+# rational arithmetic on the float offset, so that each value is rounded once
+# and correctly.  The domain stops at s = -20, the range checked against mpmath.
 
 HURWITZ_MIN_INTEGER = -20
 
@@ -65,31 +64,27 @@ def _bernoulli(n: int) -> Fraction:
     return -sum(math.comb(n + 1, k) * _bernoulli(k) for k in range(n)) / (n + 1)
 
 
-def _bernoulli_polynomial(n: int, a: float) -> float:
-    """B_n(a) by Horner's rule on the exact coefficients C(n, k) B_k.
-
-    a in (1/2, 1] is reflected, B_n(a) = (-1)^n B_n(1 - a) with 1 - a exact,
-    so that B_n(1) = B_n comes out exactly (zero for odd n >= 3)."""
-    if 0.5 < a <= 1.0:
-        return (-1) ** n * _bernoulli_polynomial(n, 1.0 - a)
-    acc = 0.0
+def _bernoulli_polynomial(n: int, a: Fraction) -> Fraction:
+    """B_n(a) exactly, by Horner's rule on the coefficients C(n, k) B_k."""
+    acc = Fraction(0)
     for k in range(n + 1):
-        acc = acc * a + float(math.comb(n, k) * _bernoulli(k))
+        acc = acc * a + math.comb(n, k) * _bernoulli(k)
     return acc
 
 
 def hurwitz_zeta(s: complex, a: float) -> complex:
     """zeta(s, a) = sum_{n>=0} (n+a)^{-s}, continued to the integers
-    HURWITZ_MIN_INTEGER <= s <= 0, where zeta(-m, a) = -B_{m+1}(a)/(m+1)
-    (exactly 1/2 - a at s = 0).  Any other s raises ValueError.
+    HURWITZ_MIN_INTEGER <= s <= 0, where zeta(-m, a) = -B_{m+1}(a)/(m+1),
+    correctly rounded (1/2 - a at s = 0).  Any other s, and an offset that
+    is not positive and finite, raise ValueError.
     """
-    if a <= 0:
-        raise ValueError("offset a must be positive")
+    if not 0 < a < math.inf:
+        raise ValueError("offset a must be positive and finite")
     s = complex(s)
     if not (s.imag == 0.0 and HURWITZ_MIN_INTEGER <= s.real <= 0.0 and s.real.is_integer()):
         raise ValueError(f"hurwitz_zeta needs an integer {HURWITZ_MIN_INTEGER} <= s <= 0; got s = {s}")
     n = 1 - int(s.real)
-    return complex(-_bernoulli_polynomial(n, a) / n)
+    return complex(-_bernoulli_polynomial(n, Fraction(float(a))) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +331,6 @@ class TraceValue:
 # Gauss-Legendre rule on (0, 1) for the tail integral in u = x0 / x
 _TAIL_U, _TAIL_W = gauss_legendre(64)
 _TAIL_U, _TAIL_W = 0.5 * (_TAIL_U + 1.0), 0.5 * _TAIL_W
-_RICHARDSON_OFFSETS = (1.0, -1.0, 0.5, -0.5)  # the order richardson_derivative asks for
 
 
 def _em_tail(g, x0: float):
@@ -348,11 +342,11 @@ def _em_tail(g, x0: float):
     int_{x0}^infty g (x = x0 / u on (0, 1]) followed by the nine points of
     the end corrections."""
     hh = max(1.0, x0 / 64.0)
-    ends = [0.0] + [0.5 * c for c in _RICHARDSON_OFFSETS] + [2 * hh, hh, -hh, -2 * hh]
+    ends = [0.0] + [0.5 * c for c in RICHARDSON_OFFSETS] + [2 * hh, hh, -hh, -2 * hh]
     vals = g(np.concatenate((x0 / _TAIL_U, x0 + np.array(ends))))
     integral = vals[..., : len(_TAIL_U)] @ (_TAIL_W * x0 / _TAIL_U ** 2)
     end = vals[..., len(_TAIL_U) :]  # g at x0 + ends: x0, the Richardson points, the g''' stencil
-    g1 = richardson_derivative(lambda c: end[..., 1 + _RICHARDSON_OFFSETS.index(c)], 0.5)
+    g1 = richardson_derivative(lambda c: end[..., 1 + RICHARDSON_OFFSETS.index(c)], 0.5)
     g3 = (end[..., 5] - 2 * end[..., 6] + 2 * end[..., 7] - end[..., 8]) / (2.0 * hh ** 3)
     tail = integral + 0.5 * end[..., 0] - g1 / 12.0
     est = np.abs(g3) / 720.0 * 2.0 + 1e-18 * np.abs(integral)

@@ -538,14 +538,20 @@ def fd_step(x: np.ndarray) -> np.ndarray:
     return FD_REL_STEP * (1.0 + row_norm(x))
 
 
+# The offsets c at which richardson_derivative calls g, in call order.
+RICHARDSON_OFFSETS = (1.0, -1.0, 0.5, -0.5)
+
+
 def richardson_derivative(g: Callable[[float], object], h):
     """First derivative by central differences with one Richardson pass.
 
-    ``g(c)`` evaluates the function at the offset c*h; it is called for
-    c = 1, -1, 1/2, -1/2 in that order.  Negation and halving are exact, so
-    the offsets are exactly +-h and +-h/2.  ``h`` may be an array that
-    broadcasts against g's values.  Error O(h^4).
+    ``g(c)`` evaluates the function at the offset c*h; it is called for the
+    c of ``RICHARDSON_OFFSETS``, 1, -1, 1/2, -1/2, in that order, holding
+    two values at a time.  Negation and halving are exact, so the offsets
+    are exactly +-h and +-h/2.  ``h`` may be an array that broadcasts
+    against g's values.  Error O(h^4).
     """
-    d1 = (g(1.0) - g(-1.0)) / (2.0 * h)
-    d2 = (g(0.5) - g(-0.5)) / h
+    one, minus_one, half, minus_half = RICHARDSON_OFFSETS
+    d1 = (g(one) - g(minus_one)) / (2.0 * h)
+    d2 = (g(half) - g(minus_half)) / h
     return (4.0 * d2 - d1) / 3.0

@@ -134,8 +134,23 @@ def test_scalar_family_is_real_and_keeps_the_masked_values(rng, name, params):
 
 @pytest.mark.parametrize("params", [{"alpha": -1.0, "logpow": 1}, {}, {"a": -1.0}])
 def test_power_log_takes_alpha_only(params):
-    with pytest.raises(ValueError, match="power_log takes alpha only"):
+    with pytest.raises(ValueError, match="scalar family 'power_log' (has no|needs the) parameter"):
         scalar_family("power_log", **params)
+
+
+@pytest.mark.parametrize("name, params, bad", [
+    ("lorentz", {"alpha": 5}, "has no parameter 'alpha'"),
+    ("polynomial", {"coeffs": [(1.0, 0, 0)], "extra": 2}, "has no parameter 'extra'"),
+    ("polynomial", {}, "needs the parameter 'coeffs'"),
+    ("sign_step", {"foo": 1}, "has no parameter 'foo'"),
+    ("coordinate_power", {"q": 3.0, "jj": 2}, "has no parameter 'jj'"),
+    ("coordinate_power", {"j": 1}, "needs the parameter 'q'"),
+])
+def test_scalar_family_rejects_unknown_and_missing_keywords(name, params, bad):
+    # an unknown keyword was ignored (jj = 2 ran as j = 0) and a missing q
+    # raised a bare KeyError
+    with pytest.raises(ValueError, match=f"scalar family '{name}' {bad}"):
+        scalar_family(name, **params)
 
 
 def test_scalar_polynomial_odd_monomial_within_two_ulp(rng):
@@ -518,7 +533,7 @@ def test_stokes_missing_degree():
 
 
 # ---------------------------------------------------------------------------
-# Held point buffers of the finite-difference partial and the substitution
+# The held point buffer of the finite-difference partial, and the substitution
 
 
 def _four_copies_partial(f, j):
@@ -568,7 +583,6 @@ def test_fd_partial_is_bit_for_bit_the_fresh_copy_partial(f, j):
 
 @pytest.mark.parametrize("experiment, name, oracle", [
     ("stokes-check", "_fd_partial", _four_copies_partial),
-    ("cov-check", "_substituted", _fresh_substitution),
 ])
 def test_held_buffers_match_the_fresh_copy_oracle_in_the_experiments(monkeypatch, experiment, name, oracle):
     # every stokes_defect and cov_correction value of the experiment at the
@@ -601,7 +615,7 @@ def test_substitution_copies_a_value_that_views_its_input(rng):
     keep = x.copy()
     fA = asymptotics._substituted(lambda z: z[:, 1], A)
     first = fA(x)
-    fA(y)  # rewrites the held buffer; the first value must not follow it
+    fA(y)  # the first value must not follow a later call
     assert first.tobytes() == (x @ A.T)[:, 1].tobytes()
     assert x.tobytes() == keep.tobytes()
 
@@ -619,18 +633,14 @@ def test_cov_correction_with_a_view_returning_f_matches_fresh_products(monkeypat
     assert got == pair()
 
 
-@pytest.mark.parametrize("make", [
-    lambda f: asymptotics._fd_partial(f, 1),
-    lambda f: asymptotics._substituted(f, np.diag([2.0, 1.0, 0.5])),
-])
-def test_held_buffer_is_reused_per_shape(rng, make):
+def test_fd_partial_holds_its_buffer_per_shape(rng):
     seen = []
 
     def f(y):
         seen.append((y.shape, y.ctypes.data))
         return y[:, 0] * y[:, 1]
 
-    g = make(f)
+    g = asymptotics._fd_partial(f, 1)
     g(rng.standard_normal((30, 3)))
     g(rng.standard_normal((30, 3)))
     assert len(set(seen)) == 1

@@ -580,6 +580,16 @@ def test_leaf_jet_is_the_value_and_the_partials_bit_for_bit(rng, name, params):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("name, params", [("capped_clifford", {"a": 1.0 + 0.5j, "k": 2}), ("step_unitary", {"k": 2})])
+def test_a_jet_leaf_value_enters_the_batch_layout_without_a_copy(rng, name, params):
+    # func and every partial return the (M, N, N) view of the jet's own
+    # (N, N, M) arrays, so the batch layout of each is that array again
+    fam = matrix_family(name, **params)
+    x = rng.normal(size=(9, fam.p))
+    for v in [fam(x)] + [d(x) for d in fam.partials]:
+        assert np.shares_memory(v, forms_module._planar(v))
+
+
 def _counted_leaf(base, calls):
     """``base`` with its func, each partial's func and its jet counting their
     calls in ``calls`` under "func", "d0", "d1", ... and "jet"."""
