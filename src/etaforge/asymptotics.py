@@ -424,7 +424,9 @@ def regint_rp_radial(
     return RegularizedValue(const, fitted)
 
 
-def _halfline_both_ends(g, terms_at_zero, terms_at_inf, ladder, ladder_zero, n_radial):
+def _halfline_both_ends(g, terms_at_zero, terms_at_inf, ladder, ladder_zero, n_radial) -> RegularizedValue:
+    """Finite part of int_0^inf g from the fits of its cumulative integrals
+    at both ends, with both fits and both limits as diagnostics."""
     rr = ladder.radii()
     uu = (ladder_zero or ladder).radii()
 
@@ -440,7 +442,10 @@ def _halfline_both_ends(g, terms_at_zero, terms_at_inf, ladder, ladder_zero, n_r
     lim_zero, fit_zero = _lim_fit(uu, kvals, kavals, terms_at_zero, -1.0)
     _require_valid(fit_inf, "regint_halfline (infinity end)")
     _require_valid(fit_zero, "regint_halfline (zero end)")
-    return lim_zero, lim_inf, fit_zero, fit_inf
+    return RegularizedValue(
+        lim_zero + lim_inf,
+        {"zero_end": fit_zero, "infinity_end": fit_inf, "limit_zero": lim_zero, "limit_inf": lim_inf},
+    )
 
 
 def regint_halfline(
@@ -460,12 +465,8 @@ def regint_halfline(
     ``ladder_zero`` indexes the zero end by u = 1/a; push its start past any
     finite convergence radius of the declared expansion.
     """
-    lim_zero, lim_inf, fit_zero, fit_inf = _halfline_both_ends(
+    return _halfline_both_ends(
         f, model_at_0.expanded_terms(), model_at_inf.expanded_terms(), ladder, ladder_zero, n_radial
-    )
-    return RegularizedValue(
-        lim_zero + lim_inf,
-        {"zero_end": fit_zero, "infinity_end": fit_inf, "limit_zero": lim_zero, "limit_inf": lim_inf},
     )
 
 
@@ -477,13 +478,15 @@ def mellin_reg(
     ladder: RadiusLadder = DEFAULT_LADDER,
     n_radial: int = 32,
     ladder_zero: RadiusLadder | None = None,
-) -> complex:
+) -> RegularizedValue:
     """Regularized Mellin transform: finite part of int_0^inf x^{s-1} f(x) dx.
 
     The declared models describe f itself; the power shift by s-1 is applied
     internally (complex s produces complex fit exponents).  At regular points
     of the meromorphic continuation this equals the continued value; the
-    convention at a pole is the constant Laurent term.
+    convention at a pole is the constant Laurent term.  The diagnostics are
+    those of ``regint_halfline``: both ends' fits of the shifted integrand
+    and the two limits that sum to the value.
     """
     s = complex(s)
 
@@ -493,8 +496,7 @@ def mellin_reg(
     shift = s - 1.0
     terms_inf = [(complex(d) + shift, l) for d, l in model_at_inf.expanded_terms()]
     terms_zero = [(complex(d) - shift, l) for d, l in model_at_0.expanded_terms()]
-    lim_zero, lim_inf, *_ = _halfline_both_ends(g, terms_zero, terms_inf, ladder, ladder_zero, n_radial)
-    return lim_zero + lim_inf
+    return _halfline_both_ends(g, terms_zero, terms_inf, ladder, ladder_zero, n_radial)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +537,7 @@ def cov_correction(
     rule = sphere if sphere is not None else sphere_rule(p)
     fitted = fit_expansion(f, model, p, radii=ladder, directions=rule)
 
-    lhs = regint_rp(_substituted(f, A), model, p, ladder, rule, n_radial).value
+    lhs = regint_rp(lambda x: f(x @ A.T), model, p, ladder, rule, n_radial).value
     base = regint_rp(f, model, p, ladder, rule, n_radial).value
 
     Ainv = np.linalg.inv(A)
@@ -548,38 +550,19 @@ def cov_correction(
     return ComparisonPair(lhs, rhs, corr / abs(det))
 
 
-def _substituted(f, A):
-    """x -> f(x A^T)."""
-    return lambda x: f(x @ A.T)
-
-
 def _fd_partial(f, j):
-    """Central difference with one Richardson pass, step scaled by 1 + |x|.
-
-    The shifted points live in the leading M rows of one buffer held for
-    the life of the closure and replaced only when a call has more rows or
-    another point dimension, so the blocks of a shell panel share it.  Each
-    call copies x into it once, and each stencil offset rewrites column j
-    alone, as x_j + c h, which rounds as adding c h to a fresh copy would.
-    A value of f that may share memory with the buffer (a view of its
-    input) is copied before the next offset overwrites it; the caller's x is
-    never written.
-    """
-    buf = None
+    """Central difference with one Richardson pass, step scaled by 1 + |x|:
+    each stencil offset shifts column j of a fresh copy of x by c h, so f
+    may return a view of its input and the caller's x is never written."""
 
     def df(x):
-        nonlocal buf
         x = np.asarray(x, dtype=float)
         h = fd_step(x)
-        if buf is None or len(buf) < len(x) or buf.shape[1:] != x.shape[1:]:
-            buf = np.empty(x.shape)
-        rows = buf[:len(x)]
-        np.copyto(rows, x)
 
         def at(c):
-            np.add(x[:, j], c * h, out=rows[:, j])
-            v = f(rows)
-            return v.copy() if np.may_share_memory(v, buf) else v
+            y = x.copy()
+            y[:, j] += c * h
+            return f(y)
 
         return richardson_derivative(at, h)
 

@@ -119,6 +119,10 @@ class ExperimentConfig:
     out: str | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+
     @classmethod
     def from_dict(cls, data: dict, budget: str = "standard") -> "ExperimentConfig":
         """The config ``data`` describes; ``budget`` applies when it has no
@@ -136,8 +140,6 @@ class ExperimentConfig:
             raise ConfigError(f"params must be an object, got {params!r}")
         if out is not None and not isinstance(out, str):
             raise ConfigError(f"out must be a path, got {out!r}")
-        if not (_is_int(seed) and seed >= 0):
-            raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
         return cls(
             experiment=str(data["experiment"]),
             params=dict(params),
@@ -234,8 +236,20 @@ def _emit_csv(report: Report, out_dir: Path) -> None:
             )
 
 
+def _out_dir(out: str | None) -> Path | None:
+    """The report directory ``out`` (None for none), created if it is
+    missing; ConfigError names the path when it cannot be."""
+    if not out:
+        return None
+    path = Path(out)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    return path
+
+
 def _write_report(report: Report, out_dir: Path, emit_csv: bool) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"{report.experiment}.json").write_text(report.to_json())
     if emit_csv:
         _emit_csv(report, out_dir)
@@ -275,11 +289,11 @@ def main(argv=None) -> int:
             except (OSError, ValueError) as exc:  # missing, unreadable or not JSON
                 raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
             cfg = ExperimentConfig.from_dict(data, budget=args.budget)
+            out_dir = _out_dir(cfg.out or args.out)
             reports = [run(cfg)]
-            out = cfg.out or args.out
         elif args.suite is not None:
+            out_dir = _out_dir(args.out)
             reports = suite(args.suite, budget=args.budget, seed=args.seed)
-            out = args.out
         else:
             parser.print_usage()
             return 2
@@ -295,8 +309,8 @@ def main(argv=None) -> int:
 
     for report in reports:
         _print_report(report)
-        if out:
-            _write_report(report, Path(out), args.emit_csv)
+        if out_dir:
+            _write_report(report, out_dir, args.emit_csv)
 
     return 0 if all(r.passed for r in reports) else 1
 

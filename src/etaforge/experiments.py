@@ -383,7 +383,7 @@ def exp_mellin_zero(params, budget, rng):
         ExpansionModel.powers([-0.5]),
         budget.ladder,
         budget.n_radial,
-    )
+    ).value
     rows.append(CheckRow("Mellin of a pure power", vz, 0.0, 1e-8, "abs", "power-log finite part vanishes"))
     deep_zero = RadiusLadder(4.0, 65536.0, 24)
     gamma2 = mellin_reg(
@@ -394,7 +394,7 @@ def exp_mellin_zero(params, budget, rng):
         RadiusLadder(32.0, 65536.0, 20),
         budget.n_radial,
         ladder_zero=deep_zero,
-    )
+    ).value
     rows.append(CheckRow("Mellin of e^{-x} at s=2", gamma2, 1.0, 1e-8, "rel", "gamma-function value"))
     beta = mellin_reg(
         lambda x: 1.0 / (1.0 + x),
@@ -404,7 +404,7 @@ def exp_mellin_zero(params, budget, rng):
         RadiusLadder(4.0, 65536.0, 24),
         budget.n_radial,
         ladder_zero=deep_zero,
-    )
+    ).value
     rows.append(CheckRow("Mellin of 1/(1+x) at s=1/2", beta, math.pi, 1e-8, "rel", "beta-integral identity"))
     return rows
 

@@ -247,6 +247,34 @@ def test_main_suite_and_csv(tmp_path, capsys):
     assert csv_text.splitlines()[0].startswith("label,")
 
 
+def _no_experiment_runs(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an experiment ran")
+
+    monkeypatch.setattr("etaforge.cli.run_experiment", refuse)
+
+
+def test_an_out_path_that_is_a_file_is_a_config_error_before_any_run(tmp_path, capsys, monkeypatch):
+    _no_experiment_runs(monkeypatch)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "clifford-check", "budget": "quick", "out": str(taken)}))
+    for argv in (["--suite", "clifford", "--budget", "quick", "--out", str(taken)], ["--config", str(cfg)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: cannot create output directory {taken}: ")
+        assert captured.out == ""
+
+
+def test_a_negative_seed_flag_is_a_config_error_before_any_run(capsys, monkeypatch):
+    _no_experiment_runs(monkeypatch)
+    assert main(["--suite", "clifford", "--budget", "quick", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("config error: seed must be a non-negative integer, got -1")
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+        ExperimentConfig("clifford-check", seed=-1)
+
+
 def test_main_list(capsys):
     assert main(["--list"]) == 0
     out = capsys.readouterr().out
