@@ -195,12 +195,18 @@ class Report:
         return json.dumps(data, sort_keys=True, indent=2)
 
 
+def _checked_budget(config: ExperimentConfig) -> Budget:
+    """The budget of ``config``; ConfigError for an unknown experiment or a
+    malformed budget."""
+    if config.experiment not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {config.experiment!r}; known: {sorted(EXPERIMENTS)}")
+    return _resolve_budget(config.budget)
+
+
 def run(config: ExperimentConfig) -> Report:
     """Dispatch one experiment; raises ConfigError for schema violations and
     lets numeric failures propagate as EtaforgeError subclasses."""
-    if config.experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {config.experiment!r}; known: {sorted(EXPERIMENTS)}")
-    budget = _resolve_budget(config.budget)
+    budget = _checked_budget(config)
     rng = np.random.default_rng(config.seed)
     start = time.perf_counter()
     rows = run_experiment(config.experiment, config.params, budget, rng)
@@ -214,14 +220,20 @@ def run(config: ExperimentConfig) -> Report:
     )
 
 
-def suite(tag: str = "all", budget="standard", seed: int = 0) -> list[Report]:
-    """Run every registered experiment whose tag set (or id) matches; raises
-    ConfigError, naming the known tags, when none does."""
+def _suite_ids(tag: str) -> list[str]:
+    """The registered experiments whose tag set (or id) matches; ConfigError,
+    naming the known tags, when none does."""
     matched = [exp_id for exp_id, spec in EXPERIMENTS.items() if tag == exp_id or tag in spec.tags]
     if not matched:
         tags = sorted(set().union(*(spec.tags for spec in EXPERIMENTS.values())))
         raise ConfigError(f"no experiment matches suite tag {tag!r}; known tags: {tags}, or an experiment id")
-    return [run(ExperimentConfig(experiment=exp_id, budget=budget, seed=seed)) for exp_id in matched]
+    return matched
+
+
+def suite(tag: str = "all", budget="standard", seed: int = 0) -> list[Report]:
+    """Run every registered experiment whose tag set (or id) matches; raises
+    ConfigError, naming the known tags, when none does."""
+    return [run(ExperimentConfig(experiment=exp_id, budget=budget, seed=seed)) for exp_id in _suite_ids(tag)]
 
 
 def _emit_csv(report: Report, out_dir: Path) -> None:
@@ -289,9 +301,12 @@ def main(argv=None) -> int:
             except (OSError, ValueError) as exc:  # missing, unreadable or not JSON
                 raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
             cfg = ExperimentConfig.from_dict(data, budget=args.budget)
+            _checked_budget(cfg)  # before the report directory is made
             out_dir = _out_dir(cfg.out or args.out)
             reports = [run(cfg)]
         elif args.suite is not None:
+            _suite_ids(args.suite)  # the tag and the budget before the report directory is made
+            _resolve_budget(args.budget)
             out_dir = _out_dir(args.out)
             reports = suite(args.suite, budget=args.budget, seed=args.seed)
         else:

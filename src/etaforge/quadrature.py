@@ -10,9 +10,10 @@ Every shell-panel sum is exact and correctly rounded, bit for bit the value
 of ``math.fsum`` over the whole panel, so the cumulative integrals do not
 depend on summation order; the remaining reductions run in a fixed index
 order.  One reducer per column (``_JoinedSums``) takes a panel's blocks: a
-short block keeps its values for ``math.fsum``, a longer one adds integer
-limbs binned per binary exponent (one split of a real block gives both its
-sum and its absolute mass), and each sum is rounded once.  Real integrand
+short block keeps its values for ``math.fsum``, a longer one keeps the exact
+level sums of an error-free extraction (a real block of one sign gives its
+sum and its absolute mass from the same levels), and each sum is rounded
+once.  Real integrand
 values stay float64 through the loop; complex ones are summed by real and
 imaginary part.  One pass of the shell loop integrates several integrands at
 the same points as the columns of one array, each column reduced exactly as
@@ -189,69 +190,35 @@ def _shell_bounds(ladder: np.ndarray, inner: tuple[float, ...]) -> list[float]:
 
 DEFAULT_INNER = (0.0, 0.25, 0.5, 0.75, 1.0)
 
-# frexp exponents of finite doubles run from -1073 to 1024, so every finite
-# double is an integer multiple of 2^-(1073 + 53)
-_EXP_OFFSET = 1073
-# elements per bincount: below 2^26 the 27-bit limb sums stay exact in float64
-_EXACT_CHUNK = 1 << 26
-# below this many elements math.fsum over a list beats the limb sums' fixed cost
+# below this many elements math.fsum over a list beats the extraction's fixed cost
 _FSUM_BELOW = 512
 
 
-def _bin_total(hi: np.ndarray, lo: np.ndarray) -> int:
-    """The per-exponent limb sums ``hi`` (integers) and ``lo`` (multiples of
-    2^-27) joined in one Python integer, in units of 2^-27 of a bin-0 limb."""
-    ks = (hi + lo).nonzero()[0]  # hi + lo == 0 exactly where the limbs cancel
-    his = hi[ks].astype(np.int64).tolist()
-    los = (lo[ks] * 2.0 ** 27).astype(np.int64).tolist()
-    total = 0
-    for k, hi_k, lo_k in zip(ks.tolist(), his, los):
-        total += ((hi_k << 27) + lo_k) << k
-    return total
+def _extracted(a: np.ndarray, top: float, q: np.ndarray, r: np.ndarray) -> list[float]:
+    """Doubles whose exact sum is the sum of the 1-D float array ``a``, where
+    ``top`` = max|a| is finite and positive; q and r are scratch arrays of
+    a's length, and r may be a itself.
 
-
-def _limb_totals(a: np.ndarray, mass: bool) -> list[int] | None:
-    """Exact sum of the 1-D float array ``a`` in units of 2^-1126, followed
-    by the exact sum of |a| when ``mass`` is set; None when ``a`` holds a
-    non-finite value.
-
-    Each element is m 2^e with |m| < 1 (``np.frexp``); m 2^26 splits into an
-    integer limb below 2^26 and a fraction that is a multiple of 2^-27.
-    Both limbs carry the sign of m, so |whole| and |frac| of the same split
-    are the limbs of |a|.  Per exponent, float64 ``bincount`` sums of any
-    limb are exact for fewer than 2^26 elements; the bin totals then meet in
-    one Python integer.
+    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation, part I", SIAM J. Sci. Comput. 31, 2008), one level per pass
+    over the remainder r, which starts as a: with 2^m > n + 1 for n values
+    and sigma = 2^e >= 2^m max|r|, q = (r + sigma) - sigma is exact, every q
+    is a multiple of 2^(e-53) and every partial sum of them stays below 2^53
+    such units, so ``q.sum()`` is exact in any order; r - q is exact as
+    well, and at most 2^(e-53).  Each level takes about 53 - m bits, and the
+    levels run until the remainder is zero.  The caller keeps the first
+    sigma, 2^m times the power of two above ``top``, within the float range.
     """
-    m, e = np.frexp(a)
-    m *= 2.0 ** 26
-    whole = np.trunc(m)
-    e0 = int(e.min())
-    idx = np.subtract(e, e0, dtype=np.intp)
-    hi = np.bincount(idx, weights=whole)
-    if not math.isfinite(hi.dot(hi)):  # an inf or NaN in a reaches hi
-        return None
-    m -= whole
-    bins = [(hi, np.bincount(idx, weights=m))]
-    if mass:
-        np.abs(whole, out=whole)
-        np.abs(m, out=m)
-        bins.append((np.bincount(idx, weights=whole), np.bincount(idx, weights=m)))
-    return [_bin_total(h, lo) << (e0 + _EXP_OFFSET) for h, lo in bins]
-
-
-def _doubles(total: int) -> list[float]:
-    """The limb total ``total`` (units of 2^-1126) as doubles whose exact sum
-    it is.  A sum of doubles is a multiple of 2^-1074, the least subnormal,
-    so each 53-bit piece of it is a double; a piece beyond the float range
-    raises OverflowError, as ``math.fsum`` does for such a sum."""
-    sign, t = (-1 if total < 0 else 1), abs(total) >> 52  # t in units of 2^-1074
-    pieces = []
-    while t:
-        k = max(t.bit_length() - 53, 0)
-        top = t >> k
-        pieces.append(math.ldexp(sign * top, k - 1074))
-        t -= top << k
-    return pieces
+    m = (a.size + 1).bit_length()
+    levels = []
+    while top:
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + m)
+        np.add(a, sigma, out=q)
+        q -= sigma
+        levels.append(float(q.sum()))
+        a = np.subtract(a, q, out=r)
+        top = max(-float(r.min()), float(r.max()))
+    return levels
 
 
 # points per integrand call of the shell loop: a larger panel is evaluated in
@@ -269,13 +236,15 @@ class _JoinedSums:
 
     A real block gives its signed and absolute parts, a complex block its
     real, imaginary and modulus parts.  A block shorter than ``_FSUM_BELOW``
-    keeps its values; a longer one adds its exact limb totals, taken
-    ``_EXACT_CHUNK`` elements at a time, one split of a real block serving
-    both of its parts.  Each sum is rounded once, by ``math.fsum`` over the
-    kept values and the limb total as exact doubles (``_doubles``).  An
-    all-zero block adds nothing, so an exact zero sums to +0.0.
+    keeps its values; a longer one keeps the exact level sums of its values
+    (``_extracted``).  A real block of one sign takes its absolute sum from
+    the same levels, a mixed one extracts its absolute values into the spent
+    scratch of the signed pass.  A block holding a value too close to the
+    float range for the extraction keeps its values too.  Each sum is rounded
+    once, by ``math.fsum`` over what was kept.  An all-zero block adds
+    nothing, so an exact zero sums to +0.0.
 
-    A long block that holds an inf or NaN keeps only its non-finite values:
+    A block that holds an inf or NaN keeps only its non-finite values:
     ``fsum`` over values holding one returns the sum of the non-finite ones
     (or raises for inf - inf), whatever the finite ones are.  The one
     exception to "bit for bit ``fsum``": when the finite values' running sum
@@ -285,7 +254,6 @@ class _JoinedSums:
     """
 
     def __init__(self):
-        self.totals = [0, 0, 0]
         self.kept = ([], [], [])
 
     def add(self, col: np.ndarray):
@@ -298,33 +266,36 @@ class _JoinedSums:
 
     def _add(self, a: np.ndarray, parts: tuple[int, ...]):
         # the sum of a into parts[0] and, for two parts, the sum of |a| into parts[1]
-        if not a.any():
+        lo, hi = float(a.min()), float(a.max())
+        top = max(-lo, hi)  # NaN when a holds one: min and max both propagate it
+        if not math.isfinite(top):
+            for i, v in zip(parts, (a, np.abs(a))):
+                self.kept[i].extend(v[~np.isfinite(v)].tolist())
             return
-        if a.size < _FSUM_BELOW:
+        if not top:
+            return
+        if a.size < _FSUM_BELOW or math.frexp(top)[1] + (a.size + 1).bit_length() > 1023:
             xs = a.tolist()
             for i, v in zip(parts, (xs, map(abs, xs))):
                 self.kept[i].extend(v)
             return
-        totals = [self.totals[i] for i in parts]
-        for start in range(0, a.size, _EXACT_CHUNK):
-            limbs = _limb_totals(a[start:start + _EXACT_CHUNK], len(parts) == 2)
-            if limbs is None:
-                for i, v in zip(parts, (a, np.abs(a))):
-                    self.kept[i].extend(v[~np.isfinite(v)].tolist())
-                return
-            totals = [t + limb for t, limb in zip(totals, limbs)]
-        for i, t in zip(parts, totals):
-            self.totals[i] = t
+        q, r = np.empty(a.size), np.empty(a.size)
+        levels = _extracted(a, top, q, r)
+        self.kept[parts[0]].extend(levels)
+        if len(parts) == 2:
+            if lo < 0:
+                levels = _extracted(np.abs(a, out=r), top, q, r)
+            self.kept[parts[1]].extend(levels)
 
     def sums(self) -> tuple[float, float, float]:
-        return tuple(_joined_fsum(kept, t) for t, kept in zip(self.totals, self.kept))
+        return tuple(map(_joined_fsum, self.kept))
 
 
-def _joined_fsum(kept: list[float], total: int) -> float:
-    """``fsum`` of the kept values and the limb total; on overflow, the
-    ``fsum`` of the non-finite kept values when there are any."""
+def _joined_fsum(kept: list[float]) -> float:
+    """``fsum`` of the kept values; on overflow, the ``fsum`` of the
+    non-finite kept values when there are any."""
     try:
-        return math.fsum(kept + _doubles(total))
+        return math.fsum(kept)
     except OverflowError:
         special = [v for v in kept if not math.isfinite(v)]
         if not special:
@@ -372,7 +343,7 @@ def _cumulative_shells(
     ``_JoinedSums`` per panel that takes the column's blocks in order and
     rounds once: its panel sums are identical to ``math.fsum`` over the whole
     panel, however the panel is split.  A real column takes its signed and
-    absolute sums from one limb split per long block and its imaginary sum is
+    absolute sums from one reducer call per block and its imaginary sum is
     0.0 without a reduction; a complex column takes three exact sums.  The
     running totals are recorded with ``math.fsum`` over each column's panel
     sums whenever ``end`` is one of ``marks``, and come back with the

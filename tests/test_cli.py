@@ -198,6 +198,7 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
         ("sphere-omega", {"k": 3}),
         ("rp-omega", {"k": 3}),
         ("spectral-eta", {"k": 1}),
+        ("spectral-eta", {"k": 6}),  # its fit basis is ill-conditioned from k = 6 on
         ("eta-suspension", {"k": 1}),
         ("divisor-flow", {"path": "bogus"}),
         ("divisor-flow", {"width": -1.0}),
@@ -265,6 +266,32 @@ def test_an_out_path_that_is_a_file_is_a_config_error_before_any_run(tmp_path, c
         captured = capsys.readouterr()
         assert captured.err.startswith(f"config error: cannot create output directory {taken}: ")
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["--suite", "nosuchtag"], None, "no experiment matches suite tag 'nosuchtag'"),
+    (["--suite", "clifford", "--budget", "turbo"], None, "unknown budget preset 'turbo'"),
+    (["--config"], {"experiment": "no-such-thing"}, "unknown experiment 'no-such-thing'"),
+    (["--config"], {"experiment": "clifford-check", "budget": {"radii": 1}}, "budget below lower bounds"),
+])
+def test_a_config_error_leaves_no_report_directory(tmp_path, capsys, monkeypatch, argv, config, message):
+    # the suite tag, the experiment id and the budget are checked before --out is made
+    _no_experiment_runs(monkeypatch)
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + [str(path)]
+    out = tmp_path / "d" / "a"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not (tmp_path / "d").exists()
+
+
+def test_spectral_eta_k_is_limited_to_five(tmp_path, capsys):
+    path = tmp_path / "k6.json"
+    path.write_text(json.dumps({"experiment": "spectral-eta", "params": {"k": 6}, "budget": "quick"}))
+    assert main(["--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: parameter 'k' must be in [2, 5], got 6")
 
 
 def test_a_negative_seed_flag_is_a_config_error_before_any_run(capsys, monkeypatch):

@@ -215,7 +215,7 @@ def _bits(x: float) -> str:
 
 
 def _past_cutoff(xs: list) -> list:
-    # xs repeated until it is at least _FSUM_BELOW long, so that one block takes the limb path
+    # xs repeated until it is at least _FSUM_BELOW long, so that one block takes the extraction path
     return xs * (quadrature._FSUM_BELOW // max(len(xs), 1) + 1)
 
 
@@ -258,7 +258,7 @@ def _check_reduced(a: np.ndarray):
 
 
 def _check_exact_sum(xs):
-    # at the drawn length, mostly short blocks, and tiled onto the limb path
+    # at the drawn length, mostly short blocks, and tiled onto the extraction path
     for ys in (xs, _past_cutoff(xs)):
         _check_reduced(np.array(ys, dtype=float))
 
@@ -290,44 +290,118 @@ def test_exact_sum_exact_cancellation_is_positive_zero(xs):
             assert _bits(total) == _bits(0.0) and _bits(mass) == _bits(math.fsum(map(abs, ys)))
 
 
-def test_exact_sum_takes_the_limb_path_from_the_cutoff(monkeypatch):
-    # a block takes the limb path from _FSUM_BELOW values on, whatever the
-    # panel's length: one paired split for a real block, one-part splits of
-    # the real part and the modulus for a complex one (its all-zero
-    # imaginary part adds nothing)
-    limb_calls, limb_totals = [], quadrature._limb_totals
+def _counted_extractions(monkeypatch) -> list[int]:
+    """The block length of every ``_extracted`` call from now on."""
+    calls, extracted = [], quadrature._extracted
 
-    def counted(a, mass):
-        limb_calls.append((a.size, mass))
-        return limb_totals(a, mass)
+    def counted(a, top, q, r):
+        calls.append(a.size)
+        return extracted(a, top, q, r)
 
-    monkeypatch.setattr(quadrature, "_limb_totals", counted)
+    monkeypatch.setattr(quadrature, "_extracted", counted)
+    return calls
+
+
+def _counted_abs_copies(monkeypatch) -> list[int]:
+    """One entry per np.abs call without ``out`` that the quadrature module makes."""
+    copies, absolute = [], np.abs
+
+    def counted(*a, **kw):
+        if "out" not in kw and sys._getframe(1).f_globals["__name__"] == quadrature.__name__:
+            copies.append(np.size(a[0]))
+        return absolute(*a, **kw)
+
+    monkeypatch.setattr(np, "abs", counted)
+    return copies
+
+
+def test_exact_sum_takes_the_extraction_path_from_the_cutoff(monkeypatch):
+    # a block is extracted from _FSUM_BELOW values on, whatever the panel's
+    # length: twice for a real block of mixed signs (its sum and its mass),
+    # once each for the real part and the modulus of a complex one (its
+    # all-zero imaginary part adds nothing)
+    calls = _counted_extractions(monkeypatch)
     rng = np.random.default_rng(3)
     n0 = quadrature._FSUM_BELOW
     for n in (1, 48, n0 - 1, n0, 700):
         a = rng.standard_normal(n) * np.exp2(rng.integers(-60, 60, n))
         want = _outcome(_fsum_parts, a.tolist())
         assert _outcome(_reduce, a) == _outcome(_reduce, a.astype(complex)) == want
-    assert limb_calls == [(n0, True)] + [(n0, False)] * 2 + [(700, True)] + [(700, False)] * 2
-    limb_calls.clear()
+    assert calls == [n0] * 4 + [700] * 4
+    calls.clear()
     assert _outcome(_reduce, a, n0) == want  # 700 values: a long block, then a short one
     assert _outcome(_reduce, a, 350) == want  # two short blocks
-    assert limb_calls == [(n0, True)]
+    assert calls == [n0] * 2
     # an all-zero block adds nothing: +0.0 from either path
     for n in (3, n0):
         for b in (np.full(n, -0.0), np.full(n, complex(-0.0, -0.0))):
             assert [_bits(v) for v in _reduce(b)] == [_bits(0.0)] * 3
-    assert limb_calls == [(n0, True)]
+    assert calls == [n0] * 2
 
 
-def test_exact_sum_limb_chunks(monkeypatch):
-    # chunking keeps the bincount sums exact past 2^26 elements; a tiny
-    # chunk runs the same path on a short array
+def test_exact_sum_extraction_levels_across_the_exponent_range(monkeypatch):
+    # values from the subnormals to 2^1000 and their partial cancellation
+    # take many levels, each exact
+    calls = _counted_extractions(monkeypatch)
     rng = np.random.default_rng(5)
     a = rng.standard_normal(1000) * np.exp2(rng.integers(-1070, 1000, 1000))
     a = np.concatenate([a, -a[:500], [5e-324, 1.0, -0.0]])
-    monkeypatch.setattr(quadrature, "_EXACT_CHUNK", 7)
     _check_reduced(a)
+    assert calls and set(calls) <= {a.size, quadrature._FSUM_BELOW}
+    levels = quadrature._extracted(a, float(np.abs(a).max()), np.empty(a.size), np.empty(a.size))
+    assert len(levels) > 20 and math.fsum(levels) == math.fsum(a.tolist())
+
+
+@pytest.mark.parametrize("m", [10, 11, 14])
+def test_exact_sum_at_block_lengths_around_a_power_of_two(m):
+    # n = 2^m - 2 values get m bits of headroom per level, 2^m - 1 and 2^m get
+    # m + 1; values just below a power of two, all of one sign or alternating,
+    # fill each level's exactness bound
+    rng = np.random.default_rng(m)
+    for n in (2 ** m - 2, 2 ** m - 1, 2 ** m):
+        top = 1.0 - rng.integers(1, 2 ** 20, n) * 2.0 ** -53
+        for a in (top, top * np.where(np.arange(n) % 2, -1.0, 1.0), top * np.exp2(rng.integers(-60, 1, n))):
+            _check_reduced(a)
+
+
+def test_a_value_near_the_float_range_keeps_its_block(monkeypatch):
+    # a block holding a value >= 2^(1023 - m) keeps its values for fsum, since
+    # its first level would need sigma = 2^1024; one just below is extracted
+    calls = _counted_extractions(monkeypatch)
+    rng = np.random.default_rng(7)
+    n = 600
+    a = rng.standard_normal(n)
+    a[7] = math.ldexp(1.0, 1023 - (n + 1).bit_length())
+    for b in (a, -a):
+        assert _outcome(_reduce, b) == _outcome(_fsum_parts, b.tolist())
+    assert calls == []
+    a[7] = math.nextafter(a[7], 0.0)
+    assert _outcome(_reduce, a) == _outcome(_fsum_parts, a.tolist())
+    assert calls == [n, n]
+
+
+def test_exact_sum_of_subnormals_only():
+    rng = np.random.default_rng(11)
+    k = rng.integers(-2 ** 52 + 1, 2 ** 52, 700).astype(float)
+    for a in (k * 5e-324, np.abs(k) * 5e-324, np.full(700, -5e-324)):
+        assert np.all(np.abs(a) < 2.2250738585072014e-308)
+        _check_reduced(a)
+
+
+def test_one_extraction_for_a_block_of_one_sign_and_no_abs_copy_for_a_mixed_one(monkeypatch):
+    # a real block of one sign takes its mass from its signed levels; a mixed
+    # block, or one of values <= 0, extracts |a| into the spent scratch
+    calls, copies = _counted_extractions(monkeypatch), _counted_abs_copies(monkeypatch)
+    rng = np.random.default_rng(13)
+    a = np.abs(rng.standard_normal(700)) * np.exp2(rng.integers(-8, 1, 700))
+    for b, extractions in ((a, 1), (a - a.mean(), 2), (-a, 2)):
+        calls.clear()
+        assert _outcome(_reduce, b) == _outcome(_fsum_parts, b.tolist())
+        assert calls == [b.size] * extractions
+    assert copies == []
+    # a complex block extracts its real part and its modulus, one copy
+    assert _outcome(_reduce, a - 1j * a)[0] == _bits(math.fsum(a.tolist()))
+    assert copies == [a.size]
 
 
 def test_exact_sum_non_finite_input_keeps_fsum_behaviour():
@@ -422,28 +496,24 @@ def _real_and_complex_runs(monkeypatch, loop, g, *args):
     paired (signed and absolute) and one-part sums, and the np.abs copies
     (calls without ``out``) of the quadrature module each made."""
     calls = {}
-    panel_rule, add, absolute = quadrature.panel_rule, quadrature._JoinedSums._add, np.abs
+    panel_rule, add = quadrature.panel_rule, quadrature._JoinedSums._add
 
-    def counted(key, fn):
-        def wrapped(*a, **kw):
-            # np.abs counts where the quadrature module makes a copy, not in numpy's own code
-            calls[key] += key != "abs" or (
-                "out" not in kw and sys._getframe(1).f_globals["__name__"] == quadrature.__name__
-            )
-            return fn(*a, **kw)
-        return wrapped
+    def counted_panel_rule(*a):
+        calls["panels"] += 1
+        return panel_rule(*a)
 
     def counted_add(self, a, parts):
         calls["paired" if len(parts) == 2 else "sums"] += 1
         return add(self, a, parts)
 
-    monkeypatch.setattr(quadrature, "panel_rule", counted("panels", panel_rule))
+    monkeypatch.setattr(quadrature, "panel_rule", counted_panel_rule)
     monkeypatch.setattr(quadrature._JoinedSums, "_add", counted_add)
-    monkeypatch.setattr(np, "abs", counted("abs", absolute))
+    copies = _counted_abs_copies(monkeypatch)
     runs = []
     for h in (g, lambda x: g(x) + 0j):
-        calls.update(panels=0, sums=0, paired=0, abs=0)
-        runs.append((loop(h, *args), dict(calls)))
+        calls.update(panels=0, sums=0, paired=0)
+        copies.clear()
+        runs.append((loop(h, *args), dict(calls, abs=len(copies))))
     return runs
 
 

@@ -50,7 +50,6 @@ ALLOWED = {
         ("etaforge.partrace.Kernel.eval", "vals = np.ones(shape)"),
     ], _ITEM_4),
     **dict.fromkeys([
-        ("etaforge.quadrature._limb_totals", "return None"),
         ("etaforge.quadrature._JoinedSums._add", "for i, v in zip(parts, (a, np.abs(a))):"),
         ("etaforge.quadrature._JoinedSums._add", "self.kept[i].extend(v[~np.isfinite(v)].tolist())"),
         ("etaforge.quadrature._JoinedSums._add", "return"),
