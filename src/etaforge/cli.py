@@ -2,7 +2,7 @@
 
 Usage:
     etaforge --suite all --budget standard --out reports/
-    etaforge --config experiment.json --emit-csv
+    etaforge --config experiment.json --emit-csv --out reports/
     etaforge --list
 
 Config format (JSON, canonical key order for hashing):
@@ -20,9 +20,10 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +35,12 @@ from .partrace import WindowConfig
 
 __all__ = ["ExperimentConfig", "Report", "run", "suite", "main"]
 
-_BUDGET_KEYS = {
-    "preset", "radii", "r_min", "r_max", "n_radial", "n_radial_fine",
-    "sphere_p3", "chart_s3", "eig_window", "eig_cap", "s_nodes",
-}
+# budget counts: key -> (lower bound, hard cap), each cap at least 8x the precise preset's
+_COUNTS = {"radii": (2, 128), "n_radial": (1, 512), "n_radial_fine": (1, 1024), "s_nodes": (1, 512),
+           "eig_window": (1, 2 ** 24), "eig_cap": (1, 2 ** 24)}
+# budget grids of positive integers: key -> (length, hard cap of the product)
+_GRIDS = {"sphere_p3": (2, 2 ** 16), "chart_s3": (3, 2 ** 22)}
+_BUDGET_KEYS = {"preset", "r_min", "r_max", *_COUNTS, *_GRIDS}
 
 
 def _preset(name) -> Budget:
@@ -50,21 +53,6 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _budget_int(spec: dict, key: str, default: int) -> int:
-    value = spec.get(key, default)
-    if not _is_int(value):
-        raise ConfigError(f"budget {key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _budget_ints(spec: dict, key: str, default: tuple[int, ...]) -> tuple[int, ...]:
-    value = spec.get(key, default)
-    if not (isinstance(value, (list, tuple)) and len(value) == len(default)
-            and all(_is_int(v) and v >= 1 for v in value)):
-        raise ConfigError(f"budget {key!r} must be {len(default)} positive integers, got {value!r}")
-    return tuple(value)
-
-
 def _resolve_budget(spec) -> Budget:
     if isinstance(spec, str):
         return _preset(spec)
@@ -74,39 +62,34 @@ def _resolve_budget(spec) -> Budget:
     if unknown:
         raise ConfigError(f"unknown budget keys {sorted(unknown)}; allowed: {sorted(_BUDGET_KEYS)}")
     base = _preset(spec.get("preset", "standard"))
-    r_min, r_max = (spec.get(key, getattr(base.ladder, key)) for key in ("r_min", "r_max"))
+    b = {"radii": base.ladder.count, "r_min": base.ladder.r_min, "r_max": base.ladder.r_max,
+         "eig_window": base.window.start, "eig_cap": base.window.cap,
+         **{key: getattr(base, key) for key in ("n_radial", "n_radial_fine", "s_nodes", *_GRIDS)}, **spec}
+    for key, (lower, cap) in _COUNTS.items():
+        if not _is_int(b[key]):
+            raise ConfigError(f"budget {key!r} must be an integer, got {b[key]!r}")
+        if not lower <= b[key] <= cap:
+            bound = "below lower bounds" if b[key] < lower else "exceeds hard caps"
+            raise ConfigError(f"budget {bound} ({key} in [{lower}, {cap}], got {b[key]})")
+    for key, (length, cap) in _GRIDS.items():
+        if not (isinstance(b[key], (list, tuple)) and len(b[key]) == length
+                and all(_is_int(n) and n >= 1 for n in b[key])):
+            raise ConfigError(f"budget {key!r} must be {length} positive integers, got {b[key]!r}")
+        if math.prod(b[key]) > cap:
+            raise ConfigError(f"budget exceeds hard caps ({key} product <= {cap}, got {math.prod(b[key])})")
+    r_min, r_max = b["r_min"], b["r_max"]
     if not all(isinstance(r, (int, float)) and not isinstance(r, bool) for r in (r_min, r_max)):
         raise ConfigError(f"budget r_min and r_max must be numbers, got {r_min!r} and {r_max!r}")
-    count = _budget_int(spec, "radii", base.ladder.count)
-    if count > 128 or r_max > 2.0 ** 24:
-        raise ConfigError("budget exceeds hard caps (radii <= 128, r_max <= 2^24)")
-    if count < 2 or not 0 < r_min < r_max:
-        raise ConfigError("budget below lower bounds (radii >= 2, 0 < r_min < r_max)")
-    ladder = RadiusLadder(float(r_min), float(r_max), count)
-    counts = {key: _budget_int(spec, key, getattr(base, key)) for key in ("n_radial", "n_radial_fine", "s_nodes")}
-    start = _budget_int(spec, "eig_window", base.window.start)
-    if min(counts.values()) < 1 or start < 1:
-        raise ConfigError("budget below lower bounds (n_radial, n_radial_fine, s_nodes, eig_window >= 1)")
-    if max(counts["n_radial"], counts["s_nodes"]) > 512 or counts["n_radial_fine"] > 1024:
-        raise ConfigError("budget exceeds hard caps (n_radial, s_nodes <= 512, n_radial_fine <= 1024)")
-    sphere_p3 = _budget_ints(spec, "sphere_p3", base.sphere_p3)
-    chart_s3 = _budget_ints(spec, "chart_s3", base.chart_s3)
-    if math.prod(sphere_p3) > 2 ** 16 or math.prod(chart_s3) > 2 ** 22:
-        raise ConfigError("budget exceeds hard caps (sphere_p3 product <= 2^16, chart_s3 product <= 2^22)")
-    cap = _budget_int(spec, "eig_cap", base.window.cap)
-    if cap > 16_777_216:
-        raise ConfigError("budget exceeds hard caps (eigenvalue window cap <= 2^24)")
-    if cap < start:
-        raise ConfigError(f"budget eig_cap {cap} is below eig_window {start}")
-    return replace(
-        base,
-        name=base.name + "+",
-        ladder=ladder,
-        sphere_p3=sphere_p3,
-        chart_s3=chart_s3,
-        window=WindowConfig(start=start, cap=cap),
-        **counts,
-    )
+    if r_max > 2.0 ** 24:
+        raise ConfigError("budget exceeds hard caps (r_max <= 2^24)")
+    if not 0 < r_min < r_max:
+        raise ConfigError("budget below lower bounds (0 < r_min < r_max)")
+    if b["eig_cap"] < b["eig_window"]:
+        raise ConfigError(f"budget eig_cap {b['eig_cap']} is below eig_window {b['eig_window']}")
+    return Budget(ladder=RadiusLadder(float(r_min), float(r_max), b["radii"]),
+                  window=WindowConfig(start=b["eig_window"], cap=b["eig_cap"]),
+                  sphere_p3=tuple(b["sphere_p3"]), chart_s3=tuple(b["chart_s3"]),
+                  **{key: b[key] for key in ("n_radial", "n_radial_fine", "s_nodes")})
 
 
 @dataclass(frozen=True)
@@ -195,18 +178,12 @@ class Report:
         return json.dumps(data, sort_keys=True, indent=2)
 
 
-def _checked_budget(config: ExperimentConfig) -> Budget:
-    """The budget of ``config``; ConfigError for an unknown experiment or a
-    malformed budget."""
-    if config.experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {config.experiment!r}; known: {sorted(EXPERIMENTS)}")
-    return _resolve_budget(config.budget)
-
-
 def run(config: ExperimentConfig) -> Report:
     """Dispatch one experiment; raises ConfigError for schema violations and
     lets numeric failures propagate as EtaforgeError subclasses."""
-    budget = _checked_budget(config)
+    if config.experiment not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {config.experiment!r}; known: {sorted(EXPERIMENTS)}")
+    budget = _resolve_budget(config.budget)
     rng = np.random.default_rng(config.seed)
     start = time.perf_counter()
     rows = run_experiment(config.experiment, config.params, budget, rng)
@@ -248,23 +225,33 @@ def _emit_csv(report: Report, out_dir: Path) -> None:
             )
 
 
-def _out_dir(out: str | None) -> Path | None:
-    """The report directory ``out`` (None for none), created if it is
-    missing; ConfigError names the path when it cannot be."""
+def _checked_out(out: str | None, emit_csv: bool) -> Path | None:
+    """The report directory ``out`` (None for none), not made yet: the runs
+    come first.  ConfigError names the path unless its nearest existing
+    ancestor is a directory this process may write, and when ``emit_csv``
+    has no directory to write to."""
     if not out:
+        if emit_csv:
+            raise ConfigError("--emit-csv needs a report directory: set --out or the config's out")
         return None
     path = Path(out)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    ancestor = next(p for p in (path, *path.absolute().parents) if os.path.exists(p))
+    if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
+        raise ConfigError(f"cannot create output directory {out}: {ancestor} is not a writable directory")
     return path
 
 
-def _write_report(report: Report, out_dir: Path, emit_csv: bool) -> None:
-    (out_dir / f"{report.experiment}.json").write_text(report.to_json())
-    if emit_csv:
-        _emit_csv(report, out_dir)
+def _write_reports(reports: list[Report], out_dir: Path, emit_csv: bool) -> None:
+    """Make ``out_dir`` and write each report's JSON, and with ``emit_csv``
+    its CSV table, into it; ConfigError names the directory when that fails."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for report in reports:
+            (out_dir / f"{report.experiment}.json").write_text(report.to_json())
+            if emit_csv:
+                _emit_csv(report, out_dir)
+    except OSError as exc:
+        raise ConfigError(f"cannot write reports to {out_dir}: {exc}") from exc
 
 
 def _print_report(report: Report) -> None:
@@ -301,17 +288,16 @@ def main(argv=None) -> int:
             except (OSError, ValueError) as exc:  # missing, unreadable or not JSON
                 raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
             cfg = ExperimentConfig.from_dict(data, budget=args.budget)
-            _checked_budget(cfg)  # before the report directory is made
-            out_dir = _out_dir(cfg.out or args.out)
+            out_dir = _checked_out(cfg.out or args.out, args.emit_csv)
             reports = [run(cfg)]
         elif args.suite is not None:
-            _suite_ids(args.suite)  # the tag and the budget before the report directory is made
-            _resolve_budget(args.budget)
-            out_dir = _out_dir(args.out)
+            out_dir = _checked_out(args.out, args.emit_csv)
             reports = suite(args.suite, budget=args.budget, seed=args.seed)
         else:
             parser.print_usage()
             return 2
+        if out_dir:
+            _write_reports(reports, out_dir, args.emit_csv)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -324,9 +310,6 @@ def main(argv=None) -> int:
 
     for report in reports:
         _print_report(report)
-        if out_dir:
-            _write_report(report, out_dir, args.emit_csv)
-
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -72,7 +72,6 @@ __all__ = ["Budget", "BUDGETS", "CheckRow", "EXPERIMENTS", "run_experiment"]
 
 @dataclass(frozen=True)
 class Budget:
-    name: str
     ladder: RadiusLadder
     n_radial: int
     n_radial_fine: int  # 1-d integrands with sharp (but smooth) features
@@ -87,7 +86,6 @@ class Budget:
 
 BUDGETS = {
     "quick": Budget(
-        "quick",
         RadiusLadder(4.0, 4096.0, 16),
         n_radial=24,
         n_radial_fine=64,
@@ -97,7 +95,6 @@ BUDGETS = {
         s_nodes=16,
     ),
     "standard": Budget(
-        "standard",
         RadiusLadder(4.0, 65536.0, 24),
         n_radial=32,
         n_radial_fine=96,
@@ -107,7 +104,6 @@ BUDGETS = {
         s_nodes=32,
     ),
     "precise": Budget(
-        "precise",
         RadiusLadder(4.0, 65536.0, 28),
         n_radial=48,
         n_radial_fine=128,
@@ -167,7 +163,7 @@ def _matches_default(value, default) -> bool:
     """Whether ``value`` has the JSON type of ``default``: a float default
     takes finite floats and integers within the float range (not the
     Infinity and NaN that ``json.loads`` accepts), a sequence default takes
-    lists of its element type."""
+    non-empty lists of its element type."""
     if isinstance(value, bool) or isinstance(default, bool):
         return isinstance(value, bool) and isinstance(default, bool)
     if isinstance(default, float):
@@ -175,7 +171,8 @@ def _matches_default(value, default) -> bool:
             return math.isfinite(value)
         return isinstance(value, int) and abs(value) <= sys.float_info.max
     if isinstance(default, tuple):
-        return isinstance(value, (list, tuple)) and all(_matches_default(v, default[0]) for v in value)
+        return (isinstance(value, (list, tuple)) and len(value) > 0
+                and all(_matches_default(v, default[0]) for v in value))
     return isinstance(value, type(default))
 
 
@@ -311,7 +308,7 @@ def exp_rp_omega(params, budget, rng):
 
 
 def exp_regint_demo(params, budget, rng):
-    p = _params(params, {})
+    _params(params, {})
     rows = []
     lorentz = scalar_family("lorentz")
     even_mod = ExpansionModel.powers([-2, -4, -6, -8, -10])
@@ -355,7 +352,7 @@ def exp_regint_demo(params, budget, rng):
 
 
 def exp_mellin_zero(params, budget, rng):
-    p = _params(params, {})
+    _params(params, {})
     rows = []
     for alpha, lp in ((-1.5, 0), (-1.0, 1), (0.5, 2)):
         f = lambda x, a=alpha, l=lp: x ** a * np.log(x) ** l
@@ -410,7 +407,7 @@ def exp_mellin_zero(params, budget, rng):
 
 
 def exp_cov_check(params, budget, rng):
-    p = _params(params, {})
+    _params(params, {})
     rows = []
     f1 = scalar_family("power_log", alpha=-1.0)
     m1 = ExpansionModel.make([(-1, 0)], remainder=-12)
@@ -435,7 +432,7 @@ def exp_cov_check(params, budget, rng):
 
 
 def exp_stokes_check(params, budget, rng):
-    p = _params(params, {})
+    _params(params, {})
     rows = []
     fs = scalar_family("sign_step")
     ms = ExpansionModel.make([(0, 0)], remainder=-10)
@@ -469,7 +466,7 @@ def exp_stokes_check(params, budget, rng):
 
 
 def exp_eta_matrix(params, budget, rng):
-    p = _params(params, {})
+    _params(params, {})
     rows = []
     model = ExpansionModel.powers([-4, -6, -8, -10])
     for a in (1.0, -1.0):
@@ -501,7 +498,7 @@ def exp_eta_matrix(params, budget, rng):
 
 
 def exp_winding(params, budget, rng):
-    p = _params(params, {})
+    _params(params, {})
     rows = []
     m1 = ExpansionModel.powers([-2, -4, -6, -8])
     r1 = eta_k(matrix_family("moebius", s=1.0), 1, m1, budget.ladder, None, budget.n_radial)
@@ -518,7 +515,7 @@ def exp_winding(params, budget, rng):
 
 
 def exp_variation_check(params, budget, rng):
-    p = _params(params, {})
+    _params(params, {})
     rows = []
     m1 = ExpansionModel.powers([-2, -4, -6, -8])
     cm1 = ExpansionModel.make([(0, 0), (-1, 0), (-2, 0), (-3, 0), (-4, 0)])
@@ -559,7 +556,7 @@ def _conjugated_rotated_copy(a: float) -> MatrixFamily:
 
 
 def exp_additivity_defect(params, budget, rng):
-    p = _params(params, {})
+    _params(params, {})
     rows = []
     # k = 1: exact additivity
     m1 = ExpansionModel.powers([-2, -3, -4, -5, -6, -7])
@@ -887,10 +884,6 @@ def exp_prop_maurer_cartan(params, budget, rng):
     return rows
 
 
-def exp_prop_tr_compat(params, budget, rng):
-    return exp_tr_derivative_check(params, budget, rng)
-
-
 def exp_prop_regint_linearity(params, budget, rng):
     _params(params, {})
     rows = []
@@ -962,7 +955,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
     "prop-d2": ExperimentSpec(exp_prop_d2, frozenset({"properties"}), "d squared vanishes"),
     "prop-leibniz": ExperimentSpec(exp_prop_leibniz, frozenset({"properties"}), "graded Leibniz"),
     "prop-maurer-cartan": ExperimentSpec(exp_prop_maurer_cartan, frozenset({"properties"}), "structure equation"),
-    "prop-tr-compat": ExperimentSpec(exp_prop_tr_compat, frozenset({"properties"}), "trace compatibilities"),
+    "prop-tr-compat": ExperimentSpec(exp_tr_derivative_check, frozenset({"properties"}), "trace compatibilities"),
     "prop-regint-linearity": ExperimentSpec(exp_prop_regint_linearity, frozenset({"properties"}), "linearity"),
     "prop-regint-convergent": ExperimentSpec(
         exp_prop_regint_convergent, frozenset({"properties"}), "convergent-case agreement"

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etaforge.cli import _BUDGET_KEYS, ExperimentConfig, Report, _resolve_budget, main, run, suite
-from etaforge.errors import ConfigError
+from etaforge.errors import ConfigError, FitError
 from etaforge.experiments import BUDGETS, EXPERIMENTS, Budget, CheckRow
 from etaforge.partrace import WindowConfig
 
@@ -217,6 +217,9 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
         ("eta-suspension", {"a": math.nan}),
         ("trace-tanh", {"a": math.inf}),
         ("trace-tanh", {"a": math.nan}),
+        # a list parameter must not be empty: no check row, or no zeta row, would run
+        ("trace-tanh", {"mus": []}),
+        ("spectral-eta", {"offsets": []}),
     ]:
         wrong = tmp_path / "wrong.json"
         wrong.write_text(json.dumps({"experiment": experiment, "params": params, "budget": "quick"}))
@@ -285,6 +288,49 @@ def test_a_config_error_leaves_no_report_directory(tmp_path, capsys, monkeypatch
     assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {message}")
     assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["--config"], {"experiment": "clifford-check", "params": {"k_max": 9}, "budget": "quick"}),
+    (["--config"], {"experiment": "trace-tanh", "params": {"a": 1.0}, "budget": "quick"}),
+    (["--config"], {"experiment": "divisor-flow", "params": {"width": 5e-324}, "budget": "quick"}),
+    (["--suite", "clifford", "--budget", "quick", "--seed", "-1"], None),
+])
+def test_an_error_found_by_a_run_leaves_no_report_directory(tmp_path, capsys, argv, config):
+    # experiment parameters are checked inside the experiment, after --out is probed
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + [str(path)]
+    assert main(argv + ["--out", str(tmp_path / "d" / "a")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "d").exists()
+
+
+def test_a_numeric_failure_leaves_no_report_directory(tmp_path, capsys, monkeypatch):
+    def fail_inside(params, budget, rng):
+        raise FitError("planted fit failure")
+
+    monkeypatch.setitem(EXPERIMENTS, "clifford-check", replace(EXPERIMENTS["clifford-check"], func=fail_inside))
+    assert main(["--suite", "clifford", "--budget", "quick", "--out", str(tmp_path / "d" / "a")]) == 3
+    assert capsys.readouterr().err.startswith("numeric failure: FitError: planted fit failure")
+    assert not (tmp_path / "d").exists()
+
+
+def test_a_report_that_cannot_be_written_is_a_config_error(tmp_path, capsys):
+    (tmp_path / "w" / "clifford-check.json").mkdir(parents=True)
+    assert main(["--suite", "clifford", "--budget", "quick", "--out", str(tmp_path / "w")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write reports to {tmp_path / 'w'}: ") and err.count("\n") == 1
+
+
+def test_emit_csv_without_a_report_directory_is_a_config_error_before_any_run(tmp_path, capsys, monkeypatch):
+    _no_experiment_runs(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "clifford-check", "budget": "quick"}))
+    for argv in (["--config", str(cfg)], ["--suite", "clifford", "--budget", "quick"]):
+        assert main(argv + ["--emit-csv"]) == 2
+        assert capsys.readouterr().err.startswith("config error: --emit-csv needs a report directory: set --out")
 
 
 def test_spectral_eta_k_is_limited_to_five(tmp_path, capsys):
