@@ -228,14 +228,14 @@ def _emit_csv(report: Report, out_dir: Path) -> None:
 def _checked_out(out: str | None, emit_csv: bool) -> Path | None:
     """The report directory ``out`` (None for none), not made yet: the runs
     come first.  ConfigError names the path unless its nearest existing
-    ancestor is a directory this process may write, and when ``emit_csv``
-    has no directory to write to."""
+    ancestor is a directory this process may write (a dangling symbolic link
+    exists and is none), and when ``emit_csv`` has no directory to write to."""
     if not out:
         if emit_csv:
             raise ConfigError("--emit-csv needs a report directory: set --out or the config's out")
         return None
     path = Path(out)
-    ancestor = next(p for p in (path, *path.absolute().parents) if os.path.exists(p))
+    ancestor = next(p for p in (path, *path.absolute().parents) if os.path.lexists(p))
     if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
         raise ConfigError(f"cannot create output directory {out}: {ancestor} is not a writable directory")
     return path

@@ -163,7 +163,7 @@ def _matches_default(value, default) -> bool:
     """Whether ``value`` has the JSON type of ``default``: a float default
     takes finite floats and integers within the float range (not the
     Infinity and NaN that ``json.loads`` accepts), a sequence default takes
-    non-empty lists of its element type."""
+    lists of its element type (``_params`` refuses an empty one first)."""
     if isinstance(value, bool) or isinstance(default, bool):
         return isinstance(value, bool) and isinstance(default, bool)
     if isinstance(default, float):
@@ -171,8 +171,7 @@ def _matches_default(value, default) -> bool:
             return math.isfinite(value)
         return isinstance(value, int) and abs(value) <= sys.float_info.max
     if isinstance(default, tuple):
-        return (isinstance(value, (list, tuple)) and len(value) > 0
-                and all(_matches_default(v, default[0]) for v in value))
+        return isinstance(value, (list, tuple)) and all(_matches_default(v, default[0]) for v in value)
     return isinstance(value, type(default))
 
 
@@ -192,6 +191,8 @@ def _params(
         if default is None and value is None:
             continue
         example = nullable[key] if default is None else default
+        if isinstance(example, tuple) and isinstance(value, (list, tuple)) and not value:
+            raise ConfigError(f"parameter {key!r} must be a non-empty list, got {value!r}")
         if not _matches_default(value, example):
             raise ConfigError(f"parameter {key!r} must be like {example!r}, got {value!r}")
         lo, hi = (ranges or {}).get(key, (None, None))
@@ -842,7 +843,7 @@ def exp_prop_leibniz(params, budget, rng):
     _params(params, {})
     rows = []
     fam = matrix_family("affine_clifford", a=1.0, k=2)
-    gam = matrix_family("spectral_slice", lam=2.0, k=2)
+    gam = matrix_family("affine_clifford", a=2.0, k=2)
     w1 = mc_form(fam)
     w2 = mc_form(gam)
     pts = rng.normal(size=(12, 3)) * 2.0 + 3.0

@@ -1,11 +1,12 @@
 """Matrix-valued differential forms on R^p, evaluated as jets at a batch.
 
-A form holds its index tuples and a rule for the partials of its
-coefficients.  At a batch of points (M, p), one ``_Batch`` computes each
-array the evaluation needs once, keyed by node and sorted index set S, so
-d_i d_j and d_j d_i are one array and cancel exactly under
-antisymmetrization.  A coefficient on dx_I is only differentiated along
-coordinates outside I, so S never repeats a coordinate.
+A form is a dict from index tuples to coefficient families, each a
+``MatrixFamily`` with a rule over the families it is built from.  At a
+batch of points (M, p), one ``_Batch`` computes each array the evaluation
+needs once, keyed by family and sorted index set S, so d_i d_j and d_j d_i
+are one array and cancel exactly under antisymmetrization.  A coefficient
+on dx_I is only differentiated along coordinates outside I, so S never
+repeats a coordinate.
 
 Inside a batch every value and partial is an (N, N, M) array with the point
 axis last, so entry (i, j) of the whole batch is one contiguous row.  The
@@ -102,10 +103,10 @@ class MatrixFamily:
     without a copy; the evaluation never writes into an array a family
     returns, so leaves may hand out views.
 
-    ``mf_product`` and ``mf_inverse`` build families with a ``rule`` in place
-    of ``func``: ``rule(batch, S)`` returns d_S in the batch layout (N, N, M)
-    from the operands' partials in the batch.  Called, every family returns
-    (M, N, N) (or (N, N) at a single point).
+    ``mf_product``, ``mf_inverse`` and the form builders build families with
+    a ``rule`` in place of ``func``: ``rule(batch, S)`` returns d_S in the
+    batch layout (N, N, M) from the operands' partials in the batch.  Called,
+    every family returns (M, N, N) (or (N, N) at a single point).
     """
 
     p: int
@@ -171,27 +172,22 @@ def _blockwise(fam: MatrixFamily, x: np.ndarray, S: Index = ()) -> np.ndarray:
 
 class _Batch:
     """One evaluation at the points x: every partial derivative it needs,
-    computed once and kept per (node, sorted index set) as an (N, N, M)
+    computed once and kept per (family, sorted index set) as an (N, N, M)
     array."""
 
     def __init__(self, x: np.ndarray):
         self.x = x
-        self.done: dict = {}
-
-    def get(self, key, compute):
-        if key not in self.done:
-            self.done[key] = compute()
-        return self.done[key]
+        self.done: dict[tuple[MatrixFamily, Index], np.ndarray] = {}
 
     def family(self, fam: MatrixFamily, S: Index = ()) -> np.ndarray:
-        if fam.jet is not None and len(S) <= 1 and (fam, S) not in self.done:
-            value, *partials = fam.jet(self.x)
-            self.done[(fam, ())] = value
-            self.done.update(((fam, (j,)), d) for j, d in enumerate(partials))
-        return self.get((fam, S), lambda: fam.rule(self, S) if fam.rule else _planar(_leaf_partial(fam, self.x, S)))
-
-    def coeff(self, form: "MatrixForm", I: Index, S: Index = ()) -> np.ndarray:
-        return self.get((form, I, S), lambda: form.rule(self, I, S))
+        if (fam, S) not in self.done:
+            if fam.jet is not None and len(S) <= 1:
+                value, *partials = fam.jet(self.x)
+                self.done[(fam, ())] = value
+                self.done.update(((fam, (j,)), d) for j, d in enumerate(partials))
+            else:
+                self.done[(fam, S)] = fam.rule(self, S) if fam.rule else _planar(_leaf_partial(fam, self.x, S))
+        return self.done[(fam, S)]
 
 
 def _leaf_partial(fam: MatrixFamily, x: np.ndarray, S: Index) -> np.ndarray:
@@ -346,28 +342,32 @@ def mf_inverse(a: MatrixFamily) -> MatrixFamily:
 class MatrixForm:
     """Degree-q form on R^p with N x N coefficients.
 
-    ``indices`` lists, in increasing order, the strictly increasing index
-    tuples whose coefficients may be nonzero; absent tuples are zero.
-    ``rule(batch, I, S)`` returns d_S of the coefficient on dx_I at the
-    batch's points as an (N, N, M) array, for a sorted index set S disjoint
-    from I.
+    ``coefficients`` maps each strictly increasing index tuple I whose
+    coefficient may be nonzero to that coefficient, a ``MatrixFamily`` on R^p;
+    absent tuples are zero, and ``indices`` lists the keys in increasing
+    order.  The builders make each coefficient a family with a ``rule`` over
+    their operands' coefficient families, memoized in a batch like any other.
     """
 
     p: int
     n: int
     degree: int
-    indices: tuple[Index, ...]
-    rule: Callable[[_Batch, Index, Index], np.ndarray] | None = field(default=None, repr=False)
+    coefficients: dict[Index, MatrixFamily]
     # The arrays of the last batch, never read: one block of at most
     # BATCH_POINTS points.  Released when the next block starts, they leave
     # holes that block refills; released at the end of each block, they go
     # back to the system and every block page-faults on fresh memory (at the
     # standard budget 235k instead of 33k minor faults per warm eta-matrix
     # run and 288k instead of 33k for variation-check; 6.2k instead of 3.7k
-    # per warm matrix-eta pass).  The arrays only: the batch's keys point
-    # back at this form, and holding the batch made a cycle that kept the
-    # arrays of every dead form until a full collection.
+    # per warm matrix-eta pass).  The arrays only: the batch's keys lead back
+    # to this form through the family of ``values_of``, and holding the batch
+    # made a cycle that kept the arrays of every dead form until a full
+    # collection.
     _last_batch: tuple[np.ndarray, ...] = field(default=(), init=False, repr=False)
+
+    @property
+    def indices(self) -> tuple[Index, ...]:
+        return tuple(sorted(self.coefficients))
 
     def values(self, x) -> dict[Index, np.ndarray]:
         """Every coefficient at the points x, from one batch per block: a dict
@@ -378,7 +378,15 @@ class MatrixForm:
 
     def traced(self) -> "MatrixForm":
         """Apply the matrix trace coefficient-wise; the result has rank 1."""
-        return MatrixForm(self.p, 1, self.degree, self.indices, lambda batch, I, S: _trace(batch.coeff(self, I, S)))
+        return _form(self.p, 1, self.degree, "tr", lambda c, batch, S: _trace(batch.family(c, S)), self.coefficients)
+
+
+def _form(p: int, n: int, degree: int, name: str, rule, operands: dict) -> MatrixForm:
+    """The form whose coefficient on dx_K, K over the keys of ``operands``,
+    is the family with d_S = rule(operands[K], batch, S)."""
+    return MatrixForm(p, n, degree, {
+        K: MatrixFamily(p, n, name=f"{name}{K}", rule=partial(rule, operands[K])) for K in sorted(operands)
+    })
 
 
 def values_of(forms: Sequence[MatrixForm], x) -> list[dict[Index, np.ndarray]]:
@@ -391,15 +399,15 @@ def values_of(forms: Sequence[MatrixForm], x) -> list[dict[Index, np.ndarray]]:
     leaf evaluations nested in it."""
     if any((w.p, w.n) != (forms[0].p, forms[0].n) for w in forms):
         raise ValueError("forms on one batch need the same base dimension and matrix rank")
-    keys = [(w, I) for w in forms for I in w.indices]
-    if not keys:
+    families = [w.coefficients[I] for w in forms for I in w.indices]
+    if not families:
         return [{} for _ in forms]
     x = np.asarray(x, dtype=float)
 
     def rule(batch, S):
         for w in forms:
             w._last_batch = ()
-        vals = np.stack([batch.coeff(w, I) for w, I in keys])
+        vals = np.stack([batch.family(c) for c in families])
         held = tuple(batch.done.values())
         for w in forms:
             w._last_batch = held
@@ -417,12 +425,16 @@ def _shuffle_sign(I: Index, J: Index) -> int:
     return -1 if inversions % 2 else 1
 
 
+def _signed_products(parts, batch: _Batch, S: Index) -> np.ndarray:
+    """d_S of the sum of sign a b over the (sign, a, b) family triples in ``parts``, in order."""
+    return _signed_total((sgn, _leibniz(S, partial(batch.family, a), partial(batch.family, b))) for sgn, a, b in parts)
+
+
 def form_from_families(coeffs: dict[Index, MatrixFamily]) -> MatrixForm:
     """The form sum_I coeffs[I] dx_I, for strictly increasing index tuples of
     one length; ``{(): f}`` is the 0-form f."""
     fam = next(iter(coeffs.values()))
-    degree = len(next(iter(coeffs)))
-    return MatrixForm(fam.p, fam.n, degree, tuple(sorted(coeffs)), lambda batch, I, S: batch.family(coeffs[I], S))
+    return MatrixForm(fam.p, fam.n, len(next(iter(coeffs))), dict(coeffs))
 
 
 def wedge(w1: MatrixForm, w2: MatrixForm) -> MatrixForm:
@@ -432,39 +444,28 @@ def wedge(w1: MatrixForm, w2: MatrixForm) -> MatrixForm:
     if w1.p != w2.p or w1.n != w2.n or w1.n > 2:
         raise ValueError(f"wedge requires the same base dimension and matrix rank, at most 2, "
                          f"got (p, n) = ({w1.p}, {w1.n}) and ({w2.p}, {w2.n})")
-    degree = w1.degree + w2.degree
-    if degree > w1.p:
-        return MatrixForm(w1.p, w1.n, degree, ())
-    terms: dict[Index, list[tuple[int, Index, Index]]] = {}
-    for I in w1.indices:
-        for J in w2.indices:
+    terms: dict[Index, list[tuple[int, MatrixFamily, MatrixFamily]]] = {}
+    for I, a in sorted(w1.coefficients.items()):
+        for J, b in sorted(w2.coefficients.items()):
             if not set(I) & set(J):
-                terms.setdefault(tuple(sorted(I + J)), []).append((_shuffle_sign(I, J), I, J))
-
-    def rule(batch, K, S):
-        return _signed_total(
-            (sign, _leibniz(S, partial(batch.coeff, w1, I), partial(batch.coeff, w2, J))) for sign, I, J in terms[K]
-        )
-
-    return MatrixForm(w1.p, w1.n, degree, tuple(sorted(terms)), rule)
+                terms.setdefault(tuple(sorted(I + J)), []).append((_shuffle_sign(I, J), a, b))
+    return _form(w1.p, w1.n, w1.degree + w2.degree, "wedge", _signed_products, terms)
 
 
 def exterior_derivative(w: MatrixForm) -> MatrixForm:
     """d with the standard signs: d(A dx_I) = sum_j dA/dx_j dx_j ^ dx_I, the
     partials taken from the batch jets."""
-    if w.degree >= w.p:
-        return MatrixForm(w.p, w.n, w.degree + 1, ())
-    terms: dict[Index, list[tuple[int, Index, int]]] = {}
-    for I in w.indices:
+    terms: dict[Index, list[tuple[int, MatrixFamily, int]]] = {}
+    for I, c in sorted(w.coefficients.items()):
         for j in range(w.p):
             if j not in I:
                 K = _with(I, j)
-                terms.setdefault(K, []).append((-1 if K.index(j) % 2 else 1, I, j))
+                terms.setdefault(K, []).append((-1 if K.index(j) % 2 else 1, c, j))
 
-    def rule(batch, K, S):
-        return _signed_total((sign, batch.coeff(w, I, _with(S, j))) for sign, I, j in terms[K])
+    def rule(parts, batch, S):
+        return _signed_total((sign, batch.family(c, _with(S, j))) for sign, c, j in parts)
 
-    return MatrixForm(w.p, w.n, w.degree + 1, tuple(sorted(terms)), rule)
+    return _form(w.p, w.n, w.degree + 1, "d", rule, terms)
 
 
 def mc_form(f: MatrixFamily) -> MatrixForm:
@@ -493,30 +494,29 @@ def maurer_cartan_power(f: MatrixFamily, q: int) -> MatrixForm:
     sum_sigma sgn(sigma) tr(G_{i_sigma(1)} ... G_{i_sigma(q)}), and for odd q
     a q-cycle is even, so the q rotations of each product are equal terms:
     the coefficient is q tr(G_{i_1} S(i_2, ..., i_q)), S the antisymmetrized
-    product.  G and the S of shared index sets are formed once per batch.
-    The untraced power is ``wedge`` of ``mc_form(f)`` with itself.
+    product.  G and the S of each index set are families built once with the
+    form, so a batch forms each once.  The untraced power is ``wedge`` of
+    ``mc_form(f)`` with itself.
     """
     if q < 1 or q % 2 == 0:
         raise ValueError("power must be a positive odd integer")
     w = mc_form(f)
+    if q == 1:
+        return w.traced()
+    alt = dict(w.coefficients)
 
-    def antisymmetrized(batch, J, S):
-        """d_S of sum_sigma sgn(sigma) G_{j_sigma(1)} ... G_{j_sigma(m)}, expanded along the first factor."""
-        if len(J) == 1:
-            return batch.coeff(w, J, S)
-        return batch.get(("antisymmetrized", w, J, S), lambda: _signed_total(
-            (-1 if t % 2 else 1,
-             _leibniz(S, partial(batch.coeff, w, (J[t],)), partial(antisymmetrized, batch, J[:t] + J[t + 1:])))
-            for t in range(len(J))
-        ))
+    def antisymmetrized(J):
+        """sum_sigma sgn(sigma) G_{j_sigma(1)} ... G_{j_sigma(m)}, expanded along the first factor."""
+        if J not in alt:
+            parts = [(-1 if t % 2 else 1, alt[J[t:t + 1]], antisymmetrized(J[:t] + J[t + 1:])) for t in range(len(J))]
+            alt[J] = MatrixFamily(f.p, f.n, name=f"alt{J}", rule=partial(_signed_products, parts))
+        return alt[J]
 
-    def rule(batch, I, S):
-        if q == 1:
-            return _trace(batch.coeff(w, I, S))
-        rest = partial(antisymmetrized, batch, I[1:])
-        return (q * _leibniz(S, partial(batch.coeff, w, I[:1]), rest, _trace_product))[None, None]
+    def rule(pair, batch, S):
+        return (q * _leibniz(S, *(partial(batch.family, c) for c in pair), _trace_product))[None, None]
 
-    return MatrixForm(f.p, 1, q, tuple(combinations(range(f.p), q)), rule)
+    pairs = {I: (alt[I[:1]], antisymmetrized(I[1:])) for I in combinations(range(f.p), q)}
+    return _form(f.p, 1, q, f"tr mc^{q} ", rule, pairs)
 
 
 class SphereIntegral(NamedTuple):
@@ -580,7 +580,6 @@ _FAMILY_PARAMS = {
     "moebius": {"s": 1.0},
     "circle_phase": {},
     "affine_clifford": {"a": None, "k": None},
-    "spectral_slice": {"lam": None, "k": None},
     "capped_clifford": {"a": None, "k": None},
     "sphere_clifford": {"k": None},
     "step_unitary": {"k": None},
@@ -634,10 +633,10 @@ def matrix_family(name: str, **params) -> MatrixFamily:
     """Registry of named families.
 
     ids: moebius(s), circle_phase(), affine_clifford(a, k),
-    spectral_slice(lam, k), capped_clifford(a, k), sphere_clifford(k),
-    step_unitary(k).  ``k`` must be an integer and every other parameter a
-    finite number; ValueError names an unknown, missing or bad parameter.
-    ``capped_clifford`` and ``step_unitary`` have jets.
+    capped_clifford(a, k), sphere_clifford(k), step_unitary(k).  ``k`` must
+    be an integer and every other parameter a finite number; ValueError
+    names an unknown, missing or bad parameter.  ``capped_clifford`` and
+    ``step_unitary`` have jets.
     """
     params = _family_params(name, params)
     if name == "moebius":
@@ -663,8 +662,8 @@ def matrix_family(name: str, **params) -> MatrixFamily:
         ones = (MatrixFamily.constant([[1.0 + 0j]], 2, "1"), MatrixFamily.constant([[1j]], 2, "i"))
         return MatrixFamily(2, 1, f, ones, "circle_phase")
 
-    if name in ("affine_clifford", "spectral_slice"):
-        a = params["a" if name == "affine_clifford" else "lam"]
+    if name == "affine_clifford":
+        a = params["a"]
         rep = standard_rep(params["k"])
         p, nn = rep.p, rep.rank
 
@@ -673,7 +672,7 @@ def matrix_family(name: str, **params) -> MatrixFamily:
             return a * np.eye(nn, dtype=complex)[None] + clifford_action(rep, x)
 
         gens = tuple(MatrixFamily.constant(rep.generators[j], p, f"E{j + 1}") for j in range(p))
-        return MatrixFamily(p, nn, f, gens, f"{name}({a})")
+        return MatrixFamily(p, nn, f, gens, f"affine_clifford({a})")
 
     if name == "capped_clifford":
         # a + s c(x) with s = (1 + |x|^2)^{-1/2}: approaches a + c(x/|x|) at infinity

@@ -217,9 +217,6 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
         ("eta-suspension", {"a": math.nan}),
         ("trace-tanh", {"a": math.inf}),
         ("trace-tanh", {"a": math.nan}),
-        # a list parameter must not be empty: no check row, or no zeta row, would run
-        ("trace-tanh", {"mus": []}),
-        ("spectral-eta", {"offsets": []}),
     ]:
         wrong = tmp_path / "wrong.json"
         wrong.write_text(json.dumps({"experiment": experiment, "params": params, "budget": "quick"}))
@@ -235,6 +232,16 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["--config", str(crash)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("internal error: ZeroDivisionError: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("experiment, key", [("trace-tanh", "mus"), ("spectral-eta", "offsets")])
+def test_an_empty_list_parameter_is_a_config_error_that_says_so(tmp_path, capsys, experiment, key):
+    # a list parameter must not be empty: no check row, or no zeta row, would run
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"experiment": experiment, "params": {key: []}, "budget": "quick"}))
+    assert main(["--config", str(path), "--out", str(tmp_path / "d")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: parameter {key!r} must be a non-empty list, got []")
+    assert not (tmp_path / "d").exists()
 
 
 def test_trace_tanh_reference_holds_off_the_half_offset():
@@ -269,6 +276,20 @@ def test_an_out_path_that_is_a_file_is_a_config_error_before_any_run(tmp_path, c
         captured = capsys.readouterr()
         assert captured.err.startswith(f"config error: cannot create output directory {taken}: ")
         assert captured.out == ""
+
+
+def test_an_out_path_through_a_dangling_link_is_a_config_error_before_any_run(tmp_path, capsys, monkeypatch):
+    # os.path.exists is false for a dangling link, so a probe built on it passed
+    # the link's directory, ran every experiment and only then failed to write
+    _no_experiment_runs(monkeypatch)
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "nowhere" / "x")
+    out = link / "a"
+    assert main(["--suite", "clifford", "--budget", "quick", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: cannot create output directory {out}: {link} is not a writable")
+    assert captured.out == ""
+    assert not (tmp_path / "nowhere").exists()
 
 
 @pytest.mark.parametrize("argv, config, message", [

@@ -109,7 +109,7 @@ def test_wedge_two_term_hand_expansion(rng):
 
 def test_wedge_anticommutator_matches_pointwise(rng):
     fam = matrix_family("affine_clifford", a=1.0, k=2)
-    gam = matrix_family("spectral_slice", lam=2.0, k=2)
+    gam = matrix_family("affine_clifford", a=2.0, k=2)
     w1, w2 = mc_form(fam), mc_form(gam)
     s = wedge(w1, w2)
     t = wedge(w2, w1)
@@ -394,7 +394,27 @@ def test_values_of_shares_one_batch_and_matches_each_form(rng):
             for I in want:
                 assert got[I].shape == want[I].shape and got[I].tobytes() == want[I].tobytes()
     assert values_of([], pts) == []
-    assert values_of([MatrixForm(3, 2, 4, ()), w], pts)[0] == {}
+    assert values_of([MatrixForm(3, 2, 4, {}), w], pts)[0] == {}
+
+
+def test_form_coefficients_are_families_that_a_batch_memoizes_alone(rng):
+    # a form is a dict of coefficient families: each, called on its own, gives
+    # the form's coefficient bit for bit, and a batch keys every array it
+    # holds by (family, sorted index set) only
+    A = matrix_family("capped_clifford", a=1.5, k=2)
+    pts = rng.normal(size=(7, 3))
+    for form in (maurer_cartan_power(A, 3), wedge(mc_form(A), mc_form(A))):
+        assert form.indices == tuple(sorted(form.coefficients)) and form.indices
+        vals = form.values(pts)
+        for I, c in form.coefficients.items():
+            assert isinstance(c, MatrixFamily) and (c.p, c.n) == (form.p, form.n)
+            got = c(pts)
+            assert got.shape == vals[I].shape and got.tobytes() == vals[I].tobytes()
+        batch = forms_module._Batch(pts)
+        batch.family(form.coefficients[form.indices[-1]])
+        assert len(batch.done) > 1
+        assert all(len(key) == 2 and isinstance(key[0], MatrixFamily) and isinstance(key[1], tuple)
+                   for key in batch.done)
 
 
 def test_values_of_rejects_forms_of_different_rank(rng):
@@ -638,13 +658,13 @@ def test_a_batch_runs_the_leaf_jet_once_and_a_direct_call_never(rng, monkeypatch
     ("circle_phase", {"k": 2}, "'k'"),
     ("capped_clifford", {"k": 2}, "'a'"),
     ("affine_clifford", {"a": math.nan, "k": 2}, "'a'"),
-    ("spectral_slice", {"lam": complex(1.0, math.inf), "k": 2}, "'lam'"),
+    ("affine_clifford", {"a": complex(1.0, math.inf), "k": 2}, "'a'"),
     ("moebius", {"s": -math.inf}, "'s'"),
     ("capped_clifford", {"a": "1", "k": 2}, "'a'"),
 ])
 def test_matrix_family_rejects_bad_parameters(name, params, bad):
     # k = 2.5 built k = 2, k = True built k = 1, an unknown keyword was
-    # ignored and a non-finite a, lam or s gave NaN matrices
+    # ignored and a non-finite a or s gave NaN matrices
     with pytest.raises(ValueError, match=bad):
         matrix_family(name, **params)
 
