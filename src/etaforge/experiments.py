@@ -616,7 +616,11 @@ def exp_spectral_eta(params, budget, rng):
 
 
 def exp_eta_suspension(params, budget, rng):
-    p = _params(params, {"a": 0.25, "k": 2}, ranges={"k": (2, None)})
+    # from k = 3 on the symmetric-spectrum fit fails at every budget: its
+    # round-off grows with the prefactor (2k-1)! 2^(k-1), and the fit judges
+    # it against the absolute zero floor 1e-6 (relative residual 7.7e-6 at
+    # k = 3, quick)
+    p = _params(params, {"a": 0.25, "k": 2}, ranges={"k": (2, 2)})
     a, k = _check_circle_offset(p["a"]), int(p["k"])
     rows = []
     eta_d = 1.0 - 2.0 * (a - math.floor(a))
@@ -704,6 +708,21 @@ def _circle_resolvent_trace(mu: float, a: float) -> float:
         return math.pi ** 2 / s2
     x = 2.0 * math.pi * abs(mu)
     return math.pi * -math.expm1(-2.0 * x) / (math.expm1(-x) ** 2 + 4.0 * math.exp(-x) * s2) / abs(mu)
+
+
+def _circle_eta_subtracted_trace(mu: float, a: float) -> float:
+    """sum_n [(n + a)/((n + a)^2 + mu^2) - 1/(n + a)], summed symmetrically,
+    = pi sin(2 pi a)/(cosh 2 pi mu - cos 2 pi a) - pi cot(pi a)
+    = -pi cot(pi a) (cosh 2 pi mu - 1)/(cosh 2 pi mu - cos 2 pi a), written in
+    q = e^{-2 pi |mu|} as ``_circle_resolvent_trace`` is.  cos(pi a) is taken
+    as sin(pi (1/2 - |b|)), b = a less the nearest integer, so that the value
+    is exactly 0 at half-integer a, where the spectrum is symmetric."""
+    b = a - round(a)
+    x = 2.0 * math.pi * abs(mu)
+    s = math.sin(math.pi * abs(b))
+    cot = math.copysign(math.sin(math.pi * (0.5 - abs(b))), b) / s
+    e2 = math.expm1(-x) ** 2
+    return -math.pi * cot * e2 / (e2 + 4.0 * math.exp(-x) * s * s)
 
 
 def exp_trace_tanh(params, budget, rng):
@@ -800,12 +819,48 @@ def exp_tr_derivative_check(params, budget, rng):
         )
     )
 
-    # trace property for commuting pairs: identical code path, assert exactly
-    fa = SpectralFamily(model, kernel("resolvent", 1) * kernel("eta_kernel", 2), -2.0 - 3.0)
-    fb = SpectralFamily(model, kernel("eta_kernel", 2) * kernel("resolvent", 1), -5.0)
-    va = complex(tr_param_values(fa, np.array([[1.5]]), budget.window)[0])
-    vb = complex(tr_param_values(fb, np.array([[1.5]]), budget.window)[0])
-    rows.append(CheckRow("trace property on a commuting pair", va - vb, 0.0, 0.0, "abs", "identical symbol"))
+    # families that need the Taylor subtraction, against closed forms in
+    # R(mu) = sum_n 1/(lam^2 + mu^2): the remainders lam^2/(lam^2+t) - 1 and
+    # lam^4/(lam^2+t) - lam^2 + t sum to -mu^2 R(mu) and mu^4 R(mu)
+    lam2 = Kernel((KernelMonomial(1.0, 2, 0, 1),))
+    lam4 = Kernel((KernelMonomial(1.0, 2, 0, 0),)) * lam2  # D^2 times the order-0 family
+    r = _circle_resolvent_trace(mu, a)
+    for label, fam, want, form in (
+        ("lam^2/(lam^2+mu^2)", SpectralFamily(model, lam2, 0.0), -mu ** 2 * r, "-mu^2 R(mu)"),
+        ("lam^4/(lam^2+mu^2)", SpectralFamily(model, lam4, 2.0), mu ** 4 * r, "mu^4 R(mu)"),
+        (
+            "lam/(lam^2+mu^2)",
+            SpectralFamily(model, kernel("eta_kernel", 1), -1.0),
+            _circle_eta_subtracted_trace(mu, a),
+            "pi sin 2pi a/(cosh 2pi mu - cos 2pi a) - pi cot pi a",
+        ),
+    ):
+        got = complex(tr_param_values(fam, np.array([[mu]]), budget.window)[0])
+        # the lam row's closed form vanishes at half-integer a (a symmetric
+        # spectrum), where no relative tolerance holds: below 1 it is absolute
+        kind = "rel" if abs(want) >= 1.0 else "abs"
+        rows.append(CheckRow(f"subtracted trace of {label} at mu=2", got, want, 1e-8, kind, f"closed form {form}"))
+
+    # trace property: the shift U e_n = e_(n+1) conjugates D to D + 1, so the
+    # traces on circle(a) and circle(a + 1) agree, though their windows differ.
+    # The largest difference measured was 1.45e-16 (quick; 0 at standard and
+    # precise) at a = 0.25, and 6.5e-16 over a in {0.01, 0.1, 0.5, 0.9, 0.99,
+    # -0.3, 1.25, 7.5}.  The tolerance leaves 1e-15 (a few ulps) for the report
+    # manifest's check on other numpy builds, which allows 1e-3 of it
+    shifted = SpectralModel.circle(a + 1.0)
+    mus = np.array([[0.5], [2.0], [5.0]])
+    va = tr_param_values(SpectralFamily(model, lam4, 2.0), mus, budget.window)
+    vb = tr_param_values(SpectralFamily(shifted, lam4, 2.0), mus, budget.window)
+    rows.append(
+        CheckRow(
+            "shift conjugation: lam^4/(lam^2+mu^2) on circle(a) vs circle(a+1)",
+            float(np.max(np.abs(va - vb) / np.abs(va))),
+            0.0,
+            1e-12,
+            "abs",
+            "trace property (largest relative difference at mu = 0.5, 2, 5)",
+        )
+    )
     return rows
 
 

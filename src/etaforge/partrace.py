@@ -4,9 +4,12 @@ The operator is the circle operator D with spectrum {n + a : n in Z}
 (a not an integer).  Scalar symbols F(D, mu)
 are drawn from a small closed algebra of monomials
 c * lam^a * t^b * (lam^2 + t)^{-k} in t = |mu|^2, which is closed under
-products and d/dt, so canonical Taylor subtraction at mu0 = 0 and the
-mu-derivative families stay analytic.  Monomials are evaluated in float64, in
-place, with integer powers by multiplication and the coefficient applied last.
+products and d/dt, so the mu-derivative families stay analytic.  The
+canonical Taylor subtraction at mu = 0 is algebraic too: the remainder is
+itself a kernel whose monomials all carry the subtracted t power, so it is
+evaluated without cancellation.  Monomials are evaluated in float64, in
+place, with integer powers by multiplication (a negative lam power by
+division) and the coefficient applied last.
 
 Eigenvalue sums run over a symmetric window with order-2 Euler-Maclaurin
 tail corrections; the window escalates by factors of 4 until the tail
@@ -25,7 +28,6 @@ import functools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -136,8 +138,10 @@ class Kernel:
                 np.reciprocal(vals, out=vals)
             else:
                 vals = np.ones(shape)
-            if m.lam_pow:
+            if m.lam_pow > 0:
                 vals *= int_power(lam.copy(), m.lam_pow)
+            elif m.lam_pow < 0:
+                vals /= int_power(lam.copy(), -m.lam_pow)
             if m.t_pow:
                 vals *= int_power(t.copy(), m.t_pow)
             total = _add_scaled(total, vals, m.coef)
@@ -152,30 +156,21 @@ class Kernel:
                 parts.append(KernelMonomial(-m.coef * m.res_pow, m.lam_pow, m.t_pow, m.res_pow + 1))
         return Kernel(tuple(parts))
 
-    def t_coefficient(self, m: int) -> Callable[[np.ndarray], np.ndarray]:
-        """g_m with K(lam, t) = sum_m g_m(lam) t^m near t = 0."""
+    def taylor_remainder(self, m: int) -> "Kernel":
+        """K minus its Taylor polynomial of degree < m in t, exactly: a
+        monomial below t^m splits by (lam^2+t)^{-1} = lam^{-2} - t lam^{-2}
+        (lam^2+t)^{-1}, and a part left without a resolvent power is a Taylor
+        term and is dropped.  Every monomial of the result carries t^(>= m),
+        and the ones of K that already do keep their order."""
         parts = []
         for mono in self.monomials:
-            mp = m - mono.t_pow
-            if mp < 0:
-                continue
-            c = mono.coef
-            for i in range(mp):  # binomial series of (lam^2+t)^{-k}
-                c *= -(mono.res_pow + i) / (i + 1.0)
-            if c != 0:
-                parts.append((c, int(mono.lam_pow - 2 * mono.res_pow - 2 * mp)))
-
-        def g(lam):
-            lam = np.asarray(lam, dtype=float)
-            total = None
-            for c, e in parts:
-                vals = int_power(lam.copy(), abs(e)) if e else np.ones(lam.shape)
-                if e < 0:
-                    np.reciprocal(vals, out=vals)
-                total = _add_scaled(total, vals, c)
-            return np.zeros(lam.shape) if total is None else total
-
-        return g
+            if mono.t_pow >= m:
+                parts.append(mono)
+            elif mono.res_pow:
+                c, a, b, k = mono.coef, mono.lam_pow - 2, mono.t_pow, mono.res_pow
+                split = Kernel((KernelMonomial(c, a, b, k - 1), KernelMonomial(-c, a, b + 1, k)))
+                parts.extend(split.taylor_remainder(m).monomials)
+        return Kernel(tuple(parts))
 
     def scale(self, c: complex) -> "Kernel":
         return Kernel(tuple(KernelMonomial(m.coef * c, m.lam_pow, m.t_pow, m.res_pow) for m in self.monomials))
@@ -264,16 +259,16 @@ class SpectralFamily:
         return replace(self, kernel=self.kernel.dt().scale(2.0), order=self.order - 1.0, pref_index=j, pref_power=1)
 
     def summand(self, lam: np.ndarray, mu: np.ndarray, n_subtract: int) -> np.ndarray:
-        """Subtracted summand values, shape (M, L) for mu (M, p), lam (L,);
-        float64 when the kernel's coefficients are real."""
+        """Summand values less their Taylor polynomial of degree < n_subtract
+        in mu, shape (M, L) for mu (M, p), lam (L,); float64 when the kernel's
+        coefficients are real.  mu^pref_power t^m has degree pref_power + 2m,
+        so the kernel keeps its t^(>= m) remainder for the least m with
+        pref_power + 2m >= n_subtract."""
         lam = np.asarray(lam, dtype=float)
         mu = np.asarray(mu, dtype=float)
         t = np.sum(mu ** 2, axis=1)[:, None]
-        vals = self.kernel.eval(lam[None, :], t)
-        m = 0
-        while self.pref_power + 2 * m <= n_subtract - 1:
-            vals -= t ** m * self.kernel.t_coefficient(m)(lam)
-            m += 1
+        remainder = self.kernel.taylor_remainder(max(0, (n_subtract - self.pref_power + 1) // 2))
+        vals = remainder.eval(lam[None, :], t)
         if self.pref_power:
             vals *= (mu[:, self.pref_index] ** self.pref_power)[:, None]
         return vals
@@ -420,19 +415,16 @@ def l2_trace(fam: SpectralFamily, mu, cfg: WindowConfig = DEFAULT_WINDOW) -> Tra
 def tr_param_values(
     fam: SpectralFamily, mu: np.ndarray, cfg: WindowConfig = DEFAULT_WINDOW
 ) -> np.ndarray:
-    """Canonical symbol-valued trace at mu0 = 0 (Taylor subtraction with the
+    """Canonical symbol-valued trace at mu = 0 (Taylor subtraction with the
     minimal order), vectorized over parameter points."""
     n_sub = fam.minimal_taylor_order()
     vals, _, _ = _circle_sum(fam, mu, n_sub, cfg)
     return vals
 
 
-def tr_param(fam: SpectralFamily, mu, mu0=0.0, cfg: WindowConfig = DEFAULT_WINDOW) -> TraceValue:
+def tr_param(fam: SpectralFamily, mu, cfg: WindowConfig = DEFAULT_WINDOW) -> TraceValue:
     """The parametric trace: trace of A(mu) minus its Taylor polynomial of
-    minimal degree at the star point mu0 = 0, defined modulo polynomials of
-    that degree."""
-    if np.any(np.asarray(mu0) != 0.0):
-        raise NotImplementedError("the canonical representative is anchored at mu0 = 0")
+    minimal degree at mu = 0, defined modulo polynomials of that degree."""
     n_sub = fam.minimal_taylor_order()
     vals, est, window = _circle_sum(fam, mu, n_sub, cfg)
     return TraceValue(

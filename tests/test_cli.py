@@ -200,6 +200,7 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
         ("spectral-eta", {"k": 1}),
         ("spectral-eta", {"k": 6}),  # its fit basis is ill-conditioned from k = 6 on
         ("eta-suspension", {"k": 1}),
+        ("eta-suspension", {"k": 3}),  # its symmetric-spectrum fit fails from k = 3 on
         ("divisor-flow", {"path": "bogus"}),
         ("divisor-flow", {"width": -1.0}),
         ("divisor-flow", {"width": 0.0}),

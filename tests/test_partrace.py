@@ -97,6 +97,11 @@ def _eta_kernel_closed_form(a, x):
     )
 
 
+def _resolvent_closed_form(a, x):
+    # sum over Z of ((n+a)^2+x^2)^{-1}
+    return math.pi * math.sinh(2 * math.pi * x) / (x * (math.cosh(2 * math.pi * x) - math.cos(2 * math.pi * a)))
+
+
 def test_eta_kernel_closed_form_against_brute_force():
     a, x = 0.25, 1.5
     got = brute_force_two_sided(lambda n: (n + a) / ((n + a) ** 2 + x * x) ** 2, n_max=300000)
@@ -130,12 +135,16 @@ def test_kernel_dt_matches_finite_difference():
     assert np.max(np.abs(got - fd)) < 1e-8
 
 
-def test_kernel_t_coefficients_match_series():
+def test_kernel_taylor_remainder_vanishes_to_its_order():
+    # K - sum_{j<m} g_j t^j = O(t^m): at t = 1e-3 the remainder of
+    # (lam^2+t)^{-2} is t^m times its m-th coefficient, to first order in t
     k = kernel("resolvent", 2)
     lam = np.array([2.0, -3.0])
     t = 1e-3
-    series = sum(k.t_coefficient(m)(lam) * t ** m for m in range(6))
-    assert np.max(np.abs(series - k.eval(lam, np.array([t])))) < 1e-16
+    for m in range(6):
+        rem = k.taylor_remainder(m).eval(lam, np.array([t]))
+        lead = sum(_t_coefficient_oracle(k, m, lam))
+        assert np.max(np.abs(rem - lead * t ** m)) <= 1e-2 * np.max(np.abs(lead * t ** m)), m
 
 
 def test_kernel_product_and_parse():
@@ -190,11 +199,27 @@ def test_kernel_eval_against_scalar_oracle(name):
         for j, lj in enumerate(lam):
             terms = [_monomial_oracle(m, float(lj), float(ti)) for m in k.monomials]
             assert abs(got[i, j] - sum(terms)) <= 1e-14 * sum(abs(x) for x in terms), (ti, lj)
-    for m in range(4):
-        g = k.t_coefficient(m)(lam)
+
+
+@pytest.mark.parametrize("m", range(4))
+@pytest.mark.parametrize("name", sorted(_ORACLE_KERNELS))
+def test_kernel_taylor_remainder_against_scalar_oracle(name, m):
+    # the remainder is K less its Taylor polynomial of degree < m in t, and
+    # every one of its monomials carries t^(>= m)
+    k = _ORACLE_KERNELS[name]
+    rem = k.taylor_remainder(m)
+    assert all(mono.t_pow >= m for mono in rem.monomials)
+    if m == 0:
+        assert rem == k
+    lam = np.array([-17.5, -3.0, -1.0, -0.4, 0.3, 1.0, 2.2, 41.0])
+    t = np.array([0.0, 0.5, 3.0, 40.0])
+    got = rem.eval(lam[None, :], t[:, None])
+    for i, ti in enumerate(t):
         for j, lj in enumerate(lam):
-            terms = _t_coefficient_oracle(k, m, float(lj))
-            assert abs(g[j] - sum(terms)) <= 1e-14 * sum(abs(x) for x in terms), (m, lj)
+            terms = [_monomial_oracle(mono, float(lj), float(ti)) for mono in k.monomials]
+            for n in range(m):
+                terms += [-g * float(ti) ** n for g in _t_coefficient_oracle(k, n, float(lj))]
+            assert abs(got[i, j] - sum(terms)) <= 1e-14 * sum(abs(x) for x in terms), (ti, lj)
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +461,27 @@ def test_tr_param_derivative_identity():
     assert abs(d2r - want) < 1e-6
 
 
-def test_tr_param_requires_origin_star_point():
-    fam = SpectralFamily(SpectralModel.circle(0.25), kernel("eta_kernel", 2), -3.0)
-    with pytest.raises(NotImplementedError):
-        tr_param(fam, [1.0], mu0=1.0)
+_SUBTRACTED_FAMILIES = {
+    # lam^2 (lam^2+mu^2)^{-1} of order 0 and lam^4 (lam^2+mu^2)^{-1} of order
+    # 2: their subtracted traces are -mu^2 R(mu) and mu^4 R(mu), R(mu) the
+    # resolvent trace sum_n (lam_n^2 + mu^2)^{-1}
+    "lam^2": (Kernel((KernelMonomial(1.0, 2, 0, 1),)), 0.0, lambda mu: -mu ** 2),
+    "lam^4": (Kernel((KernelMonomial(1.0, 4, 0, 1),)), 2.0, lambda mu: mu ** 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SUBTRACTED_FAMILIES))
+def test_subtracted_trace_is_independent_of_the_window(name):
+    # the remainder carries the subtracted t power, so nothing cancels and a
+    # wider window does not lose digits
+    a = 0.25
+    k, order, factor = _SUBTRACTED_FAMILIES[name]
+    fam = SpectralFamily(SpectralModel.circle(a), k, order)
+    for N in (256, 4096, 65536):
+        for mu in (0.5, 2.0):
+            got = complex(tr_param_values(fam, np.array([[mu]]), WindowConfig(start=N, cap=N))[0])
+            want = factor(mu) * _resolvent_closed_form(a, mu)
+            assert abs(got - want) <= 1e-13 * abs(want), (N, mu, got, want)
 
 
 def test_trace_degree_ladder_of_resolvent():
@@ -459,13 +501,14 @@ def test_trace_degree_ladder_of_resolvent():
     assert np.max(np.abs(fitted.coefficient(-2.0, 0))) < 1e-6
 
 
-def test_trace_property_commuting_pair():
-    model = SpectralModel.circle(0.25)
-    ab = SpectralFamily(model, kernel("resolvent", 1) * kernel("eta_kernel", 2), -5.0)
-    ba = SpectralFamily(model, kernel("eta_kernel", 2) * kernel("resolvent", 1), -5.0)
-    va = tr_param_values(ab, np.array([[1.5]]))
-    vb = tr_param_values(ba, np.array([[1.5]]))
-    assert va[0] == vb[0]
+def test_trace_property_under_the_shift():
+    # the shift U e_n = e_(n+1) conjugates D to D + 1: the traces on circle(a)
+    # and circle(a + 1) agree, though their eigenvalue windows differ
+    mu = np.array([[0.5], [2.0], [5.0]])
+    for k, order in [(kernel("resolvent", 1), -2.0)] + [v[:2] for v in _SUBTRACTED_FAMILIES.values()]:
+        va = tr_param_values(SpectralFamily(SpectralModel.circle(0.25), k, order), mu)
+        vb = tr_param_values(SpectralFamily(SpectralModel.circle(1.25), k, order), mu)
+        assert np.max(np.abs(va - vb) / np.abs(va)) < 1e-13, k
 
 
 def test_mu_multiplication_defect_is_polynomial():

@@ -25,7 +25,6 @@ from etaforge.cli import main
 # stands for the whole function body.
 _PERFBENCH = "bound by name in perfbench/tracer.py, and called by nothing else"
 _ITEM_3 = "window escalation: no run widens an eigenvalue window yet (ROADMAP item 3)"
-_ITEM_4 = "no CLI family has nonzero Taylor coefficients or a bare t power yet (ROADMAP item 4)"
 _NON_FINITE = "handles non-finite or complex values, which no run produces"
 ALLOWED = {
     ("etaforge.quadrature.sphere_chart", None): _PERFBENCH,
@@ -34,21 +33,11 @@ ALLOWED = {
     ("etaforge.cli.Report.to_json", 'data.pop("seconds")'): "perfbench hashes reports without their timing",
     ("etaforge.partrace._circle_sum", "if N >= cfg.cap:"): _ITEM_3,
     ("etaforge.partrace._circle_sum", "N = min(4 * N, cfg.cap)"): _ITEM_3,
-    **dict.fromkeys([
-        ("etaforge.partrace.Kernel.t_coefficient", "c = mono.coef"),
-        ("etaforge.partrace.Kernel.t_coefficient", "for i in range(mp):  # binomial series of (lam^2+t)^{-k}"),
-        ("etaforge.partrace.Kernel.t_coefficient", "c *= -(mono.res_pow + i) / (i + 1.0)"),
-        ("etaforge.partrace.Kernel.t_coefficient", "if c != 0:"),
-        ("etaforge.partrace.Kernel.t_coefficient", "parts.append((c, int(mono.lam_pow - 2 * mono.res_pow - 2 * mp)))"),
-        ("etaforge.partrace.Kernel.t_coefficient.g",
-         "vals = int_power(lam.copy(), abs(e)) if e else np.ones(lam.shape)"),
-        ("etaforge.partrace.Kernel.t_coefficient.g", "if e < 0:"),
-        ("etaforge.partrace.Kernel.t_coefficient.g", "np.reciprocal(vals, out=vals)"),
-        ("etaforge.partrace.Kernel.t_coefficient.g", "total = _add_scaled(total, vals, c)"),
-        ("etaforge.partrace.Kernel.dt",
-         "parts.append(KernelMonomial(m.coef * m.t_pow, m.lam_pow, m.t_pow - 1, m.res_pow))"),
-        ("etaforge.partrace.Kernel.eval", "vals = np.ones(shape)"),
-    ], _ITEM_4),
+    ("etaforge.partrace.Kernel.dt",
+     "parts.append(KernelMonomial(m.coef * m.t_pow, m.lam_pow, m.t_pow - 1, m.res_pow))"):
+        "no CLI run takes the mu-derivative of a family with a bare t power",
+    ("etaforge.partrace.Kernel.eval", "vals = np.ones(shape)"):
+        "no CLI family keeps a monomial without a resolvent power in its Taylor remainder",
     **dict.fromkeys([
         ("etaforge.quadrature._JoinedSums._add", "for i, v in zip(parts, (a, np.abs(a))):"),
         ("etaforge.quadrature._JoinedSums._add", "self.kept[i].extend(v[~np.isfinite(v)].tolist())"),
