@@ -61,7 +61,6 @@ from .partrace import (
     SpectralModel,
     TraceValue,
     WindowConfig,
-    hurwitz_zeta,
     kernel,
     l2_trace,
     tr_param,

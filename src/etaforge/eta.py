@@ -49,7 +49,6 @@ from .partrace import (
     SpectralFamily,
     SpectralModel,
     WindowConfig,
-    hurwitz_zeta,
     kernel,
     l2_trace_values,
     tr_param_values,
@@ -296,24 +295,13 @@ def additivity_defect(
 SPECTRAL_LADDER = RadiusLadder(4.0, 256.0, 16)
 
 
-def spectral_eta(
-    model: SpectralModel,
-    method: str = "hurwitz",
-    k: int = 2,
-    n_radial: int = 32,
-) -> complex:
-    """Spectral eta-invariant of the circle operator with spectrum {n + a}.
-
-    "hurwitz": the zeta-function value at 0 on both half-spectra, 1 - 2a for
-    0 < a < 1, from the Bernoulli closed form zeta(0, a) = 1/2 - a.
-    "regint": the weighted half-line regularized integral of the parametric
-    trace of the resolvent-power symbol; needs k >= 2 for trace class.
+def spectral_eta(model: SpectralModel, k: int = 2, n_radial: int = 32) -> complex:
+    """Spectral eta-invariant of the circle operator with spectrum {n + a}:
+    the weighted half-line regularized integral of the l2 trace of the
+    symbol lam (lam^2 + |mu|^2)^{-k}, which needs k >= 2 for trace class.
+    Its closed form is 1 - 2(a - floor(a)).  At half-integer a the spectrum
+    is symmetric, the integrand vanishes and the fit raises FitError.
     """
-    a = model.a - math.floor(model.a)
-    if method == "hurwitz":
-        return hurwitz_zeta(0.0, a) - hurwitz_zeta(0.0, 1.0 - a)
-    if method != "regint":
-        raise ValueError(f"unknown method {method!r}")
     if k < 2:
         raise ValueError("regint route needs k >= 2 (trace-class integrand)")
     fam = SpectralFamily(model, kernel("eta_kernel", k), 1.0 - 2 * k)

@@ -11,23 +11,23 @@ evaluated without cancellation.  Monomials are evaluated in float64, in
 place, with integer powers by multiplication (a negative lam power by
 division) and the coefficient applied last.
 
-Eigenvalue sums run over a symmetric window with order-2 Euler-Maclaurin
-tail corrections; the window escalates by factors of 4 until the tail
-estimate clears tolerance.  They run in bounded blocks: each block of
-eigenvalues is generated on its own, and a summand call sees a few parameter
-points at a time, so memory does not grow with the window or the number of
-points.  Blocks are reduced in a fixed index order.
-
-``hurwitz_zeta`` is the Bernoulli closed form of zeta(s, a) at the
-non-positive integers s, and nothing else.
+Eigenvalue sums run over the indices n = -N..N of the eigenvalues n + b,
+where b = a - ceil(a - 1/2) in (-1/2, 1/2] is the offset reduced once, so
+that the window is centred on the eigenvalues nearest 0 for every a.  The
+shift n -> n + 1 conjugates D to D + 1 and leaves every trace unchanged, so
+the sums depend on a only mod 1: circle(a) and circle(a + 1) give the same
+bits.  Order-2 Euler-Maclaurin tails correct each sum, and the window
+escalates by factors of 4 until the tail estimate clears tolerance.  The
+sums run in bounded blocks: each block of eigenvalues is generated on its
+own, and a summand call sees a few parameter points at a time, so memory
+does not grow with the window or the number of points.  Blocks are reduced
+in a fixed index order.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .errors import OrderError, TruncationError
 from .quadrature import RICHARDSON_OFFSETS, gauss_legendre, int_power, richardson_derivative
 
 __all__ = [
-    "hurwitz_zeta",
     "Kernel",
     "KernelMonomial",
     "kernel",
@@ -48,45 +47,6 @@ __all__ = [
     "tr_param_values",
     "l2_trace_values",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Hurwitz zeta at the non-positive integers, by Bernoulli polynomials in exact
-# rational arithmetic on the float offset, so that each value is rounded once
-# and correctly.  The domain stops at s = -20, the range checked against mpmath.
-
-HURWITZ_MIN_INTEGER = -20
-
-
-@functools.lru_cache(maxsize=None)
-def _bernoulli(n: int) -> Fraction:
-    """B_n, with B_1 = -1/2."""
-    if n == 0:
-        return Fraction(1)
-    return -sum(math.comb(n + 1, k) * _bernoulli(k) for k in range(n)) / (n + 1)
-
-
-def _bernoulli_polynomial(n: int, a: Fraction) -> Fraction:
-    """B_n(a) exactly, by Horner's rule on the coefficients C(n, k) B_k."""
-    acc = Fraction(0)
-    for k in range(n + 1):
-        acc = acc * a + math.comb(n, k) * _bernoulli(k)
-    return acc
-
-
-def hurwitz_zeta(s: complex, a: float) -> complex:
-    """zeta(s, a) = sum_{n>=0} (n+a)^{-s}, continued to the integers
-    HURWITZ_MIN_INTEGER <= s <= 0, where zeta(-m, a) = -B_{m+1}(a)/(m+1),
-    correctly rounded (1/2 - a at s = 0).  Any other s, and an offset that
-    is not positive and finite, raise ValueError.
-    """
-    if not 0 < a < math.inf:
-        raise ValueError("offset a must be positive and finite")
-    s = complex(s)
-    if not (s.imag == 0.0 and HURWITZ_MIN_INTEGER <= s.real <= 0.0 and s.real.is_integer()):
-        raise ValueError(f"hurwitz_zeta needs an integer {HURWITZ_MIN_INTEGER} <= s <= 0; got s = {s}")
-    n = 1 - int(s.real)
-    return complex(-_bernoulli_polynomial(n, Fraction(float(a))) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +311,11 @@ def _em_tail(g, x0: float):
 def _circle_sum(fam: SpectralFamily, mu: np.ndarray, n_subtract: int, cfg: WindowConfig):
     """Window sums with tails per mu-chunk at the points mu (M, p), or at
     one point (p,); returns the values, the tail estimates and the largest
-    window any chunk needed.  Each block of
-    _LAM_BLOCK eigenvalues is generated on its own and summed per row."""
-    a = fam.base.a
+    window any chunk needed.  The window is centred on the offset reduced to
+    (-1/2, 1/2] (not by ``round``, whose ties to even would give 0.5 and 1.5
+    different windows).  Each block of _LAM_BLOCK eigenvalues is generated on
+    its own and summed per row."""
+    a = fam.base.a - math.ceil(fam.base.a - 0.5)
     mu = np.atleast_2d(np.asarray(mu, dtype=float))
     total = np.zeros(len(mu), dtype=complex)
     est = np.zeros(len(mu))

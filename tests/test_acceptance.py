@@ -84,11 +84,9 @@ def test_criterion_07_trace_identity():
 
 
 def test_criterion_08_spectral_eta():
-    rows = _criterion(8, "spectral eta: zeta route exact, weighted route to 1e-3", "spectral-eta")
-    zeta_rows = [r for r in rows if "zeta route" in r.label]
-    assert len(zeta_rows) == 3 and all(r.tolerance == 1e-12 for r in zeta_rows)
-    reg = [r for r in rows if "half-line route" in r.label][0]
-    assert reg.tolerance == 1e-3
+    rows = _criterion(8, "spectral eta: weighted half-line route = 1 - 2a to 1e-3", "spectral-eta")
+    assert len(rows) == 1 and "half-line route" in rows[0].label
+    assert rows[0].tolerance == 1e-3 and rows[0].reference == 0.5
 
 
 def test_criterion_09_suspension_bridge():
@@ -130,12 +128,13 @@ def test_criterion_13_divisor_flow():
 
 
 def test_property_suites_quantified():
-    # the ``--suite properties`` set, asserted at its module tolerances
+    # the ``--suite properties`` set and the trace compatibilities of
+    # ``tr-derivative-check``, asserted at their module tolerances
     for exp_id in (
         "prop-d2",
         "prop-leibniz",
         "prop-maurer-cartan",
-        "prop-tr-compat",
+        "tr-derivative-check",
         "prop-regint-linearity",
         "prop-regint-convergent",
     ):

@@ -21,7 +21,7 @@ def test_registry_size_and_tags():
     all_ids = [k for k, v in EXPERIMENTS.items() if "all" in v.tags]
     assert len(all_ids) == 16
     props = [k for k, v in EXPERIMENTS.items() if "properties" in v.tags]
-    assert len(props) == 6
+    assert len(props) == 5
     assert not set(props) & set(all_ids)
 
 
@@ -184,14 +184,17 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     for tag in ("nosuchtag", "ALL"):
         assert main(["--suite", tag, "--budget", "quick"]) == 2
         assert capsys.readouterr().err.startswith(f"config error: no experiment matches suite tag {tag!r}")
-    # a parameter of the wrong type or out of range, an integer circle offset,
-    # an unknown path or a mollifier width that is not positive is a config error
+    # a parameter of the wrong type, out of range or unknown, an integer or
+    # near-integer circle offset, an unknown path or a mollifier width that is
+    # not positive is a config error
     capsys.readouterr()
     for experiment, params in [
         ("clifford-check", {"k": "x"}),
-        ("spectral-eta", {"offsets": 5}),
-        ("spectral-eta", {"offsets": [1.0]}),
+        ("spectral-eta", {"offsets": [0.25]}),
         ("eta-suspension", {"a": 2}),
+        ("trace-tanh", {"a": 1e-13}),
+        ("eta-suspension", {"a": 3.0000000000001}),
+        ("tr-derivative-check", {"a": -0.9999999999999}),
         ("clifford-check", {"k": 0}),
         ("clifford-check", {"k_max": 9}),
         ("sphere-omega", {"k": 0}),
@@ -212,8 +215,6 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
         ("prop-d2", {"k": 2}),
         ("prop-regint-convergent", {"n": 1}),
         # json.loads accepts Infinity and NaN, and a float parameter must be finite
-        ("spectral-eta", {"offsets": [math.inf]}),
-        ("spectral-eta", {"offsets": [math.nan]}),
         ("eta-suspension", {"a": math.inf}),
         ("eta-suspension", {"a": math.nan}),
         ("trace-tanh", {"a": math.inf}),
@@ -235,9 +236,9 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert err.startswith("internal error: ZeroDivisionError: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("experiment, key", [("trace-tanh", "mus"), ("spectral-eta", "offsets")])
+@pytest.mark.parametrize("experiment, key", [("trace-tanh", "mus")])
 def test_an_empty_list_parameter_is_a_config_error_that_says_so(tmp_path, capsys, experiment, key):
-    # a list parameter must not be empty: no check row, or no zeta row, would run
+    # a list parameter must not be empty: no check row would run
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"experiment": experiment, "params": {key: []}, "budget": "quick"}))
     assert main(["--config", str(path), "--out", str(tmp_path / "d")]) == 2
@@ -249,6 +250,19 @@ def test_trace_tanh_reference_holds_off_the_half_offset():
     # the reference is the sum for any offset a, with its limit at mu = 0
     report = run(ExperimentConfig("trace-tanh", params={"a": 0.25, "mus": [0.0, 0.5, 5.0]}, budget="quick"))
     assert report.passed and len(report.rows) == 3
+
+
+@pytest.mark.parametrize("experiment, a", [
+    ("trace-tanh", -3000.3), ("trace-tanh", 100000.4),
+    ("tr-derivative-check", -3000.3), ("tr-derivative-check", 100000.4),
+    ("eta-suspension", -3000.3),
+])
+def test_an_offset_far_from_zero_passes(tmp_path, experiment, a):
+    # the eigenvalue window follows the spectrum, so |a| beyond the window is
+    # summed around the eigenvalues nearest 0
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"experiment": experiment, "params": {"a": a}, "budget": "quick"}))
+    assert main(["--config", str(path)]) == 0
 
 
 def test_main_suite_and_csv(tmp_path, capsys):

@@ -7,7 +7,9 @@ import pytest
 
 from etaforge import partrace
 from etaforge.asymptotics import ExpansionModel, RadiusLadder
+from etaforge.cli import ExperimentConfig, run
 from etaforge.errors import OrderError, TruncationError
+from etaforge.experiments import _circle_resolvent_trace
 from etaforge.partrace import (
     Kernel,
     KernelMonomial,
@@ -16,7 +18,6 @@ from etaforge.partrace import (
     WindowConfig,
     _circle_sum,
     _em_tail,
-    hurwitz_zeta,
     kernel,
     l2_trace,
     l2_trace_values,
@@ -42,49 +43,6 @@ def test_tanh_identity_against_brute_force():
     want = math.pi * math.tanh(math.pi * mu) / mu
     # partial-sum tail is ~ 2/n_max
     assert abs(got - want) < 2e-6
-
-
-def test_hurwitz_zeta_against_brute_force():
-    # zeta(s, a) - zeta(s, a + N) = sum_{n<N} (n + a)^{-s}, a finite sum at every s
-    for m in range(4):
-        for a in (0.25, 0.5, 0.9):
-            got = hurwitz_zeta(-m, a) - hurwitz_zeta(-m, a + 40.0)
-            want = math.fsum(((np.arange(40) + a) ** m).tolist())
-            assert abs(got - want) <= 1e-12 * want, (m, a)
-    # exact continuation at s = 0
-    assert hurwitz_zeta(0.0, 0.25) == 0.25
-
-
-def test_hurwitz_zeta_rejects_pole_and_bad_offset():
-    with pytest.raises(ValueError):
-        hurwitz_zeta(1.0, 0.5)
-    for a in (-1.0, math.inf, math.nan):
-        with pytest.raises(ValueError):
-            hurwitz_zeta(-2.0, a)
-
-
-_HURWITZ_A = [0.05, 0.1, 0.25, 0.3, 0.5, 0.75, 0.77, 0.9, 1.0, 2.5, 17.3]
-
-
-def test_hurwitz_zeta_against_mpmath():
-    # every integer of the domain, within 1 ulp of mpmath's 40-digit value
-    # rounded to double; at the trivial zeros of zeta(s) = zeta(s, 1) that
-    # means exact
-    for s in range(partrace.HURWITZ_MIN_INTEGER, 1):
-        for a in _HURWITZ_A:
-            with mpmath.workdps(40):
-                want = float(mpmath.zeta(mpmath.mpmathify(s), a))
-            got = hurwitz_zeta(s, a)
-            assert got.imag == 0.0 and abs(got.real - want) <= np.spacing(abs(want)), (s, a, got, want)
-    assert hurwitz_zeta(0.0, 0.3) == 0.5 - 0.3
-
-
-@pytest.mark.parametrize(
-    "s", [-2.5, -0.5, -10.5, -21, 0.5 + 301j, -1 + 1j, 1e-9, 0.5, 2, 3, 50, 0.5 + 1j, -0.0 + 1e-300j]
-)
-def test_hurwitz_zeta_rejects_inaccurate_domain(s):
-    with pytest.raises(ValueError, match="hurwitz_zeta needs"):
-        hurwitz_zeta(s, 0.3)
 
 
 def _eta_kernel_closed_form(a, x):
@@ -301,10 +259,11 @@ def test_circle_sum_reports_widest_window(monkeypatch):
 
 
 def _one_grid_circle_sum(fam, mu, n_subtract, cfg):
-    """The reference for ``_circle_sum``: the whole window materialised and
-    one (points x _LAM_BLOCK) summand call per eigenvalue block and mu-chunk,
-    the tails from one call per side."""
-    a = fam.base.a
+    """The reference for ``_circle_sum``: the whole window, centred on the
+    offset reduced to (-1/2, 1/2], materialised and one (points x _LAM_BLOCK)
+    summand call per eigenvalue block and mu-chunk, the tails from one call
+    per side."""
+    a = fam.base.a - math.ceil(fam.base.a - 0.5)
     mu = np.asarray(mu, dtype=float)
     total = np.zeros(len(mu), dtype=complex)
     est = np.zeros(len(mu))
@@ -502,13 +461,42 @@ def test_trace_degree_ladder_of_resolvent():
 
 
 def test_trace_property_under_the_shift():
-    # the shift U e_n = e_(n+1) conjugates D to D + 1: the traces on circle(a)
-    # and circle(a + 1) agree, though their eigenvalue windows differ
+    # the shift U e_n = e_(n+1) conjugates D to D + 1, and the window follows
+    # the spectrum: the traces on circle(a) and circle(a + m) sum the same
+    # eigenvalues and agree bit for bit, half-integer offsets included
     mu = np.array([[0.5], [2.0], [5.0]])
     for k, order in [(kernel("resolvent", 1), -2.0)] + [v[:2] for v in _SUBTRACTED_FAMILIES.values()]:
-        va = tr_param_values(SpectralFamily(SpectralModel.circle(0.25), k, order), mu)
-        vb = tr_param_values(SpectralFamily(SpectralModel.circle(1.25), k, order), mu)
-        assert np.max(np.abs(va - vb) / np.abs(va)) < 1e-13, k
+        for a, shifts in ((0.25, (1.0, -3.0)), (0.5, (1.0, -1.0))):
+            va = tr_param_values(SpectralFamily(SpectralModel.circle(a), k, order), mu)
+            for m in shifts:
+                vb = tr_param_values(SpectralFamily(SpectralModel.circle(a + m), k, order), mu)
+                assert va.tobytes() == vb.tobytes(), (k, a, m)
+
+
+@pytest.mark.parametrize("a", [0.3, -3000.3, 100000.4])
+def test_resolvent_trace_far_from_zero_offset(a):
+    # the window is centred on the eigenvalues nearest 0 whatever a is, so an
+    # offset far beyond the window sums as well as a small one
+    fam = SpectralFamily(SpectralModel.circle(a), kernel("resolvent", 1), -2.0)
+    for mu in (0.5, 1.0, 5.0):
+        got = complex(l2_trace_values(fam, np.array([[mu]]))[0])
+        want = _circle_resolvent_trace(mu, a)
+        assert abs(got - want) <= 1e-8 * want, (mu, got, want)
+
+
+def test_the_window_row_catches_a_planted_tail_error(monkeypatch):
+    # the tails scaled by 1 + 1e-6 move the window row to 1.6e-9 at quick,
+    # against its tolerance 1e-12
+    em_tail = partrace._em_tail
+
+    def planted(g, x0):
+        tail, est = em_tail(g, x0)
+        return tail * (1.0 + 1e-6), est
+
+    monkeypatch.setattr(partrace, "_em_tail", planted)
+    rows = run(ExperimentConfig("tr-derivative-check", budget="quick")).rows
+    window = [r for r in rows if r.label.startswith("window independence")]
+    assert len(window) == 1 and not window[0].passed
 
 
 def test_mu_multiplication_defect_is_polynomial():

@@ -1,4 +1,5 @@
-"""Quantified invariant suites, mirrored by the CLI `--suite properties`."""
+"""Quantified invariant suites, mirrored by the CLI `--suite properties`, and
+the trace compatibilities of `tr-derivative-check`."""
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from etaforge.cli import ExperimentConfig, run
         "prop-d2",
         "prop-leibniz",
         "prop-maurer-cartan",
-        "prop-tr-compat",
+        "tr-derivative-check",
         "prop-regint-linearity",
         "prop-regint-convergent",
     ],

@@ -1,4 +1,4 @@
-"""The byte-identity manifest of the 66 reports: 22 experiments at the quick,
+"""The byte-identity manifest of the 63 reports: 21 experiments at the quick,
 standard and precise budgets, seed 0.
 
 For each report it records the sha256 of ``Report.to_json(include_timing=False)``
