@@ -375,16 +375,33 @@ def test_additivity_defect_rejects_factors_of_different_shape(b):
     assert rows == []
 
 
-def test_spectral_eta_against_its_closed_form():
-    """The weighted half-line route against 1 - 2(a - floor a), off by at
-    most 1.3e-11, on both sides of 0 and beyond 1.  A half-integer a is not
+def _eta_closed_form(a):
+    return 1.0 - 2.0 * (a - math.floor(a))
+
+
+def test_spectral_eta_hurwitz():
+    """The half-line route against 1 - 2(a - floor a), the value of the
+    Hurwitz zeta at s = 0, off by at most 1.3e-11.  A half-integer a is not
     checked: its spectrum is symmetric, the integrand vanishes, and the fit
     raises FitError against its zero floor."""
-    for a in (0.1, 0.25, 0.4, 1.25, -0.3):
-        want = 1.0 - 2.0 * (a - math.floor(a))
-        assert abs(spectral_eta(SpectralModel.circle(a)) - want) < 1e-10, a
+    for a in (0.1, 0.25, 0.4):
+        assert abs(spectral_eta(SpectralModel.circle(a)) - _eta_closed_form(a)) < 1e-10, a
+
+
+def test_spectral_eta_regint_route():
+    v = spectral_eta(SpectralModel.circle(0.25), k=2)
+    assert abs(v - 0.5) < 1e-10
     with pytest.raises(ValueError):
         spectral_eta(SpectralModel.circle(0.25), k=1)
+
+
+def test_spectral_eta_routes_agree():
+    """Offsets on both sides of 0 and beyond 1 agree with the closed form and
+    with their representative in [0, 1)."""
+    for a in (1.25, -0.3):
+        v = spectral_eta(SpectralModel.circle(a))
+        assert abs(v - _eta_closed_form(a)) < 1e-10, a
+        assert abs(v - spectral_eta(SpectralModel.circle(a - math.floor(a)))) < 1e-10, a
 
 
 def test_eta_suspension_bridge():
