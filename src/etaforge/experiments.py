@@ -59,6 +59,7 @@ from .partrace import (
     WindowConfig,
     kernel,
     l2_trace_values,
+    tr_param,
     tr_param_values,
 )
 from .quadrature import richardson_derivative, row_norm, sphere_rule
@@ -835,23 +836,31 @@ def exp_tr_derivative_check(params, budget, rng):
         kind = "rel" if abs(want) >= 1.0 else "abs"
         rows.append(CheckRow(f"subtracted trace of {label} at mu=2", got, want, 1e-8, kind, f"closed form {form}"))
 
-    # window independence: the sums at the budget's first window and at half
-    # of it agree, so the Euler-Maclaurin tails carry what the window leaves
-    # out.  At most 2.9e-16 over a in {0.25, 0.1, 0.4, 0.5, 0.01, 0.99, -0.3,
-    # 1.25, 7.5, -3000.3, 100000.4} at every budget; a tail scaled by 1 + 1e-6
-    # reads 1.6e-9, 7.8e-10 and 3.9e-10 (quick, standard, precise), and no
-    # tail 1.6e-3
+    # window independence: each sum, at the window the budget's escalation
+    # ended on, agrees with the sum pinned at twice that window (so the two
+    # windows always differ), so the Euler-Maclaurin tails carry what a
+    # window leaves out.  The tolerance is 1e-12, or the two sums' own tail
+    # estimates where a small budget window makes them larger: at start 1
+    # the sums differ by 3.5e-11 against estimates of 7.5e-11.  At every
+    # budget the row reads at most 3.0e-16 over a in {0.25, 0.1, 0.4, 0.5,
+    # 0.01, 0.99, -0.3, 1.25, 7.5, -3000.3, 100000.4}, against estimates
+    # below 1e-17; a tail scaled by 1 + 1e-6 reads 7.8e-10, 3.9e-10 and
+    # 1.9e-10 (quick, standard, precise), and no tail 7.8e-4
     fam4 = SpectralFamily(model, lam4, 2.0)
-    half = WindowConfig(start=max(1, budget.window.start // 2), cap=budget.window.cap)
-    mus = np.array([[0.5], [2.0], [5.0]])
-    va = tr_param_values(fam4, mus, budget.window)
-    vb = tr_param_values(fam4, mus, half)
+    worst, tol = 0.0, 1e-12
+    for m in (0.5, 2.0, 5.0):
+        first = tr_param(fam4, m, budget.window)
+        n = 2 * first.truncation["window"]
+        second = tr_param(fam4, m, WindowConfig(start=n, cap=n))
+        scale = abs(first.value)
+        worst = max(worst, abs(first.value - second.value) / scale)
+        tol = max(tol, (first.truncation["tail_estimate"] + second.truncation["tail_estimate"]) / scale)
     rows.append(
         CheckRow(
-            "window independence: lam^4/(lam^2+mu^2) at the first window vs half of it",
-            float(np.max(np.abs(va - vb) / np.abs(va))),
+            "window independence: lam^4/(lam^2+mu^2) at its window vs twice it",
+            worst,
             0.0,
-            1e-12,
+            tol,
             "abs",
             "Euler-Maclaurin tails (largest relative difference at mu = 0.5, 2, 5)",
         )

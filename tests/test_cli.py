@@ -219,6 +219,10 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
         ("eta-suspension", {"a": math.nan}),
         ("trace-tanh", {"a": math.inf}),
         ("trace-tanh", {"a": math.nan}),
+        # a list parameter takes a list, of finite floats
+        ("trace-tanh", {"mus": 5}),
+        ("trace-tanh", {"mus": [math.inf]}),
+        ("trace-tanh", {"mus": [math.nan]}),
     ]:
         wrong = tmp_path / "wrong.json"
         wrong.write_text(json.dumps({"experiment": experiment, "params": params, "budget": "quick"}))

@@ -388,6 +388,13 @@ def test_spectral_eta_hurwitz():
         assert abs(spectral_eta(SpectralModel.circle(a)) - _eta_closed_form(a)) < 1e-10, a
 
 
+@pytest.mark.xfail(raises=FitError, strict=True, reason="ROADMAP item 13: a zero floor scaled by the eigenvalue sum's mass")
+def test_spectral_eta_at_a_symmetric_spectrum():
+    # at a = 1/2 the spectrum is symmetric and eta is 0, but the integrand's
+    # data vanish and the fit finds no scale to judge its residual by
+    assert abs(spectral_eta(SpectralModel.circle(0.5))) < 1e-10
+
+
 def test_spectral_eta_regint_route():
     v = spectral_eta(SpectralModel.circle(0.25), k=2)
     assert abs(v - 0.5) < 1e-10

@@ -484,9 +484,18 @@ def test_resolvent_trace_far_from_zero_offset(a):
         assert abs(got - want) <= 1e-8 * want, (mu, got, want)
 
 
-def test_the_window_row_catches_a_planted_tail_error(monkeypatch):
-    # the tails scaled by 1 + 1e-6 move the window row to 1.6e-9 at quick,
-    # against its tolerance 1e-12
+@pytest.mark.parametrize("budget", ["quick", {"preset": "quick", "eig_window": 1}])
+def test_the_window_row_catches_a_planted_tail_error(monkeypatch, budget):
+    # the row's second sum is pinned at twice the first one's window, so it
+    # compares two windows whatever the budget.  The tails scaled by 1 + 1e-6
+    # read 7.8e-10 at quick against the tolerance 1e-12; from start 1 the
+    # tolerance is the sums' tail estimates, and the row passes unplanted
+    def window_row():
+        rows = run(ExperimentConfig("tr-derivative-check", budget=budget)).rows
+        [row] = [r for r in rows if r.label.startswith("window independence")]
+        return row
+
+    assert window_row().passed
     em_tail = partrace._em_tail
 
     def planted(g, x0):
@@ -494,9 +503,7 @@ def test_the_window_row_catches_a_planted_tail_error(monkeypatch):
         return tail * (1.0 + 1e-6), est
 
     monkeypatch.setattr(partrace, "_em_tail", planted)
-    rows = run(ExperimentConfig("tr-derivative-check", budget="quick")).rows
-    window = [r for r in rows if r.label.startswith("window independence")]
-    assert len(window) == 1 and not window[0].passed
+    assert not window_row().passed
 
 
 def test_mu_multiplication_defect_is_polynomial():

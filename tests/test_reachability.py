@@ -29,7 +29,6 @@ _NON_FINITE = "handles non-finite or complex values, which no run produces"
 ALLOWED = {
     ("etaforge.quadrature.sphere_chart", None): _PERFBENCH,
     ("etaforge.partrace.l2_trace", None): _PERFBENCH,
-    ("etaforge.partrace.tr_param", None): _PERFBENCH,
     ("etaforge.cli.Report.to_json", 'data.pop("seconds")'): "perfbench hashes reports without their timing",
     ("etaforge.partrace._circle_sum", "if N >= cfg.cap:"): _ITEM_3,
     ("etaforge.partrace._circle_sum", "N = min(4 * N, cfg.cap)"): _ITEM_3,
