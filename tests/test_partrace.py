@@ -484,7 +484,7 @@ def test_resolvent_trace_far_from_zero_offset(a):
         assert abs(got - want) <= 1e-8 * want, (mu, got, want)
 
 
-@pytest.mark.parametrize("budget", ["quick", {"preset": "quick", "eig_window": 1}])
+@pytest.mark.parametrize("budget", ["quick", {"preset": "quick", "eig_window": 1}], ids=["quick", "start-1"])
 def test_the_window_row_catches_a_planted_tail_error(monkeypatch, budget):
     # the row's second sum is pinned at twice the first one's window, so it
     # compares two windows whatever the budget.  The tails scaled by 1 + 1e-6
