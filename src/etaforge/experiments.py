@@ -59,6 +59,7 @@ from .partrace import (
     WindowConfig,
     kernel,
     l2_trace_values,
+    shared_sums,
     tr_param,
     tr_param_values,
 )
@@ -1025,4 +1026,5 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
 def run_experiment(exp_id: str, params: dict, budget: Budget, rng: np.random.Generator) -> list[CheckRow]:
     if exp_id not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {exp_id!r}; known: {sorted(EXPERIMENTS)}")
-    return EXPERIMENTS[exp_id].func(params, budget, rng)
+    with shared_sums():
+        return EXPERIMENTS[exp_id].func(params, budget, rng)

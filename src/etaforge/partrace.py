@@ -22,11 +22,17 @@ sums run in bounded blocks: each block of eigenvalues is generated on its
 own, and a summand call sees a few parameter points at a time, so memory
 does not grow with the window or the number of points.  Blocks are reduced
 in a fixed index order.
+
+Inside ``shared_sums()`` (each experiment run opens it) a repeated sum is
+computed once: the same family, Taylor order, window and parameter points
+return the stored, read-only arrays.  Outside it nothing is kept.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,6 +48,7 @@ __all__ = [
     "SpectralFamily",
     "TraceValue",
     "WindowConfig",
+    "shared_sums",
     "l2_trace",
     "tr_param",
     "tr_param_values",
@@ -308,15 +315,40 @@ def _em_tail(g, x0: float):
     return tail, est
 
 
+# the eigenvalue sums of the enclosing shared_sums() block; outside one,
+# each _circle_sum call gets a fresh dict of its own
+_SUMS: ContextVar[dict] = ContextVar("eigenvalue_sums")
+
+
+@contextmanager
+def shared_sums():
+    """Within the block, each eigenvalue sum is computed once and reused;
+    the store is dropped on exit, so no sum outlives the block."""
+    token = _SUMS.set({})
+    try:
+        yield
+    finally:
+        _SUMS.reset(token)
+
+
 def _circle_sum(fam: SpectralFamily, mu: np.ndarray, n_subtract: int, cfg: WindowConfig):
     """Window sums with tails per mu-chunk at the points mu (M, p), or at
-    one point (p,); returns the values, the tail estimates and the largest
-    window any chunk needed.  The window is centred on the offset reduced to
-    (-1/2, 1/2] (not by ``round``, whose ties to even would give 0.5 and 1.5
-    different windows).  Each block of _LAM_BLOCK eigenvalues is generated on
-    its own and summed per row."""
-    a = fam.base.a - math.ceil(fam.base.a - 0.5)
+    one point (p,); returns the values, the tail estimates (both read-only)
+    and the largest window any chunk needed.  The window is centred on the
+    offset reduced to (-1/2, 1/2] (not by ``round``, whose ties to even would
+    give 0.5 and 1.5 different windows).  Each block of _LAM_BLOCK
+    eigenvalues is generated on its own and summed per row.  Inside
+    shared_sums() a repeated call returns the stored result."""
     mu = np.atleast_2d(np.asarray(mu, dtype=float))
+    finite = np.isfinite(mu).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"parameter point {row} is not finite: {mu[row].tolist()}")
+    key = (fam, n_subtract, cfg, mu.shape, mu.tobytes())
+    sums = _SUMS.get({})
+    if key in sums:
+        return sums[key]
+    a = fam.base.a - math.ceil(fam.base.a - 0.5)
     total = np.zeros(len(mu), dtype=complex)
     est = np.zeros(len(mu))
     widest = 0
@@ -352,7 +384,10 @@ def _circle_sum(fam: SpectralFamily, mu: np.ndarray, n_subtract: int, cfg: Windo
         total[sl] = vals
         est[sl] = errs
         widest = max(widest, N)
-    return total, est, widest
+    total.flags.writeable = False
+    est.flags.writeable = False
+    sums[key] = total, est, widest
+    return sums[key]
 
 
 def l2_trace_values(fam: SpectralFamily, mu: np.ndarray, cfg: WindowConfig = DEFAULT_WINDOW) -> np.ndarray:

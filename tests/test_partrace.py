@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import mpmath
@@ -529,3 +530,90 @@ def test_circle_model_rejects_non_finite_offset(a):
     # the error names the offset, not round()'s OverflowError or NaN conversion
     with pytest.raises(ValueError, match="finite offset, got a = "):
         SpectralModel.circle(a)
+
+
+# ---------------------------------------------------------------------------
+# One store of eigenvalue sums per experiment run
+
+
+def _recorded_circle_sums(monkeypatch):
+    # (arguments, result) of every _circle_sum call
+    calls, circle_sum = [], partrace._circle_sum
+
+    def recorded(fam, mu, n_subtract, cfg):
+        result = circle_sum(fam, mu, n_subtract, cfg)
+        calls.append(((fam, np.array(mu, dtype=float), n_subtract, cfg), result))
+        return result
+
+    monkeypatch.setattr(partrace, "_circle_sum", recorded)
+    return calls
+
+
+def test_a_run_shares_each_sum_with_the_bits_of_its_own_call(monkeypatch):
+    # within the run the sign - suspension repeats the sign + one, and the
+    # radial-reduction row repeats the suspension's inner panels; every
+    # result, stored or not, is bit for bit the same call made outside a run
+    calls = _recorded_circle_sums(monkeypatch)
+    assert run(ExperimentConfig("eta-suspension", budget="quick")).passed
+    assert len({id(result[0]) for _, result in calls}) < len(calls)
+    for args, result in calls:
+        assert _bits_of(result) == _bits_of(_circle_sum(*args))
+
+
+def test_no_sum_carries_over_between_runs(monkeypatch):
+    sizes = _recorded_summand_sizes(monkeypatch)
+    counts = []
+    for _ in range(2):
+        sizes.clear()
+        run(ExperimentConfig("eta-suspension", budget="quick"))
+        counts.append(len(sizes))
+    assert counts[0] == counts[1] > 0
+
+
+def test_stored_sums_are_read_only_and_shared_only_inside_the_block():
+    fam = SpectralFamily(SpectralModel.circle(0.25), kernel("resolvent", 1), -2.0)
+    mu = np.array([[0.5], [2.0]])
+    vals, est, _ = _circle_sum(fam, mu, 0, WindowConfig())
+    assert _circle_sum(fam, mu, 0, WindowConfig())[0] is not vals
+    with partrace.shared_sums():
+        first = l2_trace_values(fam, mu)
+        assert l2_trace_values(fam, mu.copy()) is first
+        assert l2_trace_values(fam, mu[:1]) is not first
+    assert l2_trace_values(fam, mu) is not first
+    for arr in (vals, est, first):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            arr *= 2.0
+    assert first.tobytes() == vals.tobytes()
+
+
+def test_each_part_of_the_key_separates_stored_sums():
+    # a sum that differs from a stored one in the family, the Taylor order,
+    # the window, the shape or the values of mu is computed on its own
+    fam = SpectralFamily(SpectralModel.circle(0.25), kernel("resolvent", 1), -2.0)
+    mu, cfg = np.array([[0.5], [2.0]]), WindowConfig()
+    variants = [
+        (SpectralFamily(SpectralModel.circle(0.3), kernel("resolvent", 1), -2.0), mu, 0, cfg),
+        (fam, mu, 2, cfg),
+        (fam, mu, 0, WindowConfig(start=8)),
+        (fam, mu.reshape(1, 2), 0, cfg),
+        (fam, mu + 1.0, 0, cfg),
+    ]
+    want = [_bits_of(_circle_sum(*args)) for args in variants]
+    with partrace.shared_sums():
+        _circle_sum(fam, mu, 0, cfg)
+        assert [_bits_of(_circle_sum(*args)) for args in variants] == want
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_circle_sum_rejects_a_non_finite_point_at_once(bad):
+    # unchecked, a NaN widens the window to its cap and raises TruncationError
+    # only after seconds, and an infinite point sums to 0
+    fam = SpectralFamily(SpectralModel.circle(0.25), kernel("resolvent", 1), -2.0)
+    mu = np.linspace(0.5, 5.0, 1000)[:, None]
+    mu[637, 0] = bad
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"parameter point 637 is not finite: \[(nan|inf)\]"):
+        l2_trace_values(fam, mu)
+    assert time.perf_counter() - start < 0.1
