@@ -50,7 +50,6 @@ from .forms import (
     MatrixFamily,
     MatrixForm,
     exterior_derivative,
-    matrix_family,
     maurer_cartan_power,
     sphere_integrate,
     wedge,

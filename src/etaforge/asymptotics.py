@@ -8,6 +8,10 @@ int_{|x|<=R}: on the half-line the finite part is taken at both endpoints.
 
 Blind exponent detection is deliberately not attempted; the caller always
 declares the expansion model.
+
+The built-in scalar families are plain functions that return an evaluator
+of (M, p) arrays: ``power_log(alpha)``, ``lorentz()``, ``polynomial(coeffs)``,
+``sign_step()`` and ``coordinate_power(q, j=0)``.
 """
 
 from __future__ import annotations
@@ -48,7 +52,11 @@ __all__ = [
     "mellin_reg",
     "cov_correction",
     "stokes_defect",
-    "scalar_family",
+    "power_log",
+    "lorentz",
+    "polynomial",
+    "sign_step",
+    "coordinate_power",
 ]
 
 
@@ -596,78 +604,66 @@ def stokes_defect(
 
 
 # ---------------------------------------------------------------------------
-# Built-in scalar families (registry keyed by string id)
+# Built-in scalar families: each returns an evaluator that maps an (M, p)
+# array to real (M,) float64 values
 
 
-# Each scalar family's keywords and their defaults; None marks a required one.
-_SCALAR_PARAMS = {
-    "power_log": {"alpha": None},
-    "lorentz": {},
-    "polynomial": {"coeffs": None},
-    "sign_step": {},
-    "coordinate_power": {"q": None, "j": 0},
-}
+def power_log(alpha) -> Callable[[np.ndarray], np.ndarray]:
+    """smooth_cutoff(|x|) |x|^alpha, and 0.0 on rows whose |x| is not > 0
+    (NaN included)."""
+    alpha = float(alpha)
+
+    def f(x):
+        r = row_norm(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = smooth_cutoff(r)
+            out *= r ** alpha
+        out[~(r > 0)] = 0.0
+        return out
+
+    return f
 
 
-def scalar_family(name: str, **params) -> Callable[[np.ndarray], np.ndarray]:
-    """Built-in evaluators used by experiments and tests.
+def lorentz() -> Callable[[np.ndarray], np.ndarray]:
+    """1 / (1 + |x|^2)."""
+    return lambda x: 1.0 / (1.0 + row_norm(x) ** 2)
 
-    ids: power_log(alpha), lorentz(), polynomial(coeffs),
-    sign_step(), coordinate_power(q, j=0).  All map (M, p) arrays to real
-    (M,) float64 values; power_log and coordinate_power give 0.0 on rows
-    whose |x| is not > 0 (NaN included).  ValueError names an unknown or
-    missing keyword; KeyError an unknown family.
-    """
-    if name not in _SCALAR_PARAMS:
-        raise KeyError(f"unknown scalar family {name!r}")
-    spec = _SCALAR_PARAMS[name]
-    for key in params:
-        if key not in spec:
-            raise ValueError(f"scalar family {name!r} has no parameter {key!r} (it takes: {', '.join(spec) or 'none'})")
-    params = {**spec, **params}
-    for key, value in params.items():
-        if value is None:
-            raise ValueError(f"scalar family {name!r} needs the parameter {key!r}")
-    if name == "power_log":
-        alpha = float(params["alpha"])
 
-        def f(x):
-            r = row_norm(x)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = smooth_cutoff(r)
-                out *= r ** alpha
-            out[~(r > 0)] = 0.0
-            return out
+def polynomial(coeffs) -> Callable[[np.ndarray], np.ndarray]:
+    """The sum of c |x|^k x_1^m over the (c, k, m) of ``coeffs``; ValueError
+    unless each m is a nonnegative integer."""
+    coeffs = tuple(coeffs)
+    if not all(float(m).is_integer() and m >= 0 for _, _, m in coeffs):
+        raise ValueError("polynomial powers m of x_1 must be nonnegative integers")
 
-        return f
-    if name == "lorentz":
-        return lambda x: 1.0 / (1.0 + row_norm(x) ** 2)
-    if name == "polynomial":
-        coeffs = tuple(params["coeffs"])  # real coefficient of |x|^k x_1^m style monomials: (c, k, m)
-        if not all(float(m).is_integer() and m >= 0 for _, _, m in coeffs):
-            raise ValueError("polynomial powers m of x_1 must be nonnegative integers")
+    def f(x):
+        r = row_norm(x)
+        out = np.zeros(len(r))
+        for c, k, m in coeffs:
+            term = c * r ** k
+            if m:
+                term *= int_power(x[:, 0].copy(), int(m))
+            out += term
+        return out
 
-        def f(x):
-            r = row_norm(x)
-            out = np.zeros(len(r))
-            for c, k, m in coeffs:
-                term = c * r ** k
-                if m:
-                    term *= int_power(x[:, 0].copy(), int(m))
-                out += term
-            return out
+    return f
 
-        return f
-    if name == "sign_step":
 
-        def f(x):
-            t = np.asarray(x, dtype=float)[:, 0]
-            return smooth_cutoff(np.abs(t)) * np.sign(t)
+def sign_step() -> Callable[[np.ndarray], np.ndarray]:
+    """smooth_cutoff(|x_0|) sign(x_0)."""
 
-        return f
-    # coordinate_power
-    j = int(params["j"])
-    q = float(params["q"])
+    def f(x):
+        t = np.asarray(x, dtype=float)[:, 0]
+        return smooth_cutoff(np.abs(t)) * np.sign(t)
+
+    return f
+
+
+def coordinate_power(q, j=0) -> Callable[[np.ndarray], np.ndarray]:
+    """smooth_cutoff(|x|) x_j |x|^-q, and 0.0 on rows whose |x| is not > 0
+    (NaN included)."""
+    j = int(j)
+    q = float(q)
 
     def f(x):
         r = row_norm(x)

@@ -181,8 +181,6 @@ class Report:
 def run(config: ExperimentConfig) -> Report:
     """Dispatch one experiment; raises ConfigError for schema violations and
     lets numeric failures propagate as EtaforgeError subclasses."""
-    if config.experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {config.experiment!r}; known: {sorted(EXPERIMENTS)}")
     budget = _resolve_budget(config.budget)
     rng = np.random.default_rng(config.seed)
     start = time.perf_counter()

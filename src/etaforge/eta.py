@@ -87,7 +87,6 @@ def c_k(k: int) -> complex:
 @dataclass
 class EtaResult:
     value: complex
-    route: str  # "matrix-form" | "spectral-reduction"
     diagnostics: list[RegularizedValue] = field(default_factory=list)
 
     @property
@@ -152,7 +151,7 @@ def _eta_batch(
         return cols[0][:, None] if len(cols) == 1 else np.stack(cols, axis=1)
 
     regs = regint_rp(integrand, model, p, ladder, sphere, n_radial)
-    return [EtaResult(2.0 * c_k(k) * reg.value, "matrix-form", [reg]) for reg in regs]
+    return [EtaResult(2.0 * c_k(k) * reg.value, [reg]) for reg in regs]
 
 
 def eta_k(
@@ -355,7 +354,7 @@ def eta_suspension(
     reg = regint_rp_radial(
         w, ExpansionModel.make(terms, remainder=-2.0 * p), p, SPECTRAL_LADDER, n_radial, zero_floor=1e-6
     )
-    return EtaResult(2.0 * c_k(k) * reg.value, "spectral-reduction", [reg])
+    return EtaResult(2.0 * c_k(k) * reg.value, [reg])
 
 
 # ---------------------------------------------------------------------------

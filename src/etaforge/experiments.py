@@ -17,12 +17,16 @@ import numpy as np
 from .asymptotics import (
     ExpansionModel,
     RadiusLadder,
+    coordinate_power,
     cov_correction,
+    lorentz,
     mellin_reg,
+    polynomial,
+    power_log,
     regint_halfline,
     regint_rp,
     regint_rp_radial,
-    scalar_family,
+    sign_step,
     stokes_defect,
 )
 from .clifford import MAX_K, standard_rep, volume_trace
@@ -43,12 +47,17 @@ from .eta import (
 from .forms import (
     MatrixFamily,
     _matmul,
+    affine_clifford,
+    capped_clifford,
+    circle_phase,
     exterior_derivative,
-    matrix_family,
     maurer_cartan_power,
     mc_form,
     mf_product,
+    moebius,
+    sphere_clifford,
     sphere_integrate,
+    step_unitary,
     wedge,
 )
 from .partrace import (
@@ -177,28 +186,22 @@ def _matches_default(value, default) -> bool:
     return isinstance(value, type(default))
 
 
-def _params(
-    params: dict, allowed: dict, nullable: dict | None = None, ranges: dict | None = None
-) -> dict:
+def _params(params: dict, allowed: dict, ranges: dict | None = None) -> dict:
     """Merge params over defaults, rejecting unknown keys and values whose
-    type differs from the default's; ``nullable`` gives an example value for
-    keys whose default is None (None itself is always accepted there), and
-    ``ranges`` the accepted interval (lo, hi) of a number, hi None for none."""
+    type differs from the default's; ``ranges`` gives the accepted interval
+    (lo, hi) of a number, hi None for none."""
     params = dict(params or {})
     unknown = set(params) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown parameter keys {sorted(unknown)}; allowed: {sorted(allowed)}")
     for key, value in params.items():
         default = allowed[key]
-        if default is None and value is None:
-            continue
-        example = nullable[key] if default is None else default
-        if isinstance(example, tuple) and isinstance(value, (list, tuple)) and not value:
+        if isinstance(default, tuple) and isinstance(value, (list, tuple)) and not value:
             raise ConfigError(f"parameter {key!r} must be a non-empty list, got {value!r}")
-        if not _matches_default(value, example):
-            raise ConfigError(f"parameter {key!r} must be like {example!r}, got {value!r}")
+        if not _matches_default(value, default):
+            raise ConfigError(f"parameter {key!r} must be like {default!r}, got {value!r}")
         lo, hi = (ranges or {}).get(key, (None, None))
-        if value is not None and ((lo is not None and value < lo) or (hi is not None and value > hi)):
+        if (lo is not None and value < lo) or (hi is not None and value > hi):
             bounds = f"[{lo}, {'inf' if hi is None else hi}]"
             raise ConfigError(f"parameter {key!r} must be in {bounds}, got {value!r}")
     merged = dict(allowed)
@@ -226,12 +229,9 @@ def _halfline_quad(f) -> float:
 
 
 def exp_clifford_check(params, budget, rng):
-    p = _params(
-        params, {"k": None, "k_max": 5}, nullable={"k": 2}, ranges={"k": (1, MAX_K), "k_max": (1, MAX_K)}
-    )
-    ks = [int(p["k"])] if p["k"] is not None else list(range(1, int(p["k_max"]) + 1))
+    p = _params(params, {"k_max": 5}, ranges={"k_max": (1, MAX_K)})
     rows = []
-    for k in ks:
+    for k in range(1, p["k_max"] + 1):
         rep = standard_rep(k)
         eye = np.eye(rep.rank, dtype=complex)
         skew = max(float(np.max(np.abs(g.conj().T + g))) for g in rep.generators)
@@ -258,7 +258,7 @@ def exp_clifford_check(params, budget, rng):
 def exp_sphere_omega(params, budget, rng):
     p = _params(params, {"k": 2}, ranges={"k": (1, 2)})
     k = int(p["k"])
-    fam = matrix_family("sphere_clifford", k=k)
+    fam = sphere_clifford(k=k)
     tform = maurer_cartan_power(fam, 2 * k - 1)
     val = sphere_integrate(tform, budget.chart_s3 if k == 2 else 512).value
     return [
@@ -278,7 +278,7 @@ def exp_rp_omega(params, budget, rng):
     rows = []
     model = ExpansionModel.powers([-4, -6, -8, -10])
     for a in (1.0, -1.0):
-        fam = matrix_family("affine_clifford", a=a, k=2)
+        fam = affine_clifford(a=a, k=2)
         tform = maurer_cartan_power(fam, 3)
         reg = regint_rp(
             lambda x: tform.values(x)[(0, 1, 2)][:, 0, 0], model, 3, budget.ladder, budget.sphere(3), budget.n_radial
@@ -313,11 +313,11 @@ def exp_rp_omega(params, budget, rng):
 def exp_regint_demo(params, budget, rng):
     _params(params, {})
     rows = []
-    lorentz = scalar_family("lorentz")
+    g = lorentz()
     even_mod = ExpansionModel.powers([-2, -4, -6, -8, -10])
-    fullline = regint_rp(lorentz, even_mod, 1, budget.ladder, None, budget.n_radial).value
+    fullline = regint_rp(g, even_mod, 1, budget.ladder, None, budget.n_radial).value
     rows.append(CheckRow("convergent 1/(1+x^2) on R", fullline, math.pi, 1e-8, "rel", "arctangent primitive"))
-    poly = scalar_family("polynomial", coeffs=[(1.0, 0, 0), (0.5, 0, 1), (1.0, 1, 1), (2.0, 2, 0), (1.0, 0, 3)])
+    poly = polynomial(coeffs=[(1.0, 0, 0), (0.5, 0, 1), (1.0, 1, 1), (2.0, 2, 0), (1.0, 0, 3)])
     pmodel = ExpansionModel.make([(3, 0), (2, 0), (1, 0), (0, 0)], remainder=-1)
     for pp in (1, 2, 3):
         reg = regint_rp(poly, pmodel, pp, budget.ladder, budget.sphere(pp) if pp == 3 else None, budget.n_radial)
@@ -412,7 +412,7 @@ def exp_mellin_zero(params, budget, rng):
 def exp_cov_check(params, budget, rng):
     _params(params, {})
     rows = []
-    f1 = scalar_family("power_log", alpha=-1.0)
+    f1 = power_log(alpha=-1.0)
     m1 = ExpansionModel.make([(-1, 0)], remainder=-12)
     ident = cov_correction(f1, np.eye(1), m1, 1, ladder=budget.ladder, n_radial=budget.n_radial)
     rows.append(CheckRow("identity matrix, p=1", ident.lhs - ident.rhs, 0.0, 1e-6, "abs", "identity case"))
@@ -421,7 +421,7 @@ def exp_cov_check(params, budget, rng):
     rows.append(
         CheckRow("log correction term, p=1", pair.correction, math.log(2.0), 1e-8, "abs", "closed-form correction")
     )
-    f3 = scalar_family("power_log", alpha=-3.0)
+    f3 = power_log(alpha=-3.0)
     m3 = ExpansionModel.make([(-3, 0)], remainder=-14)
     # the angular profile |A xi|^{-3} needs the full sphere rule and the
     # cutoff ellipsoid the full radial rule, even under the quick budget
@@ -437,12 +437,12 @@ def exp_cov_check(params, budget, rng):
 def exp_stokes_check(params, budget, rng):
     _params(params, {})
     rows = []
-    fs = scalar_family("sign_step")
+    fs = sign_step()
     ms = ExpansionModel.make([(0, 0)], remainder=-10)
     ps = stokes_defect(fs, 0, ms, 1, ladder=budget.ladder, n_radial=budget.n_radial_fine)
     rows.append(CheckRow("odd step on R: sides agree", ps.lhs - ps.rhs, 0.0, 1e-6, "abs", "boundary-value oracle"))
     rows.append(CheckRow("odd step on R: boundary jump", ps.rhs, 2.0, 1e-8, "abs", "fundamental theorem oracle"))
-    fc = scalar_family("coordinate_power", j=0, q=3.0)
+    fc = coordinate_power(j=0, q=3.0)
     mc = ExpansionModel.make([(-2, 0)], remainder=-12)
     pc = stokes_defect(
         fc, 0, mc, 3, ladder=budget.ladder, sphere=budget.sphere(3), n_radial=budget.n_radial
@@ -473,7 +473,7 @@ def exp_eta_matrix(params, budget, rng):
     rows = []
     model = ExpansionModel.powers([-4, -6, -8, -10])
     for a in (1.0, -1.0):
-        fam = matrix_family("affine_clifford", a=a, k=2)
+        fam = affine_clifford(a=a, k=2)
         res = eta_k(fam, 2, model, budget.ladder, budget.sphere(3), budget.n_radial)
         rows.append(
             CheckRow(
@@ -485,7 +485,7 @@ def exp_eta_matrix(params, budget, rng):
                 "sign of the affine offset",
             )
         )
-    step = matrix_family("step_unitary", k=2)
+    step = step_unitary(k=2)
     res = eta_k(step, 2, ExpansionModel.make([], remainder=-8.0), budget.ladder, budget.sphere(3), budget.n_radial)
     rows.append(
         CheckRow(
@@ -504,13 +504,13 @@ def exp_winding(params, budget, rng):
     _params(params, {})
     rows = []
     m1 = ExpansionModel.powers([-2, -4, -6, -8])
-    r1 = eta_k(matrix_family("moebius", s=1.0), 1, m1, budget.ladder, None, budget.n_radial)
+    r1 = eta_k(moebius(s=1.0), 1, m1, budget.ladder, None, budget.n_radial)
     rows.append(CheckRow("eta_1((x-i)/(x+i))", r1.value, 2.0, 1e-8, "abs", "residue oracle"))
-    w3 = winding(matrix_family("sphere_clifford", k=2), 2, budget.chart_s3)
+    w3 = winding(sphere_clifford(k=2), 2, budget.chart_s3)
     rows.append(CheckRow("winding on S^3", w3, -1.0, 1e-6, "abs", "normalized sphere integral"))
-    w1 = winding(matrix_family("circle_phase"), 1, 512)
+    w1 = winding(circle_phase(), 1, 512)
     rows.append(CheckRow("winding of e^{i theta} on S^1", w1, 1.0, 1e-8, "abs", "classical winding number"))
-    base = matrix_family("sphere_clifford", k=2)
+    base = sphere_clifford(k=2)
     shifted = MatrixFamily(4, 2, lambda x: 5.0 * np.eye(2, dtype=complex)[None] + base(x), base.partials, "shifted")
     wc = winding(shifted, 2, budget.chart_s3)
     rows.append(CheckRow("winding of a shifted (null-homotopic) family", wc, 0.0, 1e-6, "abs", "contractible family"))
@@ -522,7 +522,7 @@ def exp_variation_check(params, budget, rng):
     rows = []
     m1 = ExpansionModel.powers([-2, -4, -6, -8])
     cm1 = ExpansionModel.make([(0, 0), (-1, 0), (-2, 0), (-3, 0), (-4, 0)])
-    path = PathFamily(lambda s: matrix_family("moebius", s=s))
+    path = PathFamily(lambda s: moebius(s=s))
     lhs, rhs = eta_variation(path, 1, 0.75, m1, cm1, n_radial=budget.n_radial)
     rows.append(CheckRow("scalar pole path (constant eta)", lhs - rhs, 0.0, 1e-4, "abs", "independent rates"))
 
@@ -533,7 +533,7 @@ def exp_variation_check(params, budget, rng):
     rows.append(CheckRow("phase-unwinding path: sides agree", lhs2 - rhs2, 0.0, 1e-4, "abs", "independent rates"))
     rows.append(CheckRow("phase-unwinding path: rate", rhs2, -2.0, 1e-6, "abs", "boundary-value formula"))
 
-    kpath = PathFamily(lambda s: matrix_family("capped_clifford", a=1.0 + s, k=2))
+    kpath = PathFamily(lambda s: capped_clifford(a=1.0 + s, k=2))
     meta = ExpansionModel.powers([-3, -4, -5, -6, -7])
     cm2 = ExpansionModel.make([(-2, 0), (-3, 0), (-4, 0), (-5, 0), (-6, 0)])
     lhs3, rhs3 = eta_variation(
@@ -548,7 +548,7 @@ def _conjugated_rotated_copy(a: float) -> MatrixFamily:
     qr = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, _ = np.linalg.qr(qr)
     o = np.linalg.qr(rng.normal(size=(3, 3)))[0]  # a rotation: det(o) = +1 at seed 7
-    base = matrix_family("capped_clifford", a=a, k=2)
+    base = capped_clifford(a=a, k=2)
 
     def f(x):
         # forms' entrywise rank-2 product, on (N, N, M) views of the (M, N, N) stacks
@@ -563,8 +563,8 @@ def exp_additivity_defect(params, budget, rng):
     rows = []
     # k = 1: exact additivity
     m1 = ExpansionModel.powers([-2, -3, -4, -5, -6, -7])
-    a1 = matrix_family("moebius", s=1.0)
-    b1 = matrix_family("moebius", s=2.0)
+    a1 = moebius(s=1.0)
+    b1 = moebius(s=2.0)
     ab = mf_product(a1, b1)
     ea = eta_k(a1, 1, m1, budget.ladder, None, budget.n_radial).value
     eb = eta_k(b1, 1, m1, budget.ladder, None, budget.n_radial).value
@@ -573,7 +573,7 @@ def exp_additivity_defect(params, budget, rng):
 
     # k = 2 trivial cases
     meta = ExpansionModel.powers([-3, -4, -5, -6, -7])
-    a2 = matrix_family("capped_clifford", a=1.0, k=2)
+    a2 = capped_clifford(a=1.0, k=2)
     bconst = MatrixFamily.constant(np.diag([1.0 + 0j, 2.0 + 0j]), 3)
     trivial = additivity_defect(a2, bconst, meta, ladder=budget.ladder, sphere=budget.sphere(3), n_radial=budget.n_radial)
     rows.append(CheckRow("constant right factor: lhs", trivial.lhs, 0.0, 1e-4, "abs", "conjugation invariance"))
@@ -658,9 +658,7 @@ def exp_eta_suspension(params, budget, rng):
 
 
 def exp_divisor_flow(params, budget, rng):
-    p = _params(params, {"path": None, "width": 0.05}, nullable={"path": "linear"})
-    if p["path"] not in (None, "paper-f", "phase-unwinding", "linear"):
-        raise ConfigError(f"path must be null, 'paper-f', 'phase-unwinding' or 'linear', got {p['path']!r}")
+    p = _params(params, {"width": 0.05})
     w = float(p["width"])
     try:
         unwind = phase_unwinding_path(w)
@@ -669,15 +667,9 @@ def exp_divisor_flow(params, budget, rng):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     rep = divisor_flow(unwind, linear, n_s=budget.s_nodes)
-    unwind_row = CheckRow("flow along the phase-unwinding path", rep["path_a"], -2.0, 1e-6, "abs", "boundary rate")
-    linear_row = CheckRow("flow along the straight-line path", rep["path_b"], 0.0, 1e-6, "abs", "boundary rate")
-    if p["path"] in ("paper-f", "phase-unwinding"):
-        return [unwind_row]
-    if p["path"] == "linear":
-        return [linear_row]
     rows = [
-        unwind_row,
-        linear_row,
+        CheckRow("flow along the phase-unwinding path", rep["path_a"], -2.0, 1e-6, "abs", "boundary rate"),
+        CheckRow("flow along the straight-line path", rep["path_b"], 0.0, 1e-6, "abs", "boundary rate"),
         CheckRow("path dependence of the difference", rep["difference"], -2.0, 1e-6, "abs", "difference of rates"),
     ]
     half = divisor_flow(halved, linear, n_s=budget.s_nodes)
@@ -875,9 +867,9 @@ def exp_tr_derivative_check(params, budget, rng):
 
 def _family_corpus():
     return [
-        matrix_family("affine_clifford", a=1.0, k=2),
-        matrix_family("capped_clifford", a=1.5, k=2),
-        matrix_family("moebius", s=1.0),
+        affine_clifford(a=1.0, k=2),
+        capped_clifford(a=1.5, k=2),
+        moebius(s=1.0),
     ]
 
 
@@ -902,8 +894,8 @@ def exp_prop_d2(params, budget, rng):
 def exp_prop_leibniz(params, budget, rng):
     _params(params, {})
     rows = []
-    fam = matrix_family("affine_clifford", a=1.0, k=2)
-    gam = matrix_family("affine_clifford", a=2.0, k=2)
+    fam = affine_clifford(a=1.0, k=2)
+    gam = affine_clifford(a=2.0, k=2)
     w1 = mc_form(fam)
     w2 = mc_form(gam)
     pts = rng.normal(size=(12, 3)) * 2.0 + 3.0
@@ -948,8 +940,8 @@ def exp_prop_maurer_cartan(params, budget, rng):
 def exp_prop_regint_linearity(params, budget, rng):
     _params(params, {})
     rows = []
-    f = scalar_family("power_log", alpha=-1.0)
-    g = scalar_family("lorentz")
+    f = power_log(alpha=-1.0)
+    g = lorentz()
     model = ExpansionModel.make([(-1, 0), (-2, 0), (-4, 0), (-6, 0), (-8, 0)])
     al, be = complex(rng.normal()), complex(rng.normal())
 
@@ -966,7 +958,7 @@ def exp_prop_regint_linearity(params, budget, rng):
 def exp_prop_regint_convergent(params, budget, rng):
     _params(params, {})
     rows = []
-    g = scalar_family("lorentz")
+    g = lorentz()
     got = regint_rp(g, ExpansionModel.powers([-2, -4, -6, -8, -10]), 1, budget.ladder, None, budget.n_radial).value
     want = 2.0 * _halfline_quad(lambda t: 1 / (1 + t * t))
     rows.append(CheckRow("1/(1+x^2) vs adaptive quadrature", got - want, 0.0, 1e-8, "abs", "adaptive quadrature"))

@@ -36,6 +36,12 @@ on a sphere is integrated by ``sphere_pairing`` at the points of
 ``quadrature.sphere_rule``, the one sphere sampler: its weights are the
 surface measure, so the integral is a signed sum of the coefficients times
 the missing coordinate, with no Jacobian minor.
+
+The built-in families are plain functions that return a ``MatrixFamily``:
+``moebius(s=1.0)``, ``circle_phase()``, ``affine_clifford(a, k)``,
+``capped_clifford(a, k)``, ``sphere_clifford(k)`` and ``step_unitary(k)``.
+``k`` must be an integer and every other parameter a finite number, kept as
+a complex; ValueError names a bad one.
 """
 
 from __future__ import annotations
@@ -67,7 +73,12 @@ __all__ = [
     "sphere_integrate",
     "sphere_pairing",
     "SphereIntegral",
-    "matrix_family",
+    "moebius",
+    "circle_phase",
+    "affine_clifford",
+    "capped_clifford",
+    "sphere_clifford",
+    "step_unitary",
 ]
 
 Index = tuple[int, ...]
@@ -575,43 +586,18 @@ def sphere_integrate(form: MatrixForm, resolution=None) -> SphereIntegral:
 # Built-in matrix families
 
 
-# Each family's parameters and their defaults; None marks a required one.
-_FAMILY_PARAMS = {
-    "moebius": {"s": 1.0},
-    "circle_phase": {},
-    "affine_clifford": {"a": None, "k": None},
-    "capped_clifford": {"a": None, "k": None},
-    "sphere_clifford": {"k": None},
-    "step_unitary": {"k": None},
-}
-
-
-def _family_params(name: str, params: dict) -> dict:
-    """The parameters of the family ``name``, checked: ``k`` an integer (not
-    a bool), every other one a finite number, returned as a complex.
-    ValueError names the first unknown, missing or bad parameter; KeyError an
-    unknown family."""
-    if name not in _FAMILY_PARAMS:
-        raise KeyError(f"unknown matrix family {name!r}")
-    spec = _FAMILY_PARAMS[name]
-    for key in params:
-        if key not in spec:
-            raise ValueError(f"matrix family {name!r} has no parameter {key!r} (it takes: {', '.join(spec) or 'none'})")
-    out = {}
-    for key, default in spec.items():
-        value = params.get(key, default)
-        if value is None:
-            raise ValueError(f"matrix family {name!r} needs the parameter {key!r}")
-        if key == "k":
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"parameter 'k' of {name!r} must be an integer, got {value!r}")
-            out[key] = int(value)
-        else:
-            z = complex(value) if isinstance(value, numbers.Number) and not isinstance(value, bool) else None
-            if z is None or not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                raise ValueError(f"parameter {key!r} of {name!r} must be a finite number, got {value!r}")
-            out[key] = z
-    return out
+def _checked(family: str, key: str, value):
+    """The parameter ``key`` of the built-in family ``family``, checked: ``k``
+    an integer (not a bool), returned as an int; any other a finite number,
+    returned as a complex.  ValueError names the parameter."""
+    if key == "k":
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"parameter 'k' of {family!r} must be an integer, got {value!r}")
+        return int(value)
+    z = complex(value) if isinstance(value, numbers.Number) and not isinstance(value, bool) else None
+    if z is None or not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"parameter {key!r} of {family!r} must be a finite number, got {value!r}")
+    return z
 
 
 def _jet_leaf(rep, terms, name: str) -> MatrixFamily:
@@ -629,111 +615,106 @@ def _jet_leaf(rep, terms, name: str) -> MatrixFamily:
     return MatrixFamily(p, n, pick(True, ()), parts, name, jet=lambda x: terms(x, True, range(p)))
 
 
-def matrix_family(name: str, **params) -> MatrixFamily:
-    """Registry of named families.
+def moebius(s=1.0) -> MatrixFamily:
+    """(t - i s)/(t + i s) on R^1, with its analytic first partial."""
+    s = _checked("moebius", "s", s)
 
-    ids: moebius(s), circle_phase(), affine_clifford(a, k),
-    capped_clifford(a, k), sphere_clifford(k), step_unitary(k).  ``k`` must
-    be an integer and every other parameter a finite number; ValueError
-    names an unknown, missing or bad parameter.  ``capped_clifford`` and
-    ``step_unitary`` have jets.
-    """
-    params = _family_params(name, params)
-    if name == "moebius":
-        s = params["s"]
+    def f(x):
+        t = np.asarray(x, dtype=float)[:, 0]
+        return ((t - 1j * s) / (t + 1j * s))[:, None, None]
 
-        def f(x):
-            t = np.asarray(x, dtype=float)[:, 0]
-            return ((t - 1j * s) / (t + 1j * s))[:, None, None]
+    def df(x):
+        t = np.asarray(x, dtype=float)[:, 0]
+        return (2j * s / (t + 1j * s) ** 2)[:, None, None]
 
-        def df(x):
-            t = np.asarray(x, dtype=float)[:, 0]
-            return (2j * s / (t + 1j * s) ** 2)[:, None, None]
+    return MatrixFamily(1, 1, f, (MatrixFamily(1, 1, df, name="moebius'"),), f"moebius({s})")
 
-        return MatrixFamily(1, 1, f, (MatrixFamily(1, 1, df, name="moebius'"),), f"moebius({s})")
 
-    if name == "circle_phase":
-        # x0 + i x1 on R^2; restricted to S^1 this is e^{i theta}
+def circle_phase() -> MatrixFamily:
+    """x0 + i x1 on R^2; restricted to S^1 this is e^{i theta}."""
 
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            return (x[:, 0] + 1j * x[:, 1])[:, None, None]
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        return (x[:, 0] + 1j * x[:, 1])[:, None, None]
 
-        ones = (MatrixFamily.constant([[1.0 + 0j]], 2, "1"), MatrixFamily.constant([[1j]], 2, "i"))
-        return MatrixFamily(2, 1, f, ones, "circle_phase")
+    ones = (MatrixFamily.constant([[1.0 + 0j]], 2, "1"), MatrixFamily.constant([[1j]], 2, "i"))
+    return MatrixFamily(2, 1, f, ones, "circle_phase")
 
-    if name == "affine_clifford":
-        a = params["a"]
-        rep = standard_rep(params["k"])
-        p, nn = rep.p, rep.rank
 
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            return a * np.eye(nn, dtype=complex)[None] + clifford_action(rep, x)
+def affine_clifford(a, k) -> MatrixFamily:
+    """a + c(x) on R^{2k-1}, c the Clifford action of ``standard_rep(k)``."""
+    a, rep = _checked("affine_clifford", "a", a), standard_rep(_checked("affine_clifford", "k", k))
+    p, nn = rep.p, rep.rank
 
-        gens = tuple(MatrixFamily.constant(rep.generators[j], p, f"E{j + 1}") for j in range(p))
-        return MatrixFamily(p, nn, f, gens, f"affine_clifford({a})")
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        return a * np.eye(nn, dtype=complex)[None] + clifford_action(rep, x)
 
-    if name == "capped_clifford":
-        # a + s c(x) with s = (1 + |x|^2)^{-1/2}: approaches a + c(x/|x|) at infinity
-        a = params["a"]
-        rep = standard_rep(params["k"])
-        eye, *gens = (m[:, :, None] for m in (np.eye(rep.rank, dtype=complex), *rep.generators))
+    gens = tuple(MatrixFamily.constant(rep.generators[j], p, f"E{j + 1}") for j in range(p))
+    return MatrixFamily(p, nn, f, gens, f"affine_clifford({a})")
 
-        def terms(x, value, dirs):
-            x = np.asarray(x, dtype=float)
-            s = 1.0 / np.sqrt(1.0 + np.sum(x ** 2, axis=1))
-            cu = _planar(clifford_action(rep, x))
-            out = [a * eye + s * cu] if value else []
-            if dirs:
-                # d_j f = s E_j - s^3 x_j c(x)
-                s3 = s ** 3
-                out += [s * gens[j] - (s3 * x[:, j]) * cu for j in dirs]
-            return out
 
-        return _jet_leaf(rep, terms, f"capped_clifford({a})")
+def capped_clifford(a, k) -> MatrixFamily:
+    """a + s c(x) with s = (1 + |x|^2)^{-1/2} on R^{2k-1}: approaches
+    a + c(x/|x|) at infinity.  A jet leaf."""
+    a, rep = _checked("capped_clifford", "a", a), standard_rep(_checked("capped_clifford", "k", k))
+    eye, *gens = (m[:, :, None] for m in (np.eye(rep.rank, dtype=complex), *rep.generators))
 
-    if name == "sphere_clifford":
-        # x = (x_0, x') -> x_0 + c(x') on R^{2k}
-        k = params["k"]
-        rep = standard_rep(k)
-        p = rep.p + 1
-        nn = rep.rank
+    def terms(x, value, dirs):
+        x = np.asarray(x, dtype=float)
+        s = 1.0 / np.sqrt(1.0 + np.sum(x ** 2, axis=1))
+        cu = _planar(clifford_action(rep, x))
+        out = [a * eye + s * cu] if value else []
+        if dirs:
+            # d_j f = s E_j - s^3 x_j c(x)
+            s3 = s ** 3
+            out += [s * gens[j] - (s3 * x[:, j]) * cu for j in dirs]
+        return out
 
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            return x[:, 0, None, None] * np.eye(nn, dtype=complex)[None] + clifford_action(rep, x[:, 1:])
+    return _jet_leaf(rep, terms, f"capped_clifford({a})")
 
-        parts = [MatrixFamily.constant(np.eye(nn, dtype=complex), p, "I")]
-        parts += [MatrixFamily.constant(rep.generators[j], p, f"E{j + 1}") for j in range(rep.p)]
-        return MatrixFamily(p, nn, f, tuple(parts), f"sphere_clifford(k={k})")
 
-    if name == "step_unitary":
-        # cos(theta(r)) + sin(theta(r)) c(x/|x|) with theta = pi * chi(r):
-        # identity near 0, the constant -1 outside |x| = 1.  The standard
-        # compactly supported generator of a nonzero winding number.
-        k = params["k"]
-        rep = standard_rep(k)
-        eye, *gens = (m[:, :, None] for m in (np.eye(rep.rank, dtype=complex), *rep.generators))
+def sphere_clifford(k) -> MatrixFamily:
+    """x = (x_0, x') -> x_0 + c(x') on R^{2k}."""
+    k = _checked("sphere_clifford", "k", k)
+    rep = standard_rep(k)
+    p = rep.p + 1
+    nn = rep.rank
 
-        def terms(x, value, dirs):
-            # u = x/|x| (0 at the origin) and c(u)
-            x = np.asarray(x, dtype=float)
-            r = row_norm(x)
-            unit = np.where(r[:, None] > 0, x / np.maximum(r, 1e-300)[:, None], 0.0)
-            cu = _planar(clifford_action(rep, unit))
-            th = math.pi * smooth_cutoff(r)
-            cos, sin = np.cos(th), np.sin(th)
-            out = [cos * eye + sin * cu] if value else []
-            if dirs:
-                # d_j f = theta' u_j (-sin theta + cos theta c(u)) + sin theta (E_j - u_j c(u)) / |x|
-                rot = cos * cu - sin * eye
-                slope = math.pi * smooth_cutoff_derivative(r)
-                turn = sin / np.maximum(r, 1e-300)
-                for j in dirs:
-                    uj = unit[:, j]
-                    out.append(slope * uj * rot + turn * (gens[j] - uj * cu))
-            return out
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        return x[:, 0, None, None] * np.eye(nn, dtype=complex)[None] + clifford_action(rep, x[:, 1:])
 
-        return _jet_leaf(rep, terms, f"step_unitary(k={k})")
+    parts = [MatrixFamily.constant(np.eye(nn, dtype=complex), p, "I")]
+    parts += [MatrixFamily.constant(rep.generators[j], p, f"E{j + 1}") for j in range(rep.p)]
+    return MatrixFamily(p, nn, f, tuple(parts), f"sphere_clifford(k={k})")
 
+
+def step_unitary(k) -> MatrixFamily:
+    """cos(theta(r)) + sin(theta(r)) c(x/|x|) on R^{2k-1} with theta = pi *
+    chi(r): identity near 0, the constant -1 outside |x| = 1.  The standard
+    compactly supported generator of a nonzero winding number.  A jet leaf."""
+    k = _checked("step_unitary", "k", k)
+    rep = standard_rep(k)
+    eye, *gens = (m[:, :, None] for m in (np.eye(rep.rank, dtype=complex), *rep.generators))
+
+    def terms(x, value, dirs):
+        # u = x/|x| (0 at the origin) and c(u)
+        x = np.asarray(x, dtype=float)
+        r = row_norm(x)
+        unit = np.where(r[:, None] > 0, x / np.maximum(r, 1e-300)[:, None], 0.0)
+        cu = _planar(clifford_action(rep, unit))
+        th = math.pi * smooth_cutoff(r)
+        cos, sin = np.cos(th), np.sin(th)
+        out = [cos * eye + sin * cu] if value else []
+        if dirs:
+            # d_j f = theta' u_j (-sin theta + cos theta c(u)) + sin theta (E_j - u_j c(u)) / |x|
+            rot = cos * cu - sin * eye
+            slope = math.pi * smooth_cutoff_derivative(r)
+            turn = sin / np.maximum(r, 1e-300)
+            for j in dirs:
+                uj = unit[:, j]
+                out.append(slope * uj * rot + turn * (gens[j] - uj * cu))
+        return out
+
+    return _jet_leaf(rep, terms, f"step_unitary(k={k})")

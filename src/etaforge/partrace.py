@@ -17,10 +17,11 @@ that the window is centred on the eigenvalues nearest 0 for every a.  The
 shift n -> n + 1 conjugates D to D + 1 and leaves every trace unchanged, so
 the sums depend on a only mod 1: circle(a) and circle(a + 1) give the same
 bits.  Order-2 Euler-Maclaurin tails correct each sum, and the window
-escalates by factors of 4 until the tail estimate clears tolerance.  The
-sums run in bounded blocks: each block of eigenvalues is generated on its
-own, and a summand call sees a few parameter points at a time, so memory
-does not grow with the window or the number of points.  Blocks are reduced
+starts at no less than |mu|/8 and escalates by factors of 4 until the tail
+estimate clears tolerance.  The sums run in bounded blocks: each block of
+eigenvalues is generated on its own, and a summand call sees a few
+parameter points at a time, so memory does not grow with the window or the
+number of points.  Blocks are reduced
 in a fixed index order.
 
 Inside ``shared_sums()`` (each experiment run opens it) a repeated sum is
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import OrderError, TruncationError
-from .quadrature import RICHARDSON_OFFSETS, gauss_legendre, int_power, richardson_derivative
+from .quadrature import RICHARDSON_OFFSETS, gauss_legendre, int_power, richardson_derivative, row_norm
 
 __all__ = [
     "Kernel",
@@ -336,9 +337,11 @@ def _circle_sum(fam: SpectralFamily, mu: np.ndarray, n_subtract: int, cfg: Windo
     one point (p,); returns the values, the tail estimates (both read-only)
     and the largest window any chunk needed.  The window is centred on the
     offset reduced to (-1/2, 1/2] (not by ``round``, whose ties to even would
-    give 0.5 and 1.5 different windows).  Each block of _LAM_BLOCK
-    eigenvalues is generated on its own and summed per row.  Inside
-    shared_sums() a repeated call returns the stored result."""
+    give 0.5 and 1.5 different windows), and a chunk's first window is at
+    least its largest |mu| / 8; TruncationError when that exceeds the cap.
+    Each block of _LAM_BLOCK eigenvalues is generated on its own and summed
+    per row.  Inside shared_sums() a repeated call returns the stored
+    result."""
     mu = np.atleast_2d(np.asarray(mu, dtype=float))
     finite = np.isfinite(mu).all(axis=1)
     if not finite.all():
@@ -355,7 +358,16 @@ def _circle_sum(fam: SpectralFamily, mu: np.ndarray, n_subtract: int, cfg: Windo
     for lo in range(0, len(mu), _MU_CHUNK):
         sl = slice(lo, min(lo + _MU_CHUNK, len(mu)))
         chunk = mu[sl]
-        N = cfg.start
+        # the summand bends at |lam| ~ |mu|, and beyond |mu| = 8 N the tail
+        # integral's nodes miss that knee while its estimate stays small
+        with np.errstate(over="ignore"):
+            least = float(np.max(row_norm(chunk))) / 8.0
+        if least > cfg.cap:
+            raise TruncationError(
+                f"parameter |mu| = {8.0 * least:.6g} needs an eigenvalue window of at least "
+                f"|mu|/8 = {least:.6g}, above the maximum eigenvalue window {cfg.cap}"
+            )
+        N = max(cfg.start, math.ceil(least))
         while True:
             vals = np.zeros(len(chunk), dtype=complex)
             for b in range(-N, N + 1, _LAM_BLOCK):

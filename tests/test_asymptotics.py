@@ -18,7 +18,11 @@ from etaforge.asymptotics import (
     regint_halfline,
     regint_rp,
     regint_rp_radial,
-    scalar_family,
+    coordinate_power,
+    lorentz,
+    polynomial,
+    power_log,
+    sign_step,
     smooth_cutoff,
     smooth_step,
     stokes_defect,
@@ -123,7 +127,7 @@ def _rows_at_every_radius(rng):
 ])
 def test_scalar_family_is_real_and_keeps_the_masked_values(rng, name, params):
     x = _rows_at_every_radius(rng)
-    got = scalar_family(name, **params)(x)
+    got = getattr(asymptotics, name)(**params)(x)
     want = _masked_complex_family(name, **params)(x)
     assert got.dtype == np.float64 and got.shape == (len(x),)
     assert not np.any(want.imag)
@@ -134,8 +138,8 @@ def test_scalar_family_is_real_and_keeps_the_masked_values(rng, name, params):
 
 @pytest.mark.parametrize("params", [{"alpha": -1.0, "logpow": 1}, {}, {"a": -1.0}])
 def test_power_log_takes_alpha_only(params):
-    with pytest.raises(ValueError, match="scalar family 'power_log' (has no|needs the) parameter"):
-        scalar_family("power_log", **params)
+    with pytest.raises(TypeError, match=r"power_log\(\) (got an unexpected keyword|missing 1 required .*) argument"):
+        power_log(**params)
 
 
 @pytest.mark.parametrize("name, params, bad", [
@@ -148,22 +152,23 @@ def test_power_log_takes_alpha_only(params):
 ])
 def test_scalar_family_rejects_unknown_and_missing_keywords(name, params, bad):
     # an unknown keyword was ignored (jj = 2 ran as j = 0) and a missing q
-    # raised a bare KeyError
-    with pytest.raises(ValueError, match=f"scalar family '{name}' {bad}"):
-        scalar_family(name, **params)
+    # raised a bare KeyError; both are the signature's TypeError now
+    reason = "got an unexpected keyword argument" if bad.startswith("has no") else "missing 1 required .*argument:"
+    with pytest.raises(TypeError, match=rf"{name}\(\) {reason} {bad.split()[-1]}"):
+        getattr(asymptotics, name)(**params)
 
 
 def test_scalar_polynomial_odd_monomial_within_two_ulp(rng):
     # x_1^3 by products, not numpy's pow: equal to 2 ulp
     x = _rows_at_every_radius(rng)[:-1]
     for coeffs in ([(1.0, 0, 3)], [(-0.5, 1, 3)]):
-        got = scalar_family("polynomial", coeffs=coeffs)(x)
+        got = polynomial(coeffs=coeffs)(x)
         want = _masked_complex_family("polynomial", coeffs=coeffs)(x)
         assert got.dtype == np.float64
         np.testing.assert_array_max_ulp(got, want.real, maxulp=2)
     for m in (-1, 1.5):
         with pytest.raises(ValueError, match="nonnegative integers"):
-            scalar_family("polynomial", coeffs=[(1.0, 0, m)])
+            polynomial(coeffs=[(1.0, 0, m)])
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +223,7 @@ def test_fit_requires_enough_radii():
 def test_fit_rejects_a_model_without_terms():
     # numpy's "need at least one array to stack" used to escape the fit
     with pytest.raises(FitError, match="no terms"):
-        fit_expansion(scalar_family("lorentz"), ExpansionModel.make([], remainder=-3.0), 1)
+        fit_expansion(lorentz(), ExpansionModel.make([], remainder=-3.0), 1)
 
 
 def test_fit_flags_near_degenerate_degrees():
@@ -259,7 +264,7 @@ def test_fit_samples_reject_a_table_of_the_wrong_shape():
 
 
 def test_regint_convergent_equals_ordinary(short_ladder):
-    f = scalar_family("lorentz")
+    f = lorentz()
     got = regint_rp(f, ExpansionModel.powers([-2, -4, -6, -8]), 1, short_ladder).value
     want = 2.0 * quad(lambda t: 1.0 / (1.0 + t * t), 0, np.inf)[0]
     assert abs(got - want) < 1e-9
@@ -267,7 +272,7 @@ def test_regint_convergent_equals_ordinary(short_ladder):
 
 
 def test_regint_kills_polynomials():
-    poly = scalar_family("polynomial", coeffs=[(2.0, 0, 0), (1.0, 0, 1), (0.5, 2, 0), (1.0, 0, 3)])
+    poly = polynomial(coeffs=[(2.0, 0, 0), (1.0, 0, 1), (0.5, 2, 0), (1.0, 0, 3)])
     model = ExpansionModel.make([(3, 0), (2, 0), (1, 0), (0, 0)], remainder=-1)
     for p in (1, 2, 3):
         val = regint_rp(poly, model, p, sphere=sphere_rule(p, (16, 32) if p == 3 else 64)).value
@@ -276,7 +281,7 @@ def test_regint_kills_polynomials():
 
 def test_regint_log_divergence_constant():
     # I(R) = C + 2 log R; the fitted constant matches the inner-ball mass
-    f = scalar_family("power_log", alpha=-1.0)
+    f = power_log(alpha=-1.0)
     got = regint_rp(f, ExpansionModel.make([(-1, 0)], remainder=-10), 1).value
     want = 2.0 * quad(lambda u: smooth_cutoff(u) / u, 0.5, 1.0, epsabs=1e-13)[0]
     assert abs(got - want) < 1e-9
@@ -296,8 +301,8 @@ def test_regint_radial_agrees_with_full():
 
 
 def test_regint_linearity(short_ladder, rng):
-    f = scalar_family("power_log", alpha=-1.0)
-    g = scalar_family("lorentz")
+    f = power_log(alpha=-1.0)
+    g = lorentz()
     model = ExpansionModel.make([(-1, 0), (-2, 0), (-4, 0), (-6, 0), (-8, 0)])
     al, be = rng.normal(), rng.normal()
     combo = lambda x: al * f(x) + be * g(x)
@@ -319,7 +324,7 @@ def test_regint_divergent_matches_analytic_continuation(p, s):
     assert abs(got - want) <= 1e-8 * abs(want)
 
 
-_LORENTZ = scalar_family("lorentz")
+_LORENTZ = lorentz()
 _LORENTZ_SQUARED = lambda x: _LORENTZ(x) ** 2
 
 
@@ -409,7 +414,7 @@ def test_halfline_rejects_nonfinite():
 
 def test_even_function_bridge(short_ladder):
     fh = lambda x: 1.0 / (1.0 + x ** 2)
-    fp = scalar_family("lorentz")
+    fp = lorentz()
     h = regint_halfline(
         fh, ExpansionModel.at_zero([(2 * j, 0) for j in range(5)]), ExpansionModel.powers([-2, -4, -6, -8])
     ).value
@@ -485,7 +490,7 @@ def test_mellin_complex_s():
 
 
 def test_cov_identity_case():
-    f = scalar_family("power_log", alpha=-1.0)
+    f = power_log(alpha=-1.0)
     m = ExpansionModel.make([(-1, 0)], remainder=-12)
     pair = cov_correction(f, np.eye(1), m, 1)
     assert abs(pair.correction) < 1e-14
@@ -493,7 +498,7 @@ def test_cov_identity_case():
 
 
 def test_cov_scaling_log_correction():
-    f = scalar_family("power_log", alpha=-1.0)
+    f = power_log(alpha=-1.0)
     m = ExpansionModel.make([(-1, 0)], remainder=-12)
     pair = cov_correction(f, np.array([[2.0]]), m, 1)
     # correction = |2|^{-1} * 2 * log 2
@@ -505,14 +510,14 @@ def test_cov_scaling_log_correction():
 
 
 def test_cov_anisotropic_p3():
-    f = scalar_family("power_log", alpha=-3.0)
+    f = power_log(alpha=-3.0)
     m = ExpansionModel.make([(-3, 0)], remainder=-14)
     pair = cov_correction(f, np.diag([2.0, 1.0, 1.0]), m, 3, sphere=sphere_rule(3, (24, 48)))
     assert abs(pair.lhs - pair.rhs) < 1e-6
 
 
 def test_cov_requires_critical_degree():
-    f = scalar_family("lorentz")
+    f = lorentz()
     with pytest.raises(MissingCoefficientError):
         cov_correction(f, np.eye(1), ExpansionModel.powers([-2, -4]), 1)
 
@@ -527,21 +532,21 @@ def test_stokes_compact_support(short_ladder):
 
 
 def test_stokes_sign_jump():
-    f = scalar_family("sign_step")
+    f = sign_step()
     pair = stokes_defect(f, 0, ExpansionModel.make([(0, 0)], remainder=-10), 1, n_radial=96)
     assert abs(pair.lhs - 2.0) < 1e-7
     assert abs(pair.rhs - 2.0) < 1e-12
 
 
 def test_stokes_p3_second_moment():
-    f = scalar_family("coordinate_power", j=0, q=3.0)
+    f = coordinate_power(j=0, q=3.0)
     pair = stokes_defect(f, 0, ExpansionModel.make([(-2, 0)], remainder=-12), 3)
     assert abs(pair.rhs - 4.0 * math.pi / 3.0) < 1e-9
     assert abs(pair.lhs - pair.rhs) < 1e-6
 
 
 def test_stokes_missing_degree():
-    f = scalar_family("lorentz")
+    f = lorentz()
     with pytest.raises(MissingCoefficientError):
         stokes_defect(f, 0, ExpansionModel.powers([-2, -4]), 1)
 

@@ -109,7 +109,7 @@ def test_config_hash_tracks_canonical_config():
 
 
 def test_report_schema():
-    r = run(ExperimentConfig("clifford-check", params={"k": 2}, budget="quick"))
+    r = run(ExperimentConfig("clifford-check", params={"k_max": 2}, budget="quick"))
     data = json.loads(r.to_json())
     assert data["experiment"] == "clifford-check"
     assert data["pass"] is True
@@ -130,7 +130,7 @@ def test_zero_reference_has_no_relative_deviation():
 
 
 def test_main_config_file(tmp_path, capsys):
-    cfg = {"experiment": "clifford-check", "params": {"k": 3}, "budget": "quick"}
+    cfg = {"experiment": "clifford-check", "params": {"k_max": 3}, "budget": "quick"}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     code = main(["--config", str(path), "--out", str(tmp_path / "reports")])
@@ -151,7 +151,7 @@ def test_main_config_file(tmp_path, capsys):
 ])
 def test_budget_flag_applies_exactly_when_the_config_has_no_budget_key(tmp_path, capsys, budget_key, argv, want):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"experiment": "clifford-check", "params": {"k": 1}, **budget_key}))
+    path.write_text(json.dumps({"experiment": "clifford-check", "params": {"k_max": 1}, **budget_key}))
     assert main(["--config", str(path), "--out", str(tmp_path), *argv]) == 0
     capsys.readouterr()
     assert json.loads((tmp_path / "clifford-check.json").read_text())["inputs"]["budget"] == want
@@ -184,18 +184,20 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     for tag in ("nosuchtag", "ALL"):
         assert main(["--suite", tag, "--budget", "quick"]) == 2
         assert capsys.readouterr().err.startswith(f"config error: no experiment matches suite tag {tag!r}")
-    # a parameter of the wrong type, out of range or unknown, an integer or
-    # near-integer circle offset, an unknown path or a mollifier width that is
-    # not positive is a config error
+    # a parameter of the wrong type, out of range or unknown (the retired
+    # clifford-check k and divisor-flow path included), an integer or
+    # near-integer circle offset or a mollifier width that is not positive is
+    # a config error
     capsys.readouterr()
     for experiment, params in [
-        ("clifford-check", {"k": "x"}),
+        ("clifford-check", {"k_max": "x"}),
         ("spectral-eta", {"offsets": [0.25]}),
         ("eta-suspension", {"a": 2}),
         ("trace-tanh", {"a": 1e-13}),
         ("eta-suspension", {"a": 3.0000000000001}),
         ("tr-derivative-check", {"a": -0.9999999999999}),
-        ("clifford-check", {"k": 0}),
+        ("clifford-check", {"k_max": 0}),
+        ("clifford-check", {"k": 2}),
         ("clifford-check", {"k_max": 9}),
         ("sphere-omega", {"k": 0}),
         ("sphere-omega", {"k": 3}),
@@ -204,7 +206,7 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
         ("spectral-eta", {"k": 6}),  # its fit basis is ill-conditioned from k = 6 on
         ("eta-suspension", {"k": 1}),
         ("eta-suspension", {"k": 3}),  # its symmetric-spectrum fit fails from k = 3 on
-        ("divisor-flow", {"path": "bogus"}),
+        ("divisor-flow", {"path": "linear"}),
         ("divisor-flow", {"width": -1.0}),
         ("divisor-flow", {"width": 0.0}),
         ("divisor-flow", {"width": 10 ** 400}),
@@ -278,10 +280,12 @@ def test_main_suite_and_csv(tmp_path, capsys):
 
 
 def _no_experiment_runs(monkeypatch):
+    # every experiment body refuses to run; run_experiment's own id check stays
     def refuse(*args):
         raise AssertionError("an experiment ran")
 
-    monkeypatch.setattr("etaforge.cli.run_experiment", refuse)
+    for exp_id, spec in EXPERIMENTS.items():
+        monkeypatch.setitem(EXPERIMENTS, exp_id, replace(spec, func=refuse))
 
 
 def test_an_out_path_that_is_a_file_is_a_config_error_before_any_run(tmp_path, capsys, monkeypatch):
@@ -392,13 +396,6 @@ def test_main_list(capsys):
     assert main(["--list"]) == 0
     out = capsys.readouterr().out
     assert "divisor-flow" in out and "properties" in out
-
-
-def test_divisor_flow_path_parameter():
-    r = run(ExperimentConfig("divisor-flow", params={"path": "paper-f"}, budget="quick"))
-    assert r.passed and len(r.rows) == 1
-    r2 = run(ExperimentConfig("divisor-flow", params={"path": "linear"}, budget="quick"))
-    assert r2.passed
 
 
 def test_ladder_starting_below_one():
@@ -521,9 +518,7 @@ _bad_budget = st.sampled_from(sorted(_BUDGET_KEYS)).flatmap(
     )
 )
 _known_params = st.fixed_dictionaries({}, optional={
-    "k": st.integers(-1, 4) | st.sampled_from([9, 10 ** 30]) | _json,
     "k_max": st.integers(-1, 4) | st.sampled_from([9, 10 ** 30]) | _json,
-    "path": st.sampled_from(["paper-f", "phase-unwinding", "linear", "bogus"]) | _json,
     "width": st.floats(allow_nan=True) | st.integers() | _json,
 })
 _cheap_params = _known_params | _known_params | st.dictionaries(st.text(max_size=6), _json, max_size=3) | _json

@@ -27,7 +27,8 @@ from etaforge.eta import (
 )
 from etaforge.experiments import _conjugated_rotated_copy
 from etaforge.forms import (
-    MatrixFamily, exterior_derivative, form_from_families, matrix_family, mc_form, mf_product, wedge,
+    MatrixFamily, affine_clifford, capped_clifford, circle_phase, exterior_derivative, form_from_families, mc_form,
+    mf_product, moebius, sphere_clifford, step_unitary, wedge,
 )
 from etaforge.partrace import SpectralFamily, SpectralModel, kernel, tr_param_values
 from etaforge.quadrature import sphere_rule
@@ -48,9 +49,8 @@ def test_c_k_values():
 
 def test_eta1_moebius_winding():
     # oracle: residue computation, int dx/(x^2+1) = pi, so eta = 2
-    res = eta_k(matrix_family("moebius", s=1.0), 1, MOEBIUS_MODEL, LAD)
+    res = eta_k(moebius(s=1.0), 1, MOEBIUS_MODEL, LAD)
     assert abs(res.value - 2.0) < 1e-8
-    assert res.route == "matrix-form"
     assert res.half_integer_deviation < 1e-8
 
 
@@ -62,18 +62,18 @@ def test_eta_constant_family_vanishes():
 
 def test_eta2_affine_clifford_sign():
     for a in (1.0, -1.0):
-        fam = matrix_family("affine_clifford", a=a, k=2)
+        fam = affine_clifford(a=a, k=2)
         res = eta_k(fam, 2, AFFINE_MODEL, LAD, sphere_rule(3, (16, 32)), 24)
         assert abs(res.value + math.copysign(1.0, a)) < 1e-6
 
 
 def test_eta_dimension_check():
     with pytest.raises(ValueError):
-        eta_k(matrix_family("moebius", s=1.0), 2, MOEBIUS_MODEL)
+        eta_k(moebius(s=1.0), 2, MOEBIUS_MODEL)
 
 
 def test_eta2_rotational_invariance(rng):
-    fam = matrix_family("affine_clifford", a=1.0, k=2)
+    fam = affine_clifford(a=1.0, k=2)
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     if np.linalg.det(q) < 0:
         q[:, 0] *= -1.0
@@ -85,15 +85,15 @@ def test_eta2_rotational_invariance(rng):
 
 
 def test_eta2_step_unitary_is_even_integer():
-    fam = matrix_family("step_unitary", k=2)
+    fam = step_unitary(k=2)
     res = eta_k(fam, 2, ExpansionModel.make([], remainder=-8.0), LAD, sphere_rule(3, (16, 32)), 48)
     assert res.half_integer_deviation < 1e-6
     assert abs(abs(res.value) - 2.0) < 1e-6  # generator of the wound family
 
 
 def test_winding_values():
-    assert abs(winding(matrix_family("circle_phase"), 1, 512) - 1.0) < 1e-10
-    w = winding(matrix_family("sphere_clifford", k=2), 2, (32, 32, 64))
+    assert abs(winding(circle_phase(), 1, 512) - 1.0) < 1e-10
+    w = winding(sphere_clifford(k=2), 2, (32, 32, 64))
     assert abs(w + 1.0) < 1e-8
     const = MatrixFamily.constant(np.diag([1.0 + 0j, 3.0]), 4)
     assert abs(winding(const, 2, (16, 16, 32))) < 1e-12
@@ -101,20 +101,20 @@ def test_winding_values():
 
 def test_winding_integrality_corpus(rng):
     # products of wound families stay integral
-    f = matrix_family("sphere_clifford", k=2)
+    f = sphere_clifford(k=2)
     g = MatrixFamily(4, 2, lambda x: f.func(x) @ f.func(x), name="square")
     w = winding(g, 2, (32, 32, 64))
     assert abs(w - round(w.real)) < 1e-6
 
 
 def test_variation_constant_path():
-    path = PathFamily(lambda s: matrix_family("moebius", s=1.0))
+    path = PathFamily(lambda s: moebius(s=1.0))
     lhs, rhs = eta_variation(path, 1, 0.5, MOEBIUS_MODEL, ExpansionModel.powers([0, -1, -2, -3, -4]), ladder=LAD)
     assert abs(lhs) < 1e-8 and abs(rhs) < 1e-8
 
 
 def test_variation_moebius_pole_path():
-    path = PathFamily(lambda s: matrix_family("moebius", s=s))
+    path = PathFamily(lambda s: moebius(s=s))
     lhs, rhs = eta_variation(
         path, 1, 0.75, MOEBIUS_MODEL, ExpansionModel.powers([0, -1, -2, -3, -4]), ladder=LAD
     )
@@ -138,7 +138,7 @@ def test_variation_unwinding_rate():
 
 
 def test_variation_k2_path():
-    path = PathFamily(lambda s: matrix_family("capped_clifford", a=1.0 + s, k=2))
+    path = PathFamily(lambda s: capped_clifford(a=1.0 + s, k=2))
     lhs, rhs = eta_variation(
         path,
         2,
@@ -167,7 +167,7 @@ def test_formal_trace_matrix_routes_agree():
     # whose formal trace is genuinely nonzero
     from etaforge.forms import mf_inverse
 
-    A = matrix_family("capped_clifford", a=1.5, k=2)
+    A = capped_clifford(a=1.5, k=2)
     w = mc_form(A)
     form = wedge(wedge(form_from_families({(): mf_inverse(A)}), w), w)
     cm = ExpansionModel.powers([-2, -3, -4, -5, -6])
@@ -185,7 +185,7 @@ def test_defect_formal_trace_matches_regint_d_on_genuine_pair():
     # Measured gap 7.7e-8; the reference needs second partials of B, which
     # has no analytic ones.  formal_trace_matrix reads every coefficient from
     # one batch; one fit_expansion per coefficient must give the same bits
-    w1, w2 = defect_forms(matrix_family("capped_clifford", a=1.0, k=2), _conjugated_rotated_copy(1.5))
+    w1, w2 = defect_forms(capped_clifford(a=1.0, k=2), _conjugated_rotated_copy(1.5))
     form = wedge(w1, w2)
     cm = ExpansionModel.powers([-2, -3, -4, -5, -6])
     rule = sphere_rule(3, (8, 16))
@@ -213,7 +213,7 @@ def test_formal_trace_matrix_runs_one_batch(monkeypatch):
         return values(form, x, *rest)
 
     monkeypatch.setattr(forms.MatrixForm, "values", counted)
-    A = matrix_family("capped_clifford", a=1.5, k=2)
+    A = capped_clifford(a=1.5, k=2)
     w = mc_form(A)
     form = wedge(wedge(form_from_families({(): forms.mf_inverse(A)}), w), w)
     assert len(form.indices) == 3
@@ -224,8 +224,8 @@ def test_formal_trace_matrix_runs_one_batch(monkeypatch):
 
 def test_additivity_k1_scalar_and_matrix(rng):
     m1 = ExpansionModel.powers([-2, -3, -4, -5, -6, -7])
-    a1 = matrix_family("moebius", s=1.0)
-    b1 = matrix_family("moebius", s=2.0)
+    a1 = moebius(s=1.0)
+    b1 = moebius(s=2.0)
     ea = eta_k(a1, 1, m1, LAD).value
     eb = eta_k(b1, 1, m1, LAD).value
     eab = eta_k(mf_product(a1, b1), 1, m1, LAD).value
@@ -265,7 +265,7 @@ def test_defect_form_derivative_matches_structure_equations(rng):
     # dw1 = -w2 w1 - w1 w1 - w1 w2 and dw2 = -w2 w2, so
     # d tr(w1 w2) = -tr(w1 w1 w2) - tr(w1 w2 w2) with no derivative left; B has
     # no analytic partials, so its second partials come from the leaf stencil
-    w1, w2 = defect_forms(matrix_family("capped_clifford", a=1.0, k=2), _conjugated_rotated_copy(1.5))
+    w1, w2 = defect_forms(capped_clifford(a=1.0, k=2), _conjugated_rotated_copy(1.5))
     pts = _points_near_radius_two(rng, 8)
     top = (0, 1, 2)
     got = exterior_derivative(wedge(w1, w2).traced()).values(pts)[top]
@@ -285,7 +285,7 @@ def test_defect_form_derivative_runs_one_leaf_stencil(rng):
         rows.append(len(x))
         return b.func(x)
 
-    w1, w2 = defect_forms(matrix_family("capped_clifford", a=1.0, k=2), MatrixFamily(3, 2, counted, name="counted"))
+    w1, w2 = defect_forms(capped_clifford(a=1.0, k=2), MatrixFamily(3, 2, counted, name="counted"))
     pts = _points_near_radius_two(rng, 8)
     exterior_derivative(wedge(w1, w2).traced()).values(pts)
     assert sum(rows) == (1 + 4 * 3 + 8 * 3) * len(pts)
@@ -302,14 +302,14 @@ def test_defect_forms_invert_each_factor_once_per_batch(monkeypatch, rng):
         return det_inv(a)
 
     monkeypatch.setattr(forms, "_det_inv", counted)
-    w1, w2 = defect_forms(matrix_family("capped_clifford", a=1.0, k=2), _conjugated_rotated_copy(1.5))
+    w1, w2 = defect_forms(capped_clifford(a=1.0, k=2), _conjugated_rotated_copy(1.5))
     pts = _points_near_radius_two(rng, 8)
     exterior_derivative(wedge(w1, w2).traced()).values(pts)
     assert calls == [len(pts)] * 2
 
 
 def test_additivity_defect_trivial_factors():
-    a = matrix_family("capped_clifford", a=1.0, k=2)
+    a = capped_clifford(a=1.0, k=2)
     bconst = MatrixFamily.constant(np.diag([1.0 + 0j, 2.0]), 3)
     res = additivity_defect(a, bconst, CAPPED_MODEL, ladder=LAD, sphere=sphere_rule(3, (12, 24)), n_radial=24)
     assert abs(res.lhs) < 1e-4 and abs(res.rhs) < 1e-4
@@ -328,7 +328,7 @@ DEFECT_RUN = dict(ladder=RadiusLadder(4.0, 4096.0, 14), sphere=sphere_rule(3, (5
 ], ids=["constant", "genuine"])
 def test_additivity_defect_etas_are_the_separate_eta_k(make_b):
     # eta_2 of A, B and AB from one shared pass are bit for bit three eta_k calls
-    a, b = matrix_family("capped_clifford", a=1.0, k=2), make_b()
+    a, b = capped_clifford(a=1.0, k=2), make_b()
     res = additivity_defect(a, b, CAPPED_MODEL, **DEFECT_RUN)
     assert res.eta_a == eta_k(a, 2, CAPPED_MODEL, **DEFECT_RUN).value
     assert res.eta_b == eta_k(b, 2, CAPPED_MODEL, **DEFECT_RUN).value
@@ -348,7 +348,7 @@ def test_additivity_defect_runs_the_leaf_stencil_once_per_panel(monkeypatch):
         rows.append(len(x))
         return b.func(x)
 
-    a, bc = matrix_family("capped_clifford", a=1.0, k=2), MatrixFamily(3, 2, counted, name="counted")
+    a, bc = capped_clifford(a=1.0, k=2), MatrixFamily(3, 2, counted, name="counted")
     monkeypatch.setattr(eta_module, "formal_trace_matrix", lambda *args: 0.0)
     additivity_defect(a, bc, CAPPED_MODEL, **DEFECT_RUN)
     shared, rows[:] = sum(rows), []
@@ -365,7 +365,7 @@ def test_additivity_defect_runs_the_leaf_stencil_once_per_panel(monkeypatch):
 def test_additivity_defect_rejects_factors_of_different_shape(b):
     # a 2 x 2 A with a 3 x 3 B failed inside numpy with a broadcast error
     rows = []
-    base = matrix_family("capped_clifford", a=1.0, k=2)
+    base = capped_clifford(a=1.0, k=2)
 
     def counted(fam):
         return MatrixFamily(fam.p, fam.n, lambda x: rows.append(len(x)) or fam.func(x), name=fam.name)
@@ -415,7 +415,6 @@ def test_eta_suspension_bridge():
     model = SpectralModel.circle(0.25)
     plus = eta_suspension(model, 2, +1)
     minus = eta_suspension(model, 2, -1)
-    assert plus.route == "spectral-reduction"
     assert abs(plus.value + 0.5) < 5e-3
     assert abs(minus.value - 0.5) < 5e-3
     sym = eta_suspension(SpectralModel.circle(0.5), 2, +1)
@@ -466,7 +465,7 @@ def test_divisor_flow_paths_reject_bad_width(width):
 
 
 def test_divisor_flow_constant_path():
-    const = PathFamily(lambda s: matrix_family("moebius", s=1.0))
+    const = PathFamily(lambda s: moebius(s=1.0))
     assert abs(path_eta_rate(const, 0.5)) < 1e-10
 
 
@@ -486,7 +485,7 @@ def test_divisor_flow_rejects_vanishing_boundary():
 def test_homogeneity_bridge_matrix_vs_closed_form():
     # matrix-form route vs the per-slice closed form -12 a (a^2 + r^2)^{-2}
     a = 1.0
-    fam = matrix_family("affine_clifford", a=a, k=2)
+    fam = affine_clifford(a=a, k=2)
     via_matrix = eta_k(fam, 2, AFFINE_MODEL, LAD, sphere_rule(3, (16, 32)), 32).value
 
     def closed(r):

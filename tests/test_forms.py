@@ -1,3 +1,4 @@
+import inspect
 import math
 from collections import Counter
 from dataclasses import replace
@@ -15,14 +16,18 @@ from etaforge.forms import (
     MatrixFamily,
     MatrixForm,
     _blockwise,
+    affine_clifford,
+    capped_clifford,
     exterior_derivative,
     form_from_families,
-    matrix_family,
     maurer_cartan_power,
     mc_form,
     mf_inverse,
     mf_product,
+    moebius,
+    sphere_clifford,
     sphere_integrate,
+    step_unitary,
     values_of,
     wedge,
 )
@@ -108,8 +113,8 @@ def test_wedge_two_term_hand_expansion(rng):
 
 
 def test_wedge_anticommutator_matches_pointwise(rng):
-    fam = matrix_family("affine_clifford", a=1.0, k=2)
-    gam = matrix_family("affine_clifford", a=2.0, k=2)
+    fam = affine_clifford(a=1.0, k=2)
+    gam = affine_clifford(a=2.0, k=2)
     w1, w2 = mc_form(fam), mc_form(gam)
     s = wedge(w1, w2)
     t = wedge(w2, w1)
@@ -126,7 +131,7 @@ def test_wedge_anticommutator_matches_pointwise(rng):
 
 
 def test_wedge_overflow_is_flagged_zero():
-    fam = matrix_family("moebius", s=1.0)
+    fam = moebius(s=1.0)
     w = mc_form(fam)
     over = wedge(w, w)
     assert not over.indices and over.degree == 2
@@ -154,7 +159,7 @@ def test_exterior_derivative_hand_example(rng):
 
 def test_mc_power_parity(rng):
     # d(w^l) = -w^{l+1} for odd l and 0 for even l, w = A^{-1} dA
-    fam = matrix_family("affine_clifford", a=1.0, k=2)
+    fam = affine_clifford(a=1.0, k=2)
     w = mc_form(fam)
     pts = rng.normal(size=(5, 3)) + 1.5
 
@@ -171,7 +176,7 @@ def test_mc_power_parity(rng):
 
 def test_maurer_cartan_moebius_coefficient(rng):
     # symbolic oracle: f = (x-i)/(x+i) has f^{-1} f' = 2i/(x^2+1)
-    fam = matrix_family("moebius", s=1.0)
+    fam = moebius(s=1.0)
     tform = maurer_cartan_power(fam, 1)
     x = rng.normal(size=(9, 1)) * 3.0
     got = tform.values(x)[(0,)][:, 0, 0]
@@ -180,7 +185,7 @@ def test_maurer_cartan_moebius_coefficient(rng):
 
 
 def test_maurer_cartan_power_requires_odd():
-    fam = matrix_family("moebius", s=1.0)
+    fam = moebius(s=1.0)
     with pytest.raises(ValueError):
         maurer_cartan_power(fam, 2)
 
@@ -195,7 +200,7 @@ def test_constant_family_power_vanishes(rng):
 
 def test_mc_cubed_matches_closed_form_at_origin_slice():
     # at x = 0 the trace coefficient is 3! a (a^2)^{-2} tr(E1 E2 E3) = -12/a^3
-    fam = matrix_family("affine_clifford", a=1.0, k=2)
+    fam = affine_clifford(a=1.0, k=2)
     tform = maurer_cartan_power(fam, 3)
     got = tform.values(np.zeros((1, 3)))[(0, 1, 2)][0, 0, 0]
     assert abs(got - (-12.0)) < 1e-10
@@ -218,7 +223,7 @@ def test_closed_form_slots_and_scaling(rng):
 @pytest.mark.parametrize("k", [1, 2])  # ranks 1 and 2: both kernel paths
 def test_closed_form_matches_mc_power(rng, k):
     rep = standard_rep(k)
-    fam = matrix_family("sphere_clifford", k=k)
+    fam = sphere_clifford(k=k)
     tform = maurer_cartan_power(fam, 2 * k - 1)
     pts = rng.normal(size=(20, 2 * k))
     want = clifford_omega_closed_form(rep, pts)
@@ -236,7 +241,7 @@ def test_closed_form_matches_mc_power(rng, k):
 
 @pytest.mark.parametrize("analytic", [True, False])
 def test_cyclic_traced_power_matches_traced_wedge_power(rng, analytic):
-    fam = matrix_family("capped_clifford", a=1.5, k=2)
+    fam = capped_clifford(a=1.5, k=2)
     if not analytic:
         fam = MatrixFamily(3, 2, fam.func, name="capped, FD partials")
     tform = maurer_cartan_power(fam, 3)
@@ -278,7 +283,7 @@ def test_batch_kernels_match_numpy(rng, n):
 
 
 def test_singular_point_in_batch_is_reported(rng):
-    fam = matrix_family("affine_clifford", a=0.0, k=2)  # c(x) is singular only at x = 0
+    fam = affine_clifford(a=0.0, k=2)  # c(x) is singular only at x = 0
     pts = rng.normal(size=(8, 3))
     pts[5] = 0.0
     with pytest.raises(SingularFamilyError) as err:
@@ -314,8 +319,8 @@ def _batch_partial(fam, j, x):
 def test_rule_families_return_stacks_at_the_boundary(rng, k):
     # a batch keeps (N, N, M) arrays inside; every entry point hands back the
     # (M, N, N) stack, for a batch and for a single point, at ranks 1 and 2
-    a = matrix_family("affine_clifford", a=1.0 + 0.5j, k=k)
-    b = matrix_family("capped_clifford", a=0.7 - 0.2j, k=k)
+    a = affine_clifford(a=1.0 + 0.5j, k=k)
+    b = capped_clifford(a=0.7 - 0.2j, k=k)
     p = a.p
     pts = rng.normal(size=(7, p))
 
@@ -349,7 +354,7 @@ def test_rule_families_return_stacks_at_the_boundary(rng, k):
 def test_a_matrix_rank_above_two_is_rejected(build):
     # sphere_rule stops at S^3, so every integrable Clifford family has k <= 2
     # and rank <= 2; the batch kernels handle ranks 1 and 2 only
-    fam = matrix_family("capped_clifford", a=1.0, k=3)
+    fam = capped_clifford(a=1.0, k=3)
     assert fam.n == 4
     with pytest.raises(ValueError, match="at most 2"):
         build(fam)
@@ -358,7 +363,7 @@ def test_a_matrix_rank_above_two_is_rejected(build):
 def test_mf_product_rejects_operands_of_different_shape():
     # a 1 x 1 times a 2 x 2 family claimed n = 1 and returned 2 x 2 values,
     # and a p = 1 times a p = 3 family claimed p = 1
-    capped = matrix_family("capped_clifford", a=1.0, k=2)
+    capped = capped_clifford(a=1.0, k=2)
     with pytest.raises(ValueError, match=r"\(3, 1\) and \(3, 2\)"):
         mf_product(MatrixFamily.constant([[2.0]], 3), capped)
     with pytest.raises(ValueError, match=r"\(1, 1\) and \(3, 1\)"):
@@ -369,7 +374,7 @@ def test_mf_product_rejects_operands_of_different_shape():
 def test_values_of_shares_one_batch_and_matches_each_form(rng):
     # three forms on one leaf: every coefficient is bit for bit the form's own
     # values, and the leaf is evaluated once per point, as for one form alone
-    base = matrix_family("capped_clifford", a=1.0 + 0.5j, k=2)
+    base = capped_clifford(a=1.0 + 0.5j, k=2)
     rows = []
 
     def counted(x):
@@ -401,7 +406,7 @@ def test_form_coefficients_are_families_that_a_batch_memoizes_alone(rng):
     # a form is a dict of coefficient families: each, called on its own, gives
     # the form's coefficient bit for bit, and a batch keys every array it
     # holds by (family, sorted index set) only
-    A = matrix_family("capped_clifford", a=1.5, k=2)
+    A = capped_clifford(a=1.5, k=2)
     pts = rng.normal(size=(7, 3))
     for form in (maurer_cartan_power(A, 3), wedge(mc_form(A), mc_form(A))):
         assert form.indices == tuple(sorted(form.coefficients)) and form.indices
@@ -418,7 +423,7 @@ def test_form_coefficients_are_families_that_a_batch_memoizes_alone(rng):
 
 
 def test_values_of_rejects_forms_of_different_rank(rng):
-    a = matrix_family("capped_clifford", a=1.0, k=2)
+    a = capped_clifford(a=1.0, k=2)
     with pytest.raises(ValueError, match="matrix rank"):
         values_of([mc_form(a), maurer_cartan_power(a, 3)], rng.normal(size=(4, 3)))
 
@@ -433,7 +438,7 @@ def _recording_leaf(rows, base=None):
     """``base`` (capped_clifford by default) with its analytic partials, its
     value appending to ``rows`` the number of rows it is handed, and the same
     function without partials (stencil partials)."""
-    base = base or matrix_family("capped_clifford", a=1.0 + 0.5j, k=2)
+    base = base or capped_clifford(a=1.0 + 0.5j, k=2)
 
     def counted(x):
         rows.append(len(x))
@@ -497,7 +502,7 @@ def test_first_singular_point_in_a_later_block_is_reported(rng):
     # singular points in the third and fourth blocks: the error names the
     # first one, and no block after the third is evaluated
     rows = []
-    leaf, _ = _recording_leaf(rows, matrix_family("affine_clifford", a=0.0, k=2))  # singular only at x = 0
+    leaf, _ = _recording_leaf(rows, affine_clifford(a=0.0, k=2))  # singular only at x = 0
     pts = rng.normal(size=(_BLOCKS[-1], 3))
     first, later = 2 * BATCH_POINTS + 10, 3 * BATCH_POINTS + 3
     pts[[first, later]] = 0.0
@@ -525,7 +530,7 @@ def test_sphere_volumes():
 
 
 def test_sphere_clifford_integral():
-    fam = matrix_family("sphere_clifford", k=2)
+    fam = sphere_clifford(k=2)
     tform = maurer_cartan_power(fam, 3)
     val = sphere_integrate(tform)
     assert abs(val.value + 24.0 * math.pi ** 2) < 1e-6 * 24.0 * math.pi ** 2
@@ -533,7 +538,7 @@ def test_sphere_clifford_integral():
 
 
 def test_sphere_integrate_needs_scalar_coefficients():
-    fam = matrix_family("sphere_clifford", k=2)
+    fam = sphere_clifford(k=2)
     w = mc_form(fam)
     form = wedge(wedge(w, w), w)
     with pytest.raises(ValueError, match="rank-1"):
@@ -549,7 +554,7 @@ def test_sphere_integrate_covers_s1_to_s3_only():
 
 
 def test_singular_family_reports_point():
-    fam = matrix_family("affine_clifford", a=0.0, k=2)
+    fam = affine_clifford(a=0.0, k=2)
     w = mc_form(fam)
     with pytest.raises(SingularFamilyError) as err:
         w.values(np.zeros((1, 3)))
@@ -557,7 +562,7 @@ def test_singular_family_reports_point():
 
 
 def test_fd_partials_match_analytic(rng):
-    fam = matrix_family("capped_clifford", a=1.0, k=2)
+    fam = capped_clifford(a=1.0, k=2)
     pts = rng.normal(size=(6, 3))
     for j in range(3):
         analytic = fam.partials[j](pts)
@@ -568,7 +573,7 @@ def test_fd_partials_match_analytic(rng):
 def test_step_unitary_partials_match_the_fd_leaf(rng):
     # the analytic partials against the order-1 stencil of the same function,
     # inside the flat core (r < 1/2), on the ramp and outside the unit ball
-    fam = matrix_family("step_unitary", k=2)
+    fam = step_unitary(k=2)
     dirs = rng.normal(size=(12, 3))
     radii = np.repeat([0.2, 0.45, 0.55, 0.75, 0.95, 1.3, 3.0], 12)
     pts = np.tile(dirs / np.linalg.norm(dirs, axis=1)[:, None], (7, 1)) * radii[:, None]
@@ -588,7 +593,7 @@ _JET_LEAVES += [("step_unitary", {"k": k}) for k in (1, 2)]
 def test_leaf_jet_is_the_value_and_the_partials_bit_for_bit(rng, name, params):
     # at the origin, inside the core, on the ramp 1/2 < |x| < 1, at |x| = 1
     # and beyond: each jet array is func or partials[j] in the batch layout
-    fam = matrix_family(name, **params)
+    fam = getattr(forms_module, name)(**params)
     dirs = rng.normal(size=(6, fam.p))
     radii = np.repeat([0.0, 0.3, 0.55, 0.75, 0.95, 1.0, 1.7, 40.0], 6)
     pts = np.tile(dirs / row_norm(dirs)[:, None], (8, 1)) * radii[:, None]
@@ -604,7 +609,7 @@ def test_leaf_jet_is_the_value_and_the_partials_bit_for_bit(rng, name, params):
 def test_a_jet_leaf_value_enters_the_batch_layout_without_a_copy(rng, name, params):
     # func and every partial return the (M, N, N) view of the jet's own
     # (N, N, M) arrays, so the batch layout of each is that array again
-    fam = matrix_family(name, **params)
+    fam = getattr(forms_module, name)(**params)
     x = rng.normal(size=(9, fam.p))
     for v in [fam(x)] + [d(x) for d in fam.partials]:
         assert np.shares_memory(v, forms_module._planar(v))
@@ -637,7 +642,7 @@ def test_a_batch_runs_the_leaf_jet_once_and_a_direct_call_never(rng, monkeypatch
         return clifford_action(rep, x)
 
     monkeypatch.setattr(forms_module, "clifford_action", action)
-    leaf = _counted_leaf(matrix_family(name, **params), calls)
+    leaf = _counted_leaf(getattr(forms_module, name)(**params), calls)
     pts = rng.normal(size=(BATCH_POINTS + 5, 3))
     w = mc_form(leaf)
     values_of([w, wedge(w, w), form_from_families({(): mf_inverse(leaf)})], pts)
@@ -664,20 +669,22 @@ def test_a_batch_runs_the_leaf_jet_once_and_a_direct_call_never(rng, monkeypatch
 ])
 def test_matrix_family_rejects_bad_parameters(name, params, bad):
     # k = 2.5 built k = 2, k = True built k = 1, an unknown keyword was
-    # ignored and a non-finite a or s gave NaN matrices
-    with pytest.raises(ValueError, match=bad):
-        matrix_family(name, **params)
+    # ignored and a non-finite a or s gave NaN matrices.  An unknown or
+    # missing keyword is the signature's TypeError, a bad value of a
+    # parameter the family takes the domain check's ValueError
+    family = getattr(forms_module, name)
+    error = ValueError if set(params) == set(inspect.signature(family).parameters) else TypeError
+    with pytest.raises(error, match=bad):
+        family(**params)
 
 
 def test_matrix_family_accepts_numpy_scalars_and_finite_singular_parameters():
-    fam = matrix_family("capped_clifford", a=np.float64(1.5), k=np.int64(2))
+    fam = capped_clifford(a=np.float64(1.5), k=np.int64(2))
     assert (fam.p, fam.n, fam.name) == (3, 2, "capped_clifford((1.5+0j))")
-    assert matrix_family("moebius").name == "moebius((1+0j))"
-    with pytest.raises(KeyError, match="unknown matrix family"):
-        matrix_family("mobius", s=1.0)
+    assert moebius().name == "moebius((1+0j))"
     # a = 0 is singular only at x = 0, where the evaluation reports it
     with pytest.raises(SingularFamilyError):
-        mf_inverse(matrix_family("affine_clifford", a=0, k=2))(np.zeros(3))
+        mf_inverse(affine_clifford(a=0, k=2))(np.zeros(3))
 
 
 def test_constant_family_values_are_read_only_views():

@@ -248,9 +248,10 @@ def test_circle_sum_reports_widest_window(monkeypatch):
     fam = SpectralFamily(SpectralModel.circle(0.5), kernel("resolvent", 1), -2.0)
     monkeypatch.setattr(partrace, "_MU_CHUNK", 1)
     cfg = WindowConfig(start=4)
-    # a large mu clears the tail tolerance at once, a small one needs two escalations
+    # a large mu starts at |mu|/8 and clears the tail tolerance at once, a
+    # small one needs two escalations
     windows = {mu: _circle_sum(fam, np.array([[mu]]), 0, cfg)[2] for mu in (0.5, 100.0)}
-    assert windows == {0.5: 64, 100.0: 4}
+    assert windows == {0.5: 64, 100.0: 13}
     for mus in ([0.5, 100.0], [100.0, 0.5]):
         vals, _, window = _circle_sum(fam, np.array(mus)[:, None], 0, cfg)
         assert window == 64
@@ -261,9 +262,9 @@ def test_circle_sum_reports_widest_window(monkeypatch):
 
 def _one_grid_circle_sum(fam, mu, n_subtract, cfg):
     """The reference for ``_circle_sum``: the whole window, centred on the
-    offset reduced to (-1/2, 1/2], materialised and one (points x _LAM_BLOCK)
-    summand call per eigenvalue block and mu-chunk, the tails from one call
-    per side."""
+    offset reduced to (-1/2, 1/2] and starting at no less than |mu|/8,
+    materialised and one (points x _LAM_BLOCK) summand call per eigenvalue
+    block and mu-chunk, the tails from one call per side."""
     a = fam.base.a - math.ceil(fam.base.a - 0.5)
     mu = np.asarray(mu, dtype=float)
     total = np.zeros(len(mu), dtype=complex)
@@ -272,7 +273,7 @@ def _one_grid_circle_sum(fam, mu, n_subtract, cfg):
     for lo in range(0, len(mu), partrace._MU_CHUNK):
         sl = slice(lo, min(lo + partrace._MU_CHUNK, len(mu)))
         chunk = mu[sl]
-        N = cfg.start
+        N = max(cfg.start, math.ceil(np.max(np.linalg.norm(chunk, axis=1)) / 8.0))
         while True:
             n = np.arange(-N, N + 1)
             vals = np.zeros(len(chunk), dtype=complex)
@@ -341,6 +342,22 @@ def test_bounded_circle_sum_is_bit_for_bit_the_one_grid_sum(monkeypatch, name, p
     assert sum(sizes) == reference_terms
     if points > 8:
         assert len(sizes) > 4  # the mu chunk was taken in row blocks
+
+
+@pytest.mark.parametrize("mu", [1e6, -3e5])
+def test_a_large_mu_starts_the_window_at_an_eighth_of_it(mu):
+    # from a window of 4,096, mu = 1e6 read 3.13866e-6 against pi/mu =
+    # 3.14159e-6: the tail integral's nodes missed the summand's knee at
+    # |lam| ~ |mu|, and its estimate stayed near 1e-18 relative
+    fam = SpectralFamily(SpectralModel.circle(0.5), kernel("resolvent", 1), -2.0)
+    res = l2_trace(fam, [mu])
+    want = math.pi * math.tanh(math.pi * abs(mu)) / abs(mu)
+    assert abs(res.value - want) <= 1e-13 * want
+    assert res.truncation["window"] == math.ceil(abs(mu) / 8)
+    start = time.perf_counter()
+    with pytest.raises(TruncationError, match=r"\|mu\|/8 = 1\.25e\+07, above the maximum eigenvalue window 1048576"):
+        l2_trace(fam, [[0.5], [1e8]])
+    assert time.perf_counter() - start < 0.1  # before any sum
 
 
 def test_bounded_circle_sum_escalates_like_the_one_grid_sum(monkeypatch):
