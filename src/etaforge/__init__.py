@@ -60,8 +60,9 @@ from .partrace import (
     SpectralModel,
     TraceValue,
     WindowConfig,
-    kernel,
+    eta_kernel,
     l2_trace,
+    resolvent,
     tr_param,
 )
 

@@ -26,7 +26,7 @@ class SingularFamilyError(EtaforgeError):
 
 
 class OrderError(EtaforgeError):
-    """Declared symbol order violates a trace-class precondition."""
+    """A symbol's order violates a trace-class precondition."""
 
 
 class TruncationError(EtaforgeError):

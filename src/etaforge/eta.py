@@ -3,7 +3,8 @@
 Two computation routes: the matrix-form route integrates the trace of the
 (2k-1)-st power of A^{-1} dA over R^{2k-1} with the regularized integral,
 and the spectral-reduction route sums the per-eigenvalue closed form of the
-suspension family D +- c(mu) and reduces the integral radially.  Winding
+suspension family D +- c(mu) and reduces the integral radially.  The k of
+a matrix-route eta is read off the family: p = 2k - 1.  Winding
 numbers, the variation formula, the k = 2 additivity defect, the spectral
 eta bridge, and the divisor-flow experiment sit on top.  The additivity
 defect takes eta_2 of A, B and AB as three columns of one integrand, so each
@@ -49,7 +50,7 @@ from .partrace import (
     SpectralFamily,
     SpectralModel,
     WindowConfig,
-    kernel,
+    eta_kernel,
     l2_trace_values,
     tr_param_values,
 )
@@ -126,7 +127,6 @@ class PathFamily:
 
 def _eta_batch(
     families: list[MatrixFamily],
-    k: int,
     model: ExpansionModel,
     ladder: RadiusLadder,
     sphere: SphereRule | None,
@@ -137,10 +137,10 @@ def _eta_batch(
     batches (``values_of``), so leaves and partials the families share are
     evaluated once, and each family is one column of the integrand,
     integrated and fitted bit for bit as it would be alone."""
-    p = 2 * k - 1
-    for A in families:
-        if A.p != p:
-            raise ValueError(f"eta_{k} needs a family on R^{p}, got p = {A.p}")
+    ps = sorted({A.p for A in families})
+    if len(ps) != 1 or ps[0] % 2 == 0:
+        raise ValueError(f"eta_k needs families on one R^(2k-1), of odd dimension, got p = {ps}")
+    p, k = ps[0], (ps[0] + 1) // 2
     tforms = [maurer_cartan_power(A, p) for A in families]
     top = tuple(range(p))
 
@@ -156,26 +156,25 @@ def _eta_batch(
 
 def eta_k(
     A: MatrixFamily,
-    k: int,
     model: ExpansionModel,
     ladder: RadiusLadder = DEFAULT_LADDER,
     sphere: SphereRule | None = None,
     n_radial: int = 32,
 ) -> EtaResult:
-    """eta_k(A) = 2 c_k times the regularized integral over R^{2k-1} of
-    tr((A^{-1} dA)^{2k-1}); A must be invertible everywhere.  The
+    """eta_k(A) = 2 c_k times the regularized integral over R^{2k-1} (A.p =
+    2k - 1) of tr((A^{-1} dA)^{2k-1}); A must be invertible everywhere.  The
     spectral-reduction route for a circle model is ``eta_suspension``."""
-    return _eta_batch([A], k, model, ladder, sphere, n_radial)[0]
+    return _eta_batch([A], model, ladder, sphere, n_radial)[0]
 
 
-def winding(f: MatrixFamily, k: int, resolution=None) -> complex:
-    """w(f) = c_k int_{S^{2k-1}} tr((f^{-1} df)^{2k-1}); an integer for smooth
-    invertible f on the sphere."""
-    if f.p != 2 * k:
-        raise ValueError(f"winding at k={k} needs an ambient family on R^{2 * k}")
-    tform = maurer_cartan_power(f, 2 * k - 1)
+def winding(f: MatrixFamily, resolution=None) -> complex:
+    """w(f) = c_k int_{S^{2k-1}} tr((f^{-1} df)^{2k-1}) with f.p = 2k; an
+    integer for smooth invertible f on the sphere."""
+    if f.p % 2:
+        raise ValueError(f"winding needs an ambient family on R^(2k), of even dimension, got p = {f.p}")
+    tform = maurer_cartan_power(f, f.p - 1)
     val = sphere_integrate(tform, resolution)
-    return c_k(k) * val.value
+    return c_k(f.p // 2) * val.value
 
 
 def formal_trace_matrix(
@@ -207,7 +206,6 @@ def formal_trace_matrix(
 
 def eta_variation(
     path: PathFamily,
-    k: int,
     s: float,
     model: ExpansionModel,
     coef_model: ExpansionModel | None = None,
@@ -224,11 +222,12 @@ def eta_variation(
     """
 
     def eta_at(ss: float) -> complex:
-        return eta_k(path.family_at(ss), k, model, ladder, sphere, n_radial).value
+        return eta_k(path.family_at(ss), model, ladder, sphere, n_radial).value
 
     lhs = richardson_derivative(lambda c: eta_at(s + c * s_step), s_step)
 
     A = path.family_at(s)
+    k = (A.p + 1) // 2  # the path's families are on R^(2k-1), as eta_k checked
     G = mf_product(mf_inverse(A), path.derivative_at(s))
     form = form_from_families({(): G})
     w = mc_form(A)
@@ -274,10 +273,12 @@ def additivity_defect(
     coefficients.  Those decay one degree slower than the integrand of
     eta_2, so their model is ``model_eta`` with every degree raised by one.
     Raises ValueError before any evaluation unless A and B have the same
-    base dimension and matrix rank.
+    matrix rank and the base dimension 3.
     """
     AB = mf_product(A, B)
-    ea, eb, eab = (res.value for res in _eta_batch([A, B, AB], 2, model_eta, ladder, sphere, n_radial))
+    if AB.p != 3:
+        raise ValueError(f"the additivity defect is of eta_2, on R^3, got p = {AB.p}")
+    ea, eb, eab = (res.value for res in _eta_batch([A, B, AB], model_eta, ladder, sphere, n_radial))
     lhs = eab - ea - eb
 
     w1, w2 = defect_forms(A, B)
@@ -303,7 +304,7 @@ def spectral_eta(model: SpectralModel, k: int = 2, n_radial: int = 32) -> comple
     """
     if k < 2:
         raise ValueError("regint route needs k >= 2 (trace-class integrand)")
-    fam = SpectralFamily(model, kernel("eta_kernel", k), 1.0 - 2 * k)
+    fam = SpectralFamily(model, eta_kernel(k))
 
     def g(x):
         pts = np.asarray(x, dtype=float)[:, None]
@@ -340,7 +341,7 @@ def eta_suspension(
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     p = 2 * k - 1
-    fam = SpectralFamily(model, kernel("eta_kernel", k), 1.0 - 2 * k)
+    fam = SpectralFamily(model, eta_kernel(k))
     pref = sign * math.factorial(p) * 2 ** (k - 1) * (1j) ** (-k)
 
     def w(r):

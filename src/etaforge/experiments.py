@@ -66,8 +66,9 @@ from .partrace import (
     SpectralFamily,
     SpectralModel,
     WindowConfig,
-    kernel,
+    eta_kernel,
     l2_trace_values,
+    resolvent,
     shared_sums,
     tr_param,
     tr_param_values,
@@ -474,7 +475,7 @@ def exp_eta_matrix(params, budget, rng):
     model = ExpansionModel.powers([-4, -6, -8, -10])
     for a in (1.0, -1.0):
         fam = affine_clifford(a=a, k=2)
-        res = eta_k(fam, 2, model, budget.ladder, budget.sphere(3), budget.n_radial)
+        res = eta_k(fam, model, budget.ladder, budget.sphere(3), budget.n_radial)
         rows.append(
             CheckRow(
                 f"eta_2(a + c(x)), a={a:+g}",
@@ -486,7 +487,7 @@ def exp_eta_matrix(params, budget, rng):
             )
         )
     step = step_unitary(k=2)
-    res = eta_k(step, 2, ExpansionModel.make([], remainder=-8.0), budget.ladder, budget.sphere(3), budget.n_radial)
+    res = eta_k(step, ExpansionModel.make([], remainder=-8.0), budget.ladder, budget.sphere(3), budget.n_radial)
     rows.append(
         CheckRow(
             "eta_2(step unitary)/2 integrality",
@@ -504,15 +505,15 @@ def exp_winding(params, budget, rng):
     _params(params, {})
     rows = []
     m1 = ExpansionModel.powers([-2, -4, -6, -8])
-    r1 = eta_k(moebius(s=1.0), 1, m1, budget.ladder, None, budget.n_radial)
+    r1 = eta_k(moebius(s=1.0), m1, budget.ladder, None, budget.n_radial)
     rows.append(CheckRow("eta_1((x-i)/(x+i))", r1.value, 2.0, 1e-8, "abs", "residue oracle"))
-    w3 = winding(sphere_clifford(k=2), 2, budget.chart_s3)
+    w3 = winding(sphere_clifford(k=2), budget.chart_s3)
     rows.append(CheckRow("winding on S^3", w3, -1.0, 1e-6, "abs", "normalized sphere integral"))
-    w1 = winding(circle_phase(), 1, 512)
+    w1 = winding(circle_phase(), 512)
     rows.append(CheckRow("winding of e^{i theta} on S^1", w1, 1.0, 1e-8, "abs", "classical winding number"))
     base = sphere_clifford(k=2)
     shifted = MatrixFamily(4, 2, lambda x: 5.0 * np.eye(2, dtype=complex)[None] + base(x), base.partials, "shifted")
-    wc = winding(shifted, 2, budget.chart_s3)
+    wc = winding(shifted, budget.chart_s3)
     rows.append(CheckRow("winding of a shifted (null-homotopic) family", wc, 0.0, 1e-6, "abs", "contractible family"))
     return rows
 
@@ -523,13 +524,13 @@ def exp_variation_check(params, budget, rng):
     m1 = ExpansionModel.powers([-2, -4, -6, -8])
     cm1 = ExpansionModel.make([(0, 0), (-1, 0), (-2, 0), (-3, 0), (-4, 0)])
     path = PathFamily(lambda s: moebius(s=s))
-    lhs, rhs = eta_variation(path, 1, 0.75, m1, cm1, n_radial=budget.n_radial)
+    lhs, rhs = eta_variation(path, 0.75, m1, cm1, n_radial=budget.n_radial)
     rows.append(CheckRow("scalar pole path (constant eta)", lhs - rhs, 0.0, 1e-4, "abs", "independent rates"))
 
     unwind = phase_unwinding_path(0.05)
     mu = ExpansionModel.make([(-1, 0), (-2, 0), (-3, 0)])
     cmu = ExpansionModel.make([(0, 0), (-1, 0), (-2, 0)])
-    lhs2, rhs2 = eta_variation(unwind, 1, 0.5, mu, cmu, s_step=5e-3, n_radial=budget.n_radial_fine)
+    lhs2, rhs2 = eta_variation(unwind, 0.5, mu, cmu, s_step=5e-3, n_radial=budget.n_radial_fine)
     rows.append(CheckRow("phase-unwinding path: sides agree", lhs2 - rhs2, 0.0, 1e-4, "abs", "independent rates"))
     rows.append(CheckRow("phase-unwinding path: rate", rhs2, -2.0, 1e-6, "abs", "boundary-value formula"))
 
@@ -537,7 +538,7 @@ def exp_variation_check(params, budget, rng):
     meta = ExpansionModel.powers([-3, -4, -5, -6, -7])
     cm2 = ExpansionModel.make([(-2, 0), (-3, 0), (-4, 0), (-5, 0), (-6, 0)])
     lhs3, rhs3 = eta_variation(
-        kpath, 2, 0.5, meta, cm2, s_step=1e-2, ladder=budget.ladder, sphere=budget.sphere(3), n_radial=24
+        kpath, 0.5, meta, cm2, s_step=1e-2, ladder=budget.ladder, sphere=budget.sphere(3), n_radial=24
     )
     rows.append(CheckRow("k=2 capped family path: sides agree", lhs3 - rhs3, 0.0, 1e-4, "abs", "independent rates"))
     return rows
@@ -566,9 +567,9 @@ def exp_additivity_defect(params, budget, rng):
     a1 = moebius(s=1.0)
     b1 = moebius(s=2.0)
     ab = mf_product(a1, b1)
-    ea = eta_k(a1, 1, m1, budget.ladder, None, budget.n_radial).value
-    eb = eta_k(b1, 1, m1, budget.ladder, None, budget.n_radial).value
-    eab = eta_k(ab, 1, m1, budget.ladder, None, budget.n_radial).value
+    ea = eta_k(a1, m1, budget.ladder, None, budget.n_radial).value
+    eb = eta_k(b1, m1, budget.ladder, None, budget.n_radial).value
+    eab = eta_k(ab, m1, budget.ladder, None, budget.n_radial).value
     rows.append(CheckRow("eta_1 additivity, scalar pair", eab - ea - eb, 0.0, 1e-6, "abs", "group homomorphism"))
 
     # k = 2 trivial cases
@@ -636,7 +637,7 @@ def exp_eta_suspension(params, budget, rng):
     rows.append(CheckRow("symmetric spectrum", sym.value, 0.0, 1e-6, "abs", "term-by-term cancellation"))
 
     # radial reduction vs full-dimensional quadrature on one small case
-    fam = SpectralFamily(model, kernel("eta_kernel", k), 1.0 - 2 * k)
+    fam = SpectralFamily(model, eta_kernel(k))
     pref = math.factorial(2 * k - 1) * 2 ** (k - 1) * (1j) ** (-k)
 
     def radial_vals(r):
@@ -716,7 +717,7 @@ def _circle_eta_subtracted_trace(mu: float, a: float) -> float:
 def exp_trace_tanh(params, budget, rng):
     p = _params(params, {"mus": (0.5, 1.0, 5.0), "a": 0.5})
     model = _circle_model(p["a"])
-    fam = SpectralFamily(model, kernel("resolvent", 1), -2.0)
+    fam = SpectralFamily(model, resolvent(1))
     rows = []
     for mu in p["mus"]:
         got = complex(l2_trace_values(fam, np.array([[float(mu)]]), budget.window)[0])
@@ -742,7 +743,7 @@ def exp_tr_derivative_check(params, budget, rng):
 
     # order-0 family mu^2 (lam^2 + mu^2)^{-1}: second mu-derivative of the
     # subtracted trace equals a trace-class sum
-    fam0 = SpectralFamily(model, Kernel((KernelMonomial(1.0, 0, 1, 1),)), 0.0)
+    fam0 = SpectralFamily(model, Kernel((KernelMonomial(1.0, 0, 1, 1),)))
     mu = 2.0
     h = 1e-3
 
@@ -753,7 +754,7 @@ def exp_tr_derivative_check(params, budget, rng):
     d2b = (trv(mu + 0.5 * h) - 2.0 * trv(mu) + trv(mu - 0.5 * h)) / (0.25 * h ** 2)
     d2r = (4.0 * d2b - d2) / 3.0
     oracle_kernel = Kernel((KernelMonomial(2.0, 2, 0, 2), KernelMonomial(-8.0, 2, 1, 3)))
-    oracle_fam = SpectralFamily(model, oracle_kernel, -2.0)
+    oracle_fam = SpectralFamily(model, oracle_kernel)
     want = complex(l2_trace_values(oracle_fam, np.array([[mu]]), budget.window)[0])
     rows.append(
         CheckRow(
@@ -767,7 +768,7 @@ def exp_tr_derivative_check(params, budget, rng):
     )
 
     # first derivative compatibility on a trace-class family
-    fam1 = SpectralFamily(model, kernel("resolvent", 1), -2.0)
+    fam1 = SpectralFamily(model, resolvent(1))
 
     def trv1(x):
         return complex(tr_param_values(fam1, np.array([[x]]), budget.window)[0])
@@ -788,7 +789,7 @@ def exp_tr_derivative_check(params, budget, rng):
 
     # multiplication by mu: the canonical representatives agree on the nose,
     # so the difference is the zero polynomial
-    fam_mu = SpectralFamily(model, Kernel((KernelMonomial(1.0, 0, 1, 1),)), 1.0, pref_index=0, pref_power=1)
+    fam_mu = SpectralFamily(model, Kernel((KernelMonomial(1.0, 0, 1, 1),)), pref_power=1)
     xs = np.linspace(2.0, 9.0, 12)
     diff = tr_param_values(fam_mu, xs[:, None], budget.window) - xs * tr_param_values(
         fam0, xs[:, None], budget.window
@@ -814,11 +815,11 @@ def exp_tr_derivative_check(params, budget, rng):
     lam4 = Kernel((KernelMonomial(1.0, 2, 0, 0),)) * lam2  # D^2 times the order-0 family
     r = _circle_resolvent_trace(mu, a)
     for label, fam, want, form in (
-        ("lam^2/(lam^2+mu^2)", SpectralFamily(model, lam2, 0.0), -mu ** 2 * r, "-mu^2 R(mu)"),
-        ("lam^4/(lam^2+mu^2)", SpectralFamily(model, lam4, 2.0), mu ** 4 * r, "mu^4 R(mu)"),
+        ("lam^2/(lam^2+mu^2)", SpectralFamily(model, lam2), -mu ** 2 * r, "-mu^2 R(mu)"),
+        ("lam^4/(lam^2+mu^2)", SpectralFamily(model, lam4), mu ** 4 * r, "mu^4 R(mu)"),
         (
             "lam/(lam^2+mu^2)",
-            SpectralFamily(model, kernel("eta_kernel", 1), -1.0),
+            SpectralFamily(model, eta_kernel(1)),
             _circle_eta_subtracted_trace(mu, a),
             "pi sin 2pi a/(cosh 2pi mu - cos 2pi a) - pi cot pi a",
         ),
@@ -839,7 +840,7 @@ def exp_tr_derivative_check(params, budget, rng):
     # 0.01, 0.99, -0.3, 1.25, 7.5, -3000.3, 100000.4}, against estimates
     # below 1e-17; a tail scaled by 1 + 1e-6 reads 7.8e-10, 3.9e-10 and
     # 1.9e-10 (quick, standard, precise), and no tail 7.8e-4
-    fam4 = SpectralFamily(model, lam4, 2.0)
+    fam4 = SpectralFamily(model, lam4)
     worst, tol = 0.0, 1e-12
     for m in (0.5, 2.0, 5.0):
         first = tr_param(fam4, m, budget.window)

@@ -4,12 +4,12 @@ The operator is the circle operator D with spectrum {n + a : n in Z}
 (a not an integer).  Scalar symbols F(D, mu)
 are drawn from a small closed algebra of monomials
 c * lam^a * t^b * (lam^2 + t)^{-k} in t = |mu|^2, which is closed under
-products and d/dt, so the mu-derivative families stay analytic.  The
-canonical Taylor subtraction at mu = 0 is algebraic too: the remainder is
-itself a kernel whose monomials all carry the subtracted t power, so it is
-evaluated without cancellation.  Monomials are evaluated in float64, in
-place, with integer powers by multiplication (a negative lam power by
-division) and the coefficient applied last.
+products and d/dt, so the mu-derivative families stay analytic; a family's
+order is read off its monomials.  The canonical Taylor subtraction at
+mu = 0 is algebraic too: the remainder is a kernel whose monomials all
+carry the subtracted t power, so it is evaluated without cancellation.
+Monomials are evaluated in float64, in place, with integer powers by
+multiplication (a negative lam power by division), coefficient last.
 
 Eigenvalue sums run over the indices n = -N..N of the eigenvalues n + b,
 where b = a - ceil(a - 1/2) in (-1/2, 1/2] is the offset reduced once, so
@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field, replace
+from dataclasses import KW_ONLY, dataclass, field, replace
 
 import numpy as np
 
@@ -44,7 +44,8 @@ from .quadrature import RICHARDSON_OFFSETS, gauss_legendre, int_power, richardso
 __all__ = [
     "Kernel",
     "KernelMonomial",
-    "kernel",
+    "resolvent",
+    "eta_kernel",
     "SpectralModel",
     "SpectralFamily",
     "TraceValue",
@@ -91,6 +92,12 @@ class Kernel:
     products and d/dt."""
 
     monomials: tuple[KernelMonomial, ...]
+
+    @property
+    def degree(self) -> float:
+        """The largest lam_pow + 2 t_pow - 2 res_pow over the monomials with a
+        nonzero coefficient (the degree in lam and |mu|); -inf for none."""
+        return max((m.lam_pow + 2 * m.t_pow - 2 * m.res_pow for m in self.monomials if m.coef), default=-math.inf)
 
     def eval(self, lam: np.ndarray, t: np.ndarray) -> np.ndarray:
         """K(lam, t), broadcast over lam and t: float64 when every coefficient
@@ -158,14 +165,14 @@ class Kernel:
         return Kernel(tuple(out))
 
 
-def kernel(name: str, k: int) -> Kernel:
-    """Named kernels: resolvent(k) = (lam^2+t)^{-k} and
-    eta_kernel(k) = lam (lam^2+t)^{-k}."""
-    if name == "resolvent":
-        return Kernel((KernelMonomial(1.0, 0, 0, k),))
-    if name == "eta_kernel":
-        return Kernel((KernelMonomial(1.0, 1, 0, k),))
-    raise KeyError(f"unknown kernel {name!r}")
+def resolvent(k: int) -> Kernel:
+    """(lam^2+t)^{-k}."""
+    return Kernel((KernelMonomial(1.0, 0, 0, k),))
+
+
+def eta_kernel(k: int) -> Kernel:
+    """lam (lam^2+t)^{-k}."""
+    return Kernel((KernelMonomial(1.0, 1, 0, k),))
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +206,13 @@ class SpectralFamily:
     """A(mu) = F(D, mu) with F = mu_pref * kernel(lam, |mu|^2).
 
     ``pref_power`` multiplies by mu[pref_index]^pref_power (used by the
-    analytic mu-derivative families and by odd p = 1 symbols).  The declared
-    order bounds |F| by C (1+|lam|+|mu|)^order.
+    analytic mu-derivative families and by odd p = 1 symbols).  The order,
+    kernel degree plus pref_power, bounds |F| by C (1+|lam|+|mu|)^order.
     """
 
     base: SpectralModel
     kernel: Kernel
-    order: float
+    _: KW_ONLY
     pref_index: int = 0
     pref_power: int = 0
 
@@ -214,17 +221,19 @@ class SpectralFamily:
         return self.base.dim_m
 
     @property
-    def is_radial(self) -> bool:
-        return self.pref_power == 0
+    def order(self) -> float:
+        return self.kernel.degree + self.pref_power
 
     def minimal_taylor_order(self) -> int:
-        return max(0, math.floor(self.order + self.dim_m) + 1)
+        """The least m >= 0 with order + dim_M < m; 0 for an order of -inf."""
+        excess = self.order + self.dim_m
+        return math.floor(excess) + 1 if excess >= 0 else 0
 
     def d_mu(self, j: int) -> "SpectralFamily":
         """Analytic mu_j-derivative family (radial kernels only)."""
-        if not self.is_radial:
+        if self.pref_power:
             raise NotImplementedError("mu-derivative of a non-radial family")
-        return replace(self, kernel=self.kernel.dt().scale(2.0), order=self.order - 1.0, pref_index=j, pref_power=1)
+        return replace(self, kernel=self.kernel.dt().scale(2.0), pref_index=j, pref_power=1)
 
     def summand(self, lam: np.ndarray, mu: np.ndarray, n_subtract: int) -> np.ndarray:
         """Summand values less their Taylor polynomial of degree < n_subtract

@@ -30,7 +30,7 @@ from etaforge.forms import (
     MatrixFamily, affine_clifford, capped_clifford, circle_phase, exterior_derivative, form_from_families, mc_form,
     mf_product, moebius, sphere_clifford, step_unitary, wedge,
 )
-from etaforge.partrace import SpectralFamily, SpectralModel, kernel, tr_param_values
+from etaforge.partrace import SpectralFamily, SpectralModel, eta_kernel, tr_param_values
 from etaforge.quadrature import sphere_rule
 
 MOEBIUS_MODEL = ExpansionModel.powers([-2, -4, -6, -8])
@@ -49,27 +49,45 @@ def test_c_k_values():
 
 def test_eta1_moebius_winding():
     # oracle: residue computation, int dx/(x^2+1) = pi, so eta = 2
-    res = eta_k(moebius(s=1.0), 1, MOEBIUS_MODEL, LAD)
+    res = eta_k(moebius(s=1.0), MOEBIUS_MODEL, LAD)
     assert abs(res.value - 2.0) < 1e-8
     assert res.half_integer_deviation < 1e-8
 
 
 def test_eta_constant_family_vanishes():
     fam = MatrixFamily.constant(np.diag([2.0 + 0j, 1.0 + 1j]), 3)
-    res = eta_k(fam, 2, ExpansionModel.make([], remainder=-8.0), LAD, sphere_rule(3, (8, 16)), 16)
+    res = eta_k(fam, ExpansionModel.make([], remainder=-8.0), LAD, sphere_rule(3, (8, 16)), 16)
     assert abs(res.value) < 1e-10
 
 
 def test_eta2_affine_clifford_sign():
     for a in (1.0, -1.0):
         fam = affine_clifford(a=a, k=2)
-        res = eta_k(fam, 2, AFFINE_MODEL, LAD, sphere_rule(3, (16, 32)), 24)
+        res = eta_k(fam, AFFINE_MODEL, LAD, sphere_rule(3, (16, 32)), 24)
         assert abs(res.value + math.copysign(1.0, a)) < 1e-6
 
 
+def _counted(fam, rows):
+    """fam, recording the number of points of each evaluation in rows."""
+    return MatrixFamily(fam.p, fam.n, lambda x: rows.append(len(x)) or fam.func(x), name=fam.name)
+
+
 def test_eta_dimension_check():
-    with pytest.raises(ValueError):
-        eta_k(moebius(s=1.0), 2, MOEBIUS_MODEL)
+    # k is read off the base dimension: eta_k needs one R^(2k-1), winding
+    # R^(2k) and the additivity defect R^3, each checked before any evaluation
+    rows = []
+    even, odd = _counted(circle_phase(), rows), _counted(affine_clifford(a=1.0, k=2), rows)
+    with pytest.raises(ValueError, match=r"odd dimension, got p = \[2\]"):
+        eta_k(even, MOEBIUS_MODEL)
+    with pytest.raises(ValueError, match=r"odd dimension, got p = \[1, 3\]"):
+        eta_module._eta_batch([_counted(moebius(s=1.0), rows), odd], MOEBIUS_MODEL, LAD, None, 16)
+    with pytest.raises(ValueError, match=r"odd dimension, got p = \[2\]"):
+        eta_variation(PathFamily(lambda s: even), 0.5, MOEBIUS_MODEL)
+    with pytest.raises(ValueError, match="even dimension, got p = 3"):
+        winding(odd)
+    with pytest.raises(ValueError, match=r"on R\^3, got p = 1"):
+        additivity_defect(_counted(moebius(s=1.0), rows), _counted(moebius(s=2.0), rows), MOEBIUS_MODEL)
+    assert rows == []
 
 
 def test_eta2_rotational_invariance(rng):
@@ -79,44 +97,44 @@ def test_eta2_rotational_invariance(rng):
         q[:, 0] *= -1.0
 
     rot = MatrixFamily(3, 2, lambda x: fam.func(np.asarray(x, float) @ q.T), name="rotated")
-    a = eta_k(fam, 2, AFFINE_MODEL, LAD, sphere_rule(3, (16, 32)), 24).value
-    b = eta_k(rot, 2, AFFINE_MODEL, LAD, sphere_rule(3, (16, 32)), 24).value
+    a = eta_k(fam, AFFINE_MODEL, LAD, sphere_rule(3, (16, 32)), 24).value
+    b = eta_k(rot, AFFINE_MODEL, LAD, sphere_rule(3, (16, 32)), 24).value
     assert abs(a - b) < 1e-8 * abs(a)
 
 
 def test_eta2_step_unitary_is_even_integer():
     fam = step_unitary(k=2)
-    res = eta_k(fam, 2, ExpansionModel.make([], remainder=-8.0), LAD, sphere_rule(3, (16, 32)), 48)
+    res = eta_k(fam, ExpansionModel.make([], remainder=-8.0), LAD, sphere_rule(3, (16, 32)), 48)
     assert res.half_integer_deviation < 1e-6
     assert abs(abs(res.value) - 2.0) < 1e-6  # generator of the wound family
 
 
 def test_winding_values():
-    assert abs(winding(circle_phase(), 1, 512) - 1.0) < 1e-10
-    w = winding(sphere_clifford(k=2), 2, (32, 32, 64))
+    assert abs(winding(circle_phase(), 512) - 1.0) < 1e-10
+    w = winding(sphere_clifford(k=2), (32, 32, 64))
     assert abs(w + 1.0) < 1e-8
     const = MatrixFamily.constant(np.diag([1.0 + 0j, 3.0]), 4)
-    assert abs(winding(const, 2, (16, 16, 32))) < 1e-12
+    assert abs(winding(const, (16, 16, 32))) < 1e-12
 
 
 def test_winding_integrality_corpus(rng):
     # products of wound families stay integral
     f = sphere_clifford(k=2)
     g = MatrixFamily(4, 2, lambda x: f.func(x) @ f.func(x), name="square")
-    w = winding(g, 2, (32, 32, 64))
+    w = winding(g, (32, 32, 64))
     assert abs(w - round(w.real)) < 1e-6
 
 
 def test_variation_constant_path():
     path = PathFamily(lambda s: moebius(s=1.0))
-    lhs, rhs = eta_variation(path, 1, 0.5, MOEBIUS_MODEL, ExpansionModel.powers([0, -1, -2, -3, -4]), ladder=LAD)
+    lhs, rhs = eta_variation(path, 0.5, MOEBIUS_MODEL, ExpansionModel.powers([0, -1, -2, -3, -4]), ladder=LAD)
     assert abs(lhs) < 1e-8 and abs(rhs) < 1e-8
 
 
 def test_variation_moebius_pole_path():
     path = PathFamily(lambda s: moebius(s=s))
     lhs, rhs = eta_variation(
-        path, 1, 0.75, MOEBIUS_MODEL, ExpansionModel.powers([0, -1, -2, -3, -4]), ladder=LAD
+        path, 0.75, MOEBIUS_MODEL, ExpansionModel.powers([0, -1, -2, -3, -4]), ladder=LAD
     )
     assert abs(lhs) < 1e-6 and abs(rhs) < 1e-6
 
@@ -125,7 +143,6 @@ def test_variation_unwinding_rate():
     path = phase_unwinding_path(0.05)
     lhs, rhs = eta_variation(
         path,
-        1,
         0.5,
         ExpansionModel.powers([-1, -2, -3]),
         ExpansionModel.powers([0, -1, -2]),
@@ -141,7 +158,6 @@ def test_variation_k2_path():
     path = PathFamily(lambda s: capped_clifford(a=1.0 + s, k=2))
     lhs, rhs = eta_variation(
         path,
-        2,
         0.5,
         CAPPED_MODEL,
         ExpansionModel.powers([-2, -3, -4, -5, -6]),
@@ -226,9 +242,9 @@ def test_additivity_k1_scalar_and_matrix(rng):
     m1 = ExpansionModel.powers([-2, -3, -4, -5, -6, -7])
     a1 = moebius(s=1.0)
     b1 = moebius(s=2.0)
-    ea = eta_k(a1, 1, m1, LAD).value
-    eb = eta_k(b1, 1, m1, LAD).value
-    eab = eta_k(mf_product(a1, b1), 1, m1, LAD).value
+    ea = eta_k(a1, m1, LAD).value
+    eb = eta_k(b1, m1, LAD).value
+    eab = eta_k(mf_product(a1, b1), m1, LAD).value
     assert abs(eab - ea - eb) < 1e-7
     assert abs(ea - 2.0) < 1e-7 and abs(eab - 4.0) < 1e-7
 
@@ -249,9 +265,9 @@ def test_additivity_k1_scalar_and_matrix(rng):
 
     a2 = MatrixFamily(1, 2, a2f, name="A2")
     b2 = MatrixFamily(1, 2, b2f, name="B2")
-    ea2 = eta_k(a2, 1, m1, LAD).value
-    eb2 = eta_k(b2, 1, m1, LAD).value
-    eab2 = eta_k(mf_product(a2, b2), 1, m1, LAD).value
+    ea2 = eta_k(a2, m1, LAD).value
+    eb2 = eta_k(b2, m1, LAD).value
+    eab2 = eta_k(mf_product(a2, b2), m1, LAD).value
     assert abs(eab2 - ea2 - eb2) < 1e-6
 
 
@@ -330,9 +346,9 @@ def test_additivity_defect_etas_are_the_separate_eta_k(make_b):
     # eta_2 of A, B and AB from one shared pass are bit for bit three eta_k calls
     a, b = capped_clifford(a=1.0, k=2), make_b()
     res = additivity_defect(a, b, CAPPED_MODEL, **DEFECT_RUN)
-    assert res.eta_a == eta_k(a, 2, CAPPED_MODEL, **DEFECT_RUN).value
-    assert res.eta_b == eta_k(b, 2, CAPPED_MODEL, **DEFECT_RUN).value
-    assert res.eta_product == eta_k(mf_product(a, b), 2, CAPPED_MODEL, **DEFECT_RUN).value
+    assert res.eta_a == eta_k(a, CAPPED_MODEL, **DEFECT_RUN).value
+    assert res.eta_b == eta_k(b, CAPPED_MODEL, **DEFECT_RUN).value
+    assert res.eta_product == eta_k(mf_product(a, b), CAPPED_MODEL, **DEFECT_RUN).value
     assert res.lhs == res.eta_product - res.eta_a - res.eta_b
 
 
@@ -352,9 +368,9 @@ def test_additivity_defect_runs_the_leaf_stencil_once_per_panel(monkeypatch):
     monkeypatch.setattr(eta_module, "formal_trace_matrix", lambda *args: 0.0)
     additivity_defect(a, bc, CAPPED_MODEL, **DEFECT_RUN)
     shared, rows[:] = sum(rows), []
-    eta_k(mf_product(a, bc), 2, CAPPED_MODEL, **DEFECT_RUN)
+    eta_k(mf_product(a, bc), CAPPED_MODEL, **DEFECT_RUN)
     product_alone, rows[:] = sum(rows), []
-    eta_k(bc, 2, CAPPED_MODEL, **DEFECT_RUN)
+    eta_k(bc, CAPPED_MODEL, **DEFECT_RUN)
     assert shared == product_alone == sum(rows) > 0
 
 
@@ -365,13 +381,10 @@ def test_additivity_defect_runs_the_leaf_stencil_once_per_panel(monkeypatch):
 def test_additivity_defect_rejects_factors_of_different_shape(b):
     # a 2 x 2 A with a 3 x 3 B failed inside numpy with a broadcast error
     rows = []
-    base = capped_clifford(a=1.0, k=2)
-
-    def counted(fam):
-        return MatrixFamily(fam.p, fam.n, lambda x: rows.append(len(x)) or fam.func(x), name=fam.name)
-
     with pytest.raises(ValueError, match="same base dimension and matrix rank"):
-        additivity_defect(counted(base), counted(b), CAPPED_MODEL, **DEFECT_RUN)
+        additivity_defect(
+            _counted(capped_clifford(a=1.0, k=2), rows), _counted(b, rows), CAPPED_MODEL, **DEFECT_RUN
+        )
     assert rows == []
 
 
@@ -424,7 +437,7 @@ def test_eta_suspension_bridge():
 def test_symmetric_suspension_integrand_needs_the_raised_zero_floor(quick):
     # at a = 1/2 the summand cancels to rounding noise: the default floor
     # reads that noise as a misfit, eta_suspension's 1e-6 floor as zero
-    fam = SpectralFamily(SpectralModel.circle(0.5), kernel("eta_kernel", 2), -3.0)
+    fam = SpectralFamily(SpectralModel.circle(0.5), eta_kernel(2))
     pref = math.factorial(3) * 2 * (1j) ** (-2)
 
     def w(r):
@@ -486,7 +499,7 @@ def test_homogeneity_bridge_matrix_vs_closed_form():
     # matrix-form route vs the per-slice closed form -12 a (a^2 + r^2)^{-2}
     a = 1.0
     fam = affine_clifford(a=a, k=2)
-    via_matrix = eta_k(fam, 2, AFFINE_MODEL, LAD, sphere_rule(3, (16, 32)), 32).value
+    via_matrix = eta_k(fam, AFFINE_MODEL, LAD, sphere_rule(3, (16, 32)), 32).value
 
     def closed(r):
         return -12.0 * a * (a * a + r * r) ** (-2.0) + 0j

@@ -19,9 +19,10 @@ from etaforge.partrace import (
     WindowConfig,
     _circle_sum,
     _em_tail,
-    kernel,
+    eta_kernel,
     l2_trace,
     l2_trace_values,
+    resolvent,
     tr_param,
     tr_param_values,
 )
@@ -72,7 +73,7 @@ def test_eta_kernel_closed_form_against_brute_force():
 
 
 def test_kernel_eval_and_order():
-    k = kernel("eta_kernel", 2)
+    k = eta_kernel(2)
     lam = np.array([1.0, -2.0, 3.0])
     t = np.array([4.0])
     got = k.eval(lam, t)
@@ -97,7 +98,7 @@ def test_kernel_dt_matches_finite_difference():
 def test_kernel_taylor_remainder_vanishes_to_its_order():
     # K - sum_{j<m} g_j t^j = O(t^m): at t = 1e-3 the remainder of
     # (lam^2+t)^{-2} is t^m times its m-th coefficient, to first order in t
-    k = kernel("resolvent", 2)
+    k = resolvent(2)
     lam = np.array([2.0, -3.0])
     t = 1e-3
     for m in range(6):
@@ -106,13 +107,60 @@ def test_kernel_taylor_remainder_vanishes_to_its_order():
         assert np.max(np.abs(rem - lead * t ** m)) <= 1e-2 * np.max(np.abs(lead * t ** m)), m
 
 
-def test_kernel_product_and_parse():
-    k1, k2 = kernel("resolvent", 1), kernel("eta_kernel", 2)
+def test_kernel_product():
+    k1, k2 = resolvent(1), eta_kernel(2)
     prod = k1 * k2
     lam, t = np.array([1.7]), np.array([0.9])
     assert abs(prod.eval(lam, t) - k1.eval(lam, t) * k2.eval(lam, t)) < 1e-15
-    with pytest.raises(KeyError):
-        kernel("not a kernel", 1)
+
+
+_T_OVER_RESOLVENT = Kernel((KernelMonomial(1.0, 0, 1, 1),))  # t (lam^2+t)^{-1}
+_LAM2 = Kernel((KernelMonomial(1.0, 2, 0, 1),))  # lam^2 (lam^2+t)^{-1}
+
+
+def _family(kern, **pref):
+    return SpectralFamily(SpectralModel.circle(0.25), kern, **pref)
+
+
+# each family's order, read off its kernel and prefactor, and the minimal
+# Taylor order that the order fixes
+_DERIVED_ORDERS = {
+    **{f"eta_kernel({k})": (_family(eta_kernel(k)), 1 - 2 * k) for k in range(1, 6)},
+    "resolvent(1)": (_family(resolvent(1)), -2),
+    "t/(lam^2+t)": (_family(_T_OVER_RESOLVENT), 0),
+    "mu t/(lam^2+t)": (_family(_T_OVER_RESOLVENT, pref_power=1), 1),
+    "lam^2/(lam^2+t)": (_family(_LAM2), 0),
+    "lam^4/(lam^2+t)": (_family(Kernel((KernelMonomial(1.0, 2, 0, 0),)) * _LAM2), 2),
+    "tr-derivative oracle": (_family(Kernel((KernelMonomial(2.0, 2, 0, 2), KernelMonomial(-8.0, 2, 1, 3)))), -2),
+    "d_mu of resolvent(1)": (_family(resolvent(1)).d_mu(0), -3),
+    "a zero-coefficient top monomial": (
+        _family(Kernel((KernelMonomial(0.0, 4, 1, 0), KernelMonomial(1.0, 0, 0, 1)))), -2
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DERIVED_ORDERS))
+def test_a_family_order_is_its_kernel_degree(name):
+    fam, order = _DERIVED_ORDERS[name]
+    assert fam.order == order
+    assert fam.minimal_taylor_order() == max(0, order + 2)  # the least m > order + dim_M
+
+
+@pytest.mark.parametrize("kern", [Kernel(()), Kernel((KernelMonomial(0.0, 4, 1, 0), KernelMonomial(0j, 1, 0, 1)))],
+                         ids=["no monomial", "zero coefficients"])
+def test_a_kernel_without_a_nonzero_monomial_has_order_minus_infinity(kern):
+    assert kern.degree == -math.inf
+    for fam in (_family(kern), _family(kern, pref_power=1)):
+        assert fam.order == -math.inf
+        assert fam.minimal_taylor_order() == 0
+        assert tr_param(fam, [1.0]).value == 0.0
+
+
+def test_an_order_is_not_declared():
+    # the prefactor's fields are keyword-only, so a stale call that still
+    # passes an order as the third argument fails instead of setting pref_index
+    with pytest.raises(TypeError):
+        SpectralFamily(SpectralModel.circle(0.25), resolvent(1), -2.0)
 
 
 def _monomial_oracle(mono, lam, t):
@@ -134,14 +182,14 @@ def _t_coefficient_oracle(k, m, lam):
 _ORACLE_KERNELS = {
     "power of lam only": Kernel((KernelMonomial(2.5, 3, 0, 0),)),
     "t power, no resolvent": Kernel((KernelMonomial(-0.5, 1, 2, 0),)),
-    "resolvent(1)": kernel("resolvent", 1),
-    "eta_kernel(2)": kernel("eta_kernel", 2),
+    "resolvent(1)": resolvent(1),
+    "eta_kernel(2)": eta_kernel(2),
     "weighted_eta(3)": _weighted_eta(3),
     "dt of weighted_eta(2)": _weighted_eta(2).dt(),
-    "product": kernel("resolvent", 1) * kernel("eta_kernel", 2),
+    "product": resolvent(1) * eta_kernel(2),
     "scaled by 1j": _weighted_eta(2).scale(1j),
     "mixed complex sum": Kernel(
-        kernel("eta_kernel", 1).scale(0.5 - 2j).monomials + kernel("resolvent", 2).dt().monomials
+        eta_kernel(1).scale(0.5 - 2j).monomials + resolvent(2).dt().monomials
     ),
 }
 
@@ -186,7 +234,7 @@ def test_kernel_taylor_remainder_against_scalar_oracle(name, m):
 
 
 def test_l2_trace_tanh():
-    fam = SpectralFamily(SpectralModel.circle(0.5), kernel("resolvent", 1), -2.0)
+    fam = SpectralFamily(SpectralModel.circle(0.5), resolvent(1))
     for mu in (0.5, 1.0, 5.0):
         tv = l2_trace(fam, [mu])
         want = math.pi * math.tanh(math.pi * mu) / mu
@@ -196,32 +244,33 @@ def test_l2_trace_tanh():
 
 
 def test_l2_trace_zeta_values_at_zero_parameter():
-    fam = SpectralFamily(SpectralModel.circle(0.25), kernel("eta_kernel", 2), -3.0)
+    fam = SpectralFamily(SpectralModel.circle(0.25), eta_kernel(2))
     got = l2_trace(fam, [1e-30]).value  # continuous at 0; avoid the lattice point
     want = float(mpmath.zeta(3, 0.25) - mpmath.zeta(3, 0.75))
     assert abs(got - want) < 1e-10
 
 
 def test_l2_trace_closed_form_at_moderate_mu():
-    fam = SpectralFamily(SpectralModel.circle(0.25), kernel("eta_kernel", 2), -3.0)
+    fam = SpectralFamily(SpectralModel.circle(0.25), eta_kernel(2))
     for x in (0.5, 2.0, 4.0):
         got = complex(l2_trace_values(fam, np.array([[x]]))[0])
         assert abs(got - _eta_kernel_closed_form(0.25, x)) < 1e-12
 
 
 def test_l2_trace_zero_kernel():
-    fam = SpectralFamily(SpectralModel.circle(0.25), Kernel(()), -5.0)
+    fam = SpectralFamily(SpectralModel.circle(0.25), Kernel(()))
     assert l2_trace(fam, [1.0]).value == 0.0
 
 
 def test_l2_trace_order_precondition():
-    fam = SpectralFamily(SpectralModel.circle(0.25), kernel("resolvent", 1), 0.0)
+    # t (lam^2+t)^{-1} has order 0: not trace class on the circle
+    fam = SpectralFamily(SpectralModel.circle(0.25), _T_OVER_RESOLVENT)
     with pytest.raises(OrderError):
         l2_trace(fam, [1.0])
 
 
 def test_window_escalation_cap():
-    fam = SpectralFamily(SpectralModel.circle(0.5), kernel("resolvent", 1), -2.0)
+    fam = SpectralFamily(SpectralModel.circle(0.5), resolvent(1))
     with pytest.raises(TruncationError):
         l2_trace(fam, [1.0], WindowConfig(start=8, cap=8))  # a tail estimate of 2.4e-6 at N = 8
 
@@ -245,7 +294,7 @@ def test_em_tail_against_mpmath(s):
 
 
 def test_circle_sum_reports_widest_window(monkeypatch):
-    fam = SpectralFamily(SpectralModel.circle(0.5), kernel("resolvent", 1), -2.0)
+    fam = SpectralFamily(SpectralModel.circle(0.5), resolvent(1))
     monkeypatch.setattr(partrace, "_MU_CHUNK", 1)
     cfg = WindowConfig(start=4)
     # a large mu starts at |mu|/8 and clears the tail tolerance at once, a
@@ -295,12 +344,12 @@ def _one_grid_circle_sum(fam, mu, n_subtract, cfg):
 
 
 _BOUNDED_SUM_FAMILIES = {
-    "resolvent": (SpectralFamily(SpectralModel.circle(0.5), kernel("resolvent", 1), -2.0), 0),
-    "weighted_eta subtracted": (SpectralFamily(SpectralModel.circle(0.25), _weighted_eta(2), -1.0), 1),
+    "resolvent": (SpectralFamily(SpectralModel.circle(0.5), resolvent(1)), 0),
+    "weighted_eta subtracted": (SpectralFamily(SpectralModel.circle(0.25), _weighted_eta(2)), 1),
     "complex coefficient": (
-        SpectralFamily(SpectralModel.circle(0.25), Kernel((KernelMonomial(1.0 + 0.5j, 0, 1, 1),)), 0.0), 2
+        SpectralFamily(SpectralModel.circle(0.25), Kernel((KernelMonomial(1.0 + 0.5j, 0, 1, 1),))), 2
     ),
-    "mu derivative": (SpectralFamily(SpectralModel.circle(0.75), kernel("resolvent", 1), -2.0).d_mu(1), 0),
+    "mu derivative": (SpectralFamily(SpectralModel.circle(0.75), resolvent(1)).d_mu(1), 0),
 }
 
 
@@ -349,7 +398,7 @@ def test_a_large_mu_starts_the_window_at_an_eighth_of_it(mu):
     # from a window of 4,096, mu = 1e6 read 3.13866e-6 against pi/mu =
     # 3.14159e-6: the tail integral's nodes missed the summand's knee at
     # |lam| ~ |mu|, and its estimate stayed near 1e-18 relative
-    fam = SpectralFamily(SpectralModel.circle(0.5), kernel("resolvent", 1), -2.0)
+    fam = SpectralFamily(SpectralModel.circle(0.5), resolvent(1))
     res = l2_trace(fam, [mu])
     want = math.pi * math.tanh(math.pi * abs(mu)) / abs(mu)
     assert abs(res.value - want) <= 1e-13 * want
@@ -386,13 +435,13 @@ def test_bounded_circle_sum_allocates_no_window_sized_array(monkeypatch):
 
 
 def test_trace_values_are_complex():
-    fam = SpectralFamily(SpectralModel.circle(0.5), kernel("resolvent", 1), -2.0)
+    fam = SpectralFamily(SpectralModel.circle(0.5), resolvent(1))
     assert l2_trace_values(fam, np.array([[1.0]])).dtype == np.complex128
     assert tr_param_values(fam, np.array([[1.0]])).dtype == np.complex128
 
 
 def test_tr_param_trace_class_reduces_to_l2():
-    fam = SpectralFamily(SpectralModel.circle(0.25), kernel("eta_kernel", 2), -3.0)
+    fam = SpectralFamily(SpectralModel.circle(0.25), eta_kernel(2))
     tv = tr_param(fam, [1.5])
     lv = l2_trace(fam, [1.5])
     assert tv.value == lv.value
@@ -401,7 +450,7 @@ def test_tr_param_trace_class_reduces_to_l2():
 
 def test_tr_param_rotational_reduction():
     # a radial family sees only |mu|, whatever the parameter dimension
-    fam = SpectralFamily(SpectralModel.circle(0.25), kernel("eta_kernel", 2), -3.0)
+    fam = SpectralFamily(SpectralModel.circle(0.25), eta_kernel(2))
     pts = np.array([[0.6, -1.1, 2.0], [3.0, 0.0, 0.0]])
     v3 = tr_param_values(fam, pts)
     v1 = tr_param_values(fam, np.linalg.norm(pts, axis=1)[:, None])
@@ -411,7 +460,7 @@ def test_tr_param_rotational_reduction():
 def test_tr_param_subtracted_order_zero_family():
     # mu^2 (lam^2 + mu^2)^{-1} has order 0, minimal Taylor order 2, and the
     # canonical representative is the plain (convergent) sum
-    fam = SpectralFamily(SpectralModel.circle(0.25), Kernel((KernelMonomial(1.0, 0, 1, 1),)), 0.0)
+    fam = SpectralFamily(SpectralModel.circle(0.25), Kernel((KernelMonomial(1.0, 0, 1, 1),)))
     tv = tr_param(fam, [2.0])
     assert tv.ambiguity_degree == 1
     brute = brute_force_two_sided(lambda n: 4.0 / ((n + 0.25) ** 2 + 4.0), n_max=500000)
@@ -422,7 +471,7 @@ def test_tr_param_derivative_identity():
     # d^2/dmu^2 of the subtracted trace equals 2 lam^2 [(lam^2+mu^2)^{-2}
     # - 4 mu^2 (lam^2+mu^2)^{-3}] summed, a trace-class identity
     model = SpectralModel.circle(0.25)
-    fam = SpectralFamily(model, Kernel((KernelMonomial(1.0, 0, 1, 1),)), 0.0)
+    fam = SpectralFamily(model, Kernel((KernelMonomial(1.0, 0, 1, 1),)))
     mu, h = 2.0, 1e-3
 
     def tr(x):
@@ -431,9 +480,7 @@ def test_tr_param_derivative_identity():
     d2 = (tr(mu + h) - 2 * tr(mu) + tr(mu - h)) / h ** 2
     d2b = (tr(mu + h / 2) - 2 * tr(mu) + tr(mu - h / 2)) / (h ** 2 / 4)
     d2r = (4 * d2b - d2) / 3
-    oracle_fam = SpectralFamily(
-        model, Kernel((KernelMonomial(2.0, 2, 0, 2), KernelMonomial(-8.0, 2, 1, 3))), -2.0
-    )
+    oracle_fam = SpectralFamily(model, Kernel((KernelMonomial(2.0, 2, 0, 2), KernelMonomial(-8.0, 2, 1, 3))))
     want = complex(l2_trace_values(oracle_fam, np.array([[mu]]))[0])
     assert abs(d2r - want) < 1e-6
 
@@ -442,8 +489,8 @@ _SUBTRACTED_FAMILIES = {
     # lam^2 (lam^2+mu^2)^{-1} of order 0 and lam^4 (lam^2+mu^2)^{-1} of order
     # 2: their subtracted traces are -mu^2 R(mu) and mu^4 R(mu), R(mu) the
     # resolvent trace sum_n (lam_n^2 + mu^2)^{-1}
-    "lam^2": (Kernel((KernelMonomial(1.0, 2, 0, 1),)), 0.0, lambda mu: -mu ** 2),
-    "lam^4": (Kernel((KernelMonomial(1.0, 4, 0, 1),)), 2.0, lambda mu: mu ** 4),
+    "lam^2": (Kernel((KernelMonomial(1.0, 2, 0, 1),)), lambda mu: -mu ** 2),
+    "lam^4": (Kernel((KernelMonomial(1.0, 4, 0, 1),)), lambda mu: mu ** 4),
 }
 
 
@@ -452,8 +499,8 @@ def test_subtracted_trace_is_independent_of_the_window(name):
     # the remainder carries the subtracted t power, so nothing cancels and a
     # wider window does not lose digits
     a = 0.25
-    k, order, factor = _SUBTRACTED_FAMILIES[name]
-    fam = SpectralFamily(SpectralModel.circle(a), k, order)
+    k, factor = _SUBTRACTED_FAMILIES[name]
+    fam = SpectralFamily(SpectralModel.circle(a), k)
     for N in (256, 4096, 65536):
         for mu in (0.5, 2.0):
             got = complex(tr_param_values(fam, np.array([[mu]]), WindowConfig(start=N, cap=N))[0])
@@ -464,7 +511,7 @@ def test_subtracted_trace_is_independent_of_the_window(name):
 def test_trace_degree_ladder_of_resolvent():
     # fitted degrees of the order -2 circle trace lie on {-1, -2, ...};
     # the closed form pi sinh/(x (cosh - cos)) has leading coefficient pi
-    fam = SpectralFamily(SpectralModel.circle(0.25), kernel("resolvent", 1), -2.0)
+    fam = SpectralFamily(SpectralModel.circle(0.25), resolvent(1))
     from etaforge.asymptotics import fit_expansion
 
     fitted = fit_expansion(
@@ -483,11 +530,11 @@ def test_trace_property_under_the_shift():
     # the spectrum: the traces on circle(a) and circle(a + m) sum the same
     # eigenvalues and agree bit for bit, half-integer offsets included
     mu = np.array([[0.5], [2.0], [5.0]])
-    for k, order in [(kernel("resolvent", 1), -2.0)] + [v[:2] for v in _SUBTRACTED_FAMILIES.values()]:
+    for k in [resolvent(1)] + [v[0] for v in _SUBTRACTED_FAMILIES.values()]:
         for a, shifts in ((0.25, (1.0, -3.0)), (0.5, (1.0, -1.0))):
-            va = tr_param_values(SpectralFamily(SpectralModel.circle(a), k, order), mu)
+            va = tr_param_values(SpectralFamily(SpectralModel.circle(a), k), mu)
             for m in shifts:
-                vb = tr_param_values(SpectralFamily(SpectralModel.circle(a + m), k, order), mu)
+                vb = tr_param_values(SpectralFamily(SpectralModel.circle(a + m), k), mu)
                 assert va.tobytes() == vb.tobytes(), (k, a, m)
 
 
@@ -495,7 +542,7 @@ def test_trace_property_under_the_shift():
 def test_resolvent_trace_far_from_zero_offset(a):
     # the window is centred on the eigenvalues nearest 0 whatever a is, so an
     # offset far beyond the window sums as well as a small one
-    fam = SpectralFamily(SpectralModel.circle(a), kernel("resolvent", 1), -2.0)
+    fam = SpectralFamily(SpectralModel.circle(a), resolvent(1))
     for mu in (0.5, 1.0, 5.0):
         got = complex(l2_trace_values(fam, np.array([[mu]]))[0])
         want = _circle_resolvent_trace(mu, a)
@@ -526,10 +573,8 @@ def test_the_window_row_catches_a_planted_tail_error(monkeypatch, budget):
 
 def test_mu_multiplication_defect_is_polynomial():
     model = SpectralModel.circle(0.25)
-    base = SpectralFamily(model, Kernel((KernelMonomial(1.0, 0, 1, 1),)), 0.0)
-    mu_base = SpectralFamily(
-        model, Kernel((KernelMonomial(1.0, 0, 1, 1),)), 1.0, pref_index=0, pref_power=1
-    )
+    base = SpectralFamily(model, Kernel((KernelMonomial(1.0, 0, 1, 1),)))
+    mu_base = SpectralFamily(model, Kernel((KernelMonomial(1.0, 0, 1, 1),)), pref_index=0, pref_power=1)
     xs = np.linspace(2.0, 9.0, 12)
     diff = tr_param_values(mu_base, xs[:, None]) - xs * tr_param_values(base, xs[:, None])
     V = np.vander(xs, 3, increasing=True)
@@ -588,7 +633,7 @@ def test_no_sum_carries_over_between_runs(monkeypatch):
 
 
 def test_stored_sums_are_read_only_and_shared_only_inside_the_block():
-    fam = SpectralFamily(SpectralModel.circle(0.25), kernel("resolvent", 1), -2.0)
+    fam = SpectralFamily(SpectralModel.circle(0.25), resolvent(1))
     mu = np.array([[0.5], [2.0]])
     vals, est, _ = _circle_sum(fam, mu, 0, WindowConfig())
     assert _circle_sum(fam, mu, 0, WindowConfig())[0] is not vals
@@ -608,10 +653,10 @@ def test_stored_sums_are_read_only_and_shared_only_inside_the_block():
 def test_each_part_of_the_key_separates_stored_sums():
     # a sum that differs from a stored one in the family, the Taylor order,
     # the window, the shape or the values of mu is computed on its own
-    fam = SpectralFamily(SpectralModel.circle(0.25), kernel("resolvent", 1), -2.0)
+    fam = SpectralFamily(SpectralModel.circle(0.25), resolvent(1))
     mu, cfg = np.array([[0.5], [2.0]]), WindowConfig()
     variants = [
-        (SpectralFamily(SpectralModel.circle(0.3), kernel("resolvent", 1), -2.0), mu, 0, cfg),
+        (SpectralFamily(SpectralModel.circle(0.3), resolvent(1)), mu, 0, cfg),
         (fam, mu, 2, cfg),
         (fam, mu, 0, WindowConfig(start=8)),
         (fam, mu.reshape(1, 2), 0, cfg),
@@ -627,7 +672,7 @@ def test_each_part_of_the_key_separates_stored_sums():
 def test_circle_sum_rejects_a_non_finite_point_at_once(bad):
     # unchecked, a NaN widens the window to its cap and raises TruncationError
     # only after seconds, and an infinite point sums to 0
-    fam = SpectralFamily(SpectralModel.circle(0.25), kernel("resolvent", 1), -2.0)
+    fam = SpectralFamily(SpectralModel.circle(0.25), resolvent(1))
     mu = np.linspace(0.5, 5.0, 1000)[:, None]
     mu[637, 0] = bad
     start = time.perf_counter()
