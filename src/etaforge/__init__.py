@@ -57,7 +57,6 @@ from .forms import (
 from .partrace import (
     Kernel,
     SpectralFamily,
-    SpectralModel,
     TraceValue,
     WindowConfig,
     eta_kernel,

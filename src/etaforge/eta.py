@@ -48,7 +48,6 @@ from .forms import (
 from .partrace import (
     DEFAULT_WINDOW,
     SpectralFamily,
-    SpectralModel,
     WindowConfig,
     eta_kernel,
     l2_trace_values,
@@ -163,7 +162,7 @@ def eta_k(
 ) -> EtaResult:
     """eta_k(A) = 2 c_k times the regularized integral over R^{2k-1} (A.p =
     2k - 1) of tr((A^{-1} dA)^{2k-1}); A must be invertible everywhere.  The
-    spectral-reduction route for a circle model is ``eta_suspension``."""
+    spectral-reduction route for the circle operator is ``eta_suspension``."""
     return _eta_batch([A], model, ladder, sphere, n_radial)[0]
 
 
@@ -295,16 +294,17 @@ def additivity_defect(
 SPECTRAL_LADDER = RadiusLadder(4.0, 256.0, 16)
 
 
-def spectral_eta(model: SpectralModel, k: int = 2, n_radial: int = 32) -> complex:
-    """Spectral eta-invariant of the circle operator with spectrum {n + a}:
-    the weighted half-line regularized integral of the l2 trace of the
-    symbol lam (lam^2 + |mu|^2)^{-k}, which needs k >= 2 for trace class.
-    Its closed form is 1 - 2(a - floor(a)).  At half-integer a the spectrum
-    is symmetric, the integrand vanishes and the fit raises FitError.
+def spectral_eta(a: float, k: int = 2, n_radial: int = 32) -> complex:
+    """Spectral eta-invariant of the circle operator with spectrum {n + a}
+    (a a finite non-integer): the weighted half-line regularized integral of
+    the l2 trace of the symbol lam (lam^2 + |mu|^2)^{-k}, which needs k >= 2
+    for trace class.  Its closed form is 1 - 2(a - floor(a)).  At
+    half-integer a the spectrum is symmetric, the integrand vanishes and the
+    fit raises FitError.
     """
     if k < 2:
         raise ValueError("regint route needs k >= 2 (trace-class integrand)")
-    fam = SpectralFamily(model, eta_kernel(k))
+    fam = SpectralFamily(a, eta_kernel(k))
 
     def g(x):
         pts = np.asarray(x, dtype=float)[:, None]
@@ -315,7 +315,7 @@ def spectral_eta(model: SpectralModel, k: int = 2, n_radial: int = 32) -> comple
     # min |lam_n|, so the zero-end ladder starts well inside it.
     model_inf = ExpansionModel.make([], remainder=-6.0)
     model_zero = ExpansionModel.at_zero([(2 * k - 2 + 2 * j, 0) for j in range(4)])
-    lam_min = abs(model.a - round(model.a))
+    lam_min = abs(a - round(a))
     u_start = max(32.0, 8.0 / lam_min)
     zero_ladder = RadiusLadder(u_start, u_start * 4096.0, 16)
     reg = regint_halfline(g, model_zero, model_inf, SPECTRAL_LADDER, n_radial, ladder_zero=zero_ladder)
@@ -324,13 +324,14 @@ def spectral_eta(model: SpectralModel, k: int = 2, n_radial: int = 32) -> comple
 
 
 def eta_suspension(
-    model: SpectralModel,
+    a: float,
     k: int,
     sign: int = +1,
     n_radial: int = 32,
     window: WindowConfig = DEFAULT_WINDOW,
 ) -> EtaResult:
-    """eta_k of the suspension family D + sign * c(mu) over R^{2k-1}.
+    """eta_k of the suspension family D + sign * c(mu) over R^{2k-1}, for the
+    circle operator D with spectrum {n + a} (a a finite non-integer).
 
     Per eigenvalue lam the slice sign*lam + c(mu) contributes the closed-form
     top coefficient (2k-1)! (sign lam) (lam^2+|mu|^2)^{-k} 2^{k-1} i^{-k};
@@ -341,7 +342,7 @@ def eta_suspension(
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     p = 2 * k - 1
-    fam = SpectralFamily(model, eta_kernel(k))
+    fam = SpectralFamily(a, eta_kernel(k))
     pref = sign * math.factorial(p) * 2 ** (k - 1) * (1j) ** (-k)
 
     def w(r):

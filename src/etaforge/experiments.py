@@ -64,7 +64,6 @@ from .partrace import (
     Kernel,
     KernelMonomial,
     SpectralFamily,
-    SpectralModel,
     WindowConfig,
     eta_kernel,
     l2_trace_values,
@@ -587,11 +586,12 @@ def exp_additivity_defect(params, budget, rng):
     return rows
 
 
-def _circle_model(a) -> SpectralModel:
-    """The circle model of a configured offset; an offset that the model
-    refuses (an integer one, whose spectrum contains 0) is a config error."""
+def _circle_family(a, kernel: Kernel) -> SpectralFamily:
+    """An experiment's first family, at its configured offset; an offset that
+    the family refuses (an integer one, whose spectrum contains 0) is a config
+    error."""
     try:
-        return SpectralModel.circle(a)
+        return SpectralFamily(a, kernel)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -606,23 +606,24 @@ def exp_spectral_eta(params, budget, rng):
     # from k = 6 on the half-line fit basis is ill-conditioned at every budget
     # (condition number 1.64e10 at k = 6)
     p = _params(params, {"k": 2}, ranges={"k": (2, 5)})
-    v = spectral_eta(SpectralModel.circle(0.25), k=int(p["k"]), n_radial=budget.n_radial)
+    v = spectral_eta(0.25, k=int(p["k"]), n_radial=budget.n_radial)
     return [
         CheckRow("weighted half-line route, a=1/4", v, _circle_eta(0.25), 1e-3, "abs", "closed form 1 - 2a")
     ]
 
 
 def exp_eta_suspension(params, budget, rng):
-    # from k = 3 on the symmetric-spectrum fit fails at every budget: its
-    # round-off grows with the prefactor (2k-1)! 2^(k-1), and the fit judges
-    # it against the absolute zero floor 1e-6 (relative residual 7.7e-6 at
-    # k = 3, quick)
-    p = _params(params, {"a": 0.25, "k": 2}, ranges={"k": (2, 2)})
-    model, k = _circle_model(p["a"]), int(p["k"])
+    # k = 1 is Melrose's suspended eta.  From k = 3 on the symmetric-spectrum
+    # fit fails at every budget: its round-off grows with the prefactor
+    # (2k-1)! 2^(k-1), and the fit judges it against the absolute zero floor
+    # 1e-6 (relative residual 7.7e-6 at k = 3, quick)
+    p = _params(params, {"a": 0.25, "k": 2}, ranges={"k": (1, 2)})
+    k = int(p["k"])
+    fam = _circle_family(p["a"], eta_kernel(k))
     rows = []
-    eta_d = _circle_eta(model.a)
+    eta_d = _circle_eta(fam.a)
     for sign, want in ((+1, -eta_d), (-1, +eta_d)):
-        res = eta_suspension(model, k, sign, n_radial=budget.n_radial, window=budget.window)
+        res = eta_suspension(fam.a, k, sign, n_radial=budget.n_radial, window=budget.window)
         rows.append(
             CheckRow(
                 f"suspension, sign {'+' if sign > 0 else '-'}",
@@ -633,11 +634,13 @@ def exp_eta_suspension(params, budget, rng):
                 "spectral eta bridge",
             )
         )
-    sym = eta_suspension(SpectralModel.circle(0.5), k, +1, n_radial=budget.n_radial, window=budget.window)
+    sym = eta_suspension(0.5, k, +1, n_radial=budget.n_radial, window=budget.window)
     rows.append(CheckRow("symmetric spectrum", sym.value, 0.0, 1e-6, "abs", "term-by-term cancellation"))
+    if k == 1:
+        return rows
 
-    # radial reduction vs full-dimensional quadrature on one small case
-    fam = SpectralFamily(model, eta_kernel(k))
+    # radial reduction vs full-dimensional quadrature on one small case in
+    # R^3, so at k = 2 only
     pref = math.factorial(2 * k - 1) * 2 ** (k - 1) * (1j) ** (-k)
 
     def radial_vals(r):
@@ -716,12 +719,11 @@ def _circle_eta_subtracted_trace(mu: float, a: float) -> float:
 
 def exp_trace_tanh(params, budget, rng):
     p = _params(params, {"mus": (0.5, 1.0, 5.0), "a": 0.5})
-    model = _circle_model(p["a"])
-    fam = SpectralFamily(model, resolvent(1))
+    fam = _circle_family(p["a"], resolvent(1))
     rows = []
     for mu in p["mus"]:
         got = complex(l2_trace_values(fam, np.array([[float(mu)]]), budget.window)[0])
-        want = _circle_resolvent_trace(float(mu), model.a)
+        want = _circle_resolvent_trace(float(mu), fam.a)
         rows.append(
             CheckRow(
                 f"resolvent trace at mu={mu}",
@@ -737,13 +739,11 @@ def exp_trace_tanh(params, budget, rng):
 
 def exp_tr_derivative_check(params, budget, rng):
     p = _params(params, {"a": 0.25})
-    model = _circle_model(p["a"])
-    a = model.a
-    rows = []
-
     # order-0 family mu^2 (lam^2 + mu^2)^{-1}: second mu-derivative of the
     # subtracted trace equals a trace-class sum
-    fam0 = SpectralFamily(model, Kernel((KernelMonomial(1.0, 0, 1, 1),)))
+    fam0 = _circle_family(p["a"], Kernel((KernelMonomial(1.0, 0, 1, 1),)))
+    a = fam0.a
+    rows = []
     mu = 2.0
     h = 1e-3
 
@@ -754,7 +754,7 @@ def exp_tr_derivative_check(params, budget, rng):
     d2b = (trv(mu + 0.5 * h) - 2.0 * trv(mu) + trv(mu - 0.5 * h)) / (0.25 * h ** 2)
     d2r = (4.0 * d2b - d2) / 3.0
     oracle_kernel = Kernel((KernelMonomial(2.0, 2, 0, 2), KernelMonomial(-8.0, 2, 1, 3)))
-    oracle_fam = SpectralFamily(model, oracle_kernel)
+    oracle_fam = SpectralFamily(a, oracle_kernel)
     want = complex(l2_trace_values(oracle_fam, np.array([[mu]]), budget.window)[0])
     rows.append(
         CheckRow(
@@ -768,7 +768,7 @@ def exp_tr_derivative_check(params, budget, rng):
     )
 
     # first derivative compatibility on a trace-class family
-    fam1 = SpectralFamily(model, resolvent(1))
+    fam1 = SpectralFamily(a, resolvent(1))
 
     def trv1(x):
         return complex(tr_param_values(fam1, np.array([[x]]), budget.window)[0])
@@ -789,7 +789,7 @@ def exp_tr_derivative_check(params, budget, rng):
 
     # multiplication by mu: the canonical representatives agree on the nose,
     # so the difference is the zero polynomial
-    fam_mu = SpectralFamily(model, Kernel((KernelMonomial(1.0, 0, 1, 1),)), pref_power=1)
+    fam_mu = SpectralFamily(a, Kernel((KernelMonomial(1.0, 0, 1, 1),)), pref_power=1)
     xs = np.linspace(2.0, 9.0, 12)
     diff = tr_param_values(fam_mu, xs[:, None], budget.window) - xs * tr_param_values(
         fam0, xs[:, None], budget.window
@@ -815,11 +815,11 @@ def exp_tr_derivative_check(params, budget, rng):
     lam4 = Kernel((KernelMonomial(1.0, 2, 0, 0),)) * lam2  # D^2 times the order-0 family
     r = _circle_resolvent_trace(mu, a)
     for label, fam, want, form in (
-        ("lam^2/(lam^2+mu^2)", SpectralFamily(model, lam2), -mu ** 2 * r, "-mu^2 R(mu)"),
-        ("lam^4/(lam^2+mu^2)", SpectralFamily(model, lam4), mu ** 4 * r, "mu^4 R(mu)"),
+        ("lam^2/(lam^2+mu^2)", SpectralFamily(a, lam2), -mu ** 2 * r, "-mu^2 R(mu)"),
+        ("lam^4/(lam^2+mu^2)", SpectralFamily(a, lam4), mu ** 4 * r, "mu^4 R(mu)"),
         (
             "lam/(lam^2+mu^2)",
-            SpectralFamily(model, eta_kernel(1)),
+            SpectralFamily(a, eta_kernel(1)),
             _circle_eta_subtracted_trace(mu, a),
             "pi sin 2pi a/(cosh 2pi mu - cos 2pi a) - pi cot pi a",
         ),
@@ -840,7 +840,7 @@ def exp_tr_derivative_check(params, budget, rng):
     # 0.01, 0.99, -0.3, 1.25, 7.5, -3000.3, 100000.4}, against estimates
     # below 1e-17; a tail scaled by 1 + 1e-6 reads 7.8e-10, 3.9e-10 and
     # 1.9e-10 (quick, standard, precise), and no tail 7.8e-4
-    fam4 = SpectralFamily(model, lam4)
+    fam4 = SpectralFamily(a, lam4)
     worst, tol = 0.0, 1e-12
     for m in (0.5, 2.0, 5.0):
         first = tr_param(fam4, m, budget.window)

@@ -1,9 +1,9 @@
 """Parametric traces of spectrally explicit operator families.
 
 The operator is the circle operator D with spectrum {n + a : n in Z}
-(a not an integer).  Scalar symbols F(D, mu)
-are drawn from a small closed algebra of monomials
-c * lam^a * t^b * (lam^2 + t)^{-k} in t = |mu|^2, which is closed under
+(a not an integer), and a family A(mu) = F(D, mu) holds the offset a with
+its symbol.  Scalar symbols F are drawn from a small closed algebra of
+monomials c * lam^i * t^j * (lam^2 + t)^{-k} in t = |mu|^2, closed under
 products and d/dt, so the mu-derivative families stay analytic; a family's
 order is read off its monomials.  The canonical Taylor subtraction at
 mu = 0 is algebraic too: the remainder is a kernel whose monomials all
@@ -15,7 +15,7 @@ Eigenvalue sums run over the indices n = -N..N of the eigenvalues n + b,
 where b = a - ceil(a - 1/2) in (-1/2, 1/2] is the offset reduced once, so
 that the window is centred on the eigenvalues nearest 0 for every a.  The
 shift n -> n + 1 conjugates D to D + 1 and leaves every trace unchanged, so
-the sums depend on a only mod 1: circle(a) and circle(a + 1) give the same
+the sums depend on a only mod 1: the offsets a and a + 1 give the same
 bits.  Order-2 Euler-Maclaurin tails correct each sum, and the window
 starts at no less than |mu|/8 and escalates by factors of 4 until the tail
 estimate clears tolerance.  The sums run in bounded blocks: each block of
@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import KW_ONLY, dataclass, field, replace
+from dataclasses import KW_ONLY, dataclass, replace
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
     "KernelMonomial",
     "resolvent",
     "eta_kernel",
-    "SpectralModel",
     "SpectralFamily",
     "TraceValue",
     "WindowConfig",
@@ -176,49 +175,39 @@ def eta_kernel(k: int) -> Kernel:
 
 
 # ---------------------------------------------------------------------------
-# Spectral models and families
+# Spectral families
+
+# dim M: the circle
+DIM_M = 1
 
 
 @dataclass(frozen=True)
-class SpectralModel:
-    """The circle operator D with spectrum {n + a : n in Z}; a must be a
-    finite non-integer, so that D is invertible."""
+class SpectralFamily:
+    """A(mu) = F(D, mu) with F = mu_pref * kernel(lam, |mu|^2), for the
+    circle operator D with spectrum {n + a : n in Z}; a must be a finite
+    non-integer, so that D is invertible.
+
+    ``pref_power`` multiplies by mu[pref_index]^pref_power (used by the
+    analytic mu-derivative families and by odd p = 1 symbols); both are
+    non-negative integers.  The order, kernel degree plus pref_power, bounds
+    |F| by C (1+|lam|+|mu|)^order.
+    """
 
     a: float
+    kernel: Kernel
+    _: KW_ONLY
+    pref_index: int = 0
+    pref_power: int = 0
 
     def __post_init__(self):
         if not math.isfinite(self.a):
             raise ValueError(f"circle model needs a finite offset, got a = {self.a!r}")
         if abs(self.a - round(self.a)) < 1e-12:
             raise ValueError("circle model needs a non-integer offset (invertible operator)")
-
-    @property
-    def dim_m(self) -> int:
-        return 1
-
-    @classmethod
-    def circle(cls, a: float) -> "SpectralModel":
-        return cls(float(a))
-
-
-@dataclass(frozen=True)
-class SpectralFamily:
-    """A(mu) = F(D, mu) with F = mu_pref * kernel(lam, |mu|^2).
-
-    ``pref_power`` multiplies by mu[pref_index]^pref_power (used by the
-    analytic mu-derivative families and by odd p = 1 symbols).  The order,
-    kernel degree plus pref_power, bounds |F| by C (1+|lam|+|mu|)^order.
-    """
-
-    base: SpectralModel
-    kernel: Kernel
-    _: KW_ONLY
-    pref_index: int = 0
-    pref_power: int = 0
-
-    @property
-    def dim_m(self) -> int:
-        return self.base.dim_m
+        for name in ("pref_index", "pref_power"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
     @property
     def order(self) -> float:
@@ -226,7 +215,7 @@ class SpectralFamily:
 
     def minimal_taylor_order(self) -> int:
         """The least m >= 0 with order + dim_M < m; 0 for an order of -inf."""
-        excess = self.order + self.dim_m
+        excess = self.order + DIM_M
         return math.floor(excess) + 1 if excess >= 0 else 0
 
     def d_mu(self, j: int) -> "SpectralFamily":
@@ -296,8 +285,7 @@ _SUMMAND_ELEMENTS = 131072
 @dataclass
 class TraceValue:
     value: complex
-    ambiguity_degree: int
-    truncation: dict = field(default_factory=dict)
+    truncation: dict
 
 
 # Gauss-Legendre rule on (0, 1) for the tail integral in u = x0 / x
@@ -360,7 +348,7 @@ def _circle_sum(fam: SpectralFamily, mu: np.ndarray, n_subtract: int, cfg: Windo
     sums = _SUMS.get({})
     if key in sums:
         return sums[key]
-    a = fam.base.a - math.ceil(fam.base.a - 0.5)
+    a = fam.a - math.ceil(fam.a - 0.5)
     total = np.zeros(len(mu), dtype=complex)
     est = np.zeros(len(mu))
     widest = 0
@@ -411,23 +399,22 @@ def _circle_sum(fam: SpectralFamily, mu: np.ndarray, n_subtract: int, cfg: Windo
     return sums[key]
 
 
+def _require_trace_class(fam: SpectralFamily) -> None:
+    if fam.order + DIM_M >= 0:
+        raise OrderError(f"trace-class trace needs order + dim_M < 0, got {fam.order} + {DIM_M}")
+
+
 def l2_trace_values(fam: SpectralFamily, mu: np.ndarray, cfg: WindowConfig = DEFAULT_WINDOW) -> np.ndarray:
-    if fam.order + fam.dim_m >= 0:
-        raise OrderError(
-            f"trace-class trace needs order + dim_M < 0, got {fam.order} + {fam.dim_m}"
-        )
+    _require_trace_class(fam)
     vals, _, _ = _circle_sum(fam, mu, 0, cfg)
     return vals
 
 
 def l2_trace(fam: SpectralFamily, mu, cfg: WindowConfig = DEFAULT_WINDOW) -> TraceValue:
     """Ordinary trace sum_n F(lam_n, mu); requires order + dim_M < 0."""
-    if fam.order + fam.dim_m >= 0:
-        raise OrderError(
-            f"trace-class trace needs order + dim_M < 0, got {fam.order} + {fam.dim_m}"
-        )
+    _require_trace_class(fam)
     vals, est, window = _circle_sum(fam, mu, 0, cfg)
-    return TraceValue(complex(vals[0]), -1, {"window": window, "tail_estimate": float(est[0])})
+    return TraceValue(complex(vals[0]), {"window": window, "tail_estimate": float(est[0])})
 
 
 def tr_param_values(
@@ -442,11 +429,8 @@ def tr_param_values(
 
 def tr_param(fam: SpectralFamily, mu, cfg: WindowConfig = DEFAULT_WINDOW) -> TraceValue:
     """The parametric trace: trace of A(mu) minus its Taylor polynomial of
-    minimal degree at mu = 0, defined modulo polynomials of that degree."""
+    minimal degree at mu = 0, defined modulo polynomials of degree below the
+    ``taylor_order`` in its truncation."""
     n_sub = fam.minimal_taylor_order()
     vals, est, window = _circle_sum(fam, mu, n_sub, cfg)
-    return TraceValue(
-        complex(vals[0]),
-        n_sub - 1,
-        {"window": window, "tail_estimate": float(est[0]), "taylor_order": n_sub},
-    )
+    return TraceValue(complex(vals[0]), {"window": window, "tail_estimate": float(est[0]), "taylor_order": n_sub})

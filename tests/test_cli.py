@@ -204,7 +204,7 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
         ("rp-omega", {"k": 3}),
         ("spectral-eta", {"k": 1}),
         ("spectral-eta", {"k": 6}),  # its fit basis is ill-conditioned from k = 6 on
-        ("eta-suspension", {"k": 1}),
+        ("eta-suspension", {"k": 0}),
         ("eta-suspension", {"k": 3}),  # its symmetric-spectrum fit fails from k = 3 on
         ("divisor-flow", {"path": "linear"}),
         ("divisor-flow", {"width": -1.0}),

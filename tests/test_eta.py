@@ -30,7 +30,7 @@ from etaforge.forms import (
     MatrixFamily, affine_clifford, capped_clifford, circle_phase, exterior_derivative, form_from_families, mc_form,
     mf_product, moebius, sphere_clifford, step_unitary, wedge,
 )
-from etaforge.partrace import SpectralFamily, SpectralModel, eta_kernel, tr_param_values
+from etaforge.partrace import SpectralFamily, eta_kernel, tr_param_values
 from etaforge.quadrature import sphere_rule
 
 MOEBIUS_MODEL = ExpansionModel.powers([-2, -4, -6, -8])
@@ -398,46 +398,45 @@ def test_spectral_eta_hurwitz():
     checked: its spectrum is symmetric, the integrand vanishes, and the fit
     raises FitError against its zero floor."""
     for a in (0.1, 0.25, 0.4):
-        assert abs(spectral_eta(SpectralModel.circle(a)) - _eta_closed_form(a)) < 1e-10, a
+        assert abs(spectral_eta(a) - _eta_closed_form(a)) < 1e-10, a
 
 
 @pytest.mark.xfail(raises=FitError, strict=True, reason="ROADMAP item 13: a zero floor scaled by the eigenvalue sum's mass")
 def test_spectral_eta_at_a_symmetric_spectrum():
     # at a = 1/2 the spectrum is symmetric and eta is 0, but the integrand's
     # data vanish and the fit finds no scale to judge its residual by
-    assert abs(spectral_eta(SpectralModel.circle(0.5))) < 1e-10
+    assert abs(spectral_eta(0.5)) < 1e-10
 
 
 def test_spectral_eta_regint_route():
-    v = spectral_eta(SpectralModel.circle(0.25), k=2)
+    v = spectral_eta(0.25, k=2)
     assert abs(v - 0.5) < 1e-10
     with pytest.raises(ValueError):
-        spectral_eta(SpectralModel.circle(0.25), k=1)
+        spectral_eta(0.25, k=1)
 
 
 def test_spectral_eta_routes_agree():
     """Offsets on both sides of 0 and beyond 1 agree with the closed form and
     with their representative in [0, 1)."""
     for a in (1.25, -0.3):
-        v = spectral_eta(SpectralModel.circle(a))
+        v = spectral_eta(a)
         assert abs(v - _eta_closed_form(a)) < 1e-10, a
-        assert abs(v - spectral_eta(SpectralModel.circle(a - math.floor(a)))) < 1e-10, a
+        assert abs(v - spectral_eta(a - math.floor(a))) < 1e-10, a
 
 
 def test_eta_suspension_bridge():
-    model = SpectralModel.circle(0.25)
-    plus = eta_suspension(model, 2, +1)
-    minus = eta_suspension(model, 2, -1)
+    plus = eta_suspension(0.25, 2, +1)
+    minus = eta_suspension(0.25, 2, -1)
     assert abs(plus.value + 0.5) < 5e-3
     assert abs(minus.value - 0.5) < 5e-3
-    sym = eta_suspension(SpectralModel.circle(0.5), 2, +1)
+    sym = eta_suspension(0.5, 2, +1)
     assert abs(sym.value) < 1e-6
 
 
 def test_symmetric_suspension_integrand_needs_the_raised_zero_floor(quick):
     # at a = 1/2 the summand cancels to rounding noise: the default floor
     # reads that noise as a misfit, eta_suspension's 1e-6 floor as zero
-    fam = SpectralFamily(SpectralModel.circle(0.5), eta_kernel(2))
+    fam = SpectralFamily(0.5, eta_kernel(2))
     pref = math.factorial(3) * 2 * (1j) ** (-2)
 
     def w(r):
@@ -450,10 +449,12 @@ def test_symmetric_suspension_integrand_needs_the_raised_zero_floor(quick):
 
 
 def test_eta_suspension_k1():
-    # k = 1 suspension: eta_1(D + c(mu)) = -eta(D) as well
-    model = SpectralModel.circle(0.25)
-    res = eta_suspension(model, 1, +1)
-    assert abs(res.value + 0.5) < 5e-3
+    # k = 1 suspension, Melrose's suspended eta: eta_1(D + c(mu)) = -eta(D)
+    # as well.  At a = 1/4 it is right to 4.6e-12, and at the symmetric
+    # spectrum a = 1/2, where eta(D) = 0, to 5.7e-17
+    for a in (0.25, 0.5):
+        res = eta_suspension(a, 1, +1)
+        assert abs(res.value + _eta_closed_form(a)) < 5e-10, a
 
 
 def test_divisor_flow_paths():

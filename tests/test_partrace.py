@@ -15,7 +15,6 @@ from etaforge.partrace import (
     Kernel,
     KernelMonomial,
     SpectralFamily,
-    SpectralModel,
     WindowConfig,
     _circle_sum,
     _em_tail,
@@ -119,7 +118,7 @@ _LAM2 = Kernel((KernelMonomial(1.0, 2, 0, 1),))  # lam^2 (lam^2+t)^{-1}
 
 
 def _family(kern, **pref):
-    return SpectralFamily(SpectralModel.circle(0.25), kern, **pref)
+    return SpectralFamily(0.25, kern, **pref)
 
 
 # each family's order, read off its kernel and prefactor, and the minimal
@@ -160,7 +159,7 @@ def test_an_order_is_not_declared():
     # the prefactor's fields are keyword-only, so a stale call that still
     # passes an order as the third argument fails instead of setting pref_index
     with pytest.raises(TypeError):
-        SpectralFamily(SpectralModel.circle(0.25), resolvent(1), -2.0)
+        SpectralFamily(0.25, resolvent(1), -2.0)
 
 
 def _monomial_oracle(mono, lam, t):
@@ -234,43 +233,43 @@ def test_kernel_taylor_remainder_against_scalar_oracle(name, m):
 
 
 def test_l2_trace_tanh():
-    fam = SpectralFamily(SpectralModel.circle(0.5), resolvent(1))
+    fam = SpectralFamily(0.5, resolvent(1))
     for mu in (0.5, 1.0, 5.0):
         tv = l2_trace(fam, [mu])
         want = math.pi * math.tanh(math.pi * mu) / mu
         assert abs(tv.value - want) < 1e-8 * want
-        assert tv.ambiguity_degree == -1
+        assert "taylor_order" not in tv.truncation  # nothing is subtracted
         assert tv.truncation["tail_estimate"] < 1e-10
 
 
 def test_l2_trace_zeta_values_at_zero_parameter():
-    fam = SpectralFamily(SpectralModel.circle(0.25), eta_kernel(2))
+    fam = SpectralFamily(0.25, eta_kernel(2))
     got = l2_trace(fam, [1e-30]).value  # continuous at 0; avoid the lattice point
     want = float(mpmath.zeta(3, 0.25) - mpmath.zeta(3, 0.75))
     assert abs(got - want) < 1e-10
 
 
 def test_l2_trace_closed_form_at_moderate_mu():
-    fam = SpectralFamily(SpectralModel.circle(0.25), eta_kernel(2))
+    fam = SpectralFamily(0.25, eta_kernel(2))
     for x in (0.5, 2.0, 4.0):
         got = complex(l2_trace_values(fam, np.array([[x]]))[0])
         assert abs(got - _eta_kernel_closed_form(0.25, x)) < 1e-12
 
 
 def test_l2_trace_zero_kernel():
-    fam = SpectralFamily(SpectralModel.circle(0.25), Kernel(()))
+    fam = SpectralFamily(0.25, Kernel(()))
     assert l2_trace(fam, [1.0]).value == 0.0
 
 
 def test_l2_trace_order_precondition():
     # t (lam^2+t)^{-1} has order 0: not trace class on the circle
-    fam = SpectralFamily(SpectralModel.circle(0.25), _T_OVER_RESOLVENT)
+    fam = SpectralFamily(0.25, _T_OVER_RESOLVENT)
     with pytest.raises(OrderError):
         l2_trace(fam, [1.0])
 
 
 def test_window_escalation_cap():
-    fam = SpectralFamily(SpectralModel.circle(0.5), resolvent(1))
+    fam = SpectralFamily(0.5, resolvent(1))
     with pytest.raises(TruncationError):
         l2_trace(fam, [1.0], WindowConfig(start=8, cap=8))  # a tail estimate of 2.4e-6 at N = 8
 
@@ -294,7 +293,7 @@ def test_em_tail_against_mpmath(s):
 
 
 def test_circle_sum_reports_widest_window(monkeypatch):
-    fam = SpectralFamily(SpectralModel.circle(0.5), resolvent(1))
+    fam = SpectralFamily(0.5, resolvent(1))
     monkeypatch.setattr(partrace, "_MU_CHUNK", 1)
     cfg = WindowConfig(start=4)
     # a large mu starts at |mu|/8 and clears the tail tolerance at once, a
@@ -314,7 +313,7 @@ def _one_grid_circle_sum(fam, mu, n_subtract, cfg):
     offset reduced to (-1/2, 1/2] and starting at no less than |mu|/8,
     materialised and one (points x _LAM_BLOCK) summand call per eigenvalue
     block and mu-chunk, the tails from one call per side."""
-    a = fam.base.a - math.ceil(fam.base.a - 0.5)
+    a = fam.a - math.ceil(fam.a - 0.5)
     mu = np.asarray(mu, dtype=float)
     total = np.zeros(len(mu), dtype=complex)
     est = np.zeros(len(mu))
@@ -344,12 +343,12 @@ def _one_grid_circle_sum(fam, mu, n_subtract, cfg):
 
 
 _BOUNDED_SUM_FAMILIES = {
-    "resolvent": (SpectralFamily(SpectralModel.circle(0.5), resolvent(1)), 0),
-    "weighted_eta subtracted": (SpectralFamily(SpectralModel.circle(0.25), _weighted_eta(2)), 1),
+    "resolvent": (SpectralFamily(0.5, resolvent(1)), 0),
+    "weighted_eta subtracted": (SpectralFamily(0.25, _weighted_eta(2)), 1),
     "complex coefficient": (
-        SpectralFamily(SpectralModel.circle(0.25), Kernel((KernelMonomial(1.0 + 0.5j, 0, 1, 1),))), 2
+        SpectralFamily(0.25, Kernel((KernelMonomial(1.0 + 0.5j, 0, 1, 1),))), 2
     ),
-    "mu derivative": (SpectralFamily(SpectralModel.circle(0.75), resolvent(1)).d_mu(1), 0),
+    "mu derivative": (SpectralFamily(0.75, resolvent(1)).d_mu(1), 0),
 }
 
 
@@ -398,7 +397,7 @@ def test_a_large_mu_starts_the_window_at_an_eighth_of_it(mu):
     # from a window of 4,096, mu = 1e6 read 3.13866e-6 against pi/mu =
     # 3.14159e-6: the tail integral's nodes missed the summand's knee at
     # |lam| ~ |mu|, and its estimate stayed near 1e-18 relative
-    fam = SpectralFamily(SpectralModel.circle(0.5), resolvent(1))
+    fam = SpectralFamily(0.5, resolvent(1))
     res = l2_trace(fam, [mu])
     want = math.pi * math.tanh(math.pi * abs(mu)) / abs(mu)
     assert abs(res.value - want) <= 1e-13 * want
@@ -435,22 +434,22 @@ def test_bounded_circle_sum_allocates_no_window_sized_array(monkeypatch):
 
 
 def test_trace_values_are_complex():
-    fam = SpectralFamily(SpectralModel.circle(0.5), resolvent(1))
+    fam = SpectralFamily(0.5, resolvent(1))
     assert l2_trace_values(fam, np.array([[1.0]])).dtype == np.complex128
     assert tr_param_values(fam, np.array([[1.0]])).dtype == np.complex128
 
 
 def test_tr_param_trace_class_reduces_to_l2():
-    fam = SpectralFamily(SpectralModel.circle(0.25), eta_kernel(2))
+    fam = SpectralFamily(0.25, eta_kernel(2))
     tv = tr_param(fam, [1.5])
     lv = l2_trace(fam, [1.5])
     assert tv.value == lv.value
-    assert tv.ambiguity_degree == -1
+    assert tv.truncation["taylor_order"] == 0
 
 
 def test_tr_param_rotational_reduction():
     # a radial family sees only |mu|, whatever the parameter dimension
-    fam = SpectralFamily(SpectralModel.circle(0.25), eta_kernel(2))
+    fam = SpectralFamily(0.25, eta_kernel(2))
     pts = np.array([[0.6, -1.1, 2.0], [3.0, 0.0, 0.0]])
     v3 = tr_param_values(fam, pts)
     v1 = tr_param_values(fam, np.linalg.norm(pts, axis=1)[:, None])
@@ -460,9 +459,9 @@ def test_tr_param_rotational_reduction():
 def test_tr_param_subtracted_order_zero_family():
     # mu^2 (lam^2 + mu^2)^{-1} has order 0, minimal Taylor order 2, and the
     # canonical representative is the plain (convergent) sum
-    fam = SpectralFamily(SpectralModel.circle(0.25), Kernel((KernelMonomial(1.0, 0, 1, 1),)))
+    fam = SpectralFamily(0.25, Kernel((KernelMonomial(1.0, 0, 1, 1),)))
     tv = tr_param(fam, [2.0])
-    assert tv.ambiguity_degree == 1
+    assert tv.truncation["taylor_order"] == 2
     brute = brute_force_two_sided(lambda n: 4.0 / ((n + 0.25) ** 2 + 4.0), n_max=500000)
     assert abs(tv.value - brute) < 1e-4  # brute tail ~ 2 mu^2 / n_max
 
@@ -470,8 +469,7 @@ def test_tr_param_subtracted_order_zero_family():
 def test_tr_param_derivative_identity():
     # d^2/dmu^2 of the subtracted trace equals 2 lam^2 [(lam^2+mu^2)^{-2}
     # - 4 mu^2 (lam^2+mu^2)^{-3}] summed, a trace-class identity
-    model = SpectralModel.circle(0.25)
-    fam = SpectralFamily(model, Kernel((KernelMonomial(1.0, 0, 1, 1),)))
+    fam = SpectralFamily(0.25, Kernel((KernelMonomial(1.0, 0, 1, 1),)))
     mu, h = 2.0, 1e-3
 
     def tr(x):
@@ -480,7 +478,7 @@ def test_tr_param_derivative_identity():
     d2 = (tr(mu + h) - 2 * tr(mu) + tr(mu - h)) / h ** 2
     d2b = (tr(mu + h / 2) - 2 * tr(mu) + tr(mu - h / 2)) / (h ** 2 / 4)
     d2r = (4 * d2b - d2) / 3
-    oracle_fam = SpectralFamily(model, Kernel((KernelMonomial(2.0, 2, 0, 2), KernelMonomial(-8.0, 2, 1, 3))))
+    oracle_fam = SpectralFamily(0.25, Kernel((KernelMonomial(2.0, 2, 0, 2), KernelMonomial(-8.0, 2, 1, 3))))
     want = complex(l2_trace_values(oracle_fam, np.array([[mu]]))[0])
     assert abs(d2r - want) < 1e-6
 
@@ -500,7 +498,7 @@ def test_subtracted_trace_is_independent_of_the_window(name):
     # wider window does not lose digits
     a = 0.25
     k, factor = _SUBTRACTED_FAMILIES[name]
-    fam = SpectralFamily(SpectralModel.circle(a), k)
+    fam = SpectralFamily(a, k)
     for N in (256, 4096, 65536):
         for mu in (0.5, 2.0):
             got = complex(tr_param_values(fam, np.array([[mu]]), WindowConfig(start=N, cap=N))[0])
@@ -511,7 +509,7 @@ def test_subtracted_trace_is_independent_of_the_window(name):
 def test_trace_degree_ladder_of_resolvent():
     # fitted degrees of the order -2 circle trace lie on {-1, -2, ...};
     # the closed form pi sinh/(x (cosh - cos)) has leading coefficient pi
-    fam = SpectralFamily(SpectralModel.circle(0.25), resolvent(1))
+    fam = SpectralFamily(0.25, resolvent(1))
     from etaforge.asymptotics import fit_expansion
 
     fitted = fit_expansion(
@@ -532,9 +530,9 @@ def test_trace_property_under_the_shift():
     mu = np.array([[0.5], [2.0], [5.0]])
     for k in [resolvent(1)] + [v[0] for v in _SUBTRACTED_FAMILIES.values()]:
         for a, shifts in ((0.25, (1.0, -3.0)), (0.5, (1.0, -1.0))):
-            va = tr_param_values(SpectralFamily(SpectralModel.circle(a), k), mu)
+            va = tr_param_values(SpectralFamily(a, k), mu)
             for m in shifts:
-                vb = tr_param_values(SpectralFamily(SpectralModel.circle(a + m), k), mu)
+                vb = tr_param_values(SpectralFamily(a + m, k), mu)
                 assert va.tobytes() == vb.tobytes(), (k, a, m)
 
 
@@ -542,7 +540,7 @@ def test_trace_property_under_the_shift():
 def test_resolvent_trace_far_from_zero_offset(a):
     # the window is centred on the eigenvalues nearest 0 whatever a is, so an
     # offset far beyond the window sums as well as a small one
-    fam = SpectralFamily(SpectralModel.circle(a), resolvent(1))
+    fam = SpectralFamily(a, resolvent(1))
     for mu in (0.5, 1.0, 5.0):
         got = complex(l2_trace_values(fam, np.array([[mu]]))[0])
         want = _circle_resolvent_trace(mu, a)
@@ -572,9 +570,8 @@ def test_the_window_row_catches_a_planted_tail_error(monkeypatch, budget):
 
 
 def test_mu_multiplication_defect_is_polynomial():
-    model = SpectralModel.circle(0.25)
-    base = SpectralFamily(model, Kernel((KernelMonomial(1.0, 0, 1, 1),)))
-    mu_base = SpectralFamily(model, Kernel((KernelMonomial(1.0, 0, 1, 1),)), pref_index=0, pref_power=1)
+    base = SpectralFamily(0.25, Kernel((KernelMonomial(1.0, 0, 1, 1),)))
+    mu_base = SpectralFamily(0.25, Kernel((KernelMonomial(1.0, 0, 1, 1),)), pref_index=0, pref_power=1)
     xs = np.linspace(2.0, 9.0, 12)
     diff = tr_param_values(mu_base, xs[:, None]) - xs * tr_param_values(base, xs[:, None])
     V = np.vander(xs, 3, increasing=True)
@@ -583,15 +580,39 @@ def test_mu_multiplication_defect_is_polynomial():
 
 
 def test_circle_model_rejects_integer_offset():
-    with pytest.raises(ValueError):
-        SpectralModel.circle(1.0)
+    with pytest.raises(ValueError, match="non-integer offset"):
+        SpectralFamily(1.0, resolvent(1))
 
 
 @pytest.mark.parametrize("a", [math.inf, -math.inf, math.nan])
 def test_circle_model_rejects_non_finite_offset(a):
     # the error names the offset, not round()'s OverflowError or NaN conversion
     with pytest.raises(ValueError, match="finite offset, got a = "):
-        SpectralModel.circle(a)
+        SpectralFamily(a, resolvent(1))
+
+
+@pytest.mark.parametrize(
+    "pref",
+    [{"pref_power": -1}, {"pref_power": 1.5}, {"pref_power": True}, {"pref_index": -1}, {"pref_index": False}],
+    ids=["negative power", "fractional power", "bool power", "negative index", "bool index"],
+)
+def test_spectral_family_rejects_a_bad_prefactor(pref):
+    # mu^-1 R(mu) is not a symbol, and a negative index would read the last
+    # column of mu
+    with pytest.raises(ValueError, match="must be a non-negative integer"):
+        SpectralFamily(0.25, resolvent(1), **pref)
+
+
+def test_d_mu_rejects_a_negative_index():
+    with pytest.raises(ValueError, match="pref_index must be a non-negative integer"):
+        SpectralFamily(0.25, resolvent(1)).d_mu(-1)
+
+
+def test_d_mu_keeps_the_offset():
+    fam = SpectralFamily(0.75, resolvent(1))
+    dfam = fam.d_mu(1)
+    assert dfam.a == 0.75
+    assert (dfam.pref_index, dfam.pref_power) == (1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +654,7 @@ def test_no_sum_carries_over_between_runs(monkeypatch):
 
 
 def test_stored_sums_are_read_only_and_shared_only_inside_the_block():
-    fam = SpectralFamily(SpectralModel.circle(0.25), resolvent(1))
+    fam = SpectralFamily(0.25, resolvent(1))
     mu = np.array([[0.5], [2.0]])
     vals, est, _ = _circle_sum(fam, mu, 0, WindowConfig())
     assert _circle_sum(fam, mu, 0, WindowConfig())[0] is not vals
@@ -653,10 +674,10 @@ def test_stored_sums_are_read_only_and_shared_only_inside_the_block():
 def test_each_part_of_the_key_separates_stored_sums():
     # a sum that differs from a stored one in the family, the Taylor order,
     # the window, the shape or the values of mu is computed on its own
-    fam = SpectralFamily(SpectralModel.circle(0.25), resolvent(1))
+    fam = SpectralFamily(0.25, resolvent(1))
     mu, cfg = np.array([[0.5], [2.0]]), WindowConfig()
     variants = [
-        (SpectralFamily(SpectralModel.circle(0.3), resolvent(1)), mu, 0, cfg),
+        (SpectralFamily(0.3, resolvent(1)), mu, 0, cfg),
         (fam, mu, 2, cfg),
         (fam, mu, 0, WindowConfig(start=8)),
         (fam, mu.reshape(1, 2), 0, cfg),
@@ -672,7 +693,7 @@ def test_each_part_of_the_key_separates_stored_sums():
 def test_circle_sum_rejects_a_non_finite_point_at_once(bad):
     # unchecked, a NaN widens the window to its cap and raises TruncationError
     # only after seconds, and an infinite point sums to 0
-    fam = SpectralFamily(SpectralModel.circle(0.25), resolvent(1))
+    fam = SpectralFamily(0.25, resolvent(1))
     mu = np.linspace(0.5, 5.0, 1000)[:, None]
     mu[637, 0] = bad
     start = time.perf_counter()

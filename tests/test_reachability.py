@@ -196,6 +196,9 @@ def test_every_line_is_reached_by_the_cli(tmp_path, capsys):
         (["--config", _config(tmp_path / "tanh.json", {
             "experiment": "trace-tanh", "params": {"mus": [0, 0.5, 2], "a": 0.25}, "budget": quick_budget,
         }), "--out", str(tmp_path / "config"), "--emit-csv"], 0),
+        (["--config", _config(tmp_path / "suspension-k1.json", {
+            "experiment": "eta-suspension", "params": {"k": 1}, "budget": "quick",
+        })], 0),
         (["--config", _config(tmp_path / "clifford.json", {
             "experiment": "clifford-check", "params": {"k_max": 8},
         }), "--budget", "quick"], 0),
