@@ -102,7 +102,7 @@ BUDGETS = {
         n_radial_fine=64,
         sphere_p3=(12, 24),
         chart_s3=(24, 24, 48),
-        window=WindowConfig(start=2048, cap=262144),
+        window=WindowConfig(cap=262144),
         s_nodes=16,
     ),
     "standard": Budget(
@@ -111,7 +111,7 @@ BUDGETS = {
         n_radial_fine=96,
         sphere_p3=(20, 40),
         chart_s3=(48, 48, 96),
-        window=WindowConfig(start=4096, cap=1048576),
+        window=WindowConfig(cap=1048576),
         s_nodes=32,
     ),
     "precise": Budget(
@@ -120,7 +120,7 @@ BUDGETS = {
         n_radial_fine=128,
         sphere_p3=(32, 64),
         chart_s3=(64, 64, 128),
-        window=WindowConfig(start=8192, cap=4194304),
+        window=WindowConfig(cap=4194304),
         s_nodes=48,
     ),
 }
@@ -835,11 +835,12 @@ def exp_tr_derivative_check(params, budget, rng):
     # windows always differ), so the Euler-Maclaurin tails carry what a
     # window leaves out.  The tolerance is 1e-12, or the two sums' own tail
     # estimates where a small budget window makes them larger: at start 1
-    # the sums differ by 3.5e-11 against estimates of 7.5e-11.  At every
-    # budget the row reads at most 3.0e-16 over a in {0.25, 0.1, 0.4, 0.5,
-    # 0.01, 0.99, -0.3, 1.25, 7.5, -3000.3, 100000.4}, against estimates
-    # below 1e-17; a tail scaled by 1 + 1e-6 reads 7.8e-10, 3.9e-10 and
-    # 1.9e-10 (quick, standard, precise), and no tail 7.8e-4
+    # the sums differ by 1.7e-13 against estimates of 3.6e-13, both inside
+    # 1e-12.  At every budget the row reads at most 3.0e-16 over a in {0.25,
+    # 0.1, 0.4, 0.5, 0.01, 0.99, -0.3, 1.25, 7.5, -3000.3, 100000.4}, against
+    # estimates of 1.4e-16 (the tails' round-off floor); a tail scaled by
+    # 1 + 1e-6 reads 3.1e-9 at every budget (2.5e-8 from start 1), and no
+    # tail 3.1e-3
     fam4 = SpectralFamily(a, lam4)
     worst, tol = 0.0, 1e-12
     for m in (0.5, 2.0, 5.0):

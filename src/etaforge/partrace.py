@@ -16,9 +16,10 @@ where b = a - ceil(a - 1/2) in (-1/2, 1/2] is the offset reduced once, so
 that the window is centred on the eigenvalues nearest 0 for every a.  The
 shift n -> n + 1 conjugates D to D + 1 and leaves every trace unchanged, so
 the sums depend on a only mod 1: the offsets a and a + 1 give the same
-bits.  Order-2 Euler-Maclaurin tails correct each sum, and the window
-starts at no less than |mu|/8 and escalates by factors of 4 until the tail
-estimate clears tolerance.  The sums run in bounded blocks: each block of
+bits.  Order-4 Euler-Maclaurin tails correct each sum, and the window
+starts at its configured first value (512 by default) or at |mu|/8 when that
+is larger, and escalates by factors of 4 until the tail estimate clears
+tolerance.  The sums run in bounded blocks: each block of
 eigenvalues is generated on its own, and a summand call sees a few
 parameter points at a time, so memory does not grow with the window or the
 number of points.  Blocks are reduced
@@ -249,7 +250,7 @@ class WindowConfig:
     """The first and the largest eigenvalue window N (eigenvalues -N..N):
     integers with 1 <= start <= cap."""
 
-    start: int = 4096
+    start: int = 512
     cap: int = 1_048_576
 
     def __post_init__(self):
@@ -271,14 +272,15 @@ WINDOW_ATOL = 1e-13
 # parameter points per window escalation: each chunk escalates on its own
 _MU_CHUNK = 1024
 # eigenvalues per block; the block partial sums are added in index order.  A
-# row's sum over a block is numpy's pairwise sum, so this count fixes the bits
+# row's sum over a block is numpy's pairwise sum, so this count fixes the bits.
+# The default first window (1,025 eigenvalues) is one block; a window widened
+# by escalation or by |mu|/8 takes several
 _LAM_BLOCK = 8192
-# values (rows x eigenvalues) per summand call: 16 rows of an eigenvalue
-# block; a tail call sees at most _MU_CHUNK x 73 = 74,752.  On spectral-trace
-# (precise, 2-core Xeon) whole 48-row grids peaked at 46.7 MB and a pass took
-# 0.296 s (median of 10); 65,536, 98,304, 131,072 and 262,144 values peak at
-# 42.8, 43.3, 43.3 and 44.0 MB, the first three in 0.259, 0.235 and 0.219 s,
-# and 16,384 values ran 1.7x slower than 65,536
+# values (rows x eigenvalues) per summand call: 16 rows of a full eigenvalue
+# block, 127 of a 1,025-eigenvalue window; a tail call sees at most
+# _MU_CHUNK x 75 = 76,800.  On spectral-trace (precise, 2-core Xeon, windows
+# from 512) 16,384, 65,536, 131,072 and 262,144 values all peaked at 41.8 MB
+# and took 0.066-0.086 s a pass (medians of 4 runs, within the host's noise)
 _SUMMAND_ELEMENTS = 131072
 
 
@@ -294,22 +296,29 @@ _TAIL_U, _TAIL_W = 0.5 * (_TAIL_U + 1.0), 0.5 * _TAIL_W
 
 
 def _em_tail(g, x0: float):
-    """Order-2 Euler-Maclaurin tail sum_{n >= x0} g(n) with an error estimate
-    from the next correction order.
+    """Order-4 Euler-Maclaurin tail sum_{n >= x0} g(n) = int_{x0}^infty g +
+    g(x0)/2 - g'(x0)/12 + g'''(x0)/720, with an error estimate.
 
-    ``g`` maps a 1-D array of abscissae to values with the abscissae on the
-    last axis.  It is called once, at the 64 Gauss-Legendre nodes of
-    int_{x0}^infty g (x = x0 / u on (0, 1]) followed by the nine points of
+    The estimate is twice the first omitted term, g^(5)/30240, plus the g'''
+    stencil's own error (hh^2/4) g^(5)/720, with g^(5) from the six-point
+    central difference; a round-off floor of 2^-46 (|integral| + |g(x0)|) is
+    added.  ``g`` maps a 1-D array of abscissae to values with the abscissae
+    on the last axis.  It is called once, at the 64 Gauss-Legendre nodes of
+    int_{x0}^infty g (x = x0 / u on (0, 1]) followed by the eleven points of
     the end corrections."""
     hh = max(1.0, x0 / 64.0)
-    ends = [0.0] + [0.5 * c for c in RICHARDSON_OFFSETS] + [2 * hh, hh, -hh, -2 * hh]
+    ends = [0.0] + [0.5 * c for c in RICHARDSON_OFFSETS] + [3 * hh, 2 * hh, hh, -hh, -2 * hh, -3 * hh]
     vals = g(np.concatenate((x0 / _TAIL_U, x0 + np.array(ends))))
     integral = vals[..., : len(_TAIL_U)] @ (_TAIL_W * x0 / _TAIL_U ** 2)
-    end = vals[..., len(_TAIL_U) :]  # g at x0 + ends: x0, the Richardson points, the g''' stencil
+    # g at x0 + ends: x0, the Richardson points, then x0 + 3hh .. x0 - 3hh
+    end = vals[..., len(_TAIL_U) :]
+    p3, p2, p1, m1, m2, m3 = (end[..., i] for i in range(5, 11))
     g1 = richardson_derivative(lambda c: end[..., 1 + RICHARDSON_OFFSETS.index(c)], 0.5)
-    g3 = (end[..., 5] - 2 * end[..., 6] + 2 * end[..., 7] - end[..., 8]) / (2.0 * hh ** 3)
-    tail = integral + 0.5 * end[..., 0] - g1 / 12.0
-    est = np.abs(g3) / 720.0 * 2.0 + 1e-18 * np.abs(integral)
+    g3 = (p2 - 2 * p1 + 2 * m1 - m2) / (2.0 * hh ** 3)
+    g5 = (p3 - 4 * p2 + 5 * p1 - 5 * m1 + 4 * m2 - m3) / (2.0 * hh ** 5)
+    tail = integral + 0.5 * end[..., 0] - g1 / 12.0 + g3 / 720.0
+    est = 2.0 * np.abs(g5) * (1.0 / 30240.0 + hh ** 2 / 2880.0)
+    est += 2.0 ** -46 * (np.abs(integral) + np.abs(end[..., 0]))
     return tail, est
 
 
