@@ -266,7 +266,7 @@ def primitive_basis(terms: Sequence[tuple[complex, int]], shift: float) -> list[
     return _dedupe_basis(entries)
 
 
-def _weighted_power_fit(xs, ys, basis, noise_floor, zero_floor: float = ZERO_FLOOR):
+def _weighted_power_fit(xs, ys, basis, noise_floor):
     """Solve ys ~ sum c_b x^e log^l x with per-row relative weighting.
 
     ``noise_floor`` is an absolute-scale accumulation per row; rows whose
@@ -285,7 +285,7 @@ def _weighted_power_fit(xs, ys, basis, noise_floor, zero_floor: float = ZERO_FLO
     # the floor only guards identically-zero data against overflowing
     # weights; anything data-dependent here would drown the small-radius
     # rows that anchor the constant term
-    floor = max(NOISE_EPS * zero_floor, 1e-280)
+    floor = max(NOISE_EPS * ZERO_FLOOR, 1e-280)
     w = 1.0 / np.maximum(row_mag + nf, floor)
     Mw = M * w[:, None]
     cn = np.linalg.norm(Mw, axis=0)
@@ -304,7 +304,7 @@ def _weighted_power_fit(xs, ys, basis, noise_floor, zero_floor: float = ZERO_FLO
     coeff, *_ = np.linalg.lstsq(Mn, Y * w[:, None], rcond=None)
     coeff = coeff / cn[:, None]
     fitted = M @ coeff
-    resid = float(np.max(np.abs(fitted - Y)) / max(scale, zero_floor))
+    resid = float(np.max(np.abs(fitted - Y)) / max(scale, ZERO_FLOOR))
     return coeff, resid, cond
 
 
@@ -313,7 +313,7 @@ def _require_valid(fitted: FittedExpansion, what: str):
         raise FitError(f"{what}: relative fit residual {fitted.residual:.3e} exceeds threshold {RESIDUAL_THRESHOLD:.0e}")
 
 
-def _fit(xs, ys, basis, noise_floor, rule: SphereRule | None = None, zero_floor: float = ZERO_FLOOR) -> FittedExpansion:
+def _fit(xs, ys, basis, noise_floor, rule: SphereRule | None = None) -> FittedExpansion:
     """Every FittedExpansion is made here: ys (n, m) against ``basis`` on the
     radii xs, with m = 1 for a radial fit or one column per direction of
     ``rule``."""
@@ -326,7 +326,7 @@ def _fit(xs, ys, basis, noise_floor, rule: SphereRule | None = None, zero_floor:
         i, j = bad[0]
         raise FitError(f"non-finite fit data: {ys[i, j]} at radius {xs[i]:.6g} (row {i}), column {j}")
     # called through the module global, which the benchmark's tracer rebinds
-    coeff, resid, cond = _weighted_power_fit(xs, ys, basis, noise_floor, zero_floor)
+    coeff, resid, cond = _weighted_power_fit(xs, ys, basis, noise_floor)
     return FittedExpansion(
         coefficients={(float(e.real) if abs(e.imag) < 1e-14 else e, l): c for (e, l), c in zip(basis, coeff)},
         residual=resid,
@@ -336,10 +336,10 @@ def _fit(xs, ys, basis, noise_floor, rule: SphereRule | None = None, zero_floor:
     )
 
 
-def _lim_fit(xs, ys, abs_ys, terms, shift, zero_floor: float = ZERO_FLOOR) -> tuple[complex, FittedExpansion]:
+def _lim_fit(xs, ys, abs_ys, terms, shift) -> tuple[complex, FittedExpansion]:
     """LIM of a cumulative integral: the constant term of its fit against the
     primitive basis of the integrand's terms."""
-    fitted = _fit(xs, np.asarray(ys)[:, None], primitive_basis(terms, shift), abs_ys, zero_floor=zero_floor)
+    fitted = _fit(xs, np.asarray(ys)[:, None], primitive_basis(terms, shift), abs_ys)
     return complex(fitted.coefficients[(0.0, 0)][0]), fitted
 
 
@@ -418,16 +418,11 @@ def regint_rp_radial(
     p: int,
     ladder: RadiusLadder = DEFAULT_LADDER,
     n_radial: int = 32,
-    *,
-    zero_floor: float = ZERO_FLOOR,
 ) -> RegularizedValue:
-    """regint_rp for a radial integrand g(|x|); the sphere factor is exact.
-
-    Cumulative integrals below ``zero_floor`` in absolute size count as zero
-    in the fit residual, for integrands that cancel to that level."""
+    """regint_rp for a radial integrand g(|x|); the sphere factor is exact."""
     rr = ladder.radii()
     ivals, avals = cumulative_radial(g, p, rr, n_radial)
-    const, fitted = _lim_fit(rr, ivals, avals, model.expanded_terms(), p, zero_floor)
+    const, fitted = _lim_fit(rr, ivals, avals, model.expanded_terms(), p)
     _require_valid(fitted, "regint_rp_radial")
     return RegularizedValue(const, fitted)
 

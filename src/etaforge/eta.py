@@ -298,9 +298,8 @@ def spectral_eta(a: float, k: int = 2, n_radial: int = 32) -> complex:
     """Spectral eta-invariant of the circle operator with spectrum {n + a}
     (a a finite non-integer): the weighted half-line regularized integral of
     the l2 trace of the symbol lam (lam^2 + |mu|^2)^{-k}, which needs k >= 2
-    for trace class.  Its closed form is 1 - 2(a - floor(a)).  At
-    half-integer a the spectrum is symmetric, the integrand vanishes and the
-    fit raises FitError.
+    for trace class.  Its closed form is 1 - 2(a - floor(a)); at
+    half-integer a the spectrum is symmetric and the value is exactly 0.
     """
     if k < 2:
         raise ValueError("regint route needs k >= 2 (trace-class integrand)")
@@ -352,10 +351,7 @@ def eta_suspension(
     # for k = 1 the subtracted trace tends to a constant at infinity (the
     # finite part kills it); higher k decay faster than any power
     terms = [(0.0, 0)] if k == 1 else []
-    # symmetric spectra cancel the summand exactly; treat sub-1e-6 data as zero
-    reg = regint_rp_radial(
-        w, ExpansionModel.make(terms, remainder=-2.0 * p), p, SPECTRAL_LADDER, n_radial, zero_floor=1e-6
-    )
+    reg = regint_rp_radial(w, ExpansionModel.make(terms, remainder=-2.0 * p), p, SPECTRAL_LADDER, n_radial)
     return EtaResult(2.0 * c_k(k) * reg.value, [reg])
 
 

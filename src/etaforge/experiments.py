@@ -613,11 +613,8 @@ def exp_spectral_eta(params, budget, rng):
 
 
 def exp_eta_suspension(params, budget, rng):
-    # k = 1 is Melrose's suspended eta.  From k = 3 on the symmetric-spectrum
-    # fit fails at every budget: its round-off grows with the prefactor
-    # (2k-1)! 2^(k-1), and the fit judges it against the absolute zero floor
-    # 1e-6 (relative residual 7.7e-6 at k = 3, quick)
-    p = _params(params, {"a": 0.25, "k": 2}, ranges={"k": (1, 2)})
+    # k = 1 is Melrose's suspended eta
+    p = _params(params, {"a": 0.25, "k": 2}, ranges={"k": (1, 5)})
     k = int(p["k"])
     fam = _circle_family(p["a"], eta_kernel(k))
     rows = []
@@ -636,7 +633,7 @@ def exp_eta_suspension(params, budget, rng):
         )
     sym = eta_suspension(0.5, k, +1, n_radial=budget.n_radial, window=budget.window)
     rows.append(CheckRow("symmetric spectrum", sym.value, 0.0, 1e-6, "abs", "term-by-term cancellation"))
-    if k == 1:
+    if k != 2:
         return rows
 
     # radial reduction vs full-dimensional quadrature on one small case in

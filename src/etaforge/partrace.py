@@ -11,12 +11,14 @@ carry the subtracted t power, so it is evaluated without cancellation.
 Monomials are evaluated in float64, in place, with integer powers by
 multiplication (a negative lam power by division), coefficient last.
 
-Eigenvalue sums run over the indices n = -N..N of the eigenvalues n + b,
+Eigenvalue sums run over mirrored pairs n + b and -(n + 1 - b), n = 0..N,
 where b = a - ceil(a - 1/2) in (-1/2, 1/2] is the offset reduced once, so
-that the window is centred on the eigenvalues nearest 0 for every a.  The
-shift n -> n + 1 conjugates D to D + 1 and leaves every trace unchanged, so
-the sums depend on a only mod 1: the offsets a and a + 1 give the same
-bits.  Order-4 Euler-Maclaurin tails correct each sum, and the window
+that the window is centred on the eigenvalues nearest 0 for every a.  Each
+pair is added before the pairs are summed, so at b = 1/2, where the
+spectrum is symmetric, an odd summand cancels to exactly 0.  The shift
+n -> n + 1 conjugates D to D + 1 and leaves every trace unchanged, so the
+sums depend on a only mod 1: the offsets a and a + 1 give the same bits.
+Order-4 Euler-Maclaurin tails correct each sum, and the window
 starts at its configured first value (512 by default) or at |mu|/8 when that
 is larger, and escalates by factors of 4 until the tail estimate clears
 tolerance.  The sums run in bounded blocks: each block of
@@ -247,8 +249,8 @@ class SpectralFamily:
 
 @dataclass(frozen=True)
 class WindowConfig:
-    """The first and the largest eigenvalue window N (eigenvalues -N..N):
-    integers with 1 <= start <= cap."""
+    """The first and the largest eigenvalue window N (the pairs n + b and
+    -(n + 1 - b) for n = 0..N): integers with 1 <= start <= cap."""
 
     start: int = 512
     cap: int = 1_048_576
@@ -271,13 +273,14 @@ WINDOW_RTOL = 1e-10
 WINDOW_ATOL = 1e-13
 # parameter points per window escalation: each chunk escalates on its own
 _MU_CHUNK = 1024
-# eigenvalues per block; the block partial sums are added in index order.  A
-# row's sum over a block is numpy's pairwise sum, so this count fixes the bits.
-# The default first window (1,025 eigenvalues) is one block; a window widened
-# by escalation or by |mu|/8 takes several
+# eigenvalues per block, half of them mirrored pairs; the block partial sums
+# are added in index order.  A row's sum over a block's pairs is numpy's
+# pairwise sum, so this count fixes the bits.  The default first window (1,026
+# eigenvalues) is one block; a window widened by escalation or by |mu|/8 takes
+# several
 _LAM_BLOCK = 8192
 # values (rows x eigenvalues) per summand call: 16 rows of a full eigenvalue
-# block, 127 of a 1,025-eigenvalue window; a tail call sees at most
+# block, 127 of a 1,026-eigenvalue window; a tail call sees at most
 # _MU_CHUNK x 75 = 76,800.  On spectral-trace (precise, 2-core Xeon, windows
 # from 512) 16,384, 65,536, 131,072 and 262,144 values all peaked at 41.8 MB
 # and took 0.066-0.086 s a pass (medians of 4 runs, within the host's noise)
@@ -342,12 +345,14 @@ def _circle_sum(fam: SpectralFamily, mu: np.ndarray, n_subtract: int, cfg: Windo
     """Window sums with tails per mu-chunk at the points mu (M, p), or at
     one point (p,); returns the values, the tail estimates (both read-only)
     and the largest window any chunk needed.  The window is centred on the
-    offset reduced to (-1/2, 1/2] (not by ``round``, whose ties to even would
-    give 0.5 and 1.5 different windows), and a chunk's first window is at
-    least its largest |mu| / 8; TruncationError when that exceeds the cap.
-    Each block of _LAM_BLOCK eigenvalues is generated on its own and summed
-    per row.  Inside shared_sums() a repeated call returns the stored
-    result."""
+    offset reduced to b in (-1/2, 1/2] (not by ``round``, whose ties to even
+    would give 0.5 and 1.5 different windows), and a chunk's first window is
+    at least its largest |mu| / 8; TruncationError when that exceeds the cap.
+    Each block of _LAM_BLOCK eigenvalues, the pairs n + b and -(n + c) with
+    c = 1 - b, is generated on its own, each pair is added, and the pairs are
+    summed per row; the two tails run from n = N + 1 likewise.  At b = 1/2,
+    c is b, so the two halves are exact negatives.  Inside shared_sums() a
+    repeated call returns the stored result."""
     mu = np.atleast_2d(np.asarray(mu, dtype=float))
     finite = np.isfinite(mu).all(axis=1)
     if not finite.all():
@@ -357,7 +362,8 @@ def _circle_sum(fam: SpectralFamily, mu: np.ndarray, n_subtract: int, cfg: Windo
     sums = _SUMS.get({})
     if key in sums:
         return sums[key]
-    a = fam.a - math.ceil(fam.a - 0.5)
+    b = fam.a - math.ceil(fam.a - 0.5)
+    c = 1.0 - b
     total = np.zeros(len(mu), dtype=complex)
     est = np.zeros(len(mu))
     widest = 0
@@ -376,18 +382,22 @@ def _circle_sum(fam: SpectralFamily, mu: np.ndarray, n_subtract: int, cfg: Windo
         N = max(cfg.start, math.ceil(least))
         while True:
             vals = np.zeros(len(chunk), dtype=complex)
-            for b in range(-N, N + 1, _LAM_BLOCK):
-                lam = np.arange(b, min(b + _LAM_BLOCK, N + 1)) + a
+            for lo_n in range(0, N + 1, _LAM_BLOCK // 2):
+                n = np.arange(lo_n, min(lo_n + _LAM_BLOCK // 2, N + 1))
+                h = len(n)
+                lam = np.concatenate((n + b, -(n + c)))
                 # row slices: the summand is pointwise, so each row comes out as
                 # from one call.  Each call's values are freed before the next
                 # call; holding one while the next was made cost about 250
                 # minor faults per sum (65,536 values per call)
                 rows = max(1, _SUMMAND_ELEMENTS // len(lam))
                 for r in range(0, len(chunk), rows):
-                    vals[r : r + rows] += np.sum(fam.summand(lam, chunk[r : r + rows], n_subtract), axis=1)
+                    v = fam.summand(lam, chunk[r : r + rows], n_subtract)
+                    vals[r : r + rows] += np.sum(v[:, :h] + v[:, h:], axis=1)
+                    del v
             x0 = float(N + 1)
-            tp, ep = _em_tail(lambda x: fam.summand(x + a, chunk, n_subtract), x0)
-            tm, em = _em_tail(lambda x: fam.summand(-x + a, chunk, n_subtract), x0)
+            tp, ep = _em_tail(lambda x: fam.summand(x + b, chunk, n_subtract), x0)
+            tm, em = _em_tail(lambda x: fam.summand(-(x + c), chunk, n_subtract), x0)
             vals = vals + tp + tm
             errs = ep + em
             ok = errs <= np.maximum(WINDOW_RTOL * np.abs(vals), WINDOW_ATOL)

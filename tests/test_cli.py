@@ -205,7 +205,7 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
         ("spectral-eta", {"k": 1}),
         ("spectral-eta", {"k": 6}),  # its fit basis is ill-conditioned from k = 6 on
         ("eta-suspension", {"k": 0}),
-        ("eta-suspension", {"k": 3}),  # its symmetric-spectrum fit fails from k = 3 on
+        ("eta-suspension", {"k": 6}),
         ("divisor-flow", {"path": "linear"}),
         ("divisor-flow", {"width": -1.0}),
         ("divisor-flow", {"width": 0.0}),

@@ -8,7 +8,7 @@ from etaforge import forms
 from etaforge.asymptotics import (
     CONDITION_LIMIT, ExpansionModel, RadiusLadder, fit_expansion, regint_rp, regint_rp_radial,
 )
-from etaforge.errors import FitError, SingularFamilyError
+from etaforge.errors import SingularFamilyError
 from etaforge.eta import (
     PathFamily,
     additivity_defect,
@@ -394,18 +394,16 @@ def _eta_closed_form(a):
 
 def test_spectral_eta_hurwitz():
     """The half-line route against 1 - 2(a - floor a), the value of the
-    Hurwitz zeta at s = 0, off by at most 1.3e-11.  A half-integer a is not
-    checked: its spectrum is symmetric, the integrand vanishes, and the fit
-    raises FitError against its zero floor."""
+    Hurwitz zeta at s = 0, off by at most 1.3e-11.  The half-integer a has
+    its own test: its spectrum is symmetric and eta is exactly 0."""
     for a in (0.1, 0.25, 0.4):
         assert abs(spectral_eta(a) - _eta_closed_form(a)) < 1e-10, a
 
 
-@pytest.mark.xfail(raises=FitError, strict=True, reason="ROADMAP item 13: a zero floor scaled by the eigenvalue sum's mass")
 def test_spectral_eta_at_a_symmetric_spectrum():
-    # at a = 1/2 the spectrum is symmetric and eta is 0, but the integrand's
-    # data vanish and the fit finds no scale to judge its residual by
-    assert abs(spectral_eta(0.5)) < 1e-10
+    # at a = 1/2 the spectrum is symmetric: the mirrored eigenvalue pairs
+    # cancel exactly, so the integrand's data are 0 and so is eta
+    assert spectral_eta(0.5) == 0
 
 
 def test_spectral_eta_regint_route():
@@ -430,28 +428,31 @@ def test_eta_suspension_bridge():
     assert abs(plus.value + 0.5) < 5e-3
     assert abs(minus.value - 0.5) < 5e-3
     sym = eta_suspension(0.5, 2, +1)
-    assert abs(sym.value) < 1e-6
+    assert sym.value == 0
 
 
-def test_symmetric_suspension_integrand_needs_the_raised_zero_floor(quick):
-    # at a = 1/2 the summand cancels to rounding noise: the default floor
-    # reads that noise as a misfit, eta_suspension's 1e-6 floor as zero
-    fam = SpectralFamily(0.5, eta_kernel(2))
-    pref = math.factorial(3) * 2 * (1j) ** (-2)
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_symmetric_suspension_integrand_is_exactly_zero(quick, k):
+    # at a = 1/2 the mirrored eigenvalue pairs cancel exactly, so the
+    # suspension integrand is 0 at every radius and the default floor's fit
+    # returns exactly 0
+    fam = SpectralFamily(0.5, eta_kernel(k))
+    p = 2 * k - 1
+    pref = math.factorial(p) * 2 ** (k - 1) * (1j) ** (-k)
+    lad = RadiusLadder(4.0, 256.0, 16)
 
     def w(r):
         return pref * tr_param_values(fam, np.asarray(r, dtype=float)[:, None], quick.window)
 
-    model, lad = ExpansionModel.make([], remainder=-6.0), RadiusLadder(4.0, 256.0, 16)
-    with pytest.raises(FitError, match="residual"):
-        regint_rp_radial(w, model, 3, lad, quick.n_radial)
-    assert abs(regint_rp_radial(w, model, 3, lad, quick.n_radial, zero_floor=1e-6).value) < 1e-12
+    assert not np.any(w(lad.radii()))
+    model = ExpansionModel.make([(0.0, 0)] if k == 1 else [], remainder=-2.0 * p)
+    assert regint_rp_radial(w, model, p, lad, quick.n_radial).value == 0
 
 
 def test_eta_suspension_k1():
     # k = 1 suspension, Melrose's suspended eta: eta_1(D + c(mu)) = -eta(D)
     # as well.  At a = 1/4 it is right to 4.6e-12, and at the symmetric
-    # spectrum a = 1/2, where eta(D) = 0, to 5.7e-17
+    # spectrum a = 1/2, where eta(D) = 0, exactly
     for a in (0.25, 0.5):
         res = eta_suspension(a, 1, +1)
         assert abs(res.value + _eta_closed_form(a)) < 5e-10, a

@@ -314,11 +314,13 @@ def test_circle_sum_reports_widest_window(monkeypatch):
 
 
 def _one_grid_circle_sum(fam, mu, n_subtract, cfg):
-    """The reference for ``_circle_sum``: the whole window, centred on the
-    offset reduced to (-1/2, 1/2] and starting at no less than |mu|/8,
-    materialised and one (points x _LAM_BLOCK) summand call per eigenvalue
-    block and mu-chunk, the tails from one call per side."""
-    a = fam.a - math.ceil(fam.a - 0.5)
+    """The reference for ``_circle_sum``: the whole window of mirrored pairs
+    n + b and -(n + 1 - b), n = 0..N, with b the offset reduced to
+    (-1/2, 1/2] and N no less than |mu|/8, materialised, and one
+    (points x _LAM_BLOCK) summand call per block of pairs and mu-chunk, each
+    pair added before the row sum; the tails from one call per side."""
+    b = fam.a - math.ceil(fam.a - 0.5)
+    c = 1.0 - b
     mu = np.asarray(mu, dtype=float)
     total = np.zeros(len(mu), dtype=complex)
     est = np.zeros(len(mu))
@@ -328,14 +330,17 @@ def _one_grid_circle_sum(fam, mu, n_subtract, cfg):
         chunk = mu[sl]
         N = max(cfg.start, math.ceil(np.max(np.linalg.norm(chunk, axis=1)) / 8.0))
         while True:
-            n = np.arange(-N, N + 1)
+            n = np.arange(N + 1)
+            pos, neg = n + b, -(n + c)
             vals = np.zeros(len(chunk), dtype=complex)
-            for b in range(0, len(n), partrace._LAM_BLOCK):
-                lam = n[b : b + partrace._LAM_BLOCK] + a
-                vals = vals + np.sum(fam.summand(lam, chunk, n_subtract), axis=1)
+            for lo_n in range(0, len(n), partrace._LAM_BLOCK // 2):
+                h = len(n[lo_n : lo_n + partrace._LAM_BLOCK // 2])
+                lam = np.concatenate((pos[lo_n : lo_n + h], neg[lo_n : lo_n + h]))
+                v = fam.summand(lam, chunk, n_subtract)
+                vals = vals + np.sum(v[:, :h] + v[:, h:], axis=1)
             x0 = float(N + 1)
-            tp, ep = _em_tail(lambda x: fam.summand(x + a, chunk, n_subtract), x0)
-            tm, em = _em_tail(lambda x: fam.summand(-x + a, chunk, n_subtract), x0)
+            tp, ep = _em_tail(lambda x: fam.summand(x + b, chunk, n_subtract), x0)
+            tm, em = _em_tail(lambda x: fam.summand(-(x + c), chunk, n_subtract), x0)
             vals = vals + tp + tm
             errs = ep + em
             if np.all(errs <= np.maximum(partrace.WINDOW_RTOL * np.abs(vals), partrace.WINDOW_ATOL)):
@@ -380,8 +385,8 @@ def _bits_of(result):
     + [("resolvent", 1024)],
 )
 def test_bounded_circle_sum_is_bit_for_bit_the_one_grid_sum(monkeypatch, name, points):
-    # a window of three full eigenvalue blocks and one of 1 (a block's row
-    # sums are pairwise sums, so splitting blocks would move bits), bounded
+    # a window of three full eigenvalue blocks and one of a single pair (a
+    # block's row sums are pairwise sums, so splitting blocks would move bits), bounded
     # summand calls, and the same values, tail estimates, window and terms
     fam, n_subtract = _BOUNDED_SUM_FAMILIES[name]
     cfg = WindowConfig(start=3 * partrace._LAM_BLOCK // 2)
@@ -539,6 +544,28 @@ def test_trace_property_under_the_shift():
             for m in shifts:
                 vb = tr_param_values(SpectralFamily(a + m, k), mu)
                 assert va.tobytes() == vb.tobytes(), (k, a, m)
+
+
+_ODD_KERNELS = {
+    "eta_kernel(1)": eta_kernel(1),
+    "eta_kernel(2)": eta_kernel(2),
+    "eta_kernel(3)": eta_kernel(3),
+    "complex lam^3 t": Kernel((KernelMonomial(1.0 - 2.0j, 3, 1, 4),)),
+}
+
+
+@pytest.mark.parametrize("a", [0.5, -2.5, 1000.5])
+@pytest.mark.parametrize("cfg", [WindowConfig(), WindowConfig(start=1)], ids=["default", "start-1"])
+def test_a_symmetric_spectrum_cancels_exactly(a, cfg):
+    # at a half-integer offset the eigenvalues come in pairs +-lam, so an odd
+    # summand's window, tails and every escalation step cancel to +0.0, bit
+    # for bit, at every representative of the offset
+    mu = np.array([[0.0], [0.3], [2.5], [64.0], [5000.0]])
+    for name, kernel in _ODD_KERNELS.items():
+        for fam in (SpectralFamily(a, kernel), SpectralFamily(a, kernel).d_mu(0)):
+            vals, _, widest = _circle_sum(fam, mu, fam.minimal_taylor_order(), cfg)
+            assert vals.tobytes() == bytes(vals.nbytes), (name, fam.pref_power, vals)
+            assert widest > cfg.start  # |mu| = 5000 widens, and from 1 the window escalates
 
 
 @pytest.mark.parametrize("a", [0.3, -3000.3, 100000.4])
