@@ -31,13 +31,11 @@ import numpy as np
 from .asymptotics import RadiusLadder
 from .errors import ConfigError, EtaforgeError
 from .experiments import BUDGETS, EXPERIMENTS, Budget, CheckRow, run_experiment
-from .partrace import WindowConfig
 
 __all__ = ["ExperimentConfig", "Report", "run", "suite", "main"]
 
 # budget counts: key -> (lower bound, hard cap), each cap at least 8x the precise preset's
-_COUNTS = {"radii": (2, 128), "n_radial": (1, 512), "n_radial_fine": (1, 1024), "s_nodes": (1, 512),
-           "eig_window": (1, 2 ** 24), "eig_cap": (1, 2 ** 24)}
+_COUNTS = {"radii": (2, 128), "n_radial": (1, 512), "n_radial_fine": (1, 1024), "s_nodes": (1, 512)}
 # budget grids of positive integers: key -> (length, hard cap of the product)
 _GRIDS = {"sphere_p3": (2, 2 ** 16), "chart_s3": (3, 2 ** 22)}
 _BUDGET_KEYS = {"preset", "r_min", "r_max", *_COUNTS, *_GRIDS}
@@ -63,7 +61,6 @@ def _resolve_budget(spec) -> Budget:
         raise ConfigError(f"unknown budget keys {sorted(unknown)}; allowed: {sorted(_BUDGET_KEYS)}")
     base = _preset(spec.get("preset", "standard"))
     b = {"radii": base.ladder.count, "r_min": base.ladder.r_min, "r_max": base.ladder.r_max,
-         "eig_window": base.window.start, "eig_cap": base.window.cap,
          **{key: getattr(base, key) for key in ("n_radial", "n_radial_fine", "s_nodes", *_GRIDS)}, **spec}
     for key, (lower, cap) in _COUNTS.items():
         if not _is_int(b[key]):
@@ -84,10 +81,7 @@ def _resolve_budget(spec) -> Budget:
         raise ConfigError("budget exceeds hard caps (r_max <= 2^24)")
     if not 0 < r_min < r_max:
         raise ConfigError("budget below lower bounds (0 < r_min < r_max)")
-    if b["eig_cap"] < b["eig_window"]:
-        raise ConfigError(f"budget eig_cap {b['eig_cap']} is below eig_window {b['eig_window']}")
     return Budget(ladder=RadiusLadder(float(r_min), float(r_max), b["radii"]),
-                  window=WindowConfig(start=b["eig_window"], cap=b["eig_cap"]),
                   sphere_p3=tuple(b["sphere_p3"]), chart_s3=tuple(b["chart_s3"]),
                   **{key: b[key] for key in ("n_radial", "n_radial_fine", "s_nodes")})
 

@@ -46,9 +46,7 @@ from .forms import (
     wedge,
 )
 from .partrace import (
-    DEFAULT_WINDOW,
     SpectralFamily,
-    WindowConfig,
     eta_kernel,
     l2_trace_values,
     tr_param_values,
@@ -327,7 +325,6 @@ def eta_suspension(
     k: int,
     sign: int = +1,
     n_radial: int = 32,
-    window: WindowConfig = DEFAULT_WINDOW,
 ) -> EtaResult:
     """eta_k of the suspension family D + sign * c(mu) over R^{2k-1}, for the
     circle operator D with spectrum {n + a} (a a finite non-integer).
@@ -346,7 +343,7 @@ def eta_suspension(
 
     def w(r):
         pts = np.asarray(r, dtype=float)[:, None]
-        return pref * tr_param_values(fam, pts, window)
+        return pref * tr_param_values(fam, pts)
 
     # for k = 1 the subtracted trace tends to a constant at infinity (the
     # finite part kills it); higher k decay faster than any power

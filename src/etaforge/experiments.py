@@ -88,7 +88,6 @@ class Budget:
     n_radial_fine: int  # 1-d integrands with sharp (but smooth) features
     sphere_p3: tuple[int, int]
     chart_s3: tuple[int, int, int]
-    window: WindowConfig
     s_nodes: int
 
     def sphere(self, p):
@@ -102,7 +101,6 @@ BUDGETS = {
         n_radial_fine=64,
         sphere_p3=(12, 24),
         chart_s3=(24, 24, 48),
-        window=WindowConfig(cap=262144),
         s_nodes=16,
     ),
     "standard": Budget(
@@ -111,7 +109,6 @@ BUDGETS = {
         n_radial_fine=96,
         sphere_p3=(20, 40),
         chart_s3=(48, 48, 96),
-        window=WindowConfig(cap=1048576),
         s_nodes=32,
     ),
     "precise": Budget(
@@ -120,7 +117,6 @@ BUDGETS = {
         n_radial_fine=128,
         sphere_p3=(32, 64),
         chart_s3=(64, 64, 128),
-        window=WindowConfig(cap=4194304),
         s_nodes=48,
     ),
 }
@@ -620,7 +616,7 @@ def exp_eta_suspension(params, budget, rng):
     rows = []
     eta_d = _circle_eta(fam.a)
     for sign, want in ((+1, -eta_d), (-1, +eta_d)):
-        res = eta_suspension(fam.a, k, sign, n_radial=budget.n_radial, window=budget.window)
+        res = eta_suspension(fam.a, k, sign, n_radial=budget.n_radial)
         rows.append(
             CheckRow(
                 f"suspension, sign {'+' if sign > 0 else '-'}",
@@ -631,7 +627,7 @@ def exp_eta_suspension(params, budget, rng):
                 "spectral eta bridge",
             )
         )
-    sym = eta_suspension(0.5, k, +1, n_radial=budget.n_radial, window=budget.window)
+    sym = eta_suspension(0.5, k, +1, n_radial=budget.n_radial)
     rows.append(CheckRow("symmetric spectrum", sym.value, 0.0, 1e-6, "abs", "term-by-term cancellation"))
     if k != 2:
         return rows
@@ -641,7 +637,7 @@ def exp_eta_suspension(params, budget, rng):
     pref = math.factorial(2 * k - 1) * 2 ** (k - 1) * (1j) ** (-k)
 
     def radial_vals(r):
-        return pref * l2_trace_values(fam, np.asarray(r, dtype=float)[:, None], budget.window)
+        return pref * l2_trace_values(fam, np.asarray(r, dtype=float)[:, None])
 
     def full(x):
         r = row_norm(x)
@@ -719,7 +715,7 @@ def exp_trace_tanh(params, budget, rng):
     fam = _circle_family(p["a"], resolvent(1))
     rows = []
     for mu in p["mus"]:
-        got = complex(l2_trace_values(fam, np.array([[float(mu)]]), budget.window)[0])
+        got = complex(l2_trace_values(fam, np.array([[float(mu)]]))[0])
         want = _circle_resolvent_trace(float(mu), fam.a)
         rows.append(
             CheckRow(
@@ -745,14 +741,14 @@ def exp_tr_derivative_check(params, budget, rng):
     h = 1e-3
 
     def trv(x):
-        return complex(tr_param_values(fam0, np.array([[x]]), budget.window)[0])
+        return complex(tr_param_values(fam0, np.array([[x]]))[0])
 
     d2 = (trv(mu + h) - 2.0 * trv(mu) + trv(mu - h)) / h ** 2
     d2b = (trv(mu + 0.5 * h) - 2.0 * trv(mu) + trv(mu - 0.5 * h)) / (0.25 * h ** 2)
     d2r = (4.0 * d2b - d2) / 3.0
     oracle_kernel = Kernel((KernelMonomial(2.0, 2, 0, 2), KernelMonomial(-8.0, 2, 1, 3)))
     oracle_fam = SpectralFamily(a, oracle_kernel)
-    want = complex(l2_trace_values(oracle_fam, np.array([[mu]]), budget.window)[0])
+    want = complex(l2_trace_values(oracle_fam, np.array([[mu]]))[0])
     rows.append(
         CheckRow(
             "second mu-derivative vs trace-class sum",
@@ -768,11 +764,11 @@ def exp_tr_derivative_check(params, budget, rng):
     fam1 = SpectralFamily(a, resolvent(1))
 
     def trv1(x):
-        return complex(tr_param_values(fam1, np.array([[x]]), budget.window)[0])
+        return complex(tr_param_values(fam1, np.array([[x]]))[0])
 
     fdr = richardson_derivative(lambda c: trv1(mu + c * h), h)
     dfam = fam1.d_mu(0)
-    want1 = complex(tr_param_values(dfam, np.array([[mu]]), budget.window)[0])
+    want1 = complex(tr_param_values(dfam, np.array([[mu]]))[0])
     rows.append(
         CheckRow(
             "mu-derivative family vs finite difference",
@@ -788,9 +784,7 @@ def exp_tr_derivative_check(params, budget, rng):
     # so the difference is the zero polynomial
     fam_mu = SpectralFamily(a, Kernel((KernelMonomial(1.0, 0, 1, 1),)), pref_power=1)
     xs = np.linspace(2.0, 9.0, 12)
-    diff = tr_param_values(fam_mu, xs[:, None], budget.window) - xs * tr_param_values(
-        fam0, xs[:, None], budget.window
-    )
+    diff = tr_param_values(fam_mu, xs[:, None]) - xs * tr_param_values(fam0, xs[:, None])
     V = np.vander(xs, 3, increasing=True)
     coef, *_ = np.linalg.lstsq(V, diff, rcond=None)
     resid = float(np.max(np.abs(V @ coef - diff)))
@@ -821,38 +815,33 @@ def exp_tr_derivative_check(params, budget, rng):
             "pi sin 2pi a/(cosh 2pi mu - cos 2pi a) - pi cot pi a",
         ),
     ):
-        got = complex(tr_param_values(fam, np.array([[mu]]), budget.window)[0])
+        got = complex(tr_param_values(fam, np.array([[mu]]))[0])
         # the lam row's closed form vanishes at half-integer a (a symmetric
         # spectrum), where no relative tolerance holds: below 1 it is absolute
         kind = "rel" if abs(want) >= 1.0 else "abs"
         rows.append(CheckRow(f"subtracted trace of {label} at mu=2", got, want, 1e-8, kind, f"closed form {form}"))
 
-    # window independence: each sum, at the window the budget's escalation
-    # ended on, agrees with the sum pinned at twice that window (so the two
-    # windows always differ), so the Euler-Maclaurin tails carry what a
-    # window leaves out.  The tolerance is 1e-12, or the two sums' own tail
-    # estimates where a small budget window makes them larger: at start 1
-    # the sums differ by 1.7e-13 against estimates of 3.6e-13, both inside
-    # 1e-12.  At every budget the row reads at most 3.0e-16 over a in {0.25,
+    # window independence: each sum, at the window its escalation ended on,
+    # agrees with the sum pinned at twice that window (so the two windows
+    # always differ), so the Euler-Maclaurin tails carry what a window leaves
+    # out.  At every budget the row reads at most 3.0e-16 over a in {0.25,
     # 0.1, 0.4, 0.5, 0.01, 0.99, -0.3, 1.25, 7.5, -3000.3, 100000.4}, against
-    # estimates of 1.4e-16 (the tails' round-off floor); a tail scaled by
-    # 1 + 1e-6 reads 3.1e-9 at every budget (2.5e-8 from start 1), and no
-    # tail 3.1e-3
+    # tail estimates of 1.4e-16 (the tails' round-off floor) and a tolerance
+    # of 1e-12; a tail scaled by 1 + 1e-6 reads 3.1e-9 at every budget, and
+    # no tail 3.1e-3
     fam4 = SpectralFamily(a, lam4)
-    worst, tol = 0.0, 1e-12
+    worst = 0.0
     for m in (0.5, 2.0, 5.0):
-        first = tr_param(fam4, m, budget.window)
+        first = tr_param(fam4, m)
         n = 2 * first.truncation["window"]
         second = tr_param(fam4, m, WindowConfig(start=n, cap=n))
-        scale = abs(first.value)
-        worst = max(worst, abs(first.value - second.value) / scale)
-        tol = max(tol, (first.truncation["tail_estimate"] + second.truncation["tail_estimate"]) / scale)
+        worst = max(worst, abs(first.value - second.value) / abs(first.value))
     rows.append(
         CheckRow(
             "window independence: lam^4/(lam^2+mu^2) at its window vs twice it",
             worst,
             0.0,
-            tol,
+            1e-12,
             "abs",
             "Euler-Maclaurin tails (largest relative difference at mu = 0.5, 2, 5)",
         )

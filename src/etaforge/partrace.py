@@ -250,10 +250,14 @@ class SpectralFamily:
 @dataclass(frozen=True)
 class WindowConfig:
     """The first and the largest eigenvalue window N (the pairs n + b and
-    -(n + 1 - b) for n = 0..N): integers with 1 <= start <= cap."""
+    -(n + 1 - b) for n = 0..N): integers with 1 <= start <= cap.
+
+    ``DEFAULT_WINDOW`` is the library's one window policy, which every
+    experiment uses; a caller pins one window N with
+    ``WindowConfig(start=N, cap=N)``."""
 
     start: int = 512
-    cap: int = 1_048_576
+    cap: int = 4_194_304
 
     def __post_init__(self):
         for name in ("start", "cap"):

@@ -58,16 +58,17 @@ def test_budget_validation():
         run(ExperimentConfig("clifford-check", budget={"preset": "turbo"}))
     with pytest.raises(ConfigError):
         run(ExperimentConfig("clifford-check", budget={"radii": 10_000}))
-    # lower bounds: an eigenvalue window of 0 never stops escalating, a
-    # negative one sums the wrong eigenvalues, and empty rules are config errors
-    for bad in ({"eig_window": 0}, {"eig_window": -4}, {"radii": 1}, {"n_radial": 0},
+    # lower bounds: empty rules are config errors
+    for bad in ({"radii": 1}, {"n_radial": 0},
                 {"n_radial_fine": 0}, {"s_nodes": 0}, {"r_min": 0.0}, {"r_max": 3.0}, {"r_min": math.nan},
                 {"radii": 16.0}, {"radii": "16"}, {"sphere_p3": [0, 4]}, {"chart_s3": [8, 8]}, {"preset": ["quick"]}):
         with pytest.raises(ConfigError):
             run(ExperimentConfig("trace-tanh", budget={"preset": "quick", **bad}))
-    # a cap below the first window would be ignored: the first window already sums more
-    with pytest.raises(ConfigError, match="eig_cap"):
-        run(ExperimentConfig("eta-suspension", budget={"preset": "quick", "eig_cap": 0}))
+    # the eigenvalue window is the library's, not the budget's: the retired
+    # window keys are unknown
+    for key in ("eig_window", "eig_cap"):
+        with pytest.raises(ConfigError, match="unknown budget keys"):
+            run(ExperimentConfig("eta-suspension", budget={"preset": "quick", key: 512}))
     # upper caps: counts that would allocate without bound, each at least 8x the precise preset
     for bad in ({"n_radial": 513}, {"s_nodes": 513}, {"n_radial_fine": 1025},
                 {"sphere_p3": [257, 256]}, {"chart_s3": [128, 128, 257]}):
@@ -258,6 +259,18 @@ def test_trace_tanh_reference_holds_off_the_half_offset():
     assert report.passed and len(report.rows) == 3
 
 
+def test_every_preset_sums_in_the_library_window(tmp_path, capsys):
+    # no budget carries an eigenvalue window, so each preset sums in
+    # partrace.DEFAULT_WINDOW: mu = 4e6 needs a first window of |mu|/8 =
+    # 500,000 at quick too, and mu = 1e8 is above the one cap at every preset
+    assert not any(hasattr(budget, "window") for budget in BUDGETS.values())
+    path = tmp_path / "tanh.json"
+    for preset, mu, code in [("quick", 4e6, 0), *((preset, 1e8, 3) for preset in sorted(BUDGETS))]:
+        path.write_text(json.dumps({"experiment": "trace-tanh", "params": {"mus": [mu]}, "budget": preset}))
+        assert main(["--config", str(path)]) == code, (preset, mu)
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("experiment, a", [
     ("trace-tanh", -3000.3), ("trace-tanh", 100000.4),
     ("tr-derivative-check", -3000.3), ("tr-derivative-check", 100000.4),
@@ -419,8 +432,7 @@ _budget_values = {
     "radii": st.integers(0, 130),
     "r_min": st.floats(0.25, 8.0) | st.integers(1, 8) | _edges,
     "r_max": st.floats(2.0, 2.0 ** 24) | st.integers(100, 2 ** 24) | _edges,
-    "n_radial": _counts, "n_radial_fine": _counts, "s_nodes": _counts, "eig_window": st.integers(0, 4096),
-    "eig_cap": st.integers(1, 2 ** 24 + 1),
+    "n_radial": _counts, "n_radial_fine": _counts, "s_nodes": _counts,
     "sphere_p3": st.lists(st.integers(-1, 40), min_size=2, max_size=2),
     "chart_s3": st.lists(st.integers(-1, 40), min_size=3, max_size=3),
 }
@@ -440,8 +452,7 @@ _config = st.fixed_dictionaries(
 def _check_budget(budget):
     assert isinstance(budget, Budget)
     assert 0 < budget.ladder.r_min < budget.ladder.r_max <= 2.0 ** 24 and 2 <= budget.ladder.count <= 128
-    assert min(budget.n_radial, budget.n_radial_fine, budget.s_nodes, budget.window.start) >= 1
-    assert budget.window.cap <= 2 ** 24
+    assert min(budget.n_radial, budget.n_radial_fine, budget.s_nodes) >= 1
     assert len(budget.sphere_p3) == 2 and len(budget.chart_s3) == 3
     assert all(isinstance(n, int) and n >= 1 for n in budget.sphere_p3 + budget.chart_s3)
 
@@ -506,8 +517,6 @@ _bad_budget_values = {
     "r_min": st.floats(max_value=0.0) | st.floats(min_value=2.0 ** 24) | st.just(math.nan) | _not_number,
     "r_max": st.floats(max_value=0.0) | st.floats(min_value=2.0 ** 24, exclude_min=True) | _not_number,
     "n_radial": _bad_count, "n_radial_fine": _bad_count, "s_nodes": _bad_count,
-    "eig_window": st.integers(max_value=0) | _not_int,
-    "eig_cap": st.integers(max_value=0) | st.integers(min_value=2 ** 24 + 1) | _not_int,
     "sphere_p3": st.sampled_from([[300, 300], [0, 4], [4], [4, 4, 4]]) | _not_int,
     "chart_s3": st.sampled_from([[200, 200, 200], [4, -1, 4], [4, 4]]) | _not_int,
 }

@@ -442,7 +442,7 @@ def test_symmetric_suspension_integrand_is_exactly_zero(quick, k):
     lad = RadiusLadder(4.0, 256.0, 16)
 
     def w(r):
-        return pref * tr_param_values(fam, np.asarray(r, dtype=float)[:, None], quick.window)
+        return pref * tr_param_values(fam, np.asarray(r, dtype=float)[:, None])
 
     assert not np.any(w(lad.radii()))
     model = ExpansionModel.make([(0.0, 0)] if k == 1 else [], remainder=-2.0 * p)

@@ -413,7 +413,7 @@ def test_a_large_mu_starts_the_window_at_an_eighth_of_it(mu):
     assert abs(res.value - want) <= 1e-13 * want
     assert res.truncation["window"] == math.ceil(abs(mu) / 8)
     start = time.perf_counter()
-    with pytest.raises(TruncationError, match=r"\|mu\|/8 = 1\.25e\+07, above the maximum eigenvalue window 1048576"):
+    with pytest.raises(TruncationError, match=r"\|mu\|/8 = 1\.25e\+07, above the maximum eigenvalue window 4194304"):
         l2_trace(fam, [[0.5], [1e8]])
     assert time.perf_counter() - start < 0.1  # before any sum
 
@@ -579,12 +579,11 @@ def test_resolvent_trace_far_from_zero_offset(a):
         assert abs(got - want) <= 1e-8 * want, (mu, got, want)
 
 
-@pytest.mark.parametrize("budget", ["quick", {"preset": "quick", "eig_window": 1}], ids=["quick", "start-1"])
+@pytest.mark.parametrize("budget", ["quick"])
 def test_the_window_row_catches_a_planted_tail_error(monkeypatch, budget):
     # the row's second sum is pinned at twice the first one's window, so it
-    # compares two windows whatever the budget.  The tails scaled by 1 + 1e-6
-    # read 3.1e-9 at quick against the tolerance 1e-12, and 2.5e-8 from start
-    # 1, where the row passes unplanted at 1.7e-13
+    # compares two windows.  The tails scaled by 1 + 1e-6 read 3.1e-9 at quick
+    # against the tolerance 1e-12
     def window_row():
         rows = run(ExperimentConfig("tr-derivative-check", budget=budget)).rows
         [row] = [r for r in rows if r.label.startswith("window independence")]
