@@ -23,22 +23,19 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import RadiusLadder
 from .errors import ConfigError, EtaforgeError
 from .experiments import BUDGETS, EXPERIMENTS, Budget, CheckRow, run_experiment
 
 __all__ = ["ExperimentConfig", "Report", "run", "suite", "main"]
 
 # budget counts: key -> (lower bound, hard cap), each cap at least 8x the precise preset's
-_COUNTS = {"radii": (2, 128), "n_radial": (1, 512), "n_radial_fine": (1, 1024), "s_nodes": (1, 512)}
-# budget grids of positive integers: key -> (length, hard cap of the product)
-_GRIDS = {"sphere_p3": (2, 2 ** 16), "chart_s3": (3, 2 ** 22)}
-_BUDGET_KEYS = {"preset", "r_min", "r_max", *_COUNTS, *_GRIDS}
+_COUNTS = {"radii": (2, 128), "n_radial": (1, 512), "n_radial_fine": (1, 1024)}
+_BUDGET_KEYS = {"preset", "r_max", "sphere_p3", *_COUNTS}
 
 
 def _preset(name) -> Budget:
@@ -60,30 +57,28 @@ def _resolve_budget(spec) -> Budget:
     if unknown:
         raise ConfigError(f"unknown budget keys {sorted(unknown)}; allowed: {sorted(_BUDGET_KEYS)}")
     base = _preset(spec.get("preset", "standard"))
-    b = {"radii": base.ladder.count, "r_min": base.ladder.r_min, "r_max": base.ladder.r_max,
-         **{key: getattr(base, key) for key in ("n_radial", "n_radial_fine", "s_nodes", *_GRIDS)}, **spec}
+    b = {"radii": base.ladder.count, "r_max": base.ladder.r_max,
+         **{key: getattr(base, key) for key in ("n_radial", "n_radial_fine", "sphere_p3")}, **spec}
     for key, (lower, cap) in _COUNTS.items():
         if not _is_int(b[key]):
             raise ConfigError(f"budget {key!r} must be an integer, got {b[key]!r}")
         if not lower <= b[key] <= cap:
             bound = "below lower bounds" if b[key] < lower else "exceeds hard caps"
             raise ConfigError(f"budget {bound} ({key} in [{lower}, {cap}], got {b[key]})")
-    for key, (length, cap) in _GRIDS.items():
-        if not (isinstance(b[key], (list, tuple)) and len(b[key]) == length
-                and all(_is_int(n) and n >= 1 for n in b[key])):
-            raise ConfigError(f"budget {key!r} must be {length} positive integers, got {b[key]!r}")
-        if math.prod(b[key]) > cap:
-            raise ConfigError(f"budget exceeds hard caps ({key} product <= {cap}, got {math.prod(b[key])})")
-    r_min, r_max = b["r_min"], b["r_max"]
-    if not all(isinstance(r, (int, float)) and not isinstance(r, bool) for r in (r_min, r_max)):
-        raise ConfigError(f"budget r_min and r_max must be numbers, got {r_min!r} and {r_max!r}")
+    p3 = b["sphere_p3"]
+    if not (isinstance(p3, (list, tuple)) and len(p3) == 2 and all(_is_int(n) and n >= 1 for n in p3)):
+        raise ConfigError(f"budget 'sphere_p3' must be 2 positive integers, got {p3!r}")
+    if math.prod(p3) > 2 ** 16:
+        raise ConfigError(f"budget exceeds hard caps (sphere_p3 product <= 65536, got {math.prod(p3)})")
+    r_max = b["r_max"]
+    if not isinstance(r_max, (int, float)) or isinstance(r_max, bool):
+        raise ConfigError(f"budget r_max must be a number, got {r_max!r}")
     if r_max > 2.0 ** 24:
         raise ConfigError("budget exceeds hard caps (r_max <= 2^24)")
-    if not 0 < r_min < r_max:
-        raise ConfigError("budget below lower bounds (0 < r_min < r_max)")
-    return Budget(ladder=RadiusLadder(float(r_min), float(r_max), b["radii"]),
-                  sphere_p3=tuple(b["sphere_p3"]), chart_s3=tuple(b["chart_s3"]),
-                  **{key: b[key] for key in ("n_radial", "n_radial_fine", "s_nodes")})
+    if not r_max > base.ladder.r_min:
+        raise ConfigError(f"budget below lower bounds (r_max > {base.ladder.r_min:g}, where the ladder starts)")
+    return Budget(replace(base.ladder, r_max=float(r_max), count=b["radii"]), sphere_p3=tuple(p3),
+                  n_radial=b["n_radial"], n_radial_fine=b["n_radial_fine"])
 
 
 @dataclass(frozen=True)

@@ -360,6 +360,7 @@ def eta_suspension(
 # s-step of their Richardson derivative
 RATE_BOUNDARY = 50.0
 RATE_FD_STEP = 1e-4
+FLOW_S_NODES = 16  # Gauss-Legendre nodes of the flow's s-integral over [0, 1]
 
 
 def _boundary_logderivative(path: PathFamily, s: float, lam: float) -> complex:
@@ -384,16 +385,16 @@ def path_eta_rate(path: PathFamily, s: float) -> complex:
     return (plus - minus) / (math.pi * 1j)
 
 
-def divisor_flow(path_a: PathFamily, path_b: PathFamily, n_s: int = 32) -> dict:
-    """Integral of the eta rate over s in [0, 1] for two elliptic paths with
-    the same endpoints, and their difference.  Path dependence of the
-    difference is the point of the experiment."""
+def divisor_flow(path_a: PathFamily, path_b: PathFamily) -> dict:
+    """Integral of the eta rate over s in [0, 1] (FLOW_S_NODES Gauss-Legendre
+    nodes) for two elliptic paths with the same endpoints, and their
+    difference.  Path dependence of the difference is the point."""
 
     def integrate(path):
-        x, w = gauss_legendre(n_s)
-        s_nodes = 0.5 * (x + 1.0)
+        x, w = gauss_legendre(FLOW_S_NODES)
+        s = 0.5 * (x + 1.0)
         w = 0.5 * w
-        return complex(sum(wi * path_eta_rate(path, si) for si, wi in zip(s_nodes, w)))
+        return complex(sum(wi * path_eta_rate(path, si) for si, wi in zip(s, w)))
 
     va = integrate(path_a)
     vb = integrate(path_b)

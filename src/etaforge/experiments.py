@@ -87,8 +87,6 @@ class Budget:
     n_radial: int
     n_radial_fine: int  # 1-d integrands with sharp (but smooth) features
     sphere_p3: tuple[int, int]
-    chart_s3: tuple[int, int, int]
-    s_nodes: int
 
     def sphere(self, p):
         return sphere_rule(p, self.sphere_p3 if p == 3 else None)
@@ -100,24 +98,18 @@ BUDGETS = {
         n_radial=24,
         n_radial_fine=64,
         sphere_p3=(12, 24),
-        chart_s3=(24, 24, 48),
-        s_nodes=16,
     ),
     "standard": Budget(
         RadiusLadder(4.0, 65536.0, 24),
         n_radial=32,
         n_radial_fine=96,
         sphere_p3=(20, 40),
-        chart_s3=(48, 48, 96),
-        s_nodes=32,
     ),
     "precise": Budget(
         RadiusLadder(4.0, 65536.0, 28),
         n_radial=48,
         n_radial_fine=128,
         sphere_p3=(32, 64),
-        chart_s3=(64, 64, 128),
-        s_nodes=48,
     ),
 }
 
@@ -256,7 +248,7 @@ def exp_sphere_omega(params, budget, rng):
     k = int(p["k"])
     fam = sphere_clifford(k=k)
     tform = maurer_cartan_power(fam, 2 * k - 1)
-    val = sphere_integrate(tform, budget.chart_s3 if k == 2 else 512).value
+    val = sphere_integrate(tform, None if k == 2 else 512).value
     return [
         CheckRow(
             f"S^{2 * k - 1} trace-form integral",
@@ -316,7 +308,7 @@ def exp_regint_demo(params, budget, rng):
     poly = polynomial(coeffs=[(1.0, 0, 0), (0.5, 0, 1), (1.0, 1, 1), (2.0, 2, 0), (1.0, 0, 3)])
     pmodel = ExpansionModel.make([(3, 0), (2, 0), (1, 0), (0, 0)], remainder=-1)
     for pp in (1, 2, 3):
-        reg = regint_rp(poly, pmodel, pp, budget.ladder, budget.sphere(pp) if pp == 3 else None, budget.n_radial)
+        reg = regint_rp(poly, pmodel, pp, budget.ladder, budget.sphere(pp), budget.n_radial)
         rows.append(
             CheckRow(f"cubic polynomial on R^{pp}", reg.value, 0.0, 1e-8, "abs", "vanishing on polynomials")
         )
@@ -502,13 +494,13 @@ def exp_winding(params, budget, rng):
     m1 = ExpansionModel.powers([-2, -4, -6, -8])
     r1 = eta_k(moebius(s=1.0), m1, budget.ladder, None, budget.n_radial)
     rows.append(CheckRow("eta_1((x-i)/(x+i))", r1.value, 2.0, 1e-8, "abs", "residue oracle"))
-    w3 = winding(sphere_clifford(k=2), budget.chart_s3)
+    w3 = winding(sphere_clifford(k=2))
     rows.append(CheckRow("winding on S^3", w3, -1.0, 1e-6, "abs", "normalized sphere integral"))
     w1 = winding(circle_phase(), 512)
     rows.append(CheckRow("winding of e^{i theta} on S^1", w1, 1.0, 1e-8, "abs", "classical winding number"))
     base = sphere_clifford(k=2)
     shifted = MatrixFamily(4, 2, lambda x: 5.0 * np.eye(2, dtype=complex)[None] + base(x), base.partials, "shifted")
-    wc = winding(shifted, budget.chart_s3)
+    wc = winding(shifted)
     rows.append(CheckRow("winding of a shifted (null-homotopic) family", wc, 0.0, 1e-6, "abs", "contractible family"))
     return rows
 
@@ -663,13 +655,13 @@ def exp_divisor_flow(params, budget, rng):
         linear = linear_bridge_path(w)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    rep = divisor_flow(unwind, linear, n_s=budget.s_nodes)
+    rep = divisor_flow(unwind, linear)
     rows = [
         CheckRow("flow along the phase-unwinding path", rep["path_a"], -2.0, 1e-6, "abs", "boundary rate"),
         CheckRow("flow along the straight-line path", rep["path_b"], 0.0, 1e-6, "abs", "boundary rate"),
         CheckRow("path dependence of the difference", rep["difference"], -2.0, 1e-6, "abs", "difference of rates"),
     ]
-    half = divisor_flow(halved, linear, n_s=budget.s_nodes)
+    half = divisor_flow(halved, linear)
     rows.append(
         CheckRow(
             "stability under halving the smoothing width",

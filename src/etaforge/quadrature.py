@@ -70,8 +70,9 @@ class SphereRule:
 
 
 # sphere_rule's default resolution on S^{p-1}, keyed by p: points on S^1,
-# (cos-theta nodes, azimuths) on S^2, (psi nodes, theta nodes, azimuths) on S^3
-SPHERE_RESOLUTION = {1: (), 2: (128,), 3: (24, 48), 4: (48, 48, 96)}
+# (cos-theta nodes, azimuths) on S^2, (psi nodes, theta nodes, azimuths) on
+# S^3.  The S^3 entry is the rule every S^3 integral of the experiments uses.
+SPHERE_RESOLUTION = {1: (), 2: (128,), 3: (24, 48), 4: (24, 24, 48)}
 
 
 def _is_count(n) -> bool:

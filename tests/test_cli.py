@@ -7,13 +7,15 @@ from dataclasses import replace
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etaforge.asymptotics import RadiusLadder
 from etaforge.cli import _BUDGET_KEYS, ExperimentConfig, Report, _resolve_budget, main, run, suite
 from etaforge.errors import ConfigError, FitError
-from etaforge.experiments import BUDGETS, EXPERIMENTS, Budget, CheckRow
+from etaforge.experiments import BUDGETS, EXPERIMENTS, Budget, CheckRow, exp_mellin_zero
 from etaforge.partrace import WindowConfig
 
 
@@ -59,24 +61,22 @@ def test_budget_validation():
     with pytest.raises(ConfigError):
         run(ExperimentConfig("clifford-check", budget={"radii": 10_000}))
     # lower bounds: empty rules are config errors
-    for bad in ({"radii": 1}, {"n_radial": 0},
-                {"n_radial_fine": 0}, {"s_nodes": 0}, {"r_min": 0.0}, {"r_max": 3.0}, {"r_min": math.nan},
-                {"radii": 16.0}, {"radii": "16"}, {"sphere_p3": [0, 4]}, {"chart_s3": [8, 8]}, {"preset": ["quick"]}):
+    for bad in ({"radii": 1}, {"n_radial": 0}, {"n_radial_fine": 0}, {"r_max": 3.0}, {"r_max": 4.0},
+                {"r_max": math.nan}, {"radii": 16.0}, {"radii": "16"}, {"sphere_p3": [0, 4]}, {"preset": ["quick"]}):
         with pytest.raises(ConfigError):
             run(ExperimentConfig("trace-tanh", budget={"preset": "quick", **bad}))
-    # the eigenvalue window is the library's, not the budget's: the retired
-    # window keys are unknown
-    for key in ("eig_window", "eig_cap"):
+    # the eigenvalue window, the S^3 rule, the divisor-flow s-rule and the
+    # ladder's start are the library's, not the budget's: the retired keys are unknown
+    for key, value in (("eig_window", 512), ("eig_cap", 512), ("chart_s3", [24, 24, 48]), ("s_nodes", 16),
+                       ("r_min", 4.0)):
         with pytest.raises(ConfigError, match="unknown budget keys"):
-            run(ExperimentConfig("eta-suspension", budget={"preset": "quick", key: 512}))
+            run(ExperimentConfig("eta-suspension", budget={"preset": "quick", key: value}))
     # upper caps: counts that would allocate without bound, each at least 8x the precise preset
-    for bad in ({"n_radial": 513}, {"s_nodes": 513}, {"n_radial_fine": 1025},
-                {"sphere_p3": [257, 256]}, {"chart_s3": [128, 128, 257]}):
+    for bad in ({"n_radial": 513}, {"n_radial_fine": 1025}, {"sphere_p3": [257, 256]}):
         with pytest.raises(ConfigError, match="hard caps"):
             run(ExperimentConfig("trace-tanh", budget={"preset": "quick", **bad}))
-    at_caps = {"n_radial": 512, "s_nodes": 512, "n_radial_fine": 1024, "sphere_p3": [256, 256],
-               "chart_s3": [128, 128, 256]}
-    assert _resolve_budget({"preset": "precise", **at_caps}).chart_s3 == (128, 128, 256)
+    at_caps = {"n_radial": 512, "n_radial_fine": 1024, "sphere_p3": [256, 256]}
+    assert _resolve_budget({"preset": "precise", **at_caps}).sphere_p3 == (256, 256)
     with pytest.raises(ValueError):
         WindowConfig(start=0)
     # a non-integer window would shift the spectrum to half-integers; a cap
@@ -414,7 +414,9 @@ def test_main_list(capsys):
 def test_ladder_starting_below_one():
     # the half-line pieces then start with a backwards panel; the finite parts
     # must not depend on where the ladder starts
-    assert run(ExperimentConfig("mellin-zero", budget={"preset": "quick", "r_min": 0.5})).passed
+    budget = replace(BUDGETS["quick"], ladder=RadiusLadder(0.5, 4096.0, 16))
+    rows = exp_mellin_zero({}, budget, np.random.default_rng(0))
+    assert rows and all(r.passed for r in rows)
 
 
 # Anything json.loads can return: NaN, infinities and integers of any size included.
@@ -430,11 +432,9 @@ _edges = st.sampled_from([0, 0.0, -0.0, -1.0, 2.0 ** 24, 2.0 ** 24 + 1, math.nan
 _budget_values = {
     "preset": st.sampled_from(sorted(BUDGETS)),
     "radii": st.integers(0, 130),
-    "r_min": st.floats(0.25, 8.0) | st.integers(1, 8) | _edges,
     "r_max": st.floats(2.0, 2.0 ** 24) | st.integers(100, 2 ** 24) | _edges,
-    "n_radial": _counts, "n_radial_fine": _counts, "s_nodes": _counts,
+    "n_radial": _counts, "n_radial_fine": _counts,
     "sphere_p3": st.lists(st.integers(-1, 40), min_size=2, max_size=2),
-    "chart_s3": st.lists(st.integers(-1, 40), min_size=3, max_size=3),
 }
 assert set(_budget_values) == _BUDGET_KEYS
 _budget = st.fixed_dictionaries({}, optional={k: st.one_of(v, v, v, _json) for k, v in _budget_values.items()})
@@ -452,9 +452,9 @@ _config = st.fixed_dictionaries(
 def _check_budget(budget):
     assert isinstance(budget, Budget)
     assert 0 < budget.ladder.r_min < budget.ladder.r_max <= 2.0 ** 24 and 2 <= budget.ladder.count <= 128
-    assert min(budget.n_radial, budget.n_radial_fine, budget.s_nodes) >= 1
-    assert len(budget.sphere_p3) == 2 and len(budget.chart_s3) == 3
-    assert all(isinstance(n, int) and n >= 1 for n in budget.sphere_p3 + budget.chart_s3)
+    assert min(budget.n_radial, budget.n_radial_fine) >= 1
+    assert len(budget.sphere_p3) == 2
+    assert all(isinstance(n, int) and n >= 1 for n in budget.sphere_p3)
 
 
 @settings(max_examples=200, deadline=None)
@@ -514,11 +514,9 @@ _bad_count = st.integers(max_value=0) | st.integers(min_value=1025) | _not_int
 _bad_budget_values = {
     "preset": st.text(max_size=8).filter(lambda t: t not in BUDGETS) | _not_int,
     "radii": st.integers(max_value=1) | st.integers(min_value=129) | _not_int,
-    "r_min": st.floats(max_value=0.0) | st.floats(min_value=2.0 ** 24) | st.just(math.nan) | _not_number,
     "r_max": st.floats(max_value=0.0) | st.floats(min_value=2.0 ** 24, exclude_min=True) | _not_number,
-    "n_radial": _bad_count, "n_radial_fine": _bad_count, "s_nodes": _bad_count,
+    "n_radial": _bad_count, "n_radial_fine": _bad_count,
     "sphere_p3": st.sampled_from([[300, 300], [0, 4], [4], [4, 4, 4]]) | _not_int,
-    "chart_s3": st.sampled_from([[200, 200, 200], [4, -1, 4], [4, 4]]) | _not_int,
 }
 assert set(_bad_budget_values) == _BUDGET_KEYS
 _bad_budget = st.sampled_from(sorted(_BUDGET_KEYS)).flatmap(

@@ -187,8 +187,7 @@ def _config(path, data) -> str:
 
 
 def test_every_line_is_reached_by_the_cli(tmp_path, capsys):
-    quick_budget = {"preset": "quick", "radii": 12, "r_min": 4, "r_max": 1024.0, "sphere_p3": [6, 12],
-                    "chart_s3": [6, 12, 12]}
+    quick_budget = {"preset": "quick", "radii": 12, "r_max": 1024.0, "sphere_p3": [6, 12]}
     runs = [  # (argv, expected exit code)
         (["--suite", "all", "--budget", "quick", "--out", str(tmp_path / "all")], 0),
         (["--suite", "properties", "--budget", "quick"], 0),
