@@ -816,11 +816,11 @@ def exp_tr_derivative_check(params, budget, rng):
     # window independence: each sum, at the window its escalation ended on,
     # agrees with the sum pinned at twice that window (so the two windows
     # always differ), so the Euler-Maclaurin tails carry what a window leaves
-    # out.  At every budget the row reads at most 3.0e-16 over a in {0.25,
-    # 0.1, 0.4, 0.5, 0.01, 0.99, -0.3, 1.25, 7.5, -3000.3, 100000.4}, against
-    # tail estimates of 1.4e-16 (the tails' round-off floor) and a tolerance
-    # of 1e-12; a tail scaled by 1 + 1e-6 reads 3.1e-9 at every budget, and
-    # no tail 3.1e-3
+    # out.  At every budget the row reads at most 5.4e-15 over a in {0.25,
+    # 0.1, 0.4, 0.5, 0.01, 0.99, -0.3, 1.25, 7.5, -3000.3, 100000.4}, at the
+    # first window of 128, against tail estimates of at most 1.1e-14 of the
+    # sum and a tolerance of 1e-12; a tail scaled by 1 + 1e-6 reads 1.2e-8
+    # at every budget, and no tail 1.3e-2
     fam4 = SpectralFamily(a, lam4)
     worst = 0.0
     for m in (0.5, 2.0, 5.0):

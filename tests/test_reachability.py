@@ -24,14 +24,11 @@ from etaforge.cli import main
 # reason each.  A text matches every line of that text in the function; None
 # stands for the whole function body.
 _PERFBENCH = "bound by name in perfbench/tracer.py, and called by nothing else"
-_ITEM_3 = "window escalation: no run widens an eigenvalue window yet (ROADMAP item 3)"
 _NON_FINITE = "handles non-finite or complex values, which no run produces"
 ALLOWED = {
     ("etaforge.quadrature.sphere_chart", None): _PERFBENCH,
     ("etaforge.partrace.l2_trace", None): _PERFBENCH,
     ("etaforge.cli.Report.to_json", 'data.pop("seconds")'): "perfbench hashes reports without their timing",
-    ("etaforge.partrace._circle_sum", "if N >= cfg.cap:"): _ITEM_3,
-    ("etaforge.partrace._circle_sum", "N = min(4 * N, cfg.cap)"): _ITEM_3,
     ("etaforge.partrace.Kernel.dt",
      "parts.append(KernelMonomial(m.coef * m.t_pow, m.lam_pow, m.t_pow - 1, m.res_pow))"):
         "no CLI run takes the mu-derivative of a family with a bare t power",
