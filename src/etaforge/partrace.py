@@ -287,12 +287,13 @@ _MU_CHUNK = 1024
 # eigenvalues) is one block, and so is every window up to N = 4,095; a window
 # widened beyond that by escalation or by |mu|/8 takes several
 _LAM_BLOCK = 8192
-# values (rows x eigenvalues) per summand call: 16 rows of a full eigenvalue
-# block, 508 of a 258-eigenvalue first window; a tail call sees at most
-# _MU_CHUNK x 75 = 76,800.  On spectral-trace (precise, 2-core Xeon, windows
-# from 128) 16,384, 65,536, 131,072 and 262,144 values all peaked at 41.3-41.4
-# MB and took 0.038-0.041 s a pass (medians of 4 runs, within the host's noise)
-_SUMMAND_ELEMENTS = 131072
+# values (rows x eigenvalues) per summand call: 9 rows of a full eigenvalue
+# block, 297 of a 258-eigenvalue first window; a tail call sees at most
+# _MU_CHUNK x 75 = 76,800, and a window call no more.  A 1-D shell-loop call
+# hands _circle_sum a ladder's nodes (up to 1,008 rows at the precise budget),
+# so the cap binds: on spectral-trace (precise, 2-core Xeon, 3 runs) 131,072
+# values raised the peak 1.4 MB above that of 48-row calls, 76,800 0.4 MB
+_SUMMAND_ELEMENTS = _MU_CHUNK * 75
 
 
 @dataclass

@@ -17,9 +17,12 @@ once.  Real integrand
 values stay float64 through the loop; complex ones are summed by real and
 imaginary part.  One pass of the shell loop integrates several integrands at
 the same points as the columns of one array, each column reduced exactly as
-it would be alone.  A shell-loop integrand must be row-wise: each call sees
-whole radial nodes of one panel, at most ``SHELL_POINTS`` points unless one
-node has more.
+it would be alone.  A shell-loop integrand must be row-wise, and is handed
+blocks of at most ``SHELL_POINTS`` points: a 1-D integrand the next nodes of
+one stream of every panel's nodes, from several panels at once, and a ball
+integrand whole radial nodes of one panel (one node when a node alone has
+more).  The eigenvalue sums of ``partrace`` are row-wise only up to their
+window: a chunk of their rows shares the widest window any of its rows needs.
 ``row_norm`` is the Euclidean norm of short rows, ``int_power`` the integer
 power by repeated squaring, and ``richardson_derivative`` the one
 first-derivative stencil of the package.
@@ -222,12 +225,12 @@ def _extracted(a: np.ndarray, top: float, q: np.ndarray, r: np.ndarray) -> list[
     return levels
 
 
-# points per integrand call of the shell loop: a larger panel is evaluated in
-# blocks of whole radial nodes (8 nodes x 2,048 directions at the precise
-# budget).  On scalar-regint (precise, 2-core Xeon) whole 98,304-point panels
-# peaked at 59.1 MB and a warm stokes-check took 31k minor faults; blocks of
-# 16,384 points peak at 47.1 MB with 0.9k faults.  4,096 points ran 15-25 %
-# slower and 8,192 gave mixed wall times at the same peak.
+# points per integrand call of the shell loop: 16,384 nodes of a 1-D stream,
+# or a ball panel's whole radial nodes (8 nodes x 2,048 directions at the
+# precise budget).  On scalar-regint (precise, 2-core Xeon) whole 98,304-point
+# ball panels peaked at 59.1 MB and a warm stokes-check took 31k minor faults;
+# blocks of 16,384 points peak at 47.1 MB with 0.9k faults.  4,096 points ran
+# 15-25 % slower and 8,192 gave mixed wall times at the same peak.
 SHELL_POINTS = 16384
 
 
@@ -304,24 +307,6 @@ def _joined_fsum(kept: list[float]) -> float:
         return math.fsum(special)
 
 
-def _panel_sums(contribution, x: np.ndarray, w: np.ndarray, nodes: int):
-    """Each column's (real, imaginary, absolute) sums over the panel with
-    radial nodes x and weights w, and the contribution's column shape.
-
-    The panel is evaluated ``nodes`` nodes at a time, and each column's
-    blocks go to one ``_JoinedSums``.
-    """
-    columns = None
-    for start in range(0, len(x), nodes):
-        contrib = contribution(x[start:start + nodes], w[start:start + nodes])
-        cols = contrib.reshape(len(contrib), -1)
-        if columns is None:
-            columns = [_JoinedSums() for _ in range(cols.shape[1])]
-        for acc, col in zip(columns, cols.T):
-            acc.add(col)
-    return [acc.sums() for acc in columns], contrib.shape[1:]
-
-
 def _cumulative_shells(
     panels: list[tuple[float, float, float]],
     marks: np.ndarray,
@@ -337,35 +322,50 @@ def _cumulative_shells(
     returns the weighted values at the radial nodes x with weights w,
     ``node_points`` rows per node in node order, float64 or complex, as an
     (n,) array or as (n, K), one column per integrand; (n,) is the case K = 1.
-    It must be row-wise: it sees at most ``SHELL_POINTS`` rows per call, each
-    call whole radial nodes (one node when a node alone has more rows), and a
-    panel's blocks must give the rows of one whole-panel call.  Each column
-    is reduced alone, exactly as a one-column run reduces it, by one
-    ``_JoinedSums`` per panel that takes the column's blocks in order and
-    rounds once: its panel sums are identical to ``math.fsum`` over the whole
-    panel, however the panel is split.  A real column takes its signed and
-    absolute sums from one reducer call per block and its imaginary sum is
-    0.0 without a reduction; a complex column takes three exact sums.  The
+    It must be row-wise: the blocks it is handed must give the rows of one
+    call on every node.  The blocks are cut from one stream of every panel's
+    nodes in panel order.  With one row per node (the 1-D routines) a block
+    is the next ``SHELL_POINTS`` nodes of the stream, from as many panels as
+    it reaches; with more (``cumulative_ball``) a block stays inside one
+    panel: whole nodes, at most ``SHELL_POINTS`` rows, or one node when a
+    node alone has more.  Each column is reduced alone, exactly as a
+    one-column run reduces it, by one ``_JoinedSums`` per panel that takes
+    the column's rows of that panel block by block and rounds once: its
+    panel sums are identical to ``math.fsum`` over the whole panel, however
+    the stream is cut.  A real column takes its signed and absolute sums
+    from one reducer call per block and panel, and its imaginary sum is 0.0
+    without a reduction; a complex column takes three exact sums.  The
     running totals are recorded with ``math.fsum`` over each column's panel
     sums whenever ``end`` is one of ``marks``, and come back with the
     contribution's column shape: (L,) or (L, K).
     """
+    rules = [panel_rule(a, b, n_radial) for a, b, _ in panels]
+    x, w = (np.concatenate(parts) for parts in zip(*rules))
+    # a 1-D block spans the whole stream, a ball block one panel
+    step = SHELL_POINTS if node_points == 1 else max(1, SHELL_POINTS // node_points)
+    span = len(x) if node_points == 1 else n_radial
+    cuts = [lo + s for lo in range(0, len(x), span) for s in range(0, span, step)]
+    reducers = None  # per panel, one _JoinedSums per column
+    for lo, hi in zip(cuts, cuts[1:] + [len(x)]):
+        contrib = contribution(x[lo:hi], w[lo:hi])
+        cols = contrib.reshape(len(contrib), -1)
+        if reducers is None:
+            reducers = [[_JoinedSums() for _ in range(cols.shape[1])] for _ in panels]
+        for panel in range(lo // n_radial, (hi - 1) // n_radial + 1):  # the block's rows per panel
+            start, stop = max(lo, panel * n_radial), min(hi, (panel + 1) * n_radial)
+            rows = slice((start - lo) * node_points, (stop - lo) * node_points)
+            for acc, col in zip(reducers[panel], cols[rows].T):
+                acc.add(col)
     marked = {float(m) for m in marks}
-    nodes = max(1, SHELL_POINTS // node_points)
-    out, aout = [], []
-    columns = None  # per column: its real, imaginary and absolute panel sums
-    for a, b, end in panels:
-        x, w = panel_rule(a, b, n_radial)
-        sums, col_shape = _panel_sums(contribution, x, w, nodes)
-        if columns is None:
-            columns = [([], [], []) for _ in sums]
-        for parts, col_sums in zip(columns, sums):
-            for part, value in zip(parts, col_sums):
+    out, aout, columns = [], [], [([], [], []) for _ in reducers[0]]
+    for (_, _, end), accs in zip(panels, reducers):
+        for parts, acc in zip(columns, accs):
+            for part, value in zip(parts, acc.sums()):
                 part.append(value)
         if float(end) in marked:
             out.append([math.fsum(re) + 1j * math.fsum(im) for re, im, _ in columns])
             aout.append([math.fsum(mass) for _, _, mass in columns])
-    shape = (-1,) + col_shape
+    shape = (-1,) + contrib.shape[1:]
     return np.array(out).reshape(shape), np.array(aout).reshape(shape)
 
 
@@ -396,8 +396,8 @@ def cumulative_ball(
     f maps an (M, p) point array to real or complex (M,) values, or to
     (M, K) values for K integrands at the same points; then both results are
     (len(ladder), K), and each column is bit for bit its one-column run.
-    f must be row-wise: it is called on blocks of whole radial nodes (the
-    node's radius times every direction of the rule), at most
+    f must be row-wise: it is called on blocks of whole radial nodes of one
+    panel (a node's radius times every direction of the rule), at most
     ``SHELL_POINTS`` points or one node per call, and the results are bit
     for bit those of one call per panel.
     """
@@ -428,7 +428,9 @@ def cumulative_radial(
     n_radial: int = 32,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Radial reduction of cumulative_ball for g = g(|x|): carries the exact
-    S^{p-1} surface factor."""
+    S^{p-1} surface factor.  g maps a 1-D array of radii to values; it is
+    called on the next ``SHELL_POINTS`` radial nodes of all panels in ladder
+    order, across panel bounds."""
     panels = _outward_panels(_shell_bounds(ladder, DEFAULT_INNER))
     out, aout = _cumulative_shells(
         panels, ladder, n_radial, lambda r, wr: wr * r ** (p - 1) * _values(g(r))
@@ -445,6 +447,8 @@ def cumulative_halfline_out(
     """J(b_j) = int_1^{b_j} g(x) dx on an outward ladder (b_j > 1).
 
     A ladder that starts below 1 gives signed values: J(b) = -int_b^1 g.
+    g is called on up to ``SHELL_POINTS`` nodes at a time, as for
+    ``cumulative_radial``.
     """
     panels = _outward_panels(_shell_bounds(ladder, (1.0, 1.5)))
     return _cumulative_shells(panels, ladder, n_radial, lambda x, w: w * _values(g(x)))
@@ -459,6 +463,8 @@ def cumulative_halfline_in(
 
     Panels never touch x = 0, so integrable endpoint singularities are fine.
     A u ladder that starts below 1 gives signed values: K(u) = -int_1^{1/u} g.
+    g is called on up to ``SHELL_POINTS`` nodes at a time, as for
+    ``cumulative_radial``, the panels taken from x = 1 inward.
     """
     # the outward bounds in u, inverted; the powers of two that fill the gap
     # below the ladder invert exactly

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from etaforge import eta as eta_module
-from etaforge import forms
+from etaforge import forms, partrace
 from etaforge.asymptotics import (
     CONDITION_LIMIT, ExpansionModel, RadiusLadder, fit_expansion, regint_rp, regint_rp_radial,
 )
@@ -435,7 +435,8 @@ def test_eta_suspension_bridge():
 def test_symmetric_suspension_integrand_is_exactly_zero(quick, k):
     # at a = 1/2 the mirrored eigenvalue pairs cancel exactly, so the
     # suspension integrand is 0 at every radius and the default floor's fit
-    # returns exactly 0
+    # returns exactly 0, here and in eta_suspension, whatever blocks of
+    # radii the shell loop hands the eigenvalue sums
     fam = SpectralFamily(0.5, eta_kernel(k))
     p = 2 * k - 1
     pref = math.factorial(p) * 2 ** (k - 1) * (1j) ** (-k)
@@ -447,6 +448,22 @@ def test_symmetric_suspension_integrand_is_exactly_zero(quick, k):
     assert not np.any(w(lad.radii()))
     model = ExpansionModel.make([(0.0, 0)] if k == 1 else [], remainder=-2.0 * p)
     assert regint_rp_radial(w, model, p, lad, quick.n_radial).value == 0
+    assert eta_suspension(0.5, k).value == 0
+
+
+def test_minus_suspension_reads_every_sum_from_the_run_store(monkeypatch):
+    # a radial shell-loop call hands the eigenvalue sums whole blocks of the
+    # ladder's nodes, and the sign - suspension hands them the same blocks as
+    # the sign + one: inside shared_sums() it makes no summand call
+    calls, summand = [], SpectralFamily.summand
+    monkeypatch.setattr(SpectralFamily, "summand", lambda *args: calls.append(1) or summand(*args))
+    with partrace.shared_sums():
+        eta_suspension(0.25, 2, +1)
+        assert calls
+        calls.clear()
+        minus = eta_suspension(0.25, 2, -1)
+    assert not calls
+    assert abs(minus.value - 0.5) < 5e-3
 
 
 def test_eta_suspension_k1():

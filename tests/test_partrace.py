@@ -879,8 +879,7 @@ def _recorded_circle_sums(monkeypatch):
 
 
 def test_a_run_shares_each_sum_with_the_bits_of_its_own_call(monkeypatch):
-    # within the run the sign - suspension repeats the sign + one, and the
-    # radial-reduction row repeats the suspension's inner panels; every
+    # within the run the sign - suspension repeats the sign + one; every
     # result, stored or not, is bit for bit the same call made outside a run
     calls = _recorded_circle_sums(monkeypatch)
     assert run(ExperimentConfig("eta-suspension", budget="quick")).passed

@@ -453,18 +453,27 @@ def test_overflowing_panel_with_non_finite_values_sums_those_alone(special, k):
         _reduce(np.array([1e308, 1e308, math.inf, -math.inf]))
 
 
-def _fsum_panels(contribution, x, w, nodes):
-    """The oracle for ``quadrature._panel_sums``: one call on the whole panel,
-    and each column's real, imaginary and absolute parts by math.fsum."""
-    contrib = contribution(x, w)
-    cols = contrib.reshape(len(contrib), -1).T
-    return [tuple(math.fsum(v.tolist()) for v in (c.real, c.imag, np.abs(c))) for c in cols], contrib.shape[1:]
+class _FsumSums:
+    """The oracle for ``quadrature._JoinedSums``: a column's blocks kept
+    whole, and the real, imaginary and absolute parts of all of them summed
+    by math.fsum."""
+
+    def __init__(self):
+        self.values = []
+
+    def add(self, col):
+        self.values.extend(col.tolist())
+
+    def sums(self):
+        v = np.array(self.values, dtype=complex)
+        return tuple(math.fsum(part.tolist()) for part in (v.real, v.imag, np.abs(v)))
 
 
 def test_cumulative_ball_panels_sum_like_fsum(monkeypatch):
     # every real, imaginary and absolute panel part of a complex integrand,
     # and the cumulative values built from them, agree with the per-panel
-    # fsum oracle, whatever blocks the panels are split into
+    # fsum oracle over one call on the whole panel, whatever blocks the
+    # panels are split into
     ladder = geometric_ladder(4.0, 256.0, 6)
     sphere = sphere_rule(3, (12, 24))
 
@@ -472,23 +481,109 @@ def test_cumulative_ball_panels_sum_like_fsum(monkeypatch):
         r = np.linalg.norm(x, axis=1)
         return np.exp(-0.05 * r + 1j * x[:, 0]) / (1.0 + r ** 2) + 1e-30 * x[:, 1] ** 3
 
-    def recorded(panel_sums):
+    def recorded(reducer):
         sums = []
 
-        def recording(*args):
-            out = panel_sums(*args)
-            sums.append([[_bits(v) for v in parts] for parts in out[0]])
-            return out
+        class Recording(reducer):
+            def sums(self):
+                out = super().sums()
+                sums.append([_bits(v) for v in out])
+                return out
 
-        monkeypatch.setattr(quadrature, "_panel_sums", recording)
+        monkeypatch.setattr(quadrature, "_JoinedSums", Recording)
         return [v.tobytes() for v in cumulative_ball(f, 3, ladder, sphere)], sums
 
-    reducer = quadrature._panel_sums
-    want = recorded(_fsum_panels)
-    assert len(want[1]) > len(ladder) and any(float.fromhex(s[0][0]) < 0 for s in want[1])
+    reducer = quadrature._JoinedSums
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "SHELL_POINTS", 10 ** 9)  # one call per panel
+        want = recorded(_FsumSums)
+    assert len(want[1]) > len(ladder) and any(float.fromhex(s[0]) < 0 for s in want[1])
     for shell_points in _SHELL_BOUNDS:
         monkeypatch.setattr(quadrature, "SHELL_POINTS", shell_points)
         assert recorded(reducer) == want
+
+
+_LINE_LADDER = geometric_ladder(0.5, 4096.0, 16)
+
+
+def _line_layout(loop):
+    """The panels, the marked bounds, the node weight (before g) and the
+    result factor of a 1-D shell loop on ``_LINE_LADDER``, independent of the
+    loop's blocks."""
+    if loop is cumulative_radial:
+        bounds = quadrature._shell_bounds(_LINE_LADDER, quadrature.DEFAULT_INNER)
+        return quadrature._outward_panels(bounds), _LINE_LADDER, lambda x, w: w * x ** 2, sphere_surface(3)
+    if loop is cumulative_halfline_out:
+        bounds = quadrature._shell_bounds(_LINE_LADDER, (1.0, 1.5))
+        return quadrature._outward_panels(bounds), _LINE_LADDER, lambda x, w: w, 1.0
+    bounds = 1.0 / np.array(quadrature._shell_bounds(_LINE_LADDER, (1.0,)))
+    panels = [(end, start, end) for start, end in zip(bounds[:-1], bounds[1:])]
+    return panels, bounds[-len(_LINE_LADDER):], lambda x, w: w, 1.0
+
+
+def _line_oracle(loop, g, n_radial):
+    """The loop's signed and absolute results from one call of g per panel,
+    each panel's parts summed by math.fsum and the running totals by
+    math.fsum over the panel sums at each marked bound."""
+    panels, marks, weight, factor = _line_layout(loop)
+    marked = {float(m) for m in marks}
+    parts, out, aout = ([], [], []), [], []
+    for a, b, end in panels:
+        x, w = panel_rule(a, b, n_radial)
+        v = (weight(x, w) * g(x)).astype(complex)
+        for part, values in zip(parts, (v.real, v.imag, np.abs(v))):
+            part.append(math.fsum(values.tolist()))
+        if float(end) in marked:
+            out.append(math.fsum(parts[0]) + 1j * math.fsum(parts[1]))
+            aout.append(math.fsum(parts[2]))
+    return factor * np.array(out), factor * np.array(aout)
+
+
+_LINE_N = 24  # radial nodes per panel in the 1-D block tests
+
+
+@pytest.mark.parametrize("loop", [cumulative_radial, cumulative_halfline_out, cumulative_halfline_in])
+@pytest.mark.parametrize("g", [
+    lambda x: np.cos(5.0 * x) / (1.0 + x ** 4),
+    lambda x: np.exp(1j * 3.0 * x - 0.01 * x) / (1.0 + x) - 1e-30 * x,
+], ids=["real", "complex"])
+@pytest.mark.parametrize("shell_points", [quadrature.SHELL_POINTS, 20, _LINE_N, 1])
+def test_line_loops_stream_nodes_across_panels(monkeypatch, loop, g, shell_points):
+    # a 1-D integrand takes the next SHELL_POINTS nodes of one stream of all
+    # panels' nodes per call, across panel bounds (20 splits each 24-node
+    # panel, 24 is one panel, 1 one node); the calls concatenate to every
+    # panel's nodes in order, and the results are byte-identical to the
+    # per-panel fsum oracle
+    monkeypatch.setattr(quadrature, "SHELL_POINTS", shell_points)
+    calls = []
+
+    def recording(x):
+        calls.append(x.copy())
+        return g(x)
+
+    args = (3,) if loop is cumulative_radial else ()
+    got = loop(recording, *args, _LINE_LADDER, _LINE_N)
+    want = _line_oracle(loop, g, _LINE_N)
+    for v, ref in zip(got, want):
+        assert v.dtype == ref.dtype and v.tobytes() == ref.tobytes()
+    nodes = np.concatenate([panel_rule(a, b, _LINE_N)[0] for a, b, _ in _line_layout(loop)[0]])
+    assert len(nodes) >= 16 * _LINE_N
+    assert [len(x) for x in calls] == [min(shell_points, len(nodes) - s) for s in range(0, len(nodes), shell_points)]
+    assert np.concatenate(calls).tobytes() == nodes.tobytes()
+
+
+@pytest.mark.parametrize("shell_points", [quadrature.SHELL_POINTS, 40 * 288, 10 ** 9])
+def test_ball_blocks_never_cross_a_panel(monkeypatch, shell_points):
+    # a cumulative_ball call takes whole nodes of one panel, even when the
+    # bound would hold more than a panel (32 nodes of 288 directions)
+    monkeypatch.setattr(quadrature, "SHELL_POINTS", shell_points)
+    radii = []
+    _ball(lambda x: radii.append(row_norm(x)) or _REAL(x))
+    ladder = geometric_ladder(4.0, 256.0, 6)
+    panels = quadrature._outward_panels(quadrature._shell_bounds(ladder, quadrature.DEFAULT_INNER))
+    assert len(radii) == len(panels)
+    for r, (a, b, _) in zip(radii, panels):
+        assert a < r.min() and r.max() < b and len(r) == 32 * len(_BALL_SPHERE.points)
 
 
 def _real_and_complex_runs(monkeypatch, loop, g, *args):
